@@ -1,14 +1,16 @@
 """Benchmark of statecover's commands on three workloads.
 
-    python3 bench/run.py --workload generate --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload ingest --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout; the program is imported from its `src`
 directory and its commands are called in this process through
 `statecover.cli.main`. Workloads:
 
-    generate  explore + sequences on the 1657-state tournaments model
     ingest    clean on a seeded model-checker DOT dump, every statement twice
-    campaign  test --base-url against the demo service started in-process
+    campaign  explore + sequences on a small model, then test --base-url
+              against the demo service started in-process
+    generate  explore + sequences on the 1657-state tournaments model (not
+              in BENCHMARK.json)
 
 A run makes a fixed number of whole rounds: --seconds divided by the
 workload's nominal round time. Every round does the same work, so every run
@@ -263,20 +265,19 @@ class Ingest(Workload):
 
 
 class Campaign(Workload):
-    """test --base-url against the clean demo, with the suite the program
-    derives from the p1/t1/e1 model with capacities (1, 2)."""
+    """explore and sequences --seed 7 --puts-max 2 on the p1/t1/e1 model with
+    capacities (1, 2), then test --base-url with that suite against the
+    clean demo."""
 
     round_s = 15.0
 
     def setup(self, where):
         statecover("fixtures", str(where / "fixtures"))
         self.contracts = str(where / "fixtures" / "tournaments-contracts.yaml")
-        model, dot = where / "model.yaml", str(where / "graph.dot")
-        model.write_text(model_yaml(*CAMPAIGN_DOMAINS), encoding="utf-8")
-        self.suite, self.report = where / "suite.json", where / "report.json"
-        statecover("explore", str(model), dot)
-        statecover("sequences", dot, str(self.suite), "--spec", self.contracts,
-                   "--seed", SUITE_SEED, "--puts-max", PUTS_MAX)
+        self.model = where / "model.yaml"
+        self.model.write_text(model_yaml(*CAMPAIGN_DOMAINS), encoding="utf-8")
+        self.dot, self.suite = where / "graph.dot", where / "suite.json"
+        self.report = where / "report.json"
         self.close()
         self.server = demo.DemoServer(port=0, seed=0).start()
         self.where = where
@@ -292,18 +293,27 @@ class Campaign(Workload):
         return response.json()
 
     def round(self):
+        self._admin("POST", "/_reset")
+        for output in (self.dot, self.suite, self.report):
+            output.unlink(missing_ok=True)
+        seconds, _, _, logs = self._commands(
+            ("explore", str(self.model), str(self.dot)),
+            ("sequences", str(self.dot), str(self.suite), "--spec", self.contracts,
+             "--seed", SUITE_SEED, "--puts-max", PUTS_MAX),
+            ("test", "--spec", self.contracts, "--sequences", str(self.suite),
+             "--base-url", self.server.base_url, "--report", str(self.report)))
+        if not hasattr(self, "oracle"):
+            self.oracle = oracle_model(CAMPAIGN_DOMAINS)
+        self.problems.extend(checks.check_explored(
+            checks.log_events(logs[0]).get("explored"), self.oracle))
+        if not (self.suite.exists() and self.report.exists()):
+            self.problems.append("the round wrote no suite or no report")
+            return seconds, 1, 1
         data = self.suite.read_bytes()
         if self.unchecked(data):
             doc = json.loads(data)
             self.calls = sum(map(len, checks.call_lists(doc)))
-            self.problems.extend(checks.check_suite(doc, oracle_model(CAMPAIGN_DOMAINS)))
-        self._admin("POST", "/_reset")
-        self.report.unlink(missing_ok=True)
-        seconds, _, _, _ = self._commands(
-            ("test", "--spec", self.contracts, "--sequences", str(self.suite),
-             "--base-url", self.server.base_url, "--report", str(self.report)))
-        if not self.report.exists():
-            return seconds, self.calls, self.calls
+            self.problems.extend(checks.check_suite(doc, self.oracle))
         report = json.loads(self.report.read_text(encoding="utf-8"))
         log = self._admin("GET", "/_requests")
         leftovers = {c: self._admin("GET", c) for c in checks.KEYS}
@@ -330,6 +340,9 @@ class Campaign(Workload):
         return {"suite_calls": self.calls, "http_requests": self.http_requests}
 
 
+# generate is not in BENCHMARK.json: on a shared 2-vCPU VM the spread of its
+# work_s between runs reached 0.258, beyond the largest bound (see README.md).
+# It stays runnable by hand and with --trace 1.
 WORKLOADS = {"generate": Generate, "ingest": Ingest, "campaign": Campaign}
 
 
