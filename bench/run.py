@@ -1,6 +1,6 @@
 """Benchmark of statecover's commands on three workloads.
 
-    python3 bench/run.py --workload ingest --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload ingest --seed 1 --seconds 50 --trace 0
 
 Run from the root of a checkout; the program is imported from its `src`
 directory and its commands are called in this process through
@@ -20,7 +20,7 @@ that set-up and rounds are both sampled across the whole run. Every round's
 output is checked against the benchmark's own oracles (see checks.py). With
 --trace 0 the last line of stdout holds the end-to-end metrics: setup_s
 (the median set-up, including a fresh interpreter's import of the command
-line), work_s (the median round) and peak_rss_mb. With --trace 1 rounds go
+line), work_s (the mean round) and peak_rss_mb. With --trace 1 rounds go
 untraced, traced, traced, untraced, ..., and the line holds the median
 per-layer metrics of the traced rounds plus trace.overhead_s. See README.md for what each
 metric is and which end-to-end metric it should move.
@@ -245,7 +245,7 @@ class Ingest(Workload):
     """clean on a seeded model-checker dump in which every statement is
     written twice."""
 
-    round_s = 2.5
+    round_s = 3.0
 
     def setup(self, where):
         text, self.nodes, self.edges = dotdump.make_dump(
@@ -278,7 +278,6 @@ class Campaign(Workload):
         self.model.write_text(model_yaml(*CAMPAIGN_DOMAINS), encoding="utf-8")
         self.dot, self.suite = where / "graph.dot", where / "suite.json"
         self.report = where / "report.json"
-        self.close()
         self.server = demo.DemoServer(port=0, seed=0).start()
         self.where = where
 
@@ -353,6 +352,9 @@ def run(workload: Workload, seconds: float, trace: bool, where: Path) -> dict:
     rounds = max(2 if trace else 1, round(seconds / workload.round_s))
     for n in range(rounds):
         for _ in range(sum(k * rounds // SETUPS == n for k in range(SETUPS))):
+            # Tearing down the previous set-up is not set-up time: stopping
+            # the demo waits up to 0.5 s for its server loop to poll.
+            workload.close()
             started = time.perf_counter()
             target = where / f"setup{len(setups)}"
             target.mkdir()
@@ -380,7 +382,10 @@ def run(workload: Workload, seconds: float, trace: bool, where: Path) -> dict:
     else:
         metrics = {
             "setup_s": statistics.median(setups),
-            "work_s": statistics.median(untraced),
+            # The mean, not the median: the machine's speed changes in phases
+            # of seconds to minutes, and a median flips to whichever phase
+            # held more rounds, while the mean weighs each by its share.
+            "work_s": statistics.fmean(untraced),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
     return {"attempted": attempted, "failed": failed, "metrics": metrics}
