@@ -223,6 +223,8 @@ def cmd_test(args, log: Log) -> int:
                 call=outcome["callIndex"],
                 reason=outcome["reason"],
             )
+    for failure in report["cleanupFailures"]:
+        log.event("cleanup-failed", **failure)
     print(
         f"calls={summary['calls']} ok={summary['ok']} warn={summary['warn']} "
         f"err={summary['err']} notTested={summary['notTested']} "

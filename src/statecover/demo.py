@@ -372,7 +372,11 @@ class DemoServer:
         return f"http://127.0.0.1:{self.port}"
 
     def start(self) -> "DemoServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits for the loop's next poll, so stop() takes up to
+        # one poll interval.
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

@@ -379,7 +379,9 @@ def run_campaign(
     The service is probed once up front so an unreachable target fails fast
     with TransportFailure instead of producing a report full of noise. Unless
     disabled, instances left behind by a sequence are deleted in reverse
-    creation order so later sequences start from a clean service.
+    creation order so later sequences start from a clean service; every
+    cleanup DELETE that raises or answers non-2xx is listed in
+    cleanupFailures, with its status or error.
     """
     started = time.monotonic()
     http = session if session is not None else requests.Session()
@@ -393,19 +395,22 @@ def run_campaign(
         spec, base_url, generator, session=http, timeout=timeout, budget=budget
     )
     outcomes: list[CallOutcome] = []
+    cleanup_failures: list[dict] = []
     for index, sequence in enumerate(sequences):
         calls = getattr(sequence, "calls", sequence)
         seq_outcomes, emulator = runner.run_sequence(calls, index)
         outcomes.extend(seq_outcomes)
         if cleanup:
             for entry in reversed(emulator.entries()):
+                url = runner.base_url + f"{entry.resource}/{entry.concrete_id}"
+                failure = {"sequenceIndex": index, "url": url}
                 try:
-                    http.delete(
-                        runner.base_url + f"{entry.resource}/{entry.concrete_id}",
-                        timeout=timeout,
-                    )
-                except requests.RequestException:
-                    pass  # cleanup is best effort
+                    response = http.delete(url, timeout=timeout)
+                except requests.RequestException as exc:
+                    cleanup_failures.append({**failure, "error": str(exc)})
+                    continue
+                if not 200 <= response.status_code < 300:
+                    cleanup_failures.append({**failure, "status": response.status_code})
 
     counts = {OK: 0, WARN: 0, ERR: 0, NOT_TESTED: 0}
     for outcome in outcomes:
@@ -421,5 +426,6 @@ def run_campaign(
             "calls": len(outcomes),
         },
         "outcomes": [o.to_json() for o in outcomes],
+        "cleanupFailures": cleanup_failures,
         "duration": round(time.monotonic() - started, 3),
     }

@@ -23,6 +23,10 @@ Guards and effects use a small expression language:
 'any capacity' branches the successor state over every declared capacity
 value. A state becomes final when the terminal condition holds (by default:
 all maps empty); final states are sinks and are not expanded further.
+
+Guards, effects and invariant checks are parsed once, by load_model, so a
+syntax error fails the load, naming its action or invariant, even where
+evaluation would never reach it; exploration only evaluates.
 """
 
 from __future__ import annotations
@@ -71,15 +75,15 @@ class ResourceDef:
 class ActionDef:
     name: str
     params: tuple[tuple[str, str], ...]  # (param name, resource name)
-    guard: str
-    effects: tuple[str, ...]
+    guard: tuple  # parsed conditions, see _parse_conds; () always holds
+    effects: tuple  # parsed effects, see _parse_effect
     unchanged: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class InvariantDef:
     name: str
-    check: str
+    check: tuple  # parsed conditions, see _parse_conds
     var: Optional[str] = None
     domain: Optional[str] = None  # resource whose live ids bind var
 
@@ -156,12 +160,16 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         pnames = [p for p, _ in params]
         if len(set(pnames)) != len(pnames):
             raise ModelError(f"action {a['name']}: duplicate param names")
+        where = f"action {a['name']}"
+        effects = tuple(_parse_effect(e, where) for e in a.get("effect") or ())
+        if _count_any(effects) and not capacities:
+            raise ModelError(f"{where}: 'any capacity' with no capacities declared")
         actions.append(
             ActionDef(
                 name=a["name"],
                 params=params,
-                guard=a.get("guard", ""),
-                effects=tuple(a.get("effect") or ()),
+                guard=_parse_conds(a["guard"], where) if a.get("guard") else (),
+                effects=effects,
                 unchanged=tuple(a.get("unchanged") or ()),
             )
         )
@@ -172,7 +180,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
     invariants = tuple(
         InvariantDef(
             name=i["name"],
-            check=i["check"],
+            check=_parse_conds(i["check"], f"invariant {i['name']}"),
             var=i.get("forall"),
             domain=i.get("in"),
         )
@@ -199,7 +207,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
 
 # --- expression language -----------------------------------------------------
 
-_TOK_RE = re.compile(r"<=|>=|!=|=|<|>|\[|\]|\{|\}|\(|\)|\.|,|:|[A-Za-z_]\w*|\d+")
+_TOK_RE = re.compile(r"\s*(?:(<=|>=|!=|=|<|>|\[|\]|\{|\}|\(|\)|\.|,|:|[A-Za-z_]\w*|\d+)|(\S))")
 _CMP = {
     "=": operator.eq, "!=": operator.ne,
     "<": operator.lt, "<=": operator.le,
@@ -210,16 +218,11 @@ Maps = dict  # resource name -> {id -> {field -> value}}
 
 
 def _tokenize(text: str, where: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOK_RE.match(text, pos)
-        if not m:
-            raise ModelError(f"{where}: cannot tokenize at {text[pos:]!r}")
-        out.append(m.group(0))
-        pos = m.end()
+    out = []
+    for m in _TOK_RE.finditer(text):
+        if m.group(2):
+            raise ModelError(f"{where}: cannot tokenize at {text[m.start(2):]!r}")
+        out.append(m.group(1))
     return out
 
 
@@ -288,18 +291,18 @@ def _eval_target_collection(atom, env: dict, maps: Maps, where: str):
     return value
 
 
-def _eval_cond(text: str, env: dict, maps: Maps, where: str) -> bool:
-    """Conjunction of membership and size conditions; short-circuits."""
+def _parse_conds(text: str, where: str) -> tuple:
+    """Parse a conjunction into ('size', target, comparator, int or atom)
+    and ('in', atom, target, negate) conditions."""
     t = _Toks(_tokenize(text, where), where)
-    while True:
-        if not _eval_one_cond(t, env, maps, where):
-            return False
-        if t.peek() is None:
-            return True
+    conds = [_parse_cond(t)]
+    while t.peek() is not None:
         t.expect("and")
+        conds.append(_parse_cond(t))
+    return tuple(conds)
 
 
-def _eval_one_cond(t: _Toks, env: dict, maps: Maps, where: str) -> bool:
+def _parse_cond(t: _Toks):
     if t.peek() == "size":
         t.next()
         t.expect("(")
@@ -307,24 +310,35 @@ def _eval_one_cond(t: _Toks, env: dict, maps: Maps, where: str) -> bool:
         t.expect(")")
         op = t.next()
         if op not in _CMP:
-            raise ModelError(f"{where}: expected comparator after size(), got {op!r}")
+            raise ModelError(f"{t.where}: expected comparator after size(), got {op!r}")
         rhs_tok = t.peek()
-        if rhs_tok is not None and rhs_tok.isdigit():
-            rhs = int(t.next())
-        else:
-            rhs = _eval_atom(_parse_atom(t), env, maps, where)
-            if not isinstance(rhs, int):
-                raise ModelError(f"{where}: size() compared against a non-integer")
-        return _CMP[op](len(_eval_target_collection(target, env, maps, where)), rhs)
-    lhs = _eval_atom(_parse_atom(t), env, maps, where)
-    negate = False
-    if t.peek() == "not":
+        rhs = int(t.next()) if rhs_tok is not None and rhs_tok.isdigit() else _parse_atom(t)
+        return ("size", target, _CMP[op], rhs)
+    lhs = _parse_atom(t)
+    negate = t.peek() == "not"
+    if negate:
         t.next()
-        negate = True
     t.expect("in")
-    coll = _eval_target_collection(_parse_atom(t), env, maps, where)
-    result = lhs in coll
-    return not result if negate else result
+    return ("in", lhs, _parse_atom(t), negate)
+
+
+def _holds(conds: tuple, env: dict, maps: Maps, where: str) -> bool:
+    """Evaluate parsed conditions as a conjunction; short-circuits."""
+    for cond in conds:
+        if cond[0] == "size":
+            _, target, compare, rhs = cond
+            if not isinstance(rhs, int):
+                rhs = _eval_atom(rhs, env, maps, where)
+                if not isinstance(rhs, int):
+                    raise ModelError(f"{where}: size() compared against a non-integer")
+            if not compare(len(_eval_target_collection(target, env, maps, where)), rhs):
+                return False
+        else:
+            _, lhs, target, negate = cond
+            value = _eval_atom(lhs, env, maps, where)
+            if (value in _eval_target_collection(target, env, maps, where)) == negate:
+                return False
+    return True
 
 
 # --- effects -----------------------------------------------------------------
@@ -338,11 +352,15 @@ def _eval_one_cond(t: _Toks, env: dict, maps: Maps, where: str) -> bool:
 def _parse_effect(text: str, where: str):
     t = _Toks(_tokenize(text, where), where)
     verb = t.next()
+    if verb not in ("put", "del", "add", "remove"):
+        raise ModelError(f"{where}: unknown effect verb {verb!r}")
+    res = t.next()
+    t.expect("[")
+    key = _parse_atom(t)
+    t.expect("]")
+    if verb == "del":
+        return ("del", res, key)
     if verb == "put":
-        res = t.next()
-        t.expect("[")
-        key = _parse_atom(t)
-        t.expect("]")
         t.expect("=")
         t.expect("{")
         fields = []
@@ -356,23 +374,10 @@ def _parse_effect(text: str, where: str):
                     continue
                 break
         t.expect("}")
-        return ("put", res, key, fields)
-    if verb == "del":
-        res = t.next()
-        t.expect("[")
-        key = _parse_atom(t)
-        t.expect("]")
-        return ("del", res, key)
-    if verb in ("add", "remove"):
-        res = t.next()
-        t.expect("[")
-        key = _parse_atom(t)
-        t.expect("]")
-        t.expect(".")
-        fname = t.next()
-        elem = _parse_atom(t)
-        return (verb, res, key, fname, elem)
-    raise ModelError(f"{where}: unknown effect verb {verb!r}")
+        return ("put", res, key, tuple(fields))
+    t.expect(".")
+    fname = t.next()
+    return (verb, res, key, fname, _parse_atom(t))
 
 
 def _parse_init(t: _Toks, where: str):
@@ -402,7 +407,7 @@ def _count_any(effects) -> int:
     )
 
 
-def _apply_effects(model: Model, maps: Maps, effects, env: dict, choices: list[int], where: str) -> Maps:
+def _apply_effects(maps: Maps, effects, env: dict, choices: tuple[int, ...], where: str) -> Maps:
     out = {res: {k: dict(rec) for k, rec in m.items()} for res, m in maps.items()}
     pick = iter(choices)
     for eff in effects:
@@ -415,7 +420,7 @@ def _apply_effects(model: Model, maps: Maps, effects, env: dict, choices: list[i
                 if init == ("empty",):
                     rec[fname] = frozenset()
                 elif init == ("any",):
-                    rec[fname] = model.capacities[next(pick)]
+                    rec[fname] = next(pick)
                 elif init[0] == "int":
                     rec[fname] = init[1]
                 else:
@@ -519,11 +524,11 @@ def _check_invariants(model: Model, maps: Maps) -> Optional[str]:
     for inv in model.invariants:
         where = f"invariant {inv.name}"
         if inv.var is None:
-            if not _eval_cond(inv.check, {}, maps, where):
+            if not _holds(inv.check, {}, maps, where):
                 return inv.name
         else:
             for rid in maps[inv.domain]:
-                if not _eval_cond(inv.check, {inv.var: rid}, maps, where):
+                if not _holds(inv.check, {inv.var: rid}, maps, where):
                     return inv.name
     return None
 
@@ -569,14 +574,6 @@ def explore(model: Model, *, max_states: int = 10000,
     """Enumerate every reachable state. Raises InvariantViolation (with a
     shortest action trace) if any state breaks the model's invariants or the
     extra predicate."""
-    compiled = {}
-    for action in model.actions:
-        effects = [_parse_effect(e, f"action {action.name}") for e in action.effects]
-        n_any = _count_any(effects)
-        if n_any and not model.capacities:
-            raise ModelError(f"action {action.name}: 'any capacity' with no capacities declared")
-        compiled[action.name] = (effects, n_any)
-
     init = empty_maps(model)
     states = [canonical(model, init, False)]
     state_maps = [init]
@@ -613,14 +610,14 @@ def explore(model: Model, *, max_states: int = 10000,
         for action in model.actions:
             domains = [model.resource(res).ids for _, res in action.params]
             where = f"action {action.name}"
-            effects, n_any = compiled[action.name]
+            n_any = _count_any(action.effects)
             for combo in itertools.product(*domains):
                 env = {p: v for (p, _), v in zip(action.params, combo)}
-                if action.guard and not _eval_cond(action.guard, env, maps, where):
+                if not _holds(action.guard, env, maps, where):
                     continue
                 label = f"{action.name}({','.join(combo)})"
-                for choices in itertools.product(range(len(model.capacities)), repeat=n_any):
-                    nxt = _apply_effects(model, maps, effects, env, list(choices), where)
+                for choices in itertools.product(model.capacities, repeat=n_any):
+                    nxt = _apply_effects(maps, action.effects, env, choices, where)
                     for res in action.unchanged:
                         if nxt.get(res) != maps.get(res):
                             raise ModelError(

@@ -13,7 +13,6 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from statistics import mean
 from typing import Callable
 
 from .ssg import StateSpaceGraph
@@ -310,12 +309,6 @@ def coverage_report(graph: StateSpaceGraph, paths: list[tuple[int, ...]]) -> Cov
         labels_covered=covered_labels,
         labels_total=labels_total,
     )
-
-
-def path_length_stats(lengths: list[int]) -> dict:
-    if not lengths:
-        return {"min": 0, "max": 0, "avg": 0.0}
-    return {"min": min(lengths), "max": max(lengths), "avg": round(mean(lengths), 2)}
 
 
 def sequences_to_json(sequences: list[CallSequence], seed: int) -> str:

@@ -166,9 +166,6 @@ class ApiSpec:
                         return spec.get("schema")
         return None
 
-    def has_success_response(self, op: Operation) -> bool:
-        return any(str(c).startswith("2") for c in (op.raw.get("responses") or {}))
-
     # -- executor metadata -------------------------------------------------
 
     def op_profile(self, op_id: str) -> OpProfile:

@@ -70,193 +70,134 @@ class RawGraph:
         return numeric + textual
 
 
-class _Scanner:
+_STRING_PREFIX = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*', re.DOTALL)
+# A bad '"' or '/*' starts a malformed string or an unterminated comment.
+_TOKEN = re.compile(
+    r"""(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
+    |(?P<str>%s")
+    |(?P<num>-?\d+(?:\.\d+)?)
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<punct>->|[{}\[\]=,;])
+    |(?P<bad>.)""" % _STRING_PREFIX.pattern,
+    re.VERBOSE | re.DOTALL,
+)
+# Only \" and \\ are decoded; DOT keeps every other escape literally.
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _error(text: str, offset: int, message: str) -> DotParseError:
+    return DotParseError(message, text.count("\n", 0, offset) + 1)
+
+
+def _reject_string(text: str, offset: int) -> None:
+    """Raise the error of the malformed quoted string that starts at offset."""
+    end = _STRING_PREFIX.match(text, offset).end()
+    if end == len(text):
+        raise _error(text, offset, "unterminated string")
+    if text[end] == "\n":
+        raise _error(text, offset, "newline inside quoted string")
+    raise _error(text, end, "dangling escape at end of input")
+
+
+def _tokens(text: str):
+    """Yield (kind, value, offset) lazily, then ("eof", "", len(text)).
+
+    A punctuation token's kind is its own text; a string's value is decoded.
+    An unterminated comment raises only when the parser pulls it, and a
+    malformed string only when the parser reads it as an id or value, so the
+    first error in reading order wins.
+    """
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "bad" and text.startswith("/*", m.start()):
+            raise _error(text, m.start(), "unterminated block comment")
+        value = m.group()
+        if kind == "punct":
+            kind = value
+        elif kind == "str":
+            value = _ESCAPE.sub(r"\1", value[1:-1])
+        yield kind, value, m.start()
+    yield "eof", "", len(text)
+
+
+class _Parser:
+    """Recursive descent over the token stream; kind, value and at describe
+    the current token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
+        self._tokens = _tokens(text)
+        self.advance()
+
+    def advance(self) -> None:
+        self.kind, self.value, self.at = next(self._tokens)
 
     def error(self, message: str) -> DotParseError:
-        return DotParseError(message, self.line)
+        return _error(self.text, self.at, message)
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
+    def accept(self, punct: str) -> bool:
+        if self.kind != punct:
+            return False
+        self.advance()
+        return True
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                self.pos += 1
+    def take(self, kinds: tuple[str, ...], what: str) -> str:
+        if self.kind not in kinds:
+            if "str" in kinds and self.text.startswith('"', self.at):
+                _reject_string(self.text, self.at)
+            raise self.error(f"expected {what}")
+        value = self.value
+        self.advance()
+        return value
 
-    def skip(self) -> None:
-        """Skip whitespace and // and block comments."""
-        while not self.eof():
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif self.text.startswith("//", self.pos):
-                while not self.eof() and self.text[self.pos] != "\n":
-                    self._advance()
-            elif self.text.startswith("/*", self.pos):
-                start_line = self.line
-                self._advance(2)
-                while not self.eof() and not self.text.startswith("*/", self.pos):
-                    self._advance()
-                if self.eof():
-                    raise DotParseError("unterminated block comment", start_line)
-                self._advance(2)
-            else:
-                return
-
-    def starts(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    def expect(self, s: str, what: str | None = None) -> None:
-        if not self.starts(s):
-            raise self.error(f"expected {what or s!r}")
-        self._advance(len(s))
-
-    def ident(self) -> str | None:
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos :])
-        if not m:
+    def label(self) -> str | None:
+        """Parse an optional [k=v, ...] list; return the label value if present."""
+        if not self.accept("["):
             return None
-        self._advance(len(m.group(0)))
-        return m.group(0)
-
-    def number(self) -> str | None:
-        m = re.match(r"-?\d+(\.\d+)?", self.text[self.pos :])
-        if not m:
-            return None
-        self._advance(len(m.group(0)))
-        return m.group(0)
-
-    def quoted(self) -> str:
-        # Caller established the opening quote.
-        start_line = self.line
-        self._advance()
-        out: list[str] = []
+        label = None
         while True:
-            if self.eof():
-                raise DotParseError("unterminated string", start_line)
-            ch = self.text[self.pos]
-            if ch == "\n":
-                raise DotParseError("newline inside quoted string", start_line)
-            if ch == "\\":
-                self._advance()
-                if self.eof():
-                    raise DotParseError("dangling escape at end of input", self.line)
-                nxt = self.text[self.pos]
-                if nxt in ('"', "\\"):
-                    out.append(nxt)
-                else:
-                    # Unknown escapes kept verbatim; DOT treats them literally.
-                    out.append("\\")
-                    out.append(nxt)
-                self._advance()
-            elif ch == '"':
-                self._advance()
-                return "".join(out)
-            else:
-                out.append(ch)
-                self._advance()
-
-
-def _read_id(sc: _Scanner) -> str | None:
-    sc.skip()
-    if sc.eof():
-        return None
-    ch = sc.text[sc.pos]
-    if ch == '"':
-        return sc.quoted()
-    if ch.isdigit() or (ch == "-" and sc.pos + 1 < len(sc.text) and sc.text[sc.pos + 1].isdigit()):
-        return sc.number()
-    return None
-
-
-def _read_attrs(sc: _Scanner) -> str | None:
-    """Parse an optional [k=v, ...] list; return the label value if present."""
-    sc.skip()
-    if sc.eof() or not sc.starts("["):
-        return None
-    sc.expect("[")
-    label = None
-    while True:
-        sc.skip()
-        name = sc.ident()
-        if name is None:
-            raise sc.error("expected attribute name")
-        sc.skip()
-        sc.expect("=", "'=' after attribute name")
-        sc.skip()
-        if sc.eof():
-            raise sc.error("expected attribute value")
-        ch = sc.text[sc.pos]
-        if ch == '"':
-            value = sc.quoted()
-        else:
-            value = sc.ident() or sc.number()
-            if value is None:
-                raise sc.error("expected attribute value")
-        if name == "label":
-            label = value
-        sc.skip()
-        if sc.starts(","):
-            sc.expect(",")
-            continue
-        sc.expect("]", "']' or ',' in attribute list")
-        return label
+            name = self.take(("ident",), "attribute name")
+            self.take(("=",), "'=' after attribute name")
+            value = self.take(("ident", "num", "str"), "attribute value")
+            if name == "label":
+                label = value
+            if not self.accept(","):
+                self.take(("]",), "']' or ',' in attribute list")
+                return label
 
 
 def parse_dot(text: str) -> RawGraph:
     """Parse one digraph in the supported DOT subset, preserving duplicates."""
-    sc = _Scanner(text)
-    sc.skip()
-    if sc.eof():
-        raise sc.error("empty input")
-    kw = sc.ident()
-    if kw != "digraph":
-        raise sc.error("expected 'digraph'")
-    sc.skip()
+    p = _Parser(text)
+    if p.kind == "eof":
+        raise p.error("empty input")
+    if p.kind != "ident" or p.value != "digraph":
+        raise p.error("expected 'digraph'")
+    p.advance()
     name = ""
-    if not sc.starts("{"):
-        got = sc.ident()
-        if got is None:
-            raise sc.error("expected graph name or '{'")
-        name = got
-        sc.skip()
-    sc.expect("{", "'{' opening the graph body")
+    if p.kind == "ident":
+        name = p.value
+        p.advance()
+    elif p.kind != "{":
+        raise p.error("expected graph name or '{'")
+    p.take(("{",), "'{' opening the graph body")
     graph = RawGraph(name=name)
-    while True:
-        sc.skip()
-        if sc.eof():
-            raise sc.error("unterminated graph body")
-        if sc.starts("}"):
-            sc.expect("}")
-            break
-        first = _read_id(sc)
-        if first is None:
-            raise sc.error("expected a state id (decimal integer or quoted string)")
-        sc.skip()
-        if sc.starts("->"):
-            sc.expect("->")
-            second = _read_id(sc)
-            if second is None:
-                raise sc.error("expected destination id after '->'")
-            label = _read_attrs(sc)
-            graph.edges.append(EdgeStatement(first, second, label))
+    while not p.accept("}"):
+        if p.kind == "eof":
+            raise p.error("unterminated graph body")
+        first = p.take(("num", "str"), "a state id (decimal integer or quoted string)")
+        if p.accept("->"):
+            second = p.take(("num", "str"), "destination id after '->'")
+            graph.edges.append(EdgeStatement(first, second, p.label()))
         else:
-            label = _read_attrs(sc)
-            graph.nodes.append(NodeStatement(first, label))
-        sc.skip()
-        if sc.starts(";"):
-            sc.expect(";")
-    sc.skip()
-    if not sc.eof():
-        rest = sc.text[sc.pos : sc.pos + 8]
-        if rest.startswith("digraph"):
-            raise sc.error("multiple digraphs in one document")
-        raise sc.error("trailing content after graph body")
+            graph.nodes.append(NodeStatement(first, p.label()))
+        p.accept(";")
+    if p.kind != "eof":
+        if text.startswith("digraph", p.at):
+            raise p.error("multiple digraphs in one document")
+        raise p.error("trailing content after graph body")
     return graph
 
 

@@ -167,6 +167,27 @@ class TestCampaignCommand:
         assert "res_code(GET /players/{pid}) = 404" in err
 
 
+    def test_cleanup_failures_are_logged(self, workdir, capsys):
+        calls = [("postPlayer", "POST", "/players", {"pid": "p1"}),
+                 ("postTournament", "POST", "/tournaments", {"tid": "t1"}),
+                 ("postEnrolment", "POST", "/enrolments",
+                  {"eid": "e1", "pid": "p1", "tid": "t1"}),
+                 ("deleteEnrolment", "DELETE", "/enrolments/{eid}", {"eid": "e1"})]
+        seqs = workdir / "stale-member.json"
+        seqs.write_text(json.dumps({"seed": 0, "sequences": [{"calls": [
+            {"op": op, "verb": verb, "path": path, "params": params}
+            for op, verb, path, params in calls]}]}))
+        _, _, err = run(capsys, "--json-logs", "test",
+                        "--spec", str(workdir / "tournaments-contracts.yaml"),
+                        "--sequences", str(seqs), "--spawn-demo",
+                        "--demo-fault", "delete_enrolment_no_backref")
+        events = [json.loads(line) for line in err.splitlines() if line]
+        failed = [e for e in events if e["event"] == "cleanup-failed"]
+        assert len(failed) == 1
+        assert "/tournaments/tid" in failed[0]["url"]
+        assert failed[0]["status"] == 409 and failed[0]["sequenceIndex"] == 0
+
+
 class TestJsonLogs:
     def test_events_are_json_lines(self, workdir, capsys):
         dot = workdir / "graph.dot"

@@ -298,6 +298,27 @@ class TestCampaign:
         for path in ("/players", "/tournaments", "/enrolments"):
             assert requests.get(live.base_url + path, timeout=5).json() == []
 
+    def test_cleanup_failures_are_reported(self):
+        calls = [mk("postPlayer", pid="p1"), mk("postTournament", tid="t1"),
+                 mk("postEnrolment", eid="e1", pid="p1", tid="t1"),
+                 mk("deleteEnrolment", eid="e1")]
+        with DemoServer(seed=3, fault="delete_enrolment_no_backref") as srv:
+            report = run_campaign(inferred_spec(), [calls], srv.base_url, seed=0)
+            left = requests.get(srv.base_url + "/tournaments", timeout=5).json()
+        # the stale member list makes the service refuse the tournament's DELETE
+        (tournament,) = left
+        assert report["cleanupFailures"] == [{
+            "sequenceIndex": 0,
+            "url": f"{srv.base_url}/tournaments/{tournament['tid']}",
+            "status": 409,
+        }]
+        assert report["summary"]["ok"] == 4
+
+    def test_clean_service_reports_no_cleanup_failures(self, live):
+        report = run_campaign(inferred_spec(), [full_cycle_calls()[:4]],
+                              live.base_url, seed=0)
+        assert report["cleanupFailures"] == []
+
     def test_cleanup_can_be_disabled(self, live):
         run_campaign(inferred_spec(), [[mk("postPlayer", pid="p1")]],
                      live.base_url, seed=0, cleanup=False)

@@ -106,6 +106,20 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="forall"):
             load_model(doc)
 
+    def test_unreachable_malformed_conjunct_fails_the_load(self):
+        doc = toggler_doc()
+        # one id, so the first conjunct never holds and evaluation would
+        # never reach the second
+        doc["actions"][1]["guard"] = "size(things) > 5 and kid within things"
+        with pytest.raises(ModelError, match="action dropThing: expected 'in', got 'within'"):
+            load_model(doc)
+
+    def test_malformed_invariant_fails_the_load(self):
+        doc = toggler_doc()
+        doc["invariants"] = [{"name": "bounded", "check": "size(things) <="}]
+        with pytest.raises(ModelError, match="invariant bounded"):
+            load_model(doc)
+
 
 class TestExploreToggler:
     def test_three_states(self):

@@ -144,13 +144,11 @@ class TestEmulatedState:
         with pytest.raises(StateError):
             EmulatedState().update("p1", {})
 
-    def test_creation_order_and_reset(self):
+    def test_creation_order(self):
         s = EmulatedState()
         for i, tla in enumerate(["p1", "t1", "e1"]):
             s.add(tla, "r", {}, f"c{i}")
         assert [e.tla_id for e in s.entries()] == ["p1", "t1", "e1"]
-        s.reset()
-        assert s.entries() == []
 
     def test_concrete_lookup(self):
         s = EmulatedState()

@@ -117,6 +117,45 @@ class TestParseDot:
         assert again.nodes == raw.nodes
         assert again.edges == raw.edges
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ('digraph {\n  0 [label="one\ntwo"];\n}', 2, "newline inside quoted string"),
+            ('digraph {\n  0 [label="a\\\nb\\', 3, "dangling escape at end of input"),
+            ("digraph {\n  0;\n  /* open\n  still open\n", 3, "unterminated block comment"),
+            ("digraph {\n/* one\ntwo\n*/ 0 -> ;\n}", 4, "expected destination id after '->'"),
+            ('digraph {\n  0 [label "x"];\n}', 2, "expected '=' after attribute name"),
+            ("digraph G\n\n[", 3, "expected '{' opening the graph body"),
+        ],
+    )
+    def test_error_lines_and_messages(self, text, line, message):
+        with pytest.raises(DotParseError) as err:
+            parse_dot(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_quoted_punctuation_is_an_id(self):
+        raw = parse_dot('digraph { "->" -> "{"; "[" [label="]"]; }')
+        assert raw.edges == [EdgeStatement("->", "{", None)]
+        assert raw.nodes == [NodeStatement("[", "]")]
+
+    def test_escaped_newline_inside_quotes_is_kept(self):
+        raw = parse_dot('digraph {\n  0 [label="a\\\nb"];\n}')
+        assert raw.nodes[0].label == "a\\\nb"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_emit_parse_round_trip_property(self, seed):
+        raw = make_random_dag_raw(random.Random(seed))
+        awkward = 'say "hi" to a\\b\\n'
+        raw = RawGraph(
+            name=raw.name,
+            nodes=[NodeStatement(n.node_id, n.label + awkward) for n in raw.nodes],
+            edges=[EdgeStatement(e.src, e.dst, awkward + e.label) for e in raw.edges],
+        )
+        again = parse_dot(emit_dot(raw))
+        assert (again.nodes, again.edges) == (raw.nodes, raw.edges)
+
 
 class TestClean:
     def test_removes_duplicates_keeps_order(self):
