@@ -193,6 +193,7 @@ def cmd_test(args, log: Log) -> int:
     else:
         raise UsageError("either --base-url or --spawn-demo is required")
 
+    traffic: dict = {}
     try:
         report = run_campaign(
             spec,
@@ -202,6 +203,7 @@ def cmd_test(args, log: Log) -> int:
             timeout=args.timeout,
             cleanup=not args.no_cleanup,
             budget=args.budget,
+            traffic=traffic,
         )
     except TransportFailure as exc:
         raise UsageError(str(exc)) from exc
@@ -213,6 +215,8 @@ def cmd_test(args, log: Log) -> int:
         _write_text(args.report, json.dumps(report, indent=2) + "\n")
         log.event("report", path=args.report)
     summary = report["summary"]
+    log.event("campaign", calls=summary["calls"], **traffic,
+              duration=report["duration"])
     for outcome in report["outcomes"]:
         if outcome["classification"] in ("ERR", "WARN"):
             log.event(

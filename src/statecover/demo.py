@@ -28,6 +28,7 @@ import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
+from urllib.parse import unquote
 
 from . import lifecycle, speckit
 from .speckit import ApiSpec, Clause
@@ -86,7 +87,7 @@ class TournamentsApp:
                 if not isinstance(body, dict):
                     return 422, {"error": "request body must be a JSON object"}
 
-            parts = [p for p in path.split("/") if p]
+            parts = [unquote(p) for p in path.split("/") if p]
             return self._route(method, parts, body)
 
     def _reset(self):
@@ -325,9 +326,21 @@ def _check_enrolment(body) -> Optional[str]:
 def _make_handler(app: TournamentsApp):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffer the response so that handle_one_request's flush sends the
+        # status line, headers and body in one write: two small writes on a
+        # keep-alive connection meet Nagle's algorithm on this side and
+        # delayed ACK on the client's, and each response then waits ~44 ms.
+        wbufsize = -1
+        disable_nagle_algorithm = True
 
         def log_message(self, *args):
             pass
+
+        def handle_expect_100(self):
+            # the client sends the body only after this interim answer
+            ok = super().handle_expect_100()
+            self.wfile.flush()
+            return ok
 
         def _serve(self, method):
             length = int(self.headers.get("Content-Length") or 0)

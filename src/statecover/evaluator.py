@@ -2,9 +2,11 @@
 
 Evaluation is read-only: the only requests it ever issues are GETs, so
 checking a clause cannot change the state it is checking. Within one
-evaluation every URL is fetched at most once (one consistent observation),
-and a budget caps the total number of live requests so quantifiers over
-large collections fail loudly instead of hammering the service.
+observation (one phase of a call) every URL is fetched at most once, so all
+the clauses of that phase see one consistent state of the service; a bare
+evaluate or capture_previous is an observation of its own. A budget caps
+the number of live requests per evaluation so quantifiers over large
+collections fail loudly instead of hammering the service.
 
 Domain errors in the data (a missing field, a non-JSON body, a quantifier
 over a non-array) make the enclosing condition false and produce a witness
@@ -15,8 +17,10 @@ unreachable service raises TransportFailure.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Optional
+from urllib.parse import quote
 
 import requests
 
@@ -105,6 +109,29 @@ def json_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+def make_session(base_url: str) -> requests.Session:
+    """A requests session for one service, with the environment read once.
+
+    A default session looks up proxies, the CA bundle and netrc credentials
+    in the environment on every request, which is about half of requests'
+    own cost per call. Every request of a campaign goes to base_url's host,
+    so this resolves them once for it and then stops reading the
+    environment.
+    """
+    session = requests.Session()
+    settings = session.merge_environment_settings(base_url, {}, None, None, None)
+    session.proxies = settings["proxies"]
+    session.verify = settings["verify"]
+    session.auth = requests.utils.get_netrc_auth(base_url)
+    session.trust_env = False
+    return session
+
+
+def path_segment(value) -> str:
+    """A concrete id as one URL path segment."""
+    return quote(str(value), safe="")
+
+
 class Evaluator:
     def __init__(
         self,
@@ -116,18 +143,36 @@ class Evaluator:
         budget: int = 256,
     ):
         self.base_url = base_url.rstrip("/")
-        self.session = session if session is not None else requests.Session()
+        self.session = session if session is not None else make_session(self.base_url)
         self.snapshots = snapshots if snapshots is not None else SnapshotStore()
         self.timeout = timeout
         self.budget = budget
+        self.sent = 0  # probe GETs that went out, over the evaluator's life
         self._spent = 0
         self._cache: dict[str, tuple[int, Any]] = {}
+        self._observing = False
 
     # -- public API ----------------------------------------------------------
 
-    def evaluate(self, formula: Formula, ctx: Optional[OpContext] = None) -> EvalResult:
+    @contextmanager
+    def observation(self):
+        """Share one URL cache across every evaluate and capture_previous
+        made inside the block, as one consistent view of the service."""
         self._cache.clear()
+        self._observing = True
+        try:
+            yield
+        finally:
+            self._observing = False
+            self._cache.clear()
+
+    def _begin(self) -> None:
+        if not self._observing:
+            self._cache.clear()
         self._spent = 0
+
+    def evaluate(self, formula: Formula, ctx: Optional[OpContext] = None) -> EvalResult:
+        self._begin()
         return self._formula(formula, ctx, {})
 
     def capture_previous(self, formulas, ctx: OpContext) -> None:
@@ -135,8 +180,7 @@ class Evaluator:
         given formulas. Must run before the operation is sent; transport
         problems are stored as markers and only surface if a clause actually
         reads the snapshot."""
-        self._cache.clear()
-        self._spent = 0
+        self._begin()
         for formula in formulas:
             for call, inside_prev in _walk_calls(formula):
                 if not inside_prev:
@@ -377,7 +421,7 @@ class Evaluator:
                         raise _Undefined(
                             f"request body has no field {part.field!r}"
                         )
-                    rendered += str(body[part.field])
+                    rendered += path_segment(body[part.field])
                 elif part.is_dotted():
                     root, field_name = part.name.split(".", 1)
                     if root not in env:
@@ -390,14 +434,14 @@ class Evaluator:
                     value = element[field_name]
                     if not isinstance(value, (str, int)):
                         raise _Undefined(f"{part.name} is not usable in a URL")
-                    rendered += str(value)
+                    rendered += path_segment(value)
                 else:
                     args = ctx.path_args if ctx is not None else {}
                     if part.name not in args:
                         raise EvaluationError(
                             f"no binding for path parameter {{{part.name}}}"
                         )
-                    rendered += str(args[part.name])
+                    rendered += path_segment(args[part.name])
             segments.append(rendered)
         return "/" + "/".join(segments)
 
@@ -409,6 +453,7 @@ class Evaluator:
                 f"evaluation exceeded its budget of {self.budget} requests"
             )
         self._spent += 1
+        self.sent += 1
         url = self.base_url + path
         try:
             response = self.session.get(url, timeout=self.timeout)

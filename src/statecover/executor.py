@@ -5,6 +5,8 @@ copy of the service state tracks what should exist. Around every request the
 operation's contract is evaluated (preconditions and invariants before,
 postconditions and, on the last call, invariants again after), and the
 combination of verdicts and status code is classified as OK, WARN, or ERR.
+Each of the two phases is one observation of the service: a URL that
+several of its clauses read is fetched once.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
 an operation with no usable key) is reported NOT_TESTED rather than guessed
@@ -20,7 +22,14 @@ from typing import Any, Optional
 
 import requests
 
-from .evaluator import EvaluationError, Evaluator, OpContext, TransportFailure
+from .evaluator import (
+    EvaluationError,
+    Evaluator,
+    OpContext,
+    TransportFailure,
+    make_session,
+    path_segment,
+)
 from .glacier import Formula
 from .runtime import EmulatedState, InputGenerator, SnapshotStore
 
@@ -122,8 +131,9 @@ class SequenceRunner:
         self.spec = spec
         self.base_url = base_url.rstrip("/")
         self.generator = generator
-        self.http = session if session is not None else requests.Session()
+        self.http = session if session is not None else make_session(self.base_url)
         self.timeout = timeout
+        self.sends = 0  # requests sent for calls, over the runner's life
         self.evaluator = Evaluator(
             self.base_url,
             session=self.http,
@@ -160,20 +170,20 @@ class SequenceRunner:
         except _Skip as skip:
             return skipped(skip.reason)
 
-        inv_verdict = self._eval_clauses(self.spec.invariants, None)
         pre_ctx = OpContext(
             phase="pre", req_body=prep.clause_body, path_args=prep.bindings
         )
-        pre_verdict = self._eval_clauses(op.requires, pre_ctx)
-
-        self.evaluator.snapshots.clear()
         capture_error = None
-        try:
-            self.evaluator.capture_previous(
-                [c.formula for c in op.ensures], pre_ctx
-            )
-        except EvaluationError as exc:
-            capture_error = str(exc)
+        with self.evaluator.observation():
+            inv_verdict = self._eval_clauses(self.spec.invariants, None)
+            pre_verdict = self._eval_clauses(op.requires, pre_ctx)
+            self.evaluator.snapshots.clear()
+            try:
+                self.evaluator.capture_previous(
+                    [c.formula for c in op.ensures], pre_ctx
+                )
+            except EvaluationError as exc:
+                capture_error = str(exc)
 
         status, body = self._send(profile.method, prep.path, prep.payload)
         request_info = {
@@ -193,19 +203,22 @@ class SequenceRunner:
                 f"server error {status}",
             )
 
-        if capture_error is not None:
-            post_verdict = ClauseVerdict(None, f"pre-state capture failed: {capture_error}")
-        else:
-            post_ctx = OpContext(
-                phase="post",
-                req_body=prep.clause_body,
-                res_code=status,
-                res_body=body,
-                path_args=prep.bindings,
-            )
-            post_verdict = self._eval_clauses(op.ensures, post_ctx)
-        if is_last:
-            inv_verdict = self._eval_clauses(self.spec.invariants, None)
+        with self.evaluator.observation():
+            if capture_error is not None:
+                post_verdict = ClauseVerdict(
+                    None, f"pre-state capture failed: {capture_error}"
+                )
+            else:
+                post_ctx = OpContext(
+                    phase="post",
+                    req_body=prep.clause_body,
+                    res_code=status,
+                    res_body=body,
+                    path_args=prep.bindings,
+                )
+                post_verdict = self._eval_clauses(op.ensures, post_ctx)
+            if is_last:
+                inv_verdict = self._eval_clauses(self.spec.invariants, None)
 
         return self._classified(
             seq_index, call_index, call.op, request_info, response_info,
@@ -317,7 +330,7 @@ class SequenceRunner:
     def _fill_path(template: str, bindings: dict) -> str:
         path = template
         for name, value in bindings.items():
-            path = path.replace("{" + name + "}", str(value))
+            path = path.replace("{" + name + "}", path_segment(value))
         if "{" in path:
             raise _Skip(f"unresolved parameters in path {path!r}")
         return path
@@ -350,6 +363,7 @@ class SequenceRunner:
 
     def _send(self, method: str, path: str, payload):
         url = self.base_url + path
+        self.sends += 1
         try:
             response = self.http.request(
                 method, url, json=payload, timeout=self.timeout
@@ -373,6 +387,7 @@ def run_campaign(
     cleanup: bool = True,
     session=None,
     budget: int = 256,
+    traffic: Optional[dict] = None,
 ) -> dict:
     """Execute every sequence against the service and return a report.
 
@@ -382,9 +397,14 @@ def run_campaign(
     creation order so later sequences start from a clean service; every
     cleanup DELETE that raises or answers non-2xx is listed in
     cleanupFailures, with its status or error.
+
+    A dict passed as traffic receives the number of requests the campaign
+    sent for calls (sends), for clause evaluation (probes) and for cleanup
+    (cleanups). They stay out of the report, which depends only on the
+    seed, the sequences and the service.
     """
     started = time.monotonic()
-    http = session if session is not None else requests.Session()
+    http = session if session is not None else make_session(base_url)
     try:
         http.get(base_url.rstrip("/") + "/", timeout=timeout)
     except requests.RequestException as exc:
@@ -396,14 +416,17 @@ def run_campaign(
     )
     outcomes: list[CallOutcome] = []
     cleanup_failures: list[dict] = []
+    cleanups = 0
     for index, sequence in enumerate(sequences):
         calls = getattr(sequence, "calls", sequence)
         seq_outcomes, emulator = runner.run_sequence(calls, index)
         outcomes.extend(seq_outcomes)
         if cleanup:
             for entry in reversed(emulator.entries()):
-                url = runner.base_url + f"{entry.resource}/{entry.concrete_id}"
+                path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
+                url = runner.base_url + path
                 failure = {"sequenceIndex": index, "url": url}
+                cleanups += 1
                 try:
                     response = http.delete(url, timeout=timeout)
                 except requests.RequestException as exc:
@@ -412,6 +435,10 @@ def run_campaign(
                 if not 200 <= response.status_code < 300:
                     cleanup_failures.append({**failure, "status": response.status_code})
 
+    if traffic is not None:
+        traffic.update(
+            sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups
+        )
     counts = {OK: 0, WARN: 0, ERR: 0, NOT_TESTED: 0}
     for outcome in outcomes:
         counts[outcome.classification] += 1

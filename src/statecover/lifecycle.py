@@ -351,6 +351,13 @@ def _holds(conds: tuple, env: dict, maps: Maps, where: str) -> bool:
 
 def _parse_effect(text: str, where: str):
     t = _Toks(_tokenize(text, where), where)
+    effect = _parse_effect_body(t, where)
+    if t.peek() is not None:
+        raise ModelError(f"{where}: unexpected {t.peek()!r} after effect {text!r}")
+    return effect
+
+
+def _parse_effect_body(t: _Toks, where: str):
     verb = t.next()
     if verb not in ("put", "del", "add", "remove"):
         raise ModelError(f"{where}: unknown effect verb {verb!r}")

@@ -107,10 +107,16 @@ class OpProfile:
 
 @dataclass
 class ApiSpec:
+    """A loaded API description. Resources and operation profiles depend
+    only on the paths and schemas, which never change after loading, so
+    each is computed once; contract inference changes only the clauses."""
+
     doc: dict
     operations: list[Operation]
     diagnostics: list[Diagnostic]
     invariants: tuple[Clause, ...] = ()
+    _resources: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def operation(self, op_id: str) -> Operation:
         for op in self.operations:
@@ -125,17 +131,19 @@ class ApiSpec:
 
     def resources(self) -> list[Resource]:
         """Collection paths paired with their /{key} item siblings."""
-        paths = self.doc.get("paths", {})
-        out = []
-        for p in paths:
-            if p.endswith("}"):
-                continue
-            for q in paths:
-                m = re.fullmatch(re.escape(p) + r"/\{(\w+)\}", q)
-                if m:
-                    out.append(Resource(collection=p, item=q, key=m.group(1)))
-                    break
-        return out
+        if self._resources is None:
+            paths = self.doc.get("paths", {})
+            out = []
+            for p in paths:
+                if p.endswith("}"):
+                    continue
+                for q in paths:
+                    m = re.fullmatch(re.escape(p) + r"/\{(\w+)\}", q)
+                    if m:
+                        out.append(Resource(collection=p, item=q, key=m.group(1)))
+                        break
+            self._resources = tuple(out)
+        return list(self._resources)
 
     def resource_keys(self) -> dict[str, str]:
         return {r.collection: r.key for r in self.resources()}
@@ -169,7 +177,12 @@ class ApiSpec:
     # -- executor metadata -------------------------------------------------
 
     def op_profile(self, op_id: str) -> OpProfile:
-        op = self.operation(op_id)
+        profile = self._profiles.get(op_id)
+        if profile is None:
+            profile = self._profiles[op_id] = self._make_profile(self.operation(op_id))
+        return profile
+
+    def _make_profile(self, op: Operation) -> OpProfile:
         keys = self.resource_keys()
         owners = self.key_owners()
         own_key = None

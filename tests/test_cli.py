@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+import requests
+
 from statecover.cli import derive_seed, main
-from statecover.demo import tournaments_model_doc
+from statecover.demo import DemoServer, tournaments_model_doc
 
 
 def run(capsys, *argv):
@@ -197,6 +199,29 @@ class TestJsonLogs:
         events = [json.loads(line) for line in err.splitlines() if line]
         assert {"event": "explored", "states": 6, "transitions": 10,
                 "finals": 1} in events
+
+
+    def test_campaign_event_accounts_for_every_request(self, workdir, capsys):
+        seqs = prepare_sequences(workdir, capsys, workdir / "tournaments-model.yaml")
+        with DemoServer() as server:
+            code, _, err = run(capsys, "--json-logs", "test",
+                               "--spec", str(workdir / "tournaments-contracts.yaml"),
+                               "--sequences", str(seqs), "--base-url", server.base_url,
+                               "--report", str(workdir / "report.json"))
+            seen = requests.get(server.base_url + "/_requests", timeout=5).json()
+        assert code == 0
+        events = [json.loads(line) for line in err.splitlines() if line]
+        (campaign,) = [e for e in events if e["event"] == "campaign"]
+        assert set(campaign) == {"event", "calls", "sends", "probes", "cleanups",
+                                 "duration"}
+        report = json.loads((workdir / "report.json").read_text())
+        assert "probes" not in json.dumps(report)
+        assert campaign["calls"] == campaign["sends"] == report["summary"]["calls"]
+        assert campaign["duration"] == report["duration"]
+        gets = [r for r in seen if r.startswith("GET ")]
+        # every GET but the up-front service probe comes from a clause
+        assert campaign["probes"] == len(gets) - 1 > 0
+        assert campaign["sends"] + campaign["cleanups"] == len(seen) - len(gets)
 
 
 class TestErrorPaths:

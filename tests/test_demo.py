@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 import requests
@@ -265,6 +266,51 @@ class TestHttpServer:
             assert log == ["GET /players"]
             requests.post(f"{server.base_url}/_reset", timeout=5)
             assert requests.get(f"{server.base_url}/_requests", timeout=5).json() == []
+
+
+    def test_each_response_leaves_in_one_write(self):
+        # Status line, headers and body in separate small writes meet delayed
+        # ACK on a keep-alive connection; in one write they arrive together.
+        with DemoServer() as server, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as conn:
+            request = b"GET /players HTTP/1.1\r\nHost: demo\r\n\r\n"
+            for _ in range(20):
+                conn.sendall(request)
+                chunk = conn.recv(65536)
+                head, _, body = chunk.partition(b"\r\n\r\n")
+                length = next(
+                    int(line.split(b":", 1)[1])
+                    for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")
+                )
+                assert head.startswith(b"HTTP/1.1 200")
+                assert len(body) == length and json.loads(body) == []
+
+    def test_continue_is_sent_before_the_body_arrives(self):
+        body = json.dumps(PLAYER).encode()
+        with DemoServer() as server, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as conn:
+            conn.sendall(b"POST /players HTTP/1.1\r\nHost: demo\r\n"
+                         b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            assert conn.recv(65536).startswith(b"HTTP/1.1 100")
+            conn.sendall(body)
+            assert conn.recv(65536).startswith(b"HTTP/1.1 200")
+
+    def test_ids_are_unquoted_per_path_segment(self):
+        player = {"pid": "a/b c", "name": "slash"}
+        with DemoServer() as server:
+            url = f"{server.base_url}/players/a%2Fb%20c"
+            assert requests.post(f"{server.base_url}/players", json=player,
+                                 timeout=5).status_code == 200
+            assert requests.get(url, timeout=5).json() == player
+            assert requests.delete(url, timeout=5).status_code == 200
+            assert requests.get(url, timeout=5).status_code == 404
+            log = requests.get(f"{server.base_url}/_requests", timeout=5).json()
+            assert log == ["POST /players", "GET /players/a%2Fb%20c",
+                           "DELETE /players/a%2Fb%20c", "GET /players/a%2Fb%20c"]
 
 
 class TestCompanions:

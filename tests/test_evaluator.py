@@ -12,6 +12,7 @@ from statecover.evaluator import (
     OpContext,
     TransportFailure,
     json_equal,
+    make_session,
 )
 from statecover.runtime import SnapshotStore
 
@@ -393,6 +394,80 @@ class TestMisuseErrors:
     def test_bare_boolean_field_is_a_formula(self):
         ev, _ = fake_eval({"/x": (200, {"ready": True})})
         assert check(ev, "res_body(GET /x){ready}").value
+
+
+class TestObservation:
+    def test_bare_evaluations_each_fetch_afresh(self):
+        ev, session = fake_eval({"/x": (200, {"v": 1})})
+        check(ev, "res_body(GET /x){v} = 1")
+        check(ev, "res_body(GET /x){v} = 1")
+        assert session.log == ["/x", "/x"]
+
+    def test_one_observation_fetches_each_url_once(self):
+        ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, 2)})
+        ctx = OpContext(phase="pre", path_args={})
+        with ev.observation():
+            assert check(ev, "res_body(GET /x){v} = 1").value
+            assert check(ev, "res_body(GET /x){v} < res_body(GET /y)").value
+            ev.capture_previous(
+                [glacier.parse("prev(res_body(GET /x)) = res_body(GET /y)")], ctx)
+        assert session.log == ["/x", "/y"]
+        assert ev.sent == 2
+        check(ev, "res_body(GET /x){v} = 1")  # the observation is over
+        assert session.log == ["/x", "/y", "/x"]
+
+    def test_budget_stays_per_evaluation_and_hits_are_free(self):
+        ev, session = fake_eval({"/x": (200, 1), "/y": (200, 1)}, budget=1)
+        with ev.observation():
+            assert check(ev, "res_body(GET /x) = 1").value
+            assert check(ev, "res_body(GET /y) = res_body(GET /x)").value
+        assert session.log == ["/x", "/y"]
+
+
+class TestUrlEncoding:
+    def test_path_argument_is_one_segment(self):
+        ev, session = fake_eval({})
+        check(ev, "res_code(GET /players/{pid}) = 404",
+              OpContext(phase="pre", path_args={"pid": "a/b c"}))
+        assert session.log == ["/players/a%2Fb%20c"]
+
+    def test_body_field_and_binder_values_are_one_segment(self):
+        ev, session = fake_eval({"/ts": (200, [{"tid": "x/y"}])})
+        check(ev, "res_code(GET /players/req_body(@){pid}) = 404",
+              OpContext(phase="pre", req_body={"pid": "a/b c"}))
+        check(ev, "for t in res_body(GET /ts) :- res_code(GET /ts/{t.tid}) = 404")
+        assert session.log == ["/players/a%2Fb%20c", "/ts", "/ts/x%2Fy"]
+
+
+class TestDefaultSession:
+    @pytest.fixture(autouse=True)
+    def no_proxy_variables(self, monkeypatch):
+        for name in ("HTTP_PROXY", "http_proxy", "NO_PROXY", "no_proxy",
+                     "ALL_PROXY", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+
+    def test_environment_proxy_is_resolved_for_the_host(self, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
+        session = make_session("http://api.example:8080")
+        assert session.proxies["http"] == "http://proxy.invalid:3128"
+        assert session.trust_env is False
+        assert Evaluator("http://api.example:8080").session.proxies["http"] == (
+            "http://proxy.invalid:3128")
+
+    def test_no_proxy_covering_the_host_means_no_proxy(self, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
+        monkeypatch.setenv("NO_PROXY", "api.example")
+        assert make_session("http://api.example:8080").proxies == {}
+
+    def test_ca_bundle_and_netrc_are_resolved_for_the_host(self, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.example login ann password secret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
+        session = make_session("http://api.example:8080")
+        assert session.verify == str(tmp_path / "ca.pem")
+        assert session.auth == ("ann", "secret")
 
 
 class TestTransportAndBudget:

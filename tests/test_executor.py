@@ -1,10 +1,20 @@
 import json
+from urllib.parse import urlsplit
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import TOURNAMENTS_RESOLVER_TABLE
-from statecover.demo import DemoServer, add_manual_clauses, demo_spec
+from statecover import lifecycle, seqgen, ssg
+from statecover.demo import (
+    DemoServer,
+    TournamentsApp,
+    add_manual_clauses,
+    demo_spec,
+    make_tournaments_model,
+)
 from statecover.evaluator import TransportFailure
 from statecover.executor import (
     ERR,
@@ -117,6 +127,24 @@ class Broken5xxSession:
         return FakeResponse(503, {"error": "boom"})
 
 
+class AppSession:
+    """Serves the demo service in-process and logs every request."""
+
+    def __init__(self):
+        self.app = TournamentsApp()
+        self.log = []
+
+    def get(self, url, timeout=None):
+        return self.request("GET", url, timeout=timeout)
+
+    def request(self, method, url, timeout=None, **body):
+        path = urlsplit(url).path
+        self.log.append(f"{method} {path}")
+        payload = body.get("json")
+        raw = None if payload is None else json.dumps(payload).encode()
+        return FakeResponse(*self.app.handle(method, path, raw))
+
+
 class TestSingleCalls:
     def test_post_player_is_ok(self, live):
         runner = runner_for(live)
@@ -178,6 +206,92 @@ class TestSingleCalls:
         outcomes, emulator = runner.run_sequence(calls, 0)
         assert [o.classification for o in outcomes] == [OK] * 4
         assert emulator.recycle("t1").data == outcomes[3].request["body"]
+
+
+class TestPhases:
+    def test_each_phase_fetches_a_url_once(self):
+        session = AppSession()
+        runner = SequenceRunner(inferred_spec(), "http://fake", InputGenerator(0),
+                                session=session)
+        calls = [mk("postTournament", tid="t1"), mk("deleteTournament", tid="t1")]
+        outcomes, _ = runner.run_sequence(calls, 0)
+        assert [o.classification for o in outcomes] == [OK, OK]
+        item = "/tournaments/tid10000"
+        # deleteTournament reads the item for its precondition and for the
+        # prev() its echo clause compares against: one GET serves both
+        assert session.log == [
+            f"GET {item}", "POST /tournaments", f"GET {item}",
+            f"GET {item}", f"DELETE {item}", f"GET {item}",
+        ]
+        assert runner.sends == 2 and runner.evaluator.sent == 4
+
+    def test_concrete_ids_are_one_path_segment(self):
+        path = SequenceRunner._fill_path("/players/{pid}", {"pid": "a/b c"})
+        assert path == "/players/a%2Fb%20c"
+
+
+class TestDefaultSession:
+    def test_environment_is_read_once_per_campaign(self, live, monkeypatch):
+        lookups = []
+        real = requests.utils.get_environ_proxies
+
+        def counted(*args, **kwargs):
+            lookups.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(requests.sessions, "get_environ_proxies", counted)
+        monkeypatch.setattr(requests.utils, "get_environ_proxies", counted)
+        report = run_campaign(inferred_spec(), [full_cycle_calls()],
+                              live.base_url, seed=0)
+        assert report["summary"]["ok"] == 6
+        assert len(lookups) <= 1
+
+
+def _campaign_domains():
+    ids = lambda prefix, n: tuple(f"{prefix}{i}" for i in range(1, n + 1))
+    shapes = st.sampled_from([(0, 1, 0), (1, 1, 0), (1, 1, 1), (2, 1, 1),
+                              (2, 1, 2), (1, 2, 1)])
+    capacities = st.sampled_from([(1,), (2,), (1, 2)])
+    return st.builds(
+        lambda shape, caps: (ids("p", shape[0]), ids("t", shape[1]),
+                             ids("e", shape[2]), caps),
+        shapes, capacities)
+
+
+# The generator draws a tournament's capacity from the schema (1 to 3), not
+# from the model's capacity branch, which the call labels do not carry. Where
+# the model lets two players share a tournament, the demo may refuse an
+# enrolment or a capacity update the model allows; the refused instance's
+# later calls then cannot be issued.
+CAPACITY_REFUSALS = ("tournament is full", "capacity below current enrolment count")
+
+
+class TestCleanDemoProperty:
+    @settings(max_examples=10, deadline=None)
+    @given(_campaign_domains(), st.integers(0, 2**16), st.integers(0, 2))
+    def test_every_call_is_ok_or_a_known_capacity_refusal(
+            self, server, domains, seed, puts_max):
+        requests.post(server.base_url + "/_reset", timeout=5)
+        spec = inferred_spec(manual=True)
+        exploration = lifecycle.explore(make_tournaments_model(*domains))
+        graph = ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
+        sequences = seqgen.to_call_sequences(
+            graph, seqgen.select_sequences(graph), resolver=spec.resolver())
+        sequences = seqgen.insert_puts(sequences, spec.put_catalog(), puts_max, seed)
+        report = run_campaign(spec, sequences, server.base_url, seed=seed)
+        assert report["summary"]["calls"] == sum(len(s.calls) for s in sequences)
+        players, _, enrolments, caps = domains
+        shared = len(players) >= 2 and len(enrolments) >= 2 and max(caps) >= 2
+        for outcome in report["outcomes"]:
+            if outcome["classification"] == OK:
+                continue
+            assert shared, outcome
+            if outcome["classification"] == NOT_TESTED:
+                assert "never created" in outcome["reason"], outcome
+            else:
+                assert outcome["classification"] == ERR, outcome
+                assert outcome["response"]["status"] == 422, outcome
+                assert outcome["response"]["body"]["error"] in CAPACITY_REFUSALS
 
 
 class TestNotTested:

@@ -114,6 +114,12 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="action dropThing: expected 'in', got 'within'"):
             load_model(doc)
 
+    def test_trailing_tokens_after_an_effect_fail_the_load(self):
+        doc = toggler_doc()
+        doc["actions"][1]["effect"] = ["del things[kid] and then some"]
+        with pytest.raises(ModelError, match="action dropThing: unexpected 'and' after effect"):
+            load_model(doc)
+
     def test_malformed_invariant_fails_the_load(self):
         doc = toggler_doc()
         doc["invariants"] = [{"name": "bounded", "check": "size(things) <="}]

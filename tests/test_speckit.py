@@ -350,6 +350,12 @@ class TestExecutorMetadata:
         assert p.request_schema is None
         assert p.foreign_keys == ()
 
+    def test_op_profile_is_computed_once(self, spec):
+        assert spec.op_profile("postEnrolment") is spec.op_profile("postEnrolment")
+        infer_contracts(spec)  # changes only the clauses, never a profile
+        assert spec.op_profile("postEnrolment").foreign_keys == (
+            ("pid", "/players"), ("tid", "/tournaments"))
+
     def test_op_profile_plain_get(self, spec):
         p = spec.op_profile("getTournamentCapacity")
         assert p.own_key is None
