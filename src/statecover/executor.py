@@ -161,12 +161,11 @@ class SequenceRunner:
                 None, None, None, NOT_TESTED, reason,
             )
 
-        if not self.spec.has_operation(call.op):
+        op = self.spec.op_profile(call.op)
+        if op is None:
             return skipped(f"operation {call.op!r} is not in the API description")
-        op = self.spec.operation(call.op)
-        profile = self.spec.op_profile(call.op)
         try:
-            prep = self._prepare(call, profile, emulator)
+            prep = self._prepare(call, op, emulator)
         except _Skip as skip:
             return skipped(skip.reason)
 
@@ -185,9 +184,9 @@ class SequenceRunner:
             except EvaluationError as exc:
                 capture_error = str(exc)
 
-        status, body = self._send(profile.method, prep.path, prep.payload)
+        status, body = self._send(op.method, prep.path, prep.payload)
         request_info = {
-            "method": profile.method,
+            "method": op.method,
             "url": prep.path,
             "body": prep.payload,
         }
@@ -252,32 +251,32 @@ class SequenceRunner:
 
     # -- request construction -----------------------------------------------------
 
-    def _prepare(self, call, profile, emulator: EmulatedState) -> _Prepared:
-        method = profile.method
+    def _prepare(self, call, op, emulator: EmulatedState) -> _Prepared:
+        method = op.method
         if method == "POST":
-            return self._prepare_post(call, profile, emulator)
+            return self._prepare_post(call, op, emulator)
         if method == "DELETE":
-            return self._prepare_delete(call, profile, emulator)
+            return self._prepare_delete(call, op, emulator)
         if method == "PUT":
-            return self._prepare_put(call, profile, emulator)
+            return self._prepare_put(call, op, emulator)
         raise _Skip(f"{method} operations are not driven by this runner")
 
-    def _prepare_post(self, call, profile, emulator) -> _Prepared:
-        if profile.own_key is None:
+    def _prepare_post(self, call, op, emulator) -> _Prepared:
+        if op.own_key is None:
             raise _Skip("operation has no key field to track instances by")
         # the key comes from the API description, not the (serializable) call
-        tla = call.params.get(profile.own_key)
+        tla = call.params.get(op.own_key)
         if tla is None:
-            raise _Skip(f"no abstract id for key {profile.own_key!r}")
+            raise _Skip(f"no abstract id for key {op.own_key!r}")
         payload = (
-            self.generator.generate(profile.request_schema)
-            if profile.request_schema
+            self.generator.generate(op.request_schema)
+            if op.request_schema
             else {}
         )
-        concrete = self.generator.next_id(profile.own_key)
-        payload[profile.own_key] = concrete
-        bindings = {profile.own_key: concrete}
-        for field_name, _owner in profile.foreign_keys:
+        concrete = self.generator.next_id(op.own_key)
+        payload[op.own_key] = concrete
+        bindings = {op.own_key: concrete}
+        for field_name, _owner in op.foreign_keys:
             foreign_tla = call.params.get(field_name)
             if foreign_tla is None:
                 raise _Skip(f"no abstract id for foreign key {field_name!r}")
@@ -288,39 +287,39 @@ class SequenceRunner:
                 )
             payload[field_name] = entry.concrete_id
             bindings[field_name] = entry.concrete_id
-        path = self._fill_path(profile.path, bindings)
-        effect = ("add", tla, profile.collection or profile.path, payload, concrete)
+        path = self._fill_path(op.path, bindings)
+        effect = ("add", tla, op.collection or op.path, payload, concrete)
         return _Prepared(payload, payload, path, bindings, effect)
 
-    def _prepare_delete(self, call, profile, emulator) -> _Prepared:
-        entry = self._own_entry(call, profile, emulator)
-        bindings = {profile.own_key: entry.concrete_id}
-        path = self._fill_path(profile.path, bindings)
+    def _prepare_delete(self, call, op, emulator) -> _Prepared:
+        entry = self._own_entry(call, op, emulator)
+        bindings = {op.own_key: entry.concrete_id}
+        path = self._fill_path(op.path, bindings)
         # nothing goes over the wire, but req_body(@) means the stored instance
         return _Prepared(None, entry.data, path, bindings, ("delete", entry.tla_id))
 
-    def _prepare_put(self, call, profile, emulator) -> _Prepared:
-        entry = self._own_entry(call, profile, emulator)
+    def _prepare_put(self, call, op, emulator) -> _Prepared:
+        entry = self._own_entry(call, op, emulator)
         payload = (
-            self.generator.generate(profile.request_schema)
-            if profile.request_schema
+            self.generator.generate(op.request_schema)
+            if op.request_schema
             else {}
         )
-        payload[profile.own_key] = entry.concrete_id  # the key itself is immutable
-        for field_name, _owner in profile.foreign_keys:
+        payload[op.own_key] = entry.concrete_id  # the key itself is immutable
+        for field_name, _owner in op.foreign_keys:
             if field_name in entry.data:
                 payload[field_name] = entry.data[field_name]
-        bindings = {profile.own_key: entry.concrete_id}
-        path = self._fill_path(profile.path, bindings)
+        bindings = {op.own_key: entry.concrete_id}
+        path = self._fill_path(op.path, bindings)
         effect = ("update", entry.tla_id, payload)
         return _Prepared(payload, payload, path, bindings, effect)
 
-    def _own_entry(self, call, profile, emulator):
-        if profile.own_key is None:
+    def _own_entry(self, call, op, emulator):
+        if op.own_key is None:
             raise _Skip("operation has no key field to track instances by")
-        tla = call.params.get(profile.own_key)
+        tla = call.params.get(op.own_key)
         if tla is None:
-            raise _Skip(f"no abstract id for key {profile.own_key!r}")
+            raise _Skip(f"no abstract id for key {op.own_key!r}")
         entry = emulator.recycle(tla)
         if entry is None:
             raise _Skip(f"{tla} was never created in this sequence")
@@ -353,8 +352,6 @@ class SequenceRunner:
             formula: Formula = clause.formula
             try:
                 result = self.evaluator.evaluate(formula, ctx)
-            except TransportFailure:
-                raise
             except EvaluationError as exc:
                 return ClauseVerdict(None, f"{clause.text}: cannot evaluate: {exc}")
             if not result.value:

@@ -572,9 +572,6 @@ class Exploration:
     def to_dot(self) -> str:
         return ssg.emit_dot(self.to_raw())
 
-    def to_ssg(self) -> ssg.StateSpaceGraph:
-        return ssg.build(self.to_raw(), initial="0")
-
 
 def explore(model: Model, *, max_states: int = 10000,
             predicate: Optional[Callable[[Maps], bool]] = None) -> Exploration:
@@ -657,13 +654,3 @@ def explore(model: Model, *, max_states: int = 10000,
         finals=finals,
         transitions=transitions,
     )
-
-
-def check_invariant(model: Model, predicate: Callable[[Maps], bool]):
-    """None if the predicate holds in every reachable state, else the action
-    trace leading to the first counterexample found."""
-    try:
-        explore(model, predicate=predicate)
-    except InvariantViolation as violation:
-        return violation.trace
-    return None

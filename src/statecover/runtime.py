@@ -128,10 +128,6 @@ class EmulatedState:
             raise StateError(f"{tla_id!r} is not tracked")
         self._entries[tla_id].data = data
 
-    def concrete(self, tla_id: str) -> Optional[str]:
-        entry = self._entries.get(tla_id)
-        return entry.concrete_id if entry else None
-
     def entries(self) -> list[Entry]:
         return list(self._entries.values())
 

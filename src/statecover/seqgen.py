@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .speckit import Operation
 from .ssg import StateSpaceGraph
 
 
@@ -135,9 +136,10 @@ class CallSequence:
     source_path: tuple[int, ...] = ()
 
 
-# A resolver maps an operation name from an edge label to its metadata:
-# {"op": id, "verb": ..., "path": ..., "param_names": [...], "own_key": ...}
-Resolver = Callable[[str], dict | None]
+# A resolver maps an operation name from an edge label to the operation it
+# names (ApiSpec.resolver), or None; the label's arguments bind, in order,
+# the operation's param_names.
+Resolver = Callable[[str], Operation | None]
 
 
 def to_call_sequences(
@@ -164,23 +166,23 @@ def to_call_sequences(
             if parsed is None:
                 continue
             name, args = parsed
-            meta = resolver(name) if resolver else None
-            if meta is None:
+            op = resolver(name) if resolver else None
+            if op is None:
                 params = {f"arg{i}": a for i, a in enumerate(args)}
                 calls.append(Call(op=name, verb="", path="", params=params))
                 continue
-            names = list(meta.get("param_names") or [])
+            names = op.param_names
             params = {}
             for i, a in enumerate(args):
                 key = names[i] if i < len(names) else f"arg{i}"
                 params[key] = a
             calls.append(
                 Call(
-                    op=meta["op"],
-                    verb=meta["verb"],
-                    path=meta["path"],
+                    op=op.op_id,
+                    verb=op.method,
+                    path=op.path,
                     params=params,
-                    own_key=meta.get("own_key"),
+                    own_key=op.own_key,
                 )
             )
         sequences.append(CallSequence(calls=calls, source_path=tuple(path)))
@@ -192,14 +194,14 @@ MAX_PUTS_LIMIT = 3
 
 def insert_puts(
     sequences: list[CallSequence],
-    put_catalog: dict[str, dict],
+    put_catalog: dict[str, Operation],
     max_puts: int,
     seed: int,
 ) -> list[CallSequence]:
     """Insert 0..max_puts consecutive update calls per created resource.
 
-    put_catalog maps a resource's key parameter name to the PUT operation
-    metadata ({"op", "verb", "path"}). The block lands uniformly at random
+    put_catalog maps a resource's key parameter name to its PUT operation
+    (ApiSpec.put_catalog). The block lands uniformly at random
     (seeded) strictly after the resource's POST and strictly before its
     DELETE when one exists, otherwise anywhere after the POST.
     """
@@ -236,12 +238,12 @@ def insert_puts(
             lo = post_idx + 1
             hi = delete_idx if delete_idx is not None else len(calls)
             pos = rng.randint(lo, hi)
-            meta = put_catalog[own_key]
+            put = put_catalog[own_key]
             block = [
                 Call(
-                    op=meta["op"],
-                    verb=meta["verb"],
-                    path=meta["path"],
+                    op=put.op_id,
+                    verb=put.method,
+                    path=put.path,
                     params={own_key: tla_id},
                     own_key=own_key,
                 )

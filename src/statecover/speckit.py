@@ -12,6 +12,14 @@ attaches inferred pre/postconditions to the mutating operations:
     PUT /r/{k}     requires the item to exist, ensures the stored value
                    equals the request body (tagged as an extra clause)
 
+Each operation becomes one record at load time. The record holds what a
+call to it needs: the resource key its path addresses, the collection and
+item paths, the request schema with every $ref resolved, the foreign keys in
+that schema and the names an edge label's arguments bind. Records are looked
+up by operation id; where an id is declared twice, the first operation wins
+for every lookup. A dangling or cyclic $ref in a request body fails the
+load with a SpecError naming the operation's METHOD and path.
+
 Contracts serialize as x-requires / x-ensures on the operation objects and
 x-invariants at the document root; loading an emitted document and emitting
 it again is byte-identical.
@@ -22,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import yaml
 
@@ -75,6 +83,10 @@ class Clause:
 
 @dataclass
 class Operation:
+    """One API operation, resolved once at load: how a call to it is issued
+    (key bindings, request schema with no $refs left) and its contract
+    clauses, which contract inference may extend."""
+
     op_id: str
     method: str  # uppercase
     path: str
@@ -82,173 +94,84 @@ class Operation:
     path_params: tuple[str, ...] = ()
     requires: tuple[Clause, ...] = ()
     ensures: tuple[Clause, ...] = ()
-
-
-@dataclass(frozen=True)
-class Resource:
-    collection: str
-    item: str
-    key: str
-
-
-@dataclass(frozen=True)
-class OpProfile:
-    """Everything the test driver needs to issue one operation."""
-
-    op_id: str
-    method: str
-    path: str
-    own_key: Optional[str]
-    collection: Optional[str]
-    item_path: Optional[str]
-    request_schema: Optional[dict]
-    foreign_keys: tuple[tuple[str, str], ...]  # (field name, owning collection)
+    own_key: Optional[str] = None  # key of the resource the path addresses
+    collection: Optional[str] = None
+    item_path: Optional[str] = None
+    request_schema: Optional[dict] = None
+    foreign_keys: tuple[tuple[str, str], ...] = ()  # (field name, owning collection)
+    param_names: tuple[str, ...] = ()  # what an edge label's arguments bind, in order
 
 
 @dataclass
 class ApiSpec:
-    """A loaded API description. Resources and operation profiles depend
-    only on the paths and schemas, which never change after loading, so
-    each is computed once; contract inference changes only the clauses."""
+    """A loaded API description. Where several operations share an id, the
+    first one declared is the one every lookup returns."""
 
     doc: dict
     operations: list[Operation]
     diagnostics: list[Diagnostic]
     invariants: tuple[Clause, ...] = ()
-    _resources: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_id: dict[str, Operation] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_id = {}
+        for op in self.operations:
+            self._by_id.setdefault(op.op_id, op)
 
     def operation(self, op_id: str) -> Operation:
-        for op in self.operations:
-            if op.op_id == op_id:
-                return op
-        raise KeyError(op_id)
+        return self._by_id[op_id]
 
-    def has_operation(self, op_id: str) -> bool:
-        return any(op.op_id == op_id for op in self.operations)
+    def op_profile(self, op_id: str) -> Optional[Operation]:
+        """The operation a call to op_id is issued from; None if there is none."""
+        return self._by_id.get(op_id)
 
-    # -- resource discovery ----------------------------------------------
+    def resolver(self) -> Callable[[str], Optional[Operation]]:
+        """Edge-label operation name -> operation, for labelling sequences."""
+        return self._by_id.get
 
-    def resources(self) -> list[Resource]:
-        """Collection paths paired with their /{key} item siblings."""
-        if self._resources is None:
-            paths = self.doc.get("paths", {})
-            out = []
-            for p in paths:
-                if p.endswith("}"):
-                    continue
-                for q in paths:
-                    m = re.fullmatch(re.escape(p) + r"/\{(\w+)\}", q)
-                    if m:
-                        out.append(Resource(collection=p, item=q, key=m.group(1)))
-                        break
-            self._resources = tuple(out)
-        return list(self._resources)
-
-    def resource_keys(self) -> dict[str, str]:
-        return {r.collection: r.key for r in self.resources()}
-
-    def key_owners(self) -> dict[str, str]:
-        """Key parameter name -> collection path that owns it."""
-        return {r.key: r.collection for r in self.resources()}
-
-    # -- schemas -----------------------------------------------------------
+    def put_catalog(self) -> dict[str, Operation]:
+        """Key parameter name -> the PUT on that resource's item path."""
+        return {
+            op.own_key: op
+            for op in self._by_id.values()
+            if op.method == "PUT" and op.own_key and op.path == op.item_path
+        }
 
     def resolve_schema(self, schema: Optional[dict]) -> Optional[dict]:
         return _resolve_schema(self.doc, schema)
 
-    def request_schema(self, op: Operation) -> Optional[dict]:
-        body = op.raw.get("requestBody") or {}
-        content = body.get("content") or {}
-        for ctype, spec in content.items():
-            if "json" in ctype:
-                return spec.get("schema")
-        return None
 
-    def success_response_schema(self, op: Operation) -> Optional[dict]:
-        for code, resp in sorted((op.raw.get("responses") or {}).items()):
-            if str(code).startswith("2"):
-                content = (resp or {}).get("content") or {}
-                for ctype, spec in content.items():
-                    if "json" in ctype:
-                        return spec.get("schema")
-        return None
+def _body_schema(raw: dict) -> Optional[dict]:
+    content = (raw.get("requestBody") or {}).get("content") or {}
+    for ctype, spec in content.items():
+        if "json" in ctype:
+            return spec.get("schema")
+    return None
 
-    # -- executor metadata -------------------------------------------------
 
-    def op_profile(self, op_id: str) -> OpProfile:
-        profile = self._profiles.get(op_id)
-        if profile is None:
-            profile = self._profiles[op_id] = self._make_profile(self.operation(op_id))
-        return profile
+def _success_schema(raw: dict) -> Optional[dict]:
+    for code, resp in sorted((raw.get("responses") or {}).items()):
+        if str(code).startswith("2"):
+            content = (resp or {}).get("content") or {}
+            for ctype, spec in content.items():
+                if "json" in ctype:
+                    return spec.get("schema")
+    return None
 
-    def _make_profile(self, op: Operation) -> OpProfile:
-        keys = self.resource_keys()
-        owners = self.key_owners()
-        own_key = None
-        collection = None
-        item_path = None
-        if op.path in keys:
-            collection = op.path
-            own_key = keys[op.path]
-            item_path = f"{op.path}/{{{own_key}}}"
-        else:
-            for r in self.resources():
-                if op.path == r.item:
-                    collection, own_key, item_path = r.collection, r.key, r.item
-                    break
-        schema = self.resolve_schema(self.request_schema(op))
-        foreign: list[tuple[str, str]] = []
-        if schema is not None:
-            for prop in schema.get("properties", {}):
-                if prop in owners and prop != own_key:
-                    foreign.append((prop, owners[prop]))
-        return OpProfile(
-            op_id=op.op_id,
-            method=op.method,
-            path=op.path,
-            own_key=own_key,
-            collection=collection,
-            item_path=item_path,
-            request_schema=schema,
-            foreign_keys=tuple(foreign),
-        )
 
-    def call_metadata(self) -> dict[str, dict]:
-        """Resolver table keyed by operation id, for labeling sequences."""
-        out = {}
-        for op in self.operations:
-            profile = self.op_profile(op.op_id)
-            if op.method == "POST" and profile.own_key is not None:
-                names = [profile.own_key] + [f for f, _ in profile.foreign_keys]
-            else:
-                names = list(op.path_params)
-            out[op.op_id] = {
-                "op": op.op_id,
-                "verb": op.method,
-                "path": op.path,
-                "param_names": names,
-                "own_key": profile.own_key,
-            }
-        return out
-
-    def resolver(self):
-        table = self.call_metadata()
-        return table.get
-
-    def put_catalog(self) -> dict[str, dict]:
-        out = {}
-        for op in self.operations:
-            if op.method != "PUT":
-                continue
-            profile = self.op_profile(op.op_id)
-            if profile.own_key and op.path == profile.item_path:
-                out[profile.own_key] = {
-                    "op": op.op_id,
-                    "verb": "PUT",
-                    "path": op.path,
-                }
-        return out
+def _resources(paths: dict) -> list[tuple[str, str, str]]:
+    """(collection, item, key) for each collection path with a /{key} item
+    sibling."""
+    out = []
+    for p in paths:
+        if p.endswith("}"):
+            continue
+        for q in paths:
+            m = re.fullmatch(re.escape(p) + r"/\{(\w+)\}", q)
+            if m:
+                out.append((p, q, m.group(1)))
+                break
+    return out
 
 
 def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0) -> Optional[dict]:
@@ -291,8 +214,14 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
     diagnostics: list[Diagnostic] = []
     operations: list[Operation] = []
     seen_ids: set[str] = set()
+    paths = doc.get("paths") or {}
+    by_path: dict[str, tuple[str, str, str]] = {}
+    owners: dict[str, str] = {}  # key parameter name -> collection that owns it
+    for collection, item_path, key in _resources(paths):
+        by_path[collection] = by_path[item_path] = (collection, item_path, key)
+        owners[key] = collection
 
-    for path, item in (doc.get("paths") or {}).items():
+    for path, item in paths.items():
         item = item or {}
         placeholders = _PLACEHOLDER_RE.findall(path)
         shared_params = [p for p in item.get("parameters", []) if p.get("in") == "path"]
@@ -344,6 +273,20 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                 diagnostics.append(
                     Diagnostic("no-request-body", f"{method.upper()} without a request body", where)
                 )
+            collection, item_path, own_key = by_path.get(path, (None, None, None))
+            try:
+                schema = _resolve_schema(doc, _body_schema(raw))
+            except SpecError as exc:
+                raise SpecError(f"{where}: request body: {exc}") from None
+            foreign = tuple(
+                (field_name, owners[field_name])
+                for field_name in (schema or {}).get("properties", {})
+                if field_name in owners and field_name != own_key
+            )
+            if method == "post" and own_key is not None:
+                param_names = (own_key,) + tuple(f for f, _ in foreign)
+            else:
+                param_names = tuple(placeholders)
             operations.append(
                 Operation(
                     op_id=op_id,
@@ -353,6 +296,12 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                     path_params=tuple(placeholders),
                     requires=_load_clauses(raw, "requires"),
                     ensures=_load_clauses(raw, "ensures"),
+                    own_key=own_key,
+                    collection=collection,
+                    item_path=item_path,
+                    request_schema=schema,
+                    foreign_keys=foreign,
+                    param_names=param_names,
                 )
             )
 
@@ -436,10 +385,6 @@ def infer_contracts(spec: ApiSpec) -> InferenceReport:
     and which operations were skipped, with reasons."""
     added: dict[str, int] = {}
     skipped: list[tuple[str, str]] = []
-    resources = spec.resources()
-    by_collection = {r.collection: r for r in resources}
-    by_item = {r.item: r for r in resources}
-
     for op in spec.operations:
         if op.method == "GET":
             continue
@@ -447,41 +392,37 @@ def infer_contracts(spec: ApiSpec) -> InferenceReport:
         ensures: list[Clause] = []
 
         if op.method == "POST":
-            r = by_collection.get(op.path)
-            if r is None:
+            if op.path != op.collection:
                 skipped.append((op.op_id, f"POST path {op.path} has no /{{key}} item sibling"))
                 continue
-            probe_missing = Comparison(_get_item_by_body(r.collection, r.key), "=", Literal(404))
-            probe_there = Comparison(_get_item_by_body(r.collection, r.key), "=", Literal(200))
+            probe_missing = Comparison(_get_item_by_body(op.path, op.own_key), "=", Literal(404))
+            probe_there = Comparison(_get_item_by_body(op.path, op.own_key), "=", Literal(200))
             requires.append(_clause(probe_missing))
             ensures.append(_clause(probe_there))
-            req_schema = spec.request_schema(op)
-            res_schema = spec.success_response_schema(op)
-            if req_schema is not None and req_schema == res_schema:
+            req_schema = _body_schema(op.raw)
+            if req_schema is not None and req_schema == _success_schema(op.raw):
                 echo = Comparison(ApiCall(func="req_body"), "=", ApiCall(func="res_body"))
                 ensures.append(_clause(echo))
         elif op.method == "DELETE":
-            r = by_item.get(op.path)
-            if r is None:
+            if op.path != op.item_path:
                 skipped.append((op.op_id, f"DELETE path {op.path} is not a keyed item path"))
                 continue
-            requires.append(_clause(Comparison(_get_item(r.item), "=", Literal(200))))
-            ensures.append(_clause(Comparison(_get_item(r.item), "=", Literal(404))))
-            if spec.success_response_schema(op) is not None:
+            requires.append(_clause(Comparison(_get_item(op.path), "=", Literal(200))))
+            ensures.append(_clause(Comparison(_get_item(op.path), "=", Literal(404))))
+            if _success_schema(op.raw) is not None:
                 echo = Comparison(
                     ApiCall(func="req_body"),
                     "=",
-                    Prev(call=_get_item(r.item, func="res_body")),
+                    Prev(call=_get_item(op.path, func="res_body")),
                 )
                 ensures.append(_clause(echo))
         elif op.method == "PUT":
-            r = by_item.get(op.path)
-            if r is None:
+            if op.path != op.item_path:
                 skipped.append((op.op_id, f"PUT path {op.path} is not a keyed item path"))
                 continue
-            requires.append(_clause(Comparison(_get_item(r.item), "=", Literal(200))))
+            requires.append(_clause(Comparison(_get_item(op.path), "=", Literal(200))))
             stored = Comparison(
-                ApiCall(func="req_body"), "=", _get_item(r.item, func="res_body")
+                ApiCall(func="req_body"), "=", _get_item(op.path, func="res_body")
             )
             ensures.append(_clause(stored, extra=True))
         else:

@@ -202,7 +202,14 @@ def parse_dot(text: str) -> RawGraph:
 
 
 def _escape_label(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """Inverse of parse_dot's decoding: '"' and backslashes are escaped,
+    except a backslash before n, l, r or a line break, which parse_dot keeps
+    as written."""
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    if "\\" in text:
+        for kept in "nlr\n":
+            text = text.replace("\\\\" + kept, "\\" + kept)
+    return text
 
 
 def _format_id(raw_id: str) -> str:
@@ -252,15 +259,6 @@ def clean(graph: RawGraph) -> RawGraph:
     return RawGraph(name=graph.name, nodes=nodes, edges=edges, dedup_ratio=ratio)
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    states: int
-    transitions: int
-    traversal_states: int
-    traversal_transitions: int
-    dedup_ratio: float
-
-
 @dataclass
 class StateSpaceGraph:
     """Dense-index directed graph with a super-final sink at index n-1.
@@ -294,16 +292,6 @@ class StateSpaceGraph:
     def least_label(self, u: int, v: int) -> str | None:
         labels = self.edge_labels.get((u, v), ())
         return labels[0] if labels else None
-
-    def stats(self) -> GraphStats:
-        total_edges = self.edge_count()
-        return GraphStats(
-            states=self.n_states - 1,
-            transitions=total_edges - len(self.finals),
-            traversal_states=self.n_states,
-            traversal_transitions=total_edges,
-            dedup_ratio=self.dedup_ratio,
-        )
 
     def check_invariants(self) -> None:
         """Assert the structural laws; raises GraphError on violation."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from statecover.speckit import Operation
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
 
 
@@ -115,5 +116,9 @@ TOURNAMENTS_RESOLVER_TABLE = {
 }
 
 
-def tournaments_resolver(name: str) -> dict | None:
-    return TOURNAMENTS_RESOLVER_TABLE.get(name)
+def tournaments_resolver(name: str) -> Operation | None:
+    meta = TOURNAMENTS_RESOLVER_TABLE.get(name)
+    if meta is None:
+        return None
+    return Operation(op_id=meta["op"], method=meta["verb"], path=meta["path"], raw={},
+                     own_key=meta["own_key"], param_names=tuple(meta["param_names"]))

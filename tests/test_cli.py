@@ -129,6 +129,20 @@ class TestPipeline:
         assert len(json.loads(seqs.read_text())["sequences"]) == 6
 
 
+    def test_clean_is_byte_stable_on_its_own_output(self, tmp_path, capsys):
+        # \n is a model checker's line break inside a label; \\ and \" are
+        # DOT escapes that parse_dot decodes
+        label = r'/\\ a = 1\n/\\ b = 2 say \"hi\"'
+        body = f'0 [label="{label}"];\n1 [label="final = TRUE"];\n0 -> 1 [label="go(x)"];\n'
+        dirty = tmp_path / "dirty.dot"
+        dirty.write_text("digraph G {\n" + body + body + "}\n")
+        once, twice = tmp_path / "once.dot", tmp_path / "twice.dot"
+        assert run(capsys, "clean", str(dirty), str(once))[0] == 0
+        assert once.read_text() == "digraph G {\n" + body + "}\n"
+        assert run(capsys, "clean", str(once), str(twice))[0] == 0
+        assert twice.read_bytes() == once.read_bytes()
+
+
 class TestCampaignCommand:
     def test_clean_service_exits_zero(self, workdir, capsys):
         model = write_tiny_model(workdir)
@@ -257,6 +271,21 @@ class TestErrorPaths:
                            "--timeout", "0.3")
         assert code == 2
         assert "probe" in err
+
+    def test_bad_request_body_ref_fails_at_load(self, workdir, capsys):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        doc = yaml.safe_load((workdir / "tournaments-contracts.yaml").read_text())
+        body = doc["paths"]["/players"]["post"]["requestBody"]
+        body["content"]["application/json"]["schema"] = {
+            "$ref": "#/components/schemas/Ghost"}
+        bad = workdir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        for argv in (("gen-contracts", str(bad), str(workdir / "out.yaml")),
+                     ("test", "--spec", str(bad), "--sequences", str(seqs),
+                      "--spawn-demo")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "POST /players: request body: dangling $ref" in err
 
     def test_puts_max_out_of_range(self, workdir, capsys):
         dot = workdir / "graph.dot"

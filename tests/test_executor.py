@@ -27,7 +27,7 @@ from statecover.executor import (
 )
 from statecover.runtime import InputGenerator
 from statecover.seqgen import Call, CallSequence
-from statecover.speckit import infer_contracts
+from statecover.speckit import infer_contracts, load_oas
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +155,7 @@ class TestSingleCalls:
         assert outcome.pre is True and outcome.post is True and outcome.inv is True
         assert outcome.request["body"]["pid"] == "pid10000"  # seed 0 base
         assert outcome.response["status"] == 200
-        assert emulator.concrete("p1") == "pid10000"
+        assert emulator.recycle("p1").concrete_id == "pid10000"
 
     def test_create_then_delete_round_trip(self, live):
         runner = runner_for(live)
@@ -337,6 +337,52 @@ class TestNotTested:
         runner.run_sequence([mk("deletePlayer", pid="p1")], 0)
         log = requests.get(live.base_url + "/_requests", timeout=5).json()
         assert log == []
+
+
+class RecordingSession:
+    """Answers every request 200 and records what was sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def request(self, method, url, json=None, timeout=None):
+        self.sent.append((method, urlsplit(url).path))
+        return FakeResponse(200, json)
+
+
+class TestDuplicateOperationIds:
+    def test_sequence_file_and_request_come_from_the_first_operation(self):
+        schema = {"type": "object", "properties": {"k": {"type": "string"}}}
+        spec = load_oas({
+            "openapi": "3.0.3",
+            "info": {"title": "t", "version": "1"},
+            "paths": {
+                "/a": {"post": {
+                    "operationId": "same",
+                    "requestBody": {"content": {"application/json": {"schema": schema}}},
+                    "responses": {"200": {"description": "ok"}},
+                }},
+                "/a/{k}": {
+                    "parameters": [{"name": "k", "in": "path", "required": True}],
+                    "delete": {"operationId": "same",
+                               "responses": {"200": {"description": "ok"}}},
+                },
+            },
+        })
+        graph = ssg.build(ssg.parse_dot(
+            'digraph { 0 -> 1 [label="same(x1)"]; 1 [label="final = TRUE"]; }'))
+        sequences = seqgen.to_call_sequences(
+            graph, seqgen.select_sequences(graph), resolver=spec.resolver())
+        _, (written,) = seqgen.sequences_from_json(
+            seqgen.sequences_to_json(sequences, 0))
+        (call,) = written.calls
+        assert (call.verb, call.path) == ("POST", "/a")
+        session = RecordingSession()
+        runner = SequenceRunner(spec, "http://service.invalid", InputGenerator(0),
+                                session=session)
+        (outcome,), _ = runner.run_sequence(written.calls, 0)
+        assert session.sent == [(call.verb, call.path)]
+        assert outcome.classification == OK
 
 
 class TestServerErrors:

@@ -5,7 +5,6 @@ from statecover.lifecycle import (
     InvariantViolation,
     Model,
     ModelError,
-    check_invariant,
     explore,
     load_model,
 )
@@ -29,6 +28,11 @@ TOURNAMENT_LABELS = [
 @pytest.fixture
 def model():
     return load_model(fixture_path("tournaments_p1t1e1.yaml"))
+
+
+def built_graph(exploration):
+    """The graph the command line builds from explore's DOT output."""
+    return ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
 
 
 def toggler_doc():
@@ -178,15 +182,14 @@ class TestExploreTournaments:
         assert a.states == b.states
         assert a.transitions == b.transitions
 
-    def test_to_ssg_stats(self, model):
-        g = explore(model).to_ssg()
-        stats = g.stats()
-        assert (stats.states, stats.transitions) == (6, 10)
-        assert (stats.traversal_states, stats.traversal_transitions) == (7, 11)
+    def test_built_graph_counts(self, model):
+        g = built_graph(explore(model))
+        assert (g.n_states - 1, g.edge_count() - len(g.finals)) == (6, 10)
+        assert (g.n_states, g.edge_count()) == (7, 11)
         g.check_invariants()
 
     def test_sequences_cover_everything(self, model):
-        g = explore(model).to_ssg()
+        g = built_graph(explore(model))
         selected = seqgen.select_sequences(g)
         assert len(selected) == 6
         report = seqgen.coverage_report(g, selected)
@@ -194,7 +197,7 @@ class TestExploreTournaments:
         assert report.transition_pct == 100.0
 
     def test_enrolment_sequence_orders_post_before_delete(self, model):
-        g = explore(model).to_ssg()
+        g = built_graph(explore(model))
         selected = seqgen.select_sequences(g)
         seqs = seqgen.to_call_sequences(g, selected, None)
         with_enrol = [
@@ -206,9 +209,11 @@ class TestExploreTournaments:
 
     def test_dot_round_trip_isomorphic(self, model):
         x = explore(model)
-        raw = ssg.parse_dot(x.to_dot())
-        g = ssg.build(raw, initial="0")
-        assert g.stats() == x.to_ssg().stats()
+        g = built_graph(x)
+        direct = ssg.build(x.to_raw(), initial="0")
+        assert (g.n_states, g.edge_count(), g.finals) == (
+            direct.n_states, direct.edge_count(), direct.finals)
+        assert (g.edge_labels, g.dedup_ratio) == (direct.edge_labels, direct.dedup_ratio)
         assert [g.node_labels[i] for i in range(6)] == x.states
 
 
@@ -324,12 +329,21 @@ class TestModelChecks:
             explore(load_model(doc))
 
 
+def violation_trace(model, predicate):
+    """The action trace to the first state breaking predicate, or None."""
+    try:
+        explore(model, predicate=predicate)
+    except InvariantViolation as violation:
+        return violation.trace
+    return None
+
+
 class TestCheckInvariant:
     def test_holds(self, model):
-        assert check_invariant(model, lambda maps: len(maps["players"]) <= 1) is None
+        assert violation_trace(model, lambda maps: len(maps["players"]) <= 1) is None
 
     def test_counterexample_trace(self, model):
-        trace = check_invariant(model, lambda maps: not maps["enrolments"])
+        trace = violation_trace(model, lambda maps: not maps["enrolments"])
         assert trace is not None
         assert trace[-1] == "postEnrolment(e1,p1,t1)"
         assert trace[0] in ("postPlayer(p1)", "postTournament(t1)")
@@ -338,7 +352,7 @@ class TestCheckInvariant:
         """The returned trace is a genuine path: replaying it step by step
         through the explored graph ends in a predicate-violating state."""
         x = explore(model)
-        trace = check_invariant(model, lambda maps: not maps["enrolments"])
+        trace = violation_trace(model, lambda maps: not maps["enrolments"])
         here = 0
         for label in trace:
             nxt = [v for u, v, lbl in x.transitions if u == here and lbl == label]

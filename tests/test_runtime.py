@@ -153,8 +153,8 @@ class TestEmulatedState:
     def test_concrete_lookup(self):
         s = EmulatedState()
         s.add("t1", "/tournaments", {}, "tid10000")
-        assert s.concrete("t1") == "tid10000"
-        assert s.concrete("t2") is None
+        assert s.recycle("t1").concrete_id == "tid10000"
+        assert s.recycle("t2") is None
 
 
 class TestSnapshotStore:

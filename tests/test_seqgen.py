@@ -17,6 +17,7 @@ from statecover.seqgen import (
     sequences_to_json,
     to_call_sequences,
 )
+from statecover.speckit import Operation
 from statecover.ssg import build, parse_dot
 
 from helpers import (
@@ -229,8 +230,8 @@ class TestCallAttachment:
 
 
 PUT_CATALOG = {
-    "pid": {"op": "putPlayer", "verb": "PUT", "path": "/players/{pid}"},
-    "tid": {"op": "putTournament", "verb": "PUT", "path": "/tournaments/{tid}"},
+    "pid": Operation(op_id="putPlayer", method="PUT", path="/players/{pid}", raw={}),
+    "tid": Operation(op_id="putTournament", method="PUT", path="/tournaments/{tid}", raw={}),
 }
 
 

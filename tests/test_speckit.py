@@ -58,14 +58,18 @@ class TestLoad:
         assert len(spec.doc["paths"]) == 11
 
     def test_resources(self, spec):
-        found = {r.collection: (r.item, r.key) for r in spec.resources()}
+        found = {
+            op.collection: (op.item_path, op.own_key)
+            for op in spec.operations
+            if op.collection is not None
+        }
         assert found == {
             "/players": ("/players/{pid}", "pid"),
             "/tournaments": ("/tournaments/{tid}", "tid"),
             "/enrolments": ("/enrolments/{eid}", "eid"),
         }
-        assert spec.resource_keys()["/players"] == "pid"
-        assert spec.key_owners()["tid"] == "/tournaments"
+        assert spec.operation("postPlayer").own_key == "pid"
+        assert ("tid", "/tournaments") in spec.operation("postEnrolment").foreign_keys
 
     def test_operation_lookup(self, spec):
         op = spec.operation("deleteTournament")
@@ -80,8 +84,23 @@ class TestLoad:
             "/a": {"get": {"operationID": "getA", "responses": {"200": {"description": "ok"}}}}
         })
         s = load_oas(doc)
-        assert s.has_operation("getA")
+        assert s.operation("getA").path == "/a"
         assert not any(d.code == "op-id-missing" for d in s.diagnostics)
+
+    @pytest.mark.parametrize("schema, message", [
+        ({"$ref": "#/components/schemas/Ghost"}, "dangling \\$ref"),
+        ({"$ref": "#/components/schemas/Node"}, "schema \\$ref nesting too deep"),
+    ])
+    def test_bad_request_body_ref_fails_the_load(self, schema, message):
+        doc = widget_doc()
+        doc["components"] = {"schemas": {"Node": {
+            "type": "object",
+            "properties": {"next": {"$ref": "#/components/schemas/Node"}},
+        }}}
+        body = doc["paths"]["/widgets"]["post"]["requestBody"]
+        body["content"]["application/json"]["schema"] = schema
+        with pytest.raises(SpecError, match=f"^POST /widgets: request body: {message}"):
+            load_oas(doc)
 
     def test_no_paths_rejected(self):
         with pytest.raises(SpecError):
@@ -156,11 +175,26 @@ class TestDiagnostics:
         })
         assert "op-id-duplicate" in self.codes(doc)
 
+    def test_duplicate_operation_id_first_wins(self):
+        doc = widget_doc()
+        doc["paths"]["/widgets/{wid}"]["put"] = {
+            "operationId": "postWidget",
+            "requestBody": {"content": {"application/json": {"schema": ITEM_SCHEMA}}},
+            "responses": {"200": {"description": "ok"}},
+        }
+        s = load_oas(doc)
+        first = s.operations[0]
+        assert (first.method, first.path) == ("POST", "/widgets")
+        assert s.operation("postWidget") is first
+        assert s.op_profile("postWidget") is first
+        assert s.resolver()("postWidget") is first
+        assert s.put_catalog() == {}
+
     def test_missing_operation_id(self):
         doc = minimal_doc(**{"/a": {"get": {"responses": {"200": {"description": "ok"}}}}})
         s = load_oas(doc)
         assert any(d.code == "op-id-missing" for d in s.diagnostics)
-        assert s.has_operation("GET /a")
+        assert s.operation("GET /a").method == "GET"
 
     def test_diagnostic_str_mentions_location(self):
         doc = minimal_doc(**{"/a": {"get": {"responses": {"200": {"description": "ok"}}}}})
@@ -319,21 +353,29 @@ class TestEmitLoad:
 
 
 class TestExecutorMetadata:
-    def test_call_metadata_matches_reference_table(self, spec):
-        table = spec.call_metadata()
+    def test_records_match_reference_table(self, spec):
         for name, expect in TOURNAMENTS_RESOLVER_TABLE.items():
-            assert table[name] == expect
+            op = spec.operation(name)
+            assert {
+                "op": op.op_id,
+                "verb": op.method,
+                "path": op.path,
+                "param_names": list(op.param_names),
+                "own_key": op.own_key,
+            } == expect
 
     def test_resolver_callable(self, spec):
         resolve = spec.resolver()
-        assert resolve("postEnrolment")["param_names"] == ["eid", "pid", "tid"]
+        assert resolve("postEnrolment").param_names == ("eid", "pid", "tid")
         assert resolve("unknownOp") is None
 
     def test_put_catalog(self, spec):
-        assert spec.put_catalog() == {
-            "pid": {"op": "putPlayer", "verb": "PUT", "path": "/players/{pid}"},
-            "tid": {"op": "putTournament", "verb": "PUT", "path": "/tournaments/{tid}"},
+        catalog = spec.put_catalog()
+        assert {key: (op.op_id, op.method, op.path) for key, op in catalog.items()} == {
+            "pid": ("putPlayer", "PUT", "/players/{pid}"),
+            "tid": ("putTournament", "PUT", "/tournaments/{tid}"),
         }
+        assert catalog["pid"] is spec.operation("putPlayer")
 
     def test_op_profile_post_enrolment(self, spec):
         p = spec.op_profile("postEnrolment")
@@ -351,7 +393,8 @@ class TestExecutorMetadata:
         assert p.foreign_keys == ()
 
     def test_op_profile_is_computed_once(self, spec):
-        assert spec.op_profile("postEnrolment") is spec.op_profile("postEnrolment")
+        assert spec.op_profile("postEnrolment") is spec.operation("postEnrolment")
+        assert spec.op_profile("unknownOp") is None
         infer_contracts(spec)  # changes only the clauses, never a profile
         assert spec.op_profile("postEnrolment").foreign_keys == (
             ("pid", "/players"), ("tid", "/tournaments"))

@@ -147,7 +147,7 @@ class TestParseDot:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_emit_parse_round_trip_property(self, seed):
         raw = make_random_dag_raw(random.Random(seed))
-        awkward = 'say "hi" to a\\b\\n'
+        awkward = 'say "hi" to a\\b\\n, \\\\l and \\\n'
         raw = RawGraph(
             name=raw.name,
             nodes=[NodeStatement(n.node_id, n.label + awkward) for n in raw.nodes],
@@ -220,9 +220,9 @@ class TestBuild:
 
     def test_stats_paper_vs_traversal(self):
         g = build(parse_dot(DIAMOND))
-        s = g.stats()
-        assert (s.states, s.transitions) == (4, 4)
-        assert (s.traversal_states, s.traversal_transitions) == (5, 5)
+        # the paper counts neither the synthetic sink nor its edges
+        assert (g.n_states - 1, g.edge_count() - len(g.finals)) == (4, 4)
+        assert (g.n_states, g.edge_count()) == (5, 5)
 
     def test_parallel_edges_merged_sorted(self):
         raw = parse_dot(
@@ -231,13 +231,12 @@ class TestBuild:
         g = build(raw)
         assert g.edge_labels[(0, 1)] == ("a(x)", "b(y)")
         assert g.least_label(0, 1) == "a(x)"
-        assert g.stats().transitions == 1
+        assert g.edge_count() - len(g.finals) == 1
 
     def test_tournaments_fixture_counts(self):
         g = build(tournaments_raw())
-        s = g.stats()
-        assert (s.states, s.transitions) == (6, 10)
-        assert (s.traversal_states, s.traversal_transitions) == (7, 11)
+        assert (g.n_states - 1, g.edge_count() - len(g.finals)) == (6, 10)
+        assert (g.n_states, g.edge_count()) == (7, 11)
 
     def test_final_predicate_regex_override(self):
         raw = parse_dot('digraph { 0 -> 1; 1 [label="DONE"]; }')
