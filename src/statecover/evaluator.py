@@ -1,12 +1,17 @@
 """Evaluates contract formulas against a running service.
 
-Evaluation is read-only: the only requests it ever issues are GETs, so
-checking a clause cannot change the state it is checking. Within one
-observation (one phase of a call) every URL is fetched at most once, so all
-the clauses of that phase see one consistent state of the service; a bare
-evaluate or capture_previous is an observation of its own. A budget caps
-the number of live requests per evaluation so quantifiers over large
-collections fail loudly instead of hammering the service.
+Evaluation is read-only: the only requests it ever sends are GETs, and a
+probe naming any other method is refused, so checking a clause cannot change
+the state it is checking. Within one observation (one phase of a call)
+every URL is fetched at most once, so all the clauses of that phase see one
+consistent state of the service; a bare evaluate or capture_previous is an
+observation of its own. A budget caps the number of live requests per
+evaluation so quantifiers over large collections fail loudly instead of
+hammering the service.
+
+The pre-state that prev(...) reads is what the latest capture_previous
+fetched: one entry per URL, holding the status and body, or the reason the
+fetch failed. A capture replaces the previous one.
 
 Domain errors in the data (a missing field, a non-JSON body, a quantifier
 over a non-array) make the enclosing condition false and produce a witness
@@ -40,7 +45,6 @@ from .glacier import (
     _print_call,
     _walk_calls,
 )
-from .runtime import SnapshotFailure, SnapshotStore
 
 
 class EvaluationError(RuntimeError):
@@ -138,18 +142,18 @@ class Evaluator:
         base_url: str,
         *,
         session=None,
-        snapshots: Optional[SnapshotStore] = None,
         timeout: float = 5.0,
         budget: int = 256,
     ):
         self.base_url = base_url.rstrip("/")
         self.session = session if session is not None else make_session(self.base_url)
-        self.snapshots = snapshots if snapshots is not None else SnapshotStore()
         self.timeout = timeout
         self.budget = budget
         self.sent = 0  # probe GETs that went out, over the evaluator's life
         self._spent = 0
         self._cache: dict[str, tuple[int, Any]] = {}
+        # URL -> (status, body), or the message of the TransportFailure
+        self._pre_state: dict[str, Any] = {}
         self._observing = False
 
     # -- public API ----------------------------------------------------------
@@ -176,26 +180,24 @@ class Evaluator:
         return self._formula(formula, ctx, {})
 
     def capture_previous(self, formulas, ctx: OpContext) -> None:
-        """Fetch and store the current value of every prev(...) call in the
-        given formulas. Must run before the operation is sent; transport
-        problems are stored as markers and only surface if a clause actually
-        reads the snapshot."""
+        """Fetch every URL a prev(...) call in the given formulas reads and
+        keep the responses as the pre-state, replacing the previous capture.
+        Must run before the operation is sent; a transport problem is kept
+        as its message and only surfaces if a clause actually reads it."""
         self._begin()
+        self._pre_state = {}
         for formula in formulas:
             for call, inside_prev in _walk_calls(formula):
                 if not inside_prev:
                     continue
                 self._validate_prev_inner(call)
                 url = self._resolve_url(call, ctx, {})
-                key = self._snapshot_key(call, url)
-                if self.snapshots.has(key):
+                if url in self._pre_state:
                     continue
                 try:
-                    status, body = self._fetch(url)
+                    self._pre_state[url] = self._fetch(url)
                 except TransportFailure as failure:
-                    self.snapshots.put_failure(key, str(failure))
-                    continue
-                self.snapshots.put(key, status if call.func == "res_code" else body)
+                    self._pre_state[url] = str(failure)
 
     # -- formulas ------------------------------------------------------------
 
@@ -375,13 +377,13 @@ class Evaluator:
             raise EvaluationError("'prev' is only meaningful in a postcondition")
         self._validate_prev_inner(p.call)
         url = self._resolve_url(p.call, ctx, env)
-        key = self._snapshot_key(p.call, url)
-        try:
-            value = self.snapshots.get(key)
-        except KeyError:
+        if url not in self._pre_state:
             raise EvaluationError(f"no snapshot was captured for {_print_call(p.call)}")
-        if isinstance(value, SnapshotFailure):
-            raise EvaluationError(f"snapshot unavailable: {value.reason}")
+        entry = self._pre_state[url]
+        if isinstance(entry, str):
+            raise EvaluationError(f"snapshot unavailable: {entry}")
+        status, body = entry
+        value = status if p.call.func == "res_code" else body
         if isinstance(value, _NonJsonBody):
             raise _Undefined(f"snapshot body is not JSON: {_shorten(value.text)}")
         return self._suffix(p.call, value)
@@ -399,12 +401,11 @@ class Evaluator:
                             "prev under a quantifier binder is not supported"
                         )
 
-    def _snapshot_key(self, call: ApiCall, url: str):
-        return (call.func, call.method, url)
-
     # -- URLs and transport ------------------------------------------------------
 
     def _resolve_url(self, call: ApiCall, ctx, env: dict) -> str:
+        if call.method != "GET":
+            raise EvaluationError(f"probe {_print_call(call)} is not a GET")
         segments = []
         for seg in call.url.segments:
             rendered = ""

@@ -1,12 +1,14 @@
 """Drives generated call sequences against a live service.
 
 Each call is sent with concrete, freshly generated inputs while an emulated
-copy of the service state tracks what should exist. Around every request the
+copy of the service state tracks what should exist: a prepared call carries
+the emulator update that a 2xx answer applies. Around every request the
 operation's contract is evaluated (preconditions and invariants before,
 postconditions and, on the last call, invariants again after), and the
 combination of verdicts and status code is classified as OK, WARN, or ERR.
 Each of the two phases is one observation of the service: a URL that
-several of its clauses read is fetched once.
+several of its clauses read is fetched once, and the pre-state the
+postconditions' prev(...) calls read is captured in the first phase.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
 an operation with no usable key) is reported NOT_TESTED rather than guessed
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 import requests
 
@@ -31,7 +34,7 @@ from .evaluator import (
     path_segment,
 )
 from .glacier import Formula
-from .runtime import EmulatedState, InputGenerator, SnapshotStore
+from .runtime import EmulatedState, InputGenerator
 
 OK = "OK"
 WARN = "WARN"
@@ -114,7 +117,7 @@ class _Prepared:
     clause_body: Any  # what req_body(@) means for this call
     path: str
     bindings: dict
-    effect: tuple  # emulator action on 2xx
+    effect: Callable[[], None]  # emulator update on 2xx
 
 
 class SequenceRunner:
@@ -137,7 +140,6 @@ class SequenceRunner:
         self.evaluator = Evaluator(
             self.base_url,
             session=self.http,
-            snapshots=SnapshotStore(),
             timeout=timeout,
             budget=budget,
         )
@@ -176,7 +178,6 @@ class SequenceRunner:
         with self.evaluator.observation():
             inv_verdict = self._eval_clauses(self.spec.invariants, None)
             pre_verdict = self._eval_clauses(op.requires, pre_ctx)
-            self.evaluator.snapshots.clear()
             try:
                 self.evaluator.capture_previous(
                     [c.formula for c in op.ensures], pre_ctx
@@ -193,7 +194,7 @@ class SequenceRunner:
         response_info = {"status": status, "body": body}
 
         if 200 <= status < 300:
-            self._apply(emulator, prep.effect)
+            prep.effect()
 
         if status >= 500:
             return CallOutcome(
@@ -288,7 +289,9 @@ class SequenceRunner:
             payload[field_name] = entry.concrete_id
             bindings[field_name] = entry.concrete_id
         path = self._fill_path(op.path, bindings)
-        effect = ("add", tla, op.collection or op.path, payload, concrete)
+        effect = partial(
+            emulator.add, tla, op.collection or op.path, payload, concrete
+        )
         return _Prepared(payload, payload, path, bindings, effect)
 
     def _prepare_delete(self, call, op, emulator) -> _Prepared:
@@ -296,7 +299,8 @@ class SequenceRunner:
         bindings = {op.own_key: entry.concrete_id}
         path = self._fill_path(op.path, bindings)
         # nothing goes over the wire, but req_body(@) means the stored instance
-        return _Prepared(None, entry.data, path, bindings, ("delete", entry.tla_id))
+        effect = partial(emulator.delete, entry.tla_id)
+        return _Prepared(None, entry.data, path, bindings, effect)
 
     def _prepare_put(self, call, op, emulator) -> _Prepared:
         entry = self._own_entry(call, op, emulator)
@@ -311,7 +315,7 @@ class SequenceRunner:
                 payload[field_name] = entry.data[field_name]
         bindings = {op.own_key: entry.concrete_id}
         path = self._fill_path(op.path, bindings)
-        effect = ("update", entry.tla_id, payload)
+        effect = partial(emulator.update, entry.tla_id, payload)
         return _Prepared(payload, payload, path, bindings, effect)
 
     def _own_entry(self, call, op, emulator):
@@ -333,17 +337,6 @@ class SequenceRunner:
         if "{" in path:
             raise _Skip(f"unresolved parameters in path {path!r}")
         return path
-
-    @staticmethod
-    def _apply(emulator: EmulatedState, effect: tuple) -> None:
-        kind = effect[0]
-        if kind == "add":
-            _, tla, resource, data, concrete = effect
-            emulator.add(tla, resource, data, concrete)
-        elif kind == "delete":
-            emulator.delete(effect[1])
-        elif kind == "update":
-            emulator.update(effect[1], effect[2])
 
     # -- evaluation and transport -------------------------------------------------
 
@@ -393,7 +386,7 @@ def run_campaign(
     disabled, instances left behind by a sequence are deleted in reverse
     creation order so later sequences start from a clean service; every
     cleanup DELETE that raises or answers non-2xx is listed in
-    cleanupFailures, with its status or error.
+    cleanupFailures by its path, with its status or error.
 
     A dict passed as traffic receives the number of requests the campaign
     sent for calls (sends), for clause evaluation (probes) and for cleanup
@@ -421,11 +414,10 @@ def run_campaign(
         if cleanup:
             for entry in reversed(emulator.entries()):
                 path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
-                url = runner.base_url + path
-                failure = {"sequenceIndex": index, "url": url}
+                failure = {"sequenceIndex": index, "url": path}
                 cleanups += 1
                 try:
-                    response = http.delete(url, timeout=timeout)
+                    response = http.delete(runner.base_url + path, timeout=timeout)
                 except requests.RequestException as exc:
                     cleanup_failures.append({**failure, "error": str(exc)})
                     continue

@@ -12,15 +12,14 @@ observations:
               | expr comparator expr
     suffix  ::= '{' field '}' | '.' func
 
-Parsing is whitespace-insensitive and rejects binder shadowing and unbound
-dotted variable references. The printer emits the canonical spelling and
-parse(print(f)) reproduces the AST exactly.
+Parsing is whitespace-insensitive and rejects binder shadowing, unbound
+dotted variable references and unknown suffix functions. The printer emits
+the canonical spelling and parse(print(f)) reproduces the AST exactly.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,10 +37,6 @@ class FormulaError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"at offset {pos}: {message}")
         self.pos = pos
-
-
-class FormulaWarning(UserWarning):
-    pass
 
 
 # --- URL templates -----------------------------------------------------------
@@ -468,9 +463,7 @@ class _Parser:
             if name is None:
                 raise c.error("expected function name after '.'", at)
             if name not in KNOWN_SUFFIX_FUNCS:
-                warnings.warn(
-                    f"unknown suffix function {name!r}", FormulaWarning, stacklevel=4
-                )
+                raise c.error(f"unknown suffix function {name!r}", at)
             return FuncSuffix(name)
         c.pos = save
         return None

@@ -1,6 +1,5 @@
-"""Runtime support for driving a live service: seeded payload generation,
-the tester's own copy of what the service should contain, and pre-state
-snapshots for clauses that compare against values observed before a call.
+"""Runtime support for driving a live service: seeded payload generation
+and the tester's own copy of what the service should contain.
 """
 
 from __future__ import annotations
@@ -131,35 +130,3 @@ class EmulatedState:
     def entries(self) -> list[Entry]:
         return list(self._entries.values())
 
-
-@dataclass(frozen=True)
-class SnapshotFailure:
-    reason: str
-
-
-class SnapshotStore:
-    """Values captured just before a request, for postconditions that refer
-    to the previous state. Write-once per key; the driver clears the store
-    after evaluating an operation's postconditions."""
-
-    def __init__(self):
-        self._values: dict = {}
-
-    def has(self, key) -> bool:
-        return key in self._values
-
-    def put(self, key, value) -> None:
-        if key in self._values:
-            raise StateError(f"snapshot {key!r} already captured")
-        self._values[key] = value
-
-    def put_failure(self, key, reason: str) -> None:
-        self.put(key, SnapshotFailure(reason))
-
-    def get(self, key):
-        if key not in self._values:
-            raise KeyError(key)
-        return self._values[key]
-
-    def clear(self) -> None:
-        self._values.clear()

@@ -133,7 +133,6 @@ class Call:
 @dataclass
 class CallSequence:
     calls: list[Call]
-    source_path: tuple[int, ...] = ()
 
 
 # A resolver maps an operation name from an edge label to the operation it
@@ -185,7 +184,7 @@ def to_call_sequences(
                     own_key=op.own_key,
                 )
             )
-        sequences.append(CallSequence(calls=calls, source_path=tuple(path)))
+        sequences.append(CallSequence(calls=calls))
     return sequences
 
 
@@ -208,7 +207,7 @@ def insert_puts(
     if max_puts < 0 or max_puts > MAX_PUTS_LIMIT:
         raise ValueError(f"max_puts must be in 0..{MAX_PUTS_LIMIT}, got {max_puts}")
     if max_puts == 0:
-        return [CallSequence(calls=list(s.calls), source_path=s.source_path) for s in sequences]
+        return [CallSequence(calls=list(s.calls)) for s in sequences]
     rng = random.Random(seed)
     out = []
     for seq in sequences:
@@ -250,7 +249,7 @@ def insert_puts(
                 for _ in range(k)
             ]
             calls[pos:pos] = block
-        out.append(CallSequence(calls=calls, source_path=seq.source_path))
+        out.append(CallSequence(calls=calls))
     return out
 
 

@@ -18,7 +18,11 @@ item paths, the request schema with every $ref resolved, the foreign keys in
 that schema and the names an edge label's arguments bind. Records are looked
 up by operation id; where an id is declared twice, the first operation wins
 for every lookup. A dangling or cyclic $ref in a request body fails the
-load with a SpecError naming the operation's METHOD and path.
+load with a SpecError naming the operation's METHOD and path. So does a
+contract clause that does not parse or that probes the service with
+anything but a GET; the error also names the clause, as in
+"POST /players: x-requires[0]: ...", or "x-invariants[1]: ..." for an
+invariant.
 
 Contracts serialize as x-requires / x-ensures on the operation objects and
 x-invariants at the document root; loading an emitted document and emitting
@@ -39,11 +43,14 @@ from .glacier import (
     BodyFieldPart,
     Comparison,
     Formula,
+    FormulaError,
     LitPart,
     Literal,
     ParamPart,
     Prev,
     UrlTemplate,
+    _print_call,
+    _walk_calls,
     parse as parse_formula,
     print_formula,
 )
@@ -136,9 +143,6 @@ class ApiSpec:
             for op in self._by_id.values()
             if op.method == "PUT" and op.own_key and op.path == op.item_path
         }
-
-    def resolve_schema(self, schema: Optional[dict]) -> Optional[dict]:
-        return _resolve_schema(self.doc, schema)
 
 
 def _body_schema(raw: dict) -> Optional[dict]:
@@ -294,8 +298,8 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                     path=path,
                     raw=raw,
                     path_params=tuple(placeholders),
-                    requires=_load_clauses(raw, "requires"),
-                    ensures=_load_clauses(raw, "ensures"),
+                    requires=_load_clauses(raw, "requires", f"{where}: "),
+                    ensures=_load_clauses(raw, "ensures", f"{where}: "),
                     own_key=own_key,
                     collection=collection,
                     item_path=item_path,
@@ -313,7 +317,7 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                 Diagnostic("schema-unused", f"schema {name!r} is never referenced", f"components.schemas.{name}")
             )
 
-    invariants = _load_clause_list(doc.get("x-invariants", doc.get("invariants", [])))
+    invariants = _load_clauses(doc, "invariants")
     return ApiSpec(doc=doc, operations=operations, diagnostics=diagnostics, invariants=invariants)
 
 
@@ -329,21 +333,31 @@ def _collect_refs(node: Any, out: set[str]) -> None:
             _collect_refs(v, out)
 
 
-def _load_clause_list(entries) -> tuple[Clause, ...]:
+def _load_clauses(node: dict, kind: str, where: str = "") -> tuple[Clause, ...]:
+    """The x-<kind> (or bare <kind>) clauses of an operation or document.
+    A clause must parse, and every service probe in it must be a GET."""
+    key = f"x-{kind}" if f"x-{kind}" in node else kind
+    entries = node.get(key) or []
+    if not isinstance(entries, list):
+        raise SpecError(f"{where}{key}: expected a list of clauses")
     out = []
-    for entry in entries or []:
+    for i, entry in enumerate(entries):
+        at = f"{where}{key}[{i}]"
         if isinstance(entry, str):
-            out.append(Clause(text=entry))
+            text, extra = entry, False
         elif isinstance(entry, dict) and "clause" in entry:
-            out.append(Clause(text=entry["clause"], extra=bool(entry.get("x-inferred-extra"))))
+            text, extra = entry["clause"], bool(entry.get("x-inferred-extra"))
         else:
-            raise SpecError(f"malformed contract clause entry: {entry!r}")
+            raise SpecError(f"{at}: malformed contract clause entry: {entry!r}")
+        try:
+            formula = parse_formula(text)
+        except FormulaError as exc:
+            raise SpecError(f"{at}: {exc}") from None
+        for call, _ in _walk_calls(formula):
+            if not call.is_self() and call.method != "GET":
+                raise SpecError(f"{at}: probe {_print_call(call)} is not a GET")
+        out.append(Clause(text=text, extra=extra, formula=formula))
     return tuple(out)
-
-
-def _load_clauses(raw: dict, kind: str) -> tuple[Clause, ...]:
-    entries = raw.get(f"x-{kind}", raw.get(kind, []))
-    return _load_clause_list(entries)
 
 
 # --- inference ---------------------------------------------------------------

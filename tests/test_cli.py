@@ -287,6 +287,24 @@ class TestErrorPaths:
             assert code == 2, argv
             assert "POST /players: request body: dangling $ref" in err
 
+    @pytest.mark.parametrize("clause, message", [
+        ("res_code(GET /players/req_body(@){pid}) = = 404", "at offset 42: "),
+        ("res_code(DELETE /players/p1) = 200",
+         "probe res_code(DELETE /players/p1) is not a GET"),
+    ])
+    def test_bad_clause_fails_at_load(self, workdir, capsys, clause, message):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        doc = yaml.safe_load((workdir / "tournaments-contracts.yaml").read_text())
+        requires = doc["paths"]["/players"]["post"]["x-requires"]
+        requires.append(clause)
+        bad = workdir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        code, _, err = run(capsys, "test", "--spec", str(bad),
+                           "--sequences", str(seqs), "--spawn-demo")
+        assert code == 2
+        where = f"POST /players: x-requires[{len(requires) - 1}]: "
+        assert f"error: {where}{message}" in err
+
     def test_puts_max_out_of_range(self, workdir, capsys):
         dot = workdir / "graph.dot"
         run(capsys, "explore", str(workdir / "tournaments-model.yaml"), str(dot))

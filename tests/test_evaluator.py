@@ -14,7 +14,6 @@ from statecover.evaluator import (
     json_equal,
     make_session,
 )
-from statecover.runtime import SnapshotStore
 
 
 @pytest.fixture(scope="module")
@@ -380,11 +379,33 @@ class TestMisuseErrors:
                   OpContext(phase="post", path_args={}))
 
     def test_unknown_suffix_function_raises_at_evaluation(self):
-        with pytest.warns(glacier.FormulaWarning):
-            formula = glacier.parse("res_body(GET /x).count = 1")
+        # the parser refuses '.count', so only a hand-built formula has one
+        probe = glacier.ApiCall(
+            func="res_body", method="GET",
+            url=glacier.UrlTemplate(segments=((glacier.LitPart("x"),),)),
+            suffix=glacier.FuncSuffix("count"),
+        )
+        formula = glacier.Comparison(probe, "=", glacier.Literal(1))
         ev, _ = fake_eval({"/x": (200, [1, 2])})
         with pytest.raises(EvaluationError, match="count"):
             ev.evaluate(formula, None)
+
+    @pytest.mark.parametrize("text", [
+        "res_code(DELETE /players/p1) = 200",
+        "for p in res_body(POST /players) :- res_code(GET /players/{p.pid}) = 200",
+    ])
+    def test_non_get_probe_is_refused(self, text):
+        ev, session = fake_eval({"/players/p1": (200, {}), "/players": (200, [])})
+        with pytest.raises(EvaluationError, match="is not a GET"):
+            check(ev, text)
+        assert session.log == []
+
+    def test_non_get_prev_probe_is_refused(self):
+        ev, session = fake_eval({"/players/p1": (200, {})})
+        formula = glacier.parse("prev(res_code(PUT /players/p1)) = 200")
+        with pytest.raises(EvaluationError, match="is not a GET"):
+            ev.capture_previous([formula], OpContext(phase="pre"))
+        assert session.log == []
 
     def test_bare_non_boolean_formula_raises(self):
         ev, _ = fake_eval({"/x": (200, {"v": 3})})
@@ -496,8 +517,7 @@ class TestSnapshots:
     def test_capture_then_compare_after_delete(self, live):
         bodies = seed_world(live.base_url)
         requests.delete(live.base_url + "/enrolments/e1", timeout=5)
-        store = SnapshotStore()
-        ev = Evaluator(live.base_url, snapshots=store)
+        ev = Evaluator(live.base_url)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         pre_ctx = OpContext(phase="pre", req_body=bodies["player"],
                             path_args={"pid": "p1"})
@@ -511,8 +531,7 @@ class TestSnapshots:
 
     def test_member_count_decrease_clause(self, live):
         bodies = seed_world(live.base_url)
-        store = SnapshotStore()
-        ev = Evaluator(live.base_url, snapshots=store)
+        ev = Evaluator(live.base_url)
         formula = glacier.parse(ENROLMENT_DETACH_CLAUSE)
         pre_ctx = OpContext(phase="pre", req_body=bodies["enrolment"],
                             path_args={"eid": "e1"})
@@ -526,15 +545,14 @@ class TestSnapshots:
 
     def test_capture_is_idempotent_per_key(self, live):
         seed_world(live.base_url)
-        store = SnapshotStore()
-        ev = Evaluator(live.base_url, snapshots=store)
+        ev = Evaluator(live.base_url)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         ctx = OpContext(phase="pre", req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], ctx)
-        ev.capture_previous([formula], ctx)  # no write-once violation
+        ev.capture_previous([formula], ctx)
 
     def test_missing_snapshot_is_an_error(self, live):
-        ev = Evaluator(live.base_url, snapshots=SnapshotStore())
+        ev = Evaluator(live.base_url)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         ctx = OpContext(phase="post", req_body={}, res_code=200, res_body={},
                         path_args={"pid": "p1"})
@@ -542,9 +560,8 @@ class TestSnapshots:
             ev.evaluate(formula, ctx)
 
     def test_capture_failure_surfaces_only_when_read(self):
-        store = SnapshotStore()
         session = FakeSession({"/players/p1": requests.ConnectionError("down")})
-        ev = Evaluator("http://fake", session=session, snapshots=store)
+        ev = Evaluator("http://fake", session=session)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         pre_ctx = OpContext(phase="pre", req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)  # failure recorded, not raised
@@ -563,9 +580,7 @@ class TestSnapshots:
                         OpContext(phase="post", path_args={"pid": "p1"}))
 
     def test_prev_under_quantifier_binder_rejected(self):
-        store = SnapshotStore()
         ev, _ = fake_eval({})
-        ev.snapshots = store
         formula = glacier.parse(
             "for t in res_body(GET /tournaments) :- 1 = prev(res_body(GET /tournaments/{t.tid}/players))"
         )
@@ -575,8 +590,7 @@ class TestSnapshots:
 
     def test_res_code_snapshots_store_the_status(self, live):
         seed_world(live.base_url)
-        store = SnapshotStore()
-        ev = Evaluator(live.base_url, snapshots=store)
+        ev = Evaluator(live.base_url)
         formula = glacier.parse("prev(res_code(GET /players/{pid})) = 200")
         pre_ctx = OpContext(phase="pre", req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)
@@ -584,3 +598,36 @@ class TestSnapshots:
         post_ctx = OpContext(phase="post", req_body={}, res_code=200,
                              res_body={}, path_args={"pid": "p1"})
         assert ev.evaluate(formula, post_ctx).value
+
+
+class TestPreState:
+    """prev(...) reads one entry per URL from the latest capture."""
+
+    def test_code_and_body_of_one_url_cost_one_get(self):
+        ev, session = fake_eval({"/x": (200, {"v": 1})})
+        ensures = [
+            glacier.parse("prev(res_code(GET /x)) = 200"),
+            glacier.parse("prev(res_body(GET /x){v}) = 1"),
+        ]
+        ev.capture_previous(ensures, OpContext(phase="pre"))
+        assert session.log == ["/x"]
+        session.routes["/x"] = (404, {"error": "gone"})
+        post = OpContext(phase="post", res_code=200, res_body={})
+        assert [ev.evaluate(f, post).value for f in ensures] == [True, True]
+        assert session.log == ["/x"]
+
+    def test_a_capture_replaces_the_previous_one(self):
+        ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, {"v": 2})})
+        read_x = glacier.parse("prev(res_body(GET /x){v}) = 1")
+        read_y = glacier.parse("prev(res_body(GET /y){v}) = 2")
+        post = OpContext(phase="post", res_code=200, res_body={})
+        ev.capture_previous([read_x], OpContext(phase="pre"))
+        assert ev.evaluate(read_x, post).value
+        session.routes["/x"] = (200, {"v": 5})
+        ev.capture_previous([read_y], OpContext(phase="pre"))
+        assert ev.evaluate(read_y, post).value
+        with pytest.raises(EvaluationError, match="no snapshot"):
+            ev.evaluate(read_x, post)
+        ev.capture_previous([read_x], OpContext(phase="pre"))
+        result = ev.evaluate(read_x, post)
+        assert not result.value and "5" in result.witness

@@ -469,10 +469,23 @@ class TestCampaign:
         (tournament,) = left
         assert report["cleanupFailures"] == [{
             "sequenceIndex": 0,
-            "url": f"{srv.base_url}/tournaments/{tournament['tid']}",
+            "url": f"/tournaments/{tournament['tid']}",
             "status": 409,
         }]
         assert report["summary"]["ok"] == 4
+
+    def test_report_does_not_depend_on_the_service_address(self):
+        calls = [mk("postPlayer", pid="p1"), mk("postTournament", tid="t1"),
+                 mk("postEnrolment", eid="e1", pid="p1", tid="t1"),
+                 mk("deleteEnrolment", eid="e1")]
+        reports = []
+        for _ in range(2):
+            with DemoServer(seed=3, fault="delete_enrolment_no_backref") as srv:
+                report = run_campaign(inferred_spec(), [calls, calls], srv.base_url, seed=5)
+            reports.append({k: v for k, v in report.items()
+                            if k not in ("baseUrl", "duration")})
+        assert reports[0]["cleanupFailures"]
+        assert reports[0] == reports[1]
 
     def test_clean_service_reports_no_cleanup_failures(self, live):
         report = run_campaign(inferred_spec(), [full_cycle_calls()[:4]],

@@ -10,7 +10,6 @@ from statecover.glacier import (
     Comparison,
     FieldSuffix,
     FormulaError,
-    FormulaWarning,
     FuncSuffix,
     LitPart,
     Literal,
@@ -169,8 +168,8 @@ class TestValidation:
         with pytest.raises(FormulaError, match="res_code"):
             parse("res_code(@){status} = 200")
 
-    def test_unknown_suffix_function_warns(self):
-        with pytest.warns(FormulaWarning, match="count"):
+    def test_unknown_suffix_function_rejected(self):
+        with pytest.raises(FormulaError, match="at offset 12: .*'count'"):
             parse("res_body(@).count = 1")
 
     def test_len_suffix_no_warning(self):

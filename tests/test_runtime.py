@@ -5,8 +5,6 @@ from statecover.runtime import (
     EmulatedState,
     GenerationError,
     InputGenerator,
-    SnapshotFailure,
-    SnapshotStore,
     StateError,
 )
 from statecover.speckit import fixture_path, load_oas
@@ -83,7 +81,7 @@ class TestGenerate:
 
     def test_tournament_schema_from_fixture(self):
         spec = load_oas(fixture_path("tournaments_oas.yaml"))
-        schema = spec.resolve_schema({"$ref": "#/components/schemas/Tournament"})
+        schema = spec.operation("postTournament").request_schema
         body = InputGenerator(11).generate(schema)
         assert set(body) == {"tid", "name", "capacity"}
         assert 1 <= body["capacity"] <= 3
@@ -156,35 +154,3 @@ class TestEmulatedState:
         assert s.recycle("t1").concrete_id == "tid10000"
         assert s.recycle("t2") is None
 
-
-class TestSnapshotStore:
-    def test_put_get(self):
-        store = SnapshotStore()
-        key = ("res_body(GET /players/{pid})", "/players/pid10000")
-        store.put(key, {"pid": "pid10000"})
-        assert store.has(key)
-        assert store.get(key) == {"pid": "pid10000"}
-
-    def test_write_once(self):
-        store = SnapshotStore()
-        store.put("k", 1)
-        with pytest.raises(StateError, match="already"):
-            store.put("k", 2)
-
-    def test_failure_marker(self):
-        store = SnapshotStore()
-        store.put_failure("k", "connection refused")
-        value = store.get("k")
-        assert isinstance(value, SnapshotFailure)
-        assert "refused" in value.reason
-
-    def test_missing_key(self):
-        with pytest.raises(KeyError):
-            SnapshotStore().get("nope")
-
-    def test_clear(self):
-        store = SnapshotStore()
-        store.put("k", 1)
-        store.clear()
-        assert not store.has("k")
-        store.put("k", 2)  # writable again after clear

@@ -348,7 +348,44 @@ class TestEmitLoad:
     def test_invalid_clause_formula_rejected(self):
         doc = widget_doc()
         doc["paths"]["/widgets"]["post"]["x-requires"] = ["1 = 2 = 3"]
-        with pytest.raises(Exception):
+        with pytest.raises(SpecError, match="^POST /widgets: x-requires\\[0\\]: at offset 6: "):
+            load_oas(doc)
+
+    @pytest.mark.parametrize("clause, message", [
+        ("res_code(GET /widgets/{wid}) = = 200", "at offset 31: "),
+        ("res_body(GET /widgets).count = 1", "at offset 23: unknown suffix function 'count'"),
+        ("res_code(DELETE /widgets/{wid}) = 200",
+         "probe res_code(DELETE /widgets/{wid}) is not a GET"),
+        ("prev(res_body(PUT /widgets/{wid})) = req_body(@)",
+         "probe res_body(PUT /widgets/{wid}) is not a GET"),
+        ("for w in res_body(POST /widgets) :- res_code(GET /widgets/{w.wid}) = 200",
+         "probe res_body(POST /widgets) is not a GET"),
+    ])
+    def test_clause_error_names_its_place(self, clause, message):
+        doc = widget_doc()
+        doc["paths"]["/widgets/{wid}"]["delete"]["x-ensures"] = [
+            "res_code(GET /widgets/{wid}) = 404", clause]
+        with pytest.raises(SpecError) as err:
+            load_oas(doc)
+        assert str(err.value).startswith(f"DELETE /widgets/{{wid}}: x-ensures[1]: {message}")
+
+    @pytest.mark.parametrize("key", ["x-invariants", "invariants"])
+    def test_invariant_error_names_its_place(self, key):
+        doc = widget_doc()
+        doc[key] = ["res_code(GET /widgets) = 200", "res_code(GET /widgets) <"]
+        with pytest.raises(SpecError, match=f"^{key}\\[1\\]: at offset 24: "):
+            load_oas(doc)
+
+    def test_clause_list_must_be_a_list(self):
+        doc = widget_doc()
+        doc["paths"]["/widgets"]["post"]["x-requires"] = "res_code(GET /widgets) = 200"
+        with pytest.raises(SpecError, match="^POST /widgets: x-requires: expected a list"):
+            load_oas(doc)
+
+    def test_bare_key_error_names_the_bare_key(self):
+        doc = widget_doc()
+        doc["paths"]["/widgets"]["post"]["requires"] = ["res_code(POST /widgets) = 200"]
+        with pytest.raises(SpecError, match="^POST /widgets: requires\\[0\\]: probe"):
             load_oas(doc)
 
 
@@ -404,18 +441,30 @@ class TestExecutorMetadata:
         assert p.own_key is None
         assert p.collection is None
 
-    def test_resolved_schema_has_no_refs(self, spec):
-        op = spec.operation("getPlayers")
-        resolved = spec.resolve_schema(
-            op.raw["responses"]["200"]["content"]["application/json"]["schema"]
-        )
+    def test_resolved_schema_has_no_refs(self):
+        # getPlayers' array of Player $refs, sent as postPlayer's body
+        doc = _fixture_doc()
+        listing = doc["paths"]["/players"]["get"]["responses"]["200"]
+        _set_body_schema(doc, listing["content"]["application/json"]["schema"])
+        resolved = load_oas(doc).operation("postPlayer").request_schema
         assert resolved["type"] == "array"
         assert resolved["items"]["properties"]["pid"] == {"type": "string"}
         assert "$ref" not in str(resolved)
 
-    def test_dangling_ref_rejected(self, spec):
+    def test_dangling_ref_rejected(self):
+        doc = _fixture_doc()
+        _set_body_schema(doc, {"$ref": "#/components/schemas/Missing"})
         with pytest.raises(SpecError, match="dangling"):
-            spec.resolve_schema({"$ref": "#/components/schemas/Missing"})
+            load_oas(doc)
+
+
+def _fixture_doc() -> dict:
+    return yaml.safe_load(fixture_path("tournaments_oas.yaml").read_text())
+
+
+def _set_body_schema(doc: dict, schema: dict) -> None:
+    body = doc["paths"]["/players"]["post"]["requestBody"]
+    body["content"]["application/json"]["schema"] = schema
 
 
 def test_fixture_path_exists():
