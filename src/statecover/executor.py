@@ -1,19 +1,21 @@
 """Drives generated call sequences against a live service.
 
-Each call is sent with concrete, freshly generated inputs while an emulated
-copy of the service state tracks what should exist: a prepared call carries
-the emulator update that a 2xx answer applies. Around every request the
-operation's contract is evaluated (preconditions and invariants before,
-postconditions and, on the last call, invariants again after), and the
-combination of verdicts and status code is classified as OK, WARN, or ERR.
-Each of the two phases is one observation of the service: a URL that
-several of its clauses read is fetched once, and the pre-state the
-postconditions' prev(...) calls read is captured in the first phase.
+Each call is sent with concrete, freshly generated inputs while a plain dict,
+abstract id ('p1') -> Entry in creation order, tracks what the service should
+contain: a prepared call carries the insert, data update or pop that a 2xx
+answer applies. Around every request the operation's contract is evaluated
+(preconditions and invariants before, postconditions and, on the last call,
+invariants again after), and the combination of verdicts and status code is
+classified as OK, WARN, or ERR. Each of the two phases is one observation of
+the service: a URL that several of its clauses read is fetched once, and the
+pre-state the postconditions' prev(...) calls read is captured in the first
+phase.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
-an operation with no usable key) is reported NOT_TESTED rather than guessed
-at. A 5xx answer short-circuits classification: the service failed outright,
-so postconditions are not evaluated.
+an id the sequence already created, an operation with no usable key) is
+reported NOT_TESTED, and nothing is sent for it. A 5xx answer short-circuits
+classification: the service failed outright, so postconditions are not
+evaluated.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .evaluator import (
     path_segment,
 )
 from .glacier import Formula
-from .runtime import EmulatedState, InputGenerator
+from .runtime import Entry, InputGenerator
 
 OK = "OK"
 WARN = "WARN"
@@ -117,7 +119,7 @@ class _Prepared:
     clause_body: Any  # what req_body(@) means for this call
     path: str
     bindings: dict
-    effect: Callable[[], None]  # emulator update on 2xx
+    effect: Callable[[], None]  # state update on 2xx
 
 
 class SequenceRunner:
@@ -147,16 +149,16 @@ class SequenceRunner:
     # -- one sequence --------------------------------------------------------
 
     def run_sequence(self, calls, sequence_index: int):
-        emulator = EmulatedState()
+        """Run the calls in order. Returns their outcomes and the emulated
+        state they leave: abstract id -> Entry, in creation order."""
+        state: dict[str, Entry] = {}
         outcomes = []
         for i, call in enumerate(calls):
             is_last = i == len(calls) - 1
-            outcomes.append(
-                self._run_call(call, emulator, sequence_index, i, is_last)
-            )
-        return outcomes, emulator
+            outcomes.append(self._run_call(call, state, sequence_index, i, is_last))
+        return outcomes, state
 
-    def _run_call(self, call, emulator, seq_index, call_index, is_last) -> CallOutcome:
+    def _run_call(self, call, state, seq_index, call_index, is_last) -> CallOutcome:
         def skipped(reason: str) -> CallOutcome:
             return CallOutcome(
                 seq_index, call_index, call.op, None, None,
@@ -167,7 +169,7 @@ class SequenceRunner:
         if op is None:
             return skipped(f"operation {call.op!r} is not in the API description")
         try:
-            prep = self._prepare(call, op, emulator)
+            prep = self._prepare(call, op, state)
         except _Skip as skip:
             return skipped(skip.reason)
 
@@ -252,82 +254,55 @@ class SequenceRunner:
 
     # -- request construction -----------------------------------------------------
 
-    def _prepare(self, call, op, emulator: EmulatedState) -> _Prepared:
-        method = op.method
-        if method == "POST":
-            return self._prepare_post(call, op, emulator)
-        if method == "DELETE":
-            return self._prepare_delete(call, op, emulator)
-        if method == "PUT":
-            return self._prepare_put(call, op, emulator)
-        raise _Skip(f"{method} operations are not driven by this runner")
-
-    def _prepare_post(self, call, op, emulator) -> _Prepared:
-        if op.own_key is None:
+    def _prepare(self, call, op, state: dict) -> _Prepared:
+        """The request for one call and the state update a 2xx answer applies.
+        A POST sends a fresh id and the foreign keys its label arguments name;
+        a PUT keeps the stored id and foreign fields; a DELETE sends no body."""
+        if op.method not in ("POST", "PUT", "DELETE"):
+            raise _Skip(f"{op.method} operations are not driven by this runner")
+        key = op.own_key
+        if key is None:
             raise _Skip("operation has no key field to track instances by")
         # the key comes from the API description, not the (serializable) call
-        tla = call.params.get(op.own_key)
+        tla = call.params.get(key)
         if tla is None:
-            raise _Skip(f"no abstract id for key {op.own_key!r}")
-        payload = (
-            self.generator.generate(op.request_schema)
-            if op.request_schema
-            else {}
-        )
-        concrete = self.generator.next_id(op.own_key)
-        payload[op.own_key] = concrete
-        bindings = {op.own_key: concrete}
-        for field_name, _owner in op.foreign_keys:
-            foreign_tla = call.params.get(field_name)
-            if foreign_tla is None:
-                raise _Skip(f"no abstract id for foreign key {field_name!r}")
-            entry = emulator.recycle(foreign_tla)
-            if entry is None:
-                raise _Skip(
-                    f"foreign {field_name}={foreign_tla} was never created"
-                )
-            payload[field_name] = entry.concrete_id
-            bindings[field_name] = entry.concrete_id
-        path = self._fill_path(op.path, bindings)
-        effect = partial(
-            emulator.add, tla, op.collection or op.path, payload, concrete
-        )
-        return _Prepared(payload, payload, path, bindings, effect)
-
-    def _prepare_delete(self, call, op, emulator) -> _Prepared:
-        entry = self._own_entry(call, op, emulator)
-        bindings = {op.own_key: entry.concrete_id}
-        path = self._fill_path(op.path, bindings)
-        # nothing goes over the wire, but req_body(@) means the stored instance
-        effect = partial(emulator.delete, entry.tla_id)
-        return _Prepared(None, entry.data, path, bindings, effect)
-
-    def _prepare_put(self, call, op, emulator) -> _Prepared:
-        entry = self._own_entry(call, op, emulator)
-        payload = (
-            self.generator.generate(op.request_schema)
-            if op.request_schema
-            else {}
-        )
-        payload[op.own_key] = entry.concrete_id  # the key itself is immutable
-        for field_name, _owner in op.foreign_keys:
-            if field_name in entry.data:
-                payload[field_name] = entry.data[field_name]
-        bindings = {op.own_key: entry.concrete_id}
-        path = self._fill_path(op.path, bindings)
-        effect = partial(emulator.update, entry.tla_id, payload)
-        return _Prepared(payload, payload, path, bindings, effect)
-
-    def _own_entry(self, call, op, emulator):
-        if op.own_key is None:
-            raise _Skip("operation has no key field to track instances by")
-        tla = call.params.get(op.own_key)
-        if tla is None:
-            raise _Skip(f"no abstract id for key {op.own_key!r}")
-        entry = emulator.recycle(tla)
-        if entry is None:
+            raise _Skip(f"no abstract id for key {key!r}")
+        entry = state.get(tla)
+        if op.method == "POST" and entry is not None:
+            raise _Skip(f"{tla} was already created in this sequence")
+        if op.method != "POST" and entry is None:
             raise _Skip(f"{tla} was never created in this sequence")
-        return entry
+
+        if op.method == "DELETE":
+            bindings = {key: entry.concrete_id}
+            path = self._fill_path(op.path, bindings)
+            # nothing goes over the wire, but req_body(@) means the stored instance
+            return _Prepared(None, entry.data, path, bindings, partial(state.pop, tla))
+
+        payload = (
+            self.generator.generate(op.request_schema) if op.request_schema else {}
+        )
+        if entry is None:
+            concrete = self.generator.next_id(key)
+            foreign = {}
+            for field_name in op.foreign_keys:
+                foreign_tla = call.params.get(field_name)
+                if foreign_tla is None:
+                    raise _Skip(f"no abstract id for foreign key {field_name!r}")
+                owner = state.get(foreign_tla)
+                if owner is None:
+                    raise _Skip(f"foreign {field_name}={foreign_tla} was never created")
+                foreign[field_name] = owner.concrete_id
+            created = Entry(op.collection or op.path, payload, concrete)
+            effect = partial(state.__setitem__, tla, created)
+        else:
+            concrete = entry.concrete_id  # the key itself is immutable
+            foreign = {f: entry.data[f] for f in op.foreign_keys if f in entry.data}
+            effect = partial(setattr, entry, "data", payload)
+        bindings = {key: concrete, **foreign}
+        payload.update(bindings)
+        path = self._fill_path(op.path, bindings)
+        return _Prepared(payload, payload, path, bindings, effect)
 
     @staticmethod
     def _fill_path(template: str, bindings: dict) -> str:
@@ -409,10 +384,10 @@ def run_campaign(
     cleanups = 0
     for index, sequence in enumerate(sequences):
         calls = getattr(sequence, "calls", sequence)
-        seq_outcomes, emulator = runner.run_sequence(calls, index)
+        seq_outcomes, state = runner.run_sequence(calls, index)
         outcomes.extend(seq_outcomes)
         if cleanup:
-            for entry in reversed(emulator.entries()):
+            for entry in reversed(state.values()):
                 path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
                 failure = {"sequenceIndex": index, "url": path}
                 cleanups += 1

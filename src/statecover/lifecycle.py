@@ -26,7 +26,9 @@ all maps empty); final states are sinks and are not expanded further.
 
 Guards, effects and invariant checks are parsed once, by load_model, so a
 syntax error fails the load, naming its action or invariant, even where
-evaluation would never reach it; exploration only evaluates.
+evaluation would never reach it; exploration only evaluates. A section of
+the wrong shape fails the load too, named by its place, as in
+"resources[0]: missing 'name'".
 """
 
 from __future__ import annotations
@@ -116,6 +118,28 @@ def _field_spec(raw, where: str) -> FieldSpec:
     raise ModelError(f"{where}: field spec must be {{set: R}}, {{ref: R}}, or 'capacity', got {raw!r}")
 
 
+def _entries(doc: dict, section: str, required: tuple[str, ...]) -> list[dict]:
+    """doc[section] as a list of mappings that each carry the required keys."""
+    entries = doc.get(section) or []
+    if not isinstance(entries, list):
+        raise ModelError(f"{section}: expected a list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ModelError(f"{section}[{i}]: expected a mapping, got {type(entry).__name__}")
+        for key in required:
+            if key not in entry:
+                raise ModelError(f"{section}[{i}]: missing {key!r}")
+    return entries
+
+
+def _mapping(node, where: str) -> dict:
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ModelError(f"{where}: expected a mapping, got {type(node).__name__}")
+    return node
+
+
 def load_model(source: Union[dict, str, Path]) -> Model:
     if isinstance(source, dict):
         doc = source
@@ -125,10 +149,10 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         raise ModelError("model needs 'resources' and 'actions'")
 
     resources = []
-    for r in doc["resources"]:
+    for r in _entries(doc, "resources", ("name", "key")):
         record = {
             fname: _field_spec(spec, f"resource {r['name']}.{fname}")
-            for fname, spec in (r.get("record") or {}).items()
+            for fname, spec in _mapping(r.get("record"), f"resource {r['name']}: record").items()
         }
         resources.append(
             ResourceDef(
@@ -152,8 +176,8 @@ def load_model(source: Union[dict, str, Path]) -> Model:
                 raise ModelError(f"field {r.name}.{fname} needs a nonempty 'capacities' list")
 
     actions = []
-    for a in doc["actions"]:
-        params = tuple((p, res) for p, res in (a.get("params") or {}).items())
+    for a in _entries(doc, "actions", ("name",)):
+        params = tuple(_mapping(a.get("params"), f"action {a['name']}: params").items())
         for p, res in params:
             if res not in by_name:
                 raise ModelError(f"action {a['name']}: param {p} over unknown resource {res!r}")
@@ -184,7 +208,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             var=i.get("forall"),
             domain=i.get("in"),
         )
-        for i in doc.get("invariants") or ()
+        for i in _entries(doc, "invariants", ("name", "check"))
     )
     for inv in invariants:
         if (inv.var is None) != (inv.domain is None):

@@ -1,5 +1,6 @@
-"""Runtime support for driving a live service: seeded payload generation
-and the tester's own copy of what the service should contain.
+"""Runtime support for driving a live service: seeded payload generation,
+and the entry type of the tester's own copy of what the service should
+contain (a plain dict per sequence, kept by the executor).
 """
 
 from __future__ import annotations
@@ -7,15 +8,11 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 
 class GenerationError(ValueError):
     """A schema uses a construct the generator does not support."""
-
-
-class StateError(RuntimeError):
-    pass
 
 
 _UNSUPPORTED_COMBINATORS = ("oneOf", "anyOf", "allOf", "not", "$ref")
@@ -93,40 +90,10 @@ class InputGenerator:
 
 @dataclass
 class Entry:
-    tla_id: str
+    """One instance the service should contain: the collection it lives in,
+    the body it was last written with, and the concrete id it was sent as.
+    A sequence's emulated state maps abstract ids ('p1') to these."""
+
     resource: str
     data: dict
     concrete_id: str
-
-
-class EmulatedState:
-    """What the service should currently contain, keyed by the abstract ids
-    from the model ('p1', 't1'). Tracks creation order so cleanup can delete
-    in reverse."""
-
-    def __init__(self):
-        self._entries: dict[str, Entry] = {}
-
-    def add(self, tla_id: str, resource: str, data: dict, concrete_id: str) -> None:
-        if tla_id in self._entries:
-            raise StateError(f"{tla_id!r} already tracked")
-        self._entries[tla_id] = Entry(tla_id, resource, data, concrete_id)
-
-    def recycle(self, tla_id: str) -> Optional[Entry]:
-        """The entry for an id, or None if it was never created (or already
-        deleted). Does not remove it."""
-        return self._entries.get(tla_id)
-
-    def delete(self, tla_id: str) -> Entry:
-        if tla_id not in self._entries:
-            raise StateError(f"{tla_id!r} is not tracked")
-        return self._entries.pop(tla_id)
-
-    def update(self, tla_id: str, data: dict) -> None:
-        if tla_id not in self._entries:
-            raise StateError(f"{tla_id!r} is not tracked")
-        self._entries[tla_id].data = data
-
-    def entries(self) -> list[Entry]:
-        return list(self._entries.values())
-

@@ -260,8 +260,6 @@ class CoverageReport:
     states_total: int
     transitions_covered: int
     transitions_total: int
-    labels_covered: int
-    labels_total: int
 
     @property
     def state_pct(self) -> float:
@@ -273,17 +271,13 @@ class CoverageReport:
             return 100.0
         return 100.0 * self.transitions_covered / self.transitions_total
 
-    @property
-    def label_pct(self) -> float:
-        return 100.0 if self.labels_total == 0 else 100.0 * self.labels_covered / self.labels_total
-
 
 def coverage_report(graph: StateSpaceGraph, paths: list[tuple[int, ...]]) -> CoverageReport:
-    """State, transition, and label coverage of the selected paths.
+    """State and transition coverage of the selected paths.
 
-    The synthetic sink and its edges are excluded. A traversed merged edge
-    covers only its lexicographically least label, so label-level coverage
-    can fall short of 100% on graphs with parallel edges.
+    The synthetic sink and its edges are excluded. A transition is a
+    (source, target) pair, so parallel edges merged into one pair count
+    once however many labels they carry.
     """
     sink = graph.super_final
     visited_states = set()
@@ -296,19 +290,12 @@ def coverage_report(graph: StateSpaceGraph, paths: list[tuple[int, ...]]) -> Cov
             if v != sink:
                 visited_pairs.add((u, v))
     all_pairs = {(u, v) for (u, v) in graph.pairs() if v != sink}
-    labels_total = sum(len(graph.edge_labels.get(p, ())) for p in all_pairs)
-    covered_labels = 0
-    for p in visited_pairs:
-        if graph.edge_labels.get(p, ()):
-            covered_labels += 1
     return CoverageReport(
         path_count=len(paths),
         states_covered=len(visited_states),
         states_total=graph.n_states - 1,
         transitions_covered=len(visited_pairs),
         transitions_total=len(all_pairs),
-        labels_covered=covered_labels,
-        labels_total=labels_total,
     )
 
 
@@ -320,18 +307,33 @@ def sequences_to_json(sequences: list[CallSequence], seed: int) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _expect(node, kind: type, where: str):
+    if not isinstance(node, kind):
+        name = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValueError(f"{where}: expected {name}")
+    return node
+
+
 def sequences_from_json(text: str) -> tuple[int, list[CallSequence]]:
-    doc = json.loads(text)
+    """Read a sequence file. A malformed shape raises ValueError naming
+    where it is, as in 'sequences[0].calls[2]: expected an object'."""
+    doc = _expect(json.loads(text), dict, "top level")
     sequences = []
-    for s in doc.get("sequences", []):
-        calls = [
-            Call(
-                op=c.get("op", ""),
-                verb=c.get("verb", ""),
-                path=c.get("path", ""),
-                params=dict(c.get("params", {})),
-            )
-            for c in s.get("calls", [])
-        ]
+    for i, s in enumerate(_expect(doc.get("sequences", []), list, "sequences")):
+        where = f"sequences[{i}]"
+        calls = []
+        raw_calls = _expect(s, dict, where).get("calls", [])
+        for j, c in enumerate(_expect(raw_calls, list, f"{where}.calls")):
+            at = f"{where}.calls[{j}]"
+            c = _expect(c, dict, at)
+            fields = {k: _expect(c.get(k, ""), str, f"{at}.{k}") for k in ("op", "verb", "path")}
+            params = _expect(c.get("params", {}), dict, f"{at}.params")
+            for name, value in params.items():
+                _expect(value, str, f"{at}.params.{name}")
+            calls.append(Call(**fields, params=dict(params)))
         sequences.append(CallSequence(calls=calls))
-    return int(doc.get("seed", 0)), sequences
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ValueError(f"seed: expected an integer, got {doc['seed']!r}") from None
+    return seed, sequences

@@ -22,7 +22,9 @@ load with a SpecError naming the operation's METHOD and path. So does a
 contract clause that does not parse or that probes the service with
 anything but a GET; the error also names the clause, as in
 "POST /players: x-requires[0]: ...", or "x-invariants[1]: ..." for an
-invariant.
+invariant. A path item, operation or parameter list of the wrong shape
+fails the load with its place, as in "GET /players: parameters[0]:
+expected a mapping".
 
 Contracts serialize as x-requires / x-ensures on the operation objects and
 x-invariants at the document root; loading an emitted document and emitting
@@ -98,14 +100,13 @@ class Operation:
     method: str  # uppercase
     path: str
     raw: dict
-    path_params: tuple[str, ...] = ()
     requires: tuple[Clause, ...] = ()
     ensures: tuple[Clause, ...] = ()
     own_key: Optional[str] = None  # key of the resource the path addresses
     collection: Optional[str] = None
     item_path: Optional[str] = None
     request_schema: Optional[dict] = None
-    foreign_keys: tuple[tuple[str, str], ...] = ()  # (field name, owning collection)
+    foreign_keys: tuple[str, ...] = ()  # body fields holding another resource's key
     param_names: tuple[str, ...] = ()  # what an edge label's arguments bind, in order
 
 
@@ -163,19 +164,21 @@ def _success_schema(raw: dict) -> Optional[dict]:
     return None
 
 
+_ITEM_RE = re.compile(r"(.*)/\{(\w+)\}")
+
+
 def _resources(paths: dict) -> list[tuple[str, str, str]]:
     """(collection, item, key) for each collection path with a /{key} item
-    sibling."""
-    out = []
-    for p in paths:
-        if p.endswith("}"):
-            continue
-        for q in paths:
-            m = re.fullmatch(re.escape(p) + r"/\{(\w+)\}", q)
-            if m:
-                out.append((p, q, m.group(1)))
-                break
-    return out
+    sibling, in collection order; the first such item in document order
+    wins."""
+    items: dict[str, tuple[str, str]] = {}
+    for q in paths:
+        m = _ITEM_RE.fullmatch(q)
+        if m:
+            items.setdefault(m.group(1), (q, m.group(2)))
+    return [
+        (p, *items[p]) for p in paths if not p.endswith("}") and p in items
+    ]
 
 
 def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0) -> Optional[dict]:
@@ -218,23 +221,22 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
     diagnostics: list[Diagnostic] = []
     operations: list[Operation] = []
     seen_ids: set[str] = set()
-    paths = doc.get("paths") or {}
+    paths = _paths(doc)
     by_path: dict[str, tuple[str, str, str]] = {}
-    owners: dict[str, str] = {}  # key parameter name -> collection that owns it
+    keys = set()  # key parameter names of the collection/item resources
     for collection, item_path, key in _resources(paths):
         by_path[collection] = by_path[item_path] = (collection, item_path, key)
-        owners[key] = collection
+        keys.add(key)
 
     for path, item in paths.items():
-        item = item or {}
         placeholders = _PLACEHOLDER_RE.findall(path)
-        shared_params = [p for p in item.get("parameters", []) if p.get("in") == "path"]
+        shared_params = _path_params(item, path)
         for method in HTTP_METHODS:
             if method not in item:
                 continue
-            raw = item[method] or {}
-            op_id = raw.get("operationId") or raw.get("operationID")
             where = f"{method.upper()} {path}"
+            raw = _mapping(item[method], where)
+            op_id = raw.get("operationId") or raw.get("operationID")
             if not op_id:
                 op_id = where
                 diagnostics.append(
@@ -246,7 +248,7 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                 )
             seen_ids.add(op_id)
 
-            own_params = [p for p in raw.get("parameters", []) if p.get("in") == "path"]
+            own_params = _path_params(raw, where)
             declared = shared_params + own_params
             names = [p.get("name") for p in declared]
             for name in names:
@@ -283,12 +285,12 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
             except SpecError as exc:
                 raise SpecError(f"{where}: request body: {exc}") from None
             foreign = tuple(
-                (field_name, owners[field_name])
+                field_name
                 for field_name in (schema or {}).get("properties", {})
-                if field_name in owners and field_name != own_key
+                if field_name in keys and field_name != own_key
             )
             if method == "post" and own_key is not None:
-                param_names = (own_key,) + tuple(f for f, _ in foreign)
+                param_names = (own_key,) + foreign
             else:
                 param_names = tuple(placeholders)
             operations.append(
@@ -297,7 +299,6 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                     method=method.upper(),
                     path=path,
                     raw=raw,
-                    path_params=tuple(placeholders),
                     requires=_load_clauses(raw, "requires", f"{where}: "),
                     ensures=_load_clauses(raw, "ensures", f"{where}: "),
                     own_key=own_key,
@@ -319,6 +320,35 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
 
     invariants = _load_clauses(doc, "invariants")
     return ApiSpec(doc=doc, operations=operations, diagnostics=diagnostics, invariants=invariants)
+
+
+def _mapping(node, where: str) -> dict:
+    """node, or {} for an empty YAML value; anything but a mapping fails."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise SpecError(f"{where}: expected a mapping, got {type(node).__name__}")
+    return node
+
+
+def _paths(doc: dict) -> dict:
+    """The document's path items by path; an empty item reads as {}."""
+    paths = _mapping(doc.get("paths"), "paths")
+    for path in paths:
+        if not isinstance(path, str):
+            raise SpecError(f"paths: key {path!r} is not a string")
+    return {path: _mapping(item, path) for path, item in paths.items()}
+
+
+def _path_params(node: dict, where: str) -> list[dict]:
+    """The 'in: path' entries of a path item's or operation's parameters."""
+    params = node.get("parameters") or []
+    if not isinstance(params, list):
+        raise SpecError(f"{where}: parameters: expected a list")
+    for i, p in enumerate(params):
+        if not isinstance(p, dict):
+            raise SpecError(f"{where}: parameters[{i}]: expected a mapping")
+    return [p for p in params if p.get("in") == "path"]
 
 
 def _collect_refs(node: Any, out: set[str]) -> None:

@@ -1,4 +1,5 @@
-"""Shared test utilities: random graph construction and independent oracles.
+"""Shared test utilities: random graph construction, independent oracles,
+and an in-process stand-in for an HTTP session to the demo service.
 
 The oracles here are deliberately written against the public graph arrays
 only, with none of the production path logic, so they can arbitrate.
@@ -6,7 +7,11 @@ only, with none of the production path logic, so they can arbitrate.
 
 from __future__ import annotations
 
+import json
 import random
+from urllib.parse import urlsplit
+
+from statecover.demo import TournamentsApp
 
 from statecover.speckit import Operation
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
@@ -122,3 +127,31 @@ def tournaments_resolver(name: str) -> Operation | None:
         return None
     return Operation(op_id=meta["op"], method=meta["verb"], path=meta["path"], raw={},
                      own_key=meta["own_key"], param_names=tuple(meta["param_names"]))
+
+
+class FakeResponse:
+    def __init__(self, status, payload):
+        self.status_code = status
+        self._payload = payload
+        self.text = json.dumps(payload)
+
+    def json(self):
+        return self._payload
+
+
+class AppSession:
+    """Serves the demo service in-process and logs every request."""
+
+    def __init__(self):
+        self.app = TournamentsApp()
+        self.log = []
+
+    def get(self, url, timeout=None):
+        return self.request("GET", url, timeout=timeout)
+
+    def request(self, method, url, timeout=None, **body):
+        path = urlsplit(url).path
+        self.log.append(f"{method} {path}")
+        payload = body.get("json")
+        raw = None if payload is None else json.dumps(payload).encode()
+        return FakeResponse(*self.app.handle(method, path, raw))

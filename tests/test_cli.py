@@ -203,6 +203,28 @@ class TestCampaignCommand:
         assert "/tournaments/tid" in failed[0]["url"]
         assert failed[0]["status"] == 409 and failed[0]["sequenceIndex"] == 0
 
+    def test_second_create_of_an_id_is_not_tested(self, workdir, capsys):
+        post = {"op": "postPlayer", "verb": "POST", "path": "/players",
+                "params": {"pid": "p1"}}
+        seqs = workdir / "twice.json"
+        seqs.write_text(json.dumps({"seed": 0, "sequences": [{"calls": [post, post]}]}))
+        report_path = workdir / "report.json"
+        argv = ("test", "--spec", str(workdir / "tournaments-contracts.yaml"),
+                "--sequences", str(seqs), "--report", str(report_path))
+        code, out, _ = run(capsys, *argv, "--spawn-demo")
+        assert code == 0
+        assert "ok=1" in out and "notTested=1" in out
+        second = json.loads(report_path.read_text())["outcomes"][1]
+        assert second["classification"] == "NOT_TESTED"
+        assert second["reason"] == "p1 was already created in this sequence"
+        with DemoServer() as server:
+            code, _, _ = run(capsys, *argv, "--base-url", server.base_url)
+            players = requests.get(server.base_url + "/players", timeout=5).json()
+            seen = requests.get(server.base_url + "/_requests", timeout=5).json()
+        assert code == 0
+        assert players == []
+        assert [r for r in seen if r.startswith("POST ")] == ["POST /players"]
+
 
 class TestJsonLogs:
     def test_events_are_json_lines(self, workdir, capsys):
@@ -304,6 +326,62 @@ class TestErrorPaths:
         assert code == 2
         where = f"POST /players: x-requires[{len(requires) - 1}]: "
         assert f"error: {where}{message}" in err
+
+    @pytest.mark.parametrize("doc, where", [
+        pytest.param({"sequences": [{"calls": [1]}]},
+                     "sequences[0].calls[0]: expected an object", id="call"),
+        pytest.param([1, 2], "top level: expected an object", id="top"),
+        pytest.param({"sequences": [{"calls": [{"op": "postPlayer",
+                                                 "params": {"pid": 1}}]}]},
+                     "sequences[0].calls[0].params.pid: expected a string",
+                     id="param"),
+        pytest.param({"seed": [0], "sequences": []}, "seed: expected an integer",
+                     id="seed"),
+    ])
+    def test_malformed_sequence_file(self, workdir, capsys, doc, where):
+        seqs = workdir / "bad.json"
+        seqs.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "test",
+                           "--spec", str(workdir / "tournaments-contracts.yaml"),
+                           "--sequences", str(seqs), "--spawn-demo")
+        assert code == 2
+        assert f"error: {seqs} is not a sequence file: {where}" in err
+
+    @pytest.mark.parametrize("change, where", [
+        pytest.param(lambda doc: doc.update(resources=[{"key": "pid"}]),
+                     "resources[0]: missing 'name'", id="resource-name"),
+        pytest.param(lambda doc: doc.update(resources=3),
+                     "resources: expected a list", id="resources"),
+        pytest.param(lambda doc: doc["actions"][0].pop("name"),
+                     "actions[0]: missing 'name'", id="action-name"),
+    ])
+    def test_malformed_model(self, tmp_path, capsys, change, where):
+        doc = tournaments_model_doc(players=("p1",), tournaments=(), enrolments=())
+        change(doc)
+        path = tmp_path / "bad-model.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        code, _, err = run(capsys, "explore", str(path), str(tmp_path / "out.dot"))
+        assert code == 2
+        assert f"error: {path}: {where}" in err
+
+    @pytest.mark.parametrize("change, where", [
+        pytest.param(lambda paths: paths.update({"/players": [paths["/players"]]}),
+                     "/players: expected a mapping, got list", id="path-item"),
+        pytest.param(lambda paths: paths["/players/{pid}"]["parameters"].append("pid"),
+                     "/players/{pid}: parameters[1]: expected a mapping",
+                     id="shared-parameter"),
+        pytest.param(lambda paths: paths["/players"]["post"].update(parameters=[["pid"]]),
+                     "POST /players: parameters[0]: expected a mapping",
+                     id="operation-parameter"),
+    ])
+    def test_malformed_api_description(self, workdir, capsys, change, where):
+        doc = yaml.safe_load((workdir / "tournaments-oas.yaml").read_text())
+        change(doc["paths"])
+        bad = workdir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        code, _, err = run(capsys, "gen-contracts", str(bad), str(workdir / "out.yaml"))
+        assert code == 2
+        assert f"error: {where}" in err
 
     def test_puts_max_out_of_range(self, workdir, capsys):
         dot = workdir / "graph.dot"

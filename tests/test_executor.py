@@ -6,11 +6,10 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TOURNAMENTS_RESOLVER_TABLE
+from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession, FakeResponse
 from statecover import lifecycle, seqgen, ssg
 from statecover.demo import (
     DemoServer,
-    TournamentsApp,
     add_manual_clauses,
     demo_spec,
     make_tournaments_model,
@@ -107,16 +106,6 @@ class TestClassify:
         assert classify(True, True, True, 500) == ERR
 
 
-class FakeResponse:
-    def __init__(self, status, payload):
-        self.status_code = status
-        self._payload = payload
-        self.text = json.dumps(payload)
-
-    def json(self):
-        return self._payload
-
-
 class Broken5xxSession:
     """Rejects nothing, answers every probe GET 404 and every mutation 503."""
 
@@ -127,42 +116,24 @@ class Broken5xxSession:
         return FakeResponse(503, {"error": "boom"})
 
 
-class AppSession:
-    """Serves the demo service in-process and logs every request."""
-
-    def __init__(self):
-        self.app = TournamentsApp()
-        self.log = []
-
-    def get(self, url, timeout=None):
-        return self.request("GET", url, timeout=timeout)
-
-    def request(self, method, url, timeout=None, **body):
-        path = urlsplit(url).path
-        self.log.append(f"{method} {path}")
-        payload = body.get("json")
-        raw = None if payload is None else json.dumps(payload).encode()
-        return FakeResponse(*self.app.handle(method, path, raw))
-
-
 class TestSingleCalls:
     def test_post_player_is_ok(self, live):
         runner = runner_for(live)
-        outcomes, emulator = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
+        outcomes, state = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
         (outcome,) = outcomes
         assert outcome.classification == OK
         assert outcome.reason == ""
         assert outcome.pre is True and outcome.post is True and outcome.inv is True
         assert outcome.request["body"]["pid"] == "pid10000"  # seed 0 base
         assert outcome.response["status"] == 200
-        assert emulator.recycle("p1").concrete_id == "pid10000"
+        assert state["p1"].concrete_id == "pid10000"
 
     def test_create_then_delete_round_trip(self, live):
         runner = runner_for(live)
         calls = [mk("postPlayer", pid="p1"), mk("deletePlayer", pid="p1")]
-        outcomes, emulator = runner.run_sequence(calls, 0)
+        outcomes, state = runner.run_sequence(calls, 0)
         assert [o.classification for o in outcomes] == [OK, OK]
-        assert emulator.entries() == []
+        assert state == {}
         # the delete really happened
         concrete = outcomes[0].request["body"]["pid"]
         r = requests.get(live.base_url + f"/players/{concrete}", timeout=5)
@@ -170,9 +141,9 @@ class TestSingleCalls:
 
     def test_full_cycle_all_ok(self, live):
         runner = runner_for(live, spec=inferred_spec(manual=True))
-        outcomes, emulator = runner.run_sequence(full_cycle_calls(), 0)
+        outcomes, state = runner.run_sequence(full_cycle_calls(), 0)
         assert [o.classification for o in outcomes] == [OK] * 6
-        assert emulator.entries() == []
+        assert state == {}
 
     def test_delete_request_carries_no_body(self, live):
         runner = runner_for(live)
@@ -203,9 +174,9 @@ class TestSingleCalls:
             mk("postEnrolment", eid="e1", pid="p1", tid="t1"),
             put_call("putTournament", "tid", "t1"),
         ]
-        outcomes, emulator = runner.run_sequence(calls, 0)
+        outcomes, state = runner.run_sequence(calls, 0)
         assert [o.classification for o in outcomes] == [OK] * 4
-        assert emulator.recycle("t1").data == outcomes[3].request["body"]
+        assert state["t1"].data == outcomes[3].request["body"]
 
 
 class TestPhases:
@@ -389,13 +360,13 @@ class TestServerErrors:
     def test_5xx_blocks_classification(self):
         runner = SequenceRunner(inferred_spec(), "http://fake",
                                 InputGenerator(0), session=Broken5xxSession())
-        outcomes, emulator = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
+        outcomes, state = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
         (outcome,) = outcomes
         assert outcome.classification == ERR
         assert outcome.reason == "server error 503"
         assert outcome.post is None
         assert outcome.pre is True  # the 404 probe satisfied the precondition
-        assert emulator.entries() == []  # 503 is not a creation
+        assert state == {}  # 503 is not a creation
 
 
 class TestFaultFlows:

@@ -131,6 +131,43 @@ class TestLoadModel:
             load_model(doc)
 
 
+
+def malformed_model(case: str) -> dict:
+    """toggler_doc with one part of the wrong shape."""
+    doc = toggler_doc()
+    if case == "resource without name":
+        doc["resources"] = [{"key": "kid"}]
+    elif case == "resources not a list":
+        doc["resources"] = 3
+    elif case == "action without name":
+        del doc["actions"][0]["name"]
+    elif case == "action not a mapping":
+        doc["actions"][1] = "dropThing"
+    elif case == "record not a mapping":
+        doc["resources"][0]["record"] = ["x"]
+    elif case == "invariant without check":
+        doc["invariants"] = [{"name": "bounded"}]
+    return doc
+
+
+MALFORMED_MODELS = {
+    "resource without name": "resources[0]: missing 'name'",
+    "resources not a list": "resources: expected a list, got int",
+    "action without name": "actions[0]: missing 'name'",
+    "action not a mapping": "actions[1]: expected a mapping, got str",
+    "record not a mapping": "resource things: record: expected a mapping, got list",
+    "invariant without check": "invariants[0]: missing 'check'",
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_fails_the_load_with_a_location(self, case):
+        with pytest.raises(ModelError) as exc:
+            load_model(malformed_model(case))
+        assert str(exc.value) == MALFORMED_MODELS[case]
+
+
 class TestExploreToggler:
     def test_three_states(self):
         x = explore(load_model(toggler_doc()))

@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from statecover.runtime import (
-    EmulatedState,
-    GenerationError,
-    InputGenerator,
-    StateError,
-)
+from helpers import AppSession
+from statecover.demo import demo_spec
+from statecover.executor import NOT_TESTED, OK, SequenceRunner
+from statecover.runtime import GenerationError, InputGenerator
+from statecover.seqgen import Call
 from statecover.speckit import fixture_path, load_oas
 
 
@@ -109,48 +108,68 @@ class TestGenerate:
             InputGenerator(0).generate({"type": "array"})
 
 
+def run_calls(*calls):
+    """Run (operation id, params) pairs as one sequence on an in-process demo
+    service; returns the outcomes and the emulated state they leave."""
+    runner = SequenceRunner(demo_spec(), "http://demo", InputGenerator(0),
+                            session=AppSession())
+    return runner.run_sequence(
+        [Call(op=op, verb="", path="", params=params) for op, params in calls], 0)
+
+
+P1 = {"pid": "p1"}
+
+
 class TestEmulatedState:
+    """The emulated state is a plain dict, abstract id -> Entry, that a
+    sequence's 2xx answers update."""
+
     def test_add_recycle_delete(self):
-        s = EmulatedState()
-        s.add("p1", "/players", {"pid": "pid10000"}, "pid10000")
-        entry = s.recycle("p1")
-        assert entry.concrete_id == "pid10000"
-        assert s.recycle("p1") is entry  # recycling does not consume
-        removed = s.delete("p1")
-        assert removed.data == {"pid": "pid10000"}
-        assert s.recycle("p1") is None
+        outcomes, state = run_calls(("postPlayer", P1))
+        assert state["p1"].concrete_id == "pid10000"
+        assert state["p1"].resource == "/players"
+        assert state["p1"].data == outcomes[0].request["body"]
+        outcomes, state = run_calls(
+            ("postPlayer", P1), ("putPlayer", P1), ("deletePlayer", P1))
+        assert [o.classification for o in outcomes] == [OK] * 3
+        # the PUT read the entry without consuming it
+        assert outcomes[2].request["url"] == "/players/pid10000"
+        assert state == {}
 
     def test_duplicate_add_rejected(self):
-        s = EmulatedState()
-        s.add("p1", "/players", {}, "x")
-        with pytest.raises(StateError, match="already"):
-            s.add("p1", "/players", {}, "y")
+        outcomes, state = run_calls(("postPlayer", P1), ("postPlayer", P1))
+        assert outcomes[1].classification == NOT_TESTED
+        assert "already created" in outcomes[1].reason
+        assert state["p1"].concrete_id == "pid10000"
 
     def test_delete_untracked_rejected(self):
-        with pytest.raises(StateError):
-            EmulatedState().delete("p1")
+        (outcome,), state = run_calls(("deletePlayer", P1))
+        assert outcome.classification == NOT_TESTED
+        assert "never created" in outcome.reason
+        assert state == {}
 
     def test_update_replaces_data_keeps_position(self):
-        s = EmulatedState()
-        s.add("p1", "/players", {"v": 1}, "a")
-        s.add("t1", "/tournaments", {"v": 2}, "b")
-        s.update("p1", {"v": 9})
-        assert [e.tla_id for e in s.entries()] == ["p1", "t1"]
-        assert s.recycle("p1").data == {"v": 9}
+        outcomes, state = run_calls(
+            ("postPlayer", P1), ("postTournament", {"tid": "t1"}), ("putPlayer", P1))
+        assert [o.classification for o in outcomes] == [OK] * 3
+        assert list(state) == ["p1", "t1"]
+        assert state["p1"].data == outcomes[2].request["body"]
+        assert state["p1"].data != outcomes[0].request["body"]
 
     def test_update_untracked_rejected(self):
-        with pytest.raises(StateError):
-            EmulatedState().update("p1", {})
+        (outcome,), state = run_calls(("putPlayer", P1))
+        assert outcome.classification == NOT_TESTED
+        assert "never created" in outcome.reason
 
     def test_creation_order(self):
-        s = EmulatedState()
-        for i, tla in enumerate(["p1", "t1", "e1"]):
-            s.add(tla, "r", {}, f"c{i}")
-        assert [e.tla_id for e in s.entries()] == ["p1", "t1", "e1"]
+        _, state = run_calls(
+            ("postPlayer", P1), ("postTournament", {"tid": "t1"}),
+            ("postEnrolment", {"eid": "e1", "pid": "p1", "tid": "t1"}))
+        assert list(state) == ["p1", "t1", "e1"]
+        assert [e.resource for e in state.values()] == [
+            "/players", "/tournaments", "/enrolments"]
 
     def test_concrete_lookup(self):
-        s = EmulatedState()
-        s.add("t1", "/tournaments", {}, "tid10000")
-        assert s.recycle("t1").concrete_id == "tid10000"
-        assert s.recycle("t2") is None
-
+        _, state = run_calls(("postTournament", {"tid": "t1"}))
+        assert state["t1"].concrete_id == "tid10000"
+        assert "t2" not in state

@@ -1,9 +1,15 @@
+import re
+import time
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecover.speckit import (
     Clause,
     SpecError,
+    _resources,
     emit_extended,
     fixture_path,
     infer_contracts,
@@ -69,13 +75,12 @@ class TestLoad:
             "/enrolments": ("/enrolments/{eid}", "eid"),
         }
         assert spec.operation("postPlayer").own_key == "pid"
-        assert ("tid", "/tournaments") in spec.operation("postEnrolment").foreign_keys
+        assert "tid" in spec.operation("postEnrolment").foreign_keys
 
     def test_operation_lookup(self, spec):
         op = spec.operation("deleteTournament")
         assert op.method == "DELETE"
         assert op.path == "/tournaments/{tid}"
-        assert op.path_params == ("tid",)
         with pytest.raises(KeyError):
             spec.operation("nope")
 
@@ -105,6 +110,77 @@ class TestLoad:
     def test_no_paths_rejected(self):
         with pytest.raises(SpecError):
             load_oas({"openapi": "3.0.3"})
+
+
+def pairwise_resources(paths):
+    """The collection/item rule written out pair by pair: for each
+    collection path in document order, the first path in document order
+    that is the collection plus one /{key} segment."""
+    out = []
+    for p in paths:
+        if p.endswith("}"):
+            continue
+        for q in paths:
+            m = re.fullmatch(re.escape(p) + r"/\{(\w+)\}", q)
+            if m:
+                out.append((p, q, m.group(1)))
+                break
+    return out
+
+
+# collections, their items (several keys each), and near misses
+_collection = st.sampled_from(["/a", "/b", "/a/b", "/a/{k}", "", "/"])
+_item = st.builds("{}/{{{}}}".format, _collection, st.sampled_from(["k", "id", "x_1"]))
+_near_miss = st.sampled_from(["/a/{", "/b/x}", "/a/{k}x", "/a{k}", "/a/{k-1}"])
+_path = st.one_of(_collection, _item, _item, _near_miss)
+
+
+class TestResources:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_path, max_size=12, unique=True))
+    def test_matches_the_pairwise_rule(self, paths):
+        paths = dict.fromkeys(paths, {})
+        assert _resources(paths) == pairwise_resources(paths)
+
+    def test_first_item_wins_and_order_is_the_collections(self):
+        paths = dict.fromkeys(
+            ["/b/{x}", "/a/{y}", "/a", "/b", "/a/{z}", "/a/{y}/c"], {})
+        assert _resources(paths) == [("/a", "/a/{y}", "y"), ("/b", "/b/{x}", "x")]
+
+    def test_linear_on_many_resources(self):
+        paths = {}
+        for i in range(4000):
+            paths[f"/r{i}"] = {}
+            paths[f"/r{i}/{{k{i}}}"] = {}
+        started = time.perf_counter()
+        found = _resources(paths)
+        assert len(found) == 4000
+        assert found[-1] == ("/r3999", "/r3999/{k3999}", "k3999")
+        assert time.perf_counter() - started < 1.0
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("paths, message", [
+        pytest.param({"/a": [{"get": {}}]}, "/a: expected a mapping, got list",
+                     id="path-item"),
+        pytest.param({"/a": {"parameters": ["wid"]}},
+                     "/a: parameters[0]: expected a mapping", id="shared-parameter"),
+        pytest.param({"/a": {"parameters": {"name": "wid"}}},
+                     "/a: parameters: expected a list", id="parameters"),
+        pytest.param({"/a": {"get": {"parameters": [3]}}},
+                     "GET /a: parameters[0]: expected a mapping",
+                     id="operation-parameter"),
+        pytest.param({"/a": {"get": ["responses"]}},
+                     "GET /a: expected a mapping, got list", id="operation"),
+        pytest.param({7: {}}, "paths: key 7 is not a string", id="path-key"),
+    ])
+    def test_fails_with_a_location(self, paths, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            load_oas(minimal_doc() | {"paths": paths})
+
+    def test_paths_must_be_a_mapping(self):
+        with pytest.raises(SpecError, match="paths: expected a mapping"):
+            load_oas(minimal_doc() | {"paths": ["/a"]})
 
 
 class TestDiagnostics:
@@ -419,7 +495,7 @@ class TestExecutorMetadata:
         assert p.own_key == "eid"
         assert p.collection == "/enrolments"
         assert p.item_path == "/enrolments/{eid}"
-        assert p.foreign_keys == (("pid", "/players"), ("tid", "/tournaments"))
+        assert p.foreign_keys == ("pid", "tid")
         assert p.request_schema["properties"]["eid"] == {"type": "string"}
 
     def test_op_profile_item_op(self, spec):
@@ -433,8 +509,7 @@ class TestExecutorMetadata:
         assert spec.op_profile("postEnrolment") is spec.operation("postEnrolment")
         assert spec.op_profile("unknownOp") is None
         infer_contracts(spec)  # changes only the clauses, never a profile
-        assert spec.op_profile("postEnrolment").foreign_keys == (
-            ("pid", "/players"), ("tid", "/tournaments"))
+        assert spec.op_profile("postEnrolment").foreign_keys == ("pid", "tid")
 
     def test_op_profile_plain_get(self, spec):
         p = spec.op_profile("getTournamentCapacity")
