@@ -130,10 +130,12 @@ def cmd_clean(args, log: Log) -> int:
         raise UsageError(f"{args.dot}: {exc}") from exc
     cleaned = ssg.clean(raw)
     _write_text(args.out, ssg.emit_dot(cleaned))
+    before, after = raw.statement_count(), cleaned.statement_count()
+    ratio = 0.0 if before == 0 else 1.0 - after / before
     log.event("cleaned", nodes=len(cleaned.nodes), edges=len(cleaned.edges),
-              dedup_ratio=round(cleaned.dedup_ratio, 4))
+              dedup_ratio=round(ratio, 4))
     print(f"{args.out}: {len(cleaned.nodes)} nodes, {len(cleaned.edges)} edges "
-          f"(removed {cleaned.dedup_ratio:.1%} duplicate statements)")
+          f"(removed {ratio:.1%} duplicate statements)")
     return 0
 
 

@@ -183,7 +183,9 @@ class Evaluator:
         """Fetch every URL a prev(...) call in the given formulas reads and
         keep the responses as the pre-state, replacing the previous capture.
         Must run before the operation is sent; a transport problem is kept
-        as its message and only surfaces if a clause actually reads it."""
+        as its message and only surfaces if a clause actually reads it. A URL
+        that cannot be resolved is skipped: the postcondition resolves it
+        again and turns the reason into a false clause."""
         self._begin()
         self._pre_state = {}
         for formula in formulas:
@@ -191,7 +193,10 @@ class Evaluator:
                 if not inside_prev:
                     continue
                 self._validate_prev_inner(call)
-                url = self._resolve_url(call, ctx, {})
+                try:
+                    url = self._resolve_url(call, ctx, {})
+                except _Undefined:
+                    continue
                 if url in self._pre_state:
                     continue
                 try:

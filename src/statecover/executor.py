@@ -12,7 +12,8 @@ pre-state the postconditions' prev(...) calls read is captured in the first
 phase.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
-an id the sequence already created, an operation with no usable key) is
+an id the sequence already created, an operation with no usable key, a
+request body the schema does not let the generator build as an object) is
 reported NOT_TESTED, and nothing is sent for it. A 5xx answer short-circuits
 classification: the service failed outright, so postconditions are not
 evaluated.
@@ -36,7 +37,7 @@ from .evaluator import (
     path_segment,
 )
 from .glacier import Formula
-from .runtime import Entry, InputGenerator
+from .runtime import Entry, GenerationError, InputGenerator
 
 OK = "OK"
 WARN = "WARN"
@@ -279,9 +280,14 @@ class SequenceRunner:
             # nothing goes over the wire, but req_body(@) means the stored instance
             return _Prepared(None, entry.data, path, bindings, partial(state.pop, tla))
 
-        payload = (
-            self.generator.generate(op.request_schema) if op.request_schema else {}
-        )
+        try:
+            payload = (
+                self.generator.generate(op.request_schema) if op.request_schema else {}
+            )
+        except GenerationError as exc:
+            raise _Skip(f"request body: {exc}") from None
+        if not isinstance(payload, dict):
+            raise _Skip("request body schema is not an object")
         if entry is None:
             concrete = self.generator.next_id(key)
             foreign = {}

@@ -570,7 +570,6 @@ def _check_invariants(model: Model, maps: Maps) -> Optional[str]:
 class Exploration:
     model: Model
     states: list[str]                      # canonical labels, index = state id
-    state_maps: list[Maps]
     finals: list[int]
     transitions: list[tuple[int, int, str]]
 
@@ -674,7 +673,6 @@ def explore(model: Model, *, max_states: int = 10000,
     return Exploration(
         model=model,
         states=states,
-        state_maps=state_maps,
         finals=finals,
         transitions=transitions,
     )

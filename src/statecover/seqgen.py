@@ -156,8 +156,6 @@ def to_call_sequences(
     for path in paths:
         calls: list[Call] = []
         for u, v in zip(path, path[1:]):
-            if graph.is_sink_edge(u, v):
-                continue
             label = graph.least_label(u, v)
             if label is None:
                 continue
@@ -289,13 +287,12 @@ def coverage_report(graph: StateSpaceGraph, paths: list[tuple[int, ...]]) -> Cov
         for u, v in zip(path, path[1:]):
             if v != sink:
                 visited_pairs.add((u, v))
-    all_pairs = {(u, v) for (u, v) in graph.pairs() if v != sink}
     return CoverageReport(
         path_count=len(paths),
         states_covered=len(visited_states),
         states_total=graph.n_states - 1,
         transitions_covered=len(visited_pairs),
-        transitions_total=len(all_pairs),
+        transitions_total=sum(v != sink for _, v in graph.edge_labels),
     )
 
 

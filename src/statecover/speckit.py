@@ -146,21 +146,29 @@ class ApiSpec:
         }
 
 
-def _body_schema(raw: dict) -> Optional[dict]:
-    content = (raw.get("requestBody") or {}).get("content") or {}
-    for ctype, spec in content.items():
+def _json_media(node, where: str) -> Optional[dict]:
+    """The entry of node's first JSON media type, or None without one."""
+    content = _mapping(_mapping(node, where).get("content"), f"{where}: content")
+    for ctype, media in content.items():
         if "json" in ctype:
-            return spec.get("schema")
+            return _mapping(media, f"{where}: content: {ctype}")
     return None
 
 
-def _success_schema(raw: dict) -> Optional[dict]:
-    for code, resp in sorted((raw.get("responses") or {}).items()):
+def _body_schema(raw: dict, where: str) -> Optional[dict]:
+    media = _json_media(raw.get("requestBody"), f"{where}: requestBody")
+    return None if media is None else media.get("schema")
+
+
+def _success_schema(raw: dict, where: str) -> Optional[dict]:
+    where += ": responses"
+    responses = _mapping(raw.get("responses"), where)
+    # YAML reads an unquoted 200 as an int and 'default' as a string
+    for code, resp in sorted(responses.items(), key=lambda kv: str(kv[0])):
         if str(code).startswith("2"):
-            content = (resp or {}).get("content") or {}
-            for ctype, spec in content.items():
-                if "json" in ctype:
-                    return spec.get("schema")
+            media = _json_media(resp, f"{where}: {code}")
+            if media is not None:
+                return media.get("schema")
     return None
 
 
@@ -184,6 +192,8 @@ def _resources(paths: dict) -> list[tuple[str, str, str]]:
 def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0) -> Optional[dict]:
     if schema is None:
         return None
+    if not isinstance(schema, dict):
+        raise SpecError(f"schema: expected a mapping, got {type(schema).__name__}")
     if _depth > 32:
         raise SpecError("schema $ref nesting too deep (cycle?)")
     if "$ref" in schema:
@@ -280,8 +290,10 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                     Diagnostic("no-request-body", f"{method.upper()} without a request body", where)
                 )
             collection, item_path, own_key = by_path.get(path, (None, None, None))
+            _success_schema(raw, where)  # a malformed response fails here, not in inference
+            body_schema = _body_schema(raw, where)
             try:
-                schema = _resolve_schema(doc, _body_schema(raw))
+                schema = _resolve_schema(doc, body_schema)
             except SpecError as exc:
                 raise SpecError(f"{where}: request body: {exc}") from None
             foreign = tuple(
@@ -432,6 +444,7 @@ def infer_contracts(spec: ApiSpec) -> InferenceReport:
     for op in spec.operations:
         if op.method == "GET":
             continue
+        where = f"{op.method} {op.path}"
         requires: list[Clause] = []
         ensures: list[Clause] = []
 
@@ -443,8 +456,8 @@ def infer_contracts(spec: ApiSpec) -> InferenceReport:
             probe_there = Comparison(_get_item_by_body(op.path, op.own_key), "=", Literal(200))
             requires.append(_clause(probe_missing))
             ensures.append(_clause(probe_there))
-            req_schema = _body_schema(op.raw)
-            if req_schema is not None and req_schema == _success_schema(op.raw):
+            req_schema = _body_schema(op.raw, where)
+            if req_schema is not None and req_schema == _success_schema(op.raw, where):
                 echo = Comparison(ApiCall(func="req_body"), "=", ApiCall(func="res_body"))
                 ensures.append(_clause(echo))
         elif op.method == "DELETE":
@@ -453,7 +466,7 @@ def infer_contracts(spec: ApiSpec) -> InferenceReport:
                 continue
             requires.append(_clause(Comparison(_get_item(op.path), "=", Literal(200))))
             ensures.append(_clause(Comparison(_get_item(op.path), "=", Literal(404))))
-            if _success_schema(op.raw) is not None:
+            if _success_schema(op.raw, where) is not None:
                 echo = Comparison(
                     ApiCall(func="req_body"),
                     "=",

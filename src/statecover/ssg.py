@@ -2,8 +2,11 @@
 
 Parses the DOT subset that model-checker dumps use (node and edge statements
 with optional label attributes), deduplicates repeated statements, and builds
-a validated dense-index graph with a synthetic super-final sink so that every
-final state funnels into a single traversal target.
+a dense-index graph with a synthetic super-final sink so that every final
+state funnels into a single traversal target. A final state is one whose
+label matches `final = TRUE`; self-loops are rejected; and the one
+validation checks that every state is reachable from the initial state and
+co-reachable to the sink.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 
-DEFAULT_FINAL_PATTERN = r"final\s*=\s*TRUE"
+_FINAL = re.compile(r"final\s*=\s*TRUE")
 
 
 class DotParseError(ValueError):
@@ -49,7 +52,6 @@ class RawGraph:
     name: str
     nodes: list[NodeStatement] = field(default_factory=list)
     edges: list[EdgeStatement] = field(default_factory=list)
-    dedup_ratio: float = 0.0
 
     def statement_count(self) -> int:
         return len(self.nodes) + len(self.edges)
@@ -237,26 +239,12 @@ def emit_dot(graph: RawGraph) -> str:
 
 
 def clean(graph: RawGraph) -> RawGraph:
-    """Drop duplicate statements, keeping first occurrences in order.
-
-    The returned graph records the achieved reduction in dedup_ratio.
-    """
-    nodes: list[NodeStatement] = []
-    seen_nodes: set[NodeStatement] = set()
-    for n in graph.nodes:
-        if n not in seen_nodes:
-            seen_nodes.add(n)
-            nodes.append(n)
-    edges: list[EdgeStatement] = []
-    seen_edges: set[EdgeStatement] = set()
-    for e in graph.edges:
-        if e not in seen_edges:
-            seen_edges.add(e)
-            edges.append(e)
-    before = graph.statement_count()
-    after = len(nodes) + len(edges)
-    ratio = 0.0 if before == 0 else 1.0 - after / before
-    return RawGraph(name=graph.name, nodes=nodes, edges=edges, dedup_ratio=ratio)
+    """Drop duplicate statements, keeping first occurrences in order."""
+    return RawGraph(
+        name=graph.name,
+        nodes=list(dict.fromkeys(graph.nodes)),
+        edges=list(dict.fromkeys(graph.edges)),
+    )
 
 
 @dataclass
@@ -275,49 +263,13 @@ class StateSpaceGraph:
     finals: tuple[int, ...]
     super_final: int
     raw_ids: list[str]
-    node_labels: list[str | None]
-    dedup_ratio: float = 0.0
-
-    def pairs(self) -> Iterable[tuple[int, int]]:
-        for u in range(self.n_states):
-            for v in self.out_adj[u]:
-                yield (u, v)
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.out_adj)
 
-    def is_sink_edge(self, u: int, v: int) -> bool:
-        return v == self.super_final
-
     def least_label(self, u: int, v: int) -> str | None:
         labels = self.edge_labels.get((u, v), ())
         return labels[0] if labels else None
-
-    def check_invariants(self) -> None:
-        """Assert the structural laws; raises GraphError on violation."""
-        n = self.n_states
-        if self.super_final != n - 1:
-            raise GraphError("super-final sink must be the last dense index")
-        if self.out_adj[self.super_final]:
-            raise GraphError("super-final sink has outgoing edges")
-        for u in range(n):
-            if self.out_adj[u] != sorted(self.out_adj[u]):
-                raise GraphError(f"out adjacency of {u} not ascending")
-            if self.in_adj[u] != sorted(self.in_adj[u]):
-                raise GraphError(f"in adjacency of {u} not ascending")
-        out_pairs = {(u, v) for u in range(n) for v in self.out_adj[u]}
-        in_pairs = {(v, u) for u in range(n) for v in self.in_adj[u]}
-        if out_pairs != in_pairs:
-            raise GraphError("out/in adjacency are not duals")
-        for f in self.finals:
-            if self.super_final not in self.out_adj[f]:
-                raise GraphError(f"final state {f} lacks a sink edge")
-        reach = _bfs_set(self.out_adj, self.initial)
-        if len(reach) != n:
-            raise GraphError("not all states reachable from initial")
-        coreach = _bfs_set(self.in_adj, self.super_final)
-        if len(coreach) != n:
-            raise GraphError("not all states co-reachable to sink")
 
 
 def _bfs_set(adj: list[list[int]], start: int) -> set[int]:
@@ -340,31 +292,19 @@ def _fmt_ids(ids: Iterable[str], cap: int = 12) -> str:
     return shown
 
 
-def build(
-    raw: RawGraph,
-    *,
-    final_predicate: str | Callable[[str], bool] = DEFAULT_FINAL_PATTERN,
-    initial: str | None = None,
-    prune: bool = False,
-    allow_self_loops: bool = False,
-) -> StateSpaceGraph:
-    """Build a validated StateSpaceGraph from raw statements.
+def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> StateSpaceGraph:
+    """Build a StateSpaceGraph from raw statements.
 
     The initial state is either the explicitly flagged raw id or the unique
     in-degree-zero state. Final states are those whose label matches
-    final_predicate (a regex string or a callable on the label text); a
-    super-final sink is appended with an edge from every final state.
-    Every state must be reachable from the initial state and co-reachable
-    to the sink, unless prune=True drops the offenders instead.
+    `final = TRUE`; a super-final sink is appended with an edge from every
+    final state. Self-loops are rejected. Every state must be reachable from
+    the initial state and co-reachable to the sink, unless prune=True drops
+    the offenders instead. Adjacency lists come out ascending and mutually
+    dual, with the sink last and without out-edges.
     """
     if not raw.nodes and not raw.edges:
         raise GraphError("empty graph: no statements")
-
-    if callable(final_predicate):
-        is_final_label = final_predicate
-    else:
-        pattern = re.compile(final_predicate)
-        is_final_label = lambda text: bool(pattern.search(text))  # noqa: E731
 
     ids = raw.state_ids()
     index_of = {rid: i for i, rid in enumerate(ids)}
@@ -384,7 +324,7 @@ def build(
             bucket.add(e.label)
 
     self_loops = sorted({u for (u, v) in merged if u == v})
-    if self_loops and not allow_self_loops:
+    if self_loops:
         raise GraphError(
             "self-loops rejected: " + _fmt_ids(ids[u] for u in self_loops)
         )
@@ -406,9 +346,9 @@ def build(
             )
         init_idx = candidates[0]
 
-    finals = [i for i in range(n_real) if labels[i] is not None and is_final_label(labels[i])]
+    finals = [i for i in range(n_real) if labels[i] is not None and _FINAL.search(labels[i])]
     if not finals:
-        raise GraphError("no final states matched the final predicate")
+        raise GraphError("no final states: no state label matches 'final = TRUE'")
 
     sink = n_real
     n = n_real + 1
@@ -439,23 +379,15 @@ def build(
             )
         if init_idx not in keep:
             raise GraphError("initial state itself is not co-reachable; nothing to keep")
-        kept_ids = [ids[i] for i in range(n_real) if i in keep]
-        kept_set = set(kept_ids)
+        kept_set = {ids[i] for i in keep if i < n_real}
         filtered = RawGraph(
             name=raw.name,
             nodes=[s for s in raw.nodes if s.node_id in kept_set],
             edges=[e for e in raw.edges if e.src in kept_set and e.dst in kept_set],
-            dedup_ratio=raw.dedup_ratio,
         )
-        return build(
-            filtered,
-            final_predicate=final_predicate,
-            initial=ids[init_idx],
-            prune=False,
-            allow_self_loops=allow_self_loops,
-        )
+        return build(filtered, initial=ids[init_idx])
 
-    graph = StateSpaceGraph(
+    return StateSpaceGraph(
         n_states=n,
         out_adj=out_adj,
         in_adj=in_adj,
@@ -464,8 +396,4 @@ def build(
         finals=tuple(finals),
         super_final=sink,
         raw_ids=ids,
-        node_labels=labels,
-        dedup_ratio=raw.dedup_ratio,
     )
-    graph.check_invariants()
-    return graph

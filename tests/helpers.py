@@ -48,6 +48,34 @@ def build_random_dag(seed: int) -> StateSpaceGraph:
     return build(make_random_dag_raw(random.Random(seed)))
 
 
+def _reached(adj: list[list[int]], start: int) -> set[int]:
+    seen, stack = {start}, [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def assert_graph_laws(graph: StateSpaceGraph) -> None:
+    """The structural laws every built graph obeys: the sink is the last
+    index and has no out-edges, adjacency lists are ascending and dual, the
+    labelled pairs are exactly the edges, every final state has a sink edge,
+    and every state is reachable from the initial state and co-reaches the
+    sink."""
+    n, sink = graph.n_states, graph.super_final
+    assert sink == n - 1
+    assert graph.out_adj[sink] == []
+    assert all(adj == sorted(adj) for adj in graph.out_adj + graph.in_adj)
+    out_pairs = {(u, v) for u in range(n) for v in graph.out_adj[u]}
+    assert out_pairs == {(u, v) for v in range(n) for u in graph.in_adj[v]}
+    assert out_pairs == set(graph.edge_labels)
+    assert all((f, sink) in out_pairs for f in graph.finals)
+    assert _reached(graph.out_adj, graph.initial) == set(range(n))
+    assert _reached(graph.in_adj, sink) == set(range(n))
+
+
 def brute_force_paths(graph: StateSpaceGraph) -> set[tuple[int, ...]]:
     """Every path from the initial state to the sink, by plain DFS.
 

@@ -3,6 +3,7 @@ from urllib.parse import urlsplit
 
 import pytest
 import requests
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from statecover.executor import (
 )
 from statecover.runtime import InputGenerator
 from statecover.seqgen import Call, CallSequence
-from statecover.speckit import infer_contracts, load_oas
+from statecover.speckit import Clause, fixture_path, infer_contracts, load_oas
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +389,55 @@ class TestFaultFlows:
         assert "prev(res_body(GET /tournaments/req_body(@){tid}/players)" in by_op[
             "deleteEnrolment"
         ].reason
+
+
+def spec_with_player_body(schema):
+    """The inferred demo spec with postPlayer's request schema replaced."""
+    doc = yaml.safe_load(fixture_path("tournaments_oas.yaml").read_text())
+    body = doc["paths"]["/players"]["post"]["requestBody"]
+    body["content"]["application/json"]["schema"] = schema
+    spec = load_oas(doc)
+    infer_contracts(spec)
+    return spec
+
+
+class TestUngeneratableBody:
+    @pytest.mark.parametrize("schema, reason", [
+        pytest.param({"oneOf": [{"type": "object"}, {"type": "string"}]},
+                     "request body: unsupported schema construct 'oneOf'",
+                     id="oneOf"),
+        pytest.param({"type": "array", "items": {"type": "string"}},
+                     "request body schema is not an object", id="array"),
+    ])
+    def test_call_is_not_tested_and_nothing_is_sent(self, live, schema, reason):
+        calls = [mk("postPlayer", pid="p1"), mk("postTournament", tid="t1")]
+        report = run_campaign(spec_with_player_body(schema), [calls],
+                              live.base_url, seed=0)
+        player, tournament = report["outcomes"]
+        assert (player["classification"], player["reason"]) == (NOT_TESTED, reason)
+        assert player["request"] is None
+        assert tournament["classification"] == OK
+        log = requests.get(live.base_url + "/_requests", timeout=5).json()
+        assert not any(line.startswith("POST /players") for line in log)
+
+
+class TestUnresolvablePrevUrl:
+    def test_is_a_false_postcondition_and_the_campaign_goes_on(self, live):
+        spec = inferred_spec()
+        op = spec.operation("deletePlayer")
+        op.ensures = op.ensures + (
+            Clause("prev(res_code(GET /players/req_body(@){nope})) = 200"),
+        )
+        calls = [mk("postPlayer", pid="p1"), mk("deletePlayer", pid="p1"),
+                 mk("postTournament", tid="t1")]
+        report = run_campaign(spec, [calls], live.base_url, seed=0)
+        created, deleted, left = report["outcomes"]
+        assert (created["classification"], left["classification"]) == (OK, OK)
+        assert deleted["classification"] == ERR
+        assert deleted["post"] is False
+        assert deleted["reason"].endswith("request body has no field 'nope'")
+        assert report["cleanupFailures"] == []
+        assert requests.get(live.base_url + "/tournaments", timeout=5).json() == []
 
 
 class TestCampaign:

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import assert_graph_laws
 from statecover import seqgen, ssg
 from statecover.lifecycle import (
     InvariantViolation,
@@ -223,7 +224,7 @@ class TestExploreTournaments:
         g = built_graph(explore(model))
         assert (g.n_states - 1, g.edge_count() - len(g.finals)) == (6, 10)
         assert (g.n_states, g.edge_count()) == (7, 11)
-        g.check_invariants()
+        assert_graph_laws(g)
 
     def test_sequences_cover_everything(self, model):
         g = built_graph(explore(model))
@@ -250,8 +251,8 @@ class TestExploreTournaments:
         direct = ssg.build(x.to_raw(), initial="0")
         assert (g.n_states, g.edge_count(), g.finals) == (
             direct.n_states, direct.edge_count(), direct.finals)
-        assert (g.edge_labels, g.dedup_ratio) == (direct.edge_labels, direct.dedup_ratio)
-        assert [g.node_labels[i] for i in range(6)] == x.states
+        assert g.edge_labels == direct.edge_labels
+        assert [n.label for n in ssg.parse_dot(x.to_dot()).nodes] == x.states
 
 
 class TestTwoTournamentVariant:

@@ -89,7 +89,7 @@ class TestPathsTo:
         covered = set()
         for p in sets.complete + sets.incomplete:
             covered.update(zip(p, p[1:]))
-        assert covered == set(g.pairs())
+        assert covered == set(g.edge_labels)
 
     def test_path_budget(self):
         g = build(tournaments_raw())

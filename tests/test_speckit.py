@@ -95,6 +95,7 @@ class TestLoad:
     @pytest.mark.parametrize("schema, message", [
         ({"$ref": "#/components/schemas/Ghost"}, "dangling \\$ref"),
         ({"$ref": "#/components/schemas/Node"}, "schema \\$ref nesting too deep"),
+        (["x"], "schema: expected a mapping, got list"),
     ])
     def test_bad_request_body_ref_fails_the_load(self, schema, message):
         doc = widget_doc()
@@ -173,6 +174,21 @@ class TestMalformedShapes:
         pytest.param({"/a": {"get": ["responses"]}},
                      "GET /a: expected a mapping, got list", id="operation"),
         pytest.param({7: {}}, "paths: key 7 is not a string", id="path-key"),
+        pytest.param({"/players": {"post": {"requestBody": ["x"]}}},
+                     "POST /players: requestBody: expected a mapping, got list",
+                     id="request-body"),
+        pytest.param({"/players": {"post": {"requestBody": {"content": ["x"]}}}},
+                     "POST /players: requestBody: content: expected a mapping, got list",
+                     id="request-body-content"),
+        pytest.param({"/a": {"put": {"requestBody": {"content": {"application/json": ["x"]}}}}},
+                     "PUT /a: requestBody: content: application/json: expected a mapping",
+                     id="request-body-media"),
+        pytest.param({"/players": {"post": {"responses": ["x"]}}},
+                     "POST /players: responses: expected a mapping, got list",
+                     id="responses"),
+        pytest.param({"/a": {"get": {"responses": {"200": ["x"]}}}},
+                     "GET /a: responses: 200: expected a mapping, got list",
+                     id="response"),
     ])
     def test_fails_with_a_location(self, paths, message):
         with pytest.raises(SpecError, match=re.escape(message)):
@@ -350,6 +366,15 @@ class TestInference:
         infer_contracts(s)
         texts = [c.text for c in s.operation("postWidget").ensures]
         assert "req_body(@) = res_body(@)" not in texts
+
+    def test_unquoted_and_named_response_codes(self):
+        doc = widget_doc()
+        responses = doc["paths"]["/widgets"]["post"]["responses"]
+        responses[200] = responses.pop("200")
+        responses["default"] = {"description": "error"}
+        s = load_oas(doc)
+        infer_contracts(s)
+        assert "req_body(@) = res_body(@)" in [c.text for c in s.operation("postWidget").ensures]
 
     def test_delete_prev_clause_needs_response_schema(self):
         s = load_oas(widget_doc())
