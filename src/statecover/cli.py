@@ -154,10 +154,9 @@ def cmd_sequences(args, log: Log) -> int:
         resolver = spec.resolver()
         put_catalog = spec.put_catalog()
     sequences = seqgen.to_call_sequences(graph, paths, resolver=resolver)
-    if args.puts_max and put_catalog:
-        sequences = seqgen.insert_puts(
-            sequences, put_catalog, args.puts_max, derive_seed(args.seed, "puts")
-        )
+    sequences = seqgen.insert_puts(
+        sequences, put_catalog, args.puts_max, derive_seed(args.seed, "puts")
+    )
     _write_text(args.out, seqgen.sequences_to_json(sequences, args.seed))
     log.event(
         "sequences",

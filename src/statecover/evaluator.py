@@ -1,8 +1,8 @@
 """Evaluates contract formulas against a running service.
 
-Evaluation is read-only: the only requests it ever sends are GETs, and a
-probe naming any other method is refused, so checking a clause cannot change
-the state it is checking. Within one observation (one phase of a call)
+Evaluation is read-only: the only requests it ever sends are GETs (a probe
+naming any other method is refused when the spec loads), so checking a
+clause cannot change the state it is checking. Within one observation (one phase of a call)
 every URL is fetched at most once, so all the clauses of that phase see one
 consistent state of the service; a bare evaluate or capture_previous is an
 observation of its own. A budget caps the number of live requests per
@@ -13,10 +13,13 @@ The pre-state that prev(...) reads is what the latest capture_previous
 fetched: one entry per URL, holding the status and body, or the reason the
 fetch failed. A capture replaces the previous one.
 
-Domain errors in the data (a missing field, a non-JSON body, a quantifier
-over a non-array) make the enclosing condition false and produce a witness
-string; misuse of the language (referring to '@' with no operation in
-flight, 'prev' outside a postcondition) raises EvaluationError; a dead or
+Formulas are expected to have passed glacier.check_clause for the kind of
+clause they are evaluated as; the evaluator checks nothing that does not
+depend on the data. Domain errors in the data (a missing field, a non-JSON
+body, a quantifier over a non-array) make the enclosing condition false and
+produce a witness string. A formula that reduces to a non-boolean, a
+{param} the call did not bind, a prev(...) with no captured or an
+unavailable snapshot, or a spent budget raises EvaluationError; a dead or
 unreachable service raises TransportFailure.
 """
 
@@ -36,10 +39,8 @@ from .glacier import (
     Comparison,
     FieldSuffix,
     Formula,
-    FuncSuffix,
     LitPart,
     Literal,
-    ParamPart,
     Prev,
     Quantified,
     _print_call,
@@ -48,7 +49,8 @@ from .glacier import (
 
 
 class EvaluationError(RuntimeError):
-    """The formula misuses the language; not a verdict about the service."""
+    """The formula cannot be evaluated on this data; not a verdict about the
+    service."""
 
 
 class BudgetExceeded(EvaluationError):
@@ -68,18 +70,15 @@ class _Undefined(Exception):
         self.reason = reason
 
 
-_UNSET = object()
-
-
 @dataclass
 class OpContext:
-    """The operation under test, as seen by '@'. In the 'pre' phase the
-    response fields are not observed yet and touching them is an error."""
+    """The operation under test, as seen by '@'; req_body, res_code and
+    res_body are named after the functions that read them. Before the call
+    is sent the response fields are None: only postconditions read them."""
 
-    phase: str  # 'pre' | 'post'
     req_body: Any = None
-    res_code: Any = _UNSET
-    res_body: Any = _UNSET
+    res_code: Any = None
+    res_body: Any = None
     path_args: dict = dc_field(default_factory=dict)
 
 
@@ -192,7 +191,6 @@ class Evaluator:
             for call, inside_prev in _walk_calls(formula):
                 if not inside_prev:
                     continue
-                self._validate_prev_inner(call)
                 try:
                     url = self._resolve_url(call, ctx, {})
                 except _Undefined:
@@ -319,41 +317,17 @@ class Evaluator:
             return e.value
         if isinstance(e, Prev):
             return self._prev(e, ctx, env)
-        if isinstance(e, ApiCall):
-            return self._call(e, ctx, env)
-        raise EvaluationError(f"cannot evaluate {type(e).__name__}")
+        return self._call(e, ctx, env)
 
     def _call(self, call: ApiCall, ctx, env):
         if call.is_self():
-            value = self._self_value(call, ctx)
+            value = getattr(ctx, call.func)
         else:
-            if call.func == "req_body":
-                raise EvaluationError(
-                    "req_body is only observable for '@', not for probe calls"
-                )
-            url = self._resolve_url(call, ctx, env)
-            status, body = self._fetch(url)
-            if call.func == "res_code":
-                value = status
-            else:
-                value = body
+            status, body = self._fetch(self._resolve_url(call, ctx, env))
+            value = status if call.func == "res_code" else body
         if isinstance(value, _NonJsonBody):
             raise _Undefined(f"response body is not JSON: {_shorten(value.text)}")
         return self._suffix(call, value)
-
-    def _self_value(self, call: ApiCall, ctx):
-        if ctx is None:
-            raise EvaluationError("'@' used with no operation in flight")
-        if call.func == "req_body":
-            return ctx.req_body
-        if ctx.phase == "pre":
-            raise EvaluationError(
-                f"{call.func}(@) is not observable in a precondition"
-            )
-        value = ctx.res_code if call.func == "res_code" else ctx.res_body
-        if value is _UNSET:
-            raise EvaluationError(f"{call.func}(@) was never recorded")
-        return value
 
     def _suffix(self, call: ApiCall, value):
         suffix = call.suffix
@@ -367,20 +341,12 @@ class Evaluator:
             if suffix.name not in value:
                 raise _Undefined(f"field {suffix.name!r} missing from {_shorten(value)}")
             return value[suffix.name]
-        if isinstance(suffix, FuncSuffix):
-            if suffix.name == "len":
-                if isinstance(value, (list, str, dict)):
-                    return len(value)
-                raise _Undefined(f".len applied to {_shorten(value)}")
-            raise EvaluationError(f"unknown suffix function {suffix.name!r}")
-        raise EvaluationError(f"unhandled suffix {suffix!r}")
+        # the parser admits one suffix function, .len
+        if isinstance(value, (list, str, dict)):
+            return len(value)
+        raise _Undefined(f".len applied to {_shorten(value)}")
 
     def _prev(self, p: Prev, ctx, env):
-        if ctx is None:
-            raise EvaluationError("'prev' used with no operation in flight")
-        if ctx.phase != "post":
-            raise EvaluationError("'prev' is only meaningful in a postcondition")
-        self._validate_prev_inner(p.call)
         url = self._resolve_url(p.call, ctx, env)
         if url not in self._pre_state:
             raise EvaluationError(f"no snapshot was captured for {_print_call(p.call)}")
@@ -393,24 +359,9 @@ class Evaluator:
             raise _Undefined(f"snapshot body is not JSON: {_shorten(value.text)}")
         return self._suffix(p.call, value)
 
-    def _validate_prev_inner(self, call: ApiCall) -> None:
-        if call.is_self():
-            raise EvaluationError("prev over '@' is not defined")
-        if call.func == "req_body":
-            raise EvaluationError("prev over req_body is not defined")
-        if call.url is not None:
-            for seg in call.url.segments:
-                for part in seg:
-                    if isinstance(part, ParamPart) and part.is_dotted():
-                        raise EvaluationError(
-                            "prev under a quantifier binder is not supported"
-                        )
-
     # -- URLs and transport ------------------------------------------------------
 
     def _resolve_url(self, call: ApiCall, ctx, env: dict) -> str:
-        if call.method != "GET":
-            raise EvaluationError(f"probe {_print_call(call)} is not a GET")
         segments = []
         for seg in call.url.segments:
             rendered = ""
@@ -418,10 +369,6 @@ class Evaluator:
                 if isinstance(part, LitPart):
                     rendered += part.text
                 elif isinstance(part, BodyFieldPart):
-                    if ctx is None:
-                        raise EvaluationError(
-                            "req_body(@) in a URL with no operation in flight"
-                        )
                     body = ctx.req_body
                     if not isinstance(body, dict) or part.field not in body:
                         raise _Undefined(
@@ -430,8 +377,6 @@ class Evaluator:
                     rendered += path_segment(body[part.field])
                 elif part.is_dotted():
                     root, field_name = part.name.split(".", 1)
-                    if root not in env:
-                        raise EvaluationError(f"unbound quantifier variable {root!r}")
                     element = env[root]
                     if not isinstance(element, dict) or field_name not in element:
                         raise _Undefined(
@@ -442,12 +387,11 @@ class Evaluator:
                         raise _Undefined(f"{part.name} is not usable in a URL")
                     rendered += path_segment(value)
                 else:
-                    args = ctx.path_args if ctx is not None else {}
-                    if part.name not in args:
+                    if part.name not in ctx.path_args:
                         raise EvaluationError(
                             f"no binding for path parameter {{{part.name}}}"
                         )
-                    rendered += path_segment(args[part.name])
+                    rendered += path_segment(ctx.path_args[part.name])
             segments.append(rendered)
         return "/" + "/".join(segments)
 

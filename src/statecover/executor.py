@@ -174,9 +174,7 @@ class SequenceRunner:
         except _Skip as skip:
             return skipped(skip.reason)
 
-        pre_ctx = OpContext(
-            phase="pre", req_body=prep.clause_body, path_args=prep.bindings
-        )
+        pre_ctx = OpContext(req_body=prep.clause_body, path_args=prep.bindings)
         capture_error = None
         with self.evaluator.observation():
             inv_verdict = self._eval_clauses(self.spec.invariants, None)
@@ -213,7 +211,6 @@ class SequenceRunner:
                 )
             else:
                 post_ctx = OpContext(
-                    phase="post",
                     req_body=prep.clause_body,
                     res_code=status,
                     res_body=body,

@@ -15,6 +15,22 @@ observations:
 Parsing is whitespace-insensitive and rejects binder shadowing, unbound
 dotted variable references and unknown suffix functions. The printer emits
 the canonical spelling and parse(print(f)) reproduces the AST exactly.
+
+A formula that parses may still use a construct its clause kind cannot
+evaluate; check_clause refuses it when a spec is loaded:
+
+    construct                            requires  ensures  invariants
+    res_code/res_body(GET url)           yes       yes      yes
+    a probe with any other method        no        no       no
+    req_body(@), req_body(@){f} in a URL yes       yes      no
+    req_body(METHOD url)                 no        no       no
+    res_code(@), res_body(@)             no        yes      no
+    prev(res_code/res_body(GET url))     no        yes      no
+    a bare {param} in a URL              yes       yes      no
+    a binder {t.f} in a URL              yes       yes      yes
+
+prev never wraps '@' or a binder {t.f}: the pre-state is captured before
+the call is sent, when '@' has no response yet, and outside any quantifier.
 """
 
 from __future__ import annotations
@@ -32,10 +48,11 @@ KEYWORDS = {"for", "exists", "in", "prev", "and", "or"} | set(CALL_FUNCS)
 
 
 class FormulaError(ValueError):
-    """Parse or validation failure; carries the character offset."""
+    """Parse or validation failure; carries the character offset when the
+    failure has one (a check_clause failure has none)."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"at offset {pos}: {message}")
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None else f"at offset {pos}: {message}")
         self.pos = pos
 
 
@@ -253,7 +270,7 @@ class _Parser:
                 raise c.error(f"binder {var!r} shadows an enclosing binder", at)
             if not c.take_keyword("in"):
                 raise c.error(f"expected 'in' after binder {var!r}")
-            call = self.parse_call(inner_env, allow_self=True)
+            call = self.parse_call(inner_env)
             bindings.append((var, call))
             inner_env = inner_env | {var}
             if not c.take(","):
@@ -326,11 +343,11 @@ class _Parser:
         if ident == "prev":
             c.take_ident()
             c.expect("(", "'(' after prev")
-            inner = self.parse_call(env, allow_self=True)
+            inner = self.parse_call(env)
             c.expect(")", "')' closing prev")
             return Prev(call=inner)
         if ident in CALL_FUNCS:
-            return self.parse_call(env, allow_self=True)
+            return self.parse_call(env)
         raise c.error("expected an expression (api call, prev, or literal)", at)
 
     def parse_string(self) -> str:
@@ -354,7 +371,7 @@ class _Parser:
                 out.append(ch)
                 c.pos += 1
 
-    def parse_call(self, env: frozenset[str], allow_self: bool) -> ApiCall:
+    def parse_call(self, env: frozenset[str]) -> ApiCall:
         c = self.cur
         c.skip_ws()
         at = c.pos
@@ -547,54 +564,35 @@ def _walk_calls(formula: Formula):
         yield formula, False
 
 
-def _free_params_into(formula: Formula, env: set[str], out: set[str]) -> None:
-    if isinstance(formula, Quantified):
-        inner = set(env)
-        for var, call in formula.bindings:
-            _free_params_into(call, inner, out)
-            inner.add(var)
-        _free_params_into(formula.body, inner, out)
-    elif isinstance(formula, BoolChain):
-        for item in formula.items:
-            _free_params_into(item, env, out)
-    elif isinstance(formula, Comparison):
-        _free_params_into(formula.lhs, env, out)
-        _free_params_into(formula.rhs, env, out)
-    elif isinstance(formula, Prev):
-        _free_params_into(formula.call, env, out)
-    elif isinstance(formula, ApiCall):
-        if formula.url is not None:
-            for seg in formula.url.segments:
-                for part in seg:
-                    if isinstance(part, ParamPart) and part.root() not in env:
-                        if not part.is_dotted():
-                            out.add(part.name)
-
-
-def free_params(formula: Formula) -> set[str]:
-    """Bare {placeholder} names not bound by any enclosing quantifier.
-
-    These are the operation path parameters the evaluator must bind to
-    concrete values. Dotted placeholders are variable references and are
-    validated as bound at parse time.
-    """
-    out: set[str] = set()
-    _free_params_into(formula, set(), out)
-    return out
-
-
-def contains_prev(formula: Formula) -> bool:
-    return any(inside for _, inside in _walk_calls(formula))
-
-
-def contains_self(formula: Formula) -> bool:
-    """True when the formula references the operation under test via '@'."""
-    for call, _ in _walk_calls(formula):
-        if call.is_self():
-            return True
-        if call.url is not None:
-            for seg in call.url.segments:
-                for part in seg:
-                    if isinstance(part, BodyFieldPart):
-                        return True
-    return False
+def check_clause(formula: Formula, kind: str) -> None:
+    """Raise FormulaError unless every construct in formula may appear in a
+    clause of this kind ('requires', 'ensures' or 'invariants'); see the
+    table in the module docstring."""
+    for call, inside_prev in _walk_calls(formula):
+        text = _print_call(call)
+        parts = [p for seg in call.url.segments for p in seg] if call.url else []
+        if call.method not in (None, "GET"):
+            raise FormulaError(f"probe {text} is not a GET")
+        if call.func == "req_body" and not call.is_self():
+            raise FormulaError(f"{text}: req_body reads only the request of '@'")
+        if kind == "invariants":
+            if call.is_self() or any(isinstance(p, BodyFieldPart) for p in parts):
+                raise FormulaError(f"{text}: an invariant has no operation for '@'")
+            for p in parts:
+                if isinstance(p, ParamPart) and not p.is_dotted():
+                    raise FormulaError(
+                        f"{text}: an invariant has no path parameter {{{p.name}}}"
+                    )
+        if inside_prev:
+            if kind != "ensures":
+                raise FormulaError(f"prev({text}) is only allowed in ensures")
+            if call.is_self():
+                raise FormulaError(f"prev({text}): prev over '@' is not defined")
+            for p in parts:
+                if isinstance(p, ParamPart) and p.is_dotted():
+                    raise FormulaError(
+                        f"prev({text}): prev over the binder placeholder "
+                        f"{{{p.name}}} is not supported"
+                    )
+        elif call.is_self() and call.func != "req_body" and kind != "ensures":
+            raise FormulaError(f"{text} is only allowed in ensures")

@@ -21,14 +21,17 @@ Guards and effects use a small expression language:
     init    ::= '{' '}' | 'any' 'capacity' | INT | atom
 
 'any capacity' branches the successor state over every declared capacity
-value. A state becomes final when the terminal condition holds (by default:
-all maps empty); final states are sinks and are not expanded further.
+value. A state becomes final when every map is empty again (the one
+terminal condition, 'all_empty'); final states are sinks and are not
+expanded further.
 
 Guards, effects and invariant checks are parsed once, by load_model, so a
 syntax error fails the load, naming its action or invariant, even where
 evaluation would never reach it; exploration only evaluates. A section of
 the wrong shape fails the load too, named by its place, as in
-"resources[0]: missing 'name'".
+"resources[0]: missing 'name'" or "action drop: unchanged: expected a list
+of strings, got 'tournaments'", and so does an unchanged entry that names no
+declared resource.
 """
 
 from __future__ import annotations
@@ -97,7 +100,6 @@ class Model:
     capacities: tuple[int, ...]
     actions: tuple[ActionDef, ...]
     invariants: tuple[InvariantDef, ...] = ()
-    terminal: str = "all_empty"
 
     def resource(self, name: str) -> ResourceDef:
         for r in self.resources:
@@ -140,6 +142,24 @@ def _mapping(node, where: str) -> dict:
     return node
 
 
+def _list_of(node, kind: type, where: str) -> tuple:
+    """node as a tuple of kind (str or int); an empty YAML value reads as ()."""
+    if node is None:
+        return ()
+    if not isinstance(node, list) or not all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in node
+    ):
+        noun = "strings" if kind is str else "integers"
+        raise ModelError(f"{where}: expected a list of {noun}, got {node!r}")
+    return tuple(node)
+
+
+def _text(node, where: str) -> str:
+    if not isinstance(node, str):
+        raise ModelError(f"{where}: expected a string, got {node!r}")
+    return node
+
+
 def load_model(source: Union[dict, str, Path]) -> Model:
     if isinstance(source, dict):
         doc = source
@@ -158,7 +178,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             ResourceDef(
                 name=r["name"],
                 key=r["key"],
-                ids=tuple(r.get("ids") or ()),
+                ids=_list_of(r.get("ids"), str, f"resource {r['name']}: ids"),
                 record=record,
             )
         )
@@ -167,7 +187,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         raise ModelError("duplicate resource names")
     by_name = {r.name: r for r in resources}
 
-    capacities = tuple(doc.get("capacities") or ())
+    capacities = _list_of(doc.get("capacities"), int, "capacities")
     for r in resources:
         for fname, spec in r.record.items():
             if spec.kind in ("set", "ref") and spec.target not in by_name:
@@ -185,16 +205,24 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         if len(set(pnames)) != len(pnames):
             raise ModelError(f"action {a['name']}: duplicate param names")
         where = f"action {a['name']}"
-        effects = tuple(_parse_effect(e, where) for e in a.get("effect") or ())
+        effects = tuple(
+            _parse_effect(e, where) for e in _list_of(a.get("effect"), str, f"{where}: effect")
+        )
         if _count_any(effects) and not capacities:
             raise ModelError(f"{where}: 'any capacity' with no capacities declared")
+        unchanged = _list_of(a.get("unchanged"), str, f"{where}: unchanged")
+        for res in unchanged:
+            if res not in by_name:
+                raise ModelError(f"{where}: unchanged: unknown resource {res!r}")
+        guard = a.get("guard")
         actions.append(
             ActionDef(
                 name=a["name"],
                 params=params,
-                guard=_parse_conds(a["guard"], where) if a.get("guard") else (),
+                guard=() if guard in (None, "") else _parse_conds(
+                    _text(guard, f"{where}: guard"), where),
                 effects=effects,
-                unchanged=tuple(a.get("unchanged") or ()),
+                unchanged=unchanged,
             )
         )
     action_names = [a.name for a in actions]
@@ -204,7 +232,9 @@ def load_model(source: Union[dict, str, Path]) -> Model:
     invariants = tuple(
         InvariantDef(
             name=i["name"],
-            check=_parse_conds(i["check"], f"invariant {i['name']}"),
+            check=_parse_conds(
+                _text(i["check"], f"invariant {i['name']}: check"), f"invariant {i['name']}"
+            ),
             var=i.get("forall"),
             domain=i.get("in"),
         )
@@ -217,7 +247,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             raise ModelError(f"invariant {inv.name}: unknown resource {inv.domain!r}")
 
     terminal = doc.get("terminal", "all_empty")
-    if terminal not in ("all_empty", "none"):
+    if terminal != "all_empty":
         raise ModelError(f"unsupported terminal condition {terminal!r}")
     return Model(
         name=doc.get("name", "model"),
@@ -225,7 +255,6 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         capacities=capacities,
         actions=tuple(actions),
         invariants=invariants,
-        terminal=terminal,
     )
 
 
@@ -517,12 +546,6 @@ def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
     return " /\\ ".join(parts)
 
 
-def _is_terminal(model: Model, maps: Maps) -> bool:
-    if model.terminal == "none":
-        return False
-    return all(not m for m in maps.values())
-
-
 def _check_types(model: Model, maps: Maps) -> Optional[str]:
     for r in model.resources:
         for rid, rec in maps[r.name].items():
@@ -650,7 +673,7 @@ def explore(model: Model, *, max_states: int = 10000,
                             raise ModelError(
                                 f"{where}: declares {res!r} unchanged but modified it"
                             )
-                    flag = _is_terminal(model, nxt)
+                    flag = all(not m for m in nxt.values())  # final: every map empty again
                     c = canonical(model, nxt, flag)
                     j = index.get(c)
                     if j is None:

@@ -149,7 +149,8 @@ def to_call_sequences(
     """Attach operation calls to state paths.
 
     Each traversed edge contributes its lexicographically least label; the
-    synthetic sink edge and unlabeled edges contribute nothing. Without a
+    synthetic sink edge and unlabeled edges contribute nothing. A label that
+    parse_label cannot read raises ValueError naming the edge. Without a
     resolver, calls keep the label name and positional argument names.
     """
     sequences = []
@@ -157,11 +158,14 @@ def to_call_sequences(
         calls: list[Call] = []
         for u, v in zip(path, path[1:]):
             label = graph.least_label(u, v)
-            if label is None:
+            if not label:
                 continue
             parsed = parse_label(label)
             if parsed is None:
-                continue
+                raise ValueError(
+                    f"edge {graph.raw_ids[u]} -> {graph.raw_ids[v]}: cannot read "
+                    f"label {label!r} as name(arg, ...)"
+                )
             name, args = parsed
             op = resolver(name) if resolver else None
             if op is None:
@@ -200,7 +204,9 @@ def insert_puts(
     put_catalog maps a resource's key parameter name to its PUT operation
     (ApiSpec.put_catalog). The block lands uniformly at random
     (seeded) strictly after the resource's POST and strictly before its
-    DELETE when one exists, otherwise anywhere after the POST.
+    DELETE when one exists, otherwise anywhere after the POST. With
+    max_puts 0, or a catalog with no PUT, the sequences come back unchanged;
+    a max_puts outside 0..MAX_PUTS_LIMIT raises ValueError either way.
     """
     if max_puts < 0 or max_puts > MAX_PUTS_LIMIT:
         raise ValueError(f"max_puts must be in 0..{MAX_PUTS_LIMIT}, got {max_puts}")

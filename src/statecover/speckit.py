@@ -19,8 +19,9 @@ that schema and the names an edge label's arguments bind. Records are looked
 up by operation id; where an id is declared twice, the first operation wins
 for every lookup. A dangling or cyclic $ref in a request body fails the
 load with a SpecError naming the operation's METHOD and path. So does a
-contract clause that does not parse or that probes the service with
-anything but a GET; the error also names the clause, as in
+contract clause that does not parse or that uses a construct its kind may
+not (glacier.check_clause: a probe that is not a GET, prev outside
+x-ensures, '@' in an invariant, ...); the error also names the clause, as in
 "POST /players: x-requires[0]: ...", or "x-invariants[1]: ..." for an
 invariant. A path item, operation or parameter list of the wrong shape
 fails the load with its place, as in "GET /players: parameters[0]:
@@ -51,8 +52,7 @@ from .glacier import (
     ParamPart,
     Prev,
     UrlTemplate,
-    _print_call,
-    _walk_calls,
+    check_clause,
     parse as parse_formula,
     print_formula,
 )
@@ -377,7 +377,7 @@ def _collect_refs(node: Any, out: set[str]) -> None:
 
 def _load_clauses(node: dict, kind: str, where: str = "") -> tuple[Clause, ...]:
     """The x-<kind> (or bare <kind>) clauses of an operation or document.
-    A clause must parse, and every service probe in it must be a GET."""
+    A clause must parse and pass check_clause for its kind."""
     key = f"x-{kind}" if f"x-{kind}" in node else kind
     entries = node.get(key) or []
     if not isinstance(entries, list):
@@ -393,11 +393,9 @@ def _load_clauses(node: dict, kind: str, where: str = "") -> tuple[Clause, ...]:
             raise SpecError(f"{at}: malformed contract clause entry: {entry!r}")
         try:
             formula = parse_formula(text)
+            check_clause(formula, kind)
         except FormulaError as exc:
             raise SpecError(f"{at}: {exc}") from None
-        for call, _ in _walk_calls(formula):
-            if not call.is_self() and call.method != "GET":
-                raise SpecError(f"{at}: probe {_print_call(call)} is not a GET")
         out.append(Clause(text=text, extra=extra, formula=formula))
     return tuple(out)
 

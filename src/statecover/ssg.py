@@ -83,8 +83,11 @@ _TOKEN = re.compile(
     |(?P<bad>.)""" % _STRING_PREFIX.pattern,
     re.VERBOSE | re.DOTALL,
 )
-# Only \" and \\ are decoded; DOT keeps every other escape literally.
-_ESCAPE = re.compile(r'\\(["\\])')
+# \" and \\ are decoded, and \n to the line break it stands for, so that a
+# literal backslash before n stays apart from it; DOT keeps every other
+# escape literally.
+_ESCAPE = re.compile(r'\\(["\\n])')
+_DECODED = {'"': '"', "\\": "\\", "n": "\n"}
 
 
 def _error(text: str, offset: int, message: str) -> DotParseError:
@@ -119,7 +122,7 @@ def _tokens(text: str):
         if kind == "punct":
             kind = value
         elif kind == "str":
-            value = _ESCAPE.sub(r"\1", value[1:-1])
+            value = _ESCAPE.sub(lambda e: _DECODED[e.group(1)], value[1:-1])
         yield kind, value, m.start()
     yield "eof", "", len(text)
 
@@ -203,15 +206,15 @@ def parse_dot(text: str) -> RawGraph:
     return graph
 
 
+_LABEL_SPECIAL = re.compile(r'\\[lr\n]|["\\\n]')
+_ENCODED = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
+
+
 def _escape_label(text: str) -> str:
-    """Inverse of parse_dot's decoding: '"' and backslashes are escaped,
-    except a backslash before n, l, r or a line break, which parse_dot keeps
-    as written."""
-    text = text.replace("\\", "\\\\").replace('"', '\\"')
-    if "\\" in text:
-        for kept in "nlr\n":
-            text = text.replace("\\\\" + kept, "\\" + kept)
-    return text
+    """Inverse of parse_dot's decoding: '"', backslashes and line breaks are
+    escaped, except a backslash before l, r or a line break, which parse_dot
+    keeps as written."""
+    return _LABEL_SPECIAL.sub(lambda m: _ENCODED.get(m.group(), m.group()), text)
 
 
 def _format_id(raw_id: str) -> str:

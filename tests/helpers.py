@@ -17,6 +17,34 @@ from statecover.speckit import Operation
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
 
 
+# Clauses that parse but that their kind cannot evaluate, as (kind, clause,
+# the message load_oas gives after the clause's place); one per rule misused.
+MISUSED_CLAUSES = [
+    ("requires", "prev(res_code(GET /players/{pid})) = 200",
+     "prev(res_code(GET /players/{pid})) is only allowed in ensures"),
+    ("requires", "res_code(@) = 200", "res_code(@) is only allowed in ensures"),
+    ("invariants", "req_body(@){pid} = 'p1'",
+     "req_body(@){pid}: an invariant has no operation for '@'"),
+    ("ensures", "prev(res_code(@)) = 200", "prev(res_code(@)): prev over '@' is not defined"),
+    ("ensures", "req_body(GET /players) = 1",
+     "req_body(GET /players): req_body reads only the request of '@'"),
+    ("invariants", "res_code(GET /players/{pid}) = 200",
+     "res_code(GET /players/{pid}): an invariant has no path parameter {pid}"),
+]
+
+
+def add_clause(doc: dict, kind: str, clause: str) -> str:
+    """Append clause to DELETE /players/{pid}'s x-<kind> list, or to the
+    document's x-invariants; return the place load_oas names it by."""
+    if kind == "invariants":
+        node, where = doc, ""
+    else:
+        node, where = doc["paths"]["/players/{pid}"]["delete"], "DELETE /players/{pid}: "
+    clauses = node.setdefault(f"x-{kind}", [])
+    clauses.append(clause)
+    return f"{where}x-{kind}[{len(clauses) - 1}]: "
+
+
 def make_random_dag_raw(rng: random.Random) -> RawGraph:
     """Random DAG over 2..12 states: node 0 initial, sinks are final states.
 

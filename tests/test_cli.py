@@ -9,8 +9,11 @@ import yaml
 
 import requests
 
+from statecover import cli
 from statecover.cli import derive_seed, main
 from statecover.demo import DemoServer, tournaments_model_doc
+
+from helpers import MISUSED_CLAUSES, add_clause
 
 
 def run(capsys, *argv):
@@ -327,6 +330,22 @@ class TestErrorPaths:
         where = f"POST /players: x-requires[{len(requires) - 1}]: "
         assert f"error: {where}{message}" in err
 
+    @pytest.mark.parametrize("kind, clause, message", MISUSED_CLAUSES)
+    def test_misused_clause_fails_at_load(self, workdir, capsys, monkeypatch,
+                                          kind, clause, message):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        doc = yaml.safe_load((workdir / "tournaments-contracts.yaml").read_text())
+        where = add_clause(doc, kind, clause)
+        bad = workdir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        started = []
+        monkeypatch.setattr(cli.demo_service, "DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        code, _, err = run(capsys, "test", "--spec", str(bad),
+                           "--sequences", str(seqs), "--spawn-demo")
+        assert (code, started) == (2, [])  # no service started, no request sent
+        assert f"error: {where}{message}" in err
+
     @pytest.mark.parametrize("doc, where", [
         pytest.param({"sequences": [{"calls": [1]}]},
                      "sequences[0].calls[0]: expected an object", id="call"),
@@ -386,11 +405,18 @@ class TestErrorPaths:
     def test_puts_max_out_of_range(self, workdir, capsys):
         dot = workdir / "graph.dot"
         run(capsys, "explore", str(workdir / "tournaments-model.yaml"), str(dot))
-        code, _, err = run(capsys, "sequences", str(dot),
-                           str(workdir / "out.json"), "--puts-max", "99",
-                           "--spec", str(workdir / "tournaments-contracts.yaml"))
+        for spec in (("--spec", str(workdir / "tournaments-contracts.yaml")), ()):
+            code, _, err = run(capsys, "sequences", str(dot),
+                               str(workdir / "out.json"), "--puts-max", "99", *spec)
+            assert code == 2, spec
+            assert "max_puts" in err
+
+    def test_unreadable_edge_label(self, tmp_path, capsys):
+        dot = tmp_path / "graph.dot"
+        dot.write_text('digraph { 0 -> 1 [label="post player"]; 1 [label="final = TRUE"]; }')
+        code, _, err = run(capsys, "sequences", str(dot), str(tmp_path / "out.json"))
         assert code == 2
-        assert "max_puts" in err
+        assert "error: edge 0 -> 1: cannot read label 'post player'" in err
 
     def test_model_invariant_violation_is_a_finding(self, tmp_path, capsys):
         doc = tournaments_model_doc(players=("p1",), tournaments=(),

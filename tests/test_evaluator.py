@@ -14,6 +14,7 @@ from statecover.evaluator import (
     json_equal,
     make_session,
 )
+from statecover.speckit import SpecError, load_oas
 
 
 @pytest.fixture(scope="module")
@@ -115,34 +116,34 @@ class TestLiveBasics:
     def test_absent_resource_is_404(self, live):
         ev = Evaluator(live.base_url)
         result = check(ev, "res_code(GET /players/{pid}) = 404",
-                       OpContext(phase="post", path_args={"pid": "ghost"}))
+                       OpContext(path_args={"pid": "ghost"}))
         assert result.value and result.witness == ""
 
     def test_existing_resource_is_200(self, live):
         seed_world(live.base_url)
         ev = Evaluator(live.base_url)
         result = check(ev, "res_code(GET /players/{pid}) = 200",
-                       OpContext(phase="post", path_args={"pid": "p1"}))
+                       OpContext(path_args={"pid": "p1"}))
         assert result.value
 
     def test_false_comparison_carries_witness(self, live):
         ev = Evaluator(live.base_url)
         result = check(ev, "res_code(GET /players/{pid}) = 200",
-                       OpContext(phase="post", path_args={"pid": "ghost"}))
+                       OpContext(path_args={"pid": "ghost"}))
         assert not result.value
         assert "404" in result.witness
 
     def test_echo_contract_on_real_response(self, live):
         body = {"pid": "p9", "name": "zoe"}
         r = requests.post(live.base_url + "/players", json=body, timeout=5)
-        ctx = OpContext(phase="post", req_body=body,
+        ctx = OpContext(req_body=body,
                         res_code=r.status_code, res_body=r.json())
         ev = Evaluator(live.base_url)
         assert check(ev, "req_body(@) = res_body(@)", ctx).value
 
     def test_body_splice_in_url(self, live):
         bodies = seed_world(live.base_url)
-        ctx = OpContext(phase="post", req_body=bodies["player"])
+        ctx = OpContext(req_body=bodies["player"])
         ev = Evaluator(live.base_url)
         assert check(ev, "res_code(GET /players/req_body(@){pid}) = 200", ctx).value
 
@@ -150,14 +151,14 @@ class TestLiveBasics:
         seed_world(live.base_url)
         ev = Evaluator(live.base_url)
         result = check(ev, "res_body(GET /players/{pid}){name} = 'alice'",
-                       OpContext(phase="post", path_args={"pid": "p1"}))
+                       OpContext(path_args={"pid": "p1"}))
         assert result.value
 
     def test_len_suffix_on_member_list(self, live):
         seed_world(live.base_url)
         ev = Evaluator(live.base_url)
         result = check(ev, "res_body(GET /tournaments/{tid}/players).len = 1",
-                       OpContext(phase="post", path_args={"tid": "t1"}))
+                       OpContext(path_args={"tid": "t1"}))
         assert result.value
 
     def test_capacity_invariant_holds_on_live_service(self, live):
@@ -174,7 +175,7 @@ class TestLiveBasics:
         ev = Evaluator(live.base_url)
         check(ev, CAPACITY_INVARIANT, ctx=None)
         check(ev, "res_code(GET /players/{pid}) = 200",
-              OpContext(phase="post", path_args={"pid": "p1"}))
+              OpContext(path_args={"pid": "p1"}))
         log = requests.get(live.base_url + "/_requests", timeout=5).json()
         evaluation_traffic = log[start:]
         assert evaluation_traffic  # something was actually fetched
@@ -184,7 +185,7 @@ class TestLiveBasics:
         seed_world(live.base_url)
         start = len(requests.get(live.base_url + "/_requests", timeout=5).json())
         ev = Evaluator(live.base_url)
-        ctx = OpContext(phase="post", path_args={"pid": "p1"})
+        ctx = OpContext(path_args={"pid": "p1"})
         check(ev, "res_code(GET /players/{pid}) = 200 and res_body(GET /players/{pid}){pid} = 'p1'", ctx)
         log = requests.get(live.base_url + "/_requests", timeout=5).json()
         assert log[start:] == ["GET /players/p1"]
@@ -336,76 +337,62 @@ class TestChains:
         assert "1 = 2" in result.witness and "3 = 4" in result.witness
 
 
+def load_refuses(text, kind):
+    """The error load_oas refuses text with as the only clause of its kind."""
+    doc = {"paths": {"/players/{pid}": {"delete": {"operationId": "deletePlayer"}}}}
+    node = doc if kind == "invariants" else doc["paths"]["/players/{pid}"]["delete"]
+    node[f"x-{kind}"] = [text]
+    with pytest.raises(SpecError) as err:
+        load_oas(doc)
+    return str(err.value)
+
+
 class TestMisuseErrors:
+    """A clause its kind cannot evaluate is refused when the spec loads, so
+    the evaluator never sees one; what remains depends on the data."""
+
     def test_self_without_context(self):
-        ev, _ = fake_eval({})
-        with pytest.raises(EvaluationError, match="no operation in flight"):
-            check(ev, "res_code(@) = 200", ctx=None)
+        assert load_refuses("res_code(@) = 200", "invariants") == (
+            "x-invariants[0]: res_code(@): an invariant has no operation for '@'")
 
     def test_response_not_observable_in_precondition(self):
-        ev, _ = fake_eval({})
-        ctx = OpContext(phase="pre", req_body={"pid": "p1"})
-        with pytest.raises(EvaluationError, match="precondition"):
-            check(ev, "res_code(@) = 200", ctx)
+        assert load_refuses("res_code(@) = 200", "requires") == (
+            "DELETE /players/{pid}: x-requires[0]: res_code(@) is only allowed in ensures")
 
     def test_request_body_is_fine_in_precondition(self):
         ev, _ = fake_eval({"/players/p1": (200, {"pid": "p1"})})
-        ctx = OpContext(phase="pre", req_body={"pid": "p1"})
+        ctx = OpContext(req_body={"pid": "p1"})
         assert check(ev, "res_code(GET /players/req_body(@){pid}) = 200", ctx).value
 
     def test_prev_rejected_outside_postconditions(self):
-        ev, _ = fake_eval({})
-        ctx = OpContext(phase="pre", req_body={})
-        with pytest.raises(EvaluationError, match="postcondition"):
-            check(ev, "req_body(@) = prev(res_body(GET /players/{pid}))", ctx)
+        assert load_refuses(
+            "req_body(@) = prev(res_body(GET /players/{pid}))", "requires"
+        ).endswith("prev(res_body(GET /players/{pid})) is only allowed in ensures")
 
     def test_prev_without_context(self):
-        ev, _ = fake_eval({})
-        with pytest.raises(EvaluationError, match="no operation in flight"):
-            check(ev, "1 = prev(res_body(GET /x))", ctx=None)
+        assert load_refuses("1 = prev(res_body(GET /x))", "invariants") == (
+            "x-invariants[0]: prev(res_body(GET /x)) is only allowed in ensures")
 
     def test_req_body_of_probe_call_rejected(self):
-        ev, _ = fake_eval({})
-        ctx = OpContext(phase="post", res_code=200, res_body={})
-        with pytest.raises(EvaluationError, match="probe"):
-            check(ev, "req_body(GET /players/{pid}) = 1",
-                  OpContext(phase="post", path_args={"pid": "p1"}))
-        del ctx
+        assert load_refuses("req_body(GET /players/{pid}) = 1", "ensures").endswith(
+            "req_body(GET /players/{pid}): req_body reads only the request of '@'")
 
     def test_unbound_path_parameter(self):
         ev, _ = fake_eval({})
         with pytest.raises(EvaluationError, match="pid"):
             check(ev, "res_code(GET /players/{pid}) = 200",
-                  OpContext(phase="post", path_args={}))
-
-    def test_unknown_suffix_function_raises_at_evaluation(self):
-        # the parser refuses '.count', so only a hand-built formula has one
-        probe = glacier.ApiCall(
-            func="res_body", method="GET",
-            url=glacier.UrlTemplate(segments=((glacier.LitPart("x"),),)),
-            suffix=glacier.FuncSuffix("count"),
-        )
-        formula = glacier.Comparison(probe, "=", glacier.Literal(1))
-        ev, _ = fake_eval({"/x": (200, [1, 2])})
-        with pytest.raises(EvaluationError, match="count"):
-            ev.evaluate(formula, None)
+                  OpContext(path_args={}))
 
     @pytest.mark.parametrize("text", [
         "res_code(DELETE /players/p1) = 200",
         "for p in res_body(POST /players) :- res_code(GET /players/{p.pid}) = 200",
     ])
     def test_non_get_probe_is_refused(self, text):
-        ev, session = fake_eval({"/players/p1": (200, {}), "/players": (200, [])})
-        with pytest.raises(EvaluationError, match="is not a GET"):
-            check(ev, text)
-        assert session.log == []
+        assert "is not a GET" in load_refuses(text, "requires")
 
     def test_non_get_prev_probe_is_refused(self):
-        ev, session = fake_eval({"/players/p1": (200, {})})
-        formula = glacier.parse("prev(res_code(PUT /players/p1)) = 200")
-        with pytest.raises(EvaluationError, match="is not a GET"):
-            ev.capture_previous([formula], OpContext(phase="pre"))
-        assert session.log == []
+        assert load_refuses("prev(res_code(PUT /players/p1)) = 200", "ensures").endswith(
+            "probe res_code(PUT /players/p1) is not a GET")
 
     def test_bare_non_boolean_formula_raises(self):
         ev, _ = fake_eval({"/x": (200, {"v": 3})})
@@ -426,7 +413,7 @@ class TestObservation:
 
     def test_one_observation_fetches_each_url_once(self):
         ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, 2)})
-        ctx = OpContext(phase="pre", path_args={})
+        ctx = OpContext(path_args={})
         with ev.observation():
             assert check(ev, "res_body(GET /x){v} = 1").value
             assert check(ev, "res_body(GET /x){v} < res_body(GET /y)").value
@@ -449,13 +436,13 @@ class TestUrlEncoding:
     def test_path_argument_is_one_segment(self):
         ev, session = fake_eval({})
         check(ev, "res_code(GET /players/{pid}) = 404",
-              OpContext(phase="pre", path_args={"pid": "a/b c"}))
+              OpContext(path_args={"pid": "a/b c"}))
         assert session.log == ["/players/a%2Fb%20c"]
 
     def test_body_field_and_binder_values_are_one_segment(self):
         ev, session = fake_eval({"/ts": (200, [{"tid": "x/y"}])})
         check(ev, "res_code(GET /players/req_body(@){pid}) = 404",
-              OpContext(phase="pre", req_body={"pid": "a/b c"}))
+              OpContext(req_body={"pid": "a/b c"}))
         check(ev, "for t in res_body(GET /ts) :- res_code(GET /ts/{t.tid}) = 404")
         assert session.log == ["/players/a%2Fb%20c", "/ts", "/ts/x%2Fy"]
 
@@ -496,7 +483,7 @@ class TestTransportAndBudget:
         ev = Evaluator("http://127.0.0.1:9", timeout=0.3)
         with pytest.raises(TransportFailure):
             check(ev, "res_code(GET /anything) = 200",
-                  OpContext(phase="post", path_args={}))
+                  OpContext(path_args={}))
 
     def test_budget_caps_quantifier_fanout(self):
         tournaments = [{"tid": f"t{i}", "capacity": 3} for i in range(10)]
@@ -519,12 +506,12 @@ class TestSnapshots:
         requests.delete(live.base_url + "/enrolments/e1", timeout=5)
         ev = Evaluator(live.base_url)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
-        pre_ctx = OpContext(phase="pre", req_body=bodies["player"],
+        pre_ctx = OpContext(req_body=bodies["player"],
                             path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)
         r = requests.delete(live.base_url + "/players/p1", timeout=5)
         assert r.status_code == 200
-        post_ctx = OpContext(phase="post", req_body=bodies["player"],
+        post_ctx = OpContext(req_body=bodies["player"],
                              res_code=r.status_code, res_body=r.json(),
                              path_args={"pid": "p1"})
         assert ev.evaluate(formula, post_ctx).value
@@ -533,12 +520,12 @@ class TestSnapshots:
         bodies = seed_world(live.base_url)
         ev = Evaluator(live.base_url)
         formula = glacier.parse(ENROLMENT_DETACH_CLAUSE)
-        pre_ctx = OpContext(phase="pre", req_body=bodies["enrolment"],
+        pre_ctx = OpContext(req_body=bodies["enrolment"],
                             path_args={"eid": "e1"})
         ev.capture_previous([formula], pre_ctx)
         r = requests.delete(live.base_url + "/enrolments/e1", timeout=5)
         assert r.status_code == 200
-        post_ctx = OpContext(phase="post", req_body=bodies["enrolment"],
+        post_ctx = OpContext(req_body=bodies["enrolment"],
                              res_code=r.status_code, res_body=r.json(),
                              path_args={"eid": "e1"})
         assert ev.evaluate(formula, post_ctx).value
@@ -547,14 +534,14 @@ class TestSnapshots:
         seed_world(live.base_url)
         ev = Evaluator(live.base_url)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
-        ctx = OpContext(phase="pre", req_body={}, path_args={"pid": "p1"})
+        ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], ctx)
         ev.capture_previous([formula], ctx)
 
     def test_missing_snapshot_is_an_error(self, live):
         ev = Evaluator(live.base_url)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
-        ctx = OpContext(phase="post", req_body={}, res_code=200, res_body={},
+        ctx = OpContext(req_body={}, res_code=200, res_body={},
                         path_args={"pid": "p1"})
         with pytest.raises(EvaluationError, match="no snapshot"):
             ev.evaluate(formula, ctx)
@@ -563,39 +550,33 @@ class TestSnapshots:
         session = FakeSession({"/players/p1": requests.ConnectionError("down")})
         ev = Evaluator("http://fake", session=session)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
-        pre_ctx = OpContext(phase="pre", req_body={}, path_args={"pid": "p1"})
+        pre_ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)  # failure recorded, not raised
-        post_ctx = OpContext(phase="post", req_body={}, res_code=200,
+        post_ctx = OpContext(req_body={}, res_code=200,
                              res_body={}, path_args={"pid": "p1"})
         with pytest.raises(EvaluationError, match="snapshot unavailable"):
             ev.evaluate(formula, post_ctx)
 
-    def test_prev_over_self_or_request_body_rejected(self, live):
-        ev = Evaluator(live.base_url)
-        ctx = OpContext(phase="post", req_body={}, res_code=200, res_body={})
-        with pytest.raises(EvaluationError, match="'@'"):
-            ev.evaluate(glacier.parse("1 = prev(res_body(@))"), ctx)
-        with pytest.raises(EvaluationError, match="req_body"):
-            ev.evaluate(glacier.parse("1 = prev(req_body(GET /players/{pid}))"),
-                        OpContext(phase="post", path_args={"pid": "p1"}))
+    def test_prev_over_self_or_request_body_rejected(self):
+        assert load_refuses("1 = prev(res_body(@))", "ensures").endswith(
+            "prev(res_body(@)): prev over '@' is not defined")
+        assert load_refuses("1 = prev(req_body(GET /players/{pid}))", "ensures").endswith(
+            "req_body(GET /players/{pid}): req_body reads only the request of '@'")
 
     def test_prev_under_quantifier_binder_rejected(self):
-        ev, _ = fake_eval({})
-        formula = glacier.parse(
-            "for t in res_body(GET /tournaments) :- 1 = prev(res_body(GET /tournaments/{t.tid}/players))"
-        )
-        ctx = OpContext(phase="pre", req_body={})
-        with pytest.raises(EvaluationError, match="binder"):
-            ev.capture_previous([formula], ctx)
+        assert load_refuses(
+            "for t in res_body(GET /tournaments) :- "
+            "1 = prev(res_body(GET /tournaments/{t.tid}/players))", "ensures",
+        ).endswith("prev over the binder placeholder {t.tid} is not supported")
 
     def test_res_code_snapshots_store_the_status(self, live):
         seed_world(live.base_url)
         ev = Evaluator(live.base_url)
         formula = glacier.parse("prev(res_code(GET /players/{pid})) = 200")
-        pre_ctx = OpContext(phase="pre", req_body={}, path_args={"pid": "p1"})
+        pre_ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)
         requests.delete(live.base_url + "/players/p1", timeout=5)
-        post_ctx = OpContext(phase="post", req_body={}, res_code=200,
+        post_ctx = OpContext(req_body={}, res_code=200,
                              res_body={}, path_args={"pid": "p1"})
         assert ev.evaluate(formula, post_ctx).value
 
@@ -609,10 +590,10 @@ class TestPreState:
             glacier.parse("prev(res_code(GET /x)) = 200"),
             glacier.parse("prev(res_body(GET /x){v}) = 1"),
         ]
-        ev.capture_previous(ensures, OpContext(phase="pre"))
+        ev.capture_previous(ensures, OpContext())
         assert session.log == ["/x"]
         session.routes["/x"] = (404, {"error": "gone"})
-        post = OpContext(phase="post", res_code=200, res_body={})
+        post = OpContext(res_code=200, res_body={})
         assert [ev.evaluate(f, post).value for f in ensures] == [True, True]
         assert session.log == ["/x"]
 
@@ -620,14 +601,14 @@ class TestPreState:
         ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, {"v": 2})})
         read_x = glacier.parse("prev(res_body(GET /x){v}) = 1")
         read_y = glacier.parse("prev(res_body(GET /y){v}) = 2")
-        post = OpContext(phase="post", res_code=200, res_body={})
-        ev.capture_previous([read_x], OpContext(phase="pre"))
+        post = OpContext(res_code=200, res_body={})
+        ev.capture_previous([read_x], OpContext())
         assert ev.evaluate(read_x, post).value
         session.routes["/x"] = (200, {"v": 5})
-        ev.capture_previous([read_y], OpContext(phase="pre"))
+        ev.capture_previous([read_y], OpContext())
         assert ev.evaluate(read_y, post).value
         with pytest.raises(EvaluationError, match="no snapshot"):
             ev.evaluate(read_x, post)
-        ev.capture_previous([read_x], OpContext(phase="pre"))
+        ev.capture_previous([read_x], OpContext())
         result = ev.evaluate(read_x, post)
         assert not result.value and "5" in result.witness

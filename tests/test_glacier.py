@@ -17,9 +17,7 @@ from statecover.glacier import (
     Prev,
     Quantified,
     UrlTemplate,
-    contains_prev,
-    contains_self,
-    free_params,
+    check_clause,
     parse,
     print_formula,
 )
@@ -215,36 +213,103 @@ class TestValidation:
             pytest.fail("expected FormulaError")
 
 
+def refused(text, kind):
+    """The message check_clause refuses text with as a clause of kind."""
+    with pytest.raises(FormulaError) as err:
+        check_clause(parse(text), kind)
+    assert err.value.pos is None
+    return str(err.value)
+
+
+def accepted(text, *kinds):
+    for kind in kinds:
+        check_clause(parse(text), kind)
+
+
 class TestFreeParams:
+    """A bare {param} is free: only the call under test binds it, so an
+    invariant cannot use one. A binder {t.f} is bound wherever it parses."""
+
     def test_bare_placeholder_is_free(self):
-        assert free_params(parse("res_code(GET /players/{pid}) = 200")) == {"pid"}
+        text = "res_code(GET /players/{pid}) = 200"
+        accepted(text, "requires", "ensures")
+        assert refused(text, "invariants") == (
+            "res_code(GET /players/{pid}): an invariant has no path parameter {pid}")
 
     def test_self_calls_have_none(self):
-        assert free_params(parse("req_body(@) = res_body(@)")) == set()
+        accepted("req_body(@) = res_body(@)", "ensures")
 
     def test_dotted_bound_not_free(self):
-        assert free_params(parse(GOLDEN[6])) == set()
+        accepted(GOLDEN[6], "requires", "ensures", "invariants")
 
     def test_free_inside_prev(self):
-        f = parse("req_body(@) = prev(res_body(GET /players/{pid}))")
-        assert free_params(f) == {"pid"}
+        text = "prev(res_body(GET /players/{pid})) = 1"
+        accepted(text, "ensures")
+        assert refused(text, "invariants").endswith("no path parameter {pid}")
 
     def test_mixed(self):
-        f = parse(
-            "for t in res_body(GET /ts/{zone}) :- res_code(GET /ts/{t.id}/{slot}) = 200"
-        )
-        assert free_params(f) == {"zone", "slot"}
+        text = "for t in res_body(GET /ts/{zone}) :- res_code(GET /ts/{t.id}/{slot}) = 200"
+        accepted(text, "requires")
+        assert refused(text, "invariants").endswith("{zone}")
+        text = "for t in res_body(GET /ts) :- res_code(GET /ts/{t.id}/{slot}) = 200"
+        assert refused(text, "invariants").endswith("{slot}")
+
+    def test_bare_binder_name_is_still_a_path_parameter(self):
+        text = "for t in res_body(GET /ts) :- res_code(GET /ts/{t}) = 200"
+        assert refused(text, "invariants").endswith("no path parameter {t}")
 
 
 class TestAnalysis:
     def test_contains_prev(self):
-        assert contains_prev(parse("req_body(@) = prev(res_body(GET /xs/{k}))"))
-        assert not contains_prev(parse("req_body(@) = res_body(@)"))
+        text = "req_body(@) = prev(res_body(GET /xs/{k}))"
+        accepted(text, "ensures")
+        assert refused(text, "requires") == (
+            "prev(res_body(GET /xs/{k})) is only allowed in ensures")
+        assert refused("prev(res_code(GET /xs)) = 200", "invariants") == (
+            "prev(res_code(GET /xs)) is only allowed in ensures")
 
     def test_contains_self(self):
-        assert contains_self(parse("req_body(@) = res_body(@)"))
-        assert contains_self(parse("res_code(GET /ps/req_body(@){pid}) = 404"))
-        assert not contains_self(parse("res_code(GET /ps/{pid}) = 404"))
+        for text in ("req_body(@) = res_body(@)", "res_code(GET /ps/req_body(@){pid}) = 404"):
+            assert refused(text, "invariants").endswith(
+                ": an invariant has no operation for '@'")
+        accepted("res_code(GET /ps/req_body(@){pid}) = 404", "requires", "ensures")
+
+
+class TestClauseKinds:
+    """One test per rule of check_clause; TestFreeParams and TestAnalysis
+    cover the invariant and prev-placement rules."""
+
+    @pytest.mark.parametrize("text", [
+        "res_code(DELETE /xs/1) = 200",
+        "prev(res_body(PUT /xs/1)) = 1",
+        "for x in res_body(POST /xs) :- res_code(GET /xs/{x.id}) = 200",
+    ])
+    def test_every_probe_is_a_get(self, text):
+        assert refused(text, "ensures").endswith("is not a GET")
+
+    def test_req_body_reads_only_self(self):
+        for text in ("req_body(GET /xs) = 1", "prev(req_body(GET /xs)) = 1"):
+            assert refused(text, "ensures") == (
+                "req_body(GET /xs): req_body reads only the request of '@'")
+
+    def test_response_of_self_only_in_ensures(self):
+        for func in ("res_code", "res_body"):
+            text = f"{func}(@) = 1"
+            accepted(text, "ensures")
+            assert refused(text, "requires") == f"{func}(@) is only allowed in ensures"
+        accepted("req_body(@){k} = 1", "requires")
+
+    def test_prev_never_wraps_self(self):
+        for func in ("res_code", "res_body", "req_body"):
+            assert refused(f"prev({func}(@)) = 1", "ensures") == (
+                f"prev({func}(@)): prev over '@' is not defined")
+
+    def test_prev_never_wraps_a_binder_placeholder(self):
+        text = "for t in res_body(GET /ts) :- prev(res_body(GET /ts/{t.id})) = 1"
+        assert refused(text, "ensures") == (
+            "prev(res_body(GET /ts/{t.id})): prev over the binder placeholder "
+            "{t.id} is not supported")
+        accepted("for t in res_body(GET /ts) :- prev(res_body(GET /ts/{k})) = 1", "ensures")
 
 
 # --- randomized round-trip ----------------------------------------------------

@@ -101,9 +101,10 @@ class TestLoadModel:
 
     def test_unknown_terminal(self):
         doc = toggler_doc()
-        doc["terminal"] = "whenever"
-        with pytest.raises(ModelError, match="terminal"):
-            load_model(doc)
+        for terminal in ("whenever", "none"):
+            doc["terminal"] = terminal
+            with pytest.raises(ModelError, match="unsupported terminal condition"):
+                load_model(doc)
 
     def test_invariant_forall_needs_in(self):
         doc = toggler_doc()
@@ -148,6 +149,20 @@ def malformed_model(case: str) -> dict:
         doc["resources"][0]["record"] = ["x"]
     elif case == "invariant without check":
         doc["invariants"] = [{"name": "bounded"}]
+    elif case == "check not a string":
+        doc["invariants"] = [{"name": "bounded", "check": 5}]
+    elif case == "ids not a list":
+        doc["resources"][0]["ids"] = "k1"
+    elif case == "capacities not a list":
+        doc["capacities"] = 2
+    elif case == "guard not a string":
+        doc["actions"][0]["guard"] = 5
+    elif case == "effect not a list":
+        doc["actions"][1]["effect"] = "del things[kid]"
+    elif case == "unchanged not a list":
+        doc["actions"][1]["unchanged"] = "things"
+    elif case == "unchanged names no resource":
+        doc["actions"][1]["unchanged"] = ["ghosts"]
     return doc
 
 
@@ -158,6 +173,15 @@ MALFORMED_MODELS = {
     "action not a mapping": "actions[1]: expected a mapping, got str",
     "record not a mapping": "resource things: record: expected a mapping, got list",
     "invariant without check": "invariants[0]: missing 'check'",
+    "check not a string": "invariant bounded: check: expected a string, got 5",
+    "ids not a list": "resource things: ids: expected a list of strings, got 'k1'",
+    "capacities not a list": "capacities: expected a list of integers, got 2",
+    "guard not a string": "action makeThing: guard: expected a string, got 5",
+    "effect not a list":
+        "action dropThing: effect: expected a list of strings, got 'del things[kid]'",
+    "unchanged not a list":
+        "action dropThing: unchanged: expected a list of strings, got 'things'",
+    "unchanged names no resource": "action dropThing: unchanged: unknown resource 'ghosts'",
 }
 
 
@@ -176,14 +200,6 @@ class TestExploreToggler:
         assert x.transition_count == 2
         assert x.finals == [2]
         assert [lbl for _, _, lbl in x.transitions] == ["makeThing(k1)", "dropThing(k1)"]
-
-    def test_terminal_none_has_no_finals(self):
-        doc = toggler_doc()
-        doc["terminal"] = "none"
-        x = explore(load_model(doc))
-        # without a terminal flag the empty state is never re-discovered
-        assert x.state_count == 2
-        assert x.finals == []
 
 
 class TestExploreTournaments:

@@ -226,6 +226,12 @@ class TestCallAttachment:
         seqs = to_call_sequences(g, select_sequences(g), None)
         assert seqs[0].calls == []
 
+    def test_unreadable_label_fails_naming_the_edge(self):
+        g = build(parse_dot(
+            'digraph { "s0" -> "s1" [label="go now"]; "s1" [label="final = TRUE"]; }'))
+        with pytest.raises(ValueError, match="^edge s0 -> s1: cannot read label 'go now'"):
+            to_call_sequences(g, select_sequences(g), None)
+
 
 PUT_CATALOG = {
     "pid": Operation(op_id="putPlayer", method="PUT", path="/players/{pid}", raw={}),

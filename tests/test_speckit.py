@@ -16,7 +16,7 @@ from statecover.speckit import (
     load_oas,
 )
 
-from helpers import TOURNAMENTS_RESOLVER_TABLE
+from helpers import MISUSED_CLAUSES, TOURNAMENTS_RESOLVER_TABLE, add_clause
 
 
 @pytest.fixture
@@ -469,6 +469,14 @@ class TestEmitLoad:
         with pytest.raises(SpecError) as err:
             load_oas(doc)
         assert str(err.value).startswith(f"DELETE /widgets/{{wid}}: x-ensures[1]: {message}")
+
+    @pytest.mark.parametrize("kind, clause, message", MISUSED_CLAUSES)
+    def test_misused_clause_fails_the_load(self, kind, clause, message):
+        doc = _fixture_doc()
+        where = add_clause(doc, kind, clause)
+        with pytest.raises(SpecError) as err:
+            load_oas(doc)
+        assert str(err.value) == where + message
 
     @pytest.mark.parametrize("key", ["x-invariants", "invariants"])
     def test_invariant_error_names_its_place(self, key):

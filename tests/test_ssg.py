@@ -143,6 +143,12 @@ class TestParseDot:
         raw = parse_dot('digraph {\n  0 [label="a\\\nb"];\n}')
         assert raw.nodes[0].label == "a\\\nb"
 
+    def test_literal_backslash_before_n_is_not_a_line_break(self):
+        dot = 'digraph G {\n0 [label="a\\\\nb\\nc"];\n}\n'  # a\\nb\nc in the file
+        raw = parse_dot(dot)
+        assert raw.nodes[0].label == "a\\nb\nc"
+        assert emit_dot(clean(raw)) == dot
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_emit_parse_round_trip_property(self, seed):
