@@ -97,7 +97,7 @@ def cmd_gen_contracts(args, log: Log) -> int:
 
 def cmd_explore(args, log: Log) -> int:
     try:
-        doc = yaml.safe_load(_read_text(args.model))
+        doc = speckit.load_yaml(_read_text(args.model))
     except yaml.YAMLError as exc:
         raise UsageError(f"{args.model} is not valid YAML: {exc}") from exc
     try:

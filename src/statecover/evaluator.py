@@ -2,12 +2,13 @@
 
 Evaluation is read-only: the only requests it ever sends are GETs (a probe
 naming any other method is refused when the spec loads), so checking a
-clause cannot change the state it is checking. Within one observation (one phase of a call)
-every URL is fetched at most once, so all the clauses of that phase see one
-consistent state of the service; a bare evaluate or capture_previous is an
-observation of its own. A budget caps the number of live requests per
-evaluation so quantifiers over large collections fail loudly instead of
-hammering the service.
+clause cannot change the state it is checking. Within one observation
+every URL is fetched at most once, so all the clauses it evaluates see one
+consistent state of the service; forget() ends what the observation has
+seen when a write is about to go out, and a bare evaluate or
+capture_previous is an observation of its own. A budget caps the number of
+live requests per evaluation so quantifiers over large collections fail
+loudly instead of hammering the service.
 
 The pre-state that prev(...) reads is what the latest capture_previous
 fetched: one entry per URL, holding the status and body, or the reason the
@@ -21,16 +22,34 @@ produce a witness string. A formula that reduces to a non-boolean, a
 {param} the call did not bind, a prev(...) with no captured or an
 unavailable snapshot, or a spent budget raises EvaluationError; a dead or
 unreachable service raises TransportFailure.
+
+Transport: unless a session is passed, requests go through a Connection,
+which keeps one persistent http.client connection to the service for every
+probe, call and cleanup of a campaign and reads the proxy, CA bundle and
+netrc settings from the environment once. A passed session is used as
+given. It needs get(url, timeout=) and, for the executor,
+request(method, url, json=, timeout=) and delete(url, timeout=); each
+returns an object with status_code, json() (raising ValueError on a
+non-JSON body) and text, and raises one of TRANSPORT_ERRORS when the
+service cannot be reached.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
+import os
+import ssl
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from json import dumps as _json_dumps
 from typing import Any, Optional
-from urllib.parse import quote
+from urllib.parse import quote, urljoin, urlsplit
 
 import requests
+from urllib3.util import wait_for_read
 
 from .glacier import (
     ApiCall,
@@ -112,22 +131,225 @@ def json_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def make_session(base_url: str) -> requests.Session:
-    """A requests session for one service, with the environment read once.
+MAX_REDIRECTS = 30  # hops followed before giving up, as requests does
+_REDIRECTS = (301, 302, 303, 307, 308)
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
-    A default session looks up proxies, the CA bundle and netrc credentials
-    in the environment on every request, which is about half of requests'
-    own cost per call. Every request of a campaign goes to base_url's host,
-    so this resolves them once for it and then stops reading the
-    environment.
+# What a session may raise when the service cannot be reached or answers
+# outside HTTP. requests' exceptions derive from OSError, so a passed
+# requests-based session is covered too.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+
+@dataclass(frozen=True)
+class Response:
+    """An answer as received, its body decoded from a gzip or deflate
+    content coding."""
+
+    status_code: int
+    headers: http.client.HTTPMessage
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        """The body in the Content-Type charset, or UTF-8 without one;
+        bytes that do not decode become U+FFFD."""
+        charset = self.headers.get_content_charset()
+        if charset:
+            try:
+                return self.content.decode(charset, errors="replace")
+            except LookupError:
+                pass
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def _basic(user: str, password: str) -> str:
+    token = base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+    return f"Basic {token}"
+
+
+def _origin(url: str) -> tuple[str, str, int]:
+    parts = urlsplit(url)
+    scheme = parts.scheme.lower()
+    if scheme not in _DEFAULT_PORTS or not parts.hostname:
+        raise http.client.InvalidURL(f"cannot send a request to {url!r}")
+    return scheme, parts.hostname, parts.port or _DEFAULT_PORTS[scheme]
+
+
+def _strips_auth(old: str, new: str) -> bool:
+    """requests' rule: credentials go along a redirect only to the same
+    host, scheme and port, or from http to https on the default ports."""
+    old_scheme, old_host, old_port = _origin(old)
+    new_scheme, new_host, new_port = _origin(new)
+    if old_host != new_host:
+        return True
+    if (old_scheme, old_port, new_scheme, new_port) == ("http", 80, "https", 443):
+        return False
+    return (old_scheme, old_port) != (new_scheme, new_port)
+
+
+def _decoded(data: bytes, coding: Optional[str]) -> bytes:
+    """Undo the gzip and deflate content codings, last applied first."""
+    for name in reversed((coding or "").lower().split(",")):
+        name = name.strip()
+        try:
+            if name in ("gzip", "x-gzip"):
+                data = zlib.decompress(data, 16 + zlib.MAX_WBITS)
+            elif name == "deflate":
+                try:
+                    data = zlib.decompress(data)
+                except zlib.error:  # raw deflate, without the zlib header
+                    data = zlib.decompress(data, -zlib.MAX_WBITS)
+        except zlib.error as exc:
+            raise http.client.HTTPException(f"cannot decode a {name} body: {exc}") from exc
+    return data
+
+
+class Connection:
+    """Sends a campaign's requests over persistent http.client connections,
+    one per origin; every request to base_url's host shares one.
+
+    The proxy, CA bundle and netrc credentials are read from the environment
+    once, with requests' helpers, for base_url: proxies maps a scheme (or
+    scheme://host) to a proxy URL after NO_PROXY, verify is the CA bundle
+    (True: certifi's), auth the netrc (login, password) or None. After that
+    the environment is not read again.
+
+    As requests does, an http target behind a proxy gets absolute-form
+    requests and an https one a CONNECT tunnel; only http:// proxies are
+    supported. An idle connection the peer closed is reopened before it is
+    reused; nothing is retried. Redirects are followed by requests' rules.
     """
-    session = requests.Session()
-    settings = session.merge_environment_settings(base_url, {}, None, None, None)
-    session.proxies = settings["proxies"]
-    session.verify = settings["verify"]
-    session.auth = requests.utils.get_netrc_auth(base_url)
-    session.trust_env = False
-    return session
+
+    def __init__(self, base_url: str):
+        # origin -> (connection, absolute-form target, per-request headers)
+        self._routes: dict[tuple, tuple[http.client.HTTPConnection, bool, dict]] = {}
+        self._ssl: Optional[ssl.SSLContext] = None
+        self.proxies = requests.utils.get_environ_proxies(base_url)
+        self.verify = (
+            os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+        )
+        self.auth = requests.utils.get_netrc_auth(base_url)
+
+    def get(self, url: str, timeout: Optional[float] = None) -> Response:
+        return self.request("GET", url, timeout=timeout)
+
+    def delete(self, url: str, timeout: Optional[float] = None) -> Response:
+        return self.request("DELETE", url, timeout=timeout)
+
+    def request(self, method: str, url: str, json=None, timeout: Optional[float] = None):
+        headers = {}
+        body = None
+        if json is not None:
+            body = _json_dumps(json, allow_nan=False).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        elif method not in ("GET", "HEAD"):
+            headers["Content-Length"] = "0"
+        auth = self.auth
+        for _ in range(MAX_REDIRECTS + 1):
+            if auth is not None:
+                headers["Authorization"] = _basic(*auth)
+            response = self._exchange(method, url, body, headers, timeout)
+            location = response.headers.get("Location")
+            status = response.status_code
+            if status not in _REDIRECTS or location is None:
+                return response
+            target = urljoin(url, location)
+            if status not in (307, 308):  # only these keep the method and body
+                if status in (302, 303) and method != "HEAD" or (
+                    status == 301 and method == "POST"
+                ):
+                    method = "GET"
+                body = None
+                headers.pop("Content-Type", None)
+                headers.pop("Content-Length", None)
+            if auth is not None and _strips_auth(url, target):
+                auth = None
+                headers.pop("Authorization")
+            url = target
+        raise http.client.HTTPException(f"exceeded {MAX_REDIRECTS} redirects")
+
+    def close(self) -> None:
+        for conn, _, _ in self._routes.values():
+            conn.close()
+        self._routes.clear()
+
+    def __del__(self):  # a session nobody closed still releases its sockets
+        self.close()
+
+    def _exchange(self, method, url, body, headers, timeout) -> Response:
+        conn, absolute, route_headers = self._route(url)
+        if absolute:
+            target = url
+        else:
+            parts = urlsplit(url)
+            target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if conn.sock is not None and wait_for_read(conn.sock, timeout=0.0):
+            conn.close()  # the peer closed it, or sent what nobody asked for
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request(method, requests.utils.requote_uri(target), body,
+                         {**headers, **route_headers})
+            answer = conn.getresponse()
+            content = answer.read()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves the connection unusable
+            raise
+        return Response(
+            answer.status, answer.headers,
+            _decoded(content, answer.headers.get("Content-Encoding")),
+        )
+
+    def _route(self, url: str):
+        origin = _origin(url)
+        route = self._routes.get(origin)
+        if route is not None:
+            return route
+        scheme, host, port = origin
+        proxy = requests.utils.select_proxy(url, self.proxies)
+        extra = {}
+        if proxy is None:
+            if scheme == "https":
+                conn = http.client.HTTPSConnection(host, port, context=self._context())
+            else:
+                conn = http.client.HTTPConnection(host, port)
+            route = (conn, False, extra)
+        else:
+            proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
+            if urlsplit(proxy).scheme.lower() != "http":
+                raise http.client.InvalidURL(f"proxy {proxy!r}: only http:// proxies are supported")
+            _, p_host, p_port = _origin(proxy)
+            user, password = requests.utils.get_auth_from_url(proxy)
+            if user:
+                extra["Proxy-Authorization"] = _basic(user, password)
+            if scheme == "https":
+                conn = http.client.HTTPSConnection(p_host, p_port, context=self._context())
+                conn.set_tunnel(host, port, headers=extra)
+                route = (conn, False, {})
+            else:
+                route = (http.client.HTTPConnection(p_host, p_port), True, extra)
+        self._routes[origin] = route
+        return route
+
+    def _context(self) -> ssl.SSLContext:
+        if self._ssl is None:
+            where = requests.utils.DEFAULT_CA_BUNDLE_PATH if self.verify is True else self.verify
+            if os.path.isdir(where):
+                self._ssl = ssl.create_default_context(capath=where)
+            else:
+                self._ssl = ssl.create_default_context(cafile=where)
+        return self._ssl
+
+
+def make_session(base_url: str) -> Connection:
+    """The session a campaign uses when none is passed: a Connection with the
+    environment read once for base_url."""
+    return Connection(base_url)
 
 
 def path_segment(value) -> str:
@@ -160,7 +382,8 @@ class Evaluator:
     @contextmanager
     def observation(self):
         """Share one URL cache across every evaluate and capture_previous
-        made inside the block, as one consistent view of the service."""
+        made inside the block, as one consistent view of the service, until
+        forget() is called."""
         self._cache.clear()
         self._observing = True
         try:
@@ -168,6 +391,11 @@ class Evaluator:
         finally:
             self._observing = False
             self._cache.clear()
+
+    def forget(self) -> None:
+        """Drop what the current observation fetched: the service is about
+        to change, so later evaluations fetch afresh."""
+        self._cache.clear()
 
     def _begin(self) -> None:
         if not self._observing:
@@ -407,7 +635,7 @@ class Evaluator:
         url = self.base_url + path
         try:
             response = self.session.get(url, timeout=self.timeout)
-        except requests.RequestException as exc:
+        except TRANSPORT_ERRORS as exc:
             raise TransportFailure(f"GET {path}: {exc}") from exc
         try:
             body = response.json()

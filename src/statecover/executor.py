@@ -6,10 +6,11 @@ contain: a prepared call carries the insert, data update or pop that a 2xx
 answer applies. Around every request the operation's contract is evaluated
 (preconditions and invariants before, postconditions and, on the last call,
 invariants again after), and the combination of verdicts and status code is
-classified as OK, WARN, or ERR. Each of the two phases is one observation of
-the service: a URL that several of its clauses read is fetched once, and the
-pre-state the postconditions' prev(...) calls read is captured in the first
-phase.
+classified as OK, WARN, or ERR. Between two requests that may write, the
+service is observed once: a URL that several clauses read is fetched once,
+for the post phase of one call and the pre phase of the next alike, since
+nothing was sent in between. The pre-state the postconditions' prev(...)
+calls read is captured in the pre phase.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
 an id the sequence already created, an operation with no usable key, a
@@ -17,18 +18,23 @@ request body the schema does not let the generator build as an object) is
 reported NOT_TESTED, and nothing is sent for it. A 5xx answer short-circuits
 classification: the service failed outright, so postconditions are not
 evaluated.
+
+Every request goes through one session: the one passed to run_campaign or
+SequenceRunner, or else an evaluator.Connection that run_campaign opens for
+the campaign and closes at its end. The evaluator module's docstring says
+what a passed session must provide.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
 
-import requests
-
 from .evaluator import (
+    TRANSPORT_ERRORS,
     EvaluationError,
     Evaluator,
     OpContext,
@@ -154,9 +160,10 @@ class SequenceRunner:
         state they leave: abstract id -> Entry, in creation order."""
         state: dict[str, Entry] = {}
         outcomes = []
-        for i, call in enumerate(calls):
-            is_last = i == len(calls) - 1
-            outcomes.append(self._run_call(call, state, sequence_index, i, is_last))
+        with self.evaluator.observation():
+            for i, call in enumerate(calls):
+                is_last = i == len(calls) - 1
+                outcomes.append(self._run_call(call, state, sequence_index, i, is_last))
         return outcomes, state
 
     def _run_call(self, call, state, seq_index, call_index, is_last) -> CallOutcome:
@@ -176,15 +183,12 @@ class SequenceRunner:
 
         pre_ctx = OpContext(req_body=prep.clause_body, path_args=prep.bindings)
         capture_error = None
-        with self.evaluator.observation():
-            inv_verdict = self._eval_clauses(self.spec.invariants, None)
-            pre_verdict = self._eval_clauses(op.requires, pre_ctx)
-            try:
-                self.evaluator.capture_previous(
-                    [c.formula for c in op.ensures], pre_ctx
-                )
-            except EvaluationError as exc:
-                capture_error = str(exc)
+        inv_verdict = self._eval_clauses(self.spec.invariants, None)
+        pre_verdict = self._eval_clauses(op.requires, pre_ctx)
+        try:
+            self.evaluator.capture_previous([c.formula for c in op.ensures], pre_ctx)
+        except EvaluationError as exc:
+            capture_error = str(exc)
 
         status, body = self._send(op.method, prep.path, prep.payload)
         request_info = {
@@ -204,21 +208,18 @@ class SequenceRunner:
                 f"server error {status}",
             )
 
-        with self.evaluator.observation():
-            if capture_error is not None:
-                post_verdict = ClauseVerdict(
-                    None, f"pre-state capture failed: {capture_error}"
-                )
-            else:
-                post_ctx = OpContext(
-                    req_body=prep.clause_body,
-                    res_code=status,
-                    res_body=body,
-                    path_args=prep.bindings,
-                )
-                post_verdict = self._eval_clauses(op.ensures, post_ctx)
-            if is_last:
-                inv_verdict = self._eval_clauses(self.spec.invariants, None)
+        if capture_error is not None:
+            post_verdict = ClauseVerdict(None, f"pre-state capture failed: {capture_error}")
+        else:
+            post_ctx = OpContext(
+                req_body=prep.clause_body,
+                res_code=status,
+                res_body=body,
+                path_args=prep.bindings,
+            )
+            post_verdict = self._eval_clauses(op.ensures, post_ctx)
+        if is_last:
+            inv_verdict = self._eval_clauses(self.spec.invariants, None)
 
         return self._classified(
             seq_index, call_index, call.op, request_info, response_info,
@@ -332,11 +333,12 @@ class SequenceRunner:
     def _send(self, method: str, path: str, payload):
         url = self.base_url + path
         self.sends += 1
+        self.evaluator.forget()  # what was observed may change now
         try:
             response = self.http.request(
                 method, url, json=payload, timeout=self.timeout
             )
-        except requests.RequestException as exc:
+        except TRANSPORT_ERRORS as exc:
             raise TransportFailure(f"{method} {path}: {exc}") from exc
         try:
             body = response.json()
@@ -372,40 +374,42 @@ def run_campaign(
     seed, the sequences and the service.
     """
     started = time.monotonic()
-    http = session if session is not None else make_session(base_url)
-    try:
-        http.get(base_url.rstrip("/") + "/", timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportFailure(f"service probe failed: {exc}") from exc
+    with ExitStack() as stack:
+        # a connection made here is closed here; a passed session is the caller's
+        http = session if session is not None else stack.enter_context(
+            closing(make_session(base_url))
+        )
+        try:
+            http.get(base_url.rstrip("/") + "/", timeout=timeout)
+        except TRANSPORT_ERRORS as exc:
+            raise TransportFailure(f"service probe failed: {exc}") from exc
 
-    generator = InputGenerator(seed)
-    runner = SequenceRunner(
-        spec, base_url, generator, session=http, timeout=timeout, budget=budget
-    )
-    outcomes: list[CallOutcome] = []
-    cleanup_failures: list[dict] = []
-    cleanups = 0
-    for index, sequence in enumerate(sequences):
-        calls = getattr(sequence, "calls", sequence)
-        seq_outcomes, state = runner.run_sequence(calls, index)
-        outcomes.extend(seq_outcomes)
-        if cleanup:
-            for entry in reversed(state.values()):
-                path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
-                failure = {"sequenceIndex": index, "url": path}
-                cleanups += 1
-                try:
-                    response = http.delete(runner.base_url + path, timeout=timeout)
-                except requests.RequestException as exc:
-                    cleanup_failures.append({**failure, "error": str(exc)})
-                    continue
-                if not 200 <= response.status_code < 300:
-                    cleanup_failures.append({**failure, "status": response.status_code})
+        generator = InputGenerator(seed)
+        runner = SequenceRunner(
+            spec, base_url, generator, session=http, timeout=timeout, budget=budget
+        )
+        outcomes: list[CallOutcome] = []
+        cleanup_failures: list[dict] = []
+        cleanups = 0
+        for index, sequence in enumerate(sequences):
+            calls = getattr(sequence, "calls", sequence)
+            seq_outcomes, state = runner.run_sequence(calls, index)
+            outcomes.extend(seq_outcomes)
+            if cleanup:
+                for entry in reversed(state.values()):
+                    path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
+                    failure = {"sequenceIndex": index, "url": path}
+                    cleanups += 1
+                    try:
+                        response = http.delete(runner.base_url + path, timeout=timeout)
+                    except TRANSPORT_ERRORS as exc:
+                        cleanup_failures.append({**failure, "error": str(exc)})
+                        continue
+                    if not 200 <= response.status_code < 300:
+                        cleanup_failures.append({**failure, "status": response.status_code})
 
     if traffic is not None:
-        traffic.update(
-            sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups
-        )
+        traffic.update(sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups)
     counts = {OK: 0, WARN: 0, ERR: 0, NOT_TESTED: 0}
     for outcome in outcomes:
         counts[outcome.classification] += 1

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-import yaml
-
 from . import ssg
+from .speckit import load_yaml
 from .ssg import EdgeStatement, NodeStatement, RawGraph
 
 
@@ -164,7 +163,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
     if isinstance(source, dict):
         doc = source
     else:
-        doc = yaml.safe_load(Path(source).read_text())
+        doc = load_yaml(Path(source).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "resources" not in doc or "actions" not in doc:
         raise ModelError("model needs 'resources' and 'actions'")
 

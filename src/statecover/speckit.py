@@ -21,11 +21,12 @@ for every lookup. A dangling or cyclic $ref in a request body fails the
 load with a SpecError naming the operation's METHOD and path. So does a
 contract clause that does not parse or that uses a construct its kind may
 not (glacier.check_clause: a probe that is not a GET, prev outside
-x-ensures, '@' in an invariant, ...); the error also names the clause, as in
-"POST /players: x-requires[0]: ...", or "x-invariants[1]: ..." for an
-invariant. A path item, operation or parameter list of the wrong shape
-fails the load with its place, as in "GET /players: parameters[0]:
-expected a mapping".
+x-ensures, '@' in an invariant, ...), and so does a bare {param} the
+operation never binds, being neither its own key nor one of its foreign
+keys; the error also names the clause, as in "POST /players:
+x-requires[0]: ...", or "x-invariants[1]: ..." for an invariant. A path
+item, operation or parameter list of the wrong shape fails the load with
+its place, as in "GET /players: parameters[0]: expected a mapping".
 
 Contracts serialize as x-requires / x-ensures on the operation objects and
 x-invariants at the document root; loading an emitted document and emitting
@@ -52,6 +53,8 @@ from .glacier import (
     ParamPart,
     Prev,
     UrlTemplate,
+    _print_call,
+    _walk_calls,
     check_clause,
     parse as parse_formula,
     print_formula,
@@ -219,13 +222,23 @@ def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0) -> Optio
 
 # --- loading -----------------------------------------------------------------
 
+# libyaml's parser where pyyaml was built with it; the same safe constructor
+# and resolver either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(text: str):
+    """yaml.safe_load, through libyaml's C parser where pyyaml has it."""
+    return yaml.load(text, Loader=_YAML_LOADER)
+
+
 def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
-    """Load an OpenAPI document from a path or an already-parsed dict."""
+    """Load an OpenAPI document from a path (read as UTF-8) or an
+    already-parsed dict."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text()
-        doc = yaml.safe_load(text)
+        doc = load_yaml(Path(source).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "paths" not in doc:
         raise SpecError("document has no 'paths' object")
     diagnostics: list[Diagnostic] = []
@@ -305,14 +318,16 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                 param_names = (own_key,) + foreign
             else:
                 param_names = tuple(placeholders)
+            # the names a call binds: its own key and the foreign keys it sends
+            bound = frozenset({own_key, *foreign} - {None})
             operations.append(
                 Operation(
                     op_id=op_id,
                     method=method.upper(),
                     path=path,
                     raw=raw,
-                    requires=_load_clauses(raw, "requires", f"{where}: "),
-                    ensures=_load_clauses(raw, "ensures", f"{where}: "),
+                    requires=_load_clauses(raw, "requires", f"{where}: ", bound),
+                    ensures=_load_clauses(raw, "ensures", f"{where}: ", bound),
                     own_key=own_key,
                     collection=collection,
                     item_path=item_path,
@@ -375,9 +390,12 @@ def _collect_refs(node: Any, out: set[str]) -> None:
             _collect_refs(v, out)
 
 
-def _load_clauses(node: dict, kind: str, where: str = "") -> tuple[Clause, ...]:
+def _load_clauses(
+    node: dict, kind: str, where: str = "", bound: frozenset[str] = frozenset()
+) -> tuple[Clause, ...]:
     """The x-<kind> (or bare <kind>) clauses of an operation or document.
-    A clause must parse and pass check_clause for its kind."""
+    A clause must parse, pass check_clause for its kind and name no bare
+    {param} outside bound, the names a call of the operation binds."""
     key = f"x-{kind}" if f"x-{kind}" in node else kind
     entries = node.get(key) or []
     if not isinstance(entries, list):
@@ -396,6 +414,12 @@ def _load_clauses(node: dict, kind: str, where: str = "") -> tuple[Clause, ...]:
             check_clause(formula, kind)
         except FormulaError as exc:
             raise SpecError(f"{at}: {exc}") from None
+        for call, _ in _walk_calls(formula):
+            for part in (p for seg in call.url.segments for p in seg) if call.url else ():
+                if isinstance(part, ParamPart) and not part.is_dotted() and part.name not in bound:
+                    raise SpecError(
+                        f"{at}: {_print_call(call)}: the operation never binds {{{part.name}}}"
+                    )
         out.append(Clause(text=text, extra=extra, formula=formula))
     return tuple(out)
 

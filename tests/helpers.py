@@ -8,7 +8,11 @@ only, with none of the production path logic, so they can arbitrate.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from urllib.parse import urlsplit
 
 from statecover.demo import TournamentsApp
@@ -43,6 +47,19 @@ def add_clause(doc: dict, kind: str, clause: str) -> str:
     clauses = node.setdefault(f"x-{kind}", [])
     clauses.append(clause)
     return f"{where}x-{kind}[{len(clauses) - 1}]: "
+
+
+def run_in_ascii_locale(code: str) -> str:
+    """Run Python code in a child whose locale encoding is ASCII, with this
+    tree's src importable; return its stdout. A file read without an
+    explicit encoding fails there on the first non-ASCII byte."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def make_random_dag_raw(rng: random.Random) -> RawGraph:

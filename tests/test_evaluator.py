@@ -7,6 +7,7 @@ from statecover import glacier
 from statecover.demo import CAPACITY_INVARIANT, ENROLMENT_DETACH_CLAUSE, DemoServer
 from statecover.evaluator import (
     BudgetExceeded,
+    Connection,
     EvaluationError,
     Evaluator,
     OpContext,
@@ -458,7 +459,7 @@ class TestDefaultSession:
         monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
         session = make_session("http://api.example:8080")
         assert session.proxies["http"] == "http://proxy.invalid:3128"
-        assert session.trust_env is False
+        assert isinstance(session, Connection)  # never reads the environment again
         assert Evaluator("http://api.example:8080").session.proxies["http"] == (
             "http://proxy.invalid:3128")
 

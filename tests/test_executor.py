@@ -189,13 +189,25 @@ class TestPhases:
         outcomes, _ = runner.run_sequence(calls, 0)
         assert [o.classification for o in outcomes] == [OK, OK]
         item = "/tournaments/tid10000"
-        # deleteTournament reads the item for its precondition and for the
-        # prev() its echo clause compares against: one GET serves both
+        # postTournament's postcondition reads the item; nothing is sent
+        # before deleteTournament's precondition and the prev() its echo
+        # clause compares against read it again, so that one GET serves all
+        # three; after each send the item is fetched afresh
         assert session.log == [
             f"GET {item}", "POST /tournaments", f"GET {item}",
-            f"GET {item}", f"DELETE {item}", f"GET {item}",
+            f"DELETE {item}", f"GET {item}",
         ]
-        assert runner.sends == 2 and runner.evaluator.sent == 4
+        assert runner.sends == 2 and runner.evaluator.sent == 3
+
+    def test_a_sequence_end_forgets_what_was_observed(self):
+        session = AppSession()
+        runner = SequenceRunner(inferred_spec(manual=True), "http://fake",
+                                InputGenerator(0), session=session)
+        runner.run_sequence([mk("postPlayer", pid="p1")], 0)
+        assert session.log[-1] == "GET /tournaments"  # the closing invariant
+        del session.log[:]
+        runner.run_sequence([mk("postPlayer", pid="p1")], 1)
+        assert session.log[0] == "GET /tournaments"
 
     def test_concrete_ids_are_one_path_segment(self):
         path = SequenceRunner._fill_path("/players/{pid}", {"pid": "a/b c"})

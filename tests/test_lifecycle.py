@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import assert_graph_laws
+from helpers import assert_graph_laws, run_in_ascii_locale
 from statecover import seqgen, ssg
 from statecover.lifecycle import (
     InvariantViolation,
@@ -68,6 +68,16 @@ class TestLoadModel:
         assert model.resource("players").record["ts"].kind == "set"
         assert model.resource("tournaments").record["c"].kind == "capacity"
         assert model.resource("enrolments").record["pid"].target == "players"
+
+    def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        text = fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")
+        path = tmp_path / "model.yaml"
+        path.write_text("# Turniere für Spielerinnen\n" + text.replace(
+            "name: tournaments_p1t1e1", "name: turniere_für_alle", 1), encoding="utf-8")
+        out = run_in_ascii_locale(
+            "from statecover.lifecycle import load_model\n"
+            f"print(ascii(load_model({str(path)!r}).name))\n")
+        assert out.strip() == ascii("turniere_für_alle")
 
     def test_unknown_field_target(self):
         doc = toggler_doc()

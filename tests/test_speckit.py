@@ -16,7 +16,12 @@ from statecover.speckit import (
     load_oas,
 )
 
-from helpers import MISUSED_CLAUSES, TOURNAMENTS_RESOLVER_TABLE, add_clause
+from helpers import (
+    MISUSED_CLAUSES,
+    TOURNAMENTS_RESOLVER_TABLE,
+    add_clause,
+    run_in_ascii_locale,
+)
 
 
 @pytest.fixture
@@ -477,6 +482,44 @@ class TestEmitLoad:
         with pytest.raises(SpecError) as err:
             load_oas(doc)
         assert str(err.value) == where + message
+
+    @pytest.mark.parametrize("clause, call, param", [
+        ("res_code(GET /tournaments/{tid}) = 200", "res_code(GET /tournaments/{tid})", "tid"),
+        ("prev(res_body(GET /enrolments/{eid})) = req_body(@)",
+         "res_body(GET /enrolments/{eid})", "eid"),
+        ("for t in res_body(GET /tournaments) :- res_code(GET /tournaments/{t.tid}/{pids}) = 404",
+         "res_code(GET /tournaments/{t.tid}/{pids})", "pids"),
+    ])
+    def test_unbound_path_parameter_fails_the_load(self, clause, call, param):
+        doc = _fixture_doc()
+        where = add_clause(doc, "ensures", clause)
+        with pytest.raises(SpecError) as err:
+            load_oas(doc)
+        assert str(err.value) == f"{where}{call}: the operation never binds {{{param}}}"
+
+    def test_own_and_foreign_keys_are_bound(self):
+        doc = _fixture_doc()
+        enrol = doc["paths"]["/enrolments"]["post"]
+        enrol["x-requires"] = ["res_code(GET /players/{pid}) = 200",
+                               "res_code(GET /tournaments/{tid}/players) = 200"]
+        add_clause(doc, "requires", "res_code(GET /players/{pid}) = 200")
+        spec = load_oas(doc)
+        assert len(spec.operation("postEnrolment").requires) == 2
+        assert len(spec.operation("deletePlayer").requires) == 1
+
+    def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        doc = _fixture_doc()
+        doc["info"]["description"] = "Turniere für Spielerinnen"
+        add_clause(doc, "requires", "res_body(GET /players/{pid}){name} != 'Zoë'")
+        path = tmp_path / "oas.yaml"
+        path.write_text(yaml.safe_dump(doc, allow_unicode=True), encoding="utf-8")
+        out = run_in_ascii_locale(
+            "from statecover.speckit import load_oas\n"
+            f"spec = load_oas({str(path)!r})\n"
+            "print(ascii(spec.doc['info']['description']))\n"
+            "print(ascii(spec.operation('deletePlayer').requires[-1].text))\n")
+        assert out.splitlines() == [ascii("Turniere für Spielerinnen"),
+                                    ascii("res_body(GET /players/{pid}){name} != 'Zoë'")]
 
     @pytest.mark.parametrize("key", ["x-invariants", "invariants"])
     def test_invariant_error_names_its_place(self, key):
