@@ -1,10 +1,11 @@
 """State-machine-derived test sequences and executable contracts for REST APIs.
 
 The pipeline: describe a service's resource lifecycles as a small model,
-enumerate its state space (`lifecycle`), derive a minimal set of covering
-call sequences (`ssg`, `seqgen`), attach machine-checkable contracts to the
-API description (`speckit`, `glacier`), and drive the live service while
-evaluating those contracts around every call (`executor`, `evaluator`).
+enumerate its state space (`lifecycle`), derive a set of call sequences
+that covers every state (`ssg`, `seqgen`), attach machine-checkable
+contracts to the API description (`speckit`, `glacier`), and drive the live
+service while evaluating those contracts around every call (`executor`,
+`evaluator`).
 `demo` ships a small tournaments service with seedable faults to try the
 whole loop on.
 """

@@ -44,6 +44,12 @@ class UsageError(Exception):
 class Log:
     def __init__(self, as_json: bool):
         self.as_json = as_json
+        self.started = time.perf_counter()
+
+    def elapsed(self) -> float:
+        """Seconds since the log was made, which main does as it dispatches
+        the command: the duration_s of a command's closing event."""
+        return round(time.perf_counter() - self.started, 6)
 
     def event(self, name: str, **fields):
         if self.as_json:
@@ -89,7 +95,7 @@ def cmd_gen_contracts(args, log: Log) -> int:
     _write_text(args.out, speckit.emit_extended(spec))
     clauses = sum(report.added.values())
     log.event("contracts", operations=len(report.added), clauses=clauses,
-              skipped=len(report.skipped))
+              skipped=len(report.skipped), duration_s=log.elapsed())
     print(f"{args.out}: contracts for {len(report.added)} operations "
           f"({clauses} clauses)")
     return 0
@@ -117,7 +123,7 @@ def cmd_explore(args, log: Log) -> int:
     _write_text(args.out, exploration.to_dot())
     log.event("explored", states=exploration.state_count,
               transitions=exploration.transition_count,
-              finals=len(exploration.finals))
+              finals=len(exploration.finals), duration_s=log.elapsed())
     print(f"{args.out}: {exploration.state_count} states, "
           f"{exploration.transition_count} transitions")
     return 0
@@ -142,7 +148,8 @@ def cmd_clean(args, log: Log) -> int:
     ratio = 0.0 if before == 0 else 1.0 - after / before
     log.event("cleaned", nodes=len(cleaned.nodes), edges=len(cleaned.edges),
               dedup_ratio=round(ratio, 4), bytes=size,
-              parse_s=round(parse_s, 6), emit_s=round(emit_s, 6))
+              parse_s=round(parse_s, 6), emit_s=round(emit_s, 6),
+              duration_s=log.elapsed())
     print(f"{args.out}: {len(cleaned.nodes)} nodes, {len(cleaned.edges)} edges "
           f"(removed {ratio:.1%} duplicate statements)")
     return 0
@@ -172,6 +179,7 @@ def cmd_sequences(args, log: Log) -> int:
         count=len(sequences),
         state_coverage=round(coverage.state_pct, 1),
         transition_coverage=round(coverage.transition_pct, 1),
+        duration_s=log.elapsed(),
     )
     print(f"{args.out}: {len(sequences)} sequences, "
           f"{coverage.state_pct:.0f}% state / "
@@ -180,6 +188,14 @@ def cmd_sequences(args, log: Log) -> int:
 
 
 def cmd_test(args, log: Log) -> int:
+    if args.spawn_demo and args.base_url:
+        raise UsageError("--base-url and --spawn-demo exclude each other: "
+                         "test either a running service or a spawned demo")
+    if args.demo_fault and not args.spawn_demo:
+        raise UsageError("--demo-fault needs --spawn-demo: it seeds a fault "
+                         "into the spawned demo service")
+    if not (args.spawn_demo or args.base_url):
+        raise UsageError("either --base-url or --spawn-demo is required")
     spec = _load_spec(args.spec)
     if args.infer:
         speckit.infer_contracts(spec)
@@ -198,10 +214,8 @@ def cmd_test(args, log: Log) -> int:
         ).start()
         base_url = server.base_url
         log.event("demo", url=base_url, fault=args.demo_fault or "none")
-    elif args.base_url:
-        base_url = args.base_url
     else:
-        raise UsageError("either --base-url or --spawn-demo is required")
+        base_url = args.base_url
 
     traffic: dict = {}
     try:
@@ -298,6 +312,7 @@ def cmd_fixtures(args, log: Log) -> int:
     ]
     for name in names:
         log.event("fixture", path=str(outdir / name))
+    log.event("fixtures", files=len(names), duration_s=log.elapsed())
     print(f"{outdir}: wrote {', '.join(names)}")
     return 0
 
@@ -383,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    log = Log(args.json_logs)
+    log = Log(args.json_logs)  # starts the command's clock
     try:
         return args.func(args, log)
     except UsageError as exc:

@@ -19,6 +19,10 @@ seeded faults:
 Two admin endpoints exist outside the published description: POST /_reset
 clears all state and GET /_requests returns every non-admin request seen so
 far (useful for asserting that evaluation only ever issues GETs).
+
+TournamentsApp is plain Python; http.server, which serves it, loads when the
+first DemoServer is built, so importing this module for its fixtures or its
+model documents does not load an HTTP server.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import json
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import unquote
 
@@ -324,6 +327,8 @@ def _check_enrolment(body) -> Optional[str]:
 # --- HTTP plumbing -----------------------------------------------------------
 
 def _make_handler(app: TournamentsApp):
+    from http.server import BaseHTTPRequestHandler
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # Buffer the response so that handle_one_request's flush sends the
@@ -372,6 +377,8 @@ class DemoServer:
     """Threaded HTTP wrapper around TournamentsApp; port 0 picks a free one."""
 
     def __init__(self, port: int = 0, seed: int = 0, fault: Optional[str] = None):
+        from http.server import ThreadingHTTPServer
+
         self.app = TournamentsApp(seed=seed, fault=fault)
         self._httpd = ThreadingHTTPServer(("127.0.0.1", port), _make_handler(self.app))
         self._thread = None

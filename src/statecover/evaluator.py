@@ -26,8 +26,10 @@ unreachable service raises TransportFailure.
 Transport: unless a session is passed, requests go through a Connection,
 which keeps one persistent http.client connection to the service for every
 probe, call and cleanup of a campaign and reads the proxy, CA bundle and
-netrc settings from the environment once. A passed session is used as
-given. It needs get(url, timeout=) and, for the executor,
+netrc settings from the environment once. requests' helpers, and urllib3
+with them, load when the first Connection is built, so a command that never
+talks to a service does not pay for importing them. A passed session is used
+as given. It needs get(url, timeout=) and, for the executor,
 request(method, url, json=, timeout=) and delete(url, timeout=); each
 returns an object with status_code, json() (raising ValueError on a
 non-JSON body) and text, and raises one of TRANSPORT_ERRORS when the
@@ -47,9 +49,6 @@ from dataclasses import dataclass, field as dc_field
 from json import dumps as _json_dumps
 from typing import Any, Optional
 from urllib.parse import quote, urljoin, urlsplit
-
-import requests
-from urllib3.util import wait_for_read
 
 from .glacier import (
     ApiCall,
@@ -222,11 +221,21 @@ class Connection:
     requests and an https one a CONNECT tunnel; only http:// proxies are
     supported. An idle connection the peer closed is reopened before it is
     reused; nothing is retried. Redirects are followed by requests' rules.
+
+    requests.utils and urllib3 load when the first Connection is built, not
+    when this module is imported; each Connection binds their helpers once.
     """
 
     def __init__(self, base_url: str):
-        # origin -> (connection, absolute-form target, per-request headers)
+        # origin -> (connection, absolute-form target, per-request headers);
+        # set first, so that __del__ on a half-built Connection cannot raise
         self._routes: dict[tuple, tuple[http.client.HTTPConnection, bool, dict]] = {}
+        import requests.utils
+        from urllib3.util import wait_for_read
+
+        self._utils = requests.utils
+        self._wait_for_read = wait_for_read
+        self._requote_uri = requests.utils.requote_uri
         self._ssl: Optional[ssl.SSLContext] = None
         self.proxies = requests.utils.get_environ_proxies(base_url)
         self.verify = (
@@ -287,13 +296,13 @@ class Connection:
         else:
             parts = urlsplit(url)
             target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        if conn.sock is not None and wait_for_read(conn.sock, timeout=0.0):
+        if conn.sock is not None and self._wait_for_read(conn.sock, timeout=0.0):
             conn.close()  # the peer closed it, or sent what nobody asked for
         conn.timeout = timeout
         if conn.sock is not None:
             conn.sock.settimeout(timeout)
         try:
-            conn.request(method, requests.utils.requote_uri(target), body,
+            conn.request(method, self._requote_uri(target), body,
                          {**headers, **route_headers})
             answer = conn.getresponse()
             content = answer.read()
@@ -311,7 +320,7 @@ class Connection:
         if route is not None:
             return route
         scheme, host, port = origin
-        proxy = requests.utils.select_proxy(url, self.proxies)
+        proxy = self._utils.select_proxy(url, self.proxies)
         extra = {}
         if proxy is None:
             if scheme == "https":
@@ -320,11 +329,11 @@ class Connection:
                 conn = http.client.HTTPConnection(host, port)
             route = (conn, False, extra)
         else:
-            proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
+            proxy = self._utils.prepend_scheme_if_needed(proxy, "http")
             if urlsplit(proxy).scheme.lower() != "http":
                 raise http.client.InvalidURL(f"proxy {proxy!r}: only http:// proxies are supported")
             _, p_host, p_port = _origin(proxy)
-            user, password = requests.utils.get_auth_from_url(proxy)
+            user, password = self._utils.get_auth_from_url(proxy)
             if user:
                 extra["Proxy-Authorization"] = _basic(user, password)
             if scheme == "https":
@@ -338,7 +347,7 @@ class Connection:
 
     def _context(self) -> ssl.SSLContext:
         if self._ssl is None:
-            where = requests.utils.DEFAULT_CA_BUNDLE_PATH if self.verify is True else self.verify
+            where = self._utils.DEFAULT_CA_BUNDLE_PATH if self.verify is True else self.verify
             if os.path.isdir(where):
                 self._ssl = ssl.create_default_context(capath=where)
             else:

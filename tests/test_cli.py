@@ -236,8 +236,11 @@ class TestJsonLogs:
                            str(workdir / "tournaments-model.yaml"), str(dot))
         assert code == 0
         events = [json.loads(line) for line in err.splitlines() if line]
-        assert {"event": "explored", "states": 6, "transitions": 10,
-                "finals": 1} in events
+        (explored,) = [e for e in events if e["event"] == "explored"]
+        duration = explored.pop("duration_s")
+        assert explored == {"event": "explored", "states": 6, "transitions": 10,
+                            "finals": 1}
+        assert isinstance(duration, float) and duration >= 0
 
     def test_clean_event_reports_input_size_and_stage_times(self, tmp_path, capsys):
         body = '0 [label="final = FALSE"];\n1 [label="final = TRUE"];\n0 -> 1 [label="go(x)"];\n'
@@ -249,10 +252,35 @@ class TestJsonLogs:
         assert code == 0
         assert dot.stat().st_size < size
         (event,) = [json.loads(line) for line in err.splitlines() if line]
-        times = {k: event.pop(k) for k in ("parse_s", "emit_s")}
+        times = {k: event.pop(k) for k in ("parse_s", "emit_s", "duration_s")}
         assert event == {"event": "cleaned", "nodes": 2, "edges": 1, "dedup_ratio": 0.5,
                          "bytes": size}
         assert all(isinstance(t, float) and t >= 0 for t in times.values())
+        # the command's wall time holds both stages; each figure is rounded
+        assert times["duration_s"] >= times["parse_s"] + times["emit_s"] - 2e-6
+
+    def test_every_stage_closes_with_its_duration(self, tmp_path, capsys):
+        def closing_event(*argv):
+            code, _, err = run(capsys, "--json-logs", *argv)
+            assert code == 0, argv
+            event = json.loads(err.splitlines()[-1])
+            duration = event.pop("duration_s")
+            assert isinstance(duration, float) and duration >= 0, argv
+            return event
+
+        assert closing_event("fixtures", str(tmp_path)) == {
+            "event": "fixtures", "files": 4}
+        contracts = tmp_path / "contracts.yaml"
+        assert closing_event("gen-contracts", str(tmp_path / "tournaments-oas.yaml"),
+                             str(contracts)) == {
+            "event": "contracts", "operations": 8, "clauses": 22, "skipped": 0}
+        dot = tmp_path / "graph.dot"
+        assert closing_event("explore", str(tmp_path / "tournaments-model.yaml"),
+                             str(dot))["event"] == "explored"
+        assert closing_event("sequences", str(dot), str(tmp_path / "seqs.json"),
+                             "--spec", str(contracts)) == {
+            "event": "sequences", "count": 6, "state_coverage": 100.0,
+            "transition_coverage": 100.0}
 
 
     def test_campaign_event_accounts_for_every_request(self, workdir, capsys):
@@ -300,6 +328,29 @@ class TestErrorPaths:
                            "--sequences", str(seqs))
         assert code == 2
         assert "--base-url or --spawn-demo" in err
+
+    def test_base_url_and_spawn_demo_together(self, workdir, capsys, monkeypatch):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        started = []
+        monkeypatch.setattr(cli.demo_service, "DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        code, _, err = run(capsys, "test",
+                           "--spec", str(workdir / "tournaments-contracts.yaml"),
+                           "--sequences", str(seqs), "--spawn-demo",
+                           "--base-url", "http://127.0.0.1:9")
+        assert (code, started) == (2, [])
+        assert "error: --base-url and --spawn-demo exclude each other" in err
+
+    def test_demo_fault_without_spawn_demo(self, workdir, capsys):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        with DemoServer() as server:
+            code, _, err = run(capsys, "test",
+                               "--spec", str(workdir / "tournaments-contracts.yaml"),
+                               "--sequences", str(seqs), "--base-url", server.base_url,
+                               "--demo-fault", "delete_player_noop")
+            seen = requests.get(server.base_url + "/_requests", timeout=5).json()
+        assert (code, seen) == (2, [])
+        assert "error: --demo-fault needs --spawn-demo" in err
 
     def test_unreachable_service(self, workdir, capsys):
         model = write_tiny_model(workdir)
@@ -452,6 +503,73 @@ class TestErrorPaths:
 REPO = Path(__file__).resolve().parent.parent
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports statecover from
+    this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+# Only a campaign or a demo talks HTTP; certifi is left out because an
+# interpreter's site may import it.
+HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "http.server",
+              "socketserver")
+
+_LOADED_AFTER_EACH_COMMAND = """
+import json, sys
+stack = json.loads(sys.argv[1])
+loaded = lambda: sorted(m for m in stack if m in sys.modules)
+import statecover.cli
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[2]):
+    seen.append([statecover.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    """The HTTP client and server stacks load only when a campaign or a demo
+    starts, in a fresh interpreter."""
+
+    @staticmethod
+    def loaded_after(tmp_path, *commands):
+        """[exit code, the HTTP_STACK modules loaded] after importing the
+        command line (code None) and after each command, run in order."""
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER_EACH_COMMAND,
+             json.dumps(HTTP_STACK), json.dumps(commands)],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_offline_commands_load_no_http_stack(self, tmp_path):
+        dot, contracts = str(tmp_path / "graph.dot"), str(tmp_path / "contracts.yaml")
+        seen = self.loaded_after(
+            tmp_path,
+            ["fixtures", str(tmp_path)],
+            ["gen-contracts", str(tmp_path / "tournaments-oas.yaml"), contracts],
+            ["explore", str(tmp_path / "tournaments-model.yaml"), dot],
+            ["clean", dot, dot],
+            ["sequences", dot, str(tmp_path / "seqs.json"), "--spec", contracts],
+        )
+        assert seen == [[None, []]] + [[0, []]] * 5
+
+    def test_a_spawned_demo_campaign_loads_both(self, workdir, capsys):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        assert len(json.loads(seqs.read_text())["sequences"]) == 1
+        (_, at_import), (code, after) = self.loaded_after(
+            workdir,
+            ["test", "--spec", str(workdir / "tournaments-contracts.yaml"),
+             "--sequences", str(seqs), "--spawn-demo"],
+        )
+        assert (at_import, code) == ([], 0)
+        assert {"requests", "urllib3", "http.server", "socketserver"} <= set(after)
+
+
 def load_pyproject():
     try:
         import tomllib
@@ -475,15 +593,11 @@ class TestConsoleEntryPoint:
         launcher = tmp_path / "statecover_launcher.py"
         launcher.write_text(
             f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n")
-        src = str(REPO / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         out = tmp_path / "out"
         result = subprocess.run(
             [sys.executable, str(launcher), "fixtures", str(out)],
             capture_output=True, text=True, timeout=60,
-            cwd=tmp_path, env=env,
+            cwd=tmp_path, env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         assert (out / "tournaments-model.yaml").exists()
