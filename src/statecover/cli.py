@@ -196,6 +196,9 @@ def cmd_test(args, log: Log) -> int:
                          "into the spawned demo service")
     if not (args.spawn_demo or args.base_url):
         raise UsageError("either --base-url or --spawn-demo is required")
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}: "
+                         "every clause that reads the service needs a request")
     spec = _load_spec(args.spec)
     if args.infer:
         speckit.infer_contracts(spec)

@@ -23,17 +23,16 @@ produce a witness string. A formula that reduces to a non-boolean, a
 unavailable snapshot, or a spent budget raises EvaluationError; a dead or
 unreachable service raises TransportFailure.
 
-Transport: unless a session is passed, requests go through a Connection,
-which keeps one persistent http.client connection to the service for every
-probe, call and cleanup of a campaign and reads the proxy, CA bundle and
-netrc settings from the environment once. requests' helpers, and urllib3
-with them, load when the first Connection is built, so a command that never
-talks to a service does not pay for importing them. A passed session is used
-as given. It needs get(url, timeout=) and, for the executor,
-request(method, url, json=, timeout=) and delete(url, timeout=); each
-returns an object with status_code, json() (raising ValueError on a
-non-JSON body) and text, and raises one of TRANSPORT_ERRORS when the
-service cannot be reached.
+Transport: every request goes through one method, request(method, path,
+json=None) -> (status, body), of a session that owns the base URL and the
+timeout. body is the decoded JSON value, or a NonJsonBody holding the text
+when the answer is not JSON; a service that cannot be reached raises one of
+TRANSPORT_ERRORS. A Connection is such a session: it keeps one persistent
+http.client connection to the service for every probe, call and cleanup of
+a campaign and reads the proxy, CA bundle and netrc settings from the
+environment once. requests' helpers, and urllib3 with them, load when the
+first Connection is built, so a command that never talks to a service does
+not pay for importing them.
 """
 
 from __future__ import annotations
@@ -107,7 +106,9 @@ class EvalResult:
 
 
 @dataclass(frozen=True)
-class _NonJsonBody:
+class NonJsonBody:
+    """A response body that is not JSON, as text."""
+
     text: str
 
 
@@ -118,11 +119,11 @@ def _shorten(value, limit: int = 80) -> str:
 
 def json_equal(a, b) -> bool:
     """Structural equality: objects ignore key order, arrays are ordered,
-    ints and floats compare by value, booleans only equal booleans."""
+    ints and floats compare by exact value, booleans only equal booleans."""
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return float(a) == float(b)
+        return a == b  # exact: no int is rounded to a float first
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(json_equal(v, b[k]) for k, v in a.items())
     if isinstance(a, list) and isinstance(b, list):
@@ -140,29 +141,18 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
-@dataclass(frozen=True)
-class Response:
-    """An answer as received, its body decoded from a gzip or deflate
-    content coding."""
-
-    status_code: int
-    headers: http.client.HTTPMessage
-    content: bytes
-
-    @property
-    def text(self) -> str:
-        """The body in the Content-Type charset, or UTF-8 without one;
-        bytes that do not decode become U+FFFD."""
-        charset = self.headers.get_content_charset()
-        if charset:
-            try:
-                return self.content.decode(charset, errors="replace")
-            except LookupError:
-                pass
-        return self.content.decode("utf-8", errors="replace")
-
-    def json(self):
-        return json.loads(self.text)
+def _body(headers: http.client.HTTPMessage, content: bytes):
+    """The decoded JSON value of a body, or a NonJsonBody of its text: in the
+    Content-Type charset, or UTF-8 without one; bytes that do not decode
+    become U+FFFD."""
+    try:
+        text = content.decode(headers.get_content_charset() or "utf-8", errors="replace")
+    except LookupError:
+        text = content.decode("utf-8", errors="replace")
+    try:
+        return json.loads(text)
+    except ValueError:
+        return NonJsonBody(text)
 
 
 def _basic(user: str, password: str) -> str:
@@ -209,7 +199,9 @@ def _decoded(data: bytes, coding: Optional[str]) -> bytes:
 
 class Connection:
     """Sends a campaign's requests over persistent http.client connections,
-    one per origin; every request to base_url's host shares one.
+    one per origin; every request to base_url's host shares one. Each
+    request goes to base_url + path and waits at most timeout seconds on
+    each socket operation.
 
     The proxy, CA bundle and netrc credentials are read from the environment
     once, with requests' helpers, for base_url: proxies maps a scheme (or
@@ -226,13 +218,15 @@ class Connection:
     when this module is imported; each Connection binds their helpers once.
     """
 
-    def __init__(self, base_url: str):
+    def __init__(self, base_url: str, timeout: float):
         # origin -> (connection, absolute-form target, per-request headers);
         # set first, so that __del__ on a half-built Connection cannot raise
         self._routes: dict[tuple, tuple[http.client.HTTPConnection, bool, dict]] = {}
         import requests.utils
         from urllib3.util import wait_for_read
 
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
         self._utils = requests.utils
         self._wait_for_read = wait_for_read
         self._requote_uri = requests.utils.requote_uri
@@ -243,13 +237,10 @@ class Connection:
         )
         self.auth = requests.utils.get_netrc_auth(base_url)
 
-    def get(self, url: str, timeout: Optional[float] = None) -> Response:
-        return self.request("GET", url, timeout=timeout)
-
-    def delete(self, url: str, timeout: Optional[float] = None) -> Response:
-        return self.request("DELETE", url, timeout=timeout)
-
-    def request(self, method: str, url: str, json=None, timeout: Optional[float] = None):
+    def request(self, method: str, path: str, json=None) -> tuple[int, Any]:
+        """Send method to base_url + path, with json as the body when given;
+        (status, body) of the final answer, body as _body decodes it."""
+        url = self.base_url + path
         headers = {}
         body = None
         if json is not None:
@@ -261,11 +252,10 @@ class Connection:
         for _ in range(MAX_REDIRECTS + 1):
             if auth is not None:
                 headers["Authorization"] = _basic(*auth)
-            response = self._exchange(method, url, body, headers, timeout)
-            location = response.headers.get("Location")
-            status = response.status_code
+            status, answer_headers, content = self._exchange(method, url, body, headers)
+            location = answer_headers.get("Location")
             if status not in _REDIRECTS or location is None:
-                return response
+                return status, _body(answer_headers, content)
             target = urljoin(url, location)
             if status not in (307, 308):  # only these keep the method and body
                 if status in (302, 303) and method != "HEAD" or (
@@ -289,7 +279,9 @@ class Connection:
     def __del__(self):  # a session nobody closed still releases its sockets
         self.close()
 
-    def _exchange(self, method, url, body, headers, timeout) -> Response:
+    def _exchange(self, method, url, body, headers):
+        """(status, headers, body) of one exchange, the body decoded from a
+        gzip or deflate content coding."""
         conn, absolute, route_headers = self._route(url)
         if absolute:
             target = url
@@ -298,9 +290,9 @@ class Connection:
             target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         if conn.sock is not None and self._wait_for_read(conn.sock, timeout=0.0):
             conn.close()  # the peer closed it, or sent what nobody asked for
-        conn.timeout = timeout
+        conn.timeout = self.timeout
         if conn.sock is not None:
-            conn.sock.settimeout(timeout)
+            conn.sock.settimeout(self.timeout)
         try:
             conn.request(method, self._requote_uri(target), body,
                          {**headers, **route_headers})
@@ -309,7 +301,7 @@ class Connection:
         except BaseException:
             conn.close()  # a half-done exchange leaves the connection unusable
             raise
-        return Response(
+        return (
             answer.status, answer.headers,
             _decoded(content, answer.headers.get("Content-Encoding")),
         )
@@ -355,29 +347,14 @@ class Connection:
         return self._ssl
 
 
-def make_session(base_url: str) -> Connection:
-    """The session a campaign uses when none is passed: a Connection with the
-    environment read once for base_url."""
-    return Connection(base_url)
-
-
 def path_segment(value) -> str:
     """A concrete id as one URL path segment."""
     return quote(str(value), safe="")
 
 
 class Evaluator:
-    def __init__(
-        self,
-        base_url: str,
-        *,
-        session=None,
-        timeout: float = 5.0,
-        budget: int = 256,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.session = session if session is not None else make_session(self.base_url)
-        self.timeout = timeout
+    def __init__(self, session, *, budget: int = 256):
+        self.session = session
         self.budget = budget
         self.sent = 0  # probe GETs that went out, over the evaluator's life
         self._spent = 0
@@ -562,7 +539,7 @@ class Evaluator:
         else:
             status, body = self._fetch(self._resolve_url(call, ctx, env))
             value = status if call.func == "res_code" else body
-        if isinstance(value, _NonJsonBody):
+        if isinstance(value, NonJsonBody):
             raise _Undefined(f"response body is not JSON: {_shorten(value.text)}")
         return self._suffix(call, value)
 
@@ -592,7 +569,7 @@ class Evaluator:
             raise EvaluationError(f"snapshot unavailable: {entry}")
         status, body = entry
         value = status if p.call.func == "res_code" else body
-        if isinstance(value, _NonJsonBody):
+        if isinstance(value, NonJsonBody):
             raise _Undefined(f"snapshot body is not JSON: {_shorten(value.text)}")
         return self._suffix(p.call, value)
 
@@ -641,14 +618,8 @@ class Evaluator:
             )
         self._spent += 1
         self.sent += 1
-        url = self.base_url + path
         try:
-            response = self.session.get(url, timeout=self.timeout)
+            self._cache[path] = self.session.request("GET", path)
         except TRANSPORT_ERRORS as exc:
             raise TransportFailure(f"GET {path}: {exc}") from exc
-        try:
-            body = response.json()
-        except ValueError:
-            body = _NonJsonBody(response.text)
-        self._cache[path] = (response.status_code, body)
         return self._cache[path]

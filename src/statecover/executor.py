@@ -19,27 +19,29 @@ reported NOT_TESTED, and nothing is sent for it. A 5xx answer short-circuits
 classification: the service failed outright, so postconditions are not
 evaluated.
 
-Every request goes through one session: the one passed to run_campaign or
-SequenceRunner, or else an evaluator.Connection that run_campaign opens for
-the campaign and closes at its end. The evaluator module's docstring says
-what a passed session must provide.
+Every request, for calls, probes and cleanup alike, goes through the
+request(method, path, json=None) -> (status, body) method of one session,
+which owns the base URL and the timeout (see the evaluator module).
+run_campaign opens an evaluator.Connection for the campaign and closes it at
+the end; a SequenceRunner uses the session it is given.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack, closing
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
 
 from .evaluator import (
     TRANSPORT_ERRORS,
+    Connection,
     EvaluationError,
     Evaluator,
+    NonJsonBody,
     OpContext,
     TransportFailure,
-    make_session,
     path_segment,
 )
 from .glacier import Formula
@@ -130,28 +132,12 @@ class _Prepared:
 
 
 class SequenceRunner:
-    def __init__(
-        self,
-        spec,
-        base_url: str,
-        generator: InputGenerator,
-        *,
-        session=None,
-        timeout: float = 5.0,
-        budget: int = 256,
-    ):
+    def __init__(self, spec, generator: InputGenerator, session, *, budget: int = 256):
         self.spec = spec
-        self.base_url = base_url.rstrip("/")
         self.generator = generator
-        self.http = session if session is not None else make_session(self.base_url)
-        self.timeout = timeout
+        self.session = session
         self.sends = 0  # requests sent for calls, over the runner's life
-        self.evaluator = Evaluator(
-            self.base_url,
-            session=self.http,
-            timeout=timeout,
-            budget=budget,
-        )
+        self.evaluator = Evaluator(session, budget=budget)
 
     # -- one sequence --------------------------------------------------------
 
@@ -331,20 +317,13 @@ class SequenceRunner:
         return ClauseVerdict(True)
 
     def _send(self, method: str, path: str, payload):
-        url = self.base_url + path
         self.sends += 1
         self.evaluator.forget()  # what was observed may change now
         try:
-            response = self.http.request(
-                method, url, json=payload, timeout=self.timeout
-            )
+            status, body = self.session.request(method, path, json=payload)
         except TRANSPORT_ERRORS as exc:
             raise TransportFailure(f"{method} {path}: {exc}") from exc
-        try:
-            body = response.json()
-        except ValueError:
-            body = response.text
-        return response.status_code, body
+        return status, body.text if isinstance(body, NonJsonBody) else body
 
 
 def run_campaign(
@@ -355,7 +334,6 @@ def run_campaign(
     seed: int = 0,
     timeout: float = 5.0,
     cleanup: bool = True,
-    session=None,
     budget: int = 256,
     traffic: Optional[dict] = None,
 ) -> dict:
@@ -374,25 +352,17 @@ def run_campaign(
     seed, the sequences and the service.
     """
     started = time.monotonic()
-    with ExitStack() as stack:
-        # a connection made here is closed here; a passed session is the caller's
-        http = session if session is not None else stack.enter_context(
-            closing(make_session(base_url))
-        )
+    with closing(Connection(base_url, timeout)) as session:
         try:
-            http.get(base_url.rstrip("/") + "/", timeout=timeout)
+            session.request("GET", "/")
         except TRANSPORT_ERRORS as exc:
             raise TransportFailure(f"service probe failed: {exc}") from exc
 
-        generator = InputGenerator(seed)
-        runner = SequenceRunner(
-            spec, base_url, generator, session=http, timeout=timeout, budget=budget
-        )
+        runner = SequenceRunner(spec, InputGenerator(seed), session, budget=budget)
         outcomes: list[CallOutcome] = []
         cleanup_failures: list[dict] = []
         cleanups = 0
-        for index, sequence in enumerate(sequences):
-            calls = getattr(sequence, "calls", sequence)
+        for index, calls in enumerate(sequences):
             seq_outcomes, state = runner.run_sequence(calls, index)
             outcomes.extend(seq_outcomes)
             if cleanup:
@@ -401,12 +371,12 @@ def run_campaign(
                     failure = {"sequenceIndex": index, "url": path}
                     cleanups += 1
                     try:
-                        response = http.delete(runner.base_url + path, timeout=timeout)
+                        status, _ = session.request("DELETE", path)
                     except TRANSPORT_ERRORS as exc:
                         cleanup_failures.append({**failure, "error": str(exc)})
                         continue
-                    if not 200 <= response.status_code < 300:
-                        cleanup_failures.append({**failure, "status": response.status_code})
+                    if not 200 <= status < 300:
+                        cleanup_failures.append({**failure, "status": status})
 
     if traffic is not None:
         traffic.update(sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups)

@@ -12,7 +12,8 @@ from typing import Any
 
 
 class GenerationError(ValueError):
-    """A schema uses a construct the generator does not support."""
+    """A schema uses a construct the generator does not support, or admits
+    no value."""
 
 
 _UNSUPPORTED_COMBINATORS = ("oneOf", "anyOf", "allOf", "not", "$ref")
@@ -44,6 +45,8 @@ class InputGenerator:
             if combinator in schema:
                 raise GenerationError(f"unsupported schema construct {combinator!r}")
         if "enum" in schema:
+            if not schema["enum"]:
+                raise GenerationError("enum is empty: no value fits")
             return self.rng.choice(schema["enum"])
         stype = schema.get("type")
         if stype is None:
@@ -55,13 +58,9 @@ class InputGenerator:
         if stype == "string":
             return self._gen_string(schema)
         if stype == "integer":
-            lo = schema.get("minimum", 0)
-            hi = schema.get("maximum", 100)
-            return self.rng.randint(lo, hi)
+            return self.rng.randint(*_range(schema, "minimum", "maximum", 0, 100))
         if stype == "number":
-            lo = schema.get("minimum", 0)
-            hi = schema.get("maximum", 100)
-            return round(self.rng.uniform(lo, hi), 2)
+            return round(self.rng.uniform(*_range(schema, "minimum", "maximum", 0, 100)), 2)
         if stype == "boolean":
             return self.rng.choice([True, False])
         raise GenerationError(f"unsupported schema type {stype!r}")
@@ -77,15 +76,27 @@ class InputGenerator:
         items = schema.get("items")
         if items is None:
             raise GenerationError("array schema without 'items'")
-        lo = schema.get("minItems", 0)
-        hi = schema.get("maxItems", lo + 2)
+        lo, hi = _range(schema, "minItems", "maxItems", 0, schema.get("minItems", 0) + 2)
         return [self.generate(items) for _ in range(self.rng.randint(lo, hi))]
 
     def _gen_string(self, schema: dict) -> str:
-        lo = max(schema.get("minLength", 3), 1)
-        hi = max(schema.get("maxLength", 10), lo)
-        length = self.rng.randint(lo, hi)
+        lo, hi = _range(schema, "minLength", "maxLength", 3, 10)
+        length = self.rng.randint(max(lo, min(hi, 1)), hi)  # not empty unless it must be
         return "".join(self.rng.choice(string.ascii_lowercase) for _ in range(length))
+
+
+def _range(schema: dict, low: str, high: str, default_low, default_high):
+    """The closed range between a schema's low and high keywords. A missing
+    bound takes its default, moved up to the low or down to the high bound
+    that is present; a range with no value raises GenerationError."""
+    lo, hi = schema.get(low), schema.get(high)
+    if lo is None:
+        lo = default_low if hi is None else min(default_low, hi)
+    if hi is None:
+        hi = max(default_high, lo)
+    if lo > hi:
+        raise GenerationError(f"{low} {lo} is above {high} {hi}: no value fits")
+    return lo, hi
 
 
 @dataclass

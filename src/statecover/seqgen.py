@@ -130,11 +130,6 @@ class Call:
         return {"op": self.op, "verb": self.verb, "path": self.path, "params": dict(self.params)}
 
 
-@dataclass
-class CallSequence:
-    calls: list[Call]
-
-
 # A resolver maps an operation name from an edge label to the operation it
 # names (ApiSpec.resolver), or None; the label's arguments bind, in order,
 # the operation's param_names.
@@ -145,7 +140,7 @@ def to_call_sequences(
     graph: StateSpaceGraph,
     paths: list[tuple[int, ...]],
     resolver: Resolver | None = None,
-) -> list[CallSequence]:
+) -> list[list[Call]]:
     """Attach operation calls to state paths.
 
     Each traversed edge contributes its lexicographically least label; the
@@ -186,7 +181,7 @@ def to_call_sequences(
                     own_key=op.own_key,
                 )
             )
-        sequences.append(CallSequence(calls=calls))
+        sequences.append(calls)
     return sequences
 
 
@@ -194,11 +189,11 @@ MAX_PUTS_LIMIT = 3
 
 
 def insert_puts(
-    sequences: list[CallSequence],
+    sequences: list[list[Call]],
     put_catalog: dict[str, Operation],
     max_puts: int,
     seed: int,
-) -> list[CallSequence]:
+) -> list[list[Call]]:
     """Insert 0..max_puts consecutive update calls per created resource.
 
     put_catalog maps a resource's key parameter name to its PUT operation
@@ -211,11 +206,11 @@ def insert_puts(
     if max_puts < 0 or max_puts > MAX_PUTS_LIMIT:
         raise ValueError(f"max_puts must be in 0..{MAX_PUTS_LIMIT}, got {max_puts}")
     if max_puts == 0:
-        return [CallSequence(calls=list(s.calls)) for s in sequences]
+        return [list(s) for s in sequences]
     rng = random.Random(seed)
     out = []
     for seq in sequences:
-        calls = list(seq.calls)
+        calls = list(seq)
         created = [
             (c.own_key, c.own_id())
             for c in calls
@@ -253,7 +248,7 @@ def insert_puts(
                 for _ in range(k)
             ]
             calls[pos:pos] = block
-        out.append(CallSequence(calls=calls))
+        out.append(calls)
     return out
 
 
@@ -302,10 +297,10 @@ def coverage_report(graph: StateSpaceGraph, paths: list[tuple[int, ...]]) -> Cov
     )
 
 
-def sequences_to_json(sequences: list[CallSequence], seed: int) -> str:
+def sequences_to_json(sequences: list[list[Call]], seed: int) -> str:
     doc = {
         "seed": seed,
-        "sequences": [{"calls": [c.to_json() for c in s.calls]} for s in sequences],
+        "sequences": [{"calls": [c.to_json() for c in s]} for s in sequences],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -317,7 +312,7 @@ def _expect(node, kind: type, where: str):
     return node
 
 
-def sequences_from_json(text: str) -> tuple[int, list[CallSequence]]:
+def sequences_from_json(text: str) -> tuple[int, list[list[Call]]]:
     """Read a sequence file. A malformed shape raises ValueError naming
     where it is, as in 'sequences[0].calls[2]: expected an object'."""
     doc = _expect(json.loads(text), dict, "top level")
@@ -334,7 +329,7 @@ def sequences_from_json(text: str) -> tuple[int, list[CallSequence]]:
             for name, value in params.items():
                 _expect(value, str, f"{at}.params.{name}")
             calls.append(Call(**fields, params=dict(params)))
-        sequences.append(CallSequence(calls=calls))
+        sequences.append(calls)
     try:
         seed = int(doc.get("seed", 0))
     except (TypeError, ValueError):

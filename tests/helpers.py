@@ -7,13 +7,12 @@ only, with none of the production path logic, so they can arbitrate.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import subprocess
 import sys
+from json import dumps
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from statecover.demo import TournamentsApp
 
@@ -202,16 +201,6 @@ def tournaments_resolver(name: str) -> Operation | None:
                      own_key=meta["own_key"], param_names=tuple(meta["param_names"]))
 
 
-class FakeResponse:
-    def __init__(self, status, payload):
-        self.status_code = status
-        self._payload = payload
-        self.text = json.dumps(payload)
-
-    def json(self):
-        return self._payload
-
-
 class AppSession:
     """Serves the demo service in-process and logs every request."""
 
@@ -219,12 +208,6 @@ class AppSession:
         self.app = TournamentsApp()
         self.log = []
 
-    def get(self, url, timeout=None):
-        return self.request("GET", url, timeout=timeout)
-
-    def request(self, method, url, timeout=None, **body):
-        path = urlsplit(url).path
+    def request(self, method, path, json=None):
         self.log.append(f"{method} {path}")
-        payload = body.get("json")
-        raw = None if payload is None else json.dumps(payload).encode()
-        return FakeResponse(*self.app.handle(method, path, raw))
+        return self.app.handle(method, path, None if json is None else dumps(json).encode())

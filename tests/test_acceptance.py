@@ -253,7 +253,7 @@ def test_c08c_stale_member_list_fault_needs_a_multi_call_sequence():
     # the detection is inherently sequential: the enrolment must have been
     # created earlier in the same sequence for its deletion to leave a trace
     triggering = sequences[finding["sequenceIndex"]]
-    ops = [c.op for c in triggering.calls]
+    ops = [c.op for c in triggering]
     assert ops.index("postEnrolment") < ops.index("deleteEnrolment")
     _pass("fault: stale member list caught only by a create-then-delete sequence",
           time.monotonic() - started, 120)

@@ -341,6 +341,18 @@ class TestErrorPaths:
         assert (code, started) == (2, [])
         assert "error: --base-url and --spawn-demo exclude each other" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one(self, workdir, capsys, monkeypatch, budget):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        started = []
+        monkeypatch.setattr(cli.demo_service, "DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        code, out, err = run(capsys, "test",
+                             "--spec", str(workdir / "tournaments-contracts.yaml"),
+                             "--sequences", str(seqs), "--spawn-demo", "--budget", budget)
+        assert (code, out, started) == (2, "", [])
+        assert f"error: --budget must be at least 1, got {budget}" in err
+
     def test_demo_fault_without_spawn_demo(self, workdir, capsys):
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
         with DemoServer() as server:

@@ -10,10 +10,10 @@ from statecover.evaluator import (
     Connection,
     EvaluationError,
     Evaluator,
+    NonJsonBody,
     OpContext,
     TransportFailure,
     json_equal,
-    make_session,
 )
 from statecover.speckit import SpecError, load_oas
 
@@ -47,22 +47,6 @@ def seed_world(base):
     return bodies
 
 
-class FakeResponse:
-    def __init__(self, status, payload):
-        self.status_code = status
-        if isinstance(payload, str):
-            self.text = payload
-            self._payload = None
-        else:
-            self._payload = payload
-            self.text = json.dumps(payload)
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("body is not JSON")
-        return self._payload
-
-
 class FakeSession:
     """Maps path -> (status, payload); payload str means a non-JSON body,
     an exception instance is raised instead of answering."""
@@ -71,20 +55,22 @@ class FakeSession:
         self.routes = dict(routes)
         self.log = []
 
-    def get(self, url, timeout=None):
-        path = url.split("http://fake", 1)[1]
+    def request(self, method, path, json=None):
         self.log.append(path)
-        hit = self.routes.get(path)
-        if hit is None:
-            return FakeResponse(404, {"error": "not found"})
+        hit = self.routes.get(path, (404, {"error": "not found"}))
         if isinstance(hit, Exception):
             raise hit
-        return FakeResponse(*hit)
+        status, payload = hit
+        return status, NonJsonBody(payload) if isinstance(payload, str) else payload
 
 
 def fake_eval(routes, **kwargs):
     session = FakeSession(routes)
-    return Evaluator("http://fake", session=session, **kwargs), session
+    return Evaluator(session, **kwargs), session
+
+
+def live_eval(server):
+    return Evaluator(Connection(server.base_url, 5))
 
 
 def check(evaluator, text, ctx=None):
@@ -102,6 +88,11 @@ class TestJsonEqual:
         assert json_equal(1, 1.0)
         assert json_equal({"x": 2}, {"x": 2.0})
 
+    def test_large_ints_compare_exactly(self):
+        assert not json_equal(2**53 + 1, 2**53)
+        assert not json_equal(2**53 + 1, float(2**53))
+        assert json_equal(2**53, float(2**53))
+
     def test_bool_is_not_a_number(self):
         assert not json_equal(True, 1)
         assert not json_equal(0, False)
@@ -115,20 +106,20 @@ class TestJsonEqual:
 
 class TestLiveBasics:
     def test_absent_resource_is_404(self, live):
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         result = check(ev, "res_code(GET /players/{pid}) = 404",
                        OpContext(path_args={"pid": "ghost"}))
         assert result.value and result.witness == ""
 
     def test_existing_resource_is_200(self, live):
         seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         result = check(ev, "res_code(GET /players/{pid}) = 200",
                        OpContext(path_args={"pid": "p1"}))
         assert result.value
 
     def test_false_comparison_carries_witness(self, live):
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         result = check(ev, "res_code(GET /players/{pid}) = 200",
                        OpContext(path_args={"pid": "ghost"}))
         assert not result.value
@@ -139,32 +130,32 @@ class TestLiveBasics:
         r = requests.post(live.base_url + "/players", json=body, timeout=5)
         ctx = OpContext(req_body=body,
                         res_code=r.status_code, res_body=r.json())
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         assert check(ev, "req_body(@) = res_body(@)", ctx).value
 
     def test_body_splice_in_url(self, live):
         bodies = seed_world(live.base_url)
         ctx = OpContext(req_body=bodies["player"])
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         assert check(ev, "res_code(GET /players/req_body(@){pid}) = 200", ctx).value
 
     def test_field_suffix_reads_into_body(self, live):
         seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         result = check(ev, "res_body(GET /players/{pid}){name} = 'alice'",
                        OpContext(path_args={"pid": "p1"}))
         assert result.value
 
     def test_len_suffix_on_member_list(self, live):
         seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         result = check(ev, "res_body(GET /tournaments/{tid}/players).len = 1",
                        OpContext(path_args={"tid": "t1"}))
         assert result.value
 
     def test_capacity_invariant_holds_on_live_service(self, live):
         seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         result = check(ev, CAPACITY_INVARIANT, ctx=None)
         assert result.value
 
@@ -173,7 +164,7 @@ class TestLiveBasics:
         requests.post(live.base_url + "/_reset", timeout=5)
         seed_world(live.base_url)
         start = len(requests.get(live.base_url + "/_requests", timeout=5).json())
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         check(ev, CAPACITY_INVARIANT, ctx=None)
         check(ev, "res_code(GET /players/{pid}) = 200",
               OpContext(path_args={"pid": "p1"}))
@@ -185,7 +176,7 @@ class TestLiveBasics:
     def test_repeated_url_fetched_once_per_evaluation(self, live):
         seed_world(live.base_url)
         start = len(requests.get(live.base_url + "/_requests", timeout=5).json())
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         ctx = OpContext(path_args={"pid": "p1"})
         check(ev, "res_code(GET /players/{pid}) = 200 and res_body(GET /players/{pid}){pid} = 'p1'", ctx)
         log = requests.get(live.base_url + "/_requests", timeout=5).json()
@@ -457,16 +448,14 @@ class TestDefaultSession:
 
     def test_environment_proxy_is_resolved_for_the_host(self, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
-        session = make_session("http://api.example:8080")
+        session = Connection("http://api.example:8080", 5)
         assert session.proxies["http"] == "http://proxy.invalid:3128"
         assert isinstance(session, Connection)  # never reads the environment again
-        assert Evaluator("http://api.example:8080").session.proxies["http"] == (
-            "http://proxy.invalid:3128")
 
     def test_no_proxy_covering_the_host_means_no_proxy(self, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
         monkeypatch.setenv("NO_PROXY", "api.example")
-        assert make_session("http://api.example:8080").proxies == {}
+        assert Connection("http://api.example:8080", 5).proxies == {}
 
     def test_ca_bundle_and_netrc_are_resolved_for_the_host(self, monkeypatch, tmp_path):
         netrc = tmp_path / "netrc"
@@ -474,14 +463,14 @@ class TestDefaultSession:
         netrc.chmod(0o600)
         monkeypatch.setenv("NETRC", str(netrc))
         monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
-        session = make_session("http://api.example:8080")
+        session = Connection("http://api.example:8080", 5)
         assert session.verify == str(tmp_path / "ca.pem")
         assert session.auth == ("ann", "secret")
 
 
 class TestTransportAndBudget:
     def test_unreachable_service_raises_transport_failure(self):
-        ev = Evaluator("http://127.0.0.1:9", timeout=0.3)
+        ev = Evaluator(Connection("http://127.0.0.1:9", 0.3))
         with pytest.raises(TransportFailure):
             check(ev, "res_code(GET /anything) = 200",
                   OpContext(path_args={}))
@@ -505,7 +494,7 @@ class TestSnapshots:
     def test_capture_then_compare_after_delete(self, live):
         bodies = seed_world(live.base_url)
         requests.delete(live.base_url + "/enrolments/e1", timeout=5)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         pre_ctx = OpContext(req_body=bodies["player"],
                             path_args={"pid": "p1"})
@@ -519,7 +508,7 @@ class TestSnapshots:
 
     def test_member_count_decrease_clause(self, live):
         bodies = seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         formula = glacier.parse(ENROLMENT_DETACH_CLAUSE)
         pre_ctx = OpContext(req_body=bodies["enrolment"],
                             path_args={"eid": "e1"})
@@ -533,14 +522,14 @@ class TestSnapshots:
 
     def test_capture_is_idempotent_per_key(self, live):
         seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], ctx)
         ev.capture_previous([formula], ctx)
 
     def test_missing_snapshot_is_an_error(self, live):
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         ctx = OpContext(req_body={}, res_code=200, res_body={},
                         path_args={"pid": "p1"})
@@ -549,7 +538,7 @@ class TestSnapshots:
 
     def test_capture_failure_surfaces_only_when_read(self):
         session = FakeSession({"/players/p1": requests.ConnectionError("down")})
-        ev = Evaluator("http://fake", session=session)
+        ev = Evaluator(session)
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         pre_ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)  # failure recorded, not raised
@@ -572,7 +561,7 @@ class TestSnapshots:
 
     def test_res_code_snapshots_store_the_status(self, live):
         seed_world(live.base_url)
-        ev = Evaluator(live.base_url)
+        ev = live_eval(live)
         formula = glacier.parse("prev(res_code(GET /players/{pid})) = 200")
         pre_ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)

@@ -1,5 +1,4 @@
 import json
-from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -7,7 +6,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession, FakeResponse
+from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession
 from statecover import lifecycle, seqgen, ssg
 from statecover.demo import (
     DemoServer,
@@ -15,7 +14,7 @@ from statecover.demo import (
     demo_spec,
     make_tournaments_model,
 )
-from statecover.evaluator import TransportFailure
+from statecover.evaluator import Connection, TransportFailure
 from statecover.executor import (
     ERR,
     NOT_TESTED,
@@ -26,7 +25,7 @@ from statecover.executor import (
     run_campaign,
 )
 from statecover.runtime import InputGenerator
-from statecover.seqgen import Call, CallSequence
+from statecover.seqgen import Call
 from statecover.speckit import Clause, fixture_path, infer_contracts, load_oas
 
 
@@ -62,8 +61,8 @@ def put_call(op, key, tla):
 
 
 def runner_for(server, spec=None, seed=0):
-    return SequenceRunner(spec or inferred_spec(), server.base_url,
-                          InputGenerator(seed))
+    return SequenceRunner(spec or inferred_spec(), InputGenerator(seed),
+                          Connection(server.base_url, 5))
 
 
 FULL_CYCLE = [
@@ -110,11 +109,10 @@ class TestClassify:
 class Broken5xxSession:
     """Rejects nothing, answers every probe GET 404 and every mutation 503."""
 
-    def get(self, url, timeout=None):
-        return FakeResponse(404, {"error": "nothing here"})
-
-    def request(self, method, url, json=None, timeout=None):
-        return FakeResponse(503, {"error": "boom"})
+    def request(self, method, path, json=None):
+        if method == "GET":
+            return 404, {"error": "nothing here"}
+        return 503, {"error": "boom"}
 
 
 class TestSingleCalls:
@@ -183,8 +181,7 @@ class TestSingleCalls:
 class TestPhases:
     def test_each_phase_fetches_a_url_once(self):
         session = AppSession()
-        runner = SequenceRunner(inferred_spec(), "http://fake", InputGenerator(0),
-                                session=session)
+        runner = SequenceRunner(inferred_spec(), InputGenerator(0), session)
         calls = [mk("postTournament", tid="t1"), mk("deleteTournament", tid="t1")]
         outcomes, _ = runner.run_sequence(calls, 0)
         assert [o.classification for o in outcomes] == [OK, OK]
@@ -201,8 +198,7 @@ class TestPhases:
 
     def test_a_sequence_end_forgets_what_was_observed(self):
         session = AppSession()
-        runner = SequenceRunner(inferred_spec(manual=True), "http://fake",
-                                InputGenerator(0), session=session)
+        runner = SequenceRunner(inferred_spec(manual=True), InputGenerator(0), session)
         runner.run_sequence([mk("postPlayer", pid="p1")], 0)
         assert session.log[-1] == "GET /tournaments"  # the closing invariant
         del session.log[:]
@@ -263,7 +259,7 @@ class TestCleanDemoProperty:
             graph, seqgen.select_sequences(graph), resolver=spec.resolver())
         sequences = seqgen.insert_puts(sequences, spec.put_catalog(), puts_max, seed)
         report = run_campaign(spec, sequences, server.base_url, seed=seed)
-        assert report["summary"]["calls"] == sum(len(s.calls) for s in sequences)
+        assert report["summary"]["calls"] == sum(map(len, sequences))
         players, _, enrolments, caps = domains
         shared = len(players) >= 2 and len(enrolments) >= 2 and max(caps) >= 2
         for outcome in report["outcomes"]:
@@ -329,9 +325,9 @@ class RecordingSession:
     def __init__(self):
         self.sent = []
 
-    def request(self, method, url, json=None, timeout=None):
-        self.sent.append((method, urlsplit(url).path))
-        return FakeResponse(200, json)
+    def request(self, method, path, json=None):
+        self.sent.append((method, path))
+        return 200, json
 
 
 class TestDuplicateOperationIds:
@@ -359,20 +355,18 @@ class TestDuplicateOperationIds:
             graph, seqgen.select_sequences(graph), resolver=spec.resolver())
         _, (written,) = seqgen.sequences_from_json(
             seqgen.sequences_to_json(sequences, 0))
-        (call,) = written.calls
+        (call,) = written
         assert (call.verb, call.path) == ("POST", "/a")
         session = RecordingSession()
-        runner = SequenceRunner(spec, "http://service.invalid", InputGenerator(0),
-                                session=session)
-        (outcome,), _ = runner.run_sequence(written.calls, 0)
+        runner = SequenceRunner(spec, InputGenerator(0), session)
+        (outcome,), _ = runner.run_sequence(written, 0)
         assert session.sent == [(call.verb, call.path)]
         assert outcome.classification == OK
 
 
 class TestServerErrors:
     def test_5xx_blocks_classification(self):
-        runner = SequenceRunner(inferred_spec(), "http://fake",
-                                InputGenerator(0), session=Broken5xxSession())
+        runner = SequenceRunner(inferred_spec(), InputGenerator(0), Broken5xxSession())
         outcomes, state = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
         (outcome,) = outcomes
         assert outcome.classification == ERR
@@ -456,7 +450,7 @@ class TestCampaign:
     def test_report_shape_and_counts(self, live):
         report = run_campaign(
             inferred_spec(),
-            [CallSequence(calls=tuple(full_cycle_calls()))],
+            [tuple(full_cycle_calls())],
             live.base_url,
             seed=0,
         )

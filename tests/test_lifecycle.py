@@ -265,7 +265,7 @@ class TestExploreTournaments:
         selected = seqgen.select_sequences(g)
         seqs = seqgen.to_call_sequences(g, selected, None)
         with_enrol = [
-            [c.op for c in s.calls] for s in seqs if any(c.op == "postEnrolment" for c in s.calls)
+            [c.op for c in s] for s in seqs if any(c.op == "postEnrolment" for c in s)
         ]
         assert len(with_enrol) == 1
         ops = with_enrol[0]

@@ -107,12 +107,35 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="items"):
             InputGenerator(0).generate({"type": "array"})
 
+    @pytest.mark.parametrize("schema, fits", [
+        ({"type": "integer", "minimum": 200}, lambda v: v >= 200),
+        ({"type": "integer", "maximum": -5}, lambda v: v <= -5),
+        ({"type": "number", "minimum": 200}, lambda v: v >= 200),
+        ({"type": "number", "maximum": -5}, lambda v: v <= -5),
+        ({"type": "string", "maxLength": 0}, lambda v: v == ""),
+        ({"type": "string", "maxLength": 2}, lambda v: 1 <= len(v) <= 2),
+        ({"type": "integer", "minimum": 1, "maximum": 0}, None),
+        ({"type": "number", "minimum": 1.5, "maximum": 1}, None),
+        ({"type": "string", "minLength": 5, "maxLength": 2}, None),
+        ({"type": "array", "items": {"type": "boolean"}, "minItems": 3, "maxItems": 2}, None),
+        ({"enum": []}, None),
+    ])
+    def test_draws_stay_in_bounds_or_raise(self, schema, fits):
+        """A missing bound follows the one present; a range with no value
+        raises GenerationError instead of escaping as ValueError or
+        IndexError."""
+        for seed in range(20):
+            if fits is None:
+                with pytest.raises(GenerationError, match="no value fits"):
+                    InputGenerator(seed).generate(schema)
+            else:
+                assert fits(InputGenerator(seed).generate(schema))
+
 
 def run_calls(*calls):
     """Run (operation id, params) pairs as one sequence on an in-process demo
     service; returns the outcomes and the emulated state they leave."""
-    runner = SequenceRunner(demo_spec(), "http://demo", InputGenerator(0),
-                            session=AppSession())
+    runner = SequenceRunner(demo_spec(), InputGenerator(0), AppSession())
     return runner.run_sequence(
         [Call(op=op, verb="", path="", params=params) for op, params in calls], 0)
 

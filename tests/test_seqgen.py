@@ -6,7 +6,6 @@ import pytest
 
 from statecover.seqgen import (
     Call,
-    CallSequence,
     coverage_report,
     insert_puts,
     parse_label,
@@ -195,7 +194,7 @@ class TestCallAttachment:
         paths = select_sequences(g)
         seqs = to_call_sequences(g, paths, tournaments_resolver)
         longest = seqs[5]
-        assert [c.op for c in longest.calls] == [
+        assert [c.op for c in longest] == [
             "postPlayer",
             "postTournament",
             "postEnrolment",
@@ -203,7 +202,7 @@ class TestCallAttachment:
             "deleteTournament",
             "deletePlayer",
         ]
-        enrol = longest.calls[2]
+        enrol = longest[2]
         assert enrol.params == {"eid": "e1", "pid": "p1", "tid": "t1"}
         assert enrol.own_key == "eid"
         assert enrol.verb == "POST" and enrol.path == "/enrolments"
@@ -211,7 +210,7 @@ class TestCallAttachment:
     def test_without_resolver_positional(self):
         g = build(tournaments_raw())
         seqs = to_call_sequences(g, select_sequences(g), None)
-        call = seqs[0].calls[0]
+        call = seqs[0][0]
         assert call.op == "postPlayer"
         assert call.params == {"arg0": "p1"}
         assert call.verb == ""
@@ -219,12 +218,12 @@ class TestCallAttachment:
     def test_sink_edge_contributes_nothing(self):
         g = build(tournaments_raw())
         seqs = to_call_sequences(g, [(0, 1, 4, 6)], tournaments_resolver)
-        assert [c.op for c in seqs[0].calls] == ["postPlayer", "deletePlayer"]
+        assert [c.op for c in seqs[0]] == ["postPlayer", "deletePlayer"]
 
     def test_unlabeled_edges_skipped(self):
         g = build(parse_dot('digraph { 0 -> 1; 1 [label="final = TRUE"]; }'))
         seqs = to_call_sequences(g, select_sequences(g), None)
-        assert seqs[0].calls == []
+        assert seqs[0] == []
 
     def test_unreadable_label_fails_naming_the_edge(self):
         g = build(parse_dot(
@@ -248,7 +247,7 @@ class TestInsertPuts:
     def test_zero_is_identity(self):
         seqs = tournaments_sequences()
         out = insert_puts(seqs, PUT_CATALOG, 0, seed=1)
-        assert [[c.op for c in s.calls] for s in out] == [[c.op for c in s.calls] for s in seqs]
+        assert [[c.op for c in s] for s in out] == [[c.op for c in s] for s in seqs]
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError, match="0..3"):
@@ -262,32 +261,32 @@ class TestInsertPuts:
         for seed in range(60):
             out = insert_puts(tournaments_sequences(), PUT_CATALOG, 3, seed=seed)
             for seq in out:
-                for i, call in enumerate(seq.calls):
+                for i, call in enumerate(seq):
                     if call.verb != "PUT":
                         continue
                     assert call.own_key in PUT_CATALOG
                     tla = call.own_id()
                     post_idx = next(
                         j
-                        for j, c in enumerate(seq.calls)
+                        for j, c in enumerate(seq)
                         if c.verb == "POST" and c.own_id() == tla
                     )
                     delete_idxs = [
                         j
-                        for j, c in enumerate(seq.calls)
+                        for j, c in enumerate(seq)
                         if c.verb == "DELETE" and c.own_id() == tla
                     ]
                     assert i > post_idx
                     if delete_idxs:
                         assert i < delete_idxs[0]
-                assert all(c.own_key != "eid" or c.verb != "PUT" for c in seq.calls)
+                assert all(c.own_key != "eid" or c.verb != "PUT" for c in seq)
 
     def test_put_count_bounded(self):
         for seed in range(30):
             out = insert_puts(tournaments_sequences(), PUT_CATALOG, 2, seed=seed)
             for seq in out:
                 by_resource: dict[str, int] = {}
-                for c in seq.calls:
+                for c in seq:
                     if c.verb == "PUT":
                         by_resource[c.own_id()] = by_resource.get(c.own_id(), 0) + 1
                 assert all(n <= 2 for n in by_resource.values())
@@ -295,11 +294,11 @@ class TestInsertPuts:
     def test_deterministic_per_seed(self):
         a = insert_puts(tournaments_sequences(), PUT_CATALOG, 3, seed=99)
         b = insert_puts(tournaments_sequences(), PUT_CATALOG, 3, seed=99)
-        assert [[c.op for c in s.calls] for s in a] == [[c.op for c in s.calls] for s in b]
+        assert [[c.op for c in s] for s in a] == [[c.op for c in s] for s in b]
 
     def test_some_seed_actually_inserts(self):
         out = insert_puts(tournaments_sequences(), PUT_CATALOG, 3, seed=7)
-        total_puts = sum(1 for s in out for c in s.calls if c.verb == "PUT")
+        total_puts = sum(1 for s in out for c in s if c.verb == "PUT")
         assert total_puts > 0
 
 
@@ -309,8 +308,8 @@ class TestSequencesJson:
         text = sequences_to_json(seqs, seed=42)
         seed, back = sequences_from_json(text)
         assert seed == 42
-        assert [[c.to_json() for c in s.calls] for s in back] == [
-            [c.to_json() for c in s.calls] for s in seqs
+        assert [[c.to_json() for c in s] for s in back] == [
+            [c.to_json() for c in s] for s in seqs
         ]
 
     def test_byte_determinism(self):
