@@ -20,20 +20,28 @@ Two admin endpoints exist outside the published description: POST /_reset
 clears all state and GET /_requests returns every non-admin request seen so
 far (useful for asserting that evaluation only ever issues GETs).
 
-TournamentsApp is plain Python; http.server, which serves it, loads when the
-first DemoServer is built, so importing this module for its fixtures or its
-model documents does not load an HTTP server.
+TournamentsApp is plain Python. DemoServer serves it over HTTP/1.1 from a
+socketserver.ThreadingTCPServer, one thread per connection, reading
+requests with the evaluator's header reader and writing each answer in one
+piece; socketserver loads when the first DemoServer is built, so importing
+this module for its fixtures or its model documents does not load a server.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import threading
+import time
+from email.utils import formatdate
+from http import HTTPStatus
+from http.client import HTTPException
 from typing import Optional
 from urllib.parse import unquote
 
 from . import lifecycle, speckit
+from .evaluator import MAX_LINE, read_fields
 from .speckit import ApiSpec, Clause
 
 FAULTS = (
@@ -326,61 +334,104 @@ def _check_enrolment(body) -> Optional[str]:
 
 # --- HTTP plumbing -----------------------------------------------------------
 
-def _make_handler(app: TournamentsApp):
-    from http.server import BaseHTTPRequestHandler
+_METHODS = ("GET", "POST", "PUT", "DELETE")
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Buffer the response so that handle_one_request's flush sends the
-        # status line, headers and body in one write: two small writes on a
-        # keep-alive connection meet Nagle's algorithm on this side and
-        # delayed ACK on the client's, and each response then waits ~44 ms.
-        wbufsize = -1
+
+@functools.lru_cache(maxsize=1)
+def _date_field(second: int) -> str:
+    return formatdate(second, usegmt=True)
+
+
+def _answer(status: int, payload, close: bool, head_only: bool = False) -> bytes:
+    """A whole response: status line, Content-Type, Content-Length, Date, a
+    Connection: close when the connection ends after it, and the JSON
+    payload unless the request was a HEAD."""
+    data = json.dumps(payload).encode()
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        f"Date: {_date_field(int(time.time()))}\r\n"
+        + ("Connection: close\r\n\r\n" if close else "\r\n")
+    ).encode("latin-1")
+    return head if head_only else head + data
+
+
+def _read_request(rfile, wfile):
+    """(method, target, version, header fields, body) of the next request on
+    a connection, or None once the client has closed it. A request that asks
+    for an interim 100 Continue gets it before its body is read. A request
+    that cannot be framed raises HTTPException."""
+    line = rfile.readline(MAX_LINE + 1)
+    if not line:
+        return None
+    words = line.decode("latin-1").split()
+    if len(words) != 3 or not words[2].startswith("HTTP/1.") or not line.endswith(b"\n"):
+        raise HTTPException(f"malformed request line {line.decode('latin-1')!r}")
+    fields = read_fields(rfile)
+    length = fields.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()) or "transfer-encoding" in fields:
+        raise HTTPException("a request body needs a Content-Length")
+    if fields.get("expect", "").lower() == "100-continue" and words[2] != "HTTP/1.0":
+        wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+    size = int(length)
+    body = rfile.read(size)
+    return None if len(body) < size else (*words, fields, body)
+
+
+def _serve(app: TournamentsApp, rfile, wfile) -> None:
+    """Answer the requests of one connection until either side ends it. Each
+    answer leaves in one write: two small writes on a keep-alive connection
+    meet Nagle's algorithm on this side and delayed ACK on the client's, and
+    each response then waits ~44 ms. The connection ends after an HTTP/1.0
+    request, a Connection: close, a method the service does not serve (501)
+    or a request that cannot be framed (400)."""
+    while True:
+        try:
+            request = _read_request(rfile, wfile)
+        except HTTPException as exc:
+            wfile.write(_answer(400, {"error": str(exc)}, close=True))
+            return
+        if request is None:
+            return
+        method, target, version, fields, body = request
+        if method not in _METHODS:
+            wfile.write(_answer(501, {"error": f"method {method} is not supported"},
+                                close=True, head_only=method == "HEAD"))
+            return
+        close = version == "HTTP/1.0" or "close" in fields.get("connection", "").lower()
+        # app.handle is looked up per request, so that a wrapper put on
+        # TournamentsApp.handle meanwhile sees every later request
+        status, payload = app.handle(method, target, body)
+        wfile.write(_answer(status, payload, close))
+        if close:
+            return
+
+
+def _make_server(app: TournamentsApp, port: int):
+    """A server for app on 127.0.0.1:port, one daemon thread per connection.
+    socketserver loads here, not when this module is imported."""
+    import socketserver
+
+    class Handler(socketserver.StreamRequestHandler):
         disable_nagle_algorithm = True
 
-        def log_message(self, *args):
-            pass
+        def handle(self):
+            _serve(app, self.rfile, self.wfile)
 
-        def handle_expect_100(self):
-            # the client sends the body only after this interim answer
-            ok = super().handle_expect_100()
-            self.wfile.flush()
-            return ok
+    class Server(socketserver.ThreadingTCPServer):
+        daemon_threads = True
+        allow_reuse_address = True
 
-        def _serve(self, method):
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            status, payload = app.handle(method, self.path, raw)
-            data = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_GET(self):
-            self._serve("GET")
-
-        def do_POST(self):
-            self._serve("POST")
-
-        def do_PUT(self):
-            self._serve("PUT")
-
-        def do_DELETE(self):
-            self._serve("DELETE")
-
-    return Handler
+    return Server(("127.0.0.1", port), Handler)
 
 
 class DemoServer:
-    """Threaded HTTP wrapper around TournamentsApp; port 0 picks a free one."""
+    """Threaded HTTP/1.1 server around TournamentsApp; port 0 picks a free
+    one."""
 
     def __init__(self, port: int = 0, seed: int = 0, fault: Optional[str] = None):
-        from http.server import ThreadingHTTPServer
-
         self.app = TournamentsApp(seed=seed, fault=fault)
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", port), _make_handler(self.app))
+        self._httpd = _make_server(self.app, port)
         self._thread = None
 
     @property

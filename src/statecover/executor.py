@@ -348,7 +348,9 @@ def run_campaign(
 
     A dict passed as traffic receives the number of requests the campaign
     sent for calls (sends), for clause evaluation (probes) and for cleanup
-    (cleanups). They stay out of the report, which depends only on the
+    (cleanups), and how many requests the session made in all, the
+    up-front probe included (requests), with the seconds spent in them
+    (request_s). They stay out of the report, which depends only on the
     seed, the sequences and the service.
     """
     started = time.monotonic()
@@ -379,7 +381,8 @@ def run_campaign(
                         cleanup_failures.append({**failure, "status": status})
 
     if traffic is not None:
-        traffic.update(sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups)
+        traffic.update(sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups,
+                       requests=session.requests, request_s=round(session.request_s, 4))
     counts = {OK: 0, WARN: 0, ERR: 0, NOT_TESTED: 0}
     for outcome in outcomes:
         counts[outcome.classification] += 1

@@ -5,6 +5,7 @@ contain (a plain dict per sequence, kept by the executor).
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import dataclass
@@ -58,9 +59,12 @@ class InputGenerator:
         if stype == "string":
             return self._gen_string(schema)
         if stype == "integer":
-            return self.rng.randint(*_range(schema, "minimum", "maximum", 0, 100))
+            return self.rng.randint(*_numeric_range(schema, True))
         if stype == "number":
-            return round(self.rng.uniform(*_range(schema, "minimum", "maximum", 0, 100)), 2)
+            lo, hi = _numeric_range(schema, False)
+            value = min(max(self.rng.uniform(lo, hi), lo), hi)  # uniform may round past
+            rounded = round(value, 2)
+            return rounded if lo <= rounded <= hi else value
         if stype == "boolean":
             return self.rng.choice([True, False])
         raise GenerationError(f"unsupported schema type {stype!r}")
@@ -97,6 +101,42 @@ def _range(schema: dict, low: str, high: str, default_low, default_high):
     if lo > hi:
         raise GenerationError(f"{low} {lo} is above {high} {hi}: no value fits")
     return lo, hi
+
+
+def _numeric_range(schema: dict, integer: bool):
+    """The closed range of integers, or of floats, that a numeric schema
+    admits, its defaults taken as _range takes them. minimum and maximum
+    are inclusive unless exclusiveMinimum or exclusiveMaximum is true (OAS
+    3.0); a number there is an exclusive bound of its own (OAS 3.1)."""
+    bounds = {
+        "minimum": _tightest(schema, "minimum", "exclusiveMinimum", integer, up=True),
+        "maximum": _tightest(schema, "maximum", "exclusiveMaximum", integer, up=False),
+    }
+    return _range(bounds, "minimum", "maximum", 0, 100)
+
+
+def _tightest(schema: dict, inclusive: str, exclusive: str, integer: bool, up: bool):
+    """The least (up) or the greatest admitted value that a schema's bounds
+    on one side allow; None when it sets none there."""
+    flag = schema.get(exclusive)
+    limits = []
+    if schema.get(inclusive) is not None:
+        limits.append(_inside(schema[inclusive], flag is True, integer, up))
+    if flag is not None and not isinstance(flag, bool):
+        limits.append(_inside(flag, True, integer, up))
+    if not limits:
+        return None
+    return max(limits) if up else min(limits)
+
+
+def _inside(bound, strict: bool, integer: bool, up: bool):
+    """The admitted value nearest to bound, on its up or down side: the
+    bound itself unless strict, rounded inwards to an integer if integer."""
+    if integer:
+        if up:
+            return math.floor(bound) + 1 if strict else math.ceil(bound)
+        return math.ceil(bound) - 1 if strict else math.floor(bound)
+    return math.nextafter(bound, math.inf if up else -math.inf) if strict else bound
 
 
 @dataclass

@@ -295,7 +295,7 @@ class TestJsonLogs:
         events = [json.loads(line) for line in err.splitlines() if line]
         (campaign,) = [e for e in events if e["event"] == "campaign"]
         assert set(campaign) == {"event", "calls", "sends", "probes", "cleanups",
-                                 "duration"}
+                                 "requests", "request_s", "duration"}
         report = json.loads((workdir / "report.json").read_text())
         assert "probes" not in json.dumps(report)
         assert campaign["calls"] == campaign["sends"] == report["summary"]["calls"]
@@ -304,6 +304,8 @@ class TestJsonLogs:
         # every GET but the up-front service probe comes from a clause
         assert campaign["probes"] == len(gets) - 1 > 0
         assert campaign["sends"] + campaign["cleanups"] == len(seen) - len(gets)
+        assert campaign["requests"] == len(seen)
+        assert 0 < campaign["request_s"] <= campaign["duration"] + 0.001
 
 
 class TestErrorPaths:
@@ -579,7 +581,7 @@ class TestStartup:
              "--sequences", str(seqs), "--spawn-demo"],
         )
         assert (at_import, code) == ([], 0)
-        assert {"requests", "urllib3", "http.server", "socketserver"} <= set(after)
+        assert {"requests", "urllib3", "socketserver"} <= set(after)
 
 
 def load_pyproject():

@@ -1,3 +1,4 @@
+import io
 import json
 import socket
 
@@ -14,6 +15,7 @@ from statecover.demo import (
     demo_spec,
     make_tournaments_model,
 )
+from statecover.evaluator import read_response
 from statecover.speckit import infer_contracts
 
 
@@ -311,6 +313,85 @@ class TestHttpServer:
             log = requests.get(f"{server.base_url}/_requests", timeout=5).json()
             assert log == ["POST /players", "GET /players/a%2Fb%20c",
                            "DELETE /players/a%2Fb%20c", "GET /players/a%2Fb%20c"]
+
+
+def until_close(server, request):
+    """Everything the demo sends back on one connection for request; fails
+    with a timeout unless the demo closes the connection."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as conn:
+        conn.sendall(request)
+        data = b""
+        while chunk := conn.recv(65536):
+            data += chunk
+    return data
+
+
+def answer(data, method="GET"):
+    """(status, header fields, body, rest) of the first answer in data."""
+    wire = io.BufferedReader(io.BytesIO(data))
+    status, fields, body, _ = read_response(wire, method)
+    return status, fields, body, wire.read()
+
+
+class TestConnections:
+    """Framing and keep-alive of the demo's HTTP/1.1 server, on raw sockets."""
+
+    @pytest.mark.parametrize("method", ["HEAD", "PATCH"])
+    def test_an_unserved_method_gets_501_and_a_close(self, method):
+        with DemoServer() as server:
+            data = until_close(server, f"{method} /players HTTP/1.1\r\nHost: demo\r\n"
+                                       "Content-Length: 2\r\n\r\n{}".encode())
+            status, fields, body, rest = answer(data, method)
+            assert (status, fields["connection"], rest) == (501, "close", b"")
+            if method == "HEAD":
+                assert body == b""
+            else:
+                assert json.loads(body) == {"error": "method PATCH is not supported"}
+            assert server.app.requests == []
+
+    @pytest.mark.parametrize("line", [b"NONSENSE", b"GET /players", b"GET / HTTP/2.0",
+                                      b"GET / HTTP/1.1 extra"])
+    def test_a_malformed_request_line_gets_400_and_a_close(self, line):
+        with DemoServer() as server:
+            data = until_close(server, line + b"\r\nHost: demo\r\n\r\n")
+            status, fields, body, rest = answer(data)
+            assert data.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert (fields["connection"], rest) == ("close", b"")
+            assert json.loads(body)["error"].startswith("malformed request line")
+
+    def test_a_body_without_a_length_gets_400_and_a_close(self):
+        with DemoServer() as server:
+            data = until_close(server, b"POST /players HTTP/1.1\r\nHost: demo\r\n"
+                                       b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n")
+            assert answer(data)[0] == 400
+            assert server.app.requests == []
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /players HTTP/1.0\r\n\r\n",
+        b"GET /players HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
+    ])
+    def test_the_connection_closes_after_http_1_0_or_connection_close(self, request_head):
+        with DemoServer() as server:
+            # the second request is never read: the demo closes after the first
+            data = until_close(server, request_head * 2)
+            status, fields, body, rest = answer(data)
+            assert (status, json.loads(body), fields["connection"], rest) == (
+                200, [], "close", b"")
+            assert server.app.requests == ["GET /players"]
+
+    def test_the_connection_stays_open_otherwise(self):
+        with DemoServer() as server, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as conn:
+            wire = conn.makefile("rb")
+            for path in ("/players", "/tournaments", "/nowhere"):
+                conn.sendall(f"GET {path} HTTP/1.1\r\nHost: demo\r\n\r\n".encode())
+                status, fields, _, keep = read_response(wire, "GET")
+                assert keep and "connection" not in fields
+                assert fields["content-type"] == "application/json" and "date" in fields
+            assert status == 404
+            wire.close()
+            assert server.app.requests == ["GET /players", "GET /tournaments", "GET /nowhere"]
 
 
 class TestCompanions:

@@ -1,5 +1,8 @@
+import math
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import AppSession
 from statecover.demo import demo_spec
@@ -130,6 +133,116 @@ class TestGenerate:
                     InputGenerator(seed).generate(schema)
             else:
                 assert fits(InputGenerator(seed).generate(schema))
+
+
+class TestNumericBounds:
+    @pytest.mark.parametrize("schema, values", [
+        # fractional integer bounds are rounded inwards
+        ({"type": "integer", "minimum": 0.5, "maximum": 3}, {1, 2, 3}),
+        ({"type": "integer", "minimum": -2.5, "maximum": -0.5}, {-2, -1}),
+        # OAS 3.0: a boolean makes its bound exclusive
+        ({"type": "integer", "minimum": 0, "maximum": 2, "exclusiveMinimum": True}, {1, 2}),
+        ({"type": "integer", "minimum": 0, "maximum": 2, "exclusiveMaximum": True}, {0, 1}),
+        ({"type": "integer", "minimum": 0, "maximum": 2, "exclusiveMinimum": False}, {0, 1, 2}),
+        # OAS 3.1: a number is an exclusive bound of its own
+        ({"type": "integer", "exclusiveMinimum": 0, "maximum": 2}, {1, 2}),
+        ({"type": "integer", "minimum": 0, "exclusiveMaximum": 1.5}, {0, 1}),
+        ({"type": "integer", "minimum": 1, "exclusiveMinimum": 0}, set(range(1, 101))),
+    ])
+    def test_integer_draws(self, schema, values):
+        drawn = {InputGenerator(seed).generate(schema) for seed in range(200)}
+        assert drawn <= values and len(drawn) >= min(len(values), 20)
+
+    @pytest.mark.parametrize("schema, fits", [
+        ({"type": "number", "minimum": 0.001, "maximum": 0.004},
+         lambda v: 0.001 <= v <= 0.004),
+        ({"type": "number", "minimum": 0, "maximum": 1, "exclusiveMinimum": True},
+         lambda v: 0 < v <= 1),
+        ({"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.004},
+         lambda v: 0 < v < 0.004),
+        ({"type": "number", "minimum": 5, "maximum": 5}, lambda v: v == 5),
+    ])
+    def test_number_draws(self, schema, fits):
+        assert all(fits(InputGenerator(seed).generate(schema)) for seed in range(50))
+
+    def test_a_range_the_rounding_keeps_is_drawn_as_before(self):
+        """One draw per value, rounded to two decimals when that stays in
+        range: existing suites draw what they drew."""
+        schema = {"type": "number", "minimum": 0.5, "maximum": 2.5}
+        for seed in range(20):
+            expected = round(random.Random(seed).uniform(0.5, 2.5), 2)
+            assert InputGenerator(seed).generate(schema) == expected
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "integer", "minimum": 0.2, "maximum": 0.8},
+        {"type": "integer", "minimum": 1, "maximum": 1, "exclusiveMaximum": True},
+        {"type": "integer", "exclusiveMinimum": 1, "exclusiveMaximum": 2},
+        {"type": "number", "exclusiveMinimum": 1.0, "exclusiveMaximum": 1.0},
+        {"type": "number", "minimum": 2, "exclusiveMaximum": 2},
+    ])
+    def test_an_empty_range_raises_generation_error(self, schema):
+        with pytest.raises(GenerationError, match="no value fits"):
+            InputGenerator(0).generate(schema)
+
+
+_BOUND = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.sampled_from([0.001, 0.004, 2.5]))
+
+
+@st.composite
+def numeric_schemas(draw):
+    """Integer and number schemas with fractional, exclusive (in the OAS 3.0
+    and the OAS 3.1 form), one-sided and empty ranges."""
+    schema = {"type": draw(st.sampled_from(["integer", "number"]))}
+    for inclusive, exclusive in (("minimum", "exclusiveMinimum"),
+                                 ("maximum", "exclusiveMaximum")):
+        form = draw(st.sampled_from(["none", "inclusive", "oas30", "oas31", "both"]))
+        if form in ("inclusive", "oas30", "both"):
+            schema[inclusive] = draw(_BOUND)
+        if form == "oas30":
+            schema[exclusive] = draw(st.booleans())
+        if form in ("oas31", "both"):
+            schema[exclusive] = draw(_BOUND)
+    return schema
+
+
+def admits(schema, value) -> bool:
+    """Whether a numeric schema's type and bounds admit value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if schema["type"] == "integer" and not isinstance(value, int):
+        return False
+    low, high = schema.get("minimum"), schema.get("maximum")
+    below, above = schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum")
+    if low is not None and (value < low or below is True and value == low):
+        return False
+    if high is not None and (value > high or above is True and value == high):
+        return False
+    if below is not None and not isinstance(below, bool) and value <= below:
+        return False
+    return above is None or isinstance(above, bool) or value < above
+
+
+def candidates(schema):
+    """Values that some admitted value is among if there is one: every
+    integer near the bounds, and each bound, its neighbours and midpoints."""
+    if schema["type"] == "integer":
+        return range(-110, 111)
+    bounds = [b for b in schema.values() if not isinstance(b, (bool, str))]
+    near = [n for b in bounds for n in (b, math.nextafter(b, -math.inf),
+                                       math.nextafter(b, math.inf))]
+    return near + [(a + b) / 2 for a in bounds for b in bounds] + [0, 100]
+
+
+class TestNumericBoundsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(numeric_schemas(), st.integers(0, 2**16))
+    def test_every_draw_lies_within_its_bounds_or_raises(self, schema, seed):
+        try:
+            value = InputGenerator(seed).generate(schema)
+        except GenerationError:
+            assert not any(admits(schema, v) for v in candidates(schema)), schema
+        else:
+            assert admits(schema, value), (schema, value)
 
 
 def run_calls(*calls):

@@ -215,6 +215,39 @@ class TestOneConnection:
         assert session.request("GET", "/x")[0] == 200
 
 
+class TestFraming:
+    @pytest.mark.parametrize("answer", [
+        b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{"v": 1}',
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b'8\r\n{"v": 1}\r\n0\r\n\r\n',
+        b'HTTP/1.0 200 OK\r\nContent-Length: 8\r\n\r\n{"v": 1}',
+    ])
+    def test_an_answer_that_ends_the_connection_is_read_whole(self, answer, monkeypatch):
+        def serve(listener):
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    data = b""
+                    while b"\r\n\r\n" not in data:
+                        data += conn.recv(4096)
+                    conn.sendall(answer)
+
+        connects = counted_connects(monkeypatch)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(2)
+            thread = threading.Thread(target=serve, args=(listener,), daemon=True)
+            thread.start()
+            session = Connection(f"http://127.0.0.1:{listener.getsockname()[1]}", 5)
+            try:
+                assert session.request("GET", "/a") == (200, {"v": 1})
+                assert session.request("GET", "/b") == (200, {"v": 1})
+            finally:
+                session.close()
+            thread.join(timeout=5)
+        assert not thread.is_alive() and len(connects) == 2
+
+
 class TestFailures:
     def test_refused_connection(self):
         with socket.socket() as probe:
