@@ -8,36 +8,45 @@ service while evaluating those contracts around every call (`executor`,
 `evaluator`).
 `demo` ships a small tournaments service with seedable faults to try the
 whole loop on.
+
+Importing the package loads none of these modules. Each name in `__all__`
+loads its module on first access (PEP 562), so `statecover.run_campaign`
+is `statecover.executor.run_campaign`, and a program that imports one
+submodule pays for that one and what it imports.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import demo, evaluator, executor, glacier, lifecycle, runtime, seqgen, speckit, ssg
-from .executor import classify, run_campaign
-from .glacier import parse, print_formula
-from .lifecycle import explore, load_model
-from .seqgen import select_sequences, to_call_sequences
-from .speckit import infer_contracts, load_oas
+_SUBMODULES = frozenset(
+    ("demo", "evaluator", "executor", "glacier", "lifecycle", "runtime", "seqgen",
+     "speckit", "ssg"))
 
-__all__ = [
-    "__version__",
-    "classify",
-    "demo",
-    "evaluator",
-    "executor",
-    "explore",
-    "glacier",
-    "infer_contracts",
-    "lifecycle",
-    "load_model",
-    "load_oas",
-    "parse",
-    "print_formula",
-    "run_campaign",
-    "runtime",
-    "select_sequences",
-    "seqgen",
-    "speckit",
-    "ssg",
-    "to_call_sequences",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "classify": "executor",
+    "run_campaign": "executor",
+    "parse": "glacier",
+    "print_formula": "glacier",
+    "explore": "lifecycle",
+    "load_model": "lifecycle",
+    "select_sequences": "seqgen",
+    "to_call_sequences": "seqgen",
+    "infer_contracts": "speckit",
+    "load_oas": "speckit",
+}
+
+__all__ = sorted(("__version__", *_SUBMODULES, *_EXPORTS))
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,12 @@ Exit codes: 0 clean, 1 the tooling found a defect (a failing campaign or a
 model invariant violation), 2 bad usage or unreadable input. Progress goes
 to stderr (as JSON lines with --json-logs); stdout carries only the final
 summary line of each command.
+
+Importing this module loads what every command shares and the campaign
+path: `executor` (with `evaluator`, `glacier` and `runtime`) and `seqgen`,
+so that `run_campaign` is a name of this module that a tracer can patch.
+`lifecycle`, `ssg`, `speckit` (with `yaml`) and `demo` load when a command
+that uses them is dispatched; once `demo` is loaded, so are the others.
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import yaml
-
-from . import demo as demo_service
-from . import lifecycle, seqgen, speckit, ssg
+from . import seqgen
 from .evaluator import TransportFailure
 from .executor import run_campaign
+
+if TYPE_CHECKING:
+    from . import speckit
 
 
 def derive_seed(seed: int, domain: str) -> int:
@@ -35,6 +42,11 @@ def derive_seed(seed: int, domain: str) -> int:
     random choices without correlating them."""
     digest = hashlib.sha256(f"{seed}:{domain}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+# The largest --timeout: sockets refuse a timeout past about 9.2e9 s, the
+# range of the interpreter's nanosecond clock.
+MAX_TIMEOUT_S = 1_000_000_000
 
 
 class UsageError(Exception):
@@ -74,6 +86,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_spec(path: str) -> speckit.ApiSpec:
+    import yaml
+
+    from . import speckit
+
     try:
         return speckit.load_oas(path)
     except OSError as exc:
@@ -86,6 +102,8 @@ def _load_spec(path: str) -> speckit.ApiSpec:
 
 
 def cmd_gen_contracts(args, log: Log) -> int:
+    from . import speckit
+
     spec = _load_spec(args.oas)
     for diag in spec.diagnostics:
         log.event("diagnostic", code=diag.code, where=diag.where, message=diag.message)
@@ -102,6 +120,13 @@ def cmd_gen_contracts(args, log: Log) -> int:
 
 
 def cmd_explore(args, log: Log) -> int:
+    if args.max_states < 1:
+        raise UsageError(f"--max-states must be at least 1, got {args.max_states}: "
+                         "the initial state is always explored")
+    import yaml
+
+    from . import lifecycle, speckit
+
     try:
         doc = speckit.load_yaml(_read_text(args.model))
     except yaml.YAMLError as exc:
@@ -130,6 +155,8 @@ def cmd_explore(args, log: Log) -> int:
 
 
 def cmd_clean(args, log: Log) -> int:
+    from . import ssg
+
     text = _read_text(args.dot)
     # taken before writing, since the output may be the input file
     size = Path(args.dot).stat().st_size
@@ -156,6 +183,8 @@ def cmd_clean(args, log: Log) -> int:
 
 
 def cmd_sequences(args, log: Log) -> int:
+    from . import ssg
+
     try:
         raw = ssg.parse_dot(_read_text(args.dot))
         graph = ssg.build(raw, initial=args.initial, prune=args.prune)
@@ -199,8 +228,13 @@ def cmd_test(args, log: Log) -> int:
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}: "
                          "every clause that reads the service needs a request")
+    if not 0 < args.timeout <= MAX_TIMEOUT_S:  # also false for nan
+        raise UsageError(f"--timeout must be a number of seconds above 0 and at most "
+                         f"{MAX_TIMEOUT_S:,}, got {args.timeout}")
     spec = _load_spec(args.spec)
     if args.infer:
+        from . import speckit
+
         speckit.infer_contracts(spec)
     try:
         stored_seed, sequences = seqgen.sequences_from_json(
@@ -212,7 +246,9 @@ def cmd_test(args, log: Log) -> int:
 
     server = None
     if args.spawn_demo:
-        server = demo_service.DemoServer(
+        from .demo import DemoServer
+
+        server = DemoServer(
             port=0, seed=args.demo_seed, fault=args.demo_fault
         ).start()
         base_url = server.base_url
@@ -265,7 +301,9 @@ def cmd_test(args, log: Log) -> int:
 
 
 def cmd_demo_server(args, log: Log) -> int:
-    server = demo_service.DemoServer(
+    from .demo import DemoServer
+
+    server = DemoServer(
         port=args.port, seed=args.seed, fault=args.fault
     ).start()
     log.event("demo", url=server.base_url, fault=args.fault or "none")
@@ -280,6 +318,10 @@ def cmd_demo_server(args, log: Log) -> int:
 
 
 def cmd_fixtures(args, log: Log) -> int:
+    import yaml
+
+    from . import demo, speckit
+
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -289,9 +331,9 @@ def cmd_fixtures(args, log: Log) -> int:
     oas_text = speckit.fixture_path("tournaments_oas.yaml").read_text(encoding="utf-8")
     _write_text(str(outdir / "tournaments-oas.yaml"), oas_text)
 
-    spec = demo_service.demo_spec()
+    spec = demo.demo_spec()
     speckit.infer_contracts(spec)
-    demo_service.add_manual_clauses(spec)
+    demo.add_manual_clauses(spec)
     _write_text(str(outdir / "tournaments-contracts.yaml"), speckit.emit_extended(spec))
 
     model_text = speckit.fixture_path("tournaments_p1t1e1.yaml").read_text(
@@ -299,7 +341,7 @@ def cmd_fixtures(args, log: Log) -> int:
     )
     _write_text(str(outdir / "tournaments-model.yaml"), model_text)
 
-    two_doc = demo_service.tournaments_model_doc(
+    two_doc = demo.tournaments_model_doc(
         players=(), tournaments=("t1", "t2"), enrolments=()
     )
     _write_text(
@@ -321,6 +363,23 @@ def cmd_fixtures(args, log: Log) -> int:
 
 
 # -- argument parsing ----------------------------------------------------------
+
+
+class _DemoFaults:
+    """The demo's fault names (`demo.FAULTS`, sorted) as argparse choices.
+    The demo loads only when a given name is checked or help lists them."""
+
+    @staticmethod
+    def _names() -> list[str]:
+        from .demo import FAULTS
+
+        return sorted(FAULTS)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,15 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="infer CRUD contracts before testing")
     p.add_argument("--spawn-demo", action="store_true",
                    help="test against a freshly started demo service")
-    p.add_argument("--demo-fault", choices=sorted(demo_service.FAULTS),
-                   default=None)
+    p.add_argument("--demo-fault", choices=_DemoFaults(), metavar="FAULT",
+                   help="seed this fault into the spawned demo: %(choices)s")
     p.add_argument("--demo-seed", type=int, default=0)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("demo-server", help="run the demo service in the foreground")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fault", choices=sorted(demo_service.FAULTS), default=None)
+    p.add_argument("--fault", choices=_DemoFaults(), metavar="FAULT",
+                   help="seed this fault into the demo: %(choices)s")
     p.set_defaults(func=cmd_demo_server)
 
     p = sub.add_parser("fixtures",

@@ -5,6 +5,10 @@ gives each state its shortest route to the sink by reverse BFS, and
 select_sequences completes every incomplete path with such a route. The
 selected set visits every state, and every transition when the graph has no
 merged parallel edges.
+
+The graph (`ssg`) and the operations (`speckit`) appear here only in
+annotations, so importing this module loads neither: the command line
+imports it at start-up for its campaign path.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .speckit import Operation
-from .ssg import StateSpaceGraph
+if TYPE_CHECKING:
+    from .speckit import Operation
+    from .ssg import StateSpaceGraph
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class Call:
 # A resolver maps an operation name from an edge label to the operation it
 # names (ApiSpec.resolver), or None; the label's arguments bind, in order,
 # the operation's param_names.
-Resolver = Callable[[str], Operation | None]
+Resolver = Callable[[str], Optional["Operation"]]
 
 
 def to_call_sequences(

@@ -9,9 +9,8 @@ import yaml
 
 import requests
 
-from statecover import cli
 from statecover.cli import derive_seed, main
-from statecover.demo import DemoServer, tournaments_model_doc
+from statecover.demo import FAULTS, DemoServer, tournaments_model_doc
 
 from helpers import MISUSED_CLAUSES, add_clause
 
@@ -334,7 +333,7 @@ class TestErrorPaths:
     def test_base_url_and_spawn_demo_together(self, workdir, capsys, monkeypatch):
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
         started = []
-        monkeypatch.setattr(cli.demo_service, "DemoServer",
+        monkeypatch.setattr("statecover.demo.DemoServer",
                             lambda **kwargs: started.append(kwargs))
         code, _, err = run(capsys, "test",
                            "--spec", str(workdir / "tournaments-contracts.yaml"),
@@ -347,13 +346,52 @@ class TestErrorPaths:
     def test_budget_below_one(self, workdir, capsys, monkeypatch, budget):
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
         started = []
-        monkeypatch.setattr(cli.demo_service, "DemoServer",
+        monkeypatch.setattr("statecover.demo.DemoServer",
                             lambda **kwargs: started.append(kwargs))
         code, out, err = run(capsys, "test",
                              "--spec", str(workdir / "tournaments-contracts.yaml"),
                              "--sequences", str(seqs), "--spawn-demo", "--budget", budget)
         assert (code, out, started) == (2, "", [])
         assert f"error: --budget must be at least 1, got {budget}" in err
+
+    @pytest.mark.parametrize("timeout", ["inf", "0", "-1", "nan", "1e300"])
+    def test_timeout_not_a_usable_number(self, tmp_path, capsys, monkeypatch, timeout):
+        started = []
+        monkeypatch.setattr("statecover.demo.DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        # neither file exists: the option is refused before either is read
+        code, out, err = run(capsys, "test", "--spec", str(tmp_path / "spec.yaml"),
+                             "--sequences", str(tmp_path / "seqs.json"), "--spawn-demo",
+                             "--timeout", timeout)
+        assert (code, out, started) == (2, "", [])
+        assert (f"error: --timeout must be a number of seconds above 0 and at most "
+                f"1,000,000,000, got {float(timeout)}") in err
+
+    @pytest.mark.parametrize("max_states", ["0", "-1"])
+    def test_max_states_below_one(self, tmp_path, capsys, max_states):
+        out_dot = tmp_path / "out.dot"
+        code, out, err = run(capsys, "explore", str(tmp_path / "model.yaml"),
+                             str(out_dot), "--max-states", max_states)
+        assert (code, out, out_dot.exists()) == (2, "", False)
+        assert f"error: --max-states must be at least 1, got {max_states}" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["test", "--spec", "spec.yaml", "--sequences", "seqs.json",
+                      "--spawn-demo", "--demo-fault", "no_such_fault"], id="test"),
+        pytest.param(["demo-server", "--port", "0", "--fault", "no_such_fault"],
+                     id="demo-server"),
+    ])
+    def test_unknown_fault_name(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # where neither file exists
+        started = []
+        monkeypatch.setattr("statecover.demo.DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        err = capsys.readouterr().err
+        assert (exit_.value.code, started) == (2, [])
+        assert "invalid choice: 'no_such_fault'" in err
+        assert all(repr(name) in err for name in FAULTS)
 
     def test_demo_fault_without_spawn_demo(self, workdir, capsys):
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
@@ -419,7 +457,7 @@ class TestErrorPaths:
         bad = workdir / "bad.yaml"
         bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
         started = []
-        monkeypatch.setattr(cli.demo_service, "DemoServer",
+        monkeypatch.setattr("statecover.demo.DemoServer",
                             lambda **kwargs: started.append(kwargs))
         code, _, err = run(capsys, "test", "--spec", str(bad),
                            "--sequences", str(seqs), "--spawn-demo")
@@ -531,10 +569,15 @@ def child_env() -> dict:
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "http.server",
               "socketserver")
 
+# statecover's modules that the command line loads only for the commands
+# that use them, and the YAML library that speckit brings
+LOADED_PER_COMMAND = ("statecover.demo", "statecover.lifecycle", "statecover.speckit",
+                      "statecover.ssg", "yaml")
+
 _LOADED_AFTER_EACH_COMMAND = """
 import json, sys
-stack = json.loads(sys.argv[1])
-loaded = lambda: sorted(m for m in stack if m in sys.modules)
+watched = json.loads(sys.argv[1])
+loaded = lambda: sorted(m for m in watched if m in sys.modules)
 import statecover.cli
 seen = [[None, loaded()]]
 for argv in json.loads(sys.argv[2]):
@@ -542,23 +585,50 @@ for argv in json.loads(sys.argv[2]):
 print(json.dumps(seen))
 """
 
+# A process that holds the command line and the demo (a benchmark, a pytest
+# run, test --spawn-demo) runs a whole campaign without loading more of
+# statecover: nothing is left to load on a command's first use.
+_ADDED_BY_A_CAMPAIGN = """
+import json, sys
+import statecover.cli, statecover.demo
+where = sys.argv[1]
+contracts = where + "/tournaments-contracts.yaml"
+with statecover.demo.DemoServer() as server:
+    before = set(sys.modules)
+    codes = [statecover.cli.main(argv) for argv in (
+        ["fixtures", where],
+        ["explore", where + "/tournaments-model.yaml", where + "/graph.dot"],
+        ["sequences", where + "/graph.dot", where + "/seqs.json", "--spec", contracts,
+         "--puts-max", "2"],
+        ["test", "--spec", contracts, "--sequences", where + "/seqs.json",
+         "--base-url", server.base_url],
+    )]
+    added = sorted(set(sys.modules) - before)
+print(json.dumps([codes, added]))
+"""
+
+
+def run_child(script, *args, cwd):
+    """The JSON value that a child interpreter running script prints last."""
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd, env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
 
 class TestStartup:
-    """The HTTP client and server stacks load only when a campaign or a demo
-    starts, in a fresh interpreter."""
+    """What a fresh interpreter loads. The HTTP client and server stacks load
+    only when a campaign or a demo starts; statecover's own modules outside
+    the campaign path only when a command uses them."""
 
     @staticmethod
-    def loaded_after(tmp_path, *commands):
-        """[exit code, the HTTP_STACK modules loaded] after importing the
+    def loaded_after(tmp_path, *commands, watched=HTTP_STACK):
+        """[exit code, the watched modules loaded] after importing the
         command line (code None) and after each command, run in order."""
-        result = subprocess.run(
-            [sys.executable, "-c", _LOADED_AFTER_EACH_COMMAND,
-             json.dumps(HTTP_STACK), json.dumps(commands)],
-            capture_output=True, text=True, timeout=120, cwd=tmp_path,
-            env=child_env(),
-        )
-        assert result.returncode == 0, result.stderr
-        return json.loads(result.stdout.splitlines()[-1])
+        return run_child(_LOADED_AFTER_EACH_COMMAND, json.dumps(watched),
+                         json.dumps(commands), cwd=tmp_path)
 
     def test_offline_commands_load_no_http_stack(self, tmp_path):
         dot, contracts = str(tmp_path / "graph.dot"), str(tmp_path / "contracts.yaml")
@@ -582,6 +652,29 @@ class TestStartup:
         )
         assert (at_import, code) == ([], 0)
         assert {"requests", "urllib3", "socketserver"} <= set(after)
+
+    def test_the_package_loads_no_submodule(self, tmp_path):
+        loaded = run_child(
+            "import json, sys, statecover\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('statecover'))))",
+            cwd=tmp_path)
+        assert loaded == ["statecover"]
+
+    def test_the_command_line_loads_only_the_campaign_path(self, tmp_path):
+        assert self.loaded_after(tmp_path, watched=LOADED_PER_COMMAND) == [[None, []]]
+
+    def test_clean_loads_the_graph_module_only(self, tmp_path):
+        dot = tmp_path / "graph.dot"
+        dot.write_text('digraph { 0 -> 1 [label="postPlayer(p1)"]; '
+                       '0 -> 1 [label="postPlayer(p1)"]; 1 [label="final = TRUE"]; }')
+        seen = self.loaded_after(tmp_path, ["clean", str(dot), str(dot)],
+                                 watched=LOADED_PER_COMMAND)
+        assert seen == [[None, []], [0, ["statecover.ssg"]]]
+
+    def test_a_campaign_after_the_demo_loads_no_more_of_statecover(self, tmp_path):
+        codes, added = run_child(_ADDED_BY_A_CAMPAIGN, str(tmp_path), cwd=tmp_path)
+        assert codes == [0, 0, 0, 0]
+        assert [m for m in added if m.split(".")[0] in ("statecover", "yaml")] == []
 
 
 def load_pyproject():
