@@ -303,9 +303,11 @@ def cmd_test(args, log: Log) -> int:
 def cmd_demo_server(args, log: Log) -> int:
     from .demo import DemoServer
 
-    server = DemoServer(
-        port=args.port, seed=args.seed, fault=args.fault
-    ).start()
+    try:
+        server = DemoServer(port=args.port, seed=args.seed, fault=args.fault)
+    except OSError as exc:
+        raise UsageError(f"cannot listen on 127.0.0.1:{args.port}: {exc}") from exc
+    server.start()
     log.event("demo", url=server.base_url, fault=args.fault or "none")
     print(server.base_url, flush=True)
     try:
@@ -363,6 +365,17 @@ def cmd_fixtures(args, log: Log) -> int:
 
 
 # -- argument parsing ----------------------------------------------------------
+
+
+def _port(text: str) -> int:
+    """A TCP port number for --port: 0 (any free port) to 65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a port number: {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0 to 65535, got {port}")
+    return port
 
 
 class _DemoFaults:
@@ -445,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("demo-server", help="run the demo service in the foreground")
-    p.add_argument("--port", type=int, default=8080)
+    p.add_argument("--port", type=_port, default=8080)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fault", choices=_DemoFaults(), metavar="FAULT",
                    help="seed this fault into the demo: %(choices)s")

@@ -8,12 +8,35 @@ label matches `final = TRUE`; self-loops are rejected; and the one
 validation checks that every state is reachable from the initial state and
 co-reachable to the sink.
 
-`parse_dot` reads a dump with one regular-expression match per statement
-(`id [-> id] [attr list] [;]`), after a match for the `digraph NAME {`
-header and before one for the closing `}`. Text the scanner cannot read to
-the end is read again from the start by `_parse_tokens`, a recursive
-descent over single tokens. That parser is the reference for what the
-subset accepts, and the only source of `DotParseError` messages and lines.
+`parse_dot` reads a dump in three tiers, each taking over where the one
+before it stops:
+
+1. The line path. After a match for the `digraph NAME {` header, the body up
+   to the last line break before the closing `}` is split on line breaks.
+   A line of spaces, tabs and carriage returns is skipped; a line seen
+   before adds the statement object of its first occurrence again; any
+   other line must be one statement (`id [-> id] [attr list] [;]`, one
+   match of `_STATEMENT`), which is decoded and remembered by its text.
+2. The statement scanner, one match of `_STATEMENT` per statement. It
+   resumes at the first line the line path cannot read, keeping the
+   statements read so far, or reads the body from the header when there is
+   no closing `}` to split up to.
+3. `_parse_tokens`, a recursive descent over single tokens, reads again from
+   the start any text the scanner cannot read to the end. It is the
+   reference for what the subset accepts, and the only source of
+   `DotParseError` messages and lines.
+
+The line path reads what the scanner would: a quoted string cannot hold a
+raw line break, and a skipped comment is always a whole one, so a line that
+is one statement starts and ends outside strings and comments. A line
+break therefore never splits a token, and a statement runs on past its
+line only into a line that opens with `->`, `[` or `;`, the only tokens
+that may follow an id or a `]` within a statement. No such line is one
+statement; when the line path stops at one, the scanner resumes at the
+statement line before it instead. The text between the last line break
+and the `}` is left to the scanner, as a line comment there would hide that
+`}`. A repeated line parses to an equal, frozen statement, so sharing the
+object is exact.
 """
 
 from __future__ import annotations
@@ -131,6 +154,9 @@ _STATEMENT = re.compile(
     re.DOTALL,
 )
 _END = re.compile(_SKIP + "[}]" + _SKIP + r"\Z", re.DOTALL)
+# What may continue a statement on the next line: after an id or a ']' only
+# '->', '[' or ';' can follow within one statement.
+_CONTINUATION = re.compile(_SKIP + r"(?:->|[\[;])", re.DOTALL)
 
 
 def _unquote(token: str) -> str:
@@ -260,34 +286,89 @@ def _parse_tokens(text: str) -> RawGraph:
     return graph
 
 
+def _statement(m: re.Match) -> NodeStatement | EdgeStatement:
+    """The statement that a match of `_STATEMENT` reads."""
+    first, second, label, later = m.groups()
+    if later is not None:
+        label = later
+    if first[0] == '"':
+        first = _unquote(first)
+    if label is not None and label[0] == '"':
+        label = _unquote(label)
+    if second is None:
+        return NodeStatement(first, label)
+    if second[0] == '"':
+        second = _unquote(second)
+    return EdgeStatement(first, second, label)
+
+
+def _read_lines(text: str, start: int, stop: int, graph: RawGraph) -> int:
+    """Read text[start:stop], whole lines, one statement a line, into graph;
+    return the offset at which the statement scanner resumes.
+
+    That is the start of the first line that is neither blank nor one
+    statement, or stop when there is none. If the text there opens with a
+    token that may continue a statement, the scanner resumes instead at the
+    last statement line before it, and that line's statement is dropped.
+    """
+    lines = text[start:stop].split("\n")
+    seen: dict[str, tuple[list, NodeStatement | EdgeStatement]] = {}
+    fullmatch = _STATEMENT.fullmatch
+    failed = len(lines)
+    for line in lines:
+        hit = seen.get(line)
+        if hit is None:
+            # only [ \t\r\n] is whitespace; the \n is split off already
+            end = len(line.rstrip(" \t\r"))
+            if not end:
+                continue
+            m = fullmatch(line, 0, end)
+            if m is None:
+                failed = lines.index(line)
+                break
+            stmt = _statement(m)
+            hit = seen[line] = (graph.edges if type(stmt) is EdgeStatement else graph.nodes, stmt)
+        statements, stmt = hit
+        statements.append(stmt)
+    at = start + sum(map(len, lines[:failed])) + failed
+    if _CONTINUATION.match(text, at):
+        last = failed - 1
+        while last >= 0 and not lines[last].rstrip(" \t\r"):
+            last -= 1
+        if last >= 0:
+            seen[lines[last]][0].pop()
+            at = start + sum(map(len, lines[:last])) + last
+    return at
+
+
 def parse_dot(text: str) -> RawGraph:
     """Parse one digraph in the supported DOT subset, preserving duplicates.
 
-    Reads one statement per match of `_STATEMENT`; any text that the scanner
-    cannot read to the end goes to `_parse_tokens`, which raises the error.
+    The line path reads one statement a line and parses each distinct line
+    once; the statement scanner reads on from the first line that is not
+    one statement; `_parse_tokens` reads any text the scanner cannot read to
+    the end, and raises the error (see the module docstring for why the
+    three agree).
     """
     head = _HEADER.match(text)
     if head is None:
         return _parse_tokens(text)
     graph = RawGraph(name=head.group(1) or "")
-    nodes, edges = graph.nodes, graph.edges
     at = head.end()
+    close = text.rfind("}")
+    if close > at and _END.match(text, close):
+        stop = text.rfind("\n", at, close)
+        if stop >= 0:
+            at = _read_lines(text, at, stop, graph)
+    nodes, edges = graph.nodes, graph.edges
     match = _STATEMENT.match
     while (m := match(text, at)) is not None:
         at = m.end()
-        first, second, label, later = m.groups()
-        if later is not None:
-            label = later
-        if first[0] == '"':
-            first = _unquote(first)
-        if label is not None and label[0] == '"':
-            label = _unquote(label)
-        if second is None:
-            nodes.append(NodeStatement(first, label))
+        stmt = _statement(m)
+        if type(stmt) is EdgeStatement:
+            edges.append(stmt)
         else:
-            if second[0] == '"':
-                second = _unquote(second)
-            edges.append(EdgeStatement(first, second, label))
+            nodes.append(stmt)
     if _END.match(text, at) is None:
         return _parse_tokens(text)
     return graph
@@ -312,16 +393,25 @@ def _format_id(raw_id: str) -> str:
     return '"%s"' % _escape_label(raw_id)
 
 
+class _IdTexts(dict):
+    """Raw id -> its DOT text, each id formatted on first lookup."""
+
+    def __missing__(self, raw_id: str) -> str:
+        text = self[raw_id] = _format_id(raw_id)
+        return text
+
+
 def emit_dot(graph: RawGraph) -> str:
     """Write a RawGraph back out in the same subset, one statement per line."""
+    ids = _IdTexts()
     lines = ["digraph %s {" % (graph.name or "G")]
     for n in graph.nodes:
         if n.label is None:
-            lines.append(f"{_format_id(n.node_id)};")
+            lines.append(f"{ids[n.node_id]};")
         else:
-            lines.append(f'{_format_id(n.node_id)} [label="{_escape_label(n.label)}"];')
+            lines.append(f'{ids[n.node_id]} [label="{_escape_label(n.label)}"];')
     for e in graph.edges:
-        arrow = f"{_format_id(e.src)} -> {_format_id(e.dst)}"
+        arrow = f"{ids[e.src]} -> {ids[e.dst]}"
         if e.label is None:
             lines.append(f"{arrow};")
         else:

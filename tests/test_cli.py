@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,10 @@ from statecover.cli import derive_seed, main
 from statecover.demo import FAULTS, DemoServer, tournaments_model_doc
 
 from helpers import MISUSED_CLAUSES, add_clause
+
+
+def _interrupt(seconds):
+    raise KeyboardInterrupt
 
 
 def run(capsys, *argv):
@@ -392,6 +398,34 @@ class TestErrorPaths:
         assert (exit_.value.code, started) == (2, [])
         assert "invalid choice: 'no_such_fault'" in err
         assert all(repr(name) in err for name in FAULTS)
+
+    @pytest.mark.parametrize("port, message", [
+        ("70000", "must be 0 to 65535, got 70000"),
+        ("-1", "must be 0 to 65535, got -1"),
+        ("http", "not a port number: 'http'"),
+    ])
+    def test_port_not_usable(self, capsys, monkeypatch, port, message):
+        started = []
+        monkeypatch.setattr("statecover.demo.DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        with pytest.raises(SystemExit) as exit_:
+            main(["demo-server", "--port", port])
+        err = capsys.readouterr().err
+        assert (exit_.value.code, started) == (2, [])
+        assert "usage: statecover demo-server" in err
+        assert f"argument --port: {message}" in err
+
+    def test_port_in_use(self, capsys, monkeypatch):
+        # were the port bound after all, the server would stop at once
+        monkeypatch.setattr("statecover.cli.time.sleep", _interrupt)
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            code, out, err = run(capsys, "demo-server", "--port", str(port))
+        assert (code, out) == (2, "")
+        assert f"error: cannot listen on 127.0.0.1:{port}: [Errno {errno.EADDRINUSE}] " in err
+        assert "Traceback" not in err
 
     def test_demo_fault_without_spawn_demo(self, workdir, capsys):
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))

@@ -236,6 +236,19 @@ def dot_soup(draw):
     return text
 
 
+def _large_dump_lines() -> list[str]:
+    """The lines of an emitted random graph of about 1.1 MB."""
+    rng = random.Random(12)
+    nodes, edges = [], []
+    while len(nodes) * 30 + len(edges) * 40 < 1_120_000:
+        raw = make_random_dag_raw(rng)
+        base = len(nodes)
+        nodes += [NodeStatement(str(base + int(n.node_id)), n.label) for n in raw.nodes]
+        edges += [EdgeStatement(str(base + int(e.src)), str(base + int(e.dst)), e.label)
+                  for e in raw.edges]
+    return emit_dot(RawGraph("big", nodes, edges)).split("\n")
+
+
 class TestStatementScanner:
     """parse_dot reads by statement and hands what it cannot read to the token
     parser, which stays the reference for results and errors."""
@@ -277,15 +290,7 @@ class TestStatementScanner:
             assert fallback.call_count == 0
 
     def test_error_near_the_end_of_a_large_dump(self):
-        rng = random.Random(12)
-        nodes, edges = [], []
-        while len(nodes) * 30 + len(edges) * 40 < 1_120_000:
-            raw = make_random_dag_raw(rng)
-            base = len(nodes)
-            nodes += [NodeStatement(str(base + int(n.node_id)), n.label) for n in raw.nodes]
-            edges += [EdgeStatement(str(base + int(e.src)), str(base + int(e.dst)), e.label)
-                      for e in raw.edges]
-        lines = emit_dot(RawGraph("big", nodes, edges)).split("\n")
+        lines = _large_dump_lines()
         broken = len(lines) - 5
         lines[broken] = lines[broken].replace("->", "-> ;", 1)
         text = "\n".join(lines)
@@ -311,6 +316,118 @@ class TestStatementScanner:
             assert run.returncode == 0, run.stderr
             orders.add(run.stdout)
         assert orders == {"['1', '007', '07', '7', '9']\n"}
+
+
+# Lines of a dump written one statement a line, and lines that bend that
+# layout: blank and comment-only lines, characters that are not whitespace,
+# a statement split across two lines, two statements on one line, open
+# comments and strings.
+_STATEMENT_LINES = st.sampled_from(
+    ["1;", "1", "  2 -> 3;", '2 -> 3 [label="go(x)"];', '"s" [label="a\\nb", color=red]',
+     '-5 -> "s";', "07 [label=x]", "1 // note", "1; /* c */", '4 [label="}"];', '"->" -> 4']
+)
+_OTHER_LINES = st.sampled_from(
+    ["", "", " \t", "\r", "// only a comment", "/* one line */", "\f", "\v", " \f ", "1; 2;",
+     "2 -> 3 4", "/* opens", "closes */", '"opens', "x", "} ", "{"]
+)
+_SPLIT_STATEMENTS = st.sampled_from(
+    [["1 ->", "2;"], ["1", "-> 2;"], ["1 -> 2", '[label="x"];'], ["1", ";"], ["1", "", "-> 2"],
+     ["1", "// c", "-> 2"], ['3 [label="a"', "];"], ["1 /*", "*/ -> 2"]]
+)
+_LAST_LINES = st.sampled_from(
+    ["}", " }", "3; }", "3 }", "3 // }", "-> 4 }", "} // }", "}\n// }", "} /* } */", "// }", "}}",
+     "} x", "/* } */"]
+)
+
+
+@st.composite
+def line_dump(draw):
+    """A digraph written line by line, with repeated lines and mixed line
+    ends."""
+    chunks = draw(st.lists(
+        st.one_of(_STATEMENT_LINES.map(lambda line: [line]),
+                  _OTHER_LINES.map(lambda line: [line]),
+                  _SPLIT_STATEMENTS),
+        max_size=10,
+    ))
+    lines = [draw(st.sampled_from(["digraph G {", "digraph{", "digraph G { 1;", "digraph {/*"]))]
+    lines += [line for chunk in chunks for line in chunk]
+    if draw(st.booleans()):
+        lines += lines[1:]
+    lines.append(draw(_LAST_LINES))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestLinePath:
+    """parse_dot reads a dump one line at a time and parses each distinct
+    line once; where a line is not one statement, the statement scanner
+    takes over at that line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line_dump())
+    def test_matches_the_token_parser(self, text):
+        with _count_fallbacks() as fallback:
+            got = _outcome(parse_dot, text)
+        assert got == _outcome(REFERENCE, text)
+        if isinstance(got, RawGraph):
+            assert fallback.call_count == 0
+
+    @pytest.mark.parametrize("text", ["digraph{\n1;\n\f\n}", "digraph{\n1;\n\v\n}\n"])
+    def test_only_space_tab_and_line_ends_are_whitespace(self, text):
+        with pytest.raises(DotParseError) as err:
+            parse_dot(text)
+        assert err.value.line == 3
+        assert _outcome(REFERENCE, text) == ("error", str(err.value), 3)
+
+    @pytest.mark.parametrize("text", [
+        "digraph{\n1\n-> 2;\n}", "digraph{\n1\n\n// c\n-> 2;\n}", "digraph{\n1 -> 2\n}",
+        'digraph{\n1 -> 2\n[label="x"]}', "digraph{\n1\n;}",
+    ])
+    def test_a_statement_continued_on_the_next_line(self, text):
+        with _count_fallbacks() as fallback:
+            raw = parse_dot(text)
+        assert (raw.nodes, raw.edges) == (REFERENCE(text).nodes, REFERENCE(text).edges)
+        assert fallback.call_count == 0
+
+    def test_repeated_lines_share_one_statement(self):
+        distinct = ['1 [label="final = FALSE"];', '2 [label="final = TRUE"];',
+                    '1 -> 2 [label="go(x)"];', '"a" -> 2;', "1 -> 2;"]
+        rng = random.Random(3)
+        body = [rng.choice(distinct) for _ in range(200)] + distinct
+        text = "digraph G {\n" + "\n".join(body) + "\n}\n"
+        with mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
+            raw = parse_dot(text)
+        reference = REFERENCE(text)
+        assert (raw.nodes, raw.edges) == (reference.nodes, reference.edges)
+        assert pattern.fullmatch.call_count == len(distinct)
+        # the scanner only checks that nothing but the closing brace is left
+        assert pattern.match.call_count == 1
+        first: dict = {}
+        for statement in raw.nodes + raw.edges:
+            assert first.setdefault(statement, statement) is statement
+        assert len(first) == len(distinct)
+
+    def test_the_scanner_reads_only_the_line_it_takes_over(self):
+        lines = _large_dump_lines()
+        assert lines[-2:] == ["}", ""]
+        last = len(lines) - 3
+        lines[last] = "1 -> 2; 3 [label=\"x\"];"
+        text = "\n".join(lines)
+        assert len(text) > 1_000_000
+        line_start = text.rindex("\n", 0, text.rindex("\n}")) + 1
+        line_end = text.index("\n", line_start)
+        with _count_fallbacks() as fallback, \
+                mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
+            raw = parse_dot(text)
+        reference = REFERENCE(text)
+        assert (raw.nodes, raw.edges) == (reference.nodes, reference.edges)
+        assert raw.edges[-1] == EdgeStatement("1", "2", None)
+        assert raw.nodes[-1] == NodeStatement("3", "x")
+        assert fallback.call_count == 0
+        offsets = [call.args[1] for call in pattern.match.call_args_list]
+        assert len(offsets) == 3
+        assert all(line_start <= at <= line_end for at in offsets)
 
 
 class TestClean:
