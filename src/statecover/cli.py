@@ -22,7 +22,6 @@ that uses them is dispatched; once `demo` is loaded, so are the others.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -40,6 +39,8 @@ if TYPE_CHECKING:
 def derive_seed(seed: int, domain: str) -> int:
     """Independent per-purpose seed so the same --seed can feed several
     random choices without correlating them."""
+    import hashlib  # only here, so that importing the command line skips it
+
     digest = hashlib.sha256(f"{seed}:{domain}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -35,8 +35,12 @@ that may follow an id or a `]` within a statement. No such line is one
 statement; when the line path stops at one, the scanner resumes at the
 statement line before it instead. The text between the last line break
 and the `}` is left to the scanner, as a line comment there would hide that
-`}`. A repeated line parses to an equal, frozen statement, so sharing the
-object is exact.
+`}`. A repeated line parses to an equal, immutable statement, so sharing
+the object is exact.
+
+Statements are named tuples (`NodeStatement`, `EdgeStatement`): building,
+hashing and comparing one runs in C, and `clean` hashes every statement of
+a dump. A node never equals an edge, as their lengths differ.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 _FINAL = re.compile(r"final\s*=\s*TRUE")
@@ -64,14 +68,12 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NodeStatement:
+class NodeStatement(NamedTuple):
     node_id: str
     label: str | None
 
 
-@dataclass(frozen=True)
-class EdgeStatement:
+class EdgeStatement(NamedTuple):
     src: str
     dst: str
     label: str | None
@@ -122,11 +124,6 @@ _TOKEN = re.compile(
     |(?P<bad>.)""" % (_STR, _NUM, _IDENT),
     re.VERBOSE | re.DOTALL,
 )
-# \" and \\ are decoded, and \n to the line break it stands for, so that a
-# literal backslash before n stays apart from it; DOT keeps every other
-# escape literally.
-_ESCAPE = re.compile(r'\\(["\\n])')
-_DECODED = {'"': '"', "\\": "\\", "n": "\n"}
 
 # The statement scanner. Whitespace and comments are skipped by pieces that
 # each match one length only: a whitespace run to its end, a line comment to
@@ -160,11 +157,20 @@ _CONTINUATION = re.compile(_SKIP + r"(?:->|[\[;])", re.DOTALL)
 
 
 def _unquote(token: str) -> str:
-    """The text of a quoted string token, its escapes decoded."""
+    r"""The text of a quoted string token, its escapes decoded.
+
+    \" and \\ are decoded, and \n to the line break it stands for; DOT
+    keeps every other escape literally. Splitting on \\ pairs backslashes
+    from the left, as reading the escapes in order does, so within a piece
+    every backslash starts an escape, and \" and \n are replaced there
+    with plain string methods. The pieces are joined by the one backslash
+    that each \\ stands for.
+    """
     body = token[1:-1]
     if "\\" not in body:
         return body
-    return _ESCAPE.sub(lambda e: _DECODED[e.group(1)], body)
+    return "\\".join([piece.replace('\\"', '"').replace("\\n", "\n")
+                      for piece in body.split("\\\\")])
 
 
 def _error(text: str, offset: int, message: str) -> DotParseError:
@@ -374,17 +380,23 @@ def parse_dot(text: str) -> RawGraph:
     return graph
 
 
-_LABEL_SPECIAL = re.compile(r'\\[lr\n]|["\\\n]')
-_ENCODED = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
-
-
 def _escape_label(text: str) -> str:
-    """Inverse of parse_dot's decoding: '"', backslashes and line breaks are
+    r"""Inverse of parse_dot's decoding: '"', backslashes and line breaks are
     escaped, except a backslash before l, r or a line break, which parse_dot
-    keeps as written."""
+    keeps as written.
+
+    Whether a backslash is escaped depends only on the character after it.
+    A backslash before a line break is kept with it by splitting the text
+    there first. In each piece, every backslash is doubled, '"' and line
+    breaks are escaped, and a doubled backslash before l or r is made
+    single again; in a run of doubled backslashes, that is only the last.
+    """
+    if "\\\n" in text:
+        return "\\\n".join(map(_escape_label, text.split("\\\n")))
     if '"' not in text and "\\" not in text and "\n" not in text:
         return text
-    return _LABEL_SPECIAL.sub(lambda m: _ENCODED.get(m.group(), m.group()), text)
+    return (text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+            .replace("\\\\l", "\\l").replace("\\\\r", "\\r"))
 
 
 def _format_id(raw_id: str) -> str:

@@ -697,6 +697,10 @@ class TestStartup:
     def test_the_command_line_loads_only_the_campaign_path(self, tmp_path):
         assert self.loaded_after(tmp_path, watched=LOADED_PER_COMMAND) == [[None, []]]
 
+    def test_the_command_line_loads_no_hash_library(self, tmp_path):
+        # derive_seed imports hashlib when a command first draws a seed
+        assert self.loaded_after(tmp_path, watched=("hashlib", "_hashlib")) == [[None, []]]
+
     def test_clean_loads_the_graph_module_only(self, tmp_path):
         dot = tmp_path / "graph.dot"
         dot.write_text('digraph { 0 -> 1 [label="postPlayer(p1)"]; '

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statecover import ssg
@@ -170,6 +172,75 @@ class TestParseDot:
         )
         again = parse_dot(emit_dot(raw))
         assert (again.nodes, again.edges) == (raw.nodes, raw.edges)
+
+
+# The regex codec that `ssg` used before it decoded and encoded escapes with
+# string methods: the reference for both directions.
+_REF_ESCAPE = re.compile(r'\\(["\\n])')
+_REF_DECODED = {'"': '"', "\\": "\\", "n": "\n"}
+_REF_LABEL_SPECIAL = re.compile(r'\\[lr\n]|["\\\n]')
+_REF_ENCODED = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
+
+
+def _ref_unquote(token):
+    return _REF_ESCAPE.sub(lambda e: _REF_DECODED[e.group(1)], token[1:-1])
+
+
+def _ref_escape_label(text):
+    return _REF_LABEL_SPECIAL.sub(lambda m: _REF_ENCODED.get(m.group(), m.group()), text)
+
+
+def _ref_format_id(raw_id):
+    return raw_id if re.fullmatch(r"\d+", raw_id) else '"%s"' % _ref_escape_label(raw_id)
+
+
+# what escapes are made of, and characters that are plain text either side
+codec_text = st.text(alphabet=["\\", '"', "n", "l", "r", "\n", "\r", "\0", "a"], max_size=24)
+
+
+class TestLabelCodec:
+    @settings(max_examples=1000, deadline=None)
+    @given(codec_text)
+    @example("0123")
+    @example("a\\\\\\nb\\\\\\\n\\l\\\\\\r")
+    def test_string_methods_match_the_regex_codec(self, text):
+        assert ssg._unquote('"%s"' % text) == _ref_unquote('"%s"' % text)
+        assert ssg._escape_label(text) == _ref_escape_label(text)
+        assert ssg._format_id(text) == _ref_format_id(text)
+
+    @pytest.mark.parametrize("kept", ["l", "r"])
+    def test_a_literal_backslash_before_l_or_r_reads_as_the_kept_escape(self, kept):
+        # An open defect, pinned until label syntax is revisited: DOT keeps
+        # \l and \r as written, so \\l in a file and \l read the same.
+        literal = parse_dot('digraph {\n0 [label="\\\\%s"];\n}\n' % kept)
+        escape = parse_dot('digraph {\n0 [label="\\%s"];\n}\n' % kept)
+        assert literal.nodes == escape.nodes == [NodeStatement("0", "\\" + kept)]
+
+
+class TestStatements:
+    @pytest.mark.parametrize("cls, names, values", [
+        (NodeStatement, ("node_id", "label"), ("0", None)),
+        (NodeStatement, ("node_id", "label"), ("-12", '/\\ x = 1\n/\\ y = "a"')),
+        (EdgeStatement, ("src", "dst", "label"), ("0", "1", None)),
+        (EdgeStatement, ("src", "dst", "label"), ("s0", "s1", "postPlayer(p1)")),
+    ])
+    def test_repr_and_hash_match_a_frozen_dataclass(self, cls, names, values):
+        twin = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+        assert repr(cls(*values)) == repr(twin(*values))
+        assert hash(cls(*values)) == hash(twin(*values))
+
+    def test_a_node_never_equals_an_edge(self):
+        assert NodeStatement("0", "1") != EdgeStatement("0", "1", None)
+        assert NodeStatement("0", None) != EdgeStatement("0", None, None)
+        assert len({NodeStatement("0", "1"), EdgeStatement("0", "1", None)}) == 2
+
+    def test_keyword_construction(self):
+        node = NodeStatement(node_id="3", label="final = TRUE")
+        edge = EdgeStatement(src="2", dst="3", label="deletePlayer(p1)")
+        assert (node.node_id, node.label) == ("3", "final = TRUE")
+        assert (edge.src, edge.dst, edge.label) == ("2", "3", "deletePlayer(p1)")
+        assert node == NodeStatement("3", "final = TRUE")
+        assert edge == EdgeStatement("2", "3", "deletePlayer(p1)")
 
 
 def _outcome(parse, text):
