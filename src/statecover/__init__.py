@@ -5,9 +5,9 @@ enumerate its state space (`lifecycle`), derive a set of call sequences
 that covers every state (`ssg`, `seqgen`), attach machine-checkable
 contracts to the API description (`speckit`, `glacier`), and drive the live
 service while evaluating those contracts around every call (`executor`,
-`evaluator`).
-`demo` ships a small tournaments service with seedable faults to try the
-whole loop on.
+`evaluator`). `transport` frames HTTP on the standard library for both ends
+of that wire. `demo` ships a small tournaments service with seedable faults
+to try the whole loop on.
 
 Importing the package loads none of these modules. Each name in `__all__`
 loads its module on first access (PEP 562), so `statecover.run_campaign`
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
     ("demo", "evaluator", "executor", "glacier", "lifecycle", "runtime", "seqgen",
-     "speckit", "ssg"))
+     "speckit", "ssg", "transport"))
 
 # public name -> the submodule that defines it
 _EXPORTS = {

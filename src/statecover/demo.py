@@ -22,7 +22,7 @@ far (useful for asserting that evaluation only ever issues GETs).
 
 TournamentsApp is plain Python. DemoServer serves it over HTTP/1.1 from a
 socketserver.ThreadingTCPServer, one thread per connection, reading
-requests with the evaluator's header reader and writing each answer in one
+requests with transport's header reader and writing each answer in one
 piece; socketserver loads when the first DemoServer is built, so importing
 this module for its fixtures or its model documents does not load a server.
 """
@@ -41,8 +41,8 @@ from typing import Optional
 from urllib.parse import unquote
 
 from . import lifecycle, speckit
-from .evaluator import MAX_LINE, read_fields
 from .speckit import ApiSpec, Clause
+from .transport import MAX_LINE, read_fields
 
 FAULTS = (
     "delete_player_noop",

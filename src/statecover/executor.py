@@ -21,8 +21,8 @@ evaluated.
 
 Every request, for calls, probes and cleanup alike, goes through the
 request(method, path, json=None) -> (status, body) method of one session,
-which owns the base URL and the timeout (see the evaluator module).
-run_campaign opens an evaluator.Connection for the campaign and closes it at
+which owns the base URL and the timeout (see the transport module).
+run_campaign opens a transport.Connection for the campaign and closes it at
 the end; a SequenceRunner uses the session it is given.
 """
 
@@ -34,18 +34,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional
 
-from .evaluator import (
-    TRANSPORT_ERRORS,
-    Connection,
-    EvaluationError,
-    Evaluator,
-    NonJsonBody,
-    OpContext,
-    TransportFailure,
-    path_segment,
-)
+from .evaluator import EvaluationError, Evaluator, OpContext, TransportFailure, path_segment
 from .glacier import Formula
 from .runtime import Entry, GenerationError, InputGenerator
+from .transport import TRANSPORT_ERRORS, Connection, NonJsonBody
 
 OK = "OK"
 WARN = "WARN"

@@ -641,6 +641,38 @@ with statecover.demo.DemoServer() as server:
 print(json.dumps([codes, added]))
 """
 
+# The whole pipeline, a spawned demo campaign included, in an interpreter
+# where requests and urllib3 cannot be imported.
+_WITHOUT_REQUESTS = """
+import json, sys
+
+class Unimportable:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("requests", "urllib3"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, Unimportable())
+try:
+    import requests
+except ModuleNotFoundError:
+    blocked = True
+else:
+    blocked = False
+import statecover.cli
+where = sys.argv[1]
+contracts = where + "/tournaments-contracts.yaml"
+codes = [statecover.cli.main(argv) for argv in (
+    ["fixtures", where],
+    ["explore", where + "/tournaments-model.yaml", where + "/graph.dot"],
+    ["sequences", where + "/graph.dot", where + "/seqs.json", "--spec", contracts],
+    ["test", "--spec", contracts, "--sequences", where + "/seqs.json", "--spawn-demo",
+     "--report", where + "/report.json"],
+)]
+with open(where + "/report.json") as report:
+    print(json.dumps([blocked, codes, json.load(report)["summary"]]))
+"""
+
 
 def run_child(script, *args, cwd):
     """The JSON value that a child interpreter running script prints last."""
@@ -685,7 +717,13 @@ class TestStartup:
              "--sequences", str(seqs), "--spawn-demo"],
         )
         assert (at_import, code) == ([], 0)
-        assert {"requests", "urllib3", "socketserver"} <= set(after)
+        assert "socketserver" in after
+        assert not {"requests", "urllib3", "idna", "charset_normalizer"} & set(after)
+
+    def test_a_campaign_runs_without_requests_installed(self, tmp_path):
+        blocked, codes, summary = run_child(_WITHOUT_REQUESTS, str(tmp_path), cwd=tmp_path)
+        assert blocked and codes == [0, 0, 0, 0]
+        assert summary["ok"] == summary["calls"] > 0
 
     def test_the_package_loads_no_submodule(self, tmp_path):
         loaded = run_child(

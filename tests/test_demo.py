@@ -15,8 +15,8 @@ from statecover.demo import (
     demo_spec,
     make_tournaments_model,
 )
-from statecover.evaluator import read_response
 from statecover.speckit import infer_contracts
+from statecover.transport import read_response
 
 
 PLAYER = {"pid": "p1", "name": "alice"}

@@ -7,15 +7,14 @@ from statecover import glacier
 from statecover.demo import CAPACITY_INVARIANT, ENROLMENT_DETACH_CLAUSE, DemoServer
 from statecover.evaluator import (
     BudgetExceeded,
-    Connection,
     EvaluationError,
     Evaluator,
-    NonJsonBody,
     OpContext,
     TransportFailure,
     json_equal,
 )
 from statecover.speckit import SpecError, load_oas
+from statecover.transport import Connection, NonJsonBody
 
 
 @pytest.fixture(scope="module")

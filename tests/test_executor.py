@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession
-from statecover import lifecycle, seqgen, ssg
+from statecover import lifecycle, seqgen, ssg, transport
 from statecover.demo import (
     DemoServer,
     add_manual_clauses,
     demo_spec,
     make_tournaments_model,
 )
-from statecover.evaluator import Connection, TransportFailure
+from statecover.evaluator import TransportFailure
 from statecover.executor import (
     ERR,
     NOT_TESTED,
@@ -27,6 +27,7 @@ from statecover.executor import (
 from statecover.runtime import InputGenerator
 from statecover.seqgen import Call
 from statecover.speckit import Clause, fixture_path, infer_contracts, load_oas
+from statecover.transport import Connection
 
 
 @pytest.fixture(scope="module")
@@ -213,14 +214,13 @@ class TestPhases:
 class TestDefaultSession:
     def test_environment_is_read_once_per_campaign(self, live, monkeypatch):
         lookups = []
-        real = requests.utils.get_environ_proxies
+        real = transport.environ_proxies
 
         def counted(*args, **kwargs):
             lookups.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(requests.sessions, "get_environ_proxies", counted)
-        monkeypatch.setattr(requests.utils, "get_environ_proxies", counted)
+        monkeypatch.setattr(transport, "environ_proxies", counted)
         report = run_campaign(inferred_spec(), [full_cycle_calls()],
                               live.base_url, seed=0)
         assert report["summary"]["ok"] == 6

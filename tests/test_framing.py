@@ -1,4 +1,4 @@
-"""evaluator.read_response, the campaign's HTTP/1.1 response reader, fed the
+"""transport.read_response, the campaign's HTTP/1.1 response reader, fed the
 same bytes as http.client.HTTPResponse: both must see the same status,
 Location, Content-Type, Content-Encoding and body, or both must fail."""
 
@@ -7,7 +7,7 @@ import io
 
 import pytest
 
-from statecover.evaluator import read_fields, read_response
+from statecover.transport import read_fields, read_response
 
 CASES = {
     "content-length": (

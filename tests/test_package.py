@@ -8,7 +8,7 @@ import pytest
 import statecover
 
 SUBMODULES = ("demo", "evaluator", "executor", "glacier", "lifecycle", "runtime",
-              "seqgen", "speckit", "ssg")
+              "seqgen", "speckit", "ssg", "transport")
 
 # public function -> the submodule that defines it
 FUNCTIONS = {
