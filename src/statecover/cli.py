@@ -199,7 +199,10 @@ def cmd_sequences(args, log: Log) -> int:
         spec = _load_spec(args.spec)
         resolver = spec.resolver()
         put_catalog = spec.put_catalog()
-    sequences = seqgen.to_call_sequences(graph, paths, resolver=resolver)
+    try:
+        sequences = seqgen.to_call_sequences(graph, paths, resolver=resolver)
+    except ValueError as exc:  # an edge label that is not name(arg, ...)
+        raise UsageError(f"{args.dot}: {exc}") from exc
     sequences = seqgen.insert_puts(
         sequences, put_catalog, args.puts_max, derive_seed(args.seed, "puts")
     )

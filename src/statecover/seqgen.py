@@ -335,8 +335,7 @@ def sequences_from_json(text: str) -> tuple[int, list[list[Call]]]:
                 _expect(value, str, f"{at}.params.{name}")
             calls.append(Call(**fields, params=dict(params)))
         sequences.append(calls)
-    try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError):
-        raise ValueError(f"seed: expected an integer, got {doc['seed']!r}") from None
+    seed = doc.get("seed", 0)
+    if type(seed) is not int:  # a JSON integer; bool is a subclass of int
+        raise ValueError(f"seed: expected an integer, got {seed!r}")
     return seed, sequences

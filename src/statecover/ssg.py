@@ -8,34 +8,22 @@ label matches `final = TRUE`; self-loops are rejected; and the one
 validation checks that every state is reachable from the initial state and
 co-reachable to the sink.
 
-`parse_dot` reads a dump in three tiers, each taking over where the one
-before it stops:
+`parse_dot` has two readers. The line path takes a dump whose closing `}`
+stands alone on its line, after only spaces, tabs and carriage returns: it
+splits the body after the `digraph NAME {` header on line breaks, skips
+blank lines, reuses the statement object of a line seen before, and reads
+any other line as one statement (`id [-> id] [attr list] [;]`, one match of
+`_STATEMENT`). Any other text goes from the start to `_parse_tokens`, a
+recursive descent over single tokens, which is the reference for what the
+subset accepts and the only source of `DotParseError` messages and lines.
 
-1. The line path. After a match for the `digraph NAME {` header, the body up
-   to the last line break before the closing `}` is split on line breaks.
-   A line of spaces, tabs and carriage returns is skipped; a line seen
-   before adds the statement object of its first occurrence again; any
-   other line must be one statement (`id [-> id] [attr list] [;]`, one
-   match of `_STATEMENT`), which is decoded and remembered by its text.
-2. The statement scanner, one match of `_STATEMENT` per statement. It
-   resumes at the first line the line path cannot read, keeping the
-   statements read so far, or reads the body from the header when there is
-   no closing `}` to split up to.
-3. `_parse_tokens`, a recursive descent over single tokens, reads again from
-   the start any text the scanner cannot read to the end. It is the
-   reference for what the subset accepts, and the only source of
-   `DotParseError` messages and lines.
-
-The line path reads what the scanner would: a quoted string cannot hold a
-raw line break, and a skipped comment is always a whole one, so a line that
-is one statement starts and ends outside strings and comments. A line
-break therefore never splits a token, and a statement runs on past its
-line only into a line that opens with `->`, `[` or `;`, the only tokens
-that may follow an id or a `]` within a statement. No such line is one
-statement; when the line path stops at one, the scanner resumes at the
-statement line before it instead. The text between the last line break
-and the `}` is left to the scanner, as a line comment there would hide that
-`}`. A repeated line parses to an equal, immutable statement, so sharing
+The two agree. A quoted string cannot hold a raw line break, and a skipped
+comment is always a whole one, so when every line is blank or one statement,
+each line starts and ends outside strings and comments. A statement
+continued on the next line always leaves a line that is not one statement,
+as only `->`, `[` or `;` may follow an id or a `]` within a statement. The
+closing `}` must be alone on its line, since a line comment before it would
+hide it. A repeated line parses to an equal, immutable statement, so sharing
 the object is exact.
 
 Statements are named tuples (`NodeStatement`, `EdgeStatement`): building,
@@ -109,8 +97,8 @@ class RawGraph:
 
 
 _STRING_PREFIX = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*', re.DOTALL)
-# Token shapes shared by the token parser and the statement scanner, so that
-# both split a text at the same places.
+# Token shapes shared by the token parser and the line path, so that both
+# split a text at the same places.
 _STR = _STRING_PREFIX.pattern + '"'
 _NUM = r"-?\d+(?:\.\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -125,7 +113,7 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# The statement scanner. Whitespace and comments are skipped by pieces that
+# The line path's patterns. Whitespace and comments are skipped by pieces that
 # each match one length only: a whitespace run to its end, a line comment to
 # the line end, a block comment to its first '*/'. Backtracking can therefore
 # neither end a comment early and read an id out of it, nor run a block
@@ -151,9 +139,6 @@ _STATEMENT = re.compile(
     re.DOTALL,
 )
 _END = re.compile(_SKIP + "[}]" + _SKIP + r"\Z", re.DOTALL)
-# What may continue a statement on the next line: after an id or a ']' only
-# '->', '[' or ';' can follow within one statement.
-_CONTINUATION = re.compile(_SKIP + r"(?:->|[\[;])", re.DOTALL)
 
 
 def _unquote(token: str) -> str:
@@ -191,7 +176,7 @@ def _tokens(text: str):
     """Yield (kind, value, offset) lazily, then ("eof", "", len(text)).
 
     The tokens of `_parse_tokens`, the reference parser that reads what the
-    statement scanner of `parse_dot` cannot and reports every error. A
+    line path of `parse_dot` cannot and reports every error. A
     punctuation token's kind is its own text; a string's value is decoded.
     An unterminated comment raises only when the parser pulls it, and a
     malformed string only when the parser reads it as an id or value, so the
@@ -260,7 +245,7 @@ class _Parser:
 
 def _parse_tokens(text: str) -> RawGraph:
     """Parse one digraph token by token: the reference for `parse_dot`, and
-    the reader of every text it cannot scan."""
+    the reader of every text its line path cannot read."""
     p = _Parser(text)
     if p.kind == "eof":
         raise p.error("empty input")
@@ -308,20 +293,12 @@ def _statement(m: re.Match) -> NodeStatement | EdgeStatement:
     return EdgeStatement(first, second, label)
 
 
-def _read_lines(text: str, start: int, stop: int, graph: RawGraph) -> int:
-    """Read text[start:stop], whole lines, one statement a line, into graph;
-    return the offset at which the statement scanner resumes.
-
-    That is the start of the first line that is neither blank nor one
-    statement, or stop when there is none. If the text there opens with a
-    token that may continue a statement, the scanner resumes instead at the
-    last statement line before it, and that line's statement is dropped.
-    """
-    lines = text[start:stop].split("\n")
+def _read_lines(body: str, graph: RawGraph) -> bool:
+    """Read body into graph line by line, parsing each distinct line once;
+    return whether every line was blank or one statement."""
     seen: dict[str, tuple[list, NodeStatement | EdgeStatement]] = {}
     fullmatch = _STATEMENT.fullmatch
-    failed = len(lines)
-    for line in lines:
+    for line in body.split("\n"):
         hit = seen.get(line)
         if hit is None:
             # only [ \t\r\n] is whitespace; the \n is split off already
@@ -330,54 +307,32 @@ def _read_lines(text: str, start: int, stop: int, graph: RawGraph) -> int:
                 continue
             m = fullmatch(line, 0, end)
             if m is None:
-                failed = lines.index(line)
-                break
+                return False
             stmt = _statement(m)
             hit = seen[line] = (graph.edges if type(stmt) is EdgeStatement else graph.nodes, stmt)
         statements, stmt = hit
         statements.append(stmt)
-    at = start + sum(map(len, lines[:failed])) + failed
-    if _CONTINUATION.match(text, at):
-        last = failed - 1
-        while last >= 0 and not lines[last].rstrip(" \t\r"):
-            last -= 1
-        if last >= 0:
-            seen[lines[last]][0].pop()
-            at = start + sum(map(len, lines[:last])) + last
-    return at
+    return True
 
 
 def parse_dot(text: str) -> RawGraph:
     """Parse one digraph in the supported DOT subset, preserving duplicates.
 
-    The line path reads one statement a line and parses each distinct line
-    once; the statement scanner reads on from the first line that is not
-    one statement; `_parse_tokens` reads any text the scanner cannot read to
-    the end, and raises the error (see the module docstring for why the
-    three agree).
+    A dump whose body lines are each blank or one statement, closed by a
+    `}` alone on its line, is read by the line path; `_parse_tokens` reads
+    any other text and raises every error (see the module docstring for why
+    the two agree).
     """
     head = _HEADER.match(text)
-    if head is None:
-        return _parse_tokens(text)
-    graph = RawGraph(name=head.group(1) or "")
-    at = head.end()
-    close = text.rfind("}")
-    if close > at and _END.match(text, close):
-        stop = text.rfind("\n", at, close)
-        if stop >= 0:
-            at = _read_lines(text, at, stop, graph)
-    nodes, edges = graph.nodes, graph.edges
-    match = _STATEMENT.match
-    while (m := match(text, at)) is not None:
-        at = m.end()
-        stmt = _statement(m)
-        if type(stmt) is EdgeStatement:
-            edges.append(stmt)
-        else:
-            nodes.append(stmt)
-    if _END.match(text, at) is None:
-        return _parse_tokens(text)
-    return graph
+    if head is not None:
+        at = head.end()
+        close = text.rfind("}")
+        stop = text.rfind("\n", at, close) if close > at else -1
+        if stop >= 0 and not text[stop + 1:close].strip(" \t\r") and _END.match(text, close):
+            graph = RawGraph(name=head.group(1) or "")
+            if _read_lines(text[at:stop], graph):
+                return graph
+    return _parse_tokens(text)
 
 
 def _escape_label(text: str) -> str:

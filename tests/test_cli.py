@@ -508,6 +508,12 @@ class TestErrorPaths:
                      id="param"),
         pytest.param({"seed": [0], "sequences": []}, "seed: expected an integer",
                      id="seed"),
+        pytest.param({"seed": True, "sequences": []},
+                     "seed: expected an integer, got True", id="seed-bool"),
+        pytest.param({"seed": 1.5, "sequences": []},
+                     "seed: expected an integer, got 1.5", id="seed-float"),
+        pytest.param({"seed": "7", "sequences": []},
+                     "seed: expected an integer, got '7'", id="seed-string"),
     ])
     def test_malformed_sequence_file(self, workdir, capsys, doc, where):
         seqs = workdir / "bad.json"
@@ -568,7 +574,7 @@ class TestErrorPaths:
         dot.write_text('digraph { 0 -> 1 [label="post player"]; 1 [label="final = TRUE"]; }')
         code, _, err = run(capsys, "sequences", str(dot), str(tmp_path / "out.json"))
         assert code == 2
-        assert "error: edge 0 -> 1: cannot read label 'post player'" in err
+        assert f"error: {dot}: edge 0 -> 1: cannot read label 'post player'" in err
 
     def test_model_invariant_violation_is_a_finding(self, tmp_path, capsys):
         doc = tournaments_model_doc(players=("p1",), tournaments=(),

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statecover import ssg
+from statecover.lifecycle import explore, load_model
+from statecover.speckit import fixture_path
 from statecover.ssg import (
     DotParseError,
     EdgeStatement,
@@ -320,8 +322,8 @@ def _large_dump_lines() -> list[str]:
     return emit_dot(RawGraph("big", nodes, edges)).split("\n")
 
 
-class TestStatementScanner:
-    """parse_dot reads by statement and hands what it cannot read to the token
+class TestReferenceParser:
+    """parse_dot hands every text its line path cannot read to the token
     parser, which stays the reference for results and errors."""
 
     @pytest.mark.parametrize(
@@ -344,21 +346,14 @@ class TestStatementScanner:
         assert fallback.call_count == 1
 
     def test_a_failing_match_after_a_whitespace_run_does_not_backtrack_exponentially(self):
-        # with a whitespace run that may split anywhere, this takes tens of seconds
-        text = "digraph{1;" + " " * 28 + "x}"
+        # the line path's fullmatch fails after the run; with a whitespace run
+        # that may split anywhere, this takes tens of seconds
+        text = "digraph{\n" + " " * 28 + "x\n}"
         started = time.perf_counter()
-        with pytest.raises(DotParseError, match="line 1: expected a state id"):
+        with pytest.raises(DotParseError) as err:
             parse_dot(text)
         assert time.perf_counter() - started < 1.0
-
-    @settings(max_examples=400, deadline=None)
-    @given(dot_soup())
-    def test_matches_the_token_parser(self, text):
-        with _count_fallbacks() as fallback:
-            got = _outcome(parse_dot, text)
-        assert got == _outcome(REFERENCE, text)
-        if isinstance(got, RawGraph):
-            assert fallback.call_count == 0
+        assert _outcome(REFERENCE, text) == ("error", str(err.value), err.value.line)
 
     def test_error_near_the_end_of_a_large_dump(self):
         lines = _large_dump_lines()
@@ -432,17 +427,16 @@ def line_dump(draw):
 
 class TestLinePath:
     """parse_dot reads a dump one line at a time and parses each distinct
-    line once; where a line is not one statement, the statement scanner
-    takes over at that line."""
+    line once; a text with a line that is not one statement goes to the
+    token parser from the start."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(line_dump())
+    @settings(max_examples=800, deadline=None)
+    @given(st.one_of(dot_soup(), line_dump()))
     def test_matches_the_token_parser(self, text):
         with _count_fallbacks() as fallback:
             got = _outcome(parse_dot, text)
         assert got == _outcome(REFERENCE, text)
-        if isinstance(got, RawGraph):
-            assert fallback.call_count == 0
+        assert fallback.call_count <= 1
 
     @pytest.mark.parametrize("text", ["digraph{\n1;\n\f\n}", "digraph{\n1;\n\v\n}\n"])
     def test_only_space_tab_and_line_ends_are_whitespace(self, text):
@@ -451,15 +445,16 @@ class TestLinePath:
         assert err.value.line == 3
         assert _outcome(REFERENCE, text) == ("error", str(err.value), 3)
 
-    @pytest.mark.parametrize("text", [
-        "digraph{\n1\n-> 2;\n}", "digraph{\n1\n\n// c\n-> 2;\n}", "digraph{\n1 -> 2\n}",
-        'digraph{\n1 -> 2\n[label="x"]}', "digraph{\n1\n;}",
+    # only the third text has every statement on a line of its own
+    @pytest.mark.parametrize("text, fallbacks", [
+        ("digraph{\n1\n-> 2;\n}", 1), ("digraph{\n1\n\n// c\n-> 2;\n}", 1),
+        ("digraph{\n1 -> 2\n}", 0), ('digraph{\n1 -> 2\n[label="x"]}', 1), ("digraph{\n1\n;}", 1),
     ])
-    def test_a_statement_continued_on_the_next_line(self, text):
+    def test_a_statement_continued_on_the_next_line(self, text, fallbacks):
         with _count_fallbacks() as fallback:
             raw = parse_dot(text)
         assert (raw.nodes, raw.edges) == (REFERENCE(text).nodes, REFERENCE(text).edges)
-        assert fallback.call_count == 0
+        assert fallback.call_count == fallbacks
 
     def test_repeated_lines_share_one_statement(self):
         distinct = ['1 [label="final = FALSE"];', '2 [label="final = TRUE"];',
@@ -467,38 +462,26 @@ class TestLinePath:
         rng = random.Random(3)
         body = [rng.choice(distinct) for _ in range(200)] + distinct
         text = "digraph G {\n" + "\n".join(body) + "\n}\n"
-        with mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
-            raw = parse_dot(text)
-        reference = REFERENCE(text)
-        assert (raw.nodes, raw.edges) == (reference.nodes, reference.edges)
-        assert pattern.fullmatch.call_count == len(distinct)
-        # the scanner only checks that nothing but the closing brace is left
-        assert pattern.match.call_count == 1
-        first: dict = {}
-        for statement in raw.nodes + raw.edges:
-            assert first.setdefault(statement, statement) is statement
-        assert len(first) == len(distinct)
-
-    def test_the_scanner_reads_only_the_line_it_takes_over(self):
-        lines = _large_dump_lines()
-        assert lines[-2:] == ["}", ""]
-        last = len(lines) - 3
-        lines[last] = "1 -> 2; 3 [label=\"x\"];"
-        text = "\n".join(lines)
-        assert len(text) > 1_000_000
-        line_start = text.rindex("\n", 0, text.rindex("\n}")) + 1
-        line_end = text.index("\n", line_start)
         with _count_fallbacks() as fallback, \
                 mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
             raw = parse_dot(text)
         reference = REFERENCE(text)
         assert (raw.nodes, raw.edges) == (reference.nodes, reference.edges)
-        assert raw.edges[-1] == EdgeStatement("1", "2", None)
-        assert raw.nodes[-1] == NodeStatement("3", "x")
-        assert fallback.call_count == 0
-        offsets = [call.args[1] for call in pattern.match.call_args_list]
-        assert len(offsets) == 3
-        assert all(line_start <= at <= line_end for at in offsets)
+        assert pattern.fullmatch.call_count == len(distinct)
+        assert (pattern.match.call_count, fallback.call_count) == (0, 0)
+        first: dict = {}
+        for statement in raw.nodes + raw.edges:
+            assert first.setdefault(statement, statement) is statement
+        assert len(first) == len(distinct)
+
+    def test_explored_dot_of_the_fixture_model_takes_the_line_path(self):
+        text = explore(load_model(fixture_path("tournaments_p1t1e1.yaml"))).to_dot()
+        with _count_fallbacks() as fallback, \
+                mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
+            raw = parse_dot(text)
+        assert raw == REFERENCE(text)
+        assert raw.edges
+        assert (pattern.match.call_count, fallback.call_count) == (0, 0)
 
 
 class TestClean:
