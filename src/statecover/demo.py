@@ -25,6 +25,8 @@ socketserver.ThreadingTCPServer, one thread per connection, reading
 requests with transport's header reader and writing each answer in one
 piece; socketserver loads when the first DemoServer is built, so importing
 this module for its fixtures or its model documents does not load a server.
+A model document is the packaged tournaments_p1t1e1.yaml, renamed
+"tournaments", over the id domains and capacities asked for.
 """
 
 from __future__ import annotations
@@ -497,54 +499,12 @@ def tournaments_model_doc(
     enrolments=("e1",),
     capacities=(1,),
 ) -> dict:
-    doc = {
-        "name": "tournaments",
-        "resources": [
-            {"name": "players", "key": "pid", "ids": list(players),
-             "record": {"ts": {"set": "tournaments"}}},
-            {"name": "tournaments", "key": "tid", "ids": list(tournaments),
-             "record": {"ps": {"set": "players"}, "c": "capacity"}},
-            {"name": "enrolments", "key": "eid", "ids": list(enrolments),
-             "record": {"pid": {"ref": "players"}, "tid": {"ref": "tournaments"}}},
-        ],
-        "capacities": list(capacities),
-        "actions": [
-            {"name": "postPlayer", "params": {"pid": "players"},
-             "guard": "pid not in players",
-             "effect": ["put players[pid] = {ts: {}}"],
-             "unchanged": ["tournaments", "enrolments"]},
-            {"name": "deletePlayer", "params": {"pid": "players"},
-             "guard": "pid in players and size(players[pid].ts) = 0",
-             "effect": ["del players[pid]"],
-             "unchanged": ["tournaments", "enrolments"]},
-            {"name": "postTournament", "params": {"tid": "tournaments"},
-             "guard": "tid not in tournaments",
-             "effect": ["put tournaments[tid] = {ps: {}, c: any capacity}"],
-             "unchanged": ["players", "enrolments"]},
-            {"name": "deleteTournament", "params": {"tid": "tournaments"},
-             "guard": "tid in tournaments and size(tournaments[tid].ps) = 0",
-             "effect": ["del tournaments[tid]"],
-             "unchanged": ["players", "enrolments"]},
-            {"name": "postEnrolment",
-             "params": {"eid": "enrolments", "pid": "players", "tid": "tournaments"},
-             "guard": ("eid not in enrolments and pid in players and tid in tournaments"
-                       " and pid not in tournaments[tid].ps"
-                       " and size(tournaments[tid].ps) < tournaments[tid].c"),
-             "effect": ["put enrolments[eid] = {pid: pid, tid: tid}",
-                        "add players[pid].ts tid",
-                        "add tournaments[tid].ps pid"]},
-            {"name": "deleteEnrolment", "params": {"eid": "enrolments"},
-             "guard": "eid in enrolments",
-             "effect": ["remove players[enrolments[eid].pid].ts enrolments[eid].tid",
-                        "remove tournaments[enrolments[eid].tid].ps enrolments[eid].pid",
-                        "del enrolments[eid]"]},
-        ],
-        "invariants": [
-            {"name": "backrefs_live", "forall": "e", "in": "enrolments",
-             "check": "enrolments[e].pid in players and enrolments[e].tid in tournaments"},
-            {"name": "capacity_respected", "forall": "t", "in": "tournaments",
-             "check": "size(tournaments[t].ps) <= tournaments[t].c"},
-        ],
-        "terminal": "all_empty",
-    }
+    """The packaged tournaments_p1t1e1.yaml model, named "tournaments", over
+    the given id domains and capacities."""
+    path = speckit.fixture_path("tournaments_p1t1e1.yaml")
+    doc = speckit.load_yaml(path.read_text(encoding="utf-8"))
+    doc["name"] = "tournaments"
+    for resource, ids in zip(doc["resources"], (players, tournaments, enrolments)):
+        resource["ids"] = list(ids)
+    doc["capacities"] = list(capacities)
     return doc

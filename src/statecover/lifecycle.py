@@ -41,7 +41,7 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import ssg
 from .speckit import load_yaml
@@ -618,11 +618,9 @@ class Exploration:
         return ssg.emit_dot(self.to_raw())
 
 
-def explore(model: Model, *, max_states: int = 10000,
-            predicate: Optional[Callable[[Maps], bool]] = None) -> Exploration:
+def explore(model: Model, *, max_states: int = 10000) -> Exploration:
     """Enumerate every reachable state. Raises InvariantViolation (with a
-    shortest action trace) if any state breaks the model's invariants or the
-    extra predicate."""
+    shortest action trace) if any state breaks the model's invariants."""
     init = empty_maps(model)
     states = [canonical(model, init, False)]
     state_maps = [init]
@@ -642,8 +640,6 @@ def explore(model: Model, *, max_states: int = 10000,
 
     def verify(i: int) -> None:
         broken = _check_invariants(model, state_maps[i])
-        if broken is None and predicate is not None and not predicate(state_maps[i]):
-            broken = "predicate"
         if broken is not None:
             raise InvariantViolation(broken, states[i], trace_to(i))
 

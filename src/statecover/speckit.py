@@ -12,6 +12,10 @@ attaches inferred pre/postconditions to the mutating operations:
     PUT /r/{k}     requires the item to exist, ensures the stored value
                    equals the request body (tagged as an extra clause)
 
+Inferred clauses are GLACIER text and pass the load-time checks below, as
+authored ones do: a failing clause skips its operation with the reason, and
+a clause already present is not added again, so inference is idempotent.
+
 Each operation becomes one record at load time. The record holds what a
 call to it needs: the resource key its path addresses, the collection and
 item paths, the request schema with every $ref resolved, the foreign keys in
@@ -43,21 +47,13 @@ from typing import Any, Callable, Optional, Union
 import yaml
 
 from .glacier import (
-    ApiCall,
-    BodyFieldPart,
-    Comparison,
     Formula,
     FormulaError,
-    LitPart,
-    Literal,
     ParamPart,
-    Prev,
-    UrlTemplate,
     _print_call,
     _walk_calls,
     check_clause,
     parse as parse_formula,
-    print_formula,
 )
 
 
@@ -111,6 +107,11 @@ class Operation:
     request_schema: Optional[dict] = None
     foreign_keys: tuple[str, ...] = ()  # body fields holding another resource's key
     param_names: tuple[str, ...] = ()  # what an edge label's arguments bind, in order
+
+    @property
+    def bound(self) -> frozenset[str]:
+        """The names a call binds: its own key and the foreign keys it sends."""
+        return frozenset({self.own_key, *self.foreign_keys} - {None})
 
 
 @dataclass
@@ -318,24 +319,21 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
                 param_names = (own_key,) + foreign
             else:
                 param_names = tuple(placeholders)
-            # the names a call binds: its own key and the foreign keys it sends
-            bound = frozenset({own_key, *foreign} - {None})
-            operations.append(
-                Operation(
-                    op_id=op_id,
-                    method=method.upper(),
-                    path=path,
-                    raw=raw,
-                    requires=_load_clauses(raw, "requires", f"{where}: ", bound),
-                    ensures=_load_clauses(raw, "ensures", f"{where}: ", bound),
-                    own_key=own_key,
-                    collection=collection,
-                    item_path=item_path,
-                    request_schema=schema,
-                    foreign_keys=foreign,
-                    param_names=param_names,
-                )
+            op = Operation(
+                op_id=op_id,
+                method=method.upper(),
+                path=path,
+                raw=raw,
+                own_key=own_key,
+                collection=collection,
+                item_path=item_path,
+                request_schema=schema,
+                foreign_keys=foreign,
+                param_names=param_names,
             )
+            op.requires = _load_clauses(raw, "requires", f"{where}: ", op.bound)
+            op.ensures = _load_clauses(raw, "ensures", f"{where}: ", op.bound)
+            operations.append(op)
 
     referenced = set()
     _collect_refs(doc, referenced)
@@ -393,9 +391,8 @@ def _collect_refs(node: Any, out: set[str]) -> None:
 def _load_clauses(
     node: dict, kind: str, where: str = "", bound: frozenset[str] = frozenset()
 ) -> tuple[Clause, ...]:
-    """The x-<kind> (or bare <kind>) clauses of an operation or document.
-    A clause must parse, pass check_clause for its kind and name no bare
-    {param} outside bound, the names a call of the operation binds."""
+    """The x-<kind> (or bare <kind>) clauses of an operation or document,
+    each checked by _clause."""
     key = f"x-{kind}" if f"x-{kind}" in node else kind
     entries = node.get(key) or []
     if not isinstance(entries, list):
@@ -409,47 +406,30 @@ def _load_clauses(
             text, extra = entry["clause"], bool(entry.get("x-inferred-extra"))
         else:
             raise SpecError(f"{at}: malformed contract clause entry: {entry!r}")
-        try:
-            formula = parse_formula(text)
-            check_clause(formula, kind)
-        except FormulaError as exc:
-            raise SpecError(f"{at}: {exc}") from None
-        for call, _ in _walk_calls(formula):
-            for part in (p for seg in call.url.segments for p in seg) if call.url else ():
-                if isinstance(part, ParamPart) and not part.is_dotted() and part.name not in bound:
-                    raise SpecError(
-                        f"{at}: {_print_call(call)}: the operation never binds {{{part.name}}}"
-                    )
-        out.append(Clause(text=text, extra=extra, formula=formula))
+        out.append(_clause(text, kind, at, bound, extra))
     return tuple(out)
 
 
+def _clause(text: str, kind: str, at: str, bound: frozenset[str], extra: bool = False) -> Clause:
+    """The one way a clause enters a spec, authored or inferred: it must
+    parse, pass check_clause for its kind and name no bare {param} outside
+    bound, the names a call of the operation binds. A SpecError prefixed
+    with at says which check failed."""
+    try:
+        formula = parse_formula(text)
+        check_clause(formula, kind)
+    except FormulaError as exc:
+        raise SpecError(f"{at}: {exc}") from None
+    for call, _ in _walk_calls(formula):
+        for part in (p for seg in call.url.segments for p in seg) if call.url else ():
+            if isinstance(part, ParamPart) and not part.is_dotted() and part.name not in bound:
+                raise SpecError(
+                    f"{at}: {_print_call(call)}: the operation never binds {{{part.name}}}"
+                )
+    return Clause(text=text, extra=extra, formula=formula)
+
+
 # --- inference ---------------------------------------------------------------
-
-def _seg(path_text: str) -> tuple:
-    """URL template segments for a literal path, {k} params kept symbolic."""
-    segments = []
-    for seg in path_text.strip("/").split("/"):
-        m = re.fullmatch(r"\{(\w+)\}", seg)
-        if m:
-            segments.append((ParamPart(m.group(1)),))
-        else:
-            segments.append((LitPart(seg),))
-    return tuple(segments)
-
-
-def _get_item_by_body(collection: str, key: str) -> ApiCall:
-    segs = _seg(collection) + ((BodyFieldPart(key),),)
-    return ApiCall(func="res_code", method="GET", url=UrlTemplate(segments=segs))
-
-
-def _get_item(item_path: str, func: str = "res_code") -> ApiCall:
-    return ApiCall(func=func, method="GET", url=UrlTemplate(segments=_seg(item_path)))
-
-
-def _clause(formula: Formula, extra: bool = False) -> Clause:
-    return Clause(text=print_formula(formula), extra=extra, formula=formula)
-
 
 @dataclass
 class InferenceReport:
@@ -457,69 +437,74 @@ class InferenceReport:
     skipped: list[tuple[str, str]]
 
 
+def _crud_clauses(op: Operation, where: str) -> list[tuple[str, str, bool]]:
+    """The CRUD rule's (kind, text, extra) clauses for op; SpecError if none fits."""
+    if op.method == "POST":
+        if op.path != op.collection:
+            raise SpecError(f"POST path {op.path} has no /{{key}} item sibling")
+        probe = f"res_code(GET {op.path}/req_body(@){{{op.own_key}}})"
+        out = [("requires", f"{probe} = 404", False), ("ensures", f"{probe} = 200", False)]
+        req_schema = _body_schema(op.raw, where)
+        if req_schema is not None and req_schema == _success_schema(op.raw, where):
+            out.append(("ensures", "req_body(@) = res_body(@)", False))
+        return out
+    if op.method not in ("PUT", "DELETE"):
+        raise SpecError(f"no inference rule for {op.method}")
+    if op.path != op.item_path:
+        raise SpecError(f"{op.method} path {op.path} is not a keyed item path")
+    get = f"GET {op.path}"
+    if op.method == "PUT":
+        return [("requires", f"res_code({get}) = 200", False),
+                ("ensures", f"req_body(@) = res_body({get})", True)]
+    out = [("requires", f"res_code({get}) = 200", False),
+           ("ensures", f"res_code({get}) = 404", False)]
+    if _success_schema(op.raw, where) is not None:
+        out.append(("ensures", f"req_body(@) = prev(res_body({get}))", False))
+    return out
+
+
 def infer_contracts(spec: ApiSpec) -> InferenceReport:
     """Attach CRUD contracts to every POST/PUT/DELETE that fits the
-    collection/item shape; GETs are left alone. Returns what was added
-    and which operations were skipped, with reasons."""
+    collection/item shape; GETs are left alone. Each clause enters through
+    _clause, as an authored one does: one that fails skips its operation
+    with the checker's message, and one the operation already carries is
+    not added again. Returns the clauses added per operation (operations
+    that gained none are left out) and the skipped operations, with reasons."""
     added: dict[str, int] = {}
     skipped: list[tuple[str, str]] = []
     for op in spec.operations:
         if op.method == "GET":
             continue
         where = f"{op.method} {op.path}"
-        requires: list[Clause] = []
-        ensures: list[Clause] = []
-
-        if op.method == "POST":
-            if op.path != op.collection:
-                skipped.append((op.op_id, f"POST path {op.path} has no /{{key}} item sibling"))
-                continue
-            probe_missing = Comparison(_get_item_by_body(op.path, op.own_key), "=", Literal(404))
-            probe_there = Comparison(_get_item_by_body(op.path, op.own_key), "=", Literal(200))
-            requires.append(_clause(probe_missing))
-            ensures.append(_clause(probe_there))
-            req_schema = _body_schema(op.raw, where)
-            if req_schema is not None and req_schema == _success_schema(op.raw, where):
-                echo = Comparison(ApiCall(func="req_body"), "=", ApiCall(func="res_body"))
-                ensures.append(_clause(echo))
-        elif op.method == "DELETE":
-            if op.path != op.item_path:
-                skipped.append((op.op_id, f"DELETE path {op.path} is not a keyed item path"))
-                continue
-            requires.append(_clause(Comparison(_get_item(op.path), "=", Literal(200))))
-            ensures.append(_clause(Comparison(_get_item(op.path), "=", Literal(404))))
-            if _success_schema(op.raw, where) is not None:
-                echo = Comparison(
-                    ApiCall(func="req_body"),
-                    "=",
-                    Prev(call=_get_item(op.path, func="res_body")),
-                )
-                ensures.append(_clause(echo))
-        elif op.method == "PUT":
-            if op.path != op.item_path:
-                skipped.append((op.op_id, f"PUT path {op.path} is not a keyed item path"))
-                continue
-            requires.append(_clause(Comparison(_get_item(op.path), "=", Literal(200))))
-            stored = Comparison(
-                ApiCall(func="req_body"), "=", _get_item(op.path, func="res_body")
-            )
-            ensures.append(_clause(stored, extra=True))
-        else:
-            skipped.append((op.op_id, f"no inference rule for {op.method}"))
+        new: dict[str, list[Clause]] = {"requires": [], "ensures": []}
+        try:
+            for kind, text, extra in _crud_clauses(op, where):
+                have = getattr(op, kind) + tuple(new[kind])
+                if all(c.text != text for c in have):
+                    at = f"{where}: x-{kind}[{len(have)}]"
+                    new[kind].append(_clause(text, kind, at, op.bound, extra))
+        except SpecError as exc:
+            skipped.append((op.op_id, str(exc)))
             continue
-
-        op.requires = op.requires + tuple(requires)
-        op.ensures = op.ensures + tuple(ensures)
-        added[op.op_id] = len(requires) + len(ensures)
+        op.requires += tuple(new["requires"])
+        op.ensures += tuple(new["ensures"])
+        if new["requires"] or new["ensures"]:
+            added[op.op_id] = len(new["requires"]) + len(new["ensures"])
     return InferenceReport(added=added, skipped=skipped)
 
 
 # --- emission ----------------------------------------------------------------
 
-def _dump_clause(c: Clause):
-    if c.extra:
-        return {"clause": c.text, "x-inferred-extra": True}
-    return c.text
+def _dump_clauses(node: dict, kind: str, clauses: tuple[Clause, ...]) -> None:
+    """Write clauses to node as x-<kind>, dropping the bare <kind> spelling."""
+    node.pop(kind, None)
+    if clauses:
+        node[f"x-{kind}"] = [
+            {"clause": c.text, "x-inferred-extra": True} if c.extra else c.text
+            for c in clauses
+        ]
+    else:
+        node.pop(f"x-{kind}", None)
 
 
 def emit_extended(spec: ApiSpec) -> str:
@@ -529,21 +514,9 @@ def emit_extended(spec: ApiSpec) -> str:
     bytes, so extended specs can be kept under version control.
     """
     for op in spec.operations:
-        for bare in ("requires", "ensures"):
-            op.raw.pop(bare, None)
-        if op.requires:
-            op.raw["x-requires"] = [_dump_clause(c) for c in op.requires]
-        else:
-            op.raw.pop("x-requires", None)
-        if op.ensures:
-            op.raw["x-ensures"] = [_dump_clause(c) for c in op.ensures]
-        else:
-            op.raw.pop("x-ensures", None)
-    spec.doc.pop("invariants", None)
-    if spec.invariants:
-        spec.doc["x-invariants"] = [_dump_clause(c) for c in spec.invariants]
-    else:
-        spec.doc.pop("x-invariants", None)
+        _dump_clauses(op.raw, "requires", op.requires)
+        _dump_clauses(op.raw, "ensures", op.ensures)
+    _dump_clauses(spec.doc, "invariants", spec.invariants)
     return yaml.safe_dump(spec.doc, sort_keys=False, width=10000, allow_unicode=True)
 
 

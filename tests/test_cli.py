@@ -82,6 +82,15 @@ class TestFixtures:
         assert "x-ensures" in first
         assert "x-invariants" in first
 
+    def test_gen_contracts_of_its_own_output_is_byte_identical(self, workdir, capsys):
+        once, twice = workdir / "once.yaml", workdir / "twice.yaml"
+        code, _, _ = run(capsys, "gen-contracts", str(workdir / "tournaments-oas.yaml"), str(once))
+        assert code == 0
+        code, out, _ = run(capsys, "gen-contracts", str(once), str(twice))
+        assert code == 0
+        assert twice.read_bytes() == once.read_bytes()
+        assert out == f"{twice}: contracts for 0 operations (0 clauses)\n"
+
 
 class TestPipeline:
     def test_explore_clean_sequences(self, workdir, capsys):

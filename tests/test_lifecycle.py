@@ -9,7 +9,7 @@ from statecover.lifecycle import (
     explore,
     load_model,
 )
-from statecover.speckit import fixture_path
+from statecover.speckit import fixture_path, load_yaml
 
 
 TOURNAMENT_LABELS = [
@@ -393,30 +393,35 @@ class TestModelChecks:
             explore(load_model(doc))
 
 
-def violation_trace(model, predicate):
-    """The action trace to the first state breaking predicate, or None."""
+def violation_trace(check):
+    """The action trace to the first state of the fixture model that breaks
+    the extra model invariant check, or None."""
+    doc = load_yaml(fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8"))
+    doc["invariants"].append({"name": "under_test", "check": check})
     try:
-        explore(model, predicate=predicate)
+        explore(load_model(doc))
     except InvariantViolation as violation:
+        assert violation.name == "under_test"
         return violation.trace
     return None
 
 
 class TestCheckInvariant:
-    def test_holds(self, model):
-        assert violation_trace(model, lambda maps: len(maps["players"]) <= 1) is None
+    def test_holds(self):
+        assert violation_trace("size(players) <= 1") is None
 
-    def test_counterexample_trace(self, model):
-        trace = violation_trace(model, lambda maps: not maps["enrolments"])
+    def test_counterexample_trace(self):
+        trace = violation_trace("size(enrolments) = 0")
         assert trace is not None
         assert trace[-1] == "postEnrolment(e1,p1,t1)"
         assert trace[0] in ("postPlayer(p1)", "postTournament(t1)")
+        assert trace == ("postPlayer(p1)", "postTournament(t1)", "postEnrolment(e1,p1,t1)")
 
     def test_trace_replays_to_violation(self, model):
         """The returned trace is a genuine path: replaying it step by step
-        through the explored graph ends in a predicate-violating state."""
+        through the explored graph ends in a state that breaks the check."""
         x = explore(model)
-        trace = violation_trace(model, lambda maps: not maps["enrolments"])
+        trace = violation_trace("size(enrolments) = 0")
         here = 0
         for label in trace:
             nxt = [v for u, v, lbl in x.transitions if u == here and lbl == label]

@@ -3,7 +3,7 @@ import time
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statecover.speckit import (
@@ -14,6 +14,7 @@ from statecover.speckit import (
     fixture_path,
     infer_contracts,
     load_oas,
+    load_yaml,
 )
 
 from helpers import (
@@ -135,10 +136,43 @@ def pairwise_resources(paths):
 
 
 # collections, their items (several keys each), and near misses
-_collection = st.sampled_from(["/a", "/b", "/a/b", "/a/{k}", "", "/"])
+_collection = st.sampled_from(["/a", "/b", "/a/b", "/a/{k}", "/a/{k}/b", "", "/"])
 _item = st.builds("{}/{{{}}}".format, _collection, st.sampled_from(["k", "id", "x_1"]))
 _near_miss = st.sampled_from(["/a/{", "/b/x}", "/a/{k}x", "/a{k}", "/a/{k-1}"])
 _path = st.one_of(_collection, _item, _item, _near_miss)
+
+
+def crud_doc(paths):
+    """A POST on every path and a PUT and a DELETE on every item path, each
+    declaring every path parameter."""
+    body = {"content": {"application/json": {"schema": {"type": "object"}}}}
+    doc = minimal_doc()
+    for i, path in enumerate(paths):
+        params = [{"name": name, "in": "path", "required": True}
+                  for name in dict.fromkeys(re.findall(r"\{(\w+)\}", path))]
+        item = doc["paths"][path] = {"parameters": params}
+        methods = ("post", "put", "delete") if re.fullmatch(r".*/\{\w+\}", path) else ("post",)
+        for method in methods:
+            item[method] = {"operationId": f"{method}{i}", "responses": {"200": {"description": "ok"}}}
+            if method != "delete":
+                item[method]["requestBody"] = body
+    return doc
+
+
+def nested_doc():
+    """Players nested under an organisation, whose key no call binds."""
+    org = {"name": "org", "in": "path", "required": True}
+    pid = {"name": "pid", "in": "path", "required": True}
+    body = {"content": {"application/json": {"schema": {
+        "type": "object", "properties": {"pid": {"type": "string"}}}}}}
+    return minimal_doc(**{
+        "/orgs/{org}/players": {"parameters": [org], "post": {
+            "operationId": "postPlayer", "requestBody": body,
+            "responses": {"201": {"description": "created"}}}},
+        "/orgs/{org}/players/{pid}": {"parameters": [org, pid],
+            "get": {"operationId": "getPlayer", "responses": {"200": {"description": "ok"}}},
+            "delete": {"operationId": "deletePlayer", "responses": {"200": {"description": "ok"}}}},
+    })
 
 
 class TestResources:
@@ -387,6 +421,54 @@ class TestInference:
         texts = [c.text for c in s.operation("deleteWidget").ensures]
         # deleteWidget declares a bodyless 200, so no echo-of-previous clause
         assert texts == ["res_code(GET /widgets/{wid}) = 404"]
+
+    def test_a_clause_already_present_is_not_added_again(self):
+        doc = widget_doc()
+        doc["paths"]["/widgets/{wid}"]["delete"]["x-ensures"] = ["res_code(GET /widgets/{wid}) = 404"]
+        s = load_oas(doc)
+        report = infer_contracts(s)
+        op = s.operation("deleteWidget")
+        assert [c.text for c in op.requires] == ["res_code(GET /widgets/{wid}) = 200"]
+        assert [c.text for c in op.ensures] == ["res_code(GET /widgets/{wid}) = 404"]
+        assert report.added == {"postWidget": 3, "deleteWidget": 1}
+
+    def test_inferring_twice_adds_nothing(self, spec):
+        assert sum(infer_contracts(spec).added.values()) == 22
+        before = [(op.requires, op.ensures) for op in spec.operations]
+        report = infer_contracts(spec)
+        assert report.added == {} and report.skipped == []
+        assert [(op.requires, op.ensures) for op in spec.operations] == before
+
+    def test_nested_resource_is_skipped_with_the_checker_message(self):
+        s = load_oas(nested_doc())
+        report = infer_contracts(s)
+        assert report.added == {}
+        assert report.skipped == [
+            ("postPlayer", "POST /orgs/{org}/players: x-requires[0]: "
+             "res_code(GET /orgs/{org}/players/req_body(@){pid}): the operation never binds {org}"),
+            ("deletePlayer", "DELETE /orgs/{org}/players/{pid}: x-requires[0]: "
+             "res_code(GET /orgs/{org}/players/{pid}): the operation never binds {org}"),
+        ]
+        assert all(op.requires == op.ensures == () for op in s.operations)
+        load_oas(load_yaml(emit_extended(s)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_path.filter(lambda p: p.startswith("/")), max_size=8, unique=True))
+    @example(["/orgs/{org}/players", "/orgs/{org}/players/{pid}"])
+    def test_inferred_contracts_load_like_authored_ones(self, paths):
+        spec = load_oas(crud_doc(paths))
+        report = infer_contracts(spec)
+        skipped = {op_id for op_id, _ in report.skipped}
+        text = emit_extended(spec)
+        again = load_oas(load_yaml(text))
+        for a, b in zip(spec.operations, again.operations, strict=True):
+            clauses = [(c.text, c.extra) for c in a.requires + a.ensures]
+            assert clauses == [(c.text, c.extra) for c in b.requires + b.ensures]
+            assert a.op_id in skipped or a.op_id in report.added
+            if a.op_id in skipped:
+                assert clauses == []
+        assert emit_extended(again) == text
+        assert infer_contracts(again).added == {}
 
     def test_all_inferred_clauses_reparse(self, spec):
         infer_contracts(spec)
