@@ -6,8 +6,9 @@ that covers every state (`ssg`, `seqgen`), attach machine-checkable
 contracts to the API description (`speckit`, `glacier`), and drive the live
 service while evaluating those contracts around every call (`executor`,
 `evaluator`). `transport` frames HTTP on the standard library for both ends
-of that wire. `demo` ships a small tournaments service with seedable faults
-to try the whole loop on.
+of that wire and opens the campaign's sockets itself. `demo` ships a small
+tournaments service with seedable faults to try the whole loop on. Records
+are NamedTuples or slotted classes, so no module imports `dataclasses`.
 
 Importing the package loads none of these modules. Each name in `__all__`
 loads its module on first access (PEP 562), so `statecover.run_campaign`

@@ -13,10 +13,13 @@ to stderr (as JSON lines with --json-logs); stdout carries only the final
 summary line of each command.
 
 Importing this module loads what every command shares and the campaign
-path: `executor` (with `evaluator`, `glacier` and `runtime`) and `seqgen`,
-so that `run_campaign` is a name of this module that a tracer can patch.
-`lifecycle`, `ssg`, `speckit` (with `yaml`) and `demo` load when a command
-that uses them is dispatched; once `demo` is loaded, so are the others.
+path: `executor` (with `evaluator`, `glacier`, `runtime` and `transport`)
+and `seqgen`, so that `run_campaign` is a name of this module that a tracer
+can patch. `lifecycle`, `ssg`, `speckit` (with `yaml`) and `demo` load when
+a command that uses them is dispatched; once `demo` is loaded, so are the
+others. No module of the package imports `dataclasses` (and with it
+`inspect`) or `http.client`; `socket` and `select` load when a campaign
+connects, `ssl` when it first speaks TLS.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ TournamentsApp is plain Python. DemoServer serves it over HTTP/1.1 from a
 socketserver.ThreadingTCPServer, one thread per connection, reading
 requests with transport's header reader and writing each answer in one
 piece; socketserver loads when the first DemoServer is built, so importing
-this module for its fixtures or its model documents does not load a server.
+this module for its fixtures or its model documents loads neither a server
+nor the socket module.
 A model document is the packaged tournaments_p1t1e1.yaml, renamed
 "tournaments", over the id domains and capacities asked for.
 """
@@ -36,15 +37,13 @@ import json
 import random
 import threading
 import time
-from email.utils import formatdate
 from http import HTTPStatus
-from http.client import HTTPException
 from typing import Optional
 from urllib.parse import unquote
 
 from . import lifecycle, speckit
 from .speckit import ApiSpec, Clause
-from .transport import MAX_LINE, read_fields
+from .transport import MAX_LINE, ProtocolError, read_fields
 
 FAULTS = (
     "delete_player_noop",
@@ -339,9 +338,17 @@ def _check_enrolment(body) -> Optional[str]:
 _METHODS = ("GET", "POST", "PUT", "DELETE")
 
 
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
 @functools.lru_cache(maxsize=1)
 def _date_field(second: int) -> str:
-    return formatdate(second, usegmt=True)
+    """The Date field of a Unix time, in the IMF-fixdate form of RFC 9110
+    that email.utils.formatdate(second, usegmt=True) writes."""
+    t = time.gmtime(second)
+    return (f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
 def _answer(status: int, payload, close: bool, head_only: bool = False) -> bytes:
@@ -362,17 +369,17 @@ def _read_request(rfile, wfile):
     """(method, target, version, header fields, body) of the next request on
     a connection, or None once the client has closed it. A request that asks
     for an interim 100 Continue gets it before its body is read. A request
-    that cannot be framed raises HTTPException."""
+    that cannot be framed raises ProtocolError."""
     line = rfile.readline(MAX_LINE + 1)
     if not line:
         return None
     words = line.decode("latin-1").split()
     if len(words) != 3 or not words[2].startswith("HTTP/1.") or not line.endswith(b"\n"):
-        raise HTTPException(f"malformed request line {line.decode('latin-1')!r}")
+        raise ProtocolError(f"malformed request line {line.decode('latin-1')!r}")
     fields = read_fields(rfile)
     length = fields.get("content-length", "0")
     if not (length.isascii() and length.isdigit()) or "transfer-encoding" in fields:
-        raise HTTPException("a request body needs a Content-Length")
+        raise ProtocolError("a request body needs a Content-Length")
     if fields.get("expect", "").lower() == "100-continue" and words[2] != "HTTP/1.0":
         wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
     size = int(length)
@@ -390,7 +397,7 @@ def _serve(app: TournamentsApp, rfile, wfile) -> None:
     while True:
         try:
             request = _read_request(rfile, wfile)
-        except HTTPException as exc:
+        except ProtocolError as exc:
             wfile.write(_answer(400, {"error": str(exc)}, close=True))
             return
         if request is None:

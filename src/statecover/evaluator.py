@@ -32,8 +32,7 @@ any of transport.TRANSPORT_ERRORS becomes a TransportFailure.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 from urllib.parse import quote
 
 from .glacier import (
@@ -75,20 +74,23 @@ class _Undefined(Exception):
         self.reason = reason
 
 
-@dataclass
 class OpContext:
     """The operation under test, as seen by '@'; req_body, res_code and
     res_body are named after the functions that read them. Before the call
-    is sent the response fields are None: only postconditions read them."""
+    is sent the response fields are None: only postconditions read them.
+    path_args binds the bare {param}s of its URLs."""
 
-    req_body: Any = None
-    res_code: Any = None
-    res_body: Any = None
-    path_args: dict = dc_field(default_factory=dict)
+    __slots__ = ("req_body", "res_code", "res_body", "path_args")
+
+    def __init__(self, req_body: Any = None, res_code: Any = None, res_body: Any = None,
+                 path_args: Optional[dict] = None):
+        self.req_body = req_body
+        self.res_code = res_code
+        self.res_body = res_body
+        self.path_args = {} if path_args is None else path_args
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: bool
     witness: str = ""
 

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import time
 from contextlib import closing
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .evaluator import EvaluationError, Evaluator, OpContext, TransportFailure, path_segment
 from .glacier import Formula
@@ -68,8 +67,7 @@ def classify(pre: bool, post: bool, inv: bool, status: int) -> str:
     return OK if rejected else ERR
 
 
-@dataclass
-class ClauseVerdict:
+class ClauseVerdict(NamedTuple):
     value: Optional[bool]  # None: evaluation itself failed
     witness: str = ""
 
@@ -78,8 +76,7 @@ class ClauseVerdict:
         return self.value is True
 
 
-@dataclass
-class CallOutcome:
+class CallOutcome(NamedTuple):
     sequence_index: int
     call_index: int
     operation_id: str
@@ -114,8 +111,7 @@ class _Skip(Exception):
         self.reason = reason
 
 
-@dataclass
-class _Prepared:
+class _Prepared(NamedTuple):
     payload: Optional[dict]  # body to send (None for DELETE)
     clause_body: Any  # what req_body(@) means for this call
     path: str

@@ -36,8 +36,7 @@ the call is sent, when '@' has no response yet, and outside any quantifier.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 
 COMPARATORS = ("<=", ">=", "!=", "=", "<", ">")
@@ -56,15 +55,35 @@ class FormulaError(ValueError):
         self.pos = pos
 
 
+# --- AST nodes ---------------------------------------------------------------
+
+def _same_node(node, other) -> bool:
+    return type(node) is type(other) and tuple.__eq__(node, other)
+
+
+def _other_node(node, other) -> bool:
+    return not _same_node(node, other)
+
+
+def _node(cls):
+    """Make a NamedTuple class a formula node: equal only to a node of its
+    own type with equal fields, so that LitPart("a") != ParamPart("a") and
+    neither equals the tuple ("a",). Equal nodes hash alike."""
+    cls.__eq__ = _same_node
+    cls.__ne__ = _other_node
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
 # --- URL templates -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LitPart:
+@_node
+class LitPart(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class ParamPart:
+@_node
+class ParamPart(NamedTuple):
     """A {name} placeholder; dotted names reference bound variables."""
 
     name: str
@@ -76,8 +95,8 @@ class ParamPart:
         return "." in self.name
 
 
-@dataclass(frozen=True)
-class BodyFieldPart:
+@_node
+class BodyFieldPart(NamedTuple):
     """A req_body(@){field} splice of the current request body into the URL."""
 
     field: str
@@ -86,8 +105,8 @@ class BodyFieldPart:
 UrlPart = Union[LitPart, ParamPart, BodyFieldPart]
 
 
-@dataclass(frozen=True)
-class UrlTemplate:
+@_node
+class UrlTemplate(NamedTuple):
     segments: tuple[tuple[UrlPart, ...], ...]
 
     def text(self) -> str:
@@ -107,26 +126,26 @@ class UrlTemplate:
 
 # --- Expressions and formulas ------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
+@_node
+class Literal(NamedTuple):
     value: int | float | str
 
 
-@dataclass(frozen=True)
-class FieldSuffix:
+@_node
+class FieldSuffix(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class FuncSuffix:
+@_node
+class FuncSuffix(NamedTuple):
     name: str
 
 
 Suffix = Union[FieldSuffix, FuncSuffix]
 
 
-@dataclass(frozen=True)
-class ApiCall:
+@_node
+class ApiCall(NamedTuple):
     """req_body/res_body/res_code over @ (the operation under test) or an
     explicit METHOD plus URL template, with an optional field/function suffix."""
 
@@ -139,23 +158,23 @@ class ApiCall:
         return self.method is None
 
 
-@dataclass(frozen=True)
-class Prev:
+@_node
+class Prev(NamedTuple):
     call: ApiCall
 
 
 Expr = Union[ApiCall, Prev, Literal]
 
 
-@dataclass(frozen=True)
-class Comparison:
+@_node
+class Comparison(NamedTuple):
     lhs: Expr
     op: str
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class BoolChain:
+@_node
+class BoolChain(NamedTuple):
     """Flat chain of atoms joined by and/or/=>; len(ops) == len(items) - 1.
 
     Precedence is applied at evaluation time: 'and' over 'or' over '=>',
@@ -166,8 +185,8 @@ class BoolChain:
     ops: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Quantified:
+@_node
+class Quantified(NamedTuple):
     kind: str  # 'for' | 'exists'
     bindings: tuple[tuple[str, ApiCall], ...]
     body: "Formula"

@@ -39,9 +39,8 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import ssg
 from .speckit import load_yaml
@@ -61,22 +60,19 @@ class InvariantViolation(AssertionError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     kind: str  # 'set' | 'ref' | 'capacity'
     target: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ResourceDef:
+class ResourceDef(NamedTuple):
     name: str
     key: str
     ids: tuple[str, ...]
     record: dict[str, FieldSpec]
 
 
-@dataclass(frozen=True)
-class ActionDef:
+class ActionDef(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]  # (param name, resource name)
     guard: tuple  # parsed conditions, see _parse_conds; () always holds
@@ -84,16 +80,14 @@ class ActionDef:
     unchanged: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class InvariantDef:
+class InvariantDef(NamedTuple):
     name: str
     check: tuple  # parsed conditions, see _parse_conds
     var: Optional[str] = None
     domain: Optional[str] = None  # resource whose live ids bind var
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     name: str
     resources: tuple[ResourceDef, ...]
     capacities: tuple[int, ...]
@@ -588,8 +582,7 @@ def _check_invariants(model: Model, maps: Maps) -> Optional[str]:
 
 # --- exploration -------------------------------------------------------------
 
-@dataclass
-class Exploration:
+class Exploration(NamedTuple):
     model: Model
     states: list[str]                      # canonical labels, index = state id
     finals: list[int]

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass
 from typing import Any
 
 
@@ -139,12 +138,14 @@ def _inside(bound, strict: bool, integer: bool, up: bool):
     return math.nextafter(bound, math.inf if up else -math.inf) if strict else bound
 
 
-@dataclass
 class Entry:
     """One instance the service should contain: the collection it lives in,
     the body it was last written with, and the concrete id it was sent as.
     A sequence's emulated state maps abstract ids ('p1') to these."""
 
-    resource: str
-    data: dict
-    concrete_id: str
+    __slots__ = ("resource", "data", "concrete_id")
+
+    def __init__(self, resource: str, data: dict, concrete_id: str):
+        self.resource = resource
+        self.data = data
+        self.concrete_id = concrete_id

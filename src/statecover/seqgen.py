@@ -16,16 +16,14 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .speckit import Operation
     from .ssg import StateSpaceGraph
 
 
-@dataclass(frozen=True)
-class PathSets:
+class PathSets(NamedTuple):
     complete: tuple[tuple[int, ...], ...]
     incomplete: tuple[tuple[int, ...], ...]
 
@@ -118,12 +116,15 @@ def parse_label(label: str) -> tuple[str, tuple[str, ...]] | None:
     return name, tuple(a.strip() for a in raw_args.split(","))
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
+    """One call of a sequence: the operation, its method and path template,
+    and the abstract ids its label binds (params, one dict per call, which
+    is why it has no default)."""
+
     op: str
     verb: str
     path: str
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, str]
     own_key: str | None = None
 
     def own_id(self) -> str | None:
@@ -257,8 +258,7 @@ def insert_puts(
     return out
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     path_count: int
     states_covered: int
     states_total: int

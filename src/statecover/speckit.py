@@ -40,9 +40,8 @@ it again is byte-identical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import yaml
 
@@ -65,8 +64,7 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     where: str = ""
@@ -76,37 +74,58 @@ class Diagnostic:
         return f"{self.code}: {self.message}{loc}"
 
 
-@dataclass(frozen=True)
-class Clause:
-    """One contract formula plus its canonical source text."""
-
+class _ClauseFields(NamedTuple):
     text: str
-    extra: bool = False
-    formula: Optional[Formula] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.formula is None:
-            object.__setattr__(self, "formula", parse_formula(self.text))
+    extra: bool
+    formula: Formula
 
 
-@dataclass
+class Clause(_ClauseFields):
+    """One contract formula plus its canonical source text; the formula is
+    parsed from the text unless it is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, extra: bool = False, formula: Optional[Formula] = None):
+        return super().__new__(cls, text, extra,
+                               parse_formula(text) if formula is None else formula)
+
+
 class Operation:
     """One API operation, resolved once at load: how a call to it is issued
     (key bindings, request schema with no $refs left) and its contract
-    clauses, which contract inference may extend."""
+    clauses (requires, ensures), which contract inference may extend."""
 
-    op_id: str
-    method: str  # uppercase
-    path: str
-    raw: dict
-    requires: tuple[Clause, ...] = ()
-    ensures: tuple[Clause, ...] = ()
-    own_key: Optional[str] = None  # key of the resource the path addresses
-    collection: Optional[str] = None
-    item_path: Optional[str] = None
-    request_schema: Optional[dict] = None
-    foreign_keys: tuple[str, ...] = ()  # body fields holding another resource's key
-    param_names: tuple[str, ...] = ()  # what an edge label's arguments bind, in order
+    __slots__ = ("op_id", "method", "path", "raw", "requires", "ensures", "own_key",
+                 "collection", "item_path", "request_schema", "foreign_keys", "param_names")
+
+    def __init__(
+        self,
+        op_id: str,
+        method: str,  # uppercase
+        path: str,
+        raw: dict,
+        requires: tuple[Clause, ...] = (),
+        ensures: tuple[Clause, ...] = (),
+        own_key: Optional[str] = None,  # key of the resource the path addresses
+        collection: Optional[str] = None,
+        item_path: Optional[str] = None,
+        request_schema: Optional[dict] = None,
+        foreign_keys: tuple[str, ...] = (),  # body fields holding another resource's key
+        param_names: tuple[str, ...] = (),  # what an edge label's arguments bind, in order
+    ):
+        self.op_id = op_id
+        self.method = method
+        self.path = path
+        self.raw = raw
+        self.requires = requires
+        self.ensures = ensures
+        self.own_key = own_key
+        self.collection = collection
+        self.item_path = item_path
+        self.request_schema = request_schema
+        self.foreign_keys = foreign_keys
+        self.param_names = param_names
 
     @property
     def bound(self) -> frozenset[str]:
@@ -114,20 +133,21 @@ class Operation:
         return frozenset({self.own_key, *self.foreign_keys} - {None})
 
 
-@dataclass
 class ApiSpec:
-    """A loaded API description. Where several operations share an id, the
-    first one declared is the one every lookup returns."""
+    """A loaded API description: its document, operations, diagnostics and
+    invariant clauses. Where several operations share an id, the first one
+    declared is the one every lookup returns."""
 
-    doc: dict
-    operations: list[Operation]
-    diagnostics: list[Diagnostic]
-    invariants: tuple[Clause, ...] = ()
-    _by_id: dict[str, Operation] = field(init=False, repr=False, compare=False)
+    __slots__ = ("doc", "operations", "diagnostics", "invariants", "_by_id")
 
-    def __post_init__(self):
-        self._by_id = {}
-        for op in self.operations:
+    def __init__(self, doc: dict, operations: list[Operation], diagnostics: list[Diagnostic],
+                 invariants: tuple[Clause, ...] = ()):
+        self.doc = doc
+        self.operations = operations
+        self.diagnostics = diagnostics
+        self.invariants = invariants
+        self._by_id: dict[str, Operation] = {}
+        for op in operations:
             self._by_id.setdefault(op.op_id, op)
 
     def operation(self, op_id: str) -> Operation:
@@ -431,8 +451,7 @@ def _clause(text: str, kind: str, at: str, bound: frozenset[str], extra: bool = 
 
 # --- inference ---------------------------------------------------------------
 
-@dataclass
-class InferenceReport:
+class InferenceReport(NamedTuple):
     added: dict[str, int]
     skipped: list[tuple[str, str]]
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 
@@ -67,13 +66,25 @@ class EdgeStatement(NamedTuple):
     label: str | None
 
 
-@dataclass
 class RawGraph:
-    """Statement-level view of a dump, duplicates preserved."""
+    """Statement-level view of a dump, duplicates preserved. Two are equal
+    when their names and statement sequences are."""
 
-    name: str
-    nodes: list[NodeStatement] = field(default_factory=list)
-    edges: list[EdgeStatement] = field(default_factory=list)
+    __slots__ = ("name", "nodes", "edges")
+
+    def __init__(self, name: str, nodes: list[NodeStatement] | None = None,
+                 edges: list[EdgeStatement] | None = None):
+        self.name = name
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+
+    def __eq__(self, other):
+        if type(other) is not RawGraph:
+            return NotImplemented
+        return (self.name, self.nodes, self.edges) == (other.name, other.nodes, other.edges)
+
+    def __repr__(self):
+        return f"RawGraph(name={self.name!r}, nodes={self.nodes!r}, edges={self.edges!r})"
 
     def statement_count(self) -> int:
         return len(self.nodes) + len(self.edges)
@@ -396,8 +407,7 @@ def clean(graph: RawGraph) -> RawGraph:
     )
 
 
-@dataclass
-class StateSpaceGraph:
+class StateSpaceGraph(NamedTuple):
     """Dense-index directed graph with a super-final sink at index n-1.
 
     Parallel edges are merged; edge_labels maps (src, dst) to the sorted

@@ -618,6 +618,11 @@ def child_env() -> dict:
 HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "http.server",
               "socketserver")
 
+# What no module of the package imports: dataclasses (which loads inspect),
+# and the socket, TLS and HTTP client stacks with the email parser that
+# http.client brings. A campaign loads socket and select when it connects.
+STARTUP_FREE = ("dataclasses", "inspect", "http.client", "ssl", "socket", "email")
+
 # statecover's modules that the command line loads only for the commands
 # that use them, and the YAML library that speckit brings
 LOADED_PER_COMMAND = ("statecover.demo", "statecover.lifecycle", "statecover.speckit",
@@ -711,16 +716,27 @@ class TestStartup:
         return run_child(_LOADED_AFTER_EACH_COMMAND, json.dumps(watched),
                          json.dumps(commands), cwd=tmp_path)
 
-    def test_offline_commands_load_no_http_stack(self, tmp_path):
+    @staticmethod
+    def offline_commands(tmp_path):
         dot, contracts = str(tmp_path / "graph.dot"), str(tmp_path / "contracts.yaml")
-        seen = self.loaded_after(
-            tmp_path,
+        return (
             ["fixtures", str(tmp_path)],
             ["gen-contracts", str(tmp_path / "tournaments-oas.yaml"), contracts],
             ["explore", str(tmp_path / "tournaments-model.yaml"), dot],
             ["clean", dot, dot],
             ["sequences", dot, str(tmp_path / "seqs.json"), "--spec", contracts],
         )
+
+    def test_offline_commands_load_no_http_stack(self, tmp_path):
+        seen = self.loaded_after(tmp_path, *self.offline_commands(tmp_path))
+        assert seen == [[None, []]] + [[0, []]] * 5
+
+    def test_the_command_line_loads_no_dataclasses_or_sockets(self, tmp_path):
+        assert self.loaded_after(tmp_path, watched=STARTUP_FREE) == [[None, []]]
+
+    def test_offline_commands_load_no_dataclasses_or_sockets(self, tmp_path):
+        seen = self.loaded_after(tmp_path, *self.offline_commands(tmp_path),
+                                 watched=STARTUP_FREE)
         assert seen == [[None, []]] + [[0, []]] * 5
 
     def test_a_spawned_demo_campaign_loads_both(self, workdir, capsys):

@@ -1,11 +1,15 @@
+import calendar
 import io
 import json
 import socket
+from email.utils import formatdate
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from statecover import lifecycle
+from statecover import demo, lifecycle
 from statecover.demo import (
     CAPACITY_INVARIANT,
     ENROLMENT_DETACH_CLAUSE,
@@ -196,6 +200,33 @@ class TestPlumbing:
         assert get(app, "/players")[1] == []
         assert get(app, "/tournaments")[1] == []
         assert get(app, "/enrolments")[1] == []
+
+
+def _second(*when):
+    return calendar.timegm((*when, 0, 0, 0))
+
+
+class TestDateField:
+    """The Date field is written without email.utils, byte for byte as
+    formatdate(second, usegmt=True) writes it."""
+
+    @pytest.mark.parametrize("second", [
+        0, 1, 59, 3599, 86399, 86400,
+        _second(2024, 1, 31, 23, 59, 59), _second(2024, 2, 1, 0, 0, 0),
+        _second(2024, 2, 28, 23, 59, 59), _second(2024, 2, 29, 0, 0, 0),
+        _second(2024, 2, 29, 23, 59, 59), _second(2024, 3, 1, 0, 0, 0),
+        _second(2023, 2, 28, 23, 59, 59), _second(2023, 3, 1, 0, 0, 0),
+        _second(2000, 2, 29, 12, 0, 0), _second(2100, 3, 1, 0, 0, 0),
+        _second(2025, 12, 31, 23, 59, 59), _second(2026, 1, 1, 0, 0, 0),
+        _second(2026, 10, 19, 5, 30, 32), _second(9999, 12, 31, 23, 59, 59),
+    ])
+    def test_edges(self, second):
+        assert demo._date_field(second) == formatdate(second, usegmt=True)
+
+    @given(st.integers(0, _second(9999, 12, 31, 23, 59, 59)))
+    @settings(max_examples=500, deadline=None)
+    def test_spread(self, second):
+        assert demo._date_field(second) == formatdate(second, usegmt=True)
 
 
 class TestFaults:

@@ -1,13 +1,15 @@
 """transport.read_response, the campaign's HTTP/1.1 response reader, fed the
 same bytes as http.client.HTTPResponse: both must see the same status,
-Location, Content-Type, Content-Encoding and body, or both must fail."""
+Location, Content-Type, Content-Encoding and body, or both must fail, ours
+with a transport.ProtocolError. A Connection reads a socket through its own
+buffer, which must read as a buffered file does however the bytes arrive."""
 
 import http.client
 import io
 
 import pytest
 
-from statecover.transport import read_fields, read_response
+from statecover.transport import ProtocolError, _Reader, read_fields, read_response
 
 CASES = {
     "content-length": (
@@ -83,7 +85,7 @@ def test_read_response_agrees_with_http_client(case):
     if case in FAILING:
         with pytest.raises(http.client.HTTPException):
             standard(data, method)
-        with pytest.raises(http.client.HTTPException):
+        with pytest.raises(ProtocolError):
             ours(data, method)
     else:
         assert ours(data, method) == standard(data, method)
@@ -108,16 +110,53 @@ def test_answers_on_one_connection_are_read_one_after_another():
     assert wire.read() == b""
 
 
-@pytest.mark.parametrize("data, error", [
+MALFORMED = [
     (b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n", "invalid Content-Length"),
     (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 101 + b"\r\n", "more than 100 headers"),
     (b"HTTP/1.1 200 OK\r\nX: " + b"y" * 65536 + b"\r\n\r\n", "header line"),
     (b"HTTP/1.1 2000 OK\r\n\r\n", "HTTP/1.1 2000 OK"),
     (b"HTTP/2 200\r\n\r\n", "HTTP/2 200"),
-])
-def test_malformed_answers_raise_http_exception(data, error):
-    with pytest.raises(http.client.HTTPException, match=error):
+]
+
+
+@pytest.mark.parametrize("data, error", MALFORMED)
+def test_malformed_answers_raise_a_protocol_error(data, error):
+    with pytest.raises(ProtocolError, match=error):
         read_response(stream(data), "GET")
+
+
+class _Pieces:
+    """A socket whose recv hands out data at most size bytes at a time."""
+
+    def __init__(self, data, size):
+        self.data, self.size = data, size
+
+    def recv(self, limit):
+        piece, self.data = self.data[:min(limit, self.size)], self.data[self.size:]
+        return piece
+
+
+def _answers(reader, method, count):
+    """What count read_response calls on reader give, up to the first error."""
+    out = []
+    try:
+        while len(out) < count:
+            out.append(read_response(reader, method))
+    except ProtocolError as exc:
+        out.append(("error", str(exc)))
+    return out, reader.read()
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 64, 65536])
+@pytest.mark.parametrize("method, data", [
+    *CASES.values(),
+    *(("GET", data) for data, _ in MALFORMED),
+    ("GET", b"HTTP/1.1 200 OK\r\nContent-Length: 70000\r\n\r\n" + b"x" * 70005),
+    ("POST", CASES["content-length"][1] + CASES["100 before the final answer"][1]
+     + CASES["chunked with extensions and trailers"][1] + b"left over"),
+])
+def test_a_socket_read_in_pieces_reads_as_a_buffered_file(method, data, size):
+    assert _answers(_Reader(_Pieces(data, size)), method, 3) == _answers(stream(data), method, 3)
 
 
 def test_read_fields_keeps_the_first_value_of_a_name():

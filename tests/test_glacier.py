@@ -146,6 +146,39 @@ class TestParsing:
         assert seg == (LitPart("players-"), ParamPart("pid"), LitPart("x"))
 
 
+class TestNodes:
+    """AST nodes are NamedTuples that compare by type as well as fields, so
+    the == checks above tell a literal from a placeholder."""
+
+    @pytest.mark.parametrize("a, b", [
+        (LitPart("a"), ParamPart("a")),
+        (ParamPart("a"), BodyFieldPart("a")),
+        (FieldSuffix("len"), FuncSuffix("len")),
+        (url([LitPart("a")]), url([ParamPart("a")])),
+        (Prev(ApiCall("res_code")), ApiCall("res_code")),
+        (LitPart("a"), ("a",)),
+    ])
+    def test_nodes_of_other_types_never_compare_equal(self, a, b):
+        assert a != b and b != a
+        assert not (a == b or b == a)
+
+    def test_equal_nodes_hash_alike(self):
+        text = "for t in res_body(GET /ts) :- res_body(GET /ts/{t.k}/m/{pid}){n} = 1"
+        first, second = parse(text), parse(text)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert len({LitPart("a"), ParamPart("a"), BodyFieldPart("a"), LitPart("a")}) == 3
+
+    def test_nodes_are_immutable(self):
+        f = parse("res_code(GET /players/{pid}) = 200")
+        with pytest.raises(AttributeError):
+            f.op = "!="
+        with pytest.raises(AttributeError):
+            f.lhs.url.segments[1][0].name = "tid"
+        assert print_formula(f) == "res_code(GET /players/{pid}) = 200"
+
+
 class TestValidation:
     def test_binder_shadowing_rejected(self):
         with pytest.raises(FormulaError, match="shadows"):

@@ -1,21 +1,22 @@
 """The campaign's HTTP transport, transport.Connection, against tiny servers
 and fake proxies on port 0: one connection per campaign, reopening a
-connection the server dropped, failures, proxies, netrc credentials,
+connection the server dropped, failures, proxies, TLS, netrc credentials,
 redirects and body decoding; and transport's readings of the environment
 and of URLs against requests' own helpers."""
 
 import base64
 import gzip
-import http.client
 import json
 import os
 import socket
 import socketserver
+import ssl
 import threading
 import time
 import zlib
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from unittest.mock import patch
 from urllib.parse import urlsplit
 
@@ -29,7 +30,7 @@ from statecover.demo import DemoServer, add_manual_clauses, demo_spec, make_tour
 from statecover.evaluator import Evaluator, TransportFailure
 from statecover.executor import run_campaign
 from statecover.speckit import infer_contracts
-from statecover.transport import MAX_REDIRECTS, Connection, NonJsonBody
+from statecover.transport import MAX_REDIRECTS, Connection, NonJsonBody, ProtocolError
 
 
 def basic(user, password):
@@ -295,7 +296,7 @@ class TestFailures:
 
     @pytest.mark.parametrize("url", ["ftp://127.0.0.1/x", "http:///x"])
     def test_a_url_no_connection_can_serve(self, url):
-        with pytest.raises(http.client.InvalidURL):
+        with pytest.raises(ProtocolError):
             Connection(url.removesuffix("/x"), 5).request("GET", "/x")
 
 
@@ -349,7 +350,10 @@ class TestProxies:
         with pytest.raises(TransportFailure, match="only http:// proxies are supported"):
             check(evaluator, "res_code(GET /x) = 200")
 
-    def test_https_target_goes_through_a_connect_tunnel(self, monkeypatch):
+    @staticmethod
+    def through_a_fake_proxy(monkeypatch, answer):
+        """The CONNECT request an https GET sends to a proxy that gives
+        answer and hangs up, and the TransportFailure that ends the GET."""
         seen = []
 
         def fake_proxy(listener):
@@ -362,7 +366,7 @@ class TestProxies:
                         break
                     data += chunk
                 seen.append(data)
-                conn.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                conn.sendall(answer)
 
         with socket.socket() as listener:
             listener.bind(("127.0.0.1", 0))
@@ -372,15 +376,71 @@ class TestProxies:
             port = listener.getsockname()[1]
             monkeypatch.setenv("HTTPS_PROXY", f"http://ann:pw@127.0.0.1:{port}")
             evaluator = Evaluator(Connection("https://service.test:8443", 5))
-            # the fake proxy hangs up where the TLS handshake should begin
-            with pytest.raises(TransportFailure, match="GET /x"):
+            with pytest.raises(TransportFailure, match="GET /x") as failure:
                 check(evaluator, "res_code(GET /x) = 200")
             thread.join(timeout=5)
         assert not thread.is_alive()
         (request,) = seen
-        lines = request.decode("latin-1").split("\r\n")
+        return request.decode("latin-1").split("\r\n"), failure.value
+
+    def test_https_target_goes_through_a_connect_tunnel(self, monkeypatch):
+        # the fake proxy hangs up where the TLS handshake should begin
+        lines, _ = self.through_a_fake_proxy(
+            monkeypatch, b"HTTP/1.1 200 Connection established\r\n\r\n")
         assert lines[0] == "CONNECT service.test:8443 HTTP/1.0"
         assert f"Proxy-Authorization: {basic('ann', 'pw')}" in lines
+
+    def test_a_tunnel_the_proxy_refuses_is_a_transport_failure(self, monkeypatch):
+        _, failure = self.through_a_fake_proxy(
+            monkeypatch, b"HTTP/1.1 407 Proxy Authentication Required\r\n\r\n")
+        assert str(failure) == (
+            "GET /x: Tunnel connection failed: 407 Proxy Authentication Required")
+
+
+# A self-signed certificate for localhost and 127.0.0.1 with its key
+# (localhost.pem), and another one that did not sign it (other-ca.pem),
+# each made once with
+#   openssl req -x509 -newkey rsa:2048 -nodes -days 36500 -subj /CN=localhost \
+#     -addext subjectAltName=DNS:localhost,IP:127.0.0.1 \
+#     -addext basicConstraints=critical,CA:TRUE ...
+# localhost.pem also has keyUsage=critical,digitalSignature,keyCertSign and
+# extendedKeyUsage=serverAuth, which strict X.509 checking asks for.
+TLS = Path(__file__).resolve().parent / "tls"
+
+
+@pytest.fixture(scope="module")
+def tls_server():
+    server = Recorder(ROUTES)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS / "localhost.pem")
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    with server:
+        yield server
+
+
+class TestTLS:
+    def test_a_trusted_server_answers_over_one_connection(self, tls_server, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS / "localhost.pem"))
+        tls_server.seen.clear()
+        connects = counted_connects(monkeypatch)
+        port = tls_server.server_address[1]
+        session = Connection(f"https://localhost:{port}", 5)
+        try:
+            assert session.request("GET", "/x") == (200, {"v": 1})
+            assert session.request("GET", "/target") == (200, {"ok": True})
+        finally:
+            session.close()
+        assert connects == [("localhost", port)]
+        assert [(method, target, headers["Host"]) for method, target, headers, _ in
+                tls_server.seen] == [("GET", "/x", f"localhost:{port}"),
+                                     ("GET", "/target", f"localhost:{port}")]
+
+    def test_a_server_the_ca_bundle_does_not_trust_is_a_transport_failure(
+            self, tls_server, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS / "other-ca.pem"))
+        evaluator = Evaluator(Connection(f"https://localhost:{tls_server.server_address[1]}", 5))
+        with pytest.raises(TransportFailure, match="GET /x: .*certificate verify failed"):
+            check(evaluator, "res_code(GET /x) = 200")
 
 
 class TestCredentials:
@@ -491,14 +551,14 @@ class TestEnvironmentAsRequestsReadsIt:
     def test_a_proxy_url_is_read_as_requests_reads_it(self, proxy):
         expected = requests.utils.prepend_scheme_if_needed(proxy, "http")
         if urlsplit(expected).scheme != "http":
-            with pytest.raises(http.client.InvalidURL, match="only http:// proxies"):
+            with pytest.raises(ProtocolError, match="only http:// proxies"):
                 transport.proxy_endpoint(proxy)
             return
         user, password = requests.utils.get_auth_from_url(expected)
         headers = {"Proxy-Authorization": basic(user, password)} if user else {}
         parts = urlsplit(expected)
         if not parts.hostname:
-            with pytest.raises(http.client.InvalidURL):
+            with pytest.raises(ProtocolError):
                 transport.proxy_endpoint(proxy)
             return
         assert transport.proxy_endpoint(proxy) == (parts.hostname, parts.port or 80, headers)
