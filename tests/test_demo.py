@@ -202,6 +202,45 @@ class TestPlumbing:
         assert get(app, "/enrolments")[1] == []
 
 
+NOT_ALLOWED = (405, {"error": "method not allowed"})
+
+
+class TestRouter:
+    """One answer for each branch the router tells apart, in the world of
+    seed_world plus p2, who is enrolled nowhere."""
+
+    @pytest.mark.parametrize("method, path, body, answer", [
+        ("POST", "/", {}, NOT_ALLOWED),
+        ("DELETE", "/players", None, NOT_ALLOWED),
+        ("POST", "/players/p1", PLAYER, NOT_ALLOWED),
+        ("PATCH", "/players/p1", None, NOT_ALLOWED),
+        ("PUT", "/enrolments/e1", ENROLMENT, NOT_ALLOWED),
+        ("GET", "/enrolments/e1/players", None, NOT_ALLOWED),
+        ("GET", "/players/p1/zz", None, NOT_ALLOWED),
+        ("DELETE", "/players/p1/tournaments", None, NOT_ALLOWED),
+        ("GET", "/players/p1/tournaments/x", None, NOT_ALLOWED),
+        ("GET", "/players/ghost/zz", None, (404, {"error": "no such player"})),
+        ("GET", "/players/p1/tournaments", None, (200, ["t1"])),
+        ("GET", "/players/p2/enrolments", None, (200, [])),
+        ("GET", "/tournaments/t1/players", None, (200, ["p1"])),
+        ("GET", "/tournaments/t1/capacity", None, (200, 1)),
+        ("GET", "/tournaments/t1/enrolments", None, (200, [ENROLMENT])),
+        # only a tournament's capacity is checked
+        ("PUT", "/players/p1", dict(PLAYER, capacity=0), (200, dict(PLAYER, capacity=0))),
+        # existence comes before the body
+        ("PUT", "/tournaments/ghost", {"tid": 5}, (404, {"error": "no such tournament"})),
+        # the id comes before the references
+        ("POST", "/enrolments", dict(ENROLMENT, pid="ghost"),
+         (409, {"error": "enrolment id already in use"})),
+    ])
+    def test_answer(self, method, path, body, answer):
+        app = TournamentsApp()
+        seed_world(app)
+        assert post(app, "/players", {"pid": "p2", "name": "bob"})[0] == 200
+        raw = None if body is None else json.dumps(body).encode()
+        assert app.handle(method, path, raw) == answer
+
+
 def _second(*when):
     return calendar.timegm((*when, 0, 0, 0))
 
