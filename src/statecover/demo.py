@@ -4,17 +4,41 @@ Players enrol in tournaments with bounded capacity; nothing referenced may
 be deleted. Stored bodies are echoed back verbatim on create, read, and
 delete, which is what the inferred contracts expect.
 
-Besides the clean behavior, the service can be started with one of three
-seeded faults:
+Routes: GET / answers {"service": "tournaments"}. Each collection C, of
+players (key pid), tournaments (tid) and enrolments (eid), has GET and POST
+/C and GET, PUT and DELETE /C/{id}, except that enrolments have no PUT.
+Five GETs read sub-resources: /players/{pid}/tournaments and
+/tournaments/{tid}/players (the linked ids, sorted),
+/players/{pid}/enrolments and /tournaments/{tid}/enrolments (the enrolment
+bodies that name it) and /tournaments/{tid}/capacity (a bare integer).
 
-    delete_player_noop        DELETE /players/{pid} answers 200 with the
-                              body but leaves the player in place
-    delete_tournament_random  DELETE /tournaments/{tid} checks the requested
-                              tournament but removes a random one
+Refusals, in the order they are checked (NOUN is the collection's noun):
+
+    422 request body is not valid JSON / must be a JSON object: POST, PUT
+    404 no such endpoint: the first segment names no collection
+    405 method not allowed: any other method or path
+    404 no such NOUN: item and sub-resource routes, before the body
+    422 NOUN needs a string 'FIELD': pid, name; tid, name; eid, pid, tid
+    422 capacity must be an integer between 1 and 3: tournaments
+    409 NOUN id already in use: POST
+    409 body key differs from path key: PUT
+    422 capacity below current enrolment count: PUT of a tournament
+    422 unknown player or tournament, 409 player already enrolled in this
+        tournament, 422 tournament is full: POST of an enrolment
+    409 player is still enrolled, tournament still has enrolled players:
+        DELETE
+
+Besides the clean behavior, the service can be started with one of three
+seeded faults, each breaking one rule of a DELETE:
+
+    delete_player_noop        the player is removed: it answers 200 with
+                              the body but leaves the player in place
+    delete_tournament_random  the tournament named is removed: it checks
+                              that one but removes one the seeded RNG draws
     delete_enrolment_no_backref
-                              DELETE /enrolments/{eid} forgets to detach the
-                              player from the tournament's member list and
-                              answers with a partial body
+                              both sides are detached and the body echoed:
+                              it leaves the player in the tournament's
+                              member list and answers only {"eid": ...}
 
 Two admin endpoints exist outside the published description: POST /_reset
 clears all state and GET /_requests returns every non-admin request seen so
@@ -62,6 +86,16 @@ ENROLMENT_DETACH_CLAUSE = (
     "res_body(GET /tournaments/req_body(@){tid}/players).len < "
     "prev(res_body(GET /tournaments/req_body(@){tid}/players).len)"
 )
+
+# collection -> (key field, noun, required string fields, link set and the
+# sub-resource that lists it); enrolments have no link set and no PUT
+_COLLECTIONS = {
+    "players": ("pid", "player", ("pid", "name"), ("ts", "tournaments")),
+    "tournaments": ("tid", "tournament", ("tid", "name"), ("ps", "players")),
+    "enrolments": ("eid", "enrolment", ("eid", "pid", "tid"), None),
+}
+
+_NOT_ALLOWED = 405, {"error": "method not allowed"}
 
 
 class TournamentsApp:
@@ -113,192 +147,99 @@ class TournamentsApp:
 
     def _route(self, method, parts, body):
         if not parts:
-            if method == "GET":
-                return 200, {"service": "tournaments"}
-            return 405, {"error": "method not allowed"}
-        head = parts[0]
-        if head == "players":
-            return self._route_players(method, parts, body)
-        if head == "tournaments":
-            return self._route_tournaments(method, parts, body)
-        if head == "enrolments":
-            return self._route_enrolments(method, parts, body)
-        return 404, {"error": "no such endpoint"}
-
-    def _route_players(self, method, parts, body):
+            return (200, {"service": "tournaments"}) if method == "GET" else _NOT_ALLOWED
+        name = parts[0]
+        if name not in _COLLECTIONS:
+            return 404, {"error": "no such endpoint"}
+        key, noun, _, link = _COLLECTIONS[name]
+        store = getattr(self, name)
         if len(parts) == 1:
             if method == "GET":
-                return 200, [rec["body"] for rec in self.players.values()]
-            if method == "POST":
-                return self._post_player(body)
-        elif len(parts) == 2:
-            pid = parts[1]
-            if method == "GET":
-                rec = self.players.get(pid)
-                return (200, rec["body"]) if rec else (404, {"error": "no such player"})
-            if method == "PUT":
-                return self._put_player(pid, body)
-            if method == "DELETE":
-                return self._delete_player(pid)
-        elif len(parts) == 3 and method == "GET":
-            pid, sub = parts[1], parts[2]
-            rec = self.players.get(pid)
-            if rec is None:
-                return 404, {"error": "no such player"}
-            if sub == "tournaments":
-                return 200, sorted(rec["ts"])
+                return 200, [rec["body"] for rec in store.values()]
+            return self._post(name, store, body) if method == "POST" else _NOT_ALLOWED
+        # an item route, or else a sub-resource read; enrolments have neither PUT nor these
+        item = len(parts) == 2 and (method in ("GET", "DELETE") or method == "PUT" and link)
+        if not (item or len(parts) == 3 and method == "GET" and link):
+            return _NOT_ALLOWED
+        ident = parts[1]
+        rec = store.get(ident)
+        if rec is None:
+            return 404, {"error": f"no such {noun}"}
+        if not item:
+            sub = parts[2]
+            if sub == link[1]:
+                return 200, sorted(rec[link[0]])
             if sub == "enrolments":
-                return 200, [
-                    e["body"] for e in self.enrolments.values() if e["body"].get("pid") == pid
-                ]
-        return 405, {"error": "method not allowed"}
-
-    def _route_tournaments(self, method, parts, body):
-        if len(parts) == 1:
-            if method == "GET":
-                return 200, [rec["body"] for rec in self.tournaments.values()]
-            if method == "POST":
-                return self._post_tournament(body)
-        elif len(parts) == 2:
-            tid = parts[1]
-            if method == "GET":
-                rec = self.tournaments.get(tid)
-                return (200, rec["body"]) if rec else (404, {"error": "no such tournament"})
-            if method == "PUT":
-                return self._put_tournament(tid, body)
-            if method == "DELETE":
-                return self._delete_tournament(tid)
-        elif len(parts) == 3 and method == "GET":
-            tid, sub = parts[1], parts[2]
-            rec = self.tournaments.get(tid)
-            if rec is None:
-                return 404, {"error": "no such tournament"}
-            if sub == "players":
-                return 200, sorted(rec["ps"])
-            if sub == "capacity":
+                return 200, [e["body"] for e in self.enrolments.values()
+                             if e["body"].get(key) == ident]
+            if sub == "capacity" and name == "tournaments":
                 return 200, rec["body"]["capacity"]
-            if sub == "enrolments":
-                return 200, [
-                    e["body"] for e in self.enrolments.values() if e["body"].get("tid") == tid
-                ]
-        return 405, {"error": "method not allowed"}
+            return _NOT_ALLOWED
+        if method == "GET":
+            return 200, rec["body"]
+        if method == "PUT":
+            return self._put(name, rec, ident, body)
+        return getattr(self, f"_delete_{noun}")(ident, rec)
 
-    def _route_enrolments(self, method, parts, body):
-        if len(parts) == 1:
-            if method == "GET":
-                return 200, [rec["body"] for rec in self.enrolments.values()]
-            if method == "POST":
-                return self._post_enrolment(body)
-        elif len(parts) == 2:
-            eid = parts[1]
-            if method == "GET":
-                rec = self.enrolments.get(eid)
-                return (200, rec["body"]) if rec else (404, {"error": "no such enrolment"})
-            if method == "DELETE":
-                return self._delete_enrolment(eid)
-        return 405, {"error": "method not allowed"}
+    # -- create and update -------------------------------------------------
 
-    # -- players -------------------------------------------------------------
-
-    def _post_player(self, body):
-        problem = _check_player(body)
+    def _post(self, name, store, body):
+        key, noun, _, link = _COLLECTIONS[name]
+        problem = _check(name, body)
         if problem:
             return 422, {"error": problem}
-        pid = body["pid"]
-        if pid in self.players:
-            return 409, {"error": "player id already in use"}
-        self.players[pid] = {"body": body, "ts": set()}
+        if body[key] in store:
+            return 409, {"error": f"{noun} id already in use"}
+        if link is None:
+            return self._enrol(body)
+        store[body[key]] = {"body": body, link[0]: set()}
         return 200, body
 
-    def _put_player(self, pid, body):
-        if pid not in self.players:
-            return 404, {"error": "no such player"}
-        problem = _check_player(body)
+    def _put(self, name, rec, ident, body):
+        problem = _check(name, body)
         if problem:
             return 422, {"error": problem}
-        if body["pid"] != pid:
+        if body[_COLLECTIONS[name][0]] != ident:
             return 409, {"error": "body key differs from path key"}
-        self.players[pid]["body"] = body
-        return 200, body
-
-    def _delete_player(self, pid):
-        rec = self.players.get(pid)
-        if rec is None:
-            return 404, {"error": "no such player"}
-        if rec["ts"]:
-            return 409, {"error": "player is still enrolled"}
-        if self.fault == "delete_player_noop":
-            return 200, rec["body"]  # claims success, removes nothing
-        del self.players[pid]
-        return 200, rec["body"]
-
-    # -- tournaments -----------------------------------------------------------
-
-    def _post_tournament(self, body):
-        problem = _check_tournament(body)
-        if problem:
-            return 422, {"error": problem}
-        tid = body["tid"]
-        if tid in self.tournaments:
-            return 409, {"error": "tournament id already in use"}
-        self.tournaments[tid] = {"body": body, "ps": set()}
-        return 200, body
-
-    def _put_tournament(self, tid, body):
-        rec = self.tournaments.get(tid)
-        if rec is None:
-            return 404, {"error": "no such tournament"}
-        problem = _check_tournament(body)
-        if problem:
-            return 422, {"error": problem}
-        if body["tid"] != tid:
-            return 409, {"error": "body key differs from path key"}
-        if body["capacity"] < len(rec["ps"]):
+        if name == "tournaments" and body["capacity"] < len(rec["ps"]):
             return 422, {"error": "capacity below current enrolment count"}
         rec["body"] = body
         return 200, body
 
-    def _delete_tournament(self, tid):
-        rec = self.tournaments.get(tid)
-        if rec is None:
-            return 404, {"error": "no such tournament"}
-        if rec["ps"]:
-            return 409, {"error": "tournament still has enrolled players"}
-        if self.fault == "delete_tournament_random":
-            victim = self.rng.choice(sorted(self.tournaments))
-            del self.tournaments[victim]
-            return 200, rec["body"]
-        del self.tournaments[tid]
-        return 200, rec["body"]
-
-    # -- enrolments --------------------------------------------------------------
-
-    def _post_enrolment(self, body):
-        problem = _check_enrolment(body)
-        if problem:
-            return 422, {"error": problem}
-        eid, pid, tid = body["eid"], body["pid"], body["tid"]
-        if eid in self.enrolments:
-            return 409, {"error": "enrolment id already in use"}
-        player = self.players.get(pid)
-        tournament = self.tournaments.get(tid)
+    def _enrol(self, body):
+        """Admit a checked enrolment with a fresh eid and link both sides."""
+        pid, tid = body["pid"], body["tid"]
+        player, tournament = self.players.get(pid), self.tournaments.get(tid)
         if player is None or tournament is None:
             return 422, {"error": "unknown player or tournament"}
         if pid in tournament["ps"]:
             return 409, {"error": "player already enrolled in this tournament"}
         if len(tournament["ps"]) >= tournament["body"]["capacity"]:
             return 422, {"error": "tournament is full"}
-        self.enrolments[eid] = {"body": body}
+        self.enrolments[body["eid"]] = {"body": body}
         player["ts"].add(tid)
         tournament["ps"].add(pid)
         return 200, body
 
-    def _delete_enrolment(self, eid):
-        rec = self.enrolments.get(eid)
-        if rec is None:
-            return 404, {"error": "no such enrolment"}
-        body = rec["body"]
-        pid, tid = body["pid"], body["tid"]
+    # -- deletes, each with its fault --------------------------------------
+
+    def _delete_player(self, pid, rec):
+        if rec["ts"]:
+            return 409, {"error": "player is still enrolled"}
+        if self.fault != "delete_player_noop":  # the fault removes nothing
+            del self.players[pid]
+        return 200, rec["body"]
+
+    def _delete_tournament(self, tid, rec):
+        if rec["ps"]:
+            return 409, {"error": "tournament still has enrolled players"}
+        if self.fault == "delete_tournament_random":
+            tid = self.rng.choice(sorted(self.tournaments))
+        del self.tournaments[tid]
+        return 200, rec["body"]
+
+    def _delete_enrolment(self, eid, rec):
+        pid, tid = rec["body"]["pid"], rec["body"]["tid"]
         del self.enrolments[eid]
         if pid in self.players:
             self.players[pid]["ts"].discard(tid)
@@ -306,30 +247,19 @@ class TournamentsApp:
             return 200, {"eid": eid}  # member list left stale, body truncated
         if tid in self.tournaments:
             self.tournaments[tid]["ps"].discard(pid)
-        return 200, body
+        return 200, rec["body"]
 
 
-def _check_player(body) -> Optional[str]:
-    for key in ("pid", "name"):
+def _check(name, body) -> Optional[str]:
+    """Why body cannot be stored in the collection, or None."""
+    _, noun, fields, _ = _COLLECTIONS[name]
+    for key in fields:
         if not isinstance(body.get(key), str):
-            return f"player needs a string {key!r}"
-    return None
-
-
-def _check_tournament(body) -> Optional[str]:
-    for key in ("tid", "name"):
-        if not isinstance(body.get(key), str):
-            return f"tournament needs a string {key!r}"
-    cap = body.get("capacity")
-    if isinstance(cap, bool) or not isinstance(cap, int) or not 1 <= cap <= 3:
-        return "capacity must be an integer between 1 and 3"
-    return None
-
-
-def _check_enrolment(body) -> Optional[str]:
-    for key in ("eid", "pid", "tid"):
-        if not isinstance(body.get(key), str):
-            return f"enrolment needs a string {key!r}"
+            return f"{noun} needs a string {key!r}"
+    if name == "tournaments":
+        cap = body.get("capacity")
+        if isinstance(cap, bool) or not isinstance(cap, int) or not 1 <= cap <= 3:
+            return "capacity must be an integer between 1 and 3"
     return None
 
 
