@@ -22,7 +22,9 @@ item paths, the request schema with every $ref resolved, the foreign keys in
 that schema and the names an edge label's arguments bind. Records are looked
 up by operation id; where an id is declared twice, the first operation wins
 for every lookup. A dangling or cyclic $ref in a request body fails the
-load with a SpecError naming the operation's METHOD and path. So does a
+load with a SpecError naming the operation's METHOD and path, and so does
+a keyword there of the wrong kind, such as a minLength that is not a
+non-negative integer or a required that is not a list. So does a
 contract clause that does not parse or that uses a construct its kind may
 not (glacier.check_clause: a probe that is not a GET, prev outside
 x-ensures, '@' in an invariant, ...), and so does a bare {param} the
@@ -39,6 +41,7 @@ it again is byte-identical.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Union
@@ -213,7 +216,8 @@ def _resources(paths: dict) -> list[tuple[str, str, str]]:
     ]
 
 
-def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0) -> Optional[dict]:
+def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0,
+                    _where: str = "") -> Optional[dict]:
     if schema is None:
         return None
     if not isinstance(schema, dict):
@@ -229,16 +233,40 @@ def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0) -> Optio
             if not isinstance(node, dict) or part not in node:
                 raise SpecError(f"dangling $ref {ref!r}")
             node = node[part]
-        return _resolve_schema(doc, node, _depth + 1)
+        return _resolve_schema(doc, node, _depth + 1, _where)
+    _check_keywords(schema, _where)
     out = dict(schema)
     if "items" in out and isinstance(out["items"], dict):
-        out["items"] = _resolve_schema(doc, out["items"], _depth + 1)
-    if "properties" in out and isinstance(out["properties"], dict):
+        out["items"] = _resolve_schema(doc, out["items"], _depth + 1, f"{_where}items.")
+    if "properties" in out:
         out["properties"] = {
-            k: _resolve_schema(doc, v, _depth + 1)
+            k: _resolve_schema(doc, v, _depth + 1, f"{_where}properties.{k}.")
             for k, v in out["properties"].items()
         }
     return out
+
+
+def _check_keywords(schema: dict, where: str) -> None:
+    """Refuse a keyword the input generator reads whose value is of the
+    wrong kind, naming its place, as in "properties.name.minLength". A
+    boolean is never a number, and a bound must be finite."""
+    for word, value in schema.items():
+        number = not isinstance(value, bool) and (
+            isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+        if word in ("minLength", "maxLength", "minItems", "maxItems"):
+            fits, what = number and isinstance(value, int) and value >= 0, "a non-negative integer"
+        elif word in ("minimum", "maximum"):
+            fits, what = number, "a finite number"
+        elif word in ("exclusiveMinimum", "exclusiveMaximum"):
+            fits, what = number or isinstance(value, bool), "a boolean or a finite number"
+        elif word == "properties":
+            fits, what = isinstance(value, dict), "a mapping"
+        elif word in ("required", "enum"):
+            fits, what = isinstance(value, list), "a list"
+        else:
+            continue
+        if not fits:
+            raise SpecError(f"{where}{word}: expected {what}, got {value!r}")
 
 
 # --- loading -----------------------------------------------------------------

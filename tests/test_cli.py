@@ -473,6 +473,32 @@ class TestErrorPaths:
             assert code == 2, argv
             assert "POST /players: request body: dangling $ref" in err
 
+    @pytest.mark.parametrize("schema, field, edit, message", [
+        pytest.param("Player", "name", {"minLength": "3"}, "POST /players: request body: "
+                     "properties.name.minLength: expected a non-negative integer, got '3'",
+                     id="minLength"),
+        pytest.param("Tournament", "capacity", {"maximum": "3"},
+                     "POST /tournaments: request body: "
+                     "properties.capacity.maximum: expected a finite number, got '3'", id="maximum"),
+        pytest.param("Player", "tags",
+                     {"type": "array", "items": {"type": "string"}, "maxItems": 1.5},
+                     "POST /players: request body: "
+                     "properties.tags.maxItems: expected a non-negative integer, got 1.5",
+                     id="maxItems"),
+    ])
+    def test_a_mistyped_schema_keyword_fails_at_load(self, workdir, capsys, schema, field,
+                                                     edit, message):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        doc = yaml.safe_load((workdir / "tournaments-contracts.yaml").read_text())
+        doc["components"]["schemas"][schema]["properties"].setdefault(field, {}).update(edit)
+        bad = workdir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        for argv in (("gen-contracts", str(bad), str(workdir / "out.yaml")),
+                     ("test", "--spec", str(bad), "--sequences", str(seqs),
+                      "--spawn-demo")):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, f"error: {message}\n"), argv
+
     @pytest.mark.parametrize("clause, message", [
         ("res_code(GET /players/req_body(@){pid}) = = 404", "at offset 42: "),
         ("res_code(DELETE /players/p1) = 200",

@@ -114,6 +114,49 @@ class TestLoad:
         with pytest.raises(SpecError, match=f"^POST /widgets: request body: {message}"):
             load_oas(doc)
 
+    @pytest.mark.parametrize("keyword, value, place, what", [
+        ("minLength", "3", "properties.wid.", "a non-negative integer"),
+        ("maxLength", -1, "properties.wid.", "a non-negative integer"),
+        ("minItems", True, "properties.wid.", "a non-negative integer"),
+        ("maxItems", 1.5, "properties.wid.", "a non-negative integer"),
+        ("maxItems", 1.5, "properties.wid.items.", "a non-negative integer"),
+        ("minimum", "3", "properties.wid.", "a finite number"),
+        ("minimum", float("inf"), "properties.wid.", "a finite number"),
+        ("maximum", True, "properties.wid.", "a finite number"),
+        ("maximum", None, "properties.wid.", "a finite number"),
+        ("exclusiveMinimum", "1", "properties.wid.", "a boolean or a finite number"),
+        ("exclusiveMaximum", [1], "properties.wid.", "a boolean or a finite number"),
+        ("exclusiveMaximum", float("nan"), "properties.wid.", "a boolean or a finite number"),
+        ("properties", ["a"], "", "a mapping"),
+        ("properties", ["a"], "properties.wid.", "a mapping"),
+        ("required", "wid", "", "a list"),
+        ("enum", "a", "properties.wid.", "a list"),
+    ])
+    def test_a_mistyped_schema_keyword_fails_the_load(self, keyword, value, place, what):
+        doc = widget_doc()
+        schema = {"type": "object", "properties": {"wid": {"type": "string"}}}
+        target = schema
+        for step in place.split(".")[:-1]:
+            target = target.setdefault(step, {})
+        target[keyword] = value
+        body = doc["paths"]["/widgets"]["post"]["requestBody"]
+        body["content"]["application/json"]["schema"] = schema
+        message = f"POST /widgets: request body: {place}{keyword}: expected {what}, got {value!r}"
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            load_oas(doc)
+
+    def test_keywords_of_the_right_kind_load(self):
+        doc = widget_doc()
+        doc["paths"]["/widgets"]["post"]["requestBody"]["content"]["application/json"][
+            "schema"] = {"type": "object", "required": [], "properties": {
+                "wid": {"type": "string", "minLength": 0, "maxLength": 4, "enum": ["a"]},
+                "n": {"type": "number", "minimum": -1.5, "maximum": 10 ** 400,
+                      "exclusiveMinimum": True, "exclusiveMaximum": 1.5},
+                "xs": {"type": "array", "minItems": 0, "maxItems": 2,
+                       "items": {"type": "integer", "exclusiveMinimum": 0}},
+            }}
+        load_oas(doc)
+
     def test_no_paths_rejected(self):
         with pytest.raises(SpecError):
             load_oas({"openapi": "3.0.3"})
