@@ -484,10 +484,7 @@ def main(argv=None) -> int:
     log = Log(args.json_logs)  # starts the command's clock
     try:
         return args.func(args, log)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
