@@ -88,7 +88,7 @@ ENROLMENT_DETACH_CLAUSE = (
 )
 
 # collection -> (key field, noun, required string fields, link set and the
-# sub-resource that lists it); enrolments have no link set and no PUT
+# sub-resource listing it); enrolments have no link set, so no PUT or sub-resources
 _COLLECTIONS = {
     "players": ("pid", "player", ("pid", "name"), ("ts", "tournaments")),
     "tournaments": ("tid", "tournament", ("tid", "name"), ("ps", "players")),
