@@ -75,11 +75,24 @@ class Log:
             print(f"[{name}] {detail}".rstrip(), file=sys.stderr)
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> UsageError:
+    """The error for a file that is not UTF-8, naming the 1-based line of its
+    first bad byte. exc.object holds the whole file, as reading it decodes it
+    at once."""
+    before = exc.object[:exc.start]
+    # line breaks as reading a text file sees them: \n, \r\n and \r
+    line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+    return UsageError(f"{path}: line {line}: not UTF-8: byte "
+                      f"0x{exc.object[exc.start]:02x} ({exc.reason})")
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -98,6 +111,8 @@ def _load_spec(path: str) -> speckit.ApiSpec:
         return speckit.load_oas(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except yaml.YAMLError as exc:
         raise UsageError(f"{path} is not valid YAML: {exc}") from exc
 

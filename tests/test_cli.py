@@ -595,6 +595,31 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {where}" in err
 
+    # the file named {bad} is not UTF-8; the others are valid inputs
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("explore", "{bad}", "{out}"), id="explore"),
+        pytest.param(("clean", "{bad}", "{out}"), id="clean"),
+        pytest.param(("sequences", "{bad}", "{out}"), id="sequences"),
+        pytest.param(("sequences", "{dot}", "{out}", "--spec", "{bad}"), id="sequences-spec"),
+        pytest.param(("gen-contracts", "{bad}", "{out}"), id="gen-contracts"),
+        pytest.param(("test", "--spec", "{bad}", "--sequences", "{seqs}", "--spawn-demo"),
+                     id="test-spec"),
+        pytest.param(("test", "--spec", "{contracts}", "--sequences", "{bad}", "--spawn-demo"),
+                     id="test-sequences"),
+    ])
+    def test_a_file_that_is_not_utf8_is_named_with_the_line(self, workdir, capsys, argv):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        bad = workdir / "latin.txt"
+        # past the first read buffer, and lines ended by \n, \r\n and \r
+        bad.write_bytes(b"x\n" * 40000 + b"y\r\nz\rcaf\xe9\n")
+        names = {"bad": bad, "out": workdir / "out", "dot": workdir / "graph.dot",
+                 "seqs": seqs, "contracts": workdir / "tournaments-contracts.yaml"}
+        code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 2
+        assert err == (f"error: {bad}: line 40003: not UTF-8: byte 0xe9 "
+                       "(invalid continuation byte)\n")
+        assert not (workdir / "out").exists()
+
     def test_puts_max_out_of_range(self, workdir, capsys):
         dot = workdir / "graph.dot"
         run(capsys, "explore", str(workdir / "tournaments-model.yaml"), str(dot))
