@@ -9,22 +9,31 @@ validation checks that every state is reachable from the initial state and
 co-reachable to the sink.
 
 `parse_dot` has two readers. The line path takes a dump whose closing `}`
-stands alone on its line, after only spaces, tabs and carriage returns: it
-splits the body after the `digraph NAME {` header on line breaks, skips
-blank lines, reuses the statement object of a line seen before, and reads
-any other line as one statement (`id [-> id] [attr list] [;]`, one match of
-`_STATEMENT`). Any other text goes from the start to `_parse_tokens`, a
-recursive descent over single tokens, which is the reference for what the
-subset accepts and the only source of `DotParseError` messages and lines.
+stands alone on its line, after only spaces, tabs and carriage returns. It
+splits the body after the `digraph NAME {` header on line breaks and keeps
+each distinct line that is not blank once. It joins those lines and reads
+them all in one `findall` of `_HEAD`, which takes a line's ids and leaves
+the rest of the line; then it parses each distinct rest (attribute list,
+`;` and comments) once with `_TAIL`, as a model checker's edges share a few
+attribute lists. Every line must be one statement, `id [-> id] [attr list]
+[;]`: a line without a match of `_HEAD`, or whose rest `_TAIL` rejects,
+sends the text from the start to `_parse_tokens`, a recursive descent over
+single tokens, which is the reference for what the subset accepts and the
+only source of `DotParseError` messages and lines.
 
-The two agree. A quoted string cannot hold a raw line break, and a skipped
-comment is always a whole one, so when every line is blank or one statement,
-each line starts and ends outside strings and comments. A statement
-continued on the next line always leaves a line that is not one statement,
-as only `->`, `[` or `;` may follow an id or a `]` within a statement. The
-closing `}` must be alone on its line, since a line comment before it would
-hide it. A repeated line parses to an equal, immutable statement, so sharing
-the object is exact.
+No match of `_HEAD` crosses a line: none of its pieces takes a line break,
+so each match runs from the start of one joined line to its end, and a line
+has at most one. As many matches as lines means the i-th match is that of
+the i-th line.
+
+The two readers agree. On a line the line path reads, every string and
+comment closes on that line, so each line starts and ends outside strings
+and comments, and the token parser splits it into the same tokens. A
+statement continued on the next line always leaves a line that is not one
+statement, as only `->`, `[` or `;` may follow an id or a `]` within a
+statement. The closing `}` must be alone on its line, since a line comment
+before it would hide it. A repeated line or rest parses to an equal,
+immutable value, so sharing it is exact.
 
 Statements are named tuples (`NodeStatement`, `EdgeStatement`): building,
 hashing and comparing one runs in C, and `clean` hashes every statement of
@@ -109,7 +118,7 @@ class RawGraph:
 
 _STRING_PREFIX = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*', re.DOTALL)
 # Token shapes shared by the token parser and the line path, so that both
-# split a text at the same places.
+# split a text at the same places (the line path's ids narrow `_NUM`).
 _STR = _STRING_PREFIX.pattern + '"'
 _NUM = r"-?\d+(?:\.\d+)?"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -124,30 +133,45 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# The line path's patterns. Whitespace and comments are skipped by pieces that
-# each match one length only: a whitespace run to its end, a line comment to
-# the line end, a block comment to its first '*/'. Backtracking can therefore
-# neither end a comment early and read an id out of it, nor run a block
-# comment past its '*/', nor split a whitespace run in exponentially many
-# ways before failing.
+# The patterns of the header, the closing '}' and the line path. Whitespace
+# and comments are skipped by pieces that each match one length only: a
+# whitespace run to its end, a line comment to the line end, a block comment
+# to its first '*/'. Backtracking can therefore neither end a comment early
+# and read an id out of it, nor run a block comment past its '*/', nor split
+# a whitespace run in exponentially many ways before failing.
 _SKIP = r"(?:[ \t\r\n]+(?![ \t\r\n])|//[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^*/][^*]*\*+)*/)*"
-_ID = "(?:%s|%s)" % (_STR, _NUM)
-_VALUE = "(?:%s|%s|%s)" % (_STR, _NUM, _IDENT)
 _HEADER = re.compile(
     _SKIP + "digraph(?![A-Za-z0-9_])" + _SKIP + "(" + _IDENT + ")?" + _SKIP + "[{]",
     re.DOTALL,
 )
-# Groups: the first id; the second id of an edge; the value of the first
-# attribute if it is a label; the value of the last label among the later
-# attributes, which wins. Each piece is decided by the text at its own start,
-# never by the character before it, which may end a comment that
-# backtracking gave up.
+# The line path reads the distinct lines of a body joined by line breaks in
+# one pass of `_HEAD`, which matches each line from its start to its end. Its
+# skip is `_SKIP` without line breaks: a whitespace run, then comments each
+# followed by a whitespace run. Without DOTALL neither a string's escape nor
+# the rest of the line takes a line break either, so no match crosses a line.
+# Groups: the first id; the second id of an edge, or ''; the rest of the
+# line.
+#
+# The line path's numbers take ASCII digits only, which the regex engine
+# matches faster than \d. A number with another digit leaves text that
+# `_TAIL` rejects, or no match, so such a dump goes to the token parser.
+_LINE_NUM = r"-?[0-9]+(?:\.[0-9]+)?"
+_LINE_SPACE = r"[ \t\r]*(?![ \t\r])"
+_LINE_SKIP = r"{W}(?:(?://[^\n]*(?![^\n])|/\*[^*\n]*\*+(?:[^*/\n][^*\n]*\*+)*/){W})*".format(
+    W=_LINE_SPACE)
+_LINE_ID = "(?:%s|%s)" % (_LINE_NUM, _STR)
+_HEAD = re.compile(
+    r"^{S}({ID}){S}(?:->{S}({ID}){S})?(.*)$".format(S=_LINE_SKIP, ID=_LINE_ID), re.MULTILINE
+)
+# The rest of a statement line: an optional attribute list, then an optional
+# ';', each followed by skip. Groups: the value of the first attribute if it
+# is a label; the value of the last label among the later attributes, which
+# wins. Each piece is decided by the text at its own start, never by the
+# character before it, which may end a comment that backtracking gave up.
+_VALUE = "(?:%s|%s|%s)" % (_STR, _LINE_NUM, _IDENT)
 _ATTR = "(?:label{S}={S}({V})|{I}{S}={S}{V})".format(S=_SKIP, V=_VALUE, I=_IDENT)
-_STATEMENT = re.compile(
-    r"{S}({ID}){S}(?:->{S}({ID}){S})?(?:\[{S}{A}{S}(?:,{S}{A}{S})*\]{S})?;?".format(
-        S=_SKIP, ID=_ID, A=_ATTR
-    ),
-    re.DOTALL,
+_TAIL = re.compile(
+    r"(?:\[{S}{A}{S}(?:,{S}{A}{S})*\]{S})?(?:;{S})?".format(S=_SKIP, A=_ATTR), re.DOTALL
 )
 _END = re.compile(_SKIP + "[}]" + _SKIP + r"\Z", re.DOTALL)
 
@@ -156,15 +180,19 @@ def _unquote(token: str) -> str:
     r"""The text of a quoted string token, its escapes decoded.
 
     \" and \\ are decoded, and \n to the line break it stands for; DOT
-    keeps every other escape literally. Splitting on \\ pairs backslashes
-    from the left, as reading the escapes in order does, so within a piece
-    every backslash starts an escape, and \" and \n are replaced there
-    with plain string methods. The pieces are joined by the one backslash
-    that each \\ stands for.
+    keeps every other escape literally. Replacing \\ first pairs
+    backslashes from the left, as reading the escapes in order does, so
+    every backslash left starts an escape, and \" and \n are replaced with
+    plain string methods. Each \\ is held as a NUL meanwhile, or, in a
+    body that has one, split on: the pieces are joined by the one
+    backslash that each \\ stands for.
     """
     body = token[1:-1]
     if "\\" not in body:
         return body
+    if "\0" not in body:
+        return (body.replace("\\\\", "\0").replace('\\"', '"').replace("\\n", "\n")
+                .replace("\0", "\\"))
     return "\\".join([piece.replace('\\"', '"').replace("\\n", "\n")
                       for piece in body.split("\\\\")])
 
@@ -288,42 +316,46 @@ def _parse_tokens(text: str) -> RawGraph:
     return graph
 
 
-def _statement(m: re.Match) -> NodeStatement | EdgeStatement:
-    """The statement that a match of `_STATEMENT` reads."""
-    first, second, label, later = m.groups()
-    if later is not None:
-        label = later
-    if first[0] == '"':
-        first = _unquote(first)
-    if label is not None and label[0] == '"':
-        label = _unquote(label)
-    if second is None:
-        return NodeStatement(first, label)
-    if second[0] == '"':
-        second = _unquote(second)
-    return EdgeStatement(first, second, label)
-
-
-def _read_lines(body: str, graph: RawGraph) -> bool:
-    """Read body into graph line by line, parsing each distinct line once;
-    return whether every line was blank or one statement."""
-    seen: dict[str, tuple[list, NodeStatement | EdgeStatement]] = {}
-    fullmatch = _STATEMENT.fullmatch
-    for line in body.split("\n"):
-        hit = seen.get(line)
-        if hit is None:
-            # only [ \t\r\n] is whitespace; the \n is split off already
-            end = len(line.rstrip(" \t\r"))
-            if not end:
-                continue
-            m = fullmatch(line, 0, end)
+def _read_lines(lines: list[str]) -> tuple[list, list] | None:
+    """The node and edge statements of lines if every line is blank or one
+    statement, else None. Each distinct line is matched once, and each
+    distinct rest of a line after its ids is parsed once."""
+    keys = [line for line in dict.fromkeys(lines) if line.strip(" \t\r")]
+    joined = "\n".join(keys)
+    heads = _HEAD.findall(joined)
+    del joined
+    # a line without a match leaves fewer matches than lines; otherwise the
+    # i-th match is that of the i-th line
+    if len(heads) != len(keys):
+        return None
+    labels: dict[str, str | None] = {}
+    node_at: dict[str, NodeStatement] = {}
+    edge_at: dict[str, EdgeStatement] = {}
+    make = tuple.__new__  # skips the named tuples' Python __new__
+    for line, (first, second, rest) in zip(keys, heads):
+        if rest in labels:
+            label = labels[rest]
+        else:
+            m = _TAIL.fullmatch(rest)
             if m is None:
-                return False
-            stmt = _statement(m)
-            hit = seen[line] = (graph.edges if type(stmt) is EdgeStatement else graph.nodes, stmt)
-        statements, stmt = hit
-        statements.append(stmt)
-    return True
+                return None
+            label, later = m.groups()
+            if later is not None:
+                label = later
+            if label is not None and label[0] == '"':
+                label = _unquote(label)
+            labels[rest] = label
+        if first[0] == '"':
+            first = _unquote(first)
+        if not second:
+            node_at[line] = make(NodeStatement, (first, label))
+            continue
+        if second[0] == '"':
+            second = _unquote(second)
+        edge_at[line] = make(EdgeStatement, (first, second, label))
+    del keys, heads
+    return ([*filter(None, map(node_at.get, lines))],
+            [*filter(None, map(edge_at.get, lines))])
 
 
 def parse_dot(text: str) -> RawGraph:
@@ -340,9 +372,9 @@ def parse_dot(text: str) -> RawGraph:
         close = text.rfind("}")
         stop = text.rfind("\n", at, close) if close > at else -1
         if stop >= 0 and not text[stop + 1:close].strip(" \t\r") and _END.match(text, close):
-            graph = RawGraph(name=head.group(1) or "")
-            if _read_lines(text[at:stop], graph):
-                return graph
+            statements = _read_lines(text[at:stop].split("\n"))
+            if statements is not None:
+                return RawGraph(head.group(1) or "", *statements)
     return _parse_tokens(text)
 
 

@@ -425,10 +425,50 @@ def line_dump(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+# Attribute lists as a model checker writes them, shared by many lines: valid
+# ones, with comments, line ends and spacing around them, and ones that are
+# not valid. '' leaves a line that ends right after an id.
+_TLC_TAILS = st.sampled_from(
+    ["", ";", ' [label="Tick(p8)",color="green",fontcolor="green"];',
+     ' [label="/\\\\ x = 1\\n/\\\\ pc = \\"w\\"",style = filled];', '[label = go, color=red]',
+     ' [label="a" /* c */, label="b"] ;', ' [color="x"]; // c', ' [label="x"];\r', " // c", "\r",
+     " /* c */ ;"]
+)
+_BAD_TAILS = st.sampled_from(
+    ["[label=1,]", '[label="x"', "; ;", " x", " [label=1] ; 2", " /* c", "\f"]
+)
+_TLC_IDS = st.one_of(st.integers(-10 ** 19, 10 ** 19).map(str),
+                     st.sampled_from(['"s"', '"a b"', '"x\\"y"', '"->"']))
+
+
+@st.composite
+def tlc_dump(draw):
+    """(text, valid): a dump of many distinct node and edge lines, indented
+    or not, that share a small pool of attribute lists; valid is whether
+    every list in the pool is valid."""
+    pool = draw(st.lists(_TLC_TAILS, min_size=1, max_size=3))
+    valid = draw(st.sampled_from([True, True, True, False]))
+    if not valid:
+        pool.append(draw(_BAD_TAILS))
+    lines = []
+    for tail in pool:  # each list of the pool on at least one line
+        lines.append(draw(_TLC_IDS) + tail)
+    for _ in range(draw(st.integers(0, 12))):
+        head = draw(_TLC_IDS)
+        if draw(st.booleans()):
+            head += draw(st.sampled_from([" -> ", "->", " /* c */ -> "])) + draw(_TLC_IDS)
+        lines.append(draw(st.sampled_from(["", "", "  ", "\t"])) + head
+                     + draw(st.sampled_from(pool)))
+    lines = draw(st.permutations(lines))
+    if draw(st.booleans()):
+        lines += lines
+    return "digraph DiskGraph {\n" + "\n".join(lines) + "\n}\n", valid
+
+
 class TestLinePath:
-    """parse_dot reads a dump one line at a time and parses each distinct
-    line once; a text with a line that is not one statement goes to the
-    token parser from the start."""
+    """parse_dot matches each distinct line of a dump once, in one batch, and
+    parses each distinct attribute list once; a text with a line that is not
+    one statement goes to the token parser from the start."""
 
     @settings(max_examples=800, deadline=None)
     @given(st.one_of(dot_soup(), line_dump()))
@@ -463,12 +503,19 @@ class TestLinePath:
         body = [rng.choice(distinct) for _ in range(200)] + distinct
         text = "digraph G {\n" + "\n".join(body) + "\n}\n"
         with _count_fallbacks() as fallback, \
-                mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
+                mock.patch.object(ssg, "_HEAD", wraps=ssg._HEAD) as head, \
+                mock.patch.object(ssg, "_TAIL", wraps=ssg._TAIL) as tail:
             raw = parse_dot(text)
         reference = REFERENCE(text)
         assert (raw.nodes, raw.edges) == (reference.nodes, reference.edges)
-        assert pattern.fullmatch.call_count == len(distinct)
-        assert (pattern.match.call_count, fallback.call_count) == (0, 0)
+        # one batch match over the distinct lines, each once
+        assert head.findall.call_count == 1
+        assert head.findall.call_args.args[0].split("\n") == list(dict.fromkeys(body))
+        # one parse per distinct attribute list: the last two distinct lines share ';'
+        rests = [call.args[0] for call in tail.fullmatch.call_args_list]
+        assert sorted(rests) == sorted(
+            ['[label="final = FALSE"];', '[label="final = TRUE"];', '[label="go(x)"];', ";"])
+        assert fallback.call_count == 0
         first: dict = {}
         for statement in raw.nodes + raw.edges:
             assert first.setdefault(statement, statement) is statement
@@ -477,11 +524,23 @@ class TestLinePath:
     def test_explored_dot_of_the_fixture_model_takes_the_line_path(self):
         text = explore(load_model(fixture_path("tournaments_p1t1e1.yaml"))).to_dot()
         with _count_fallbacks() as fallback, \
-                mock.patch.object(ssg, "_STATEMENT", wraps=ssg._STATEMENT) as pattern:
+                mock.patch.object(ssg, "_HEAD", wraps=ssg._HEAD) as head, \
+                mock.patch.object(ssg, "_TAIL", wraps=ssg._TAIL) as tail:
             raw = parse_dot(text)
         assert raw == REFERENCE(text)
         assert raw.edges
-        assert (pattern.match.call_count, fallback.call_count) == (0, 0)
+        assert (head.findall.call_count, fallback.call_count) == (1, 0)
+        rests = [call.args[0] for call in tail.fullmatch.call_args_list]
+        assert len(rests) == len(set(rests)) < raw.statement_count()
+
+    @settings(max_examples=400, deadline=None)
+    @given(tlc_dump())
+    def test_a_model_checker_dump_matches_the_token_parser(self, dump):
+        text, valid = dump
+        with _count_fallbacks() as fallback:
+            got = _outcome(parse_dot, text)
+        assert got == _outcome(REFERENCE, text)
+        assert fallback.call_count == (0 if valid else 1)
 
 
 class TestClean:
