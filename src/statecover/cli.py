@@ -87,8 +87,9 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> UsageError:
 
 
 def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -217,10 +218,7 @@ def cmd_sequences(args, log: Log) -> int:
         spec = _load_spec(args.spec)
         resolver = spec.resolver()
         put_catalog = spec.put_catalog()
-    try:
-        sequences = seqgen.to_call_sequences(graph, paths, resolver=resolver)
-    except ValueError as exc:  # an edge label that is not name(arg, ...)
-        raise UsageError(f"{args.dot}: {exc}") from exc
+    sequences = seqgen.to_call_sequences(graph, paths, resolver=resolver)
     sequences = seqgen.insert_puts(
         sequences, put_catalog, args.puts_max, derive_seed(args.seed, "puts")
     )

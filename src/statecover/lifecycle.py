@@ -153,6 +153,10 @@ def _text(node, where: str) -> str:
     return node
 
 
+# A model's name: the only graph name that ssg.parse_dot reads back.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def load_model(source: Union[dict, str, Path]) -> Model:
     if isinstance(source, dict):
         doc = source
@@ -160,6 +164,9 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         doc = load_yaml(Path(source).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "resources" not in doc or "actions" not in doc:
         raise ModelError("model needs 'resources' and 'actions'")
+    name = doc.get("name", "model")
+    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+        raise ModelError(f"name: expected a DOT graph name ({_NAME_RE.pattern}), got {name!r}")
 
     resources = []
     for r in _entries(doc, "resources", ("name", "key")):
@@ -243,7 +250,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
     if terminal != "all_empty":
         raise ModelError(f"unsupported terminal condition {terminal!r}")
     return Model(
-        name=doc.get("name", "model"),
+        name=name,
         resources=tuple(resources),
         capacities=capacities,
         actions=tuple(actions),

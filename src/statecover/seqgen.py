@@ -3,8 +3,10 @@
 paths_to collects complete and incomplete paths by forward BFS, paths_from
 gives each state its shortest route to the sink by reverse BFS, and
 select_sequences completes every incomplete path with such a route. The
-selected set visits every state, and every transition when the graph has no
-merged parallel edges.
+graph lists a pair once per labelled transition (source, label, target), so
+a pair with n labels lies on at least n selected paths, and
+to_call_sequences sends its labels, parsed at build, in turn: the selected
+set visits every state and sends every transition.
 
 The graph (`ssg`) and the operations (`speckit`) appear here only in
 annotations, so importing this module loads neither: the command line
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import json
 import random
-import re
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:
@@ -101,21 +104,6 @@ def select_sequences(graph: StateSpaceGraph) -> list[tuple[int, ...]]:
     return selected
 
 
-_LABEL_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
-
-
-def parse_label(label: str) -> tuple[str, tuple[str, ...]] | None:
-    """Split an edge label like 'postEnrolment(e1,p1,t1)' into name and args."""
-    m = _LABEL_RE.match(label.strip())
-    if not m:
-        return None
-    name = m.group(1)
-    raw_args = m.group(2)
-    if raw_args is None or raw_args.strip() == "":
-        return name, ()
-    return name, tuple(a.strip() for a in raw_args.split(","))
-
-
 class Call(NamedTuple):
     """One call of a sequence: the operation, its method and path template,
     and the abstract ids its label binds (params, one dict per call, which
@@ -149,25 +137,23 @@ def to_call_sequences(
 ) -> list[list[Call]]:
     """Attach operation calls to state paths.
 
-    Each traversed edge contributes its lexicographically least label; the
-    synthetic sink edge and unlabeled edges contribute nothing. A label that
-    parse_label cannot read raises ValueError naming the edge. Without a
-    resolver, calls keep the label name and positional argument names.
+    The k-th traversal of a pair with n labels, counted over the paths in
+    order, sends label min(k, n-1), so the pair's labels go out in label
+    order; the synthetic sink edge and unlabeled edges contribute nothing.
+    Without a resolver, calls keep the label name and positional argument
+    names.
     """
+    traversals: dict[tuple[int, int], int] = {}
     sequences = []
     for path in paths:
         calls: list[Call] = []
-        for u, v in zip(path, path[1:]):
-            label = graph.least_label(u, v)
-            if not label:
+        for hop in zip(path, path[1:]):
+            labels = graph.labels[hop]
+            if not labels:
                 continue
-            parsed = parse_label(label)
-            if parsed is None:
-                raise ValueError(
-                    f"edge {graph.raw_ids[u]} -> {graph.raw_ids[v]}: cannot read "
-                    f"label {label!r} as name(arg, ...)"
-                )
-            name, args = parsed
+            k = traversals.get(hop, 0)
+            traversals[hop] = k + 1
+            name, args = labels[min(k, len(labels) - 1)]
             op = resolver(name) if resolver else None
             if op is None:
                 params = {f"arg{i}": a for i, a in enumerate(args)}
@@ -279,26 +265,20 @@ class CoverageReport(NamedTuple):
 def coverage_report(graph: StateSpaceGraph, paths: list[tuple[int, ...]]) -> CoverageReport:
     """State and transition coverage of the selected paths.
 
-    The synthetic sink and its edges are excluded. A transition is a
-    (source, target) pair, so parallel edges merged into one pair count
-    once however many labels they carry.
+    The synthetic sink and its edges are excluded. A transition is
+    (source, label, target); as to_call_sequences sends a pair's labels in
+    turn, a pair traversed k times covers min(k, n) of its n labels, and an
+    unlabelled pair is one transition.
     """
     sink = graph.super_final
-    visited_states = set()
-    visited_pairs = set()
-    for path in paths:
-        for s in path:
-            if s != sink:
-                visited_states.add(s)
-        for u, v in zip(path, path[1:]):
-            if v != sink:
-                visited_pairs.add((u, v))
+    traversals = Counter(chain.from_iterable(zip(p, p[1:]) for p in paths))
     return CoverageReport(
         path_count=len(paths),
-        states_covered=len(visited_states),
+        states_covered=len(set().union(*paths) - {sink}),
         states_total=graph.n_states - 1,
-        transitions_covered=len(visited_pairs),
-        transitions_total=sum(v != sink for _, v in graph.edge_labels),
+        transitions_covered=sum(min(k, len(graph.labels[hop]) or 1)
+                                for hop, k in traversals.items() if hop[1] != sink),
+        transitions_total=graph.edge_count() - len(graph.finals),
     )
 
 

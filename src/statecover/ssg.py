@@ -2,11 +2,12 @@
 
 Parses the DOT subset that model-checker dumps use (node and edge statements
 with optional label attributes), deduplicates repeated statements, and builds
-a dense-index graph with a synthetic super-final sink so that every final
-state funnels into a single traversal target. A final state is one whose
-label matches `final = TRUE`; self-loops are rejected; and the one
-validation checks that every state is reachable from the initial state and
-co-reachable to the sink.
+a dense-index graph of labelled transitions (source, label, target), with a
+synthetic super-final sink so that every final state funnels into a single
+traversal target. Each distinct label text is parsed once, at build, by
+`parse_label`. A final state is one whose label matches `final = TRUE`;
+self-loops are rejected; and the one validation checks that every state is
+reachable from the initial state and co-reachable to the sink.
 
 `parse_dot` has two readers. The line path takes a dump whose closing `}`
 stands alone on its line, after only spaces, tabs and carriage returns. It
@@ -42,14 +43,18 @@ a dump. A node never equals an edge, as their lengths differ.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from typing import Iterable, NamedTuple
 
 
 _FINAL = re.compile(r"final\s*=\s*TRUE")
-# A decimal state id: ordered by value, and written without quotes.
-_DECIMAL = re.compile(r"\d+")
+# A decimal state id: ordered by value, and written without quotes. ASCII
+# digits only, as DOT's numerals are; another digit's id is a string.
+_DECIMAL = re.compile(r"[0-9]+")
+# An edge label: an action name, then its arguments in parentheses.
+_LABEL_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
 
 
 class DotParseError(ValueError):
@@ -439,17 +444,33 @@ def clean(graph: RawGraph) -> RawGraph:
     )
 
 
+# A parsed edge label: the action name and its arguments.
+Label = tuple[str, tuple[str, ...]]
+
+
+def parse_label(label: str) -> Label | None:
+    """Split an edge label like 'postEnrolment(e1,p1,t1)' into name and args."""
+    m = _LABEL_RE.match(label.strip())
+    if not m:
+        return None
+    name, raw_args = m.groups()
+    if raw_args is None or raw_args.strip() == "":
+        return name, ()
+    return name, tuple(a.strip() for a in raw_args.split(","))
+
+
 class StateSpaceGraph(NamedTuple):
     """Dense-index directed graph with a super-final sink at index n-1.
 
-    Parallel edges are merged; edge_labels maps (src, dst) to the sorted
-    tuple of labels the merged edge carries (possibly empty).
+    labels maps (src, dst) to its transitions' parsed labels in label order,
+    or () if it has none. out_adj[u] lists v once per label of (u, v), or
+    once if it has none; in_adj[v] lists u the same way.
     """
 
     n_states: int
     out_adj: list[list[int]]
     in_adj: list[list[int]]
-    edge_labels: dict[tuple[int, int], tuple[str, ...]]
+    labels: dict[tuple[int, int], tuple[Label, ...]]
     initial: int
     finals: tuple[int, ...]
     super_final: int
@@ -457,10 +478,6 @@ class StateSpaceGraph(NamedTuple):
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.out_adj)
-
-    def least_label(self, u: int, v: int) -> str | None:
-        labels = self.edge_labels.get((u, v), ())
-        return labels[0] if labels else None
 
 
 def _bfs_set(adj: list[list[int]], start: int) -> set[int]:
@@ -492,7 +509,8 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     final state. Self-loops are rejected. Every state must be reachable from
     the initial state and co-reachable to the sink, unless prune=True drops
     the offenders instead. Adjacency lists come out ascending and mutually
-    dual, with the sink last and without out-edges.
+    dual, with the sink last and without out-edges. Every distinct label of
+    a kept edge is parsed, once per text; an empty label is no label.
     """
     if not raw.nodes and not raw.edges:
         raise GraphError("empty graph: no statements")
@@ -507,21 +525,20 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
         if labels[i] is None and n.label is not None:
             labels[i] = n.label
 
-    merged: dict[tuple[int, int], set[str]] = {}
+    pairs: dict[tuple[int, int], set[str]] = {}
     for e in raw.edges:
-        key = (index_of[e.src], index_of[e.dst])
-        bucket = merged.setdefault(key, set())
-        if e.label is not None:
-            bucket.add(e.label)
+        texts = pairs.setdefault((index_of[e.src], index_of[e.dst]), set())
+        if e.label:
+            texts.add(e.label)
 
-    self_loops = sorted({u for (u, v) in merged if u == v})
+    self_loops = sorted({u for (u, v) in pairs if u == v})
     if self_loops:
         raise GraphError(
             "self-loops rejected: " + _fmt_ids(ids[u] for u in self_loops)
         )
 
     in_degree = [0] * n_real
-    for (_, v) in merged:
+    for (_, v) in pairs:
         in_degree[v] += 1
 
     if initial is not None:
@@ -545,15 +562,12 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     n = n_real + 1
     out_adj: list[list[int]] = [[] for _ in range(n)]
     in_adj: list[list[int]] = [[] for _ in range(n)]
-    edge_labels: dict[tuple[int, int], tuple[str, ...]] = {}
-    for (u, v), label_set in merged.items():
-        out_adj[u].append(v)
-        in_adj[v].append(u)
-        edge_labels[(u, v)] = tuple(sorted(label_set))
+    for (u, v), texts in pairs.items():
+        out_adj[u] += [v] * (len(texts) or 1)
+        in_adj[v] += [u] * (len(texts) or 1)
     for f in finals:
         out_adj[f].append(sink)
         in_adj[sink].append(f)
-        edge_labels[(f, sink)] = ()
     for u in range(n):
         out_adj[u].sort()
         in_adj[u].sort()
@@ -578,11 +592,19 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
         )
         return build(filtered, initial=ids[init_idx])
 
+    read = functools.cache(parse_label)  # each distinct text parsed once
+    pair_labels: dict[tuple[int, int], tuple[Label, ...]] = {(f, sink): () for f in finals}
+    for (u, v), texts in pairs.items():
+        ordered = sorted(texts)
+        parsed = pair_labels[u, v] = tuple(map(read, ordered))
+        if None in parsed:
+            raise GraphError(f"edge {ids[u]} -> {ids[v]}: cannot read label "
+                             f"{ordered[parsed.index(None)]!r} as name(arg, ...)")
     return StateSpaceGraph(
         n_states=n,
         out_adj=out_adj,
         in_adj=in_adj,
-        edge_labels=edge_labels,
+        labels=pair_labels,
         initial=init_idx,
         finals=tuple(finals),
         super_final=sink,

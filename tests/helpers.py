@@ -105,16 +105,18 @@ def _reached(adj: list[list[int]], start: int) -> set[int]:
 def assert_graph_laws(graph: StateSpaceGraph) -> None:
     """The structural laws every built graph obeys: the sink is the last
     index and has no out-edges, adjacency lists are ascending and dual, the
-    labelled pairs are exactly the edges, every final state has a sink edge,
-    and every state is reachable from the initial state and co-reaches the
-    sink."""
+    labelled pairs are exactly the edges, each listed once per label (once
+    if it has none), every final state has a sink edge, and every state is
+    reachable from the initial state and co-reaches the sink."""
     n, sink = graph.n_states, graph.super_final
     assert sink == n - 1
     assert graph.out_adj[sink] == []
     assert all(adj == sorted(adj) for adj in graph.out_adj + graph.in_adj)
-    out_pairs = {(u, v) for u in range(n) for v in graph.out_adj[u]}
-    assert out_pairs == {(u, v) for v in range(n) for u in graph.in_adj[v]}
-    assert out_pairs == set(graph.edge_labels)
+    out_pairs = sorted((u, v) for u in range(n) for v in graph.out_adj[u])
+    assert out_pairs == sorted((u, v) for v in range(n) for u in graph.in_adj[v])
+    assert set(out_pairs) == set(graph.labels)
+    for (u, v), labels in graph.labels.items():
+        assert graph.out_adj[u].count(v) == max(1, len(labels))
     assert all((f, sink) in out_pairs for f in graph.finals)
     assert _reached(graph.out_adj, graph.initial) == set(range(n))
     assert _reached(graph.in_adj, sink) == set(range(n))

@@ -159,6 +159,15 @@ class TestPipeline:
         assert run(capsys, "clean", str(once), str(twice))[0] == 0
         assert twice.read_bytes() == once.read_bytes()
 
+    def test_clean_keeps_an_id_of_other_digits_quoted(self, tmp_path, capsys):
+        # Arabic-Indic three is a digit to \d but no DOT numeral
+        body = '"\u0663" [label="final = TRUE"];\n"\u0662" -> "\u0663" [label="go(x)"];\n'
+        dirty = tmp_path / "dirty.dot"
+        dirty.write_text("digraph G {\n" + body + "}\n", encoding="utf-8")
+        out = tmp_path / "out.dot"
+        assert run(capsys, "clean", str(dirty), str(out))[0] == 0
+        assert out.read_text(encoding="utf-8") == "digraph G {\n" + body + "}\n"
+
 
 class TestCampaignCommand:
     def test_clean_service_exits_zero(self, workdir, capsys):
@@ -576,6 +585,20 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {path}: {where}" in err
 
+    # a DOT graph name is an identifier; anything else would be written into
+    # a graph that sequences cannot read back
+    @pytest.mark.parametrize("name", ["my-model", "tour naments", 2024, "", None])
+    def test_model_name_dot_cannot_carry(self, tmp_path, capsys, name):
+        doc = tournaments_model_doc(players=("p1",), tournaments=(), enrolments=())
+        doc["name"] = name
+        path = tmp_path / "model.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        code, _, err = run(capsys, "explore", str(path), str(tmp_path / "out.dot"))
+        assert code == 2
+        assert (f"error: {path}: name: expected a DOT graph name "
+                f"([A-Za-z_][A-Za-z0-9_]*), got {name!r}") in err
+        assert not (tmp_path / "out.dot").exists()
+
     @pytest.mark.parametrize("change, where", [
         pytest.param(lambda paths: paths.update({"/players": [paths["/players"]]}),
                      "/players: expected a mapping, got list", id="path-item"),
@@ -619,6 +642,37 @@ class TestErrorPaths:
         assert err == (f"error: {bad}: line 40003: not UTF-8: byte 0xe9 "
                        "(invalid continuation byte)\n")
         assert not (workdir / "out").exists()
+
+    # {src} with a UTF-8 byte-order mark before it reads as {src} does
+    @pytest.mark.parametrize("argv, src", [
+        pytest.param(("clean", "{src}", "{out}"), "graph.dot", id="clean"),
+        pytest.param(("explore", "{src}", "{out}"), "tiny-model.yaml", id="explore"),
+        pytest.param(("sequences", "{src}", "{out}"), "graph.dot", id="sequences"),
+        pytest.param(("test", "--spec", "{contracts}", "--sequences", "{src}", "--spawn-demo",
+                      "--report", "{out}"), "seqs.json", id="test-sequences"),
+    ])
+    def test_a_leading_byte_order_mark_is_not_content(self, workdir, capsys, argv, src):
+        prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        plain = workdir / src
+        bom = workdir / f"bom-{src}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for source in (plain, bom):
+            names = {"src": source, "out": workdir / f"out-{source.name}",
+                     "contracts": workdir / "tournaments-contracts.yaml"}
+            code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+            assert code == 0, err
+            outputs.append(json.loads(names["out"].read_text())["summary"]
+                           if argv[0] == "test" else names["out"].read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_a_byte_order_mark_keeps_the_not_utf8_line(self, tmp_path, capsys):
+        bad = tmp_path / "graph.dot"
+        bad.write_bytes(b"\xef\xbb\xbfdigraph {\n0 [label=\"caf\xe9\"];\n}\n")
+        code, _, err = run(capsys, "clean", str(bad), str(tmp_path / "out.dot"))
+        assert code == 2
+        assert err == (f"error: {bad}: line 2: not UTF-8: byte 0xe9 "
+                       "(invalid continuation byte)\n")
 
     def test_puts_max_out_of_range(self, workdir, capsys):
         dot = workdir / "graph.dot"

@@ -72,12 +72,13 @@ class TestLoadModel:
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
         text = fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")
         path = tmp_path / "model.yaml"
+        # a player id, as a model's name must be a DOT identifier
         path.write_text("# Turniere für Spielerinnen\n" + text.replace(
-            "name: tournaments_p1t1e1", "name: turniere_für_alle", 1), encoding="utf-8")
+            "ids: [p1]", "ids: [spielerin_für_alle]", 1), encoding="utf-8")
         out = run_in_ascii_locale(
             "from statecover.lifecycle import load_model\n"
-            f"print(ascii(load_model({str(path)!r}).name))\n")
-        assert out.strip() == ascii("turniere_für_alle")
+            f"print(ascii(list(load_model({str(path)!r}).resources[0].ids)))\n")
+        assert out.strip() == ascii(["spielerin_für_alle"])
 
     def test_unknown_field_target(self):
         doc = toggler_doc()
@@ -277,7 +278,7 @@ class TestExploreTournaments:
         direct = ssg.build(x.to_raw(), initial="0")
         assert (g.n_states, g.edge_count(), g.finals) == (
             direct.n_states, direct.edge_count(), direct.finals)
-        assert g.edge_labels == direct.edge_labels
+        assert g.labels == direct.labels
         assert [n.label for n in ssg.parse_dot(x.to_dot()).nodes] == x.states
 
 

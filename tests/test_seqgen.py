@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecover.seqgen import (
     Call,
     coverage_report,
     insert_puts,
-    parse_label,
     paths_from,
     paths_to,
     select_sequences,
@@ -17,12 +18,14 @@ from statecover.seqgen import (
     to_call_sequences,
 )
 from statecover.speckit import Operation
-from statecover.ssg import build, parse_dot
+from statecover.ssg import EdgeStatement, GraphError, RawGraph, build, parse_dot, parse_label
 
 from helpers import (
+    assert_graph_laws,
     bfs_distance_to_sink,
     brute_force_paths,
     build_random_dag,
+    make_random_dag_raw,
     tournaments_raw,
     tournaments_resolver,
 )
@@ -88,7 +91,7 @@ class TestPathsTo:
         covered = set()
         for p in sets.complete + sets.incomplete:
             covered.update(zip(p, p[1:]))
-        assert covered == set(g.edge_labels)
+        assert covered == set(g.labels)
 
     def test_path_budget(self):
         g = build(tournaments_raw())
@@ -154,18 +157,99 @@ class TestSelectSequences:
             assert report.transition_pct == 100.0
 
 
+def parallel_raw(seed: int, counts: list[int], repeats: list[int]) -> RawGraph:
+    """A random DAG whose i-th pair carries counts[i % len(counts)] labels,
+    with the edge statements that repeats index written again, shuffled.
+    One label text names its source, so it recurs on the source's pairs."""
+    rng = random.Random(seed)
+    raw = make_random_dag_raw(rng)
+    edges = []
+    for i, e in enumerate(raw.edges):
+        for name in rng.sample(("post", "put", "delete"), counts[i % len(counts)]):
+            edges.append(EdgeStatement(e.src, e.dst, f"{name}({e.src}, x)"))
+    edges += [edges[r % len(edges)] for r in repeats]
+    rng.shuffle(edges)
+    return RawGraph(raw.name, raw.nodes, edges)
+
+
+def read_label(text: str) -> tuple[str, tuple[str, ...]]:
+    """The name and arguments of a parallel_raw label, read without ssg."""
+    name, _, rest = text.partition("(")
+    return name, tuple(a.strip() for a in rest[:-1].split(","))
+
+
+def sent_transitions(graph, paths, sequences) -> set:
+    """(source, (name, args), target) of every call, matched to its hop."""
+    sent = set()
+    for path, calls in zip(paths, sequences):
+        hops = [(u, v) for u, v in zip(path, path[1:]) if v != graph.super_final]
+        assert len(hops) == len(calls)
+        for (u, v), call in zip(hops, calls):
+            sent.add((u, (call.op, tuple(call.params.values())), v))
+    return sent
+
+
+class TestParallelLabelsProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           counts=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+           repeats=st.lists(st.integers(0, 200), max_size=6))
+    def test_every_labelled_transition_is_sent(self, seed, counts, repeats):
+        raw = parallel_raw(seed, counts, repeats)
+        g = build(raw)
+        assert_graph_laws(g)
+        index = {rid: i for i, rid in enumerate(g.raw_ids)}
+        transitions = {(index[e.src], read_label(e.label), index[e.dst]) for e in raw.edges}
+        paths = select_sequences(g)
+        for path in paths:
+            assert path[0] == g.initial and path[-1] == g.super_final
+            assert all(v in g.out_adj[u] for u, v in zip(path, path[1:]))
+        sequences = to_call_sequences(g, paths)
+        assert sent_transitions(g, paths, sequences) == transitions
+        report = coverage_report(g, paths)
+        assert (report.state_pct, report.transition_pct) == (100.0, 100.0)
+        assert report.transitions_total == len(transitions)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), repeats=st.lists(st.integers(0, 200), max_size=6))
+    def test_one_label_per_pair_is_the_least_label_reading(self, seed, repeats):
+        raw = parallel_raw(seed, [1], repeats)
+        g = build(raw)
+        index = {rid: i for i, rid in enumerate(g.raw_ids)}
+        least: dict = {}
+        for e in raw.edges:
+            pair = (index[e.src], index[e.dst])
+            least[pair] = min(least.get(pair, e.label), e.label)
+        paths = select_sequences(g)
+        expected = [[read_label(least[hop]) for hop in zip(p, p[1:]) if hop in least]
+                    for p in paths]
+        got = [[(c.op, tuple(c.params.values())) for c in s] for s in to_call_sequences(g, paths)]
+        assert got == expected
+
+
 class TestCoverage:
-    def test_parallel_edge_label_shortfall(self):
+    def test_parallel_labels_each_covered(self):
         g = build(
             parse_dot(
-                'digraph { 0 -> 1 [label="a(x)"]; 0 -> 1 [label="b(x)"]; '
+                'digraph { 0 -> 1 [label="b(x)"]; 0 -> 1 [label="a(x)"]; '
                 '1 -> 2 [label="c(x)"]; 2 [label="final = TRUE"]; }'
             )
         )
-        report = coverage_report(g, select_sequences(g))
-        # the parallel a/b edges are one transition, covered by one call
-        assert report.transitions_total == report.transitions_covered == 2
+        paths = select_sequences(g)
+        # the parallel a/b edges are two transitions, each sent by a call
+        assert [[c.op for c in s] for s in to_call_sequences(g, paths)] == [
+            ["a", "c"], ["b", "c"]]
+        report = coverage_report(g, paths)
+        assert report.transitions_total == report.transitions_covered == 3
         assert report.transition_pct == 100.0
+
+    def test_a_pair_traversed_once_covers_one_label(self):
+        g = build(parse_dot('digraph { 0 -> 1 [label="a(x)"]; 0 -> 1 [label="b(x)"]; '
+                            '1 [label="final = TRUE"]; }'))
+        report = coverage_report(g, [(0, 1, 2)])
+        assert (report.transitions_covered, report.transitions_total) == (1, 2)
+        report = coverage_report(g, [(0, 1, 2)] * 3)
+        assert (report.transitions_covered, report.transitions_total) == (2, 2)
 
     def test_empty_paths(self):
         g = diamond_graph()
@@ -226,10 +310,18 @@ class TestCallAttachment:
         assert seqs[0] == []
 
     def test_unreadable_label_fails_naming_the_edge(self):
-        g = build(parse_dot(
-            'digraph { "s0" -> "s1" [label="go now"]; "s1" [label="final = TRUE"]; }'))
-        with pytest.raises(ValueError, match="^edge s0 -> s1: cannot read label 'go now'"):
-            to_call_sequences(g, select_sequences(g), None)
+        raw = parse_dot(
+            'digraph { "s0" -> "s1" [label="go now"]; "s1" [label="final = TRUE"]; }')
+        with pytest.raises(GraphError, match="^edge s0 -> s1: cannot read label 'go now'"):
+            build(raw)
+
+    def test_parallel_labels_sent_in_turn(self):
+        # the k-th traversal of a pair sends its label min(k, n-1)
+        g = build(parse_dot('digraph { 0 -> 1 [label="b(y)"]; 0 -> 1 [label="a(x)"]; '
+                            '1 [label="final = TRUE"]; }'))
+        seqs = to_call_sequences(g, [(0, 1, 2)] * 3)
+        assert [(c.op, c.params) for s in seqs for c in s] == [
+            ("a", {"arg0": "x"}), ("b", {"arg0": "y"}), ("b", {"arg0": "y"})]
 
 
 PUT_CATALOG = {

@@ -82,6 +82,10 @@ class TestParseDot:
         raw = parse_dot('digraph { "s0" -> "s1"; "s1" [label="final = TRUE"]; }')
         assert raw.state_ids() == ["s0", "s1"]
 
+    def test_ids_of_other_digits_sort_as_text(self):
+        raw = parse_dot('digraph { "\u0663" -> "10"; "10" -> 9; "\u0662" -> "\u0663"; }')
+        assert raw.state_ids() == ["9", "10", "\u0662", "\u0663"]
+
     def test_quoted_escapes(self):
         raw = parse_dot(r'digraph { 0 [label="a \"b\" /\ c"]; }')
         assert raw.nodes[0].label == 'a "b" /\\ c'
@@ -575,7 +579,7 @@ class TestClean:
         g1 = build(base)
         g2 = build(clean(doubled))
         assert g1.out_adj == g2.out_adj
-        assert g1.edge_labels == g2.edge_labels
+        assert g1.labels == g2.labels
         assert g1.finals == g2.finals
 
     @settings(max_examples=60, deadline=None)
@@ -598,8 +602,8 @@ class TestBuild:
         assert g.super_final == 4
         assert g.out_adj == [[1, 2], [3], [3], [4], []]
         assert g.in_adj == [[], [0], [0], [1, 2], [3]]
-        assert g.edge_labels[(0, 1)] == ("a(x)",)
-        assert g.edge_labels[(3, 4)] == ()
+        assert g.labels[(0, 1)] == (("a", ("x",)),)
+        assert g.labels[(3, 4)] == ()
         assert_graph_laws(g)
 
     def test_stats_paper_vs_traversal(self):
@@ -608,14 +612,47 @@ class TestBuild:
         assert (g.n_states - 1, g.edge_count() - len(g.finals)) == (4, 4)
         assert (g.n_states, g.edge_count()) == (5, 5)
 
-    def test_parallel_edges_merged_sorted(self):
+    def test_parallel_labels_are_transitions(self):
         raw = parse_dot(
-            'digraph { 0 -> 1 [label="b(y)"]; 0 -> 1 [label="a(x)"]; 1 [label="final = TRUE"]; }'
+            'digraph { 0 -> 1 [label="b(x)"]; 0 -> 1 [label="a(x)"]; 0 -> 1 [label="b(x)"]; '
+            '1 -> 2 [label="c(x)"]; 2 [label="final = TRUE"]; }'
         )
         g = build(raw)
-        assert g.edge_labels[(0, 1)] == ("a(x)", "b(y)")
-        assert g.least_label(0, 1) == "a(x)"
-        assert g.edge_count() - len(g.finals) == 1
+        # one transition per distinct label, in label order
+        assert g.labels[(0, 1)] == (("a", ("x",)), ("b", ("x",)))
+        assert g.out_adj[0] == [1, 1] and g.in_adj[1] == [0, 0]
+        assert g.edge_count() - len(g.finals) == 3
+        assert_graph_laws(g)
+
+    def test_unlabelled_pair_is_one_transition(self):
+        raw = parse_dot('digraph { 0 -> 1; 0 -> 1 [label=""]; 1 [label="final = TRUE"]; }')
+        g = build(raw)
+        assert g.labels[(0, 1)] == ()
+        assert g.out_adj[0] == [1]
+        assert_graph_laws(g)
+
+    def test_unreadable_label_fails_naming_the_edge(self):
+        # a label that is never the least of its pair is read too
+        raw = parse_dot('digraph { "s0" -> "s1" [label="a(x)"]; "s0" -> "s1" [label="go now"]; '
+                        '"s1" [label="final = TRUE"]; }')
+        with pytest.raises(GraphError, match="^edge s0 -> s1: cannot read label 'go now' "
+                                             r"as name\(arg, \.\.\.\)$"):
+            build(raw)
+
+    def test_each_label_text_is_parsed_once(self):
+        raw = parse_dot('digraph { 0 -> 1 [label="a(x)"]; 1 -> 2 [label="a(x)"]; '
+                        '0 -> 2 [label="b(x)"]; 2 [label="final = TRUE"]; }')
+        with mock.patch.object(ssg, "parse_label", wraps=ssg.parse_label) as parse:
+            g = build(raw)
+        assert sorted(c.args[0] for c in parse.call_args_list) == ["a(x)", "b(x)"]
+        assert g.labels[(0, 1)][0] is g.labels[(1, 2)][0]
+
+    def test_prune_never_reads_a_dropped_label(self):
+        raw = parse_dot('digraph { 0 -> 1 [label="a(x)"]; 1 [label="final = TRUE"]; '
+                        '9 -> 1 [label="not a label!!"]; }')
+        g = build(raw, initial="0", prune=True)
+        assert g.raw_ids == ["0", "1"]
+        assert g.labels[(0, 1)] == (("a", ("x",)),)
 
     def test_tournaments_fixture_counts(self):
         g = build(tournaments_raw())
