@@ -66,7 +66,7 @@ from typing import Optional
 from urllib.parse import unquote
 
 from . import lifecycle, speckit
-from .speckit import ApiSpec, Clause
+from .speckit import ApiSpec
 from .transport import MAX_LINE, ProtocolError, read_fields
 
 FAULTS = (
@@ -413,9 +413,11 @@ def demo_spec() -> ApiSpec:
 def add_manual_clauses(spec: ApiSpec) -> None:
     """Contract clauses that CRUD inference cannot derive: the capacity
     invariant and the member-list shrink on enrolment deletion."""
-    spec.invariants = spec.invariants + (Clause(CAPACITY_INVARIANT),)
+    at = f"x-invariants[{len(spec.invariants)}]"
+    spec.invariants += (speckit.clause(CAPACITY_INVARIANT, "invariants", at, frozenset()),)
     op = spec.operation("deleteEnrolment")
-    op.ensures = op.ensures + (Clause(ENROLMENT_DETACH_CLAUSE),)
+    at = f"{op.method} {op.path}: x-ensures[{len(op.ensures)}]"
+    op.ensures += (speckit.clause(ENROLMENT_DETACH_CLAUSE, "ensures", at, op.bound),)
 
 
 def make_tournaments_model(

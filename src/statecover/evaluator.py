@@ -91,7 +91,7 @@ class OpContext:
 
 
 class EvalResult(NamedTuple):
-    value: bool
+    value: Optional[bool]  # evaluate gives a bool; None: could not be evaluated
     witness: str = ""
 
 

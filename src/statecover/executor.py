@@ -15,9 +15,16 @@ calls read is captured in the pre phase.
 A call whose inputs cannot be produced (a foreign id that was never created,
 an id the sequence already created, an operation with no usable key, a
 request body the schema does not let the generator build as an object) is
-reported NOT_TESTED, and nothing is sent for it. A 5xx answer short-circuits
-classification: the service failed outright, so postconditions are not
-evaluated.
+reported NOT_TESTED, and nothing is sent for it.
+
+A sent call's verdict is decided in one place, from three evaluator.EvalResults:
+preconditions, postconditions and invariants. Each is True, False with the
+first false clause as its witness, or None when a clause could not be
+evaluated. Any None makes the call ERR; otherwise classify decides. A call
+that is not OK is blamed on the witness of the first of post, inv and pre
+that is not True. A 5xx answer is ERR without evaluating postconditions:
+the service failed outright, and the post verdict is None with the reason
+"server error N".
 
 Every request, for calls, probes and cleanup alike, goes through the
 request(method, path, json=None) -> (status, body) method of one session,
@@ -33,8 +40,9 @@ from contextlib import closing
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 
-from .evaluator import EvaluationError, Evaluator, OpContext, TransportFailure, path_segment
-from .glacier import Formula
+from .evaluator import (
+    EvalResult, EvaluationError, Evaluator, OpContext, TransportFailure, path_segment,
+)
 from .runtime import Entry, GenerationError, InputGenerator
 from .transport import TRANSPORT_ERRORS, Connection, NonJsonBody
 
@@ -65,15 +73,6 @@ def classify(pre: bool, post: bool, inv: bool, status: int) -> str:
     if post:
         return WARN if inv else ERR
     return OK if rejected else ERR
-
-
-class ClauseVerdict(NamedTuple):
-    value: Optional[bool]  # None: evaluation itself failed
-    witness: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.value is True
 
 
 class CallOutcome(NamedTuple):
@@ -141,88 +140,52 @@ class SequenceRunner:
         return outcomes, state
 
     def _run_call(self, call, state, seq_index, call_index, is_last) -> CallOutcome:
-        def skipped(reason: str) -> CallOutcome:
-            return CallOutcome(
-                seq_index, call_index, call.op, None, None,
-                None, None, None, NOT_TESTED, reason,
-            )
-
         op = self.spec.op_profile(call.op)
-        if op is None:
-            return skipped(f"operation {call.op!r} is not in the API description")
         try:
+            if op is None:
+                raise _Skip(f"operation {call.op!r} is not in the API description")
             prep = self._prepare(call, op, state)
         except _Skip as skip:
-            return skipped(skip.reason)
+            return CallOutcome(seq_index, call_index, call.op, None, None,
+                               None, None, None, NOT_TESTED, skip.reason)
 
         pre_ctx = OpContext(req_body=prep.clause_body, path_args=prep.bindings)
         capture_error = None
-        inv_verdict = self._eval_clauses(self.spec.invariants, None)
-        pre_verdict = self._eval_clauses(op.requires, pre_ctx)
+        inv = self._eval_clauses(self.spec.invariants, None)
+        pre = self._eval_clauses(op.requires, pre_ctx)
         try:
             self.evaluator.capture_previous([c.formula for c in op.ensures], pre_ctx)
         except EvaluationError as exc:
             capture_error = str(exc)
 
         status, body = self._send(op.method, prep.path, prep.payload)
-        request_info = {
-            "method": op.method,
-            "url": prep.path,
-            "body": prep.payload,
-        }
-        response_info = {"status": status, "body": body}
-
         if 200 <= status < 300:
             prep.effect()
 
-        if status >= 500:
-            return CallOutcome(
-                seq_index, call_index, call.op, request_info, response_info,
-                pre_verdict.value, None, inv_verdict.value, ERR,
-                f"server error {status}",
-            )
-
-        if capture_error is not None:
-            post_verdict = ClauseVerdict(None, f"pre-state capture failed: {capture_error}")
+        if status >= 500:  # the service failed outright: nothing to evaluate
+            post = EvalResult(None, f"server error {status}")
+        elif capture_error is not None:
+            post = EvalResult(None, f"pre-state capture failed: {capture_error}")
         else:
-            post_ctx = OpContext(
-                req_body=prep.clause_body,
-                res_code=status,
-                res_body=body,
-                path_args=prep.bindings,
-            )
-            post_verdict = self._eval_clauses(op.ensures, post_ctx)
-        if is_last:
-            inv_verdict = self._eval_clauses(self.spec.invariants, None)
+            post = self._eval_clauses(op.ensures, OpContext(
+                req_body=prep.clause_body, res_code=status, res_body=body,
+                path_args=prep.bindings))
+        if is_last and status < 500:
+            inv = self._eval_clauses(self.spec.invariants, None)
 
-        return self._classified(
-            seq_index, call_index, call.op, request_info, response_info,
-            pre_verdict, post_verdict, inv_verdict, status,
-        )
-
-    def _classified(
-        self, seq_index, call_index, op_id, request_info, response_info,
-        pre_verdict, post_verdict, inv_verdict, status,
-    ) -> CallOutcome:
-        verdicts = (pre_verdict, post_verdict, inv_verdict)
-        if any(v.value is None for v in verdicts):
+        if None in (pre.value, post.value, inv.value):
             classification = ERR
         else:
-            classification = classify(
-                pre_verdict.value, post_verdict.value, inv_verdict.value, status
-            )
+            classification = classify(pre.value, post.value, inv.value, status)
         reason = ""
-        if classification != OK:
-            for v in (post_verdict, inv_verdict, pre_verdict):  # blame order
-                if not v.ok and v.witness:
-                    reason = v.witness
-                    break
-            else:
-                reason = f"unexpected status {status}"
+        if classification != OK:  # blame order: post, then inv, then pre
+            reason = next((v.witness for v in (post, inv, pre) if not v.value and v.witness),
+                          f"unexpected status {status}")
         return CallOutcome(
-            seq_index, call_index, op_id, request_info, response_info,
-            pre_verdict.value, post_verdict.value, inv_verdict.value,
-            classification, reason,
+            seq_index, call_index, call.op,
+            {"method": op.method, "url": prep.path, "body": prep.payload},
+            {"status": status, "body": body},
+            pre.value, post.value, inv.value, classification, reason,
         )
 
     # -- request construction -----------------------------------------------------
@@ -293,16 +256,17 @@ class SequenceRunner:
 
     # -- evaluation and transport -------------------------------------------------
 
-    def _eval_clauses(self, clauses, ctx) -> ClauseVerdict:
+    def _eval_clauses(self, clauses, ctx) -> EvalResult:
+        """The first clause that is false or cannot be evaluated (value
+        None), with the clause's text in its witness; True if none."""
         for clause in clauses:
-            formula: Formula = clause.formula
             try:
-                result = self.evaluator.evaluate(formula, ctx)
+                result = self.evaluator.evaluate(clause.formula, ctx)
             except EvaluationError as exc:
-                return ClauseVerdict(None, f"{clause.text}: cannot evaluate: {exc}")
+                return EvalResult(None, f"{clause.text}: cannot evaluate: {exc}")
             if not result.value:
-                return ClauseVerdict(False, f"{clause.text}: {result.witness}")
-        return ClauseVerdict(True)
+                return EvalResult(False, f"{clause.text}: {result.witness}")
+        return EvalResult(True)
 
     def _send(self, method: str, path: str, payload):
         self.sends += 1

@@ -27,10 +27,14 @@ evaluate; check_clause refuses it when a spec is loaded:
     res_code(@), res_body(@)             no        yes      no
     prev(res_code/res_body(GET url))     no        yes      no
     a bare {param} in a URL              yes       yes      no
+    a bare {param} the call never binds  no        no       no
     a binder {t.f} in a URL              yes       yes      yes
 
 prev never wraps '@' or a binder {t.f}: the pre-state is captured before
 the call is sent, when '@' has no response yet, and outside any quantifier.
+A call binds its operation's own key and foreign keys; an invariant binds
+nothing. The bound-name rule is checked last, so a clause that also breaks
+another rule gets that rule's message.
 """
 
 from __future__ import annotations
@@ -87,9 +91,6 @@ class ParamPart(NamedTuple):
     """A {name} placeholder; dotted names reference bound variables."""
 
     name: str
-
-    def root(self) -> str:
-        return self.name.split(".", 1)[0]
 
     def is_dotted(self) -> bool:
         return "." in self.name
@@ -583,10 +584,11 @@ def _walk_calls(formula: Formula):
         yield formula, False
 
 
-def check_clause(formula: Formula, kind: str) -> None:
+def check_clause(formula: Formula, kind: str, bound: frozenset[str]) -> None:
     """Raise FormulaError unless every construct in formula may appear in a
-    clause of this kind ('requires', 'ensures' or 'invariants'); see the
-    table in the module docstring."""
+    clause of this kind ('requires', 'ensures' or 'invariants') and every
+    bare {param} is one of bound, the names a call of the operation binds;
+    see the table in the module docstring."""
     for call, inside_prev in _walk_calls(formula):
         text = _print_call(call)
         parts = [p for seg in call.url.segments for p in seg] if call.url else []
@@ -615,3 +617,9 @@ def check_clause(formula: Formula, kind: str) -> None:
                     )
         elif call.is_self() and call.func != "req_body" and kind != "ensures":
             raise FormulaError(f"{text} is only allowed in ensures")
+    for call, _ in _walk_calls(formula):
+        for part in (p for seg in call.url.segments for p in seg) if call.url else ():
+            if isinstance(part, ParamPart) and not part.is_dotted() and part.name not in bound:
+                raise FormulaError(
+                    f"{_print_call(call)}: the operation never binds {{{part.name}}}"
+                )

@@ -25,14 +25,16 @@ for every lookup. A dangling or cyclic $ref in a request body fails the
 load with a SpecError naming the operation's METHOD and path, and so does
 a keyword there of the wrong kind, such as a minLength that is not a
 non-negative integer or a required that is not a list. So does a
-contract clause that does not parse or that uses a construct its kind may
-not (glacier.check_clause: a probe that is not a GET, prev outside
-x-ensures, '@' in an invariant, ...), and so does a bare {param} the
-operation never binds, being neither its own key nor one of its foreign
-keys; the error also names the clause, as in "POST /players:
-x-requires[0]: ...", or "x-invariants[1]: ..." for an invariant. A path
-item, operation or parameter list of the wrong shape fails the load with
-its place, as in "GET /players: parameters[0]: expected a mapping".
+contract clause entry that is neither a string nor a mapping whose
+'clause' is a string, and a clause that does not parse or that breaks a
+rule of glacier.check_clause for its kind: a probe that is not a GET, prev
+outside x-ensures, '@' in an invariant, a bare {param} the operation never
+binds (neither its own key nor one of its foreign keys), ... The error
+names the clause, as in "POST /players: x-requires[0]: ...", or
+"x-invariants[1]: ..." for an invariant. Every Clause is made by clause(),
+the one checker that loading, inference and hand-added clauses share. A
+path item, operation or parameter list of the wrong shape fails the load
+with its place, as in "GET /players: parameters[0]: expected a mapping".
 
 Contracts serialize as x-requires / x-ensures on the operation objects and
 x-invariants at the document root; loading an emitted document and emitting
@@ -48,15 +50,7 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 
 import yaml
 
-from .glacier import (
-    Formula,
-    FormulaError,
-    ParamPart,
-    _print_call,
-    _walk_calls,
-    check_clause,
-    parse as parse_formula,
-)
+from .glacier import Formula, FormulaError, check_clause, parse as parse_formula
 
 
 HTTP_METHODS = ("get", "put", "post", "delete", "patch", "head", "options")
@@ -77,21 +71,12 @@ class Diagnostic(NamedTuple):
         return f"{self.code}: {self.message}{loc}"
 
 
-class _ClauseFields(NamedTuple):
+class Clause(NamedTuple):
+    """One contract formula and its source text; made only by clause()."""
+
     text: str
     extra: bool
     formula: Formula
-
-
-class Clause(_ClauseFields):
-    """One contract formula plus its canonical source text; the formula is
-    parsed from the text unless it is given."""
-
-    __slots__ = ()
-
-    def __new__(cls, text: str, extra: bool = False, formula: Optional[Formula] = None):
-        return super().__new__(cls, text, extra,
-                               parse_formula(text) if formula is None else formula)
 
 
 class Operation:
@@ -440,7 +425,7 @@ def _load_clauses(
     node: dict, kind: str, where: str = "", bound: frozenset[str] = frozenset()
 ) -> tuple[Clause, ...]:
     """The x-<kind> (or bare <kind>) clauses of an operation or document,
-    each checked by _clause."""
+    each checked by clause()."""
     key = f"x-{kind}" if f"x-{kind}" in node else kind
     entries = node.get(key) or []
     if not isinstance(entries, list):
@@ -450,31 +435,25 @@ def _load_clauses(
         at = f"{where}{key}[{i}]"
         if isinstance(entry, str):
             text, extra = entry, False
-        elif isinstance(entry, dict) and "clause" in entry:
+        elif isinstance(entry, dict) and isinstance(entry.get("clause"), str):
             text, extra = entry["clause"], bool(entry.get("x-inferred-extra"))
         else:
             raise SpecError(f"{at}: malformed contract clause entry: {entry!r}")
-        out.append(_clause(text, kind, at, bound, extra))
+        out.append(clause(text, kind, at, bound, extra))
     return tuple(out)
 
 
-def _clause(text: str, kind: str, at: str, bound: frozenset[str], extra: bool = False) -> Clause:
-    """The one way a clause enters a spec, authored or inferred: it must
-    parse, pass check_clause for its kind and name no bare {param} outside
-    bound, the names a call of the operation binds. A SpecError prefixed
-    with at says which check failed."""
+def clause(text: str, kind: str, at: str, bound: frozenset[str], extra: bool = False) -> Clause:
+    """The one way a clause is made, authored, inferred or added by hand: it
+    must parse and pass check_clause for its kind, with bound the names a
+    call of the operation binds. A SpecError prefixed with at says which
+    check failed."""
     try:
         formula = parse_formula(text)
-        check_clause(formula, kind)
+        check_clause(formula, kind, bound)
     except FormulaError as exc:
         raise SpecError(f"{at}: {exc}") from None
-    for call, _ in _walk_calls(formula):
-        for part in (p for seg in call.url.segments for p in seg) if call.url else ():
-            if isinstance(part, ParamPart) and not part.is_dotted() and part.name not in bound:
-                raise SpecError(
-                    f"{at}: {_print_call(call)}: the operation never binds {{{part.name}}}"
-                )
-    return Clause(text=text, extra=extra, formula=formula)
+    return Clause(text, extra, formula)
 
 
 # --- inference ---------------------------------------------------------------
@@ -513,7 +492,7 @@ def _crud_clauses(op: Operation, where: str) -> list[tuple[str, str, bool]]:
 def infer_contracts(spec: ApiSpec) -> InferenceReport:
     """Attach CRUD contracts to every POST/PUT/DELETE that fits the
     collection/item shape; GETs are left alone. Each clause enters through
-    _clause, as an authored one does: one that fails skips its operation
+    clause(), as an authored one does: one that fails skips its operation
     with the checker's message, and one the operation already carries is
     not added again. Returns the clauses added per operation (operations
     that gained none are left out) and the skipped operations, with reasons."""
@@ -529,7 +508,7 @@ def infer_contracts(spec: ApiSpec) -> InferenceReport:
                 have = getattr(op, kind) + tuple(new[kind])
                 if all(c.text != text for c in have):
                     at = f"{where}: x-{kind}[{len(have)}]"
-                    new[kind].append(_clause(text, kind, at, op.bound, extra))
+                    new[kind].append(clause(text, kind, at, op.bound, extra))
         except SpecError as exc:
             skipped.append((op.op_id, str(exc)))
             continue

@@ -26,7 +26,7 @@ from statecover.executor import (
 )
 from statecover.runtime import InputGenerator
 from statecover.seqgen import Call
-from statecover.speckit import Clause, fixture_path, infer_contracts, load_oas
+from statecover.speckit import clause, fixture_path, infer_contracts, load_oas
 from statecover.transport import Connection
 
 
@@ -432,7 +432,8 @@ class TestUnresolvablePrevUrl:
         spec = inferred_spec()
         op = spec.operation("deletePlayer")
         op.ensures = op.ensures + (
-            Clause("prev(res_code(GET /players/req_body(@){nope})) = 200"),
+            clause("prev(res_code(GET /players/req_body(@){nope})) = 200",
+                   "ensures", f"x-ensures[{len(op.ensures)}]", op.bound),
         )
         calls = [mk("postPlayer", pid="p1"), mk("deletePlayer", pid="p1"),
                  mk("postTournament", tid="t1")]

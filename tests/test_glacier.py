@@ -246,17 +246,21 @@ class TestValidation:
             pytest.fail("expected FormulaError")
 
 
-def refused(text, kind):
+# The bare names these tests' calls bind, so that only the kind rules refuse.
+BOUND = frozenset({"pid", "k", "zone", "slot"})
+
+
+def refused(text, kind, bound=BOUND):
     """The message check_clause refuses text with as a clause of kind."""
     with pytest.raises(FormulaError) as err:
-        check_clause(parse(text), kind)
+        check_clause(parse(text), kind, bound)
     assert err.value.pos is None
     return str(err.value)
 
 
 def accepted(text, *kinds):
     for kind in kinds:
-        check_clause(parse(text), kind)
+        check_clause(parse(text), kind, BOUND)
 
 
 class TestFreeParams:
@@ -343,6 +347,33 @@ class TestClauseKinds:
             "prev(res_body(GET /ts/{t.id})): prev over the binder placeholder "
             "{t.id} is not supported")
         accepted("for t in res_body(GET /ts) :- prev(res_body(GET /ts/{k})) = 1", "ensures")
+
+
+class TestBoundNames:
+    """A bare {param} must be a name the call binds; this rule runs after
+    every kind rule, so a clause breaking both gets the kind rule's message."""
+
+    def test_an_unbound_name_is_refused(self):
+        text = "res_code(GET /players/{pid}) = 200"
+        check_clause(parse(text), "requires", frozenset({"pid"}))
+        assert refused(text, "requires", frozenset({"tid"})) == (
+            "res_code(GET /players/{pid}): the operation never binds {pid}")
+
+    def test_binders_and_body_splices_need_no_binding(self):
+        check_clause(parse(GOLDEN[6]), "invariants", frozenset())
+        check_clause(parse(GOLDEN[0]), "requires", frozenset())
+
+    def test_prev_placement_wins_over_the_bound_name(self):
+        assert refused(GOLDEN[5], "requires", frozenset()) == (
+            "prev(res_body(GET /players/{pid})) is only allowed in ensures")
+
+    def test_a_later_kind_rule_wins_over_an_earlier_unbound_name(self):
+        text = "res_code(GET /xs/{k}) = 200 and res_code(DELETE /xs) = 200"
+        assert refused(text, "requires", frozenset()) == "probe res_code(DELETE /xs) is not a GET"
+
+    def test_the_invariant_rule_wins_over_the_bound_name(self):
+        assert refused(GOLDEN[3], "invariants", frozenset()) == (
+            "res_code(GET /players/{pid}): an invariant has no path parameter {pid}")
 
 
 # --- randomized round-trip ----------------------------------------------------

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statecover.speckit import (
-    Clause,
     SpecError,
     _resources,
+    clause,
     emit_extended,
     fixture_path,
     infer_contracts,
@@ -526,7 +526,8 @@ class TestEmitLoad:
     def test_round_trip_byte_identical(self, spec):
         infer_contracts(spec)
         spec.invariants = (
-            Clause("for t in res_body(GET /tournaments) :- res_body(GET /tournaments/{t.tid}/players).len <= res_body(GET /tournaments/{t.tid}/capacity)"),
+            clause("for t in res_body(GET /tournaments) :- res_body(GET /tournaments/{t.tid}/players).len <= res_body(GET /tournaments/{t.tid}/capacity)",
+                   "invariants", "x-invariants[0]", frozenset()),
         )
         first = emit_extended(spec)
         again = load_oas(yaml.safe_load(first))
@@ -570,11 +571,15 @@ class TestEmitLoad:
         assert "x-requires" in emitted and "\nrequires" not in emitted
         assert "x-invariants" in emitted
 
-    def test_malformed_clause_entry_rejected(self):
+    @pytest.mark.parametrize("entry", [{"oops": 1}, {"clause": 5}, {"clause": None},
+                                       {"clause": ["a"]}, 5, None])
+    def test_malformed_clause_entry_rejected(self, entry):
         doc = widget_doc()
-        doc["paths"]["/widgets"]["post"]["x-requires"] = [{"oops": 1}]
-        with pytest.raises(SpecError, match="clause"):
+        doc["paths"]["/widgets"]["post"]["x-requires"] = [entry]
+        with pytest.raises(SpecError) as err:
             load_oas(doc)
+        assert str(err.value) == (
+            f"POST /widgets: x-requires[0]: malformed contract clause entry: {entry!r}")
 
     def test_invalid_clause_formula_rejected(self):
         doc = widget_doc()
