@@ -103,19 +103,25 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_spec(path: str) -> speckit.ApiSpec:
+def _read_yaml(path: str) -> dict:
+    """The document of a UTF-8 YAML file, read by _read_text. One that is not
+    a mapping reads as {}, which the loaders refuse as they refuse any such
+    document; passed on as it is, a string would be read as a file's path."""
     import yaml
 
     from . import speckit
 
     try:
-        return speckit.load_oas(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        doc = speckit.load_yaml(_read_text(path))
     except yaml.YAMLError as exc:
         raise UsageError(f"{path} is not valid YAML: {exc}") from exc
+    return doc if isinstance(doc, dict) else {}
+
+
+def _load_spec(path: str) -> speckit.ApiSpec:
+    from . import speckit
+
+    return speckit.load_oas(_read_yaml(path))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -143,14 +149,9 @@ def cmd_explore(args, log: Log) -> int:
     if args.max_states < 1:
         raise UsageError(f"--max-states must be at least 1, got {args.max_states}: "
                          "the initial state is always explored")
-    import yaml
+    from . import lifecycle
 
-    from . import lifecycle, speckit
-
-    try:
-        doc = speckit.load_yaml(_read_text(args.model))
-    except yaml.YAMLError as exc:
-        raise UsageError(f"{args.model} is not valid YAML: {exc}") from exc
+    doc = _read_yaml(args.model)
     try:
         model = lifecycle.load_model(doc)
     except lifecycle.ModelError as exc:

@@ -29,9 +29,11 @@ Guards, effects and invariant checks are parsed once, by load_model, so a
 syntax error fails the load, naming its action or invariant, even where
 evaluation would never reach it; exploration only evaluates. A section of
 the wrong shape fails the load too, named by its place, as in
-"resources[0]: missing 'name'" or "action drop: unchanged: expected a list
-of strings, got 'tournaments'", and so does an unchanged entry that names no
-declared resource.
+"resources[0]: missing 'name'", "actions[1]: name: expected a string, got
+['drop']" or "action drop: unchanged: expected a list of strings, got
+'tournaments'", and so does an unchanged entry, a param, a set or ref field
+or an invariant's 'in' that names no declared resource, and an id listed
+twice in a resource's ids.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _field_spec(raw, where: str) -> FieldSpec:
         return FieldSpec(kind="capacity")
     if isinstance(raw, dict) and len(raw) == 1:
         kind, target = next(iter(raw.items()))
-        if kind in ("set", "ref"):
+        if kind in ("set", "ref") and isinstance(target, str):
             return FieldSpec(kind=kind, target=target)
     raise ModelError(f"{where}: field spec must be {{set: R}}, {{ref: R}}, or 'capacity', got {raw!r}")
 
@@ -169,19 +171,17 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         raise ModelError(f"name: expected a DOT graph name ({_NAME_RE.pattern}), got {name!r}")
 
     resources = []
-    for r in _entries(doc, "resources", ("name", "key")):
+    for i, r in enumerate(_entries(doc, "resources", ("name", "key"))):
+        rname = _text(r["name"], f"resources[{i}]: name")
         record = {
-            fname: _field_spec(spec, f"resource {r['name']}.{fname}")
-            for fname, spec in _mapping(r.get("record"), f"resource {r['name']}: record").items()
+            fname: _field_spec(spec, f"resource {rname}.{fname}")
+            for fname, spec in _mapping(r.get("record"), f"resource {rname}: record").items()
         }
-        resources.append(
-            ResourceDef(
-                name=r["name"],
-                key=r["key"],
-                ids=_list_of(r.get("ids"), str, f"resource {r['name']}: ids"),
-                record=record,
-            )
-        )
+        ids = _list_of(r.get("ids"), str, f"resource {rname}: ids")
+        for rid in ids:
+            if ids.count(rid) > 1:
+                raise ModelError(f"resource {rname}: ids: {rid!r} is listed twice")
+        resources.append(ResourceDef(name=rname, key=r["key"], ids=ids, record=record))
     names = [r.name for r in resources]
     if len(set(names)) != len(names):
         raise ModelError("duplicate resource names")
@@ -196,15 +196,15 @@ def load_model(source: Union[dict, str, Path]) -> Model:
                 raise ModelError(f"field {r.name}.{fname} needs a nonempty 'capacities' list")
 
     actions = []
-    for a in _entries(doc, "actions", ("name",)):
-        params = tuple(_mapping(a.get("params"), f"action {a['name']}: params").items())
+    for i, a in enumerate(_entries(doc, "actions", ("name",))):
+        where = f"action {_text(a['name'], f'actions[{i}]: name')}"
+        params = tuple(_mapping(a.get("params"), f"{where}: params").items())
         for p, res in params:
-            if res not in by_name:
-                raise ModelError(f"action {a['name']}: param {p} over unknown resource {res!r}")
+            if not (isinstance(res, str) and res in by_name):
+                raise ModelError(f"{where}: param {p} over unknown resource {res!r}")
         pnames = [p for p, _ in params]
         if len(set(pnames)) != len(pnames):
-            raise ModelError(f"action {a['name']}: duplicate param names")
-        where = f"action {a['name']}"
+            raise ModelError(f"{where}: duplicate param names")
         effects = tuple(
             _parse_effect(e, where) for e in _list_of(a.get("effect"), str, f"{where}: effect")
         )
@@ -243,7 +243,9 @@ def load_model(source: Union[dict, str, Path]) -> Model:
     for inv in invariants:
         if (inv.var is None) != (inv.domain is None):
             raise ModelError(f"invariant {inv.name}: 'forall' and 'in' go together")
-        if inv.domain is not None and inv.domain not in by_name:
+        if inv.var is not None:
+            _text(inv.var, f"invariant {inv.name}: forall")
+        if inv.domain is not None and not (isinstance(inv.domain, str) and inv.domain in by_name):
             raise ModelError(f"invariant {inv.name}: unknown resource {inv.domain!r}")
 
     terminal = doc.get("terminal", "all_empty")

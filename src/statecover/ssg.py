@@ -5,7 +5,8 @@ with optional label attributes), deduplicates repeated statements, and builds
 a dense-index graph of labelled transitions (source, label, target), with a
 synthetic super-final sink so that every final state funnels into a single
 traversal target. Each distinct label text is parsed once, at build, by
-`parse_label`. A final state is one whose label matches `final = TRUE`;
+`parse_label`, and a transition's label is its parsed form: `a(x)` and
+`a( x )` are one transition, as are `f` and `f()`. A final state is one whose label matches `final = TRUE`;
 self-loops are rejected; and the one validation checks that every state is
 reachable from the initial state and co-reachable to the sink.
 
@@ -462,8 +463,8 @@ def parse_label(label: str) -> Label | None:
 class StateSpaceGraph(NamedTuple):
     """Dense-index directed graph with a super-final sink at index n-1.
 
-    labels maps (src, dst) to its transitions' parsed labels in label order,
-    or () if it has none. out_adj[u] lists v once per label of (u, v), or
+    labels maps (src, dst) to its transitions' distinct parsed labels in
+    ascending order, or () if it has none. out_adj[u] lists v once per label of (u, v), or
     once if it has none; in_adj[v] lists u the same way.
     """
 
@@ -509,8 +510,10 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     final state. Self-loops are rejected. Every state must be reachable from
     the initial state and co-reachable to the sink, unless prune=True drops
     the offenders instead. Adjacency lists come out ascending and mutually
-    dual, with the sink last and without out-edges. Every distinct label of
-    a kept edge is parsed, once per text; an empty label is no label.
+    dual, with the sink last and without out-edges. Every distinct label
+    text is parsed once, and the labels of a pair that parse alike are one;
+    an unreadable label fails only if its edge is kept. An empty label is no
+    label.
     """
     if not raw.nodes and not raw.edges:
         raise GraphError("empty graph: no statements")
@@ -525,11 +528,14 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
         if labels[i] is None and n.label is not None:
             labels[i] = n.label
 
-    pairs: dict[tuple[int, int], set[str]] = {}
+    # a pair's distinct labels by parsed form, each distinct text parsed
+    # once; an unreadable one stays text and is refused if its edge is kept
+    read = functools.cache(lambda text: parse_label(text) or text)
+    pairs: dict[tuple[int, int], set] = {}
     for e in raw.edges:
-        texts = pairs.setdefault((index_of[e.src], index_of[e.dst]), set())
+        forms = pairs.setdefault((index_of[e.src], index_of[e.dst]), set())
         if e.label:
-            texts.add(e.label)
+            forms.add(read(e.label))
 
     self_loops = sorted({u for (u, v) in pairs if u == v})
     if self_loops:
@@ -562,9 +568,9 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     n = n_real + 1
     out_adj: list[list[int]] = [[] for _ in range(n)]
     in_adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v), texts in pairs.items():
-        out_adj[u] += [v] * (len(texts) or 1)
-        in_adj[v] += [u] * (len(texts) or 1)
+    for (u, v), forms in pairs.items():
+        out_adj[u] += [v] * (len(forms) or 1)
+        in_adj[v] += [u] * (len(forms) or 1)
     for f in finals:
         out_adj[f].append(sink)
         in_adj[sink].append(f)
@@ -592,14 +598,13 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
         )
         return build(filtered, initial=ids[init_idx])
 
-    read = functools.cache(parse_label)  # each distinct text parsed once
     pair_labels: dict[tuple[int, int], tuple[Label, ...]] = {(f, sink): () for f in finals}
-    for (u, v), texts in pairs.items():
-        ordered = sorted(texts)
-        parsed = pair_labels[u, v] = tuple(map(read, ordered))
-        if None in parsed:
+    for (u, v), forms in pairs.items():
+        unreadable = sorted(f for f in forms if isinstance(f, str))
+        if unreadable:
             raise GraphError(f"edge {ids[u]} -> {ids[v]}: cannot read label "
-                             f"{ordered[parsed.index(None)]!r} as name(arg, ...)")
+                             f"{unreadable[0]!r} as name(arg, ...)")
+        pair_labels[u, v] = tuple(sorted(forms))
     return StateSpaceGraph(
         n_states=n,
         out_adj=out_adj,

@@ -575,6 +575,11 @@ class TestErrorPaths:
                      "resources: expected a list", id="resources"),
         pytest.param(lambda doc: doc["actions"][0].pop("name"),
                      "actions[0]: missing 'name'", id="action-name"),
+        pytest.param(lambda doc: doc["resources"][0].update(name=["players"]),
+                     "resources[0]: name: expected a string, got ['players']",
+                     id="resource-name-list"),
+        pytest.param(lambda doc: doc["resources"][0].update(ids=["p1", "p1"]),
+                     "resource players: ids: 'p1' is listed twice", id="ids-repeat"),
     ])
     def test_malformed_model(self, tmp_path, capsys, change, where):
         doc = tournaments_model_doc(players=("p1",), tournaments=(), enrolments=())
@@ -617,6 +622,44 @@ class TestErrorPaths:
         code, _, err = run(capsys, "gen-contracts", str(bad), str(workdir / "out.yaml"))
         assert code == 2
         assert f"error: {where}" in err
+
+    # a YAML document that is a string is not read as the path of a file
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("explore", "{bad}", "{out}"),
+                     "{bad}: model needs 'resources' and 'actions'", id="explore"),
+        pytest.param(("gen-contracts", "{bad}", "{out}"),
+                     "document has no 'paths' object", id="gen-contracts"),
+    ])
+    def test_a_document_that_is_a_string(self, workdir, capsys, argv, message):
+        bad = workdir / "bad.yaml"
+        bad.write_text("tournaments-model.yaml\n")
+        names = {"bad": bad, "out": workdir / "out"}
+        code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert (code, err) == (2, f"error: {message.format(**names)}\n")
+        assert not (workdir / "out").exists()
+
+    # every command that loads an API description refuses a clause entry
+    # whose text is not a string, naming its place
+    @pytest.mark.parametrize("text", [5, None])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("gen-contracts", "{bad}", "{out}"), id="gen-contracts"),
+        pytest.param(("sequences", "{dot}", "{out}", "--spec", "{bad}"), id="sequences-spec"),
+        pytest.param(("test", "--spec", "{bad}", "--sequences", "{seqs}", "--spawn-demo"),
+                     id="test-spec"),
+    ])
+    def test_a_clause_text_that_is_not_a_string(self, workdir, capsys, argv, text):
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        doc = yaml.safe_load((workdir / "tournaments-oas.yaml").read_text())
+        doc["paths"]["/players"]["post"]["x-requires"] = [{"clause": text}]
+        bad = workdir / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        names = {"bad": bad, "out": workdir / "out", "dot": workdir / "graph.dot",
+                 "seqs": seqs}
+        code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 2
+        assert err.endswith("error: POST /players: x-requires[0]: malformed contract "
+                            f"clause entry: {{'clause': {text!r}}}\n")
+        assert not (workdir / "out").exists()
 
     # the file named {bad} is not UTF-8; the others are valid inputs
     @pytest.mark.parametrize("argv", [

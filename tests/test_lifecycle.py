@@ -174,6 +174,22 @@ def malformed_model(case: str) -> dict:
         doc["actions"][1]["unchanged"] = "things"
     elif case == "unchanged names no resource":
         doc["actions"][1]["unchanged"] = ["ghosts"]
+    elif case == "resource name not a string":
+        doc["resources"][0]["name"] = ["things"]
+    elif case == "action name not a string":
+        doc["actions"][1]["name"] = ["dropThing"]
+    elif case == "param resource not a string":
+        doc["actions"][0]["params"] = {"kid": ["things"]}
+    elif case == "field target not a string":
+        doc["resources"][0]["record"] = {"peers": {"set": ["things"]}}
+    elif case == "invariant domain not a string":
+        doc["invariants"] = [{"name": "bounded", "forall": "k", "in": ["things"],
+                              "check": "k in things"}]
+    elif case == "invariant variable not a string":
+        doc["invariants"] = [{"name": "bounded", "forall": ["k"], "in": "things",
+                              "check": "k in things"}]
+    elif case == "ids repeat an id":
+        doc["resources"][0]["ids"] = ["k1", "k2", "k1"]
     return doc
 
 
@@ -193,6 +209,15 @@ MALFORMED_MODELS = {
     "unchanged not a list":
         "action dropThing: unchanged: expected a list of strings, got 'things'",
     "unchanged names no resource": "action dropThing: unchanged: unknown resource 'ghosts'",
+    "resource name not a string": "resources[0]: name: expected a string, got ['things']",
+    "action name not a string": "actions[1]: name: expected a string, got ['dropThing']",
+    "param resource not a string":
+        "action makeThing: param kid over unknown resource ['things']",
+    "field target not a string": "resource things.peers: field spec must be {set: R}, "
+                                 "{ref: R}, or 'capacity', got {'set': ['things']}",
+    "invariant domain not a string": "invariant bounded: unknown resource ['things']",
+    "invariant variable not a string": "invariant bounded: forall: expected a string, got ['k']",
+    "ids repeat an id": "resource things: ids: 'k1' is listed twice",
 }
 
 

@@ -243,6 +243,16 @@ class TestCoverage:
         assert report.transitions_total == report.transitions_covered == 3
         assert report.transition_pct == 100.0
 
+    def test_labels_that_parse_alike_are_one_transition(self):
+        g = build(parse_dot('digraph { 0 -> 1 [label="a(x)"]; 0 -> 1 [label="a( x )"]; '
+                            '0 -> 1 [label="deletePlayer"]; 0 -> 1 [label="deletePlayer()"]; '
+                            '1 [label="final = TRUE"]; }'))
+        paths = select_sequences(g)
+        assert [[(c.op, tuple(c.params.values())) for c in s]
+                for s in to_call_sequences(g, paths)] == [[("a", ("x",))], [("deletePlayer", ())]]
+        report = coverage_report(g, paths)
+        assert report.transitions_total == report.transitions_covered == 2
+
     def test_a_pair_traversed_once_covers_one_label(self):
         g = build(parse_dot('digraph { 0 -> 1 [label="a(x)"]; 0 -> 1 [label="b(x)"]; '
                             '1 [label="final = TRUE"]; }'))

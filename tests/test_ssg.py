@@ -624,6 +624,15 @@ class TestBuild:
         assert g.edge_count() - len(g.finals) == 3
         assert_graph_laws(g)
 
+    def test_labels_that_parse_alike_are_one_transition(self):
+        raw = parse_dot('digraph { 0 -> 1 [label="a(x)"]; 0 -> 1 [label="a( x )"]; '
+                        '0 -> 1 [label="deletePlayer()"]; 0 -> 1 [label="deletePlayer"]; '
+                        '1 [label="final = TRUE"]; }')
+        g = build(raw)
+        assert g.labels[(0, 1)] == (("a", ("x",)), ("deletePlayer", ()))
+        assert g.out_adj[0] == [1, 1] and g.in_adj[1] == [0, 0]
+        assert_graph_laws(g)
+
     def test_unlabelled_pair_is_one_transition(self):
         raw = parse_dot('digraph { 0 -> 1; 0 -> 1 [label=""]; 1 [label="final = TRUE"]; }')
         g = build(raw)
@@ -647,7 +656,7 @@ class TestBuild:
         assert sorted(c.args[0] for c in parse.call_args_list) == ["a(x)", "b(x)"]
         assert g.labels[(0, 1)][0] is g.labels[(1, 2)][0]
 
-    def test_prune_never_reads_a_dropped_label(self):
+    def test_prune_never_refuses_a_dropped_label(self):
         raw = parse_dot('digraph { 0 -> 1 [label="a(x)"]; 1 [label="final = TRUE"]; '
                         '9 -> 1 [label="not a label!!"]; }')
         g = build(raw, initial="0", prune=True)
