@@ -25,8 +25,9 @@ unreachable service raises TransportFailure.
 
 Transport: every GET goes through the request(method, path) -> (status,
 body) method of a session that owns the base URL and the timeout, such as a
-transport.Connection; a body that is not JSON arrives as a NonJsonBody, and
-any of transport.TRANSPORT_ERRORS becomes a TransportFailure.
+transport.Connection, which returns the service's answer to that GET, a 3xx
+included; a body that is not JSON arrives as a NonJsonBody, and any of
+transport.TRANSPORT_ERRORS becomes a TransportFailure.
 """
 
 from __future__ import annotations

@@ -33,7 +33,9 @@ the wrong shape fails the load too, named by its place, as in
 ['drop']" or "action drop: unchanged: expected a list of strings, got
 'tournaments'", and so does an unchanged entry, a param, a set or ref field
 or an invariant's 'in' that names no declared resource, and an id listed
-twice in a resource's ids.
+twice in a resource's ids. A resource's 'key', which older models name, is
+accepted and not read: the request field that carries an id is the API
+description's business.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class FieldSpec(NamedTuple):
 
 class ResourceDef(NamedTuple):
     name: str
-    key: str
     ids: tuple[str, ...]
     record: dict[str, FieldSpec]
 
@@ -171,7 +172,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         raise ModelError(f"name: expected a DOT graph name ({_NAME_RE.pattern}), got {name!r}")
 
     resources = []
-    for i, r in enumerate(_entries(doc, "resources", ("name", "key"))):
+    for i, r in enumerate(_entries(doc, "resources", ("name",))):
         rname = _text(r["name"], f"resources[{i}]: name")
         record = {
             fname: _field_spec(spec, f"resource {rname}.{fname}")
@@ -181,7 +182,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         for rid in ids:
             if ids.count(rid) > 1:
                 raise ModelError(f"resource {rname}: ids: {rid!r} is listed twice")
-        resources.append(ResourceDef(name=rname, key=r["key"], ids=ids, record=record))
+        resources.append(ResourceDef(name=rname, ids=ids, record=record))
     names = [r.name for r in resources]
     if len(set(names)) != len(names):
         raise ModelError("duplicate resource names")

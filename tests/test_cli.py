@@ -894,10 +894,11 @@ class TestStartup:
             workdir,
             ["test", "--spec", str(workdir / "tournaments-contracts.yaml"),
              "--sequences", str(seqs), "--spawn-demo"],
+            watched=HTTP_STACK + ("netrc",),
         )
         assert (at_import, code) == ([], 0)
         assert "socketserver" in after
-        assert not {"requests", "urllib3", "idna", "charset_normalizer"} & set(after)
+        assert not {"requests", "urllib3", "idna", "charset_normalizer", "netrc"} & set(after)
 
     def test_a_campaign_runs_without_requests_installed(self, tmp_path):
         blocked, codes, summary = run_child(_WITHOUT_REQUESTS, str(tmp_path), cwd=tmp_path)

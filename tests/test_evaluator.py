@@ -438,35 +438,6 @@ class TestUrlEncoding:
         assert session.log == ["/players/a%2Fb%20c", "/ts", "/ts/x%2Fy"]
 
 
-class TestDefaultSession:
-    @pytest.fixture(autouse=True)
-    def no_proxy_variables(self, monkeypatch):
-        for name in ("HTTP_PROXY", "http_proxy", "NO_PROXY", "no_proxy",
-                     "ALL_PROXY", "all_proxy"):
-            monkeypatch.delenv(name, raising=False)
-
-    def test_environment_proxy_is_resolved_for_the_host(self, monkeypatch):
-        monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
-        session = Connection("http://api.example:8080", 5)
-        assert session.proxies["http"] == "http://proxy.invalid:3128"
-        assert isinstance(session, Connection)  # never reads the environment again
-
-    def test_no_proxy_covering_the_host_means_no_proxy(self, monkeypatch):
-        monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
-        monkeypatch.setenv("NO_PROXY", "api.example")
-        assert Connection("http://api.example:8080", 5).proxies == {}
-
-    def test_ca_bundle_and_netrc_are_resolved_for_the_host(self, monkeypatch, tmp_path):
-        netrc = tmp_path / "netrc"
-        netrc.write_text("machine api.example login ann password secret\n")
-        netrc.chmod(0o600)
-        monkeypatch.setenv("NETRC", str(netrc))
-        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "ca.pem"))
-        session = Connection("http://api.example:8080", 5)
-        assert session.verify == str(tmp_path / "ca.pem")
-        assert session.auth == ("ann", "secret")
-
-
 class TestTransportAndBudget:
     def test_unreachable_service_raises_transport_failure(self):
         ev = Evaluator(Connection("http://127.0.0.1:9", 0.3))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession
-from statecover import lifecycle, seqgen, ssg, transport
+from statecover import lifecycle, seqgen, ssg
 from statecover.demo import (
     DemoServer,
     add_manual_clauses,
@@ -209,22 +209,6 @@ class TestPhases:
     def test_concrete_ids_are_one_path_segment(self):
         path = SequenceRunner._fill_path("/players/{pid}", {"pid": "a/b c"})
         assert path == "/players/a%2Fb%20c"
-
-
-class TestDefaultSession:
-    def test_environment_is_read_once_per_campaign(self, live, monkeypatch):
-        lookups = []
-        real = transport.environ_proxies
-
-        def counted(*args, **kwargs):
-            lookups.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(transport, "environ_proxies", counted)
-        report = run_campaign(inferred_spec(), [full_cycle_calls()],
-                              live.base_url, seed=0)
-        assert report["summary"]["ok"] == 6
-        assert len(lookups) <= 1
 
 
 def _campaign_domains():

@@ -69,6 +69,14 @@ class TestLoadModel:
         assert model.resource("tournaments").record["c"].kind == "capacity"
         assert model.resource("enrolments").record["pid"].target == "players"
 
+    def test_a_resource_key_is_optional_and_ignored(self):
+        text = fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")
+        with_keys, without = load_yaml(text), load_yaml(text)
+        for resource in without["resources"]:
+            del resource["key"]
+        assert all("key" in resource for resource in with_keys["resources"])
+        assert explore(load_model(without)).to_dot() == explore(load_model(with_keys)).to_dot()
+
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
         text = fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")
         path = tmp_path / "model.yaml"
