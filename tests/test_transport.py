@@ -1,6 +1,7 @@
 """The campaign's HTTP transport, transport.Connection, against tiny servers
 on port 0: one connection per campaign, reopening a connection the server
-dropped, failures, TLS, bodies, a 3xx as the answer, and an environment
+dropped, failures, the request line and Host field, bodies and their
+codings, TLS and the CA bundle, a 3xx as the answer, and an environment
 whose proxy variables and netrc file are not read."""
 
 import gzip
@@ -12,13 +13,15 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecover import glacier, lifecycle, seqgen, ssg
 from statecover.demo import DemoServer, add_manual_clauses, demo_spec, make_tournaments_model
-from statecover.evaluator import Evaluator, TransportFailure
+from statecover.evaluator import Evaluator, TransportFailure, path_segment
 from statecover.executor import classify, run_campaign
 from statecover.seqgen import Call
 from statecover.speckit import infer_contracts
@@ -112,6 +115,9 @@ ROUTES = {
     "/raw": lambda request: (200, {"Content-Type": "text/plain"}, b"\xff ok"),
     "/gzip": lambda request: (200, {"Content-Encoding": "gzip"},
                               gzip.compress(b'{"v": 1}')),
+    # a JSON body labelled with the content coding named by the query's c
+    "/coded": lambda request: json_answer({"v": 1}, **{"Content-Encoding": parse_qs(
+        urlsplit(request.path).query, keep_blank_values=True)["c"][0]}),
     **{f"/r{status}": redirect(status, "/target") for status in (301, 302, 303, 307, 308)},
 }
 
@@ -261,10 +267,95 @@ class TestFailures:
             with pytest.raises(TransportFailure, match="GET /x: timed out"):
                 check(evaluator, "res_code(GET /x) = 200")
 
-    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/x", "http:///x"])
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/x", "http:///x", "https:///x",
+                                     "file:///x", "ws://127.0.0.1/x"])
     def test_a_url_no_connection_can_serve(self, url):
         with pytest.raises(ProtocolError):
             Connection(url.removesuffix("/x"), 5).request("GET", "/x")
+
+    def test_it_fails_the_request_not_the_connection(self):
+        session = Connection("ftp://example.org", 5)
+        with pytest.raises(ProtocolError, match="cannot send a request to 'ftp://example.org/'"):
+            session.request("GET", "/")
+        assert session.sock is None and session.requests == 1
+
+
+class TestRequestLine:
+    """The request target is sent as built: characters a target cannot
+    carry are quoted, and %XX escapes (or a stray %) are not touched."""
+
+    @pytest.mark.parametrize("target, on_the_wire", [
+        ("/players/a b", "/players/a%20b"),
+        ("/x?q=a b&r=1", "/x?q=a%20b&r=1"),
+        ("/%zz", "/%zz"),
+        ("/50%", "/50%"),
+        ("/%4", "/%4"),
+        ("/%41%7e%2F%2f%20", "/%41%7e%2F%2f%20"),
+        ("/a%2Fb/%7E", "/a%2Fb/%7E"),
+        ("/!$&'()*+,;=:@/[]?#", "/!$&'()*+,;=:@/[]"),  # an empty query and fragment go
+        ("/café/%C3%A9", "/caf%C3%A9/%C3%A9"),
+        ("/<>\"{}|\\^`", "/%3C%3E%22%7B%7D%7C%5C%5E%60"),
+        ("/%é1", "/%%C3%A91"),
+        ("/%%", "/%%"),
+        ("/a%20b%zz", "/a%20b%zz"),
+        ("/~user/._-", "/~user/._-"),
+    ])
+    def test_a_target_is_quoted_once(self, server, session, target, on_the_wire):
+        session.request("GET", target)
+        assert [seen for _, seen, _, _ in server.seen] == [on_the_wire]
+
+    @given(st.text(max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_a_path_segment_goes_over_the_wire_byte_for_byte(self, recorder, text):
+        recorder.seen.clear()
+        path = "/players/" + path_segment(text)
+        session = Connection(recorder.base_url, 5)
+        try:
+            session.request("GET", path)
+        finally:
+            session.close()
+        ((_, target, _, _),) = recorder.seen
+        assert target == path
+        assert unquote(target.removeprefix("/players/")) == text
+
+    @pytest.mark.parametrize("method, length", [
+        ("GET", None), ("POST", "0"), ("PUT", "0"), ("DELETE", "0"),
+    ])
+    def test_every_method_but_get_says_its_length(self, server, session, method, length):
+        assert session.request(method, "/x") == (200, {"v": 1})
+        ((seen, _, headers, body),) = server.seen
+        assert (seen, headers["Content-Length"], headers["Content-Type"], body) == (
+            method, length, None, b"")
+
+    @pytest.mark.parametrize("base_url, connect, host, target", [
+        ("http://service.test", ("service.test", 80), "service.test", "/x"),
+        ("http://service.test:80", ("service.test", 80), "service.test", "/x"),
+        ("http://service.test:8080/", ("service.test", 8080), "service.test:8080", "/x"),
+        ("HTTP://Service.Test:8080", ("service.test", 8080), "service.test:8080", "/x"),
+        ("http://[::1]:8080", ("::1", 8080), "[::1]:8080", "/x"),
+        ("http://[::1]", ("::1", 80), "[::1]", "/x"),
+        ("http://bücher.example", ("bücher.example", 80), "xn--bcher-kva.example", "/x"),
+        ("http://service.test/api/v1", ("service.test", 80), "service.test", "/api/v1/x"),
+    ])
+    def test_the_origin_and_host_field_come_from_the_base_url(
+            self, server, monkeypatch, base_url, connect, host, target):
+        connects = []
+        real = socket.create_connection
+
+        def to_the_recorder(address, *args, **kwargs):
+            connects.append(address)
+            return real(server.server_address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", to_the_recorder)
+        session = Connection(base_url, 5)
+        try:
+            session.request("GET", "/x")
+            session.request("GET", "/x")
+        finally:
+            session.close()
+        assert connects == [connect]
+        assert [(seen, headers["Host"]) for _, seen, headers, _ in server.seen] == [
+            (target, host)] * 2
 
 
 class TestBodies:
@@ -285,6 +376,17 @@ class TestBodies:
         ((_, _, headers, _),) = server.seen
         assert headers["Accept-Encoding"] == "identity"
         assert session.request("GET", "/x") == (200, {"v": 1})  # on the same connection
+
+    @pytest.mark.parametrize("coding", ["gzip", "deflate", "br", "x-gzip", "GZIP"])
+    def test_a_coded_body_is_a_protocol_error_that_names_the_coding(self, server, session,
+                                                                   coding):
+        with pytest.raises(ProtocolError, match=f"got a body in the {coding!r} content coding"):
+            session.request("GET", f"/coded?c={coding}")
+        assert len(server.seen) == 1
+
+    @pytest.mark.parametrize("coding", ["identity", "Identity", ""])
+    def test_identity_is_no_coding(self, server, session, coding):
+        assert session.request("GET", f"/coded?c={coding}") == (200, {"v": 1})
 
     def test_json_body_is_sent_as_json(self, server, session):
         session.request("POST", "/x", json={"name": "Zoë", "n": 1})
@@ -341,6 +443,37 @@ class TestTLS:
             check(evaluator, "res_code(GET /x) = 200")
 
 
+class TestCABundle:
+    @pytest.mark.parametrize("environment, verify", [
+        ({}, True),
+        ({"REQUESTS_CA_BUNDLE": "a.pem"}, "a.pem"),
+        ({"CURL_CA_BUNDLE": "c.pem"}, "c.pem"),
+        ({"REQUESTS_CA_BUNDLE": "a.pem", "CURL_CA_BUNDLE": "c.pem"}, "a.pem"),
+        ({"REQUESTS_CA_BUNDLE": "", "CURL_CA_BUNDLE": "c.pem"}, "c.pem"),
+    ])
+    def test_requests_ca_bundle_then_curl_ca_bundle(self, monkeypatch, environment, verify):
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in environment.items():
+            monkeypatch.setenv(name, value)
+        assert Connection("https://service.test", 5).verify == verify
+
+    def test_it_is_read_once_when_the_connection_is_made(self, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", "a.pem")
+        session = Connection("https://service.test", 5)
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", "b.pem")
+        assert session.verify == "a.pem"
+
+    def test_curl_ca_bundle_trusts_a_server(self, tls_server, monkeypatch):
+        monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+        monkeypatch.setenv("CURL_CA_BUNDLE", str(TLS / "localhost.pem"))
+        session = Connection(f"https://localhost:{tls_server.server_address[1]}", 5)
+        try:
+            assert session.request("GET", "/x") == (200, {"v": 1})
+        finally:
+            session.close()
+
+
 class TestRedirects:
     """A 3xx is the service's answer to the request it was given: nothing
     is sent again, and Location is not read."""
@@ -353,9 +486,10 @@ class TestRedirects:
         assert answer == (status, {"see": "/target"})
         assert [(seen, target) for seen, target, _, _ in server.seen] == [(method, f"/r{status}")]
 
-    def test_a_probe_get_is_not_redirected_either(self, server, session):
-        assert check(Evaluator(session), "res_code(GET /r302) = 302").value is True
-        assert [target for _, target, _, _ in server.seen] == ["/r302"]
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_a_probe_get_is_not_redirected_either(self, server, session, status):
+        assert check(Evaluator(session), f"res_code(GET /r{status}) = {status}").value is True
+        assert [target for _, target, _, _ in server.seen] == [f"/r{status}"]
 
     def test_a_campaign_judges_a_post_on_its_303(self, server):
         server.routes["/players"] = redirect(303, "/target")
@@ -396,4 +530,40 @@ class TestEnvironment:
             session.close()
         ((method, target, headers, _),) = server.seen
         assert (method, target) == ("GET", "/x")
+        assert headers["Authorization"] is None
+
+    @staticmethod
+    def closed_port_proxy():
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            return f"http://127.0.0.1:{closed.getsockname()[1]}"
+
+    @pytest.mark.parametrize("name", ["HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"])
+    def test_each_proxy_variable_is_ignored(self, server, monkeypatch, name):
+        for other in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy", "REQUEST_METHOD"):
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(name, self.closed_port_proxy())
+        session = Connection(server.base_url, 5)
+        try:
+            assert session.request("GET", "/x") == (200, {"v": 1})
+        finally:
+            session.close()
+        assert [target for _, target, _, _ in server.seen] == ["/x"]
+
+    @pytest.mark.parametrize("place", ["NETRC", ".netrc", "_netrc"])
+    def test_no_netrc_file_is_read(self, server, monkeypatch, tmp_path, place):
+        netrc = tmp_path / ("netrc" if place == "NETRC" else place)
+        netrc.write_text("machine 127.0.0.1 login ann password secret\n")
+        netrc.chmod(0o600)
+        if place == "NETRC":
+            monkeypatch.setenv("NETRC", str(netrc))
+        else:
+            monkeypatch.delenv("NETRC", raising=False)
+            monkeypatch.setenv("HOME", str(tmp_path))
+        session = Connection(server.base_url, 5)
+        try:
+            assert session.request("GET", "/x") == (200, {"v": 1})
+        finally:
+            session.close()
+        ((_, _, headers, _),) = server.seen
         assert headers["Authorization"] is None
