@@ -1,10 +1,11 @@
 """Resource lifecycle models and exhaustive state-space exploration.
 
 A model declares resources (keyed maps with record fields), actions with
-guards and effects over those maps, and invariants. The explorer enumerates
-every reachable combination of map contents by breadth-first search, checks
-the invariants in each state, and produces the labeled transition graph that
-sequence generation consumes.
+guards and effects over those maps, and invariants. successors is the
+model's one step: from the map contents of a state it yields each labeled
+next state. explore enumerates every reachable state by breadth-first search
+over successors, checks the invariants in each state, and produces the
+labeled transition graph that sequence generation consumes.
 
 Guards and effects use a small expression language:
 
@@ -25,9 +26,13 @@ value. A state becomes final when every map is empty again (the one
 terminal condition, 'all_empty'); final states are sinks and are not
 expanded further.
 
-Guards, effects and invariant checks are parsed once, by load_model, so a
-syntax error fails the load, naming its action or invariant, even where
-evaluation would never reach it; exploration only evaluates. A section of
+Guards, effects and invariant checks are parsed once, by load_model, and
+load_model checks every name in them too: a param or 'forall' variable, a
+resource and a record field must be declared, and add and remove need a set
+field. So a syntax error or an unknown name fails the load, naming its
+action or invariant, even where evaluation would never reach it, as in
+"action drop: unknown resource 'thingz'"; exploration only evaluates, and
+its errors depend on the state, as a del of an absent id does. A section of
 the wrong shape fails the load too, named by its place, as in
 "resources[0]: missing 'name'", "actions[1]: name: expected a string, got
 ['drop']" or "action drop: unchanged: expected a list of strings, got
@@ -216,16 +221,11 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             if res not in by_name:
                 raise ModelError(f"{where}: unchanged: unknown resource {res!r}")
         guard = a.get("guard")
-        actions.append(
-            ActionDef(
-                name=a["name"],
-                params=params,
-                guard=() if guard in (None, "") else _parse_conds(
-                    _text(guard, f"{where}: guard"), where),
-                effects=effects,
-                unchanged=unchanged,
-            )
-        )
+        guard = () if guard in (None, "") else _parse_conds(_text(guard, f"{where}: guard"), where)
+        _check_names(by_name, set(pnames), where, guard, effects)
+        actions.append(ActionDef(
+            name=a["name"], params=params, guard=guard, effects=effects, unchanged=unchanged,
+        ))
     action_names = [a.name for a in actions]
     if len(set(action_names)) != len(action_names):
         raise ModelError("duplicate action names")
@@ -248,6 +248,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             _text(inv.var, f"invariant {inv.name}: forall")
         if inv.domain is not None and not (isinstance(inv.domain, str) and inv.domain in by_name):
             raise ModelError(f"invariant {inv.name}: unknown resource {inv.domain!r}")
+        _check_names(by_name, {inv.var}, f"invariant {inv.name}", inv.check)
 
     terminal = doc.get("terminal", "all_empty")
     if terminal != "all_empty":
@@ -321,19 +322,14 @@ def _parse_atom(t: _Toks):
 
 def _eval_atom(atom, env: dict, maps: Maps, where: str):
     if atom[0] == "var":
-        name = atom[1]
-        if name not in env:
-            raise ModelError(f"{where}: unbound name {name!r}")
-        return env[name]
+        return env[atom[1]]
     _, res, inner, fname = atom
-    if res not in maps:
-        raise ModelError(f"{where}: unknown resource {res!r}")
     key = _eval_atom(inner, env, maps, where)
     rec = maps[res].get(key)
     if rec is None:
         raise ModelError(f"{where}: {res}[{key}] does not exist (guard should test membership first)")
-    if fname not in rec:
-        raise ModelError(f"{where}: {res} records have no field {fname!r}")
+    if fname not in rec:  # a put earlier in the same action left the field out
+        raise ModelError(f"{where}: {res}[{key}] has no field {fname!r}")
     return rec[fname]
 
 
@@ -470,6 +466,54 @@ def _count_any(effects) -> int:
     )
 
 
+def _check_names(by_name: dict, bound: set, where: str, conds: tuple, effects: tuple = ()) -> None:
+    """Refuse a name that the model does not declare: a variable that is
+    neither a param nor the invariant's 'forall' variable, a resource, a
+    record field; and an add or remove on a field that is not a set."""
+
+    def resource(res: str) -> ResourceDef:
+        if res not in by_name:
+            raise ModelError(f"{where}: unknown resource {res!r}")
+        return by_name[res]
+
+    def field(res: str, fname: str) -> FieldSpec:
+        spec = resource(res).record.get(fname)
+        if spec is None:
+            raise ModelError(f"{where}: {res} records have no field {fname!r}")
+        return spec
+
+    def atom(a, target: bool = False) -> None:
+        if a[0] == "deref":
+            field(a[1], a[3])
+            atom(a[2])
+        elif a[1] not in bound and not (target and a[1] in by_name):
+            # a target, of 'in' or size(), may name a resource map as well
+            what = "resource" if target else "name"
+            raise ModelError(f"{where}: unknown {what} {a[1]!r}")
+
+    for cond in conds:
+        if cond[0] == "size":
+            atom(cond[1], target=True)
+            if not isinstance(cond[3], int):
+                atom(cond[3])
+        else:
+            atom(cond[1])
+            atom(cond[2], target=True)
+    for verb, res, key, *rest in effects:
+        resource(res)
+        atom(key)
+        if verb == "put":
+            for fname, init in rest[0]:
+                field(res, fname)
+                if init[0] == "atom":
+                    atom(init[1])
+        elif verb != "del":
+            fname, elem = rest
+            if field(res, fname).kind != "set":
+                raise ModelError(f"{where}: {verb} needs a set field, {res}.{fname} is not one")
+            atom(elem)
+
+
 def _apply_effects(maps: Maps, effects, env: dict, choices: tuple[int, ...], where: str) -> Maps:
     out = {res: {k: dict(rec) for k, rec in m.items()} for res, m in maps.items()}
     pick = iter(choices)
@@ -488,19 +532,17 @@ def _apply_effects(maps: Maps, effects, env: dict, choices: tuple[int, ...], whe
                     rec[fname] = init[1]
                 else:
                     rec[fname] = _eval_atom(init[1], env, out, where)
-            if res not in out:
-                raise ModelError(f"{where}: put into unknown resource {res!r}")
             out[res][key] = rec
         elif kind == "del":
             _, res, keyatom = eff
             key = _eval_atom(keyatom, env, out, where)
-            if key not in out.get(res, {}):
+            if key not in out[res]:
                 raise ModelError(f"{where}: del of absent {res}[{key}]")
             del out[res][key]
         else:
             _, res, keyatom, fname, elematom = eff
             key = _eval_atom(keyatom, env, out, where)
-            rec = out.get(res, {}).get(key)
+            rec = out[res].get(key)
             if rec is None:
                 raise ModelError(f"{where}: {kind} on absent {res}[{key}]")
             current = rec.get(fname)
@@ -535,15 +577,18 @@ def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
     domain order, record fields alphabetical. Used for dedup and DOT labels."""
     parts = []
     for r in model.resources:
+        held = maps[r.name]
+        rids = [rid for rid in r.ids if rid in held]
+        if len(rids) != len(held):  # ids outside the domain, for the type check to report
+            rids += [rid for rid in held if rid not in r.ids]
         entries = []
-        for rid in r.ids:
-            if rid in maps[r.name]:
-                rec = maps[r.name][rid]
-                if rec:
-                    fields = ", ".join(f"{f}={_fmt_value(rec[f])}" for f in sorted(rec))
-                    entries.append(f"{rid}[{fields}]")
-                else:
-                    entries.append(rid)
+        for rid in rids:
+            rec = held[rid]
+            if rec:
+                fields = ", ".join(f"{f}={_fmt_value(rec[f])}" for f in sorted(rec))
+                entries.append(f"{rid}[{fields}]")
+            else:
+                entries.append(f"{rid}")
         parts.append(f"{r.name}: {{{', '.join(entries)}}}")
     parts.append("final = " + ("TRUE" if final_flag else "FALSE"))
     return " /\\ ".join(parts)
@@ -621,79 +666,67 @@ class Exploration(NamedTuple):
         return ssg.emit_dot(self.to_raw())
 
 
+def successors(model: Model, maps: Maps):
+    """The model's one step: yield (label, next maps) for every enabled
+    action instance and every 'any capacity' choice, actions in declaration
+    order and ids in domain order. Raises ModelError where an effect changes
+    a resource that its action declares unchanged."""
+    for action in model.actions:
+        domains = [model.resource(res).ids for _, res in action.params]
+        where = f"action {action.name}"
+        n_any = _count_any(action.effects)
+        for combo in itertools.product(*domains):
+            env = {p: v for (p, _), v in zip(action.params, combo)}
+            if not _holds(action.guard, env, maps, where):
+                continue
+            label = f"{action.name}({','.join(combo)})"
+            for choices in itertools.product(model.capacities, repeat=n_any):
+                nxt = _apply_effects(maps, action.effects, env, choices, where)
+                for res in action.unchanged:
+                    if nxt[res] != maps[res]:
+                        raise ModelError(f"{where}: declares {res!r} unchanged but modified it")
+                yield label, nxt
+
+
 def explore(model: Model, *, max_states: int = 10000) -> Exploration:
-    """Enumerate every reachable state. Raises InvariantViolation (with a
-    shortest action trace) if any state breaks the model's invariants."""
-    init = empty_maps(model)
-    states = [canonical(model, init, False)]
-    state_maps = [init]
-    state_final = [False]
-    index = {states[0]: 0}
-    parents: list[Optional[tuple[int, str]]] = [None]
-    transitions: list[tuple[int, int, str]] = []
-    seen_edges: set[tuple[int, int, str]] = set()
+    """Enumerate every reachable state, breadth first over successors.
+    Raises InvariantViolation (with a shortest action trace) if any state
+    breaks the model's invariants."""
+    states: list[str] = []
+    state_maps: list[Maps] = []  # also the BFS queue: states expand in the order found
+    parents: list[Optional[tuple[int, str]]] = []
+    index: dict[str, int] = {}
+    edges: dict[tuple[int, int, str], None] = {}  # an insertion-ordered set
     finals: list[int] = []
 
-    def trace_to(i: int) -> tuple[str, ...]:
-        out = []
-        while parents[i] is not None:
-            i, label = parents[i]
-            out.append(label)
-        return tuple(reversed(out))
+    def arrivals():  # (parent, maps): the initial state, then each state's successors
+        yield None, empty_maps(model)
+        for i, maps in enumerate(state_maps):
+            if i not in finals:  # final states are sinks
+                for label, nxt in successors(model, maps):
+                    yield (i, label), nxt
 
-    def verify(i: int) -> None:
-        broken = _check_invariants(model, state_maps[i])
-        if broken is not None:
-            raise InvariantViolation(broken, states[i], trace_to(i))
-
-    verify(0)
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        if state_final[i]:
-            continue
-        maps = state_maps[i]
-        for action in model.actions:
-            domains = [model.resource(res).ids for _, res in action.params]
-            where = f"action {action.name}"
-            n_any = _count_any(action.effects)
-            for combo in itertools.product(*domains):
-                env = {p: v for (p, _), v in zip(action.params, combo)}
-                if not _holds(action.guard, env, maps, where):
-                    continue
-                label = f"{action.name}({','.join(combo)})"
-                for choices in itertools.product(model.capacities, repeat=n_any):
-                    nxt = _apply_effects(maps, action.effects, env, choices, where)
-                    for res in action.unchanged:
-                        if nxt.get(res) != maps.get(res):
-                            raise ModelError(
-                                f"{where}: declares {res!r} unchanged but modified it"
-                            )
-                    flag = all(not m for m in nxt.values())  # final: every map empty again
-                    c = canonical(model, nxt, flag)
-                    j = index.get(c)
-                    if j is None:
-                        j = len(states)
-                        if j >= max_states:
-                            raise ModelError(f"state space exceeds {max_states} states")
-                        index[c] = j
-                        states.append(c)
-                        state_maps.append(nxt)
-                        state_final.append(flag)
-                        parents.append((i, label))
-                        if flag:
-                            finals.append(j)
-                        verify(j)
-                        queue.append(j)
-                    edge = (i, j, label)
-                    if edge not in seen_edges:
-                        seen_edges.add(edge)
-                        transitions.append(edge)
-    return Exploration(
-        model=model,
-        states=states,
-        finals=finals,
-        transitions=transitions,
-    )
+    for parent, maps in arrivals():
+        final = parent is not None and not any(maps.values())  # every map empty again
+        c = canonical(model, maps, final)
+        j = index.get(c)
+        if j is None:
+            j = len(states)
+            if j >= max_states:
+                raise ModelError(f"state space exceeds {max_states} states")
+            index[c] = j
+            states.append(c)
+            state_maps.append(maps)
+            parents.append(parent)
+            if final:
+                finals.append(j)
+            broken = _check_invariants(model, maps)
+            if broken is not None:
+                trace, k = [], j
+                while parents[k] is not None:
+                    k, label = parents[k]
+                    trace.append(label)
+                raise InvariantViolation(broken, c, tuple(reversed(trace)))
+        if parent is not None:
+            edges[(parent[0], j, parent[1])] = None
+    return Exploration(model=model, states=states, finals=finals, transitions=list(edges))

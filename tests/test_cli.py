@@ -169,6 +169,24 @@ class TestPipeline:
         assert out.read_text(encoding="utf-8") == "digraph G {\n" + body + "}\n"
 
 
+def fixture_suite(workdir, capsys):
+    """The fixture model's suite at seed 11 with up to two PUTs: 36 calls."""
+    dot, seqs = workdir / "graph.dot", workdir / "suite.json"
+    code, _, _ = run(capsys, "explore", str(workdir / "tournaments-model.yaml"), str(dot))
+    assert code == 0
+    code, _, _ = run(capsys, "sequences", str(dot), str(seqs),
+                     "--spec", str(workdir / "tournaments-contracts.yaml"),
+                     "--seed", "11", "--puts-max", "2")
+    assert code == 0
+    return seqs
+
+
+def campaign_report(capsys, report_path, *argv):
+    """The exit code of a spawned-demo campaign and its report."""
+    code, _, _ = run(capsys, "test", *argv, "--spawn-demo", "--report", str(report_path))
+    return code, json.loads(report_path.read_text())
+
+
 class TestCampaignCommand:
     def test_clean_service_exits_zero(self, workdir, capsys):
         model = write_tiny_model(workdir)
@@ -250,6 +268,49 @@ class TestCampaignCommand:
         assert code == 0
         assert players == []
         assert [r for r in seen if r.startswith("POST ")] == ["POST /players"]
+
+    def test_a_clause_past_the_budget_cannot_be_evaluated(self, workdir, capsys):
+        code, report = campaign_report(
+            capsys, workdir / "report.json", "--spec", str(workdir / "tournaments-contracts.yaml"),
+            "--sequences", str(fixture_suite(workdir, capsys)), "--budget", "1")
+        assert code == 1
+        assert report["summary"] == {"ok": 19, "warn": 0, "err": 17, "notTested": 0, "calls": 36}
+        for outcome in report["outcomes"]:
+            if outcome["classification"] == "ERR":
+                assert outcome["inv"] is None
+                assert outcome["reason"].endswith(
+                    "cannot evaluate: evaluation exceeded its budget of 1 requests")
+
+    def test_a_clause_that_is_not_a_boolean_cannot_be_evaluated(self, workdir, capsys):
+        doc = yaml.safe_load((workdir / "tournaments-contracts.yaml").read_text())
+        doc["paths"]["/players"]["post"]["x-requires"].append("res_code(GET /players)")
+        spec = workdir / "status-clause.yaml"
+        spec.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        code, report = campaign_report(capsys, workdir / "report.json", "--spec", str(spec),
+                                       "--sequences", str(fixture_suite(workdir, capsys)))
+        assert code == 1
+        errs = [o for o in report["outcomes"] if o["classification"] == "ERR"]
+        assert len(errs) == report["summary"]["err"] == 5
+        for outcome in errs:
+            assert outcome["operationId"] == "postPlayer" and outcome["pre"] is None
+            assert outcome["reason"] == ("res_code(GET /players): cannot evaluate: "
+                                         "formula reduced to a non-boolean: 200")
+
+    def test_infer_judges_as_the_generated_contracts_do(self, workdir, capsys):
+        oas, inferred = str(workdir / "tournaments-oas.yaml"), str(workdir / "inferred.yaml")
+        argv = ("--sequences", str(fixture_suite(workdir, capsys)),
+                "--demo-fault", "delete_player_noop")
+        code, _ = campaign_report(capsys, workdir / "plain.json", "--spec", oas, *argv)
+        assert code == 0  # the bare description has no contracts to break
+        code, by_flag = campaign_report(capsys, workdir / "infer.json",
+                                        "--spec", oas, "--infer", *argv)
+        assert code == 1 and by_flag["summary"]["err"] == 5
+        assert run(capsys, "gen-contracts", oas, inferred)[0] == 0
+        code, by_file = campaign_report(capsys, workdir / "gen.json", "--spec", inferred, *argv)
+        assert code == 1
+        for report in (by_flag, by_file):
+            del report["duration"], report["baseUrl"]
+        assert by_flag == by_file
 
 
 class TestJsonLogs:

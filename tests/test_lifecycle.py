@@ -198,6 +198,31 @@ def malformed_model(case: str) -> dict:
                               "check": "k in things"}]
     elif case == "ids repeat an id":
         doc["resources"][0]["ids"] = ["k1", "k2", "k1"]
+    # each name below is checked at load, even where evaluation never reaches it
+    elif case == "never-enabled effect names no resource":
+        doc["actions"].append({"name": "never", "params": {"kid": "things"},
+                               "guard": "size(things) > 5", "effect": ["del thingz[kid]"]})
+    elif case == "reachable effect names no resource":
+        doc["actions"][1]["effect"] = ["del thingz[kid]"]
+    elif case == "unreachable conjunct names no resource":
+        doc["actions"][1]["guard"] = "size(things) > 5 and kid in thingz"
+    elif case == "unreachable conjunct names no param":
+        doc["actions"][1]["guard"] = "size(things) > 5 and kidd in things"
+    elif case == "unreachable conjunct names no field":
+        doc["resources"][0]["record"] = {"xs": {"set": "things"}}
+        doc["actions"][0]["effect"] = ["put things[kid] = {xs: {}}"]
+        doc["actions"][1]["guard"] = "size(things) > 5 and size(things[kid].ys) = 0"
+    elif case == "put names no field":
+        doc["actions"][0]["effect"] = ["put things[kid] = {ys: {}}"]
+    elif case == "add to a field that is not a set":
+        doc["resources"][0]["record"] = {"c": "capacity"}
+        doc["capacities"] = [1]
+        doc["actions"][0]["effect"] = ["put things[kid] = {c: 1}", "add things[kid].c kid"]
+    elif case == "invariant names no resource":
+        doc["invariants"] = [{"name": "bounded", "check": "size(thingz) <= 1"}]
+    elif case == "invariant names no variable":
+        doc["invariants"] = [{"name": "bounded", "forall": "k", "in": "things",
+                              "check": "j in things"}]
     return doc
 
 
@@ -226,6 +251,16 @@ MALFORMED_MODELS = {
     "invariant domain not a string": "invariant bounded: unknown resource ['things']",
     "invariant variable not a string": "invariant bounded: forall: expected a string, got ['k']",
     "ids repeat an id": "resource things: ids: 'k1' is listed twice",
+    "never-enabled effect names no resource": "action never: unknown resource 'thingz'",
+    "reachable effect names no resource": "action dropThing: unknown resource 'thingz'",
+    "unreachable conjunct names no resource": "action dropThing: unknown resource 'thingz'",
+    "unreachable conjunct names no param": "action dropThing: unknown name 'kidd'",
+    "unreachable conjunct names no field": "action dropThing: things records have no field 'ys'",
+    "put names no field": "action makeThing: things records have no field 'ys'",
+    "add to a field that is not a set":
+        "action makeThing: add needs a set field, things.c is not one",
+    "invariant names no resource": "invariant bounded: unknown resource 'thingz'",
+    "invariant names no variable": "invariant bounded: unknown name 'j'",
 }
 
 
@@ -358,6 +393,19 @@ class TestTwoTournamentVariant:
         assert x.state_count == 4
 
 
+def two_resource_doc(record: dict, effects: list) -> dict:
+    """things (id k1) with the given record, and others (id o1); one action,
+    make, with a things and an others param and the given effects."""
+    return {
+        "name": "typed",
+        "resources": [{"name": "things", "ids": ["k1"], "record": record},
+                      {"name": "others", "ids": ["o1"], "record": {}}],
+        "capacities": [1, 2],
+        "actions": [{"name": "make", "params": {"kid": "things", "o": "others"},
+                     "guard": "kid not in things", "effect": effects}],
+    }
+
+
 class TestModelChecks:
     def test_capacity_invariant_violation_carries_trace(self):
         doc = {
@@ -415,6 +463,30 @@ class TestModelChecks:
         doc["actions"][1]["guard"] = "size(things[kid].xs) = 0"
         with pytest.raises(ModelError, match="membership"):
             explore(load_model(doc))
+
+    def test_an_id_outside_its_domain_is_type_checked(self):
+        doc = two_resource_doc({}, ["put things[o] = {}"])
+        with pytest.raises(InvariantViolation) as exc:
+            explore(load_model(doc))
+        assert exc.value.name == "type: things holds id 'o1' outside its domain"
+        assert exc.value.trace == ("make(k1,o1)",)
+
+    @pytest.mark.parametrize("record, effects, problem", [
+        pytest.param({"xs": {"set": "things"}}, ["put things[kid] = {xs: kid}"],
+                     "things[k1].xs is not a set", id="set-given-an-id"),
+        pytest.param({"xs": {"set": "things"}},
+                     ["put things[kid] = {xs: {}}", "add things[kid].xs o"],
+                     "things[k1].xs holds foreign ids ['o1']", id="foreign-id-in-a-set"),
+        pytest.param({"r": {"ref": "others"}}, ["put things[kid] = {r: kid}"],
+                     "things[k1].r = 'k1' is not a others id", id="ref-to-another-resource"),
+        pytest.param({"c": "capacity"}, ["put things[kid] = {c: 5}"],
+                     "things[k1].c = 5 not in capacities", id="undeclared-capacity"),
+    ])
+    def test_type_check_of_a_field(self, record, effects, problem):
+        with pytest.raises(InvariantViolation) as exc:
+            explore(load_model(two_resource_doc(record, effects)))
+        assert exc.value.name == f"type: {problem}"
+        assert exc.value.trace == ("make(k1,o1)",)
 
     def test_state_cap(self, model):
         with pytest.raises(ModelError, match="exceeds"):
