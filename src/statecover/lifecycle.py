@@ -26,16 +26,24 @@ value. A state becomes final when every map is empty again (the one
 terminal condition, 'all_empty'); final states are sinks and are not
 expanded further.
 
-Guards, effects and invariant checks are parsed once, by load_model, and
-load_model checks every name in them too: a param or 'forall' variable, a
-resource and a record field must be declared, and add and remove need a set
-field. So a syntax error or an unknown name fails the load, naming its
-action or invariant, even where evaluation would never reach it, as in
-"action drop: unknown resource 'thingz'"; exploration only evaluates, and
-its errors depend on the state, as a del of an absent id does. A section of
-the wrong shape fails the load too, named by its place, as in
-"resources[0]: missing 'name'", "actions[1]: name: expected a string, got
-['drop']" or "action drop: unchanged: expected a list of strings, got
+Guards, effects and invariant checks are parsed once, by load_model, which
+also infers a kind for every atom: 'id R' for a param or 'forall' variable
+over resource R or a ref field to R, 'set R' for a set field over R, 'map R'
+for a bare resource name (only as an 'in' or size() target) and 'int' for a
+capacity field. It refuses, naming the action or invariant, an undeclared
+name; an 'in' whose element is not an id of its target's resource; a size()
+whose target is not a set or map, or whose right side is not an INT or int;
+a key R[k] whose k is not 'id R'; a put that does not give each record field
+once, with a value of its kind: '{}' only for a set, 'any capacity' or an
+INT of 'capacities' only for a capacity; an add or remove of another
+resource's id; a variable with a resource's name; and an effect on a
+resource that its action declares unchanged. So every reachable state is
+well-typed, and a fault fails the load even where evaluation never reaches
+it, as in "action drop: o has kind id others, not id things". Exploration
+only evaluates; its errors depend on the state, as a del of an absent id
+does. A section of the wrong shape fails the load too, named by its place,
+as in "resources[0]: missing 'name'", "actions[1]: name: expected a string,
+got ['drop']" or "action drop: unchanged: expected a list of strings, got
 'tournaments'", and so does an unchanged entry, a param, a set or ref field
 or an invariant's 'in' that names no declared resource, and an id listed
 twice in a resource's ids. A resource's 'key', which older models name, is
@@ -208,21 +216,16 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         for p, res in params:
             if not (isinstance(res, str) and res in by_name):
                 raise ModelError(f"{where}: param {p} over unknown resource {res!r}")
-        pnames = [p for p, _ in params]
-        if len(set(pnames)) != len(pnames):
-            raise ModelError(f"{where}: duplicate param names")
         effects = tuple(
             _parse_effect(e, where) for e in _list_of(a.get("effect"), str, f"{where}: effect")
         )
-        if _count_any(effects) and not capacities:
-            raise ModelError(f"{where}: 'any capacity' with no capacities declared")
         unchanged = _list_of(a.get("unchanged"), str, f"{where}: unchanged")
         for res in unchanged:
             if res not in by_name:
                 raise ModelError(f"{where}: unchanged: unknown resource {res!r}")
         guard = a.get("guard")
         guard = () if guard in (None, "") else _parse_conds(_text(guard, f"{where}: guard"), where)
-        _check_names(by_name, set(pnames), where, guard, effects)
+        _check_kinds(by_name, capacities, dict(params), where, guard, effects, unchanged)
         actions.append(ActionDef(
             name=a["name"], params=params, guard=guard, effects=effects, unchanged=unchanged,
         ))
@@ -248,7 +251,8 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             _text(inv.var, f"invariant {inv.name}: forall")
         if inv.domain is not None and not (isinstance(inv.domain, str) and inv.domain in by_name):
             raise ModelError(f"invariant {inv.name}: unknown resource {inv.domain!r}")
-        _check_names(by_name, {inv.var}, f"invariant {inv.name}", inv.check)
+        bound = {} if inv.var is None else {inv.var: inv.domain}
+        _check_kinds(by_name, capacities, bound, f"invariant {inv.name}", inv.check)
 
     terminal = doc.get("terminal", "all_empty")
     if terminal != "all_empty":
@@ -328,19 +332,12 @@ def _eval_atom(atom, env: dict, maps: Maps, where: str):
     rec = maps[res].get(key)
     if rec is None:
         raise ModelError(f"{where}: {res}[{key}] does not exist (guard should test membership first)")
-    if fname not in rec:  # a put earlier in the same action left the field out
-        raise ModelError(f"{where}: {res}[{key}] has no field {fname!r}")
     return rec[fname]
 
 
 def _eval_target_collection(atom, env: dict, maps: Maps, where: str):
     """A membership/size target: a resource map or a set-valued field."""
-    if atom[0] == "var" and atom[1] in maps:
-        return maps[atom[1]]
-    value = _eval_atom(atom, env, maps, where)
-    if not isinstance(value, frozenset):
-        raise ModelError(f"{where}: target is not a set or resource map")
-    return value
+    return maps[atom[1]] if atom[0] == "var" else _eval_atom(atom, env, maps, where)
 
 
 def _parse_conds(text: str, where: str) -> tuple:
@@ -381,8 +378,6 @@ def _holds(conds: tuple, env: dict, maps: Maps, where: str) -> bool:
             _, target, compare, rhs = cond
             if not isinstance(rhs, int):
                 rhs = _eval_atom(rhs, env, maps, where)
-                if not isinstance(rhs, int):
-                    raise ModelError(f"{where}: size() compared against a non-integer")
             if not compare(len(_eval_target_collection(target, env, maps, where)), rhs):
                 return False
         else:
@@ -466,10 +461,17 @@ def _count_any(effects) -> int:
     )
 
 
-def _check_names(by_name: dict, bound: set, where: str, conds: tuple, effects: tuple = ()) -> None:
-    """Refuse a name that the model does not declare: a variable that is
-    neither a param nor the invariant's 'forall' variable, a resource, a
-    record field; and an add or remove on a field that is not a set."""
+def _show(atom) -> str:
+    """An atom as the model writes it."""
+    return atom[1] if atom[0] == "var" else f"{atom[1]}[{_show(atom[2])}].{atom[3]}"
+
+
+def _check_kinds(by_name: dict, capacities: tuple, bound: dict, where: str, conds: tuple,
+                 effects: tuple = (), unchanged: tuple = ()) -> None:
+    """Infer the kind of every atom, where bound maps each param or 'forall'
+    variable to its resource, and refuse what the module docstring lists.
+    Then every reachable state holds only ids of each resource's domain and
+    records with each declared field once, holding a value of its kind."""
 
     def resource(res: str) -> ResourceDef:
         if res not in by_name:
@@ -482,36 +484,70 @@ def _check_names(by_name: dict, bound: set, where: str, conds: tuple, effects: t
             raise ModelError(f"{where}: {res} records have no field {fname!r}")
         return spec
 
-    def atom(a, target: bool = False) -> None:
-        if a[0] == "deref":
-            field(a[1], a[3])
-            atom(a[2])
-        elif a[1] not in bound and not (target and a[1] in by_name):
-            # a target, of 'in' or size(), may name a resource map as well
-            what = "resource" if target else "name"
-            raise ModelError(f"{where}: unknown {what} {a[1]!r}")
+    def refuse(text: str, got: str, want: str):
+        raise ModelError(f"{where}: {text} has kind {got}, not {want}")
 
+    def kind(a, target: bool = False) -> str:
+        if a[0] == "deref":
+            spec = field(a[1], a[3])
+            expect(a[2], f"id {a[1]}")
+            return {"capacity": "int", "ref": f"id {spec.target}", "set": f"set {spec.target}"}[spec.kind]
+        if a[1] in bound:
+            return f"id {bound[a[1]]}"
+        if target and a[1] in by_name:
+            return f"map {a[1]}"
+        raise ModelError(f"{where}: unknown {'resource' if target else 'name'} {a[1]!r}")
+
+    def expect(a, want: str, text: str = "") -> None:
+        got = kind(a)
+        if got != want:
+            refuse(text + _show(a), got, want)
+
+    def collection(a) -> str:
+        """The resource whose ids an 'in' or size() target holds."""
+        got = kind(a, target=True)
+        sort, _, res = got.partition(" ")
+        if sort not in ("map", "set"):
+            refuse(_show(a), got, "set R or map R")
+        return res
+
+    for name in bound:
+        if name in by_name:
+            raise ModelError(f"{where}: variable {name!r} has a resource's name")
     for cond in conds:
         if cond[0] == "size":
-            atom(cond[1], target=True)
+            collection(cond[1])
             if not isinstance(cond[3], int):
-                atom(cond[3])
+                expect(cond[3], "int")
         else:
-            atom(cond[1])
-            atom(cond[2], target=True)
+            expect(cond[1], f"id {collection(cond[2])}")
     for verb, res, key, *rest in effects:
         resource(res)
-        atom(key)
+        if res in unchanged:
+            raise ModelError(f"{where}: declares {res!r} unchanged but a {verb} changes it")
+        expect(key, f"id {res}")
         if verb == "put":
             for fname, init in rest[0]:
-                field(res, fname)
+                want, text = kind(("deref", res, key, fname)), f"{res}.{fname} = "
                 if init[0] == "atom":
-                    atom(init[1])
+                    expect(init[1], want, text)
+                    continue
+                text += {"empty": "{}", "any": "any capacity"}.get(init[0], str(init[-1]))
+                got = "set" if init[0] == "empty" else "int"  # {} fits any set field
+                if want.partition(" ")[0] != got:
+                    refuse(text, got, want)
+                if init[0] == "int" and init[1] not in capacities:
+                    raise ModelError(f"{where}: {text} is not one of the capacities {list(capacities)}")
+            given, record = [fname for fname, _ in rest[0]], list(by_name[res].record)
+            if sorted(given) != sorted(record):
+                raise ModelError(f"{where}: put {res}[{_show(key)}] gives the fields {given}, "
+                                 f"not each of {record} once")
         elif verb != "del":
             fname, elem = rest
-            if field(res, fname).kind != "set":
+            spec = field(res, fname)
+            if spec.kind != "set":
                 raise ModelError(f"{where}: {verb} needs a set field, {res}.{fname} is not one")
-            atom(elem)
+            expect(elem, f"id {spec.target}")
 
 
 def _apply_effects(maps: Maps, effects, env: dict, choices: tuple[int, ...], where: str) -> Maps:
@@ -545,9 +581,7 @@ def _apply_effects(maps: Maps, effects, env: dict, choices: tuple[int, ...], whe
             rec = out[res].get(key)
             if rec is None:
                 raise ModelError(f"{where}: {kind} on absent {res}[{key}]")
-            current = rec.get(fname)
-            if not isinstance(current, frozenset):
-                raise ModelError(f"{where}: {kind} needs a set field, {res}.{fname} is not one")
+            current = rec[fname]
             elem = _eval_atom(elematom, env, out, where)
             if kind == "add":
                 if elem in current:
@@ -579,8 +613,6 @@ def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
     for r in model.resources:
         held = maps[r.name]
         rids = [rid for rid in r.ids if rid in held]
-        if len(rids) != len(held):  # ids outside the domain, for the type check to report
-            rids += [rid for rid in held if rid not in r.ids]
         entries = []
         for rid in rids:
             rec = held[rid]
@@ -594,35 +626,7 @@ def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
     return " /\\ ".join(parts)
 
 
-def _check_types(model: Model, maps: Maps) -> Optional[str]:
-    for r in model.resources:
-        for rid, rec in maps[r.name].items():
-            if rid not in r.ids:
-                return f"{r.name} holds id {rid!r} outside its domain"
-            if set(rec) != set(r.record):
-                return f"{r.name}[{rid}] fields {sorted(rec)} differ from declared {sorted(r.record)}"
-            for fname, spec in r.record.items():
-                value = rec[fname]
-                if spec.kind == "set":
-                    if not isinstance(value, frozenset):
-                        return f"{r.name}[{rid}].{fname} is not a set"
-                    domain = model.resource(spec.target).ids
-                    bad = [e for e in value if e not in domain]
-                    if bad:
-                        return f"{r.name}[{rid}].{fname} holds foreign ids {bad}"
-                elif spec.kind == "ref":
-                    if value not in model.resource(spec.target).ids:
-                        return f"{r.name}[{rid}].{fname} = {value!r} is not a {spec.target} id"
-                else:
-                    if value not in model.capacities:
-                        return f"{r.name}[{rid}].{fname} = {value!r} not in capacities"
-    return None
-
-
 def _check_invariants(model: Model, maps: Maps) -> Optional[str]:
-    problem = _check_types(model, maps)
-    if problem is not None:
-        return f"type: {problem}"
     for inv in model.invariants:
         where = f"invariant {inv.name}"
         if inv.var is None:
@@ -669,8 +673,7 @@ class Exploration(NamedTuple):
 def successors(model: Model, maps: Maps):
     """The model's one step: yield (label, next maps) for every enabled
     action instance and every 'any capacity' choice, actions in declaration
-    order and ids in domain order. Raises ModelError where an effect changes
-    a resource that its action declares unchanged."""
+    order and ids in domain order."""
     for action in model.actions:
         domains = [model.resource(res).ids for _, res in action.params]
         where = f"action {action.name}"
@@ -681,11 +684,7 @@ def successors(model: Model, maps: Maps):
                 continue
             label = f"{action.name}({','.join(combo)})"
             for choices in itertools.product(model.capacities, repeat=n_any):
-                nxt = _apply_effects(maps, action.effects, env, choices, where)
-                for res in action.unchanged:
-                    if nxt[res] != maps[res]:
-                        raise ModelError(f"{where}: declares {res!r} unchanged but modified it")
-                yield label, nxt
+                yield label, _apply_effects(maps, action.effects, env, choices, where)
 
 
 def explore(model: Model, *, max_states: int = 10000) -> Exploration:

@@ -15,7 +15,7 @@ from json import dumps
 from pathlib import Path
 
 from statecover.demo import TournamentsApp
-
+from statecover.lifecycle import Maps, Model
 from statecover.speckit import Operation
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
 
@@ -59,6 +59,34 @@ def run_in_ascii_locale(code: str) -> str:
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def type_error(model: Model, maps: Maps) -> str | None:
+    """What makes a state ill-typed, or None: an id outside its resource's
+    domain, a record without exactly its declared fields, or a field value
+    not of its kind. The reference for load_model's kind checks, which
+    should leave no reachable state that this finds fault with."""
+    for r in model.resources:
+        for rid, rec in maps[r.name].items():
+            if rid not in r.ids:
+                return f"{r.name} holds id {rid!r} outside its domain"
+            if set(rec) != set(r.record):
+                return f"{r.name}[{rid}] fields {sorted(rec)} differ from declared {sorted(r.record)}"
+            for fname, spec in r.record.items():
+                value = rec[fname]
+                if spec.kind == "set":
+                    if not isinstance(value, frozenset):
+                        return f"{r.name}[{rid}].{fname} is not a set"
+                    domain = model.resource(spec.target).ids
+                    bad = [e for e in value if e not in domain]
+                    if bad:
+                        return f"{r.name}[{rid}].{fname} holds foreign ids {bad}"
+                elif spec.kind == "ref":
+                    if value not in model.resource(spec.target).ids:
+                        return f"{r.name}[{rid}].{fname} = {value!r} is not a {spec.target} id"
+                elif value not in model.capacities:
+                    return f"{r.name}[{rid}].{fname} = {value!r} not in capacities"
+    return None
 
 
 def make_random_dag_raw(rng: random.Random) -> RawGraph:

@@ -641,6 +641,14 @@ class TestErrorPaths:
                      id="resource-name-list"),
         pytest.param(lambda doc: doc["resources"][0].update(ids=["p1", "p1"]),
                      "resource players: ids: 'p1' is listed twice", id="ids-repeat"),
+        pytest.param(lambda doc: doc["actions"][0].update(
+                         guard="pid not in players and pid not in tournaments"),
+                     "action postPlayer: pid has kind id players, not id tournaments",
+                     id="element-of-another-resource"),
+        pytest.param(lambda doc: doc["actions"][2].update(
+                         effect=["put tournaments[tid] = {ps: {}, c: 5}"]),
+                     "action postTournament: tournaments.c = 5 is not one of the capacities [1]",
+                     id="undeclared-capacity"),
     ])
     def test_malformed_model(self, tmp_path, capsys, change, where):
         doc = tournaments_model_doc(players=("p1",), tournaments=(), enrolments=())

@@ -1,13 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_graph_laws, run_in_ascii_locale
+from helpers import assert_graph_laws, run_in_ascii_locale, type_error
 from statecover import seqgen, ssg
+from statecover.demo import tournaments_model_doc
 from statecover.lifecycle import (
     InvariantViolation,
     Model,
     ModelError,
+    canonical,
+    empty_maps,
     explore,
     load_model,
+    successors,
 )
 from statecover.speckit import fixture_path, load_yaml
 
@@ -218,6 +224,20 @@ def malformed_model(case: str) -> dict:
         doc["resources"][0]["record"] = {"c": "capacity"}
         doc["capacities"] = [1]
         doc["actions"][0]["effect"] = ["put things[kid] = {c: 1}", "add things[kid].c kid"]
+    elif case == "unreachable conjunct's target is an id":
+        doc["actions"][1]["guard"] = "size(things) > 5 and kid in kid"
+    elif case == "unreachable size() compared against an id":
+        doc["actions"][1]["guard"] = "size(things) > 5 and size(things) = kid"
+    elif case == "param with a resource's name":
+        doc["actions"][0].update(params={"things": "things"}, guard="things not in things",
+                                 effect=["put things[things] = {}"])
+    elif case == "forall variable with a resource's name":
+        doc["invariants"] = [{"name": "live", "forall": "things", "in": "things",
+                              "check": "things in things"}]
+    elif case == "never-enabled effect on an unchanged resource":
+        doc["actions"].append({"name": "never", "params": {"kid": "things"},
+                               "guard": "size(things) > 5", "effect": ["del things[kid]"],
+                               "unchanged": ["things"]})
     elif case == "invariant names no resource":
         doc["invariants"] = [{"name": "bounded", "check": "size(thingz) <= 1"}]
     elif case == "invariant names no variable":
@@ -259,6 +279,14 @@ MALFORMED_MODELS = {
     "put names no field": "action makeThing: things records have no field 'ys'",
     "add to a field that is not a set":
         "action makeThing: add needs a set field, things.c is not one",
+    "unreachable conjunct's target is an id":
+        "action dropThing: kid has kind id things, not set R or map R",
+    "unreachable size() compared against an id": "action dropThing: kid has kind id things, not int",
+    "param with a resource's name": "action makeThing: variable 'things' has a resource's name",
+    "forall variable with a resource's name":
+        "invariant live: variable 'things' has a resource's name",
+    "never-enabled effect on an unchanged resource":
+        "action never: declares 'things' unchanged but a del changes it",
     "invariant names no resource": "invariant bounded: unknown resource 'thingz'",
     "invariant names no variable": "invariant bounded: unknown name 'j'",
 }
@@ -439,14 +467,17 @@ class TestModelChecks:
         doc = toggler_doc()
         doc["resources"][0]["record"] = {"xs": {"set": "things"}}
         doc["actions"][0]["effect"] = ["put things[kid] = {}"]  # missing xs
-        with pytest.raises(InvariantViolation, match="type"):
-            explore(load_model(doc))
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert str(exc.value) == (
+            "action makeThing: put things[kid] gives the fields [], not each of ['xs'] once")
 
     def test_frame_violation(self):
         doc = toggler_doc()
         doc["actions"][0]["unchanged"] = ["things"]
-        with pytest.raises(ModelError, match="unchanged"):
-            explore(load_model(doc))
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert str(exc.value) == "action makeThing: declares 'things' unchanged but a put changes it"
 
     def test_duplicate_add_rejected(self):
         doc = toggler_doc()
@@ -466,27 +497,51 @@ class TestModelChecks:
 
     def test_an_id_outside_its_domain_is_type_checked(self):
         doc = two_resource_doc({}, ["put things[o] = {}"])
-        with pytest.raises(InvariantViolation) as exc:
-            explore(load_model(doc))
-        assert exc.value.name == "type: things holds id 'o1' outside its domain"
-        assert exc.value.trace == ("make(k1,o1)",)
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert str(exc.value) == "action make: o has kind id others, not id things"
 
     @pytest.mark.parametrize("record, effects, problem", [
         pytest.param({"xs": {"set": "things"}}, ["put things[kid] = {xs: kid}"],
-                     "things[k1].xs is not a set", id="set-given-an-id"),
+                     "things.xs = kid has kind id things, not set things", id="set-given-an-id"),
         pytest.param({"xs": {"set": "things"}},
                      ["put things[kid] = {xs: {}}", "add things[kid].xs o"],
-                     "things[k1].xs holds foreign ids ['o1']", id="foreign-id-in-a-set"),
+                     "o has kind id others, not id things", id="foreign-id-in-a-set"),
         pytest.param({"r": {"ref": "others"}}, ["put things[kid] = {r: kid}"],
-                     "things[k1].r = 'k1' is not a others id", id="ref-to-another-resource"),
+                     "things.r = kid has kind id things, not id others",
+                     id="ref-to-another-resource"),
         pytest.param({"c": "capacity"}, ["put things[kid] = {c: 5}"],
-                     "things[k1].c = 5 not in capacities", id="undeclared-capacity"),
+                     "things.c = 5 is not one of the capacities [1, 2]", id="undeclared-capacity"),
     ])
     def test_type_check_of_a_field(self, record, effects, problem):
-        with pytest.raises(InvariantViolation) as exc:
-            explore(load_model(two_resource_doc(record, effects)))
-        assert exc.value.name == f"type: {problem}"
-        assert exc.value.trace == ("make(k1,o1)",)
+        with pytest.raises(ModelError) as exc:
+            load_model(two_resource_doc(record, effects))
+        assert str(exc.value) == f"action make: {problem}"
+
+    # each guard below never lets evaluation reach its ill-typed part
+    @pytest.mark.parametrize("record, guard, effects, problem", [
+        pytest.param({}, "kid not in things and o in things", ["put things[kid] = {}"],
+                     "o has kind id others, not id things", id="element-of-another-resource"),
+        pytest.param({"c": "capacity"}, "size(things) > 5", ["put things[kid] = {c: 5}"],
+                     "things.c = 5 is not one of the capacities [1, 2]",
+                     id="undeclared-capacity"),
+        pytest.param({"c": "capacity"}, "size(things) > 5", ["put things[kid] = {c: {}}"],
+                     "things.c = {} has kind set, not int", id="empty-set-for-a-capacity"),
+        pytest.param({"xs": {"set": "things"}}, "size(things) > 5",
+                     ["put things[kid] = {xs: any capacity}"],
+                     "things.xs = any capacity has kind int, not set things",
+                     id="capacity-for-a-set"),
+        pytest.param({"xs": {"set": "things"}}, "size(things) > 5",
+                     ["put things[kid] = {xs: {}, xs: {}}"],
+                     "put things[kid] gives the fields ['xs', 'xs'], not each of ['xs'] once",
+                     id="field-given-twice"),
+    ])
+    def test_an_unreachable_kind_error_fails_the_load(self, record, guard, effects, problem):
+        doc = two_resource_doc(record, effects)
+        doc["actions"][0]["guard"] = guard
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert str(exc.value) == f"action make: {problem}"
 
     def test_state_cap(self, model):
         with pytest.raises(ModelError, match="exceeds"):
@@ -497,6 +552,33 @@ class TestModelChecks:
         doc["actions"][0]["effect"] = ["pvt things[kid] = {}"]
         with pytest.raises(ModelError, match="effect verb"):
             explore(load_model(doc))
+
+
+def some_ids(prefix: str):
+    return st.integers(0, 2).map(lambda n: [f"{prefix}{i}" for i in range(1, n + 1)])
+
+
+class TestReachableStatesAreWellTyped:
+    @settings(max_examples=150, deadline=None)
+    @given(some_ids("p"), some_ids("t"), some_ids("e"),
+           st.sets(st.sampled_from([1, 2, 3]), min_size=1).map(sorted))
+    def test_on_the_tournaments_model(self, players, tournaments, enrolments, capacities):
+        model = load_model(tournaments_model_doc(players, tournaments, enrolments, capacities))
+        # explore keeps only its states' labels: walk successors to the same
+        # states, final ones unexpanded, and check the maps behind each label
+        initial = empty_maps(model)
+        found, queue = {canonical(model, initial, False): initial}, [initial]
+        for maps in queue:
+            for _, nxt in successors(model, maps):
+                final = not any(nxt.values())
+                label = canonical(model, nxt, final)
+                if label not in found:
+                    found[label] = nxt
+                    if not final:
+                        queue.append(nxt)
+        assert sorted(found) == sorted(explore(model).states)
+        for label, maps in found.items():
+            assert type_error(model, maps) is None, label
 
 
 def violation_trace(check):
