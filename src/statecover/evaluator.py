@@ -39,7 +39,7 @@ from urllib.parse import quote
 from .glacier import (
     ApiCall,
     BodyFieldPart,
-    BoolChain,
+    BoolOp,
     Comparison,
     FieldSuffix,
     Formula,
@@ -189,8 +189,8 @@ class Evaluator:
     def _formula(self, f: Formula, ctx, env: dict) -> EvalResult:
         if isinstance(f, Quantified):
             return self._quantified(f, ctx, env)
-        if isinstance(f, BoolChain):
-            return self._chain(list(f.items), list(f.ops), ctx, env)
+        if isinstance(f, BoolOp):
+            return self._bool(f, ctx, env)
         if isinstance(f, Comparison):
             return self._comparison(f, ctx, env)
         # bare expression: must produce a boolean
@@ -231,31 +231,26 @@ class Evaluator:
             return EvalResult(True)  # vacuously true on empty domains
         return EvalResult(False, f"no element of {var!r} satisfies the body")
 
-    def _chain(self, items, ops, ctx, env) -> EvalResult:
-        """Flat chain with 'and' over 'or' over '=>'; right-associative
-        implication; everything short-circuits left to right."""
-        if "=>" in ops:
-            i = ops.index("=>")
-            antecedent = self._chain(items[: i + 1], ops[:i], ctx, env)
-            if not antecedent.value:
-                return EvalResult(True)
-            return self._chain(items[i + 1 :], ops[i + 1 :], ctx, env)
-        if "or" in ops:
-            start = 0
-            witnesses = []
-            ors = [i for i, op in enumerate(ops) if op == "or"]
-            for cut in ors + [len(ops)]:
-                result = self._chain(items[start : cut + 1], ops[start:cut], ctx, env)
-                if result.value:
+    def _bool(self, f: BoolOp, ctx, env) -> EvalResult:
+        """Left to right, up to the first item that decides: a false 'and'
+        item, a true 'or' item, or a false '=>' antecedent, which makes
+        a => b => c true as a => (b => c) is."""
+        if f.op == "=>":
+            for antecedent in f.items[:-1]:
+                if not self._formula(antecedent, ctx, env).value:
                     return EvalResult(True)
-                witnesses.append(result.witness)
-                start = cut + 1
-            return EvalResult(False, " | ".join(w for w in witnesses if w))
-        for item in items:
+            return self._formula(f.items[-1], ctx, env)
+        witnesses = []
+        for item in f.items:
             result = self._formula(item, ctx, env)
-            if not result.value:
+            if f.op == "and" and not result.value:
                 return result
-        return EvalResult(True)
+            if f.op == "or" and result.value:
+                return EvalResult(True)
+            witnesses.append(result.witness)
+        if f.op == "and":
+            return EvalResult(True)
+        return EvalResult(False, " | ".join(w for w in witnesses if w))
 
     def _comparison(self, c: Comparison, ctx, env) -> EvalResult:
         try:

@@ -1,20 +1,30 @@
 """The GLACIER contract formula language.
 
 Formulas describe pre/postconditions and invariants over live HTTP
-observations:
+observations. The grammar, loosest binding first:
 
-    formula ::= ('for' | 'exists') vars (':-' | ':') formula
-              | expr (boolOp expr)*
-    vars    ::= varID 'in' call (',' vars)?
-    expr    ::= ('res_code' | 'res_body' | 'req_body') '(' ('@' | METHOD url) ')' suffix?
-              | 'prev' '(' call ')'
-              | literal
-              | expr comparator expr
-    suffix  ::= '{' field '}' | '.' func
+    formula    ::= ('for' | 'exists') binding (',' binding)* (':-' | ':') formula
+                 | implies
+    binding    ::= name 'in' call
+    implies    ::= disjunct ('=>' disjunct)*      a => b => c is a => (b => c)
+    disjunct   ::= conjunct ('or' conjunct)*
+    conjunct   ::= comparison ('and' comparison)*
+    comparison ::= expr (comparator expr)?
+    comparator ::= '<=' | '>=' | '!=' | '=' | '<' | '>' | '≤' | '≥'
+    expr       ::= call | 'prev' '(' call ')' | number | string
+    call       ::= ('res_code' | 'res_body' | 'req_body') '(' ('@' | METHOD url) ')' suffix?
+    suffix     ::= '{' field '}' | '.' 'len'
+    url        ::= '/' then literal text, '{param}', '{binder.field}' and
+                   'req_body(@){field}' splices, up to a space or the ')'
+                   that closes the call
 
-Parsing is whitespace-insensitive and rejects binder shadowing, unbound
-dotted variable references and unknown suffix functions. The printer emits
-the canonical spelling and parse(print(f)) reproduces the AST exactly.
+Spaces may separate tokens, and a space ends a URL. '≤' and '≥' are
+spellings of the comparators '<=' and '>=' and nothing else: inside a string
+or a URL they are plain characters. A binder placeholder {t.f} names one
+field of one binder. Parsing rejects binder shadowing, unbound binder
+placeholders, unknown suffix functions, and numbers out of range: a float
+that overflows, or an integer longer than int() reads. The printer emits the
+canonical spelling and parse(print(f)) reproduces the AST exactly.
 
 A formula that parses may still use a construct its clause kind cannot
 evaluate; check_clause refuses it when a spec is loaded:
@@ -43,8 +53,7 @@ import re
 from typing import NamedTuple, Union
 
 
-COMPARATORS = ("<=", ">=", "!=", "=", "<", ">")
-BOOL_OPS = ("and", "or", "=>")
+BOOL_OPS = ("=>", "or", "and")  # loosest first
 CALL_FUNCS = ("req_body", "res_body", "res_code")
 KNOWN_SUFFIX_FUNCS = ("len",)
 KEYWORDS = {"for", "exists", "in", "prev", "and", "or"} | set(CALL_FUNCS)
@@ -88,7 +97,7 @@ class LitPart(NamedTuple):
 
 @_node
 class ParamPart(NamedTuple):
-    """A {name} placeholder; dotted names reference bound variables."""
+    """A {name} placeholder, or {binder.field}: one field of a bound variable."""
 
     name: str
 
@@ -175,15 +184,12 @@ class Comparison(NamedTuple):
 
 
 @_node
-class BoolChain(NamedTuple):
-    """Flat chain of atoms joined by and/or/=>; len(ops) == len(items) - 1.
+class BoolOp(NamedTuple):
+    """Two or more items joined by one of BOOL_OPS; an item binds tighter
+    than op. A chain of '=>' is one node: a => b => c is a => (b => c)."""
 
-    Precedence is applied at evaluation time: 'and' over 'or' over '=>',
-    with '=>' right-associative.
-    """
-
-    items: tuple[Union[Comparison, Expr], ...]
-    ops: tuple[str, ...]
+    op: str
+    items: tuple["Formula", ...]
 
 
 @_node
@@ -193,18 +199,34 @@ class Quantified(NamedTuple):
     body: "Formula"
 
 
-Formula = Union[Quantified, BoolChain, Comparison, Expr]
+Formula = Union[Quantified, BoolOp, Comparison, Expr]
 
 
 # --- Parser ------------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?")
-_PARAM_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
-_BODY_SPLICE = "req_body(@)"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_SPACE = re.compile(r"\s*")
+_IDENT = re.compile(_NAME)
+_NUMBER = re.compile(r"-?\d+(\.\d+)?")
+_STRING = re.compile(r"""(["'])((?:\\.|(?!\1)[^\\])*)(\1)?""", re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_COMPARATOR = re.compile("<=|>=|!=|=(?!>)|<|>|≤|≥")
+_UNICODE_COMPARATORS = {"≤": "<=", "≥": ">="}
+_NECK = re.compile(":-?")
+# A URL ends at a space or at the ')' that closes its call; the parentheses
+# a URL holds itself, as in a req_body(@){k} splice, balance.
+_URL_END = re.compile(r"[()\s]")
+_URL_PART = re.compile(
+    r"(?P<slash>/)|(?P<splice>req_body\(@\)(?:\{(?P<field>\w+)\})?)"
+    r"|\{(?:(?P<param>" + _NAME + r"(?:\." + _NAME + r")?)\})?"
+    r"|(?P<literal>(?:(?!req_body\(@\))[^/{])+)"
+)
+_INF = float("inf")
 
 
-class _Cursor:
+class _Parser:
+    """Recursive descent over text; every read skips the spaces before it."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -212,316 +234,218 @@ class _Cursor:
     def error(self, message: str, pos: int | None = None) -> FormulaError:
         return FormulaError(message, self.pos if pos is None else pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def skip(self) -> int:
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.pos
 
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def read(self, pattern: re.Pattern) -> re.Match | None:
+        m = pattern.match(self.text, self.skip())
+        if m:
+            self.pos = m.end()
+        return m
 
-    def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s: str) -> bool:
-        if self.peek(s):
-            self.pos += len(s)
+    def take(self, token: str) -> bool:
+        if self.text.startswith(token, self.skip()):
+            self.pos += len(token)
             return True
         return False
 
-    def expect(self, s: str, what: str | None = None) -> None:
-        if not self.take(s):
-            raise self.error(f"expected {what or s!r}")
+    def expect(self, token: str, what: str) -> None:
+        if not self.take(token):
+            raise self.error(f"expected {token!r} {what}")
 
-    def peek_ident(self) -> str | None:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        return m.group(0) if m else None
-
-    def take_ident(self) -> str | None:
-        self.skip_ws()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def take_keyword(self, kw: str) -> bool:
+    def keyword(self, word: str) -> bool:
+        """Step over word if it is the next identifier; else stay put."""
         save = self.pos
-        ident = self.take_ident()
-        if ident == kw:
+        m = self.read(_IDENT)
+        if m and m[0] == word:
             return True
         self.pos = save
         return False
 
-
-def _normalize(text: str) -> str:
-    return text.replace("≤", "<=").replace("≥", ">=")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.cur = _Cursor(_normalize(text))
-
-    # formula := quantified | chain
-    def parse_formula(self, env: frozenset[str]) -> Formula:
-        c = self.cur
+    def formula(self, env: frozenset[str]) -> Formula:
         for kind in ("for", "exists"):
-            save = c.pos
-            if c.take_keyword(kind):
-                return self.parse_quantified(kind, env)
-            c.pos = save
-        return self.parse_chain(env)
+            if self.keyword(kind):
+                return self.quantified(kind, env)
+        return self.bool_op(0, env)
 
-    def parse_quantified(self, kind: str, env: frozenset[str]) -> Quantified:
-        c = self.cur
+    def quantified(self, kind: str, env: frozenset[str]) -> Quantified:
         bindings: list[tuple[str, ApiCall]] = []
-        inner_env = env
         while True:
-            c.skip_ws()
-            at = c.pos
-            var = c.take_ident()
-            if var is None:
-                raise c.error("expected binder variable name")
-            if var in KEYWORDS:
-                raise c.error(f"keyword {var!r} cannot be a binder name", at)
-            if var in inner_env:
-                raise c.error(f"binder {var!r} shadows an enclosing binder", at)
-            if not c.take_keyword("in"):
-                raise c.error(f"expected 'in' after binder {var!r}")
-            call = self.parse_call(inner_env)
-            bindings.append((var, call))
-            inner_env = inner_env | {var}
-            if not c.take(","):
+            var = self.read(_IDENT)
+            if not var:
+                raise self.error("expected binder variable name")
+            if var[0] in KEYWORDS:
+                raise self.error(f"keyword {var[0]!r} cannot be a binder name", var.start())
+            if var[0] in env:
+                raise self.error(f"binder {var[0]!r} shadows an enclosing binder", var.start())
+            if not self.keyword("in"):
+                raise self.error(f"expected 'in' after binder {var[0]!r}")
+            bindings.append((var[0], self.call(env)))
+            env = env | {var[0]}
+            if not self.take(","):
                 break
-        if not (c.take(":-") or c.take(":")):
-            raise c.error("expected ':-' or ':' before quantifier body")
-        body = self.parse_formula(inner_env)
-        return Quantified(kind=kind, bindings=tuple(bindings), body=body)
+        if not self.read(_NECK):
+            raise self.error("expected ':-' or ':' before quantifier body")
+        return Quantified(kind=kind, bindings=tuple(bindings), body=self.formula(env))
 
-    # chain := item (boolOp item)*
-    def parse_chain(self, env: frozenset[str]) -> Formula:
-        c = self.cur
-        items: list[Union[Comparison, Expr]] = [self.parse_item(env)]
-        ops: list[str] = []
-        while True:
-            took = None
-            if c.take("=>"):
-                took = "=>"
-            else:
-                for kw in ("and", "or"):
-                    if c.take_keyword(kw):
-                        took = kw
-                        break
-            if took is None:
-                break
-            ops.append(took)
-            items.append(self.parse_item(env))
-        if not ops:
-            return items[0]
-        return BoolChain(items=tuple(items), ops=tuple(ops))
+    def bool_op(self, level: int, env: frozenset[str]) -> Formula:
+        """The items BOOL_OPS[level] joins, each bound tighter than it."""
+        if level == len(BOOL_OPS):
+            return self.comparison(env)
+        op = BOOL_OPS[level]
+        items = [self.bool_op(level + 1, env)]
+        while self.take(op) if op == "=>" else self.keyword(op):
+            items.append(self.bool_op(level + 1, env))
+        return items[0] if len(items) == 1 else BoolOp(op=op, items=tuple(items))
 
-    # item := expr (comparator expr)?
-    def parse_item(self, env: frozenset[str]) -> Union[Comparison, Expr]:
-        c = self.cur
-        lhs = self.parse_expr(env)
-        c.skip_ws()
-        op = None
-        for cand in COMPARATORS:
-            if c.peek(cand):
-                # '=>' is a bool op, not the '=' comparator
-                if cand == "=" and c.text.startswith("=>", c.pos):
-                    continue
-                c.take(cand)
-                op = cand
-                break
-        if op is None:
+    def comparison(self, env: frozenset[str]) -> Union[Comparison, Expr]:
+        lhs = self.expr(env)
+        op = self.read(_COMPARATOR)
+        if not op:
             return lhs
-        rhs = self.parse_expr(env)
-        c.skip_ws()
-        for cand in COMPARATORS:
-            if cand == "=" and c.text.startswith("=>", c.pos):
-                continue
-            if c.peek(cand):
-                raise c.error("chained comparisons are not supported")
-        return Comparison(lhs=lhs, op=op, rhs=rhs)
+        rhs = self.expr(env)
+        again = self.read(_COMPARATOR)
+        if again:
+            raise self.error("chained comparisons are not supported", again.start())
+        return Comparison(lhs=lhs, op=_UNICODE_COMPARATORS.get(op[0], op[0]), rhs=rhs)
 
-    def parse_expr(self, env: frozenset[str]) -> Expr:
-        c = self.cur
-        c.skip_ws()
-        at = c.pos
-        if c.pos < len(c.text) and (c.text[c.pos].isdigit() or c.text[c.pos] == "-"):
-            m = _NUMBER_RE.match(c.text, c.pos)
-            if m:
-                c.pos = m.end()
-                raw = m.group(0)
-                return Literal(float(raw) if "." in raw else int(raw))
-        if c.pos < len(c.text) and c.text[c.pos] in "\"'":
-            return Literal(self.parse_string())
-        ident = c.peek_ident()
-        if ident == "prev":
-            c.take_ident()
-            c.expect("(", "'(' after prev")
-            inner = self.parse_call(env)
-            c.expect(")", "')' closing prev")
+    def expr(self, env: frozenset[str]) -> Expr:
+        at = self.skip()
+        number = self.read(_NUMBER)
+        if number:
+            try:
+                value = float(number[0]) if number[1] else int(number[0])
+            except ValueError:  # more digits than int() converts
+                value = _INF
+            if abs(value) == _INF:
+                raise self.error("number out of range", at)
+            return Literal(value)
+        string = self.read(_STRING)
+        if string:
+            if not string[3]:
+                raise self.error("unterminated string literal" if self.pos == len(self.text)
+                                 else "dangling escape")
+            return Literal(_ESCAPE.sub(r"\1", string[2]))
+        word = _IDENT.match(self.text, at)
+        if word and word[0] == "prev":
+            self.pos = word.end()
+            self.expect("(", "after prev")
+            inner = self.call(env)
+            self.expect(")", "closing prev")
             return Prev(call=inner)
-        if ident in CALL_FUNCS:
-            return self.parse_call(env)
-        raise c.error("expected an expression (api call, prev, or literal)", at)
+        if word and word[0] in CALL_FUNCS:
+            return self.call(env)
+        raise self.error("expected an expression (api call, prev, or literal)", at)
 
-    def parse_string(self) -> str:
-        c = self.cur
-        quote = c.text[c.pos]
-        c.pos += 1
-        out = []
-        while True:
-            if c.pos >= len(c.text):
-                raise c.error("unterminated string literal")
-            ch = c.text[c.pos]
-            if ch == "\\":
-                if c.pos + 1 >= len(c.text):
-                    raise c.error("dangling escape")
-                out.append(c.text[c.pos + 1])
-                c.pos += 2
-            elif ch == quote:
-                c.pos += 1
-                return "".join(out)
-            else:
-                out.append(ch)
-                c.pos += 1
-
-    def parse_call(self, env: frozenset[str]) -> ApiCall:
-        c = self.cur
-        c.skip_ws()
-        at = c.pos
-        func = c.take_ident()
-        if func not in CALL_FUNCS:
-            raise c.error("expected req_body, res_body, or res_code", at)
-        c.expect("(", f"'(' after {func}")
-        c.skip_ws()
-        if c.take("@"):
+    def call(self, env: frozenset[str]) -> ApiCall:
+        at = self.skip()
+        func = self.read(_IDENT)
+        if not func or func[0] not in CALL_FUNCS:
+            raise self.error("expected req_body, res_body, or res_code", at)
+        func = func[0]
+        self.expect("(", f"after {func}")
+        if self.take("@"):
             method, url = None, None
         else:
-            m_at = c.pos
-            method = c.take_ident()
-            if method is None:
-                raise c.error("expected '@' or an HTTP method", m_at)
-            if not method.isupper():
-                raise c.error(f"HTTP method must be uppercase, got {method!r}", m_at)
-            c.skip_ws()
-            url = self.parse_url(env)
-        c.expect(")", f"')' closing {func}")
-        suffix = self.parse_suffix(func)
-        return ApiCall(func=func, method=method, url=url, suffix=suffix)
+            method = self.read(_IDENT)
+            if not method:
+                raise self.error("expected '@' or an HTTP method")
+            if not method[0].isupper():
+                raise self.error(f"HTTP method must be uppercase, got {method[0]!r}",
+                                 method.start())
+            method, url = method[0], self.url(env)
+        self.expect(")", f"closing {func}")
+        return ApiCall(func=func, method=method, url=url, suffix=self.suffix(func))
 
-    def parse_url(self, env: frozenset[str]) -> UrlTemplate:
-        c = self.cur
-        c.skip_ws()
-        start = c.pos
-        if c.pos >= len(c.text) or c.text[c.pos] != "/":
-            raise c.error("URL must start with '/'")
-        # Scan to the parenthesis that closes the enclosing call, balancing
-        # any parentheses the template itself contains (req_body(@){k}).
-        depth = 0
-        end = c.pos
-        while end < len(c.text):
-            ch = c.text[end]
-            if ch == "(":
+    def url(self, env: frozenset[str]) -> UrlTemplate:
+        start = self.skip()
+        if not self.text.startswith("/", start):
+            raise self.error("URL must start with '/'")
+        self.pos, depth = len(self.text), 0
+        for stop in _URL_END.finditer(self.text, start):
+            if stop[0] == "(":
                 depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
+            elif stop[0] == ")" and depth:
                 depth -= 1
-            elif ch.isspace():
+            else:
+                self.pos = stop.start()
                 break
-            end += 1
-        raw = c.text[start:end]
-        c.pos = end
-        return self._parse_url_template(raw, start, env)
+        if self.pos == start + 1:
+            raise self.error("empty URL", start)
+        segments: list[list[UrlPart]] = [[]]
+        for part in _URL_PART.finditer(self.text, start + 1, self.pos):
+            if part["slash"]:
+                segments.append([])
+            elif part["splice"]:
+                if not part["field"]:
+                    raise self.error("req_body(@) in a URL requires a {field} selector",
+                                     part.start())
+                segments[-1].append(BodyFieldPart(part["field"]))
+            elif part["literal"]:
+                segments[-1].append(LitPart(part["literal"]))
+            elif not part["param"]:
+                raise self.error("malformed {placeholder} in URL", part.start())
+            else:
+                binder, dot, _ = part["param"].partition(".")
+                if dot and binder not in env:
+                    raise self.error(f"unbound variable {binder!r} in URL placeholder",
+                                     part.start())
+                segments[-1].append(ParamPart(part["param"]))
+        return UrlTemplate(segments=tuple(map(tuple, segments)))
 
-    def _parse_url_template(self, raw: str, base: int, env: frozenset[str]) -> UrlTemplate:
-        c = self.cur
-        segments: list[tuple[UrlPart, ...]] = []
-        offset = 1  # past the leading '/'
-        for seg in raw[1:].split("/"):
-            parts: list[UrlPart] = []
-            i = 0
-            while i < len(seg):
-                if seg.startswith(_BODY_SPLICE, i):
-                    after = i + len(_BODY_SPLICE)
-                    m = re.match(r"\{(\w+)\}", seg[after:])
-                    if not m:
-                        raise c.error(
-                            "req_body(@) in a URL requires a {field} selector",
-                            base + offset + i,
-                        )
-                    parts.append(BodyFieldPart(m.group(1)))
-                    i = after + m.end()
-                elif seg[i] == "{":
-                    m = _PARAM_NAME_RE.match(seg, i + 1)
-                    if not m or not seg.startswith("}", m.end()):
-                        raise c.error("malformed {placeholder} in URL", base + offset + i)
-                    name = m.group(0)
-                    if "." in name and name.split(".", 1)[0] not in env:
-                        raise c.error(
-                            f"unbound variable {name.split('.', 1)[0]!r} in URL placeholder",
-                            base + offset + i,
-                        )
-                    parts.append(ParamPart(name))
-                    i = m.end() + 1
-                else:
-                    j = i
-                    while j < len(seg) and seg[j] != "{" and not seg.startswith(_BODY_SPLICE, j):
-                        j += 1
-                    parts.append(LitPart(seg[i:j]))
-                    i = j
-            segments.append(tuple(parts))
-            offset += len(seg) + 1
-        if not segments or all(len(s) == 0 for s in segments) and raw == "/":
-            raise c.error("empty URL", base)
-        return UrlTemplate(segments=tuple(segments))
-
-    def parse_suffix(self, func: str) -> Suffix | None:
-        c = self.cur
-        save = c.pos
-        if c.take("{"):
-            at = c.pos
-            name = c.take_ident()
-            if name is None:
-                raise c.error("expected field name in suffix", at)
-            c.expect("}", "'}' closing field suffix")
+    def suffix(self, func: str) -> Suffix | None:
+        start = self.pos
+        if self.take("{"):
+            at = self.pos
+            name = self.read(_IDENT)
+            if not name:
+                raise self.error("expected field name in suffix", at)
+            self.expect("}", "closing field suffix")
             if func == "res_code":
-                raise c.error("res_code does not admit a {field} suffix", save)
-            return FieldSuffix(name)
-        if c.take("."):
-            at = c.pos
-            name = c.take_ident()
-            if name is None:
-                raise c.error("expected function name after '.'", at)
-            if name not in KNOWN_SUFFIX_FUNCS:
-                raise c.error(f"unknown suffix function {name!r}", at)
-            return FuncSuffix(name)
-        c.pos = save
+                raise self.error("res_code does not admit a {field} suffix", start)
+            return FieldSuffix(name[0])
+        if self.take("."):
+            at = self.pos
+            name = self.read(_IDENT)
+            if not name:
+                raise self.error("expected function name after '.'", at)
+            if name[0] not in KNOWN_SUFFIX_FUNCS:
+                raise self.error(f"unknown suffix function {name[0]!r}", at)
+            return FuncSuffix(name[0])
         return None
 
 
 def parse(text: str) -> Formula:
     """Parse one formula; raises FormulaError with the failing offset."""
     p = _Parser(text)
-    formula = p.parse_formula(frozenset())
-    if not p.cur.eof():
-        raise p.cur.error("trailing content after formula")
+    formula = p.formula(frozenset())
+    if p.skip() < len(text):
+        raise p.error("trailing content after formula")
     return formula
 
 
 # --- Printer -----------------------------------------------------------------
 
+def _print_number(value: int | float) -> str:
+    """repr, with a float's exponent written out, since parse reads none:
+    1e+20 prints as 100000000000000000000.0 and 1e-05 as 0.00001."""
+    mantissa, _, exponent = repr(value).partition("e")
+    if not exponent:
+        return mantissa
+    sign = "-" if mantissa.startswith("-") else ""
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits, point = whole + fraction, len(whole) + int(exponent)
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    return f"{sign}{digits[:point].ljust(point, '0')}.{digits[point:] or '0'}"
+
+
 def _print_literal(lit: Literal) -> str:
     if isinstance(lit.value, str):
         escaped = lit.value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    return repr(lit.value)
+    return _print_number(lit.value)
 
 
 def _print_suffix(suffix: Suffix | None) -> str:
@@ -553,12 +477,8 @@ def print_formula(formula: Formula) -> str:
     if isinstance(formula, Quantified):
         binders = ", ".join(f"{var} in {_print_call(call)}" for var, call in formula.bindings)
         return f"{formula.kind} {binders} :- {print_formula(formula.body)}"
-    if isinstance(formula, BoolChain):
-        out = [print_formula(formula.items[0])]
-        for op, item in zip(formula.ops, formula.items[1:]):
-            out.append(op)
-            out.append(print_formula(item))
-        return " ".join(out)
+    if isinstance(formula, BoolOp):
+        return f" {formula.op} ".join(map(print_formula, formula.items))
     if isinstance(formula, Comparison):
         return f"{_print_expr(formula.lhs)} {formula.op} {_print_expr(formula.rhs)}"
     return _print_expr(formula)
@@ -572,7 +492,7 @@ def _walk_calls(formula: Formula):
         for _, call in formula.bindings:
             yield call, False
         yield from _walk_calls(formula.body)
-    elif isinstance(formula, BoolChain):
+    elif isinstance(formula, BoolOp):
         for item in formula.items:
             yield from _walk_calls(item)
     elif isinstance(formula, Comparison):

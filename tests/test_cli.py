@@ -571,6 +571,11 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("clause, message", [
         ("res_code(GET /players/req_body(@){pid}) = = 404", "at offset 42: "),
+        pytest.param("for t in res_body(GET /tournaments) :- "
+                     "res_code(GET /players/{t.a.b}) = 200",
+                     "at offset 61: malformed {placeholder} in URL", id="two-field-binder"),
+        pytest.param("res_code(GET /players/req_body(@){pid}) = " + "9" * 400 + ".0",
+                     "at offset 42: number out of range", id="float-overflow"),
         ("res_code(DELETE /players/p1) = 200",
          "probe res_code(DELETE /players/p1) is not a GET"),
     ])

@@ -2,11 +2,14 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statecover.glacier import (
+    BOOL_OPS,
     ApiCall,
     BodyFieldPart,
-    BoolChain,
+    BoolOp,
     Comparison,
     FieldSuffix,
     FormulaError,
@@ -107,21 +110,28 @@ class TestParsing:
         assert parse("1 ≤ 2") == parse("1 <= 2")
         assert parse("1 ≥ 2") == parse("1 >= 2")
 
+    def test_unicode_comparators_are_only_comparators(self):
+        assert parse('req_body(@){name} = "x≤y"').rhs == Literal("x≤y")
+        assert parse("res_code(GET /a≥b) = 1").lhs.url == url([LitPart("a≥b")])
+        with pytest.raises(FormulaError, match="^at offset 16: trailing"):
+            parse("res_code(@) ≤ 1 junk")
+
     def test_multiple_binders(self):
         f = parse("exists a in res_body(GET /xs), b in res_body(GET /ys/{a.k}) :- 1 = 1")
         assert f.kind == "exists"
         assert [v for v, _ in f.bindings] == ["a", "b"]
 
-    def test_bool_chain_flat(self):
-        f = parse("1 = 1 and 2 = 2 or 3 = 3 => 4 = 4")
-        assert isinstance(f, BoolChain)
-        assert f.ops == ("and", "or", "=>")
-        assert len(f.items) == 4
+    def test_bool_ops_nest_by_precedence(self):
+        one, two, three, four = (parse(f"{n} = {n}") for n in range(1, 5))
+        assert parse("1 = 1 and 2 = 2 or 3 = 3 => 4 = 4") == BoolOp("=>", (
+            BoolOp("or", (BoolOp("and", (one, two)), three)), four))
+        assert parse("1 = 1 => 2 = 2 or 3 = 3 => 4 = 4") == BoolOp("=>", (
+            one, BoolOp("or", (two, three)), four))
 
     def test_implication_not_eaten_by_equals(self):
         f = parse("res_code(@) = 200 => res_code(@) = 201")
-        assert isinstance(f, BoolChain)
-        assert f.ops == ("=>",)
+        assert isinstance(f, BoolOp)
+        assert f.op == "=>" and len(f.items) == 2
 
     def test_string_literal_escapes(self):
         f = parse('req_body(@){name} = "a\\"b"')
@@ -131,6 +141,13 @@ class TestParsing:
     def test_negative_and_float_literals(self):
         assert parse("-3 < 0").lhs == Literal(-3)
         assert parse("1.5 < 2").lhs == Literal(1.5)
+
+    @pytest.mark.parametrize("number", [
+        "100000000000000000000.0", "0.00001", "-0.00000012345", "15000000000000000.0",
+    ])
+    def test_a_float_prints_without_an_exponent(self, number):
+        text = f"res_code(@) = {number}"
+        assert print_formula(parse(text)) == text
 
     def test_bare_expression_formula(self):
         f = parse("res_code(GET /ping)")
@@ -235,6 +252,28 @@ class TestValidation:
     def test_unterminated_call(self):
         with pytest.raises(FormulaError):
             parse("res_code(GET /players")
+
+    @pytest.mark.parametrize("text, message", [
+        ("res_code(GET /x", "at offset 15: expected ')' closing res_code"),
+        ("prev res_code(@) = 1", "at offset 5: expected '(' after prev"),
+        ("res_body(@){name = 1", "at offset 17: expected '}' closing field suffix"),
+    ])
+    def test_expected_names_the_token(self, text, message):
+        with pytest.raises(FormulaError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_a_binder_placeholder_has_one_field(self):
+        text = "for t in res_body(GET /ts) :- res_code(GET /ps/{t.owner.pid}) = 200"
+        with pytest.raises(FormulaError, match="malformed {placeholder}") as err:
+            parse(text)
+        assert err.value.pos == text.index("{")
+
+    @pytest.mark.parametrize("number", ["9" * 400 + ".0", "-" + "9" * 400 + ".5", "1" * 5000],
+                             ids=["float", "negative-float", "int-past-int-digit-limit"])
+    def test_a_number_out_of_range_is_refused(self, number):
+        with pytest.raises(FormulaError, match="^at offset 14: number out of range$"):
+            parse(f"res_code(@) = {number} and 1 = 1")
 
     def test_error_carries_offset(self):
         try:
@@ -462,12 +501,17 @@ class _AstGen:
                 bindings=tuple(bindings),
                 body=self.formula(inner, depth - 1),
             )
-        n = self.rng.randrange(1, 4)
-        items = tuple(self.item(env) for _ in range(n))
-        if n == 1:
-            return items[0]
-        ops = tuple(self.rng.choice(["and", "or", "=>"]) for _ in range(n - 1))
-        return BoolChain(items=items, ops=ops)
+        return self.bool_op(env)
+
+    def bool_op(self, env, level=0):
+        """An item, or a BoolOp of BOOL_OPS[level] or a tighter op."""
+        if level == len(BOOL_OPS):
+            return self.item(env)
+        if self.rng.random() < 0.5:
+            return self.bool_op(env, level + 1)
+        n = self.rng.randrange(2, 4)
+        return BoolOp(op=BOOL_OPS[level],
+                      items=tuple(self.bool_op(env, level + 1) for _ in range(n)))
 
 
 def test_fuzz_round_trip_1000():
@@ -479,3 +523,44 @@ def test_fuzz_round_trip_1000():
         again = parse(text)
         assert again == f, f"case {i}: {text!r}"
         assert print_formula(again) == text
+
+
+# Texts joined from GLACIER's tokens: operands (numbers, strings, calls with
+# URL templates) alternate with operators, after an optional quantifier head,
+# and any slot may hold a stray token instead.
+_DIGITS = st.text("0159", min_size=1, max_size=400)
+_STRAY = st.sampled_from([
+    "for", "exists", "in", "prev", "and", "or", "=>", "res_code", "(", ")", "@", "{", "}",
+    ".len", ".", ",", ":-", "/", '"', "'", "\\", "≤", "≥", "-", "1e5", "{t.a.b}", "t", "GET",
+])
+_OPERANDS = st.one_of(
+    _DIGITS, st.builds("{}.{}".format, _DIGITS, _DIGITS), st.just("-3"), st.just("1e5"),
+    st.sampled_from(['"a≤b"', "'it''s'", '"q\\"x"', '"\\\\"', "'\\'"]),
+    st.sampled_from(["res_code(@)", "req_body(@){name}", "res_body(@).len",
+                     "res_body(GET /ts/{t.tid}/ps)", "res_code(GET /a≥b/{pid})",
+                     "res_code(GET /ps/{t.owner.pid})", "res_code(GET /ps/req_body(@){pid})",
+                     "prev(res_body(GET /ps/{pid}){n})", "res_code(GET /)"]),
+    _STRAY,
+)
+_OPERATORS = st.one_of(
+    st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "≤", "≥", "and", "or", "=>"]), _STRAY)
+
+
+@st.composite
+def _token_texts(draw):
+    head = draw(st.sampled_from(["", "for t in res_body(GET /ts) :- ", "exists t in "]))
+    words = [draw(_OPERANDS)]
+    for _ in range(draw(st.integers(0, 4))):
+        words += [draw(_OPERATORS), draw(_OPERANDS)]
+    return head + draw(st.sampled_from([" ", ""])).join(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_token_texts())
+def test_a_token_text_parses_back_or_fails_at_an_offset(text):
+    try:
+        f = parse(text)
+    except FormulaError as err:
+        assert 0 <= err.pos <= len(text)
+        return
+    assert parse(print_formula(f)) == f
