@@ -341,8 +341,6 @@ def cmd_demo_server(args, log: Log) -> int:
 
 
 def cmd_fixtures(args, log: Log) -> int:
-    import yaml
-
     from . import demo, speckit
 
     outdir = Path(args.outdir)
@@ -367,10 +365,7 @@ def cmd_fixtures(args, log: Log) -> int:
     two_doc = demo.tournaments_model_doc(
         players=(), tournaments=("t1", "t2"), enrolments=()
     )
-    _write_text(
-        str(outdir / "tournaments-model-2t.yaml"),
-        yaml.safe_dump(two_doc, sort_keys=False, width=10000),
-    )
+    _write_text(str(outdir / "tournaments-model-2t.yaml"), speckit.dump_yaml(two_doc))
 
     names = [
         "tournaments-oas.yaml",

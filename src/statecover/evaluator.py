@@ -2,26 +2,28 @@
 
 Evaluation is read-only: the only requests it ever sends are GETs (a probe
 naming any other method is refused when the spec loads), so checking a
-clause cannot change the state it is checking. Within one observation
-every URL is fetched at most once, so all the clauses it evaluates see one
-consistent state of the service; forget() ends what the observation has
-seen when a write is about to go out, and a bare evaluate or
-capture_previous is an observation of its own. A budget caps the number of
-live requests per evaluation so quantifiers over large collections fail
-loudly instead of hammering the service.
-
-The pre-state that prev(...) reads is what the latest capture_previous
-fetched: one entry per URL, holding the status and body, or the reason the
-fetch failed. A capture replaces the previous one.
+clause cannot change the state it is checking. One rule says what a read
+sees. The evaluator keeps what the service answered since the last write,
+one entry per URL: the status and body, or the message of a GET that
+failed. A read is served from that entry, or fetched into it, so every
+clause evaluated between two writes sees one consistent state of the
+service and each URL costs at most one GET. Whoever sends a write calls
+forget() just before it: what was observed becomes the state before the
+write, which prev(...) reads, and later reads fetch afresh. Until then a
+bare Evaluator keeps answering from what it fetched. capture_previous only
+fetches the URLs that prev(...) calls will read, so that the write's
+forget() keeps them. A budget caps the number of live requests per
+evaluation so quantifiers over large collections fail loudly instead of
+hammering the service; reads served from what was observed are free.
 
 Formulas are expected to have passed glacier.check_clause for the kind of
 clause they are evaluated as; the evaluator checks nothing that does not
 depend on the data. Domain errors in the data (a missing field, a non-JSON
 body, a quantifier over a non-array) make the enclosing condition false and
 produce a witness string. A formula that reduces to a non-boolean, a
-{param} the call did not bind, a prev(...) with no captured or an
-unavailable snapshot, or a spent budget raises EvaluationError; a dead or
-unreachable service raises TransportFailure.
+{param} the call did not bind, a prev(...) of a URL not observed before the
+last write or whose GET failed, or a spent budget raises EvaluationError; a
+dead or unreachable service raises TransportFailure.
 
 Transport: every GET goes through the request(method, path) -> (status,
 body) method of a session that owns the base URL and the timeout, such as a
@@ -32,7 +34,6 @@ transport.TRANSPORT_ERRORS becomes a TransportFailure.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, NamedTuple, Optional
 from urllib.parse import quote
 
@@ -126,63 +127,37 @@ class Evaluator:
         self.budget = budget
         self.sent = 0  # probe GETs that went out, over the evaluator's life
         self._spent = 0
-        self._cache: dict[str, tuple[int, Any]] = {}
-        # URL -> (status, body), or the message of the TransportFailure
-        self._pre_state: dict[str, Any] = {}
-        self._observing = False
+        # URL -> (status, body), or the message of the GET that failed: what
+        # the service answered since the last write, and before it
+        self._now: dict[str, Any] = {}
+        self._before: dict[str, Any] = {}
 
     # -- public API ----------------------------------------------------------
 
-    @contextmanager
-    def observation(self):
-        """Share one URL cache across every evaluate and capture_previous
-        made inside the block, as one consistent view of the service, until
-        forget() is called."""
-        self._cache.clear()
-        self._observing = True
-        try:
-            yield
-        finally:
-            self._observing = False
-            self._cache.clear()
-
     def forget(self) -> None:
-        """Drop what the current observation fetched: the service is about
-        to change, so later evaluations fetch afresh."""
-        self._cache.clear()
-
-    def _begin(self) -> None:
-        if not self._observing:
-            self._cache.clear()
-        self._spent = 0
+        """A write is about to go out: what was observed becomes the state
+        prev(...) reads, and later reads fetch afresh."""
+        self._before, self._now = self._now, {}
 
     def evaluate(self, formula: Formula, ctx: Optional[OpContext] = None) -> EvalResult:
-        self._begin()
+        self._spent = 0
         return self._formula(formula, ctx, {})
 
     def capture_previous(self, formulas, ctx: OpContext) -> None:
-        """Fetch every URL a prev(...) call in the given formulas reads and
-        keep the responses as the pre-state, replacing the previous capture.
-        Must run before the operation is sent; a transport problem is kept
-        as its message and only surfaces if a clause actually reads it. A URL
-        that cannot be resolved is skipped: the postcondition resolves it
-        again and turns the reason into a false clause."""
-        self._begin()
-        self._pre_state = {}
+        """Fetch every URL a prev(...) call in the given formulas reads, so
+        that the forget() before the operation is sent keeps it. A failed
+        GET is kept as its message and only surfaces if a clause reads it. A
+        URL that cannot be resolved is skipped: the postcondition resolves
+        it again and turns the reason into a false clause."""
+        self._spent = 0
         for formula in formulas:
             for call, inside_prev in _walk_calls(formula):
                 if not inside_prev:
                     continue
                 try:
-                    url = self._resolve_url(call, ctx, {})
-                except _Undefined:
+                    self._fetch(self._resolve_url(call, ctx, {}))
+                except (_Undefined, TransportFailure):
                     continue
-                if url in self._pre_state:
-                    continue
-                try:
-                    self._pre_state[url] = self._fetch(url)
-                except TransportFailure as failure:
-                    self._pre_state[url] = str(failure)
 
     # -- formulas ------------------------------------------------------------
 
@@ -315,9 +290,9 @@ class Evaluator:
 
     def _prev(self, p: Prev, ctx, env):
         url = self._resolve_url(p.call, ctx, env)
-        if url not in self._pre_state:
+        if url not in self._before:
             raise EvaluationError(f"no snapshot was captured for {_print_call(p.call)}")
-        entry = self._pre_state[url]
+        entry = self._before[url]
         if isinstance(entry, str):
             raise EvaluationError(f"snapshot unavailable: {entry}")
         status, body = entry
@@ -363,16 +338,19 @@ class Evaluator:
         return "/" + "/".join(segments)
 
     def _fetch(self, path: str) -> tuple[int, Any]:
-        if path in self._cache:
-            return self._cache[path]
-        if self._spent >= self.budget:
-            raise BudgetExceeded(
-                f"evaluation exceeded its budget of {self.budget} requests"
-            )
-        self._spent += 1
-        self.sent += 1
-        try:
-            self._cache[path] = self.session.request("GET", path)
-        except TRANSPORT_ERRORS as exc:
-            raise TransportFailure(f"GET {path}: {exc}") from exc
-        return self._cache[path]
+        if path not in self._now:
+            if self._spent >= self.budget:
+                raise BudgetExceeded(
+                    f"evaluation exceeded its budget of {self.budget} requests"
+                )
+            self._spent += 1
+            self.sent += 1
+            try:
+                self._now[path] = self.session.request("GET", path)
+            except TRANSPORT_ERRORS as exc:
+                self._now[path] = f"GET {path}: {exc}"
+                raise TransportFailure(self._now[path]) from exc
+        entry = self._now[path]
+        if isinstance(entry, str):
+            raise TransportFailure(entry)
+        return entry

@@ -6,11 +6,14 @@ contain: a prepared call carries the insert, data update or pop that a 2xx
 answer applies. Around every request the operation's contract is evaluated
 (preconditions and invariants before, postconditions and, on the last call,
 invariants again after), and the combination of verdicts and status code is
-classified as OK, WARN, or ERR. Between two requests that may write, the
-service is observed once: a URL that several clauses read is fetched once,
-for the post phase of one call and the pre phase of the next alike, since
-nothing was sent in between. The pre-state the postconditions' prev(...)
-calls read is captured in the pre phase.
+classified as OK, WARN, or ERR. The evaluator keeps what the service
+answered until the next write (see the evaluator module), and every write
+the campaign makes ends that observation: forget() is called before a
+call's send and before cleanup's DELETEs. So a URL that several clauses read between two
+writes is fetched once, for the post phase of one call and the pre phase of
+the next alike, and across sequences too when cleanup has nothing to
+delete. The postconditions' prev(...) calls read what was observed before
+the call's send; the pre phase fetches the URLs they name.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
 an id the sequence already created, an operation with no usable key, a
@@ -133,10 +136,9 @@ class SequenceRunner:
         state they leave: abstract id -> Entry, in creation order."""
         state: dict[str, Entry] = {}
         outcomes = []
-        with self.evaluator.observation():
-            for i, call in enumerate(calls):
-                is_last = i == len(calls) - 1
-                outcomes.append(self._run_call(call, state, sequence_index, i, is_last))
+        for i, call in enumerate(calls):
+            is_last = i == len(calls) - 1
+            outcomes.append(self._run_call(call, state, sequence_index, i, is_last))
         return outcomes, state
 
     def _run_call(self, call, state, seq_index, call_index, is_last) -> CallOutcome:
@@ -319,7 +321,8 @@ def run_campaign(
         for index, calls in enumerate(sequences):
             seq_outcomes, state = runner.run_sequence(calls, index)
             outcomes.extend(seq_outcomes)
-            if cleanup:
+            if cleanup and state:
+                runner.evaluator.forget()  # the service is about to change
                 for entry in reversed(state.values()):
                     path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
                     failure = {"sequenceIndex": index, "url": path}

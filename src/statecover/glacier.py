@@ -207,7 +207,7 @@ Formula = Union[Quantified, BoolOp, Comparison, Expr]
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _SPACE = re.compile(r"\s*")
 _IDENT = re.compile(_NAME)
-_NUMBER = re.compile(r"-?\d+(\.\d+)?")
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 _STRING = re.compile(r"""(["'])((?:\\.|(?!\1)[^\\])*)(\1)?""", re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _COMPARATOR = re.compile("<=|>=|!=|=(?!>)|<|>|≤|≥")
@@ -217,7 +217,7 @@ _NECK = re.compile(":-?")
 # a URL holds itself, as in a req_body(@){k} splice, balance.
 _URL_END = re.compile(r"[()\s]")
 _URL_PART = re.compile(
-    r"(?P<slash>/)|(?P<splice>req_body\(@\)(?:\{(?P<field>\w+)\})?)"
+    r"(?P<slash>/)|(?P<splice>req_body\(@\)(?:\{(?P<field>" + _NAME + r")\})?)"
     r"|\{(?:(?P<param>" + _NAME + r"(?:\." + _NAME + r")?)\})?"
     r"|(?P<literal>(?:(?!req_body\(@\))[^/{])+)"
 )

@@ -256,14 +256,22 @@ def _check_keywords(schema: dict, where: str) -> None:
 
 # --- loading -----------------------------------------------------------------
 
-# libyaml's parser where pyyaml was built with it; the same safe constructor
-# and resolver either way
+# libyaml's parser and emitter where pyyaml was built with them; the same
+# safe constructor, representer and resolver either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def load_yaml(text: str):
     """yaml.safe_load, through libyaml's C parser where pyyaml has it."""
     return yaml.load(text, Loader=_YAML_LOADER)
+
+
+def dump_yaml(doc) -> str:
+    """yaml.safe_dump in document order, without line wrapping and with
+    allow_unicode, through libyaml's C emitter where pyyaml has it."""
+    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False, width=10000,
+                     allow_unicode=True)
 
 
 def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
@@ -543,7 +551,7 @@ def emit_extended(spec: ApiSpec) -> str:
         _dump_clauses(op.raw, "requires", op.requires)
         _dump_clauses(op.raw, "ensures", op.ensures)
     _dump_clauses(spec.doc, "invariants", spec.invariants)
-    return yaml.safe_dump(spec.doc, sort_keys=False, width=10000, allow_unicode=True)
+    return dump_yaml(spec.doc)
 
 
 def fixture_path(name: str) -> Path:

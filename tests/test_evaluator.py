@@ -396,31 +396,44 @@ class TestMisuseErrors:
 
 
 class TestObservation:
-    def test_bare_evaluations_each_fetch_afresh(self):
+    def test_reads_share_one_fetch_until_forget(self):
         ev, session = fake_eval({"/x": (200, {"v": 1})})
         check(ev, "res_body(GET /x){v} = 1")
+        check(ev, "res_body(GET /x){v} = 1")
+        assert session.log == ["/x"]
+        ev.forget()
         check(ev, "res_body(GET /x){v} = 1")
         assert session.log == ["/x", "/x"]
 
     def test_one_observation_fetches_each_url_once(self):
         ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, 2)})
         ctx = OpContext(path_args={})
-        with ev.observation():
-            assert check(ev, "res_body(GET /x){v} = 1").value
-            assert check(ev, "res_body(GET /x){v} < res_body(GET /y)").value
-            ev.capture_previous(
-                [glacier.parse("prev(res_body(GET /x)) = res_body(GET /y)")], ctx)
+        assert check(ev, "res_body(GET /x){v} = 1").value
+        assert check(ev, "res_body(GET /x){v} < res_body(GET /y)").value
+        ev.capture_previous(
+            [glacier.parse("prev(res_body(GET /x)) = res_body(GET /y)")], ctx)
         assert session.log == ["/x", "/y"]
         assert ev.sent == 2
-        check(ev, "res_body(GET /x){v} = 1")  # the observation is over
+        ev.forget()  # a write ends the observation
+        check(ev, "res_body(GET /x){v} = 1")
         assert session.log == ["/x", "/y", "/x"]
 
     def test_budget_stays_per_evaluation_and_hits_are_free(self):
         ev, session = fake_eval({"/x": (200, 1), "/y": (200, 1)}, budget=1)
-        with ev.observation():
-            assert check(ev, "res_body(GET /x) = 1").value
-            assert check(ev, "res_body(GET /y) = res_body(GET /x)").value
+        assert check(ev, "res_body(GET /x) = 1").value
+        assert check(ev, "res_body(GET /y) = res_body(GET /x)").value
         assert session.log == ["/x", "/y"]
+
+    def test_a_failed_get_is_kept_until_forget(self):
+        ev, session = fake_eval({"/x": requests.ConnectionError("down")})
+        for _ in range(2):
+            with pytest.raises(TransportFailure, match="GET /x: down"):
+                check(ev, "res_code(GET /x) = 200")
+        assert session.log == ["/x"]
+        ev.forget()
+        session.routes["/x"] = (200, {})
+        assert check(ev, "res_code(GET /x) = 200").value
+        assert session.log == ["/x", "/x"]
 
 
 class TestUrlEncoding:
@@ -469,6 +482,7 @@ class TestSnapshots:
         pre_ctx = OpContext(req_body=bodies["player"],
                             path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)
+        ev.forget()
         r = requests.delete(live.base_url + "/players/p1", timeout=5)
         assert r.status_code == 200
         post_ctx = OpContext(req_body=bodies["player"],
@@ -483,6 +497,7 @@ class TestSnapshots:
         pre_ctx = OpContext(req_body=bodies["enrolment"],
                             path_args={"eid": "e1"})
         ev.capture_previous([formula], pre_ctx)
+        ev.forget()
         r = requests.delete(live.base_url + "/enrolments/e1", timeout=5)
         assert r.status_code == 200
         post_ctx = OpContext(req_body=bodies["enrolment"],
@@ -512,6 +527,7 @@ class TestSnapshots:
         formula = glacier.parse("req_body(@) = prev(res_body(GET /players/{pid}))")
         pre_ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)  # failure recorded, not raised
+        ev.forget()
         post_ctx = OpContext(req_body={}, res_code=200,
                              res_body={}, path_args={"pid": "p1"})
         with pytest.raises(EvaluationError, match="snapshot unavailable"):
@@ -535,6 +551,7 @@ class TestSnapshots:
         formula = glacier.parse("prev(res_code(GET /players/{pid})) = 200")
         pre_ctx = OpContext(req_body={}, path_args={"pid": "p1"})
         ev.capture_previous([formula], pre_ctx)
+        ev.forget()
         requests.delete(live.base_url + "/players/p1", timeout=5)
         post_ctx = OpContext(req_body={}, res_code=200,
                              res_body={}, path_args={"pid": "p1"})
@@ -542,7 +559,8 @@ class TestSnapshots:
 
 
 class TestPreState:
-    """prev(...) reads one entry per URL from the latest capture."""
+    """prev(...) reads one entry per URL from what was observed before the
+    latest forget()."""
 
     def test_code_and_body_of_one_url_cost_one_get(self):
         ev, session = fake_eval({"/x": (200, {"v": 1})})
@@ -552,23 +570,37 @@ class TestPreState:
         ]
         ev.capture_previous(ensures, OpContext())
         assert session.log == ["/x"]
+        ev.forget()
         session.routes["/x"] = (404, {"error": "gone"})
         post = OpContext(res_code=200, res_body={})
         assert [ev.evaluate(f, post).value for f in ensures] == [True, True]
         assert session.log == ["/x"]
 
-    def test_a_capture_replaces_the_previous_one(self):
+    def test_each_forget_replaces_the_pre_state(self):
         ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, {"v": 2})})
         read_x = glacier.parse("prev(res_body(GET /x){v}) = 1")
         read_y = glacier.parse("prev(res_body(GET /y){v}) = 2")
         post = OpContext(res_code=200, res_body={})
         ev.capture_previous([read_x], OpContext())
+        ev.forget()
         assert ev.evaluate(read_x, post).value
         session.routes["/x"] = (200, {"v": 5})
         ev.capture_previous([read_y], OpContext())
+        ev.forget()
         assert ev.evaluate(read_y, post).value
         with pytest.raises(EvaluationError, match="no snapshot"):
             ev.evaluate(read_x, post)
         ev.capture_previous([read_x], OpContext())
+        ev.forget()
         result = ev.evaluate(read_x, post)
         assert not result.value and "5" in result.witness
+
+    def test_prev_reads_any_url_observed_before_the_write(self):
+        ev, session = fake_eval({"/x": (200, {"v": 1})})
+        assert check(ev, "res_body(GET /x){v} = 1").value  # say, an invariant
+        ev.capture_previous([glacier.parse("prev(res_code(GET /x)) = 200")], OpContext())
+        ev.forget()
+        session.routes["/x"] = (404, {"error": "gone"})
+        post = OpContext(res_code=200, res_body={})
+        assert ev.evaluate(glacier.parse("prev(res_body(GET /x){v}) = 1"), post).value
+        assert session.log == ["/x"]

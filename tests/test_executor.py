@@ -197,13 +197,18 @@ class TestPhases:
         ]
         assert runner.sends == 2 and runner.evaluator.sent == 3
 
-    def test_a_sequence_end_forgets_what_was_observed(self):
+    def test_a_sequence_end_keeps_what_was_observed_until_a_write(self):
         session = AppSession()
         runner = SequenceRunner(inferred_spec(manual=True), InputGenerator(0), session)
         runner.run_sequence([mk("postPlayer", pid="p1")], 0)
         assert session.log[-1] == "GET /tournaments"  # the closing invariant
         del session.log[:]
         runner.run_sequence([mk("postPlayer", pid="p1")], 1)
+        # nothing was written since: the closing sweep serves the next one
+        assert session.log[0] == "GET /players/pid10001"
+        runner.evaluator.forget()  # as run_campaign does before a cleanup DELETE
+        del session.log[:]
+        runner.run_sequence([mk("postPlayer", pid="p1")], 2)
         assert session.log[0] == "GET /tournaments"
 
     def test_concrete_ids_are_one_path_segment(self):
@@ -527,6 +532,30 @@ class TestCampaign:
         second = run_campaign(inferred_spec(), sequences, live.base_url, seed=5)
         assert first["outcomes"] == second["outcomes"]
         assert first["summary"] == second["summary"]
+
+    def test_a_closing_sweep_serves_the_next_sequence(self, live):
+        player = [mk("postPlayer", pid="p1"), mk("deletePlayer", pid="p1")]
+        report = run_campaign(inferred_spec(manual=True), [player, player],
+                              live.base_url, seed=0)
+        assert report["summary"]["ok"] == 4
+        log = requests.get(live.base_url + "/_requests", timeout=5).json()
+        writes = [i for i, line in enumerate(log) if not line.startswith("GET ")]
+        assert [log[i].split()[0] for i in writes] == ["POST", "DELETE"] * 2
+        # the first sequence leaves nothing to clean up, so nothing is
+        # written between its closing invariant sweep and the second
+        # sequence's first call: one GET serves both
+        assert log[writes[1] + 1:writes[2]].count("GET /tournaments") == 1
+
+    def test_a_cleanup_delete_ends_the_observation(self, live):
+        left = [mk("postPlayer", pid="p1")]
+        report = run_campaign(inferred_spec(manual=True), [left, left],
+                              live.base_url, seed=0)
+        assert report["cleanupFailures"] == []
+        log = requests.get(live.base_url + "/_requests", timeout=5).json()
+        writes = [i for i, line in enumerate(log) if not line.startswith("GET ")]
+        assert log[writes[1]] == "DELETE /players/pid10000"  # the cleanup
+        assert log[writes[1] - 1] == "GET /tournaments"  # the closing sweep
+        assert "GET /tournaments" in log[writes[1] + 1:writes[2]]
 
     def test_unreachable_service_fails_fast(self):
         with pytest.raises(TransportFailure, match="probe"):

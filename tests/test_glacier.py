@@ -249,6 +249,17 @@ class TestValidation:
         with pytest.raises(FormulaError, match="field"):
             parse("res_code(GET /players/req_body(@)) = 404")
 
+    def test_splice_field_is_a_name_as_a_field_suffix_is(self):
+        with pytest.raises(FormulaError, match="^at offset 15: expected '}'"):
+            parse("req_body(@){café} = 1")
+        with pytest.raises(FormulaError,
+                           match=r"^at offset 16: req_body\(@\) in a URL requires a \{field\}"):
+            parse("res_code(GET /x/req_body(@){café}) = 1")
+
+    def test_a_number_has_ascii_digits_only(self):
+        with pytest.raises(FormulaError, match="^at offset 14: expected an expression"):
+            parse("res_code(@) = ٤٠٤")
+
     def test_unterminated_call(self):
         with pytest.raises(FormulaError):
             parse("res_code(GET /players")

@@ -10,6 +10,7 @@ from statecover.speckit import (
     SpecError,
     _resources,
     clause,
+    dump_yaml,
     emit_extended,
     fixture_path,
     infer_contracts,
@@ -669,6 +670,47 @@ class TestEmitLoad:
         doc["paths"]["/widgets"]["post"]["requires"] = ["res_code(POST /widgets) = 200"]
         with pytest.raises(SpecError, match="^POST /widgets: requires\\[0\\]: probe"):
             load_oas(doc)
+
+
+def _strings(doc, key=False):
+    """Every string in a document, with whether it is a mapping key."""
+    if isinstance(doc, str):
+        yield doc, key
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _strings(item)
+    elif isinstance(doc, dict):
+        for k, v in doc.items():
+            yield k, True
+            yield from _strings(v)
+
+
+def _emitters_differ_on(doc) -> bool:
+    """Where libyaml's emitter and pyyaml's own one write different text:
+    libyaml escapes U+0085 as "\\N" and a character outside the Basic
+    Multilingual Plane as "\\U...", writes a key that holds a carriage
+    return as an explicit '? ' key, and writes an empty key as a plain one
+    where pyyaml's emitter makes it explicit."""
+    return any("\x85" in s or any(c > "\uffff" for c in s) or (key and ("\r" in s or not s))
+               for s, key in _strings(doc))
+
+
+# the program dumps mappings: an OpenAPI document and a model
+YAML_DOCS = st.dictionaries(st.text(), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12), max_size=4)
+
+
+class TestDumpYaml:
+    @settings(max_examples=300, deadline=None)
+    @given(YAML_DOCS)
+    def test_loads_back_and_writes_what_the_python_emitter_writes(self, doc):
+        text = dump_yaml(doc)
+        assert load_yaml(text) == doc
+        if not _emitters_differ_on(doc):
+            assert text == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False,
+                                     width=10000, allow_unicode=True)
 
 
 class TestExecutorMetadata:
