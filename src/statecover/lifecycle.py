@@ -26,29 +26,50 @@ value. A state becomes final when every map is empty again (the one
 terminal condition, 'all_empty'); final states are sinks and are not
 expanded further.
 
-Guards, effects and invariant checks are parsed once, by load_model, which
-also infers a kind for every atom: 'id R' for a param or 'forall' variable
+load_model reads each guard, effect and invariant check in one pass: every
+construct is parsed, its kind inferred and checked, and turned into the
+function that evaluates it. A guard or check becomes holds(env, maps), true
+when each conjunct holds (it stops at the first false one), where env maps
+each param or 'forall' variable to an id; an effect becomes apply(maps, env,
+pick), which changes maps in place and takes each 'any capacity' value from
+the iterator pick. The kinds are 'id R' for a param or 'forall' variable
 over resource R or a ref field to R, 'set R' for a set field over R, 'map R'
 for a bare resource name (only as an 'in' or size() target) and 'int' for a
-capacity field. It refuses, naming the action or invariant, an undeclared
-name; an 'in' whose element is not an id of its target's resource; a size()
-whose target is not a set or map, or whose right side is not an INT or int;
-a key R[k] whose k is not 'id R'; a put that does not give each record field
-once, with a value of its kind: '{}' only for a set, 'any capacity' or an
-INT of 'capacities' only for a capacity; an add or remove of another
-resource's id; a variable with a resource's name; and an effect on a
-resource that its action declares unchanged. So every reachable state is
-well-typed, and a fault fails the load even where evaluation never reaches
-it, as in "action drop: o has kind id others, not id things". Exploration
-only evaluates; its errors depend on the state, as a del of an absent id
-does. A section of the wrong shape fails the load too, named by its place,
-as in "resources[0]: missing 'name'", "actions[1]: name: expected a string,
-got ['drop']" or "action drop: unchanged: expected a list of strings, got
+capacity field. The load refuses, naming the action or invariant, an
+undeclared name; an 'in' whose element is not an id of its target's
+resource; a size() whose target is not a set or map, or whose right side is
+not an INT or int; a key R[k] whose k is not 'id R'; a put that does not
+give each record field once, with a value of its kind: '{}' only for a set,
+'any capacity' or an INT of 'capacities' only for a capacity; an add or
+remove of another resource's id; a variable with a resource's name; and an
+effect on a resource that its action declares unchanged. So every reachable
+state is well-typed, and a fault fails the load even where evaluation never
+reaches it, as in "action drop: o has kind id others, not id things".
+Exploration only evaluates, and its errors depend on the state: R[k] read
+where k is absent ("R[k] does not exist (guard should test membership
+first)"), a del of an absent id, an add or remove on an absent record or of
+an element already in or missing from its set, a broken invariant
+(InvariantViolation), and more than max_states states.
+
+A section of the wrong shape fails the load too, named by its place, as in
+"resources[0]: missing 'name'", "actions[1]: name: expected a string, got
+['drop']" or "action drop: unchanged: expected a list of strings, got
 'tournaments'", and so does an unchanged entry, a param, a set or ref field
 or an invariant's 'in' that names no declared resource, and an id listed
 twice in a resource's ids. A resource's 'key', which older models name, is
 accepted and not read: the request field that carries an id is the API
 description's business.
+
+A model with several faults reports the first met in this order: its name;
+its resources, capacities and field targets; each action in turn, with its
+name and params, a param with a resource's name, its unchanged list, its
+guard and then each effect; duplicate action names; each invariant in turn,
+with its 'forall' and 'in', a variable with a resource's name and its check;
+and the terminal condition. Within one guard, effect or check, a character
+that cannot be tokenized comes first, and then the faults in reading order,
+each where the text that shows it ends: a name where it is read, a kind once
+the construct that fixes it is read (so 'x in S' checks x at the end of S),
+and a put's fields at its '}'.
 """
 
 from __future__ import annotations
@@ -57,7 +78,7 @@ import itertools
 import operator
 import re
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import ssg
 from .speckit import load_yaml
@@ -91,14 +112,15 @@ class ResourceDef(NamedTuple):
 class ActionDef(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]  # (param name, resource name)
-    guard: tuple  # parsed conditions, see _parse_conds; () always holds
-    effects: tuple  # parsed effects, see _parse_effect
+    guard: Callable[[dict, Maps], bool]  # holds(env, maps)
+    effects: tuple[Callable[[Maps, dict, Iterator[int]], None], ...]  # apply(maps, env, pick)
     unchanged: tuple[str, ...] = ()
+    draws: int = 0  # 'any capacity' values the effects take from pick
 
 
 class InvariantDef(NamedTuple):
     name: str
-    check: tuple  # parsed conditions, see _parse_conds
+    check: Callable[[dict, Maps], bool]  # holds(env, maps)
     var: Optional[str] = None
     domain: Optional[str] = None  # resource whose live ids bind var
 
@@ -216,43 +238,36 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         for p, res in params:
             if not (isinstance(res, str) and res in by_name):
                 raise ModelError(f"{where}: param {p} over unknown resource {res!r}")
-        effects = tuple(
-            _parse_effect(e, where) for e in _list_of(a.get("effect"), str, f"{where}: effect")
-        )
+        read = _Reader(where, by_name, capacities, dict(params))
         unchanged = _list_of(a.get("unchanged"), str, f"{where}: unchanged")
         for res in unchanged:
             if res not in by_name:
                 raise ModelError(f"{where}: unchanged: unknown resource {res!r}")
         guard = a.get("guard")
-        guard = () if guard in (None, "") else _parse_conds(_text(guard, f"{where}: guard"), where)
-        _check_kinds(by_name, capacities, dict(params), where, guard, effects, unchanged)
+        guard = [] if guard in (None, "") else read.conds(_text(guard, f"{where}: guard"))
+        effects = tuple(
+            read.effect(e, unchanged) for e in _list_of(a.get("effect"), str, f"{where}: effect")
+        )
         actions.append(ActionDef(
-            name=a["name"], params=params, guard=guard, effects=effects, unchanged=unchanged,
+            name=a["name"], params=params, guard=_all_of(guard), effects=effects,
+            unchanged=unchanged, draws=read.draws,
         ))
     action_names = [a.name for a in actions]
     if len(set(action_names)) != len(action_names):
         raise ModelError("duplicate action names")
 
-    invariants = tuple(
-        InvariantDef(
-            name=i["name"],
-            check=_parse_conds(
-                _text(i["check"], f"invariant {i['name']}: check"), f"invariant {i['name']}"
-            ),
-            var=i.get("forall"),
-            domain=i.get("in"),
-        )
-        for i in _entries(doc, "invariants", ("name", "check"))
-    )
-    for inv in invariants:
-        if (inv.var is None) != (inv.domain is None):
-            raise ModelError(f"invariant {inv.name}: 'forall' and 'in' go together")
-        if inv.var is not None:
-            _text(inv.var, f"invariant {inv.name}: forall")
-        if inv.domain is not None and not (isinstance(inv.domain, str) and inv.domain in by_name):
-            raise ModelError(f"invariant {inv.name}: unknown resource {inv.domain!r}")
-        bound = {} if inv.var is None else {inv.var: inv.domain}
-        _check_kinds(by_name, capacities, bound, f"invariant {inv.name}", inv.check)
+    invariants = []
+    for i in _entries(doc, "invariants", ("name", "check")):
+        where, var, domain = f"invariant {i['name']}", i.get("forall"), i.get("in")
+        if (var is None) != (domain is None):
+            raise ModelError(f"{where}: 'forall' and 'in' go together")
+        if var is not None:
+            _text(var, f"{where}: forall")
+        if domain is not None and not (isinstance(domain, str) and domain in by_name):
+            raise ModelError(f"{where}: unknown resource {domain!r}")
+        read = _Reader(where, by_name, capacities, {} if var is None else {var: domain})
+        check = _all_of(read.conds(_text(i["check"], f"{where}: check")))
+        invariants.append(InvariantDef(name=i["name"], check=check, var=var, domain=domain))
 
     terminal = doc.get("terminal", "all_empty")
     if terminal != "all_empty":
@@ -262,7 +277,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         resources=tuple(resources),
         capacities=capacities,
         actions=tuple(actions),
-        invariants=invariants,
+        invariants=tuple(invariants),
     )
 
 
@@ -278,320 +293,259 @@ _CMP = {
 Maps = dict  # resource name -> {id -> {field -> value}}
 
 
-def _tokenize(text: str, where: str) -> list[str]:
-    out = []
-    for m in _TOK_RE.finditer(text):
-        if m.group(2):
-            raise ModelError(f"{where}: cannot tokenize at {text[m.start(2):]!r}")
-        out.append(m.group(1))
-    return out
+class _Atom(NamedTuple):
+    get: Callable[[dict, Maps], object]
+    kind: str  # 'id R', 'set R', 'map R' or 'int'
+    text: str  # as the model writes it
 
 
-class _Toks:
-    def __init__(self, tokens: list[str], where: str):
-        self.toks = tokens
-        self.i = 0
-        self.where = where
+def _all_of(conds: list) -> Callable[[dict, Maps], bool]:
+    """A conjunction as holds(env, maps); stops at the first false conjunct."""
+    def holds(env: dict, maps: Maps) -> bool:
+        for cond in conds:
+            if not cond(env, maps):
+                return False
+        return True
+    return holds
+
+
+class _Reader:
+    """Reads the texts of one action or invariant, where bound maps each
+    param or 'forall' variable to its resource: each construct is parsed,
+    its kind inferred and checked, and returned as the function that
+    evaluates it. draws counts the 'any capacity' values of the effects
+    read so far."""
+
+    def __init__(self, where: str, by_name: dict, capacities: tuple, bound: dict):
+        for name in bound:
+            if name in by_name:
+                raise ModelError(f"{where}: variable {name!r} has a resource's name")
+        self.where, self.by_name, self.capacities, self.bound = where, by_name, capacities, bound
+        self.draws = 0
+
+    def fail(self, message: str):
+        raise ModelError(f"{self.where}: {message}")
+
+    def start(self, text: str) -> None:
+        self.toks, self.i = [], 0
+        for m in _TOK_RE.finditer(text):
+            if m.group(2):
+                self.fail(f"cannot tokenize at {text[m.start(2):]!r}")
+            self.toks.append(m.group(1))
 
     def peek(self) -> Optional[str]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self) -> str:
         if self.i >= len(self.toks):
-            raise ModelError(f"{self.where}: unexpected end of expression")
-        tok = self.toks[self.i]
+            self.fail("unexpected end of expression")
         self.i += 1
-        return tok
+        return self.toks[self.i - 1]
 
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise ModelError(f"{self.where}: expected {tok!r}, got {got!r}")
+            self.fail(f"expected {tok!r}, got {got!r}")
 
+    def resource(self, res: str) -> ResourceDef:
+        if res not in self.by_name:
+            self.fail(f"unknown resource {res!r}")
+        return self.by_name[res]
 
-# atom := ('var', name) | ('deref', resource, atom, field)
-def _parse_atom(t: _Toks):
-    name = t.next()
-    if not re.fullmatch(r"[A-Za-z_]\w*", name):
-        raise ModelError(f"{t.where}: expected a name, got {name!r}")
-    if t.peek() == "[":
-        t.expect("[")
-        inner = _parse_atom(t)
-        t.expect("]")
-        t.expect(".")
-        fname = t.next()
-        return ("deref", name, inner, fname)
-    return ("var", name)
-
-
-def _eval_atom(atom, env: dict, maps: Maps, where: str):
-    if atom[0] == "var":
-        return env[atom[1]]
-    _, res, inner, fname = atom
-    key = _eval_atom(inner, env, maps, where)
-    rec = maps[res].get(key)
-    if rec is None:
-        raise ModelError(f"{where}: {res}[{key}] does not exist (guard should test membership first)")
-    return rec[fname]
-
-
-def _eval_target_collection(atom, env: dict, maps: Maps, where: str):
-    """A membership/size target: a resource map or a set-valued field."""
-    return maps[atom[1]] if atom[0] == "var" else _eval_atom(atom, env, maps, where)
-
-
-def _parse_conds(text: str, where: str) -> tuple:
-    """Parse a conjunction into ('size', target, comparator, int or atom)
-    and ('in', atom, target, negate) conditions."""
-    t = _Toks(_tokenize(text, where), where)
-    conds = [_parse_cond(t)]
-    while t.peek() is not None:
-        t.expect("and")
-        conds.append(_parse_cond(t))
-    return tuple(conds)
-
-
-def _parse_cond(t: _Toks):
-    if t.peek() == "size":
-        t.next()
-        t.expect("(")
-        target = _parse_atom(t)
-        t.expect(")")
-        op = t.next()
-        if op not in _CMP:
-            raise ModelError(f"{t.where}: expected comparator after size(), got {op!r}")
-        rhs_tok = t.peek()
-        rhs = int(t.next()) if rhs_tok is not None and rhs_tok.isdigit() else _parse_atom(t)
-        return ("size", target, _CMP[op], rhs)
-    lhs = _parse_atom(t)
-    negate = t.peek() == "not"
-    if negate:
-        t.next()
-    t.expect("in")
-    return ("in", lhs, _parse_atom(t), negate)
-
-
-def _holds(conds: tuple, env: dict, maps: Maps, where: str) -> bool:
-    """Evaluate parsed conditions as a conjunction; short-circuits."""
-    for cond in conds:
-        if cond[0] == "size":
-            _, target, compare, rhs = cond
-            if not isinstance(rhs, int):
-                rhs = _eval_atom(rhs, env, maps, where)
-            if not compare(len(_eval_target_collection(target, env, maps, where)), rhs):
-                return False
-        else:
-            _, lhs, target, negate = cond
-            value = _eval_atom(lhs, env, maps, where)
-            if (value in _eval_target_collection(target, env, maps, where)) == negate:
-                return False
-    return True
-
-
-# --- effects -----------------------------------------------------------------
-
-# parsed effect forms:
-#   ('put', res, keyatom, [(field, init), ...])
-#   ('del', res, keyatom)
-#   ('add'|'remove', res, keyatom, field, atom)
-# init forms: ('empty',) | ('any',) | ('int', n) | ('atom', atom)
-
-def _parse_effect(text: str, where: str):
-    t = _Toks(_tokenize(text, where), where)
-    effect = _parse_effect_body(t, where)
-    if t.peek() is not None:
-        raise ModelError(f"{where}: unexpected {t.peek()!r} after effect {text!r}")
-    return effect
-
-
-def _parse_effect_body(t: _Toks, where: str):
-    verb = t.next()
-    if verb not in ("put", "del", "add", "remove"):
-        raise ModelError(f"{where}: unknown effect verb {verb!r}")
-    res = t.next()
-    t.expect("[")
-    key = _parse_atom(t)
-    t.expect("]")
-    if verb == "del":
-        return ("del", res, key)
-    if verb == "put":
-        t.expect("=")
-        t.expect("{")
-        fields = []
-        if t.peek() != "}":
-            while True:
-                fname = t.next()
-                t.expect(":")
-                fields.append((fname, _parse_init(t, where)))
-                if t.peek() == ",":
-                    t.next()
-                    continue
-                break
-        t.expect("}")
-        return ("put", res, key, tuple(fields))
-    t.expect(".")
-    fname = t.next()
-    return (verb, res, key, fname, _parse_atom(t))
-
-
-def _parse_init(t: _Toks, where: str):
-    if t.peek() == "{":
-        t.next()
-        t.expect("}")
-        return ("empty",)
-    if t.peek() == "any":
-        t.next()
-        domain = t.next()
-        if domain != "capacity":
-            raise ModelError(f"{where}: only 'any capacity' is supported, got 'any {domain}'")
-        return ("any",)
-    tok = t.peek()
-    if tok is not None and tok.isdigit():
-        return ("int", int(t.next()))
-    return ("atom", _parse_atom(t))
-
-
-def _count_any(effects) -> int:
-    return sum(
-        1
-        for eff in effects
-        if eff[0] == "put"
-        for _, init in eff[3]
-        if init == ("any",)
-    )
-
-
-def _show(atom) -> str:
-    """An atom as the model writes it."""
-    return atom[1] if atom[0] == "var" else f"{atom[1]}[{_show(atom[2])}].{atom[3]}"
-
-
-def _check_kinds(by_name: dict, capacities: tuple, bound: dict, where: str, conds: tuple,
-                 effects: tuple = (), unchanged: tuple = ()) -> None:
-    """Infer the kind of every atom, where bound maps each param or 'forall'
-    variable to its resource, and refuse what the module docstring lists.
-    Then every reachable state holds only ids of each resource's domain and
-    records with each declared field once, holding a value of its kind."""
-
-    def resource(res: str) -> ResourceDef:
-        if res not in by_name:
-            raise ModelError(f"{where}: unknown resource {res!r}")
-        return by_name[res]
-
-    def field(res: str, fname: str) -> FieldSpec:
-        spec = resource(res).record.get(fname)
+    def field(self, res: str, fname: str) -> str:
+        """The kind of the values of a field of res's records."""
+        spec = self.resource(res).record.get(fname)
         if spec is None:
-            raise ModelError(f"{where}: {res} records have no field {fname!r}")
-        return spec
+            self.fail(f"{res} records have no field {fname!r}")
+        return {"capacity": "int", "ref": f"id {spec.target}", "set": f"set {spec.target}"}[spec.kind]
 
-    def refuse(text: str, got: str, want: str):
-        raise ModelError(f"{where}: {text} has kind {got}, not {want}")
+    def refuse(self, text: str, got: str, want: str):
+        self.fail(f"{text} has kind {got}, not {want}")
 
-    def kind(a, target: bool = False) -> str:
-        if a[0] == "deref":
-            spec = field(a[1], a[3])
-            expect(a[2], f"id {a[1]}")
-            return {"capacity": "int", "ref": f"id {spec.target}", "set": f"set {spec.target}"}[spec.kind]
-        if a[1] in bound:
-            return f"id {bound[a[1]]}"
-        if target and a[1] in by_name:
-            return f"map {a[1]}"
-        raise ModelError(f"{where}: unknown {'resource' if target else 'name'} {a[1]!r}")
+    def want(self, atom: _Atom, want: str, text: str = "") -> None:
+        if atom.kind != want:
+            self.refuse(text + atom.text, atom.kind, want)
 
-    def expect(a, want: str, text: str = "") -> None:
-        got = kind(a)
-        if got != want:
-            refuse(text + _show(a), got, want)
+    def atom(self, target: bool = False) -> _Atom:
+        """PARAM or RESOURCE '[' atom ']' '.' FIELD; where target, also a
+        bare RESOURCE, whose map the atom reads."""
+        name, where = self.next(), self.where
+        if not re.fullmatch(r"[A-Za-z_]\w*", name):
+            self.fail(f"expected a name, got {name!r}")
+        if self.peek() != "[":
+            if name in self.bound:
+                return _Atom(lambda env, maps: env[name], f"id {self.bound[name]}", name)
+            if target and name in self.by_name:
+                return _Atom(lambda env, maps: maps[name], f"map {name}", name)
+            self.fail(f"unknown {'resource' if target else 'name'} {name!r}")
+        self.next()
+        self.resource(name)
+        key = self.atom()
+        self.want(key, f"id {name}")
+        self.expect("]")
+        self.expect(".")
+        fname = self.next()
+        kind, get_key = self.field(name, fname), key.get
 
-    def collection(a) -> str:
-        """The resource whose ids an 'in' or size() target holds."""
-        got = kind(a, target=True)
-        sort, _, res = got.partition(" ")
-        if sort not in ("map", "set"):
-            refuse(_show(a), got, "set R or map R")
-        return res
-
-    for name in bound:
-        if name in by_name:
-            raise ModelError(f"{where}: variable {name!r} has a resource's name")
-    for cond in conds:
-        if cond[0] == "size":
-            collection(cond[1])
-            if not isinstance(cond[3], int):
-                expect(cond[3], "int")
-        else:
-            expect(cond[1], f"id {collection(cond[2])}")
-    for verb, res, key, *rest in effects:
-        resource(res)
-        if res in unchanged:
-            raise ModelError(f"{where}: declares {res!r} unchanged but a {verb} changes it")
-        expect(key, f"id {res}")
-        if verb == "put":
-            for fname, init in rest[0]:
-                want, text = kind(("deref", res, key, fname)), f"{res}.{fname} = "
-                if init[0] == "atom":
-                    expect(init[1], want, text)
-                    continue
-                text += {"empty": "{}", "any": "any capacity"}.get(init[0], str(init[-1]))
-                got = "set" if init[0] == "empty" else "int"  # {} fits any set field
-                if want.partition(" ")[0] != got:
-                    refuse(text, got, want)
-                if init[0] == "int" and init[1] not in capacities:
-                    raise ModelError(f"{where}: {text} is not one of the capacities {list(capacities)}")
-            given, record = [fname for fname, _ in rest[0]], list(by_name[res].record)
-            if sorted(given) != sorted(record):
-                raise ModelError(f"{where}: put {res}[{_show(key)}] gives the fields {given}, "
-                                 f"not each of {record} once")
-        elif verb != "del":
-            fname, elem = rest
-            spec = field(res, fname)
-            if spec.kind != "set":
-                raise ModelError(f"{where}: {verb} needs a set field, {res}.{fname} is not one")
-            expect(elem, f"id {spec.target}")
-
-
-def _apply_effects(maps: Maps, effects, env: dict, choices: tuple[int, ...], where: str) -> Maps:
-    out = {res: {k: dict(rec) for k, rec in m.items()} for res, m in maps.items()}
-    pick = iter(choices)
-    for eff in effects:
-        kind = eff[0]
-        if kind == "put":
-            _, res, keyatom, fields = eff
-            key = _eval_atom(keyatom, env, out, where)
-            rec = {}
-            for fname, init in fields:
-                if init == ("empty",):
-                    rec[fname] = frozenset()
-                elif init == ("any",):
-                    rec[fname] = next(pick)
-                elif init[0] == "int":
-                    rec[fname] = init[1]
-                else:
-                    rec[fname] = _eval_atom(init[1], env, out, where)
-            out[res][key] = rec
-        elif kind == "del":
-            _, res, keyatom = eff
-            key = _eval_atom(keyatom, env, out, where)
-            if key not in out[res]:
-                raise ModelError(f"{where}: del of absent {res}[{key}]")
-            del out[res][key]
-        else:
-            _, res, keyatom, fname, elematom = eff
-            key = _eval_atom(keyatom, env, out, where)
-            rec = out[res].get(key)
+        def get(env: dict, maps: Maps):
+            k = get_key(env, maps)
+            rec = maps[name].get(k)
             if rec is None:
-                raise ModelError(f"{where}: {kind} on absent {res}[{key}]")
-            current = rec[fname]
-            elem = _eval_atom(elematom, env, out, where)
-            if kind == "add":
-                if elem in current:
-                    raise ModelError(f"{where}: add of element already in {res}[{key}].{fname}")
-                rec[fname] = current | {elem}
-            else:
-                if elem not in current:
-                    raise ModelError(f"{where}: remove of element missing from {res}[{key}].{fname}")
-                rec[fname] = current - {elem}
-    return out
+                raise ModelError(f"{where}: {name}[{k}] does not exist "
+                                 "(guard should test membership first)")
+            return rec[fname]
+        return _Atom(get, kind, f"{name}[{key.text}].{fname}")
+
+    def collection(self) -> _Atom:
+        """An 'in' or size() target: a resource's map or a set field."""
+        atom = self.atom(target=True)
+        if atom.kind.partition(" ")[0] not in ("map", "set"):
+            self.refuse(atom.text, atom.kind, "set R or map R")
+        return atom
+
+    def conds(self, text: str) -> list:
+        """The conjuncts of a guard or check, each as cond(env, maps)."""
+        self.start(text)
+        conds = [self.cond()]
+        while self.peek() is not None:
+            self.expect("and")
+            conds.append(self.cond())
+        return conds
+
+    def cond(self) -> Callable[[dict, Maps], bool]:
+        if self.peek() == "size":
+            self.next()
+            self.expect("(")
+            count = self.collection().get
+            self.expect(")")
+            op = self.next()
+            if op not in _CMP:
+                self.fail(f"expected comparator after size(), got {op!r}")
+            compare, tok = _CMP[op], self.peek()
+            if tok is not None and tok.isdigit():
+                n = int(self.next())
+                return lambda env, maps: compare(len(count(env, maps)), n)
+            rhs = self.atom()
+            self.want(rhs, "int")
+            get_rhs = rhs.get
+
+            def size(env: dict, maps: Maps) -> bool:
+                n = get_rhs(env, maps)  # the right side is read first
+                return compare(len(count(env, maps)), n)
+            return size
+        lhs = self.atom()
+        negate = self.peek() == "not"
+        if negate:
+            self.next()
+        self.expect("in")
+        target = self.collection()
+        self.want(lhs, "id " + target.kind.partition(" ")[2])
+        get_lhs, get_target = lhs.get, target.get
+        return lambda env, maps: (get_lhs(env, maps) in get_target(env, maps)) != negate
+
+    def effect(self, text: str, unchanged: tuple) -> Callable[[Maps, dict, Iterator[int]], None]:
+        """An effect as apply(maps, env, pick), which changes maps in place
+        and takes each 'any capacity' value from pick."""
+        self.start(text)
+        verb, where = self.next(), self.where
+        if verb not in ("put", "del", "add", "remove"):
+            self.fail(f"unknown effect verb {verb!r}")
+        res = self.next()
+        self.resource(res)
+        if res in unchanged:
+            self.fail(f"declares {res!r} unchanged but a {verb} changes it")
+        self.expect("[")
+        key = self.atom()
+        self.want(key, f"id {res}")
+        self.expect("]")
+        get_key = key.get
+        if verb == "del":
+            def apply(maps: Maps, env: dict, pick: Iterator[int]) -> None:
+                k = get_key(env, maps)
+                if k not in maps[res]:
+                    raise ModelError(f"{where}: del of absent {res}[{k}]")
+                del maps[res][k]
+        elif verb == "put":
+            self.expect("=")
+            self.expect("{")
+            fields = []
+            if self.peek() != "}":
+                while True:
+                    fname = self.next()
+                    kind = self.field(res, fname)
+                    self.expect(":")
+                    fields.append((fname, self.init(f"{res}.{fname} = ", kind)))
+                    if self.peek() != ",":
+                        break
+                    self.next()
+            self.expect("}")
+            given, record = [fname for fname, _ in fields], list(self.by_name[res].record)
+            if sorted(given) != sorted(record):
+                self.fail(f"put {res}[{key.text}] gives the fields {given}, "
+                          f"not each of {record} once")
+
+            def apply(maps: Maps, env: dict, pick: Iterator[int]) -> None:
+                k = get_key(env, maps)
+                maps[res][k] = {fname: value(env, maps, pick) for fname, value in fields}
+        else:
+            self.expect(".")
+            fname = self.next()
+            sort, _, of = self.field(res, fname).partition(" ")
+            if sort != "set":
+                self.fail(f"{verb} needs a set field, {res}.{fname} is not one")
+            elem = self.atom()
+            self.want(elem, f"id {of}")
+            get_elem = elem.get
+
+            def apply(maps: Maps, env: dict, pick: Iterator[int]) -> None:
+                k = get_key(env, maps)
+                rec = maps[res].get(k)
+                if rec is None:
+                    raise ModelError(f"{where}: {verb} on absent {res}[{k}]")
+                current, e = rec[fname], get_elem(env, maps)
+                if verb == "add":
+                    if e in current:
+                        raise ModelError(f"{where}: add of element already in {res}[{k}].{fname}")
+                    rec[fname] = current | {e}
+                else:
+                    if e not in current:
+                        raise ModelError(
+                            f"{where}: remove of element missing from {res}[{k}].{fname}")
+                    rec[fname] = current - {e}
+        if self.peek() is not None:
+            self.fail(f"unexpected {self.peek()!r} after effect {text!r}")
+        return apply
+
+    def init(self, text: str, want: str) -> Callable[[dict, Maps, Iterator[int]], object]:
+        """A put's value for a field of kind want, as value(env, maps, pick)."""
+        tok = self.peek()
+        if tok == "{":
+            self.next()
+            self.expect("}")
+            self.sort(text + "{}", "set", want)
+            return lambda env, maps, pick: frozenset()
+        if tok == "any":
+            self.next()
+            domain = self.next()
+            if domain != "capacity":
+                self.fail(f"only 'any capacity' is supported, got 'any {domain}'")
+            self.sort(text + "any capacity", "int", want)
+            self.draws += 1
+            return lambda env, maps, pick: next(pick)
+        if tok is not None and tok.isdigit():
+            n = int(self.next())
+            self.sort(f"{text}{n}", "int", want)
+            if n not in self.capacities:
+                self.fail(f"{text}{n} is not one of the capacities {list(self.capacities)}")
+            return lambda env, maps, pick: n
+        atom = self.atom()
+        self.want(atom, want, text)
+        get = atom.get
+        return lambda env, maps, pick: get(env, maps)
+
+    def sort(self, text: str, got: str, want: str) -> None:
+        if want.partition(" ")[0] != got:  # {} fits any set field
+            self.refuse(text, got, want)
 
 
 # --- states ------------------------------------------------------------------
@@ -628,13 +582,12 @@ def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
 
 def _check_invariants(model: Model, maps: Maps) -> Optional[str]:
     for inv in model.invariants:
-        where = f"invariant {inv.name}"
         if inv.var is None:
-            if not _holds(inv.check, {}, maps, where):
+            if not inv.check({}, maps):
                 return inv.name
         else:
             for rid in maps[inv.domain]:
-                if not _holds(inv.check, {inv.var: rid}, maps, where):
+                if not inv.check({inv.var: rid}, maps):
                     return inv.name
     return None
 
@@ -676,15 +629,17 @@ def successors(model: Model, maps: Maps):
     order and ids in domain order."""
     for action in model.actions:
         domains = [model.resource(res).ids for _, res in action.params]
-        where = f"action {action.name}"
-        n_any = _count_any(action.effects)
         for combo in itertools.product(*domains):
             env = {p: v for (p, _), v in zip(action.params, combo)}
-            if not _holds(action.guard, env, maps, where):
+            if not action.guard(env, maps):
                 continue
             label = f"{action.name}({','.join(combo)})"
-            for choices in itertools.product(model.capacities, repeat=n_any):
-                yield label, _apply_effects(maps, action.effects, env, choices, where)
+            for choices in itertools.product(model.capacities, repeat=action.draws):
+                out = {res: {k: dict(rec) for k, rec in m.items()} for res, m in maps.items()}
+                pick = iter(choices)
+                for apply in action.effects:
+                    apply(out, env, pick)
+                yield label, out
 
 
 def explore(model: Model, *, max_states: int = 10000) -> Exploration:

@@ -267,11 +267,20 @@ def load_yaml(text: str):
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
+def _represent_str(dumper, value: str):
+    """The safe str representer, but a string that holds U+0085 is
+    double-quoted, as libyaml writes it: pyyaml's own emitter would quote
+    it singly, where U+0085 reads back as a space."""
+    return dumper.represent_scalar("tag:yaml.org,2002:str", value,
+                                   style='"' if "\x85" in value else None)
+
+
 def dump_yaml(doc) -> str:
     """yaml.safe_dump in document order, without line wrapping and with
     allow_unicode, through libyaml's C emitter where pyyaml has it."""
-    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False, width=10000,
-                     allow_unicode=True)
+    dumper = type("Dumper", (_YAML_DUMPER,), {})  # leaves pyyaml's own class as it is
+    dumper.add_representer(str, _represent_str)
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, width=10000, allow_unicode=True)
 
 
 def load_oas(source: Union[str, Path, dict]) -> ApiSpec:

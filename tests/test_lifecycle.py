@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,6 +245,14 @@ def malformed_model(case: str) -> dict:
     elif case == "invariant names no variable":
         doc["invariants"] = [{"name": "bounded", "forall": "k", "in": "things",
                               "check": "j in things"}]
+    elif case == "any of something other than capacity":
+        doc["resources"][0]["record"] = {"c": "capacity"}
+        doc["capacities"] = [1]
+        doc["actions"][0]["effect"] = ["put things[kid] = {c: any number}"]
+    elif case == "size() without a comparator":
+        doc["actions"][1]["guard"] = "size(things) 5"
+    elif case == "a character the tokenizer cannot read":
+        doc["actions"][1]["guard"] = "kid in things; size(things) = 1"
     return doc
 
 
@@ -289,6 +299,11 @@ MALFORMED_MODELS = {
         "action never: declares 'things' unchanged but a del changes it",
     "invariant names no resource": "invariant bounded: unknown resource 'thingz'",
     "invariant names no variable": "invariant bounded: unknown name 'j'",
+    "any of something other than capacity":
+        "action makeThing: only 'any capacity' is supported, got 'any number'",
+    "size() without a comparator": "action dropThing: expected comparator after size(), got '5'",
+    "a character the tokenizer cannot read":
+        "action dropThing: cannot tokenize at '; size(things) = 1'",
 }
 
 
@@ -376,6 +391,24 @@ class TestExploreTournaments:
             direct.n_states, direct.edge_count(), direct.finals)
         assert g.labels == direct.labels
         assert [n.label for n in ssg.parse_dot(x.to_dot()).nodes] == x.states
+
+
+class TestExploreDotIsPinned:
+    @pytest.mark.parametrize("model, counts, sha256", [
+        pytest.param(lambda: load_model(fixture_path("tournaments_p1t1e1.yaml")), (6, 10, 981),
+                     "21b8468c766b304698bd1be3abc4c7f55d91ddce716c0cf34b7eac5ae2eaddfe", id="p1t1e1"),
+        pytest.param(lambda: load_model(tournaments_model_doc(
+            players=(), tournaments=("t1", "t2"), enrolments=())), (5, 8, 795),
+                     "52c8794110785539e54b7940e4291c125612a3f952de219d951377bc2faa62ae", id="t1t2"),
+        pytest.param(lambda: load_model(tournaments_model_doc(
+            ("p1", "p2"), ("t1", "t2"), ("e1", "e2"), (1, 2))), (193, 872, 64189),
+                     "fe59216bd4b22eafb89a3330962171dac29e09857d9493eabbfcb2d8584d370a", id="p2t2e2"),
+    ])
+    def test_sha256(self, model, counts, sha256):
+        x = explore(model())
+        dot = x.to_dot().encode("utf-8")
+        assert (x.state_count, x.transition_count, len(dot)) == counts
+        assert hashlib.sha256(dot).hexdigest() == sha256
 
 
 class TestTwoTournamentVariant:
@@ -512,6 +545,13 @@ class TestModelChecks:
                      id="ref-to-another-resource"),
         pytest.param({"c": "capacity"}, ["put things[kid] = {c: 5}"],
                      "things.c = 5 is not one of the capacities [1, 2]", id="undeclared-capacity"),
+        pytest.param({"xs": {"set": "things"}}, ["put things[kid] = {xs: 1}"],
+                     "things.xs = 1 has kind int, not set things", id="int-for-a-set"),
+        pytest.param({"c": "capacity"}, ["put things[kid] = {c: kid}"],
+                     "things.c = kid has kind id things, not int", id="id-for-a-capacity"),
+        pytest.param({"xs": {"set": "things"}},
+                     ["put things[kid] = {xs: {}}", "remove things[kid].xs o"],
+                     "o has kind id others, not id things", id="foreign-id-removed-from-a-set"),
     ])
     def test_type_check_of_a_field(self, record, effects, problem):
         with pytest.raises(ModelError) as exc:
@@ -535,6 +575,12 @@ class TestModelChecks:
                      ["put things[kid] = {xs: {}, xs: {}}"],
                      "put things[kid] gives the fields ['xs', 'xs'], not each of ['xs'] once",
                      id="field-given-twice"),
+        pytest.param({"c": "capacity"}, "size(things) > 5 and kid in things[kid].c",
+                     ["put things[kid] = {c: 1}"],
+                     "things[kid].c has kind int, not set R or map R", id="capacity-as-an-in-target"),
+        pytest.param({"c": "capacity"}, "size(things) > 5 and size(things[kid].c) = 0",
+                     ["put things[kid] = {c: 1}"],
+                     "things[kid].c has kind int, not set R or map R", id="capacity-as-a-size-target"),
     ])
     def test_an_unreachable_kind_error_fails_the_load(self, record, guard, effects, problem):
         doc = two_resource_doc(record, effects)

@@ -6,6 +6,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from statecover import speckit
 from statecover.speckit import (
     SpecError,
     _resources,
@@ -690,9 +691,23 @@ def _emitters_differ_on(doc) -> bool:
     libyaml escapes U+0085 as "\\N" and a character outside the Basic
     Multilingual Plane as "\\U...", writes a key that holds a carriage
     return as an explicit '? ' key, and writes an empty key as a plain one
-    where pyyaml's emitter makes it explicit."""
-    return any("\x85" in s or any(c > "\uffff" for c in s) or (key and ("\r" in s or not s))
+    where pyyaml's emitter makes it explicit. A long key is explicit in
+    libyaml above 128 bytes of UTF-8 and in pyyaml's emitter from 123
+    characters, so a key past one of these lengths but not the other is
+    explicit in only one of them."""
+    return any("\x85" in s or any(c > "\uffff" for c in s)
+               or (key and ("\r" in s or not s or (len(s) > 122) != (len(s.encode()) > 128)))
                for s, key in _strings(doc))
+
+
+def _python_emitter_dump(doc) -> str:
+    """The text pyyaml's own emitter writes, with dump_yaml's settings."""
+    return yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False, width=10000,
+                     allow_unicode=True)
+
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                                   reason="pyyaml is built without libyaml")
 
 
 # the program dumps mappings: an OpenAPI document and a model
@@ -705,12 +720,40 @@ YAML_DOCS = st.dictionaries(st.text(), st.recursive(
 class TestDumpYaml:
     @settings(max_examples=300, deadline=None)
     @given(YAML_DOCS)
+    # 56 characters in 129 bytes of UTF-8: libyaml writes an explicit key
+    @example({"\u0800" * 17 + "\x80" * 20 + "\x86" * 19: None})
     def test_loads_back_and_writes_what_the_python_emitter_writes(self, doc):
         text = dump_yaml(doc)
         assert load_yaml(text) == doc
         if not _emitters_differ_on(doc):
-            assert text == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=False,
-                                     width=10000, allow_unicode=True)
+            assert text == _python_emitter_dump(doc)
+
+    @needs_libyaml
+    @pytest.mark.parametrize("char, n", [
+        ("a", 122), ("a", 123), ("a", 128), ("a", 129), ("\xe9", 64), ("\xe9", 65),
+        ("\xe9", 122), ("\xe9", 123), ("\u0800", 42), ("\u0800", 43),
+    ])
+    def test_a_long_key_differs_exactly_where_the_emitters_are_said_to(self, char, n):
+        doc = {char * n: None}
+        assert (dump_yaml(doc) != _python_emitter_dump(doc)) == _emitters_differ_on(doc)
+
+    # each text is what libyaml writes
+    @pytest.mark.parametrize("doc, text", [
+        ({"v": "a\x85b"}, 'v: "a\\Nb"\n'),
+        ({"a\x85b": 1}, '? "a\\Nb"\n: 1\n'),
+    ])
+    def test_the_python_emitter_keeps_u0085_as_libyaml_writes_it(self, doc, text, monkeypatch):
+        monkeypatch.setattr(speckit, "_YAML_DUMPER", yaml.SafeDumper)
+        assert dump_yaml(doc) == text
+        assert load_yaml(text) == doc
+
+    @needs_libyaml
+    @settings(max_examples=300, deadline=None)
+    @given(YAML_DOCS)
+    @example({"a\x85b": ["\x85", {"c\x85": "d\x85  e"}]})
+    def test_libyaml_writes_what_it_wrote_without_the_str_representer(self, doc):
+        assert dump_yaml(doc) == yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=False,
+                                           width=10000, allow_unicode=True)
 
 
 class TestExecutorMetadata:
