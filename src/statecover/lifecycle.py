@@ -21,6 +21,9 @@ Guards and effects use a small expression language:
               | 'remove' RESOURCE '[' atom ']' '.' FIELD atom
     init    ::= '{' '}' | 'any' 'capacity' | INT | atom
 
+An INT is written in ASCII digits; another digit is a character that
+cannot be tokenized.
+
 'any capacity' branches the successor state over every declared capacity
 value. A state becomes final when every map is empty again (the one
 terminal condition, 'all_empty'); final states are sinks and are not
@@ -64,12 +67,13 @@ A model with several faults reports the first met in this order: its name;
 its resources, capacities and field targets; each action in turn, with its
 name and params, a param with a resource's name, its unchanged list, its
 guard and then each effect; duplicate action names; each invariant in turn,
-with its 'forall' and 'in', a variable with a resource's name and its check;
-and the terminal condition. Within one guard, effect or check, a character
-that cannot be tokenized comes first, and then the faults in reading order,
-each where the text that shows it ends: a name where it is read, a kind once
-the construct that fixes it is read (so 'x in S' checks x at the end of S),
-and a put's fields at its '}'.
+with a name that an earlier invariant has, its 'forall' and 'in', a
+variable with a resource's name and its check; and the terminal condition.
+Within one guard, effect or check, a character that cannot be tokenized
+comes first, and then the faults in reading order, each where the text that
+shows it ends: a name where it is read, a kind once the construct that
+fixes it is read (so 'x in S' checks x at the end of S), and a put's fields
+at its '}'.
 """
 
 from __future__ import annotations
@@ -258,6 +262,8 @@ def load_model(source: Union[dict, str, Path]) -> Model:
 
     invariants = []
     for i in _entries(doc, "invariants", ("name", "check")):
+        if i["name"] in [inv.name for inv in invariants]:
+            raise ModelError(f"duplicate invariant name {i['name']!r}")
         where, var, domain = f"invariant {i['name']}", i.get("forall"), i.get("in")
         if (var is None) != (domain is None):
             raise ModelError(f"{where}: 'forall' and 'in' go together")
@@ -283,7 +289,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
 
 # --- expression language -----------------------------------------------------
 
-_TOK_RE = re.compile(r"\s*(?:(<=|>=|!=|=|<|>|\[|\]|\{|\}|\(|\)|\.|,|:|[A-Za-z_]\w*|\d+)|(\S))")
+_TOK_RE = re.compile(r"\s*(?:(<=|>=|!=|=|<|>|\[|\]|\{|\}|\(|\)|\.|,|:|[A-Za-z_]\w*|[0-9]+)|(\S))")
 _CMP = {
     "=": operator.eq, "!=": operator.ne,
     "<": operator.lt, "<=": operator.le,

@@ -12,21 +12,31 @@ reachable from the initial state and co-reachable to the sink.
 
 `parse_dot` has two readers. The line path takes a dump whose closing `}`
 stands alone on its line, after only spaces, tabs and carriage returns. It
-splits the body after the `digraph NAME {` header on line breaks and keeps
-each distinct line that is not blank once. It joins those lines and reads
-them all in one `findall` of `_HEAD`, which takes a line's ids and leaves
-the rest of the line; then it parses each distinct rest (attribute list,
-`;` and comments) once with `_TAIL`, as a model checker's edges share a few
-attribute lists. Every line must be one statement, `id [-> id] [attr list]
-[;]`: a line without a match of `_HEAD`, or whose rest `_TAIL` rejects,
-sends the text from the start to `_parse_tokens`, a recursive descent over
-single tokens, which is the reference for what the subset accepts and the
-only source of `DotParseError` messages and lines.
+reads the body after the `digraph NAME {` header in batches of whole lines:
+a batch ends at the first line break after `_BATCH` characters, so the
+lines of all batches, joined, are the body split on line breaks, and
+parsing holds the lines of one batch at a time. The maps it keeps are
+shared across batches: every distinct line read so far to its edge, or to
+None for a node or a blank line, and each node line to its node; each
+distinct rest of a line after its ids to its label; and each distinct id
+token to its id, so that every statement naming an id holds one string. A
+line repeated in a later batch is therefore read once. A batch joins its
+new distinct lines that are not blank and reads them all in one `findall`
+of `_HEAD`, which takes a line's ids and leaves the rest of the line; it
+parses each new distinct rest (attribute list, `;` and comments) once with
+`_TAIL`, as a model checker's edges share a few attribute lists; then it
+appends the statement of each of its lines to the nodes or the edges.
+Every line must be one statement, `id [-> id] [attr list] [;]`: a line
+without a match of `_HEAD`, or whose rest `_TAIL` rejects, sends the text
+from the start to `_parse_tokens`, a recursive descent over single tokens,
+which is the reference for what the subset accepts and the only source of
+`DotParseError` messages and lines.
 
 No match of `_HEAD` crosses a line: none of its pieces takes a line break,
 so each match runs from the start of one joined line to its end, and a line
-has at most one. As many matches as lines means the i-th match is that of
-the i-th line.
+has at most one. A batch's `findall` reads only that batch's joined lines,
+so the rule holds batch by batch: as many matches as lines in the batch
+means the i-th match is that of its i-th line.
 
 The two readers agree. On a line the line path reads, every string and
 comment closes on that line, so each line starts and ends outside strings
@@ -47,6 +57,8 @@ from __future__ import annotations
 import functools
 import re
 from collections import deque
+from itertools import compress, filterfalse, islice, repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 
@@ -322,26 +334,49 @@ def _parse_tokens(text: str) -> RawGraph:
     return graph
 
 
-def _read_lines(lines: list[str]) -> tuple[list, list] | None:
-    """The node and edge statements of lines if every line is blank or one
-    statement, else None. Each distinct line is matched once, and each
-    distinct rest of a line after its ids is parsed once."""
-    keys = [line for line in dict.fromkeys(lines) if line.strip(" \t\r")]
-    joined = "\n".join(keys)
-    heads = _HEAD.findall(joined)
-    del joined
-    # a line without a match leaves fewer matches than lines; otherwise the
-    # i-th match is that of the i-th line
-    if len(heads) != len(keys):
-        return None
-    labels: dict[str, str | None] = {}
+# The line path reads a body in batches of whole lines: a batch ends at the
+# first line break after this many characters.
+_BATCH = 1 << 16
+
+
+class _Ids(dict):
+    """Id token -> its id, each token decoded on its first lookup."""
+
+    def __missing__(self, token: str) -> str:
+        value = self[token] = _unquote(token) if token[0] == '"' else token
+        return value
+
+
+def _read_lines(text: str, at: int, stop: int) -> tuple[list, list] | None:
+    """The node and edge statements of the lines of text[at:stop] if every
+    line is blank or one statement, else None. The lines are read in
+    batches, and each distinct line, rest and id token is read once."""
+    # every distinct line read so far -> its edge, or None for a node or a
+    # blank line; each node line -> its node
+    edge_at: dict[str, EdgeStatement | None] = {}
     node_at: dict[str, NodeStatement] = {}
-    edge_at: dict[str, EdgeStatement] = {}
+    labels: dict[str, str | None] = {}
+    ids = _Ids()
+    nodes: list[NodeStatement] = []
+    edges: list[EdgeStatement] = []
     make = tuple.__new__  # skips the named tuples' Python __new__
-    for line, (first, second, rest) in zip(keys, heads):
-        if rest in labels:
-            label = labels[rest]
-        else:
+    while True:
+        end = text.find("\n", at + _BATCH, stop)
+        if end < 0:
+            end = stop
+        lines = text[at:end].split("\n")
+        # setdefault adds each line not read before to edge_at, and insertion
+        # order puts those last; the ones that are not blank are matched
+        known = len(edge_at)
+        deque(map(edge_at.setdefault, lines), 0)  # runs the map in C
+        new = [*islice(reversed(edge_at), len(edge_at) - known)][::-1]
+        keys = [*compress(new, map(str.strip, new, repeat(" \t\r")))]
+        heads = _HEAD.findall("\n".join(keys))
+        # a line without a match leaves fewer matches than lines; otherwise the
+        # i-th match is that of the i-th line
+        if len(heads) != len(keys):
+            return None
+        for rest in filterfalse(labels.__contains__, map(itemgetter(2), heads)):
             m = _TAIL.fullmatch(rest)
             if m is None:
                 return None
@@ -351,26 +386,26 @@ def _read_lines(lines: list[str]) -> tuple[list, list] | None:
             if label is not None and label[0] == '"':
                 label = _unquote(label)
             labels[rest] = label
-        if first[0] == '"':
-            first = _unquote(first)
-        if not second:
-            node_at[line] = make(NodeStatement, (first, label))
-            continue
-        if second[0] == '"':
-            second = _unquote(second)
-        edge_at[line] = make(EdgeStatement, (first, second, label))
-    del keys, heads
-    return ([*filter(None, map(node_at.get, lines))],
-            [*filter(None, map(edge_at.get, lines))])
+        for line, (first, second, rest) in zip(keys, heads):
+            if second:
+                edge_at[line] = make(EdgeStatement, (ids[first], ids[second], labels[rest]))
+            else:
+                node_at[line] = make(NodeStatement, (ids[first], labels[rest]))
+        del keys, heads
+        nodes += filter(None, map(node_at.get, lines))
+        edges += filter(None, map(edge_at.get, lines))
+        if end == stop:
+            return nodes, edges
+        at = end + 1
 
 
 def parse_dot(text: str) -> RawGraph:
     """Parse one digraph in the supported DOT subset, preserving duplicates.
 
     A dump whose body lines are each blank or one statement, closed by a
-    `}` alone on its line, is read by the line path; `_parse_tokens` reads
-    any other text and raises every error (see the module docstring for why
-    the two agree).
+    `}` alone on its line, is read by the line path, in batches of whole
+    lines; `_parse_tokens` reads any other text and raises every error (see
+    the module docstring for why the two agree).
     """
     head = _HEADER.match(text)
     if head is not None:
@@ -378,7 +413,7 @@ def parse_dot(text: str) -> RawGraph:
         close = text.rfind("}")
         stop = text.rfind("\n", at, close) if close > at else -1
         if stop >= 0 and not text[stop + 1:close].strip(" \t\r") and _END.match(text, close):
-            statements = _read_lines(text[at:stop].split("\n"))
+            statements = _read_lines(text, at, stop)
             if statements is not None:
                 return RawGraph(head.group(1) or "", *statements)
     return _parse_tokens(text)

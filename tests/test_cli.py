@@ -664,6 +664,17 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {path}: {where}" in err
 
+    def test_a_digit_outside_ascii_is_refused_at_load(self, workdir, capsys):
+        # U+0661, ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        text = (workdir / "tournaments-model.yaml").read_text(encoding="utf-8")
+        assert text.count("c: any capacity}") == 1
+        bad = workdir / "bad-model.yaml"
+        bad.write_text(text.replace("c: any capacity}", "c: \u0661}"), encoding="utf-8")
+        code, _, err = run(capsys, "explore", str(bad), str(workdir / "out.dot"))
+        assert code == 2
+        assert f"error: {bad}: action postTournament: cannot tokenize at '\u0661}}'" in err
+        assert not (workdir / "out.dot").exists()
+
     # a DOT graph name is an identifier; anything else would be written into
     # a graph that sequences cannot read back
     @pytest.mark.parametrize("name", ["my-model", "tour naments", 2024, "", None])

@@ -253,6 +253,13 @@ def malformed_model(case: str) -> dict:
         doc["actions"][1]["guard"] = "size(things) 5"
     elif case == "a character the tokenizer cannot read":
         doc["actions"][1]["guard"] = "kid in things; size(things) = 1"
+    elif case == "a digit outside ASCII":
+        doc["actions"][1]["guard"] = "size(things) = \u0660"
+    elif case == "an invariant name used twice":
+        # the second check fails in the first state with an enrolment, where
+        # the first holds
+        doc = load_yaml(fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8"))
+        doc["invariants"].append({"name": "backrefs_live", "check": "size(enrolments) = 0"})
     return doc
 
 
@@ -304,6 +311,8 @@ MALFORMED_MODELS = {
     "size() without a comparator": "action dropThing: expected comparator after size(), got '5'",
     "a character the tokenizer cannot read":
         "action dropThing: cannot tokenize at '; size(things) = 1'",
+    "a digit outside ASCII": "action dropThing: cannot tokenize at '\u0660'",
+    "an invariant name used twice": "duplicate invariant name 'backrefs_live'",
 }
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -470,9 +471,10 @@ def tlc_dump(draw):
 
 
 class TestLinePath:
-    """parse_dot matches each distinct line of a dump once, in one batch, and
-    parses each distinct attribute list once; a text with a line that is not
-    one statement goes to the token parser from the start."""
+    """parse_dot matches each distinct line of a dump once, in one batch for
+    a dump shorter than `ssg._BATCH`, and parses each distinct attribute list
+    once; a text with a line that is not one statement goes to the token
+    parser from the start."""
 
     @settings(max_examples=800, deadline=None)
     @given(st.one_of(dot_soup(), line_dump()))
@@ -545,6 +547,138 @@ class TestLinePath:
             got = _outcome(parse_dot, text)
         assert got == _outcome(REFERENCE, text)
         assert fallback.call_count == (0 if valid else 1)
+
+
+class TestLinePathInBatches:
+    """The line path on dumps that span many batches: batches of one line
+    (0) and of a few lines (24) agree with the token parser as one batch
+    does."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[0, 24])
+    def small_batches(self, request):
+        with mock.patch.object(ssg, "_BATCH", request.param):
+            yield
+
+    test_matches_the_token_parser = TestLinePath.test_matches_the_token_parser
+    test_a_model_checker_dump_matches_the_token_parser = (
+        TestLinePath.test_a_model_checker_dump_matches_the_token_parser)
+    test_a_statement_continued_on_the_next_line = (
+        TestLinePath.test_a_statement_continued_on_the_next_line)
+    test_only_space_tab_and_line_ends_are_whitespace = (
+        TestLinePath.test_only_space_tab_and_line_ends_are_whitespace)
+
+
+def _batches(text: str) -> list[str]:
+    """The arguments of every `_HEAD.findall` call that parse_dot(text) makes."""
+    with mock.patch.object(ssg, "_HEAD", wraps=ssg._HEAD) as head:
+        parse_dot(text)
+    return [call.args[0] for call in head.findall.call_args_list]
+
+
+class TestBatchCuts:
+    """Where parse_dot cuts a body into batches, with the batch size made a
+    few characters."""
+
+    def test_one_findall_per_batch_over_its_new_distinct_lines(self, monkeypatch):
+        # a batch ends at the first line break after _BATCH characters: with
+        # 1, each line that is not empty ends a batch, and an empty line, such
+        # as the rest of the header's, joins the next
+        monkeypatch.setattr(ssg, "_BATCH", 1)
+        body = ["1;", "2 -> 1;", "1;", "", "3;", "2 -> 1;", "4; ", "  ", "4; ", "5;"]
+        text = "digraph {\n" + "\n".join(body) + "\n}\n"
+        assert _batches(text) == ["1;", "2 -> 1;", "", "3;", "", "4; ", "", "", "5;"]
+        assert parse_dot(text) == REFERENCE(text)
+        # 12 characters take "\n1;\n2 -> 1;\n1;", then "\n3;\n2 -> 1;\n4; " and
+        # the rest; a line seen in an earlier batch is not matched again
+        monkeypatch.setattr(ssg, "_BATCH", 12)
+        assert _batches(text) == ["1;\n2 -> 1;", "3;\n4; ", "5;"]
+
+    def test_a_line_repeated_in_a_later_batch_shares_its_statement(self, monkeypatch):
+        monkeypatch.setattr(ssg, "_BATCH", 0)
+        text = ('digraph {\n1 [label="a"];\n1 -> 2 [label="go(x)"];\n2 [label="b"];\n'
+                '1 -> 2 [label="go(x)"];\n1 [label="a"];\n2 -> 1;\n}\n')
+        raw = parse_dot(text)
+        assert raw == REFERENCE(text)
+        assert raw.nodes[0] is raw.nodes[2] and raw.edges[0] is raw.edges[1]
+        # every statement naming an id holds one string
+        assert raw.nodes[0].node_id is raw.edges[0].src is raw.edges[2].dst
+        assert raw.nodes[1].node_id is raw.edges[0].dst is raw.edges[2].src
+
+    @pytest.mark.parametrize("batch", range(0, 60, 7))
+    def test_a_malformed_line_in_a_later_batch(self, monkeypatch, batch):
+        monkeypatch.setattr(ssg, "_BATCH", batch)
+        lines = ["digraph G {"] + [f"{i} -> {i + 1};" for i in range(8)] + ["8 -> ;", "}", ""]
+        text = "\n".join(lines)
+        with _count_fallbacks() as fallback, pytest.raises(DotParseError) as err:
+            parse_dot(text)
+        assert (str(err.value), err.value.line) == (
+            "line 10: expected destination id after '->'", 10)
+        assert fallback.call_count == 1
+
+    @pytest.mark.parametrize("body", [
+        ["1;", "", "2 -> 1;", "", "", "3;"],
+        ["1;\r", "\r", "2 -> 1;\r", " \t\r", "3;\r", "\r"],
+        ["1;", "// a comment", "2 -> 1;", "/* a comment */", "3;"],
+        ["", "1;", "   ", "2 -> 1; // c", "\t", ""],
+    ], ids=["blank", "crlf", "comment-only", "edges"])
+    def test_blank_crlf_and_comment_only_lines_next_to_every_cut(self, monkeypatch, body):
+        text = "digraph G {\n" + "\n".join(body) + "\n}\n"
+        reference = REFERENCE(text)
+        for batch in range(len(text) + 1):
+            monkeypatch.setattr(ssg, "_BATCH", batch)
+            assert parse_dot(text) == reference, batch
+
+    @pytest.mark.parametrize("text", [
+        "digraph G {\n1;\n2 -> 1;\n3 -> 1;\n}", "digraph G { 1;\n2 -> 1;\n3 -> 1;\r\n}",
+        'digraph G {\n1 -> 2 [label="a"]\n2\n}', "digraph G {\n}", "digraph G {\n\n}",
+    ])
+    def test_a_body_without_a_final_line_break(self, monkeypatch, text):
+        reference = REFERENCE(text)
+        for batch in range(len(text) + 1):
+            monkeypatch.setattr(ssg, "_BATCH", batch)
+            with _count_fallbacks() as fallback:
+                assert parse_dot(text) == reference, batch
+            assert fallback.call_count == 0
+
+
+def _model_checker_dump(states: int) -> str:
+    """A dump written as a model checker writes one: 18- and 19-digit
+    fingerprint ids, a state's variables in its node's label, coloured
+    edges, and every statement written twice, the second copies in another
+    order after the first."""
+    rng = random.Random(states)
+    ids = [str(rng.choice((-1, 1)) * rng.randrange(10 ** 17, 10 ** 19)) for _ in range(states)]
+    lines = []
+    for i, sid in enumerate(ids):
+        values = "\\n".join(f"/\\\\ {name} = {rng.randrange(10 ** 4):04d}"
+                            for name in ("inbox", "round", "votes", "phase"))
+        lines.append(f'{sid} [label="{values}",style = filled];')
+        for dst in [ids[(i + 1) % states]] + rng.sample(ids, 3):
+            action = f"{rng.choice(('Send', 'Recv', 'Drop', 'Tick'))}(p{rng.randrange(10)})"
+            lines.append(f'{sid} -> {dst} [label="{action}",color="green",fontcolor="green"];')
+    again = lines[:]
+    rng.shuffle(again)
+    return "digraph DiskGraph {\n" + "\n".join(lines + again) + "\n}\n"
+
+
+class TestParseMemory:
+    def test_parsing_holds_the_distinct_statements_only(self):
+        """The tracemalloc peak of parse_dot on a dump of about 1 MB, and
+        what its graph holds, against the dump's length. A parse that holds
+        every line, or every match, at once peaks above 3.3 times the
+        length, and statements that each hold their own id strings take
+        above 1.1 times."""
+        text = _model_checker_dump(1100)
+        assert len(text) > 1_000_000
+        tracemalloc.start()
+        try:
+            raw = parse_dot(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raw.statement_count() == text.count(";")
+        assert peak < 3 * len(text)
+        assert retained < 0.9 * len(text)
 
 
 class TestClean:
