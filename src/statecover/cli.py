@@ -121,7 +121,10 @@ def _read_yaml(path: str) -> dict:
 def _load_spec(path: str) -> speckit.ApiSpec:
     from . import speckit
 
-    return speckit.load_oas(_read_yaml(path))
+    try:
+        return speckit.load_oas(_read_yaml(path))
+    except speckit.SpecError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -187,6 +190,7 @@ def cmd_clean(args, log: Log) -> int:
     except ssg.DotParseError as exc:
         raise UsageError(f"{args.dot}: {exc}") from exc
     parse_s = time.perf_counter() - started
+    del text  # so that emitting does not hold the input as well
     cleaned = ssg.clean(raw)
     started = time.perf_counter()
     out = ssg.emit_dot(cleaned)

@@ -48,6 +48,9 @@ remove of another resource's id; a variable with a resource's name; and an
 effect on a resource that its action declares unchanged. So every reachable
 state is well-typed, and a fault fails the load even where evaluation never
 reaches it, as in "action drop: o has kind id others, not id things".
+The load also lists each action's instances and capacity choices, and puts
+each invariant's 'forall' loop into its holds(maps), so that a step only
+calls functions.
 Exploration only evaluates, and its errors depend on the state: R[k] read
 where k is absent ("R[k] does not exist (guard should test membership
 first)"), a del of an absent id, an add or remove on an absent record or of
@@ -115,18 +118,15 @@ class ResourceDef(NamedTuple):
 
 class ActionDef(NamedTuple):
     name: str
-    params: tuple[tuple[str, str], ...]  # (param name, resource name)
+    instances: tuple[tuple[dict, str], ...]  # (env, label) per id combination of the params
     guard: Callable[[dict, Maps], bool]  # holds(env, maps)
     effects: tuple[Callable[[Maps, dict, Iterator[int]], None], ...]  # apply(maps, env, pick)
-    unchanged: tuple[str, ...] = ()
-    draws: int = 0  # 'any capacity' values the effects take from pick
+    choices: tuple[tuple[int, ...], ...]  # the 'any capacity' values pick yields, per successor
 
 
 class InvariantDef(NamedTuple):
     name: str
-    check: Callable[[dict, Maps], bool]  # holds(env, maps)
-    var: Optional[str] = None
-    domain: Optional[str] = None  # resource whose live ids bind var
+    holds: Callable[[Maps], bool]  # holds(maps), with any 'forall' loop inside
 
 
 class Model(NamedTuple):
@@ -135,12 +135,6 @@ class Model(NamedTuple):
     capacities: tuple[int, ...]
     actions: tuple[ActionDef, ...]
     invariants: tuple[InvariantDef, ...] = ()
-
-    def resource(self, name: str) -> ResourceDef:
-        for r in self.resources:
-            if r.name == name:
-                return r
-        raise ModelError(f"unknown resource {name!r}")
 
 
 # --- model loading -----------------------------------------------------------
@@ -238,11 +232,11 @@ def load_model(source: Union[dict, str, Path]) -> Model:
     actions = []
     for i, a in enumerate(_entries(doc, "actions", ("name",))):
         where = f"action {_text(a['name'], f'actions[{i}]: name')}"
-        params = tuple(_mapping(a.get("params"), f"{where}: params").items())
-        for p, res in params:
+        params = _mapping(a.get("params"), f"{where}: params")
+        for p, res in params.items():
             if not (isinstance(res, str) and res in by_name):
                 raise ModelError(f"{where}: param {p} over unknown resource {res!r}")
-        read = _Reader(where, by_name, capacities, dict(params))
+        read = _Reader(where, by_name, capacities, params)
         unchanged = _list_of(a.get("unchanged"), str, f"{where}: unchanged")
         for res in unchanged:
             if res not in by_name:
@@ -252,9 +246,13 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         effects = tuple(
             read.effect(e, unchanged) for e in _list_of(a.get("effect"), str, f"{where}: effect")
         )
+        instances = tuple(
+            (dict(zip(params, combo)), f"{a['name']}({','.join(combo)})")
+            for combo in itertools.product(*(by_name[res].ids for res in params.values()))
+        )
         actions.append(ActionDef(
-            name=a["name"], params=params, guard=_all_of(guard), effects=effects,
-            unchanged=unchanged, draws=read.draws,
+            name=a["name"], instances=instances, guard=_all_of(guard), effects=effects,
+            choices=tuple(itertools.product(capacities, repeat=read.draws)),
         ))
     action_names = [a.name for a in actions]
     if len(set(action_names)) != len(action_names):
@@ -273,7 +271,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             raise ModelError(f"{where}: unknown resource {domain!r}")
         read = _Reader(where, by_name, capacities, {} if var is None else {var: domain})
         check = _all_of(read.conds(_text(i["check"], f"{where}: check")))
-        invariants.append(InvariantDef(name=i["name"], check=check, var=var, domain=domain))
+        invariants.append(InvariantDef(name=i["name"], holds=_for_all(var, domain, check)))
 
     terminal = doc.get("terminal", "all_empty")
     if terminal != "all_empty":
@@ -313,6 +311,17 @@ def _all_of(conds: list) -> Callable[[dict, Maps], bool]:
                 return False
         return True
     return holds
+
+
+def _for_all(var: Optional[str], domain: Optional[str],
+             check: Callable[[dict, Maps], bool]) -> Callable[[Maps], bool]:
+    """An invariant as holds(maps): its check, under 'forall var in domain' for each live id."""
+    def holds(maps: Maps) -> bool:
+        for rid in maps[domain]:
+            if not check({var: rid}, maps):
+                return False
+        return True
+    return holds if var is not None else lambda maps: check({}, maps)
 
 
 class _Reader:
@@ -586,18 +595,6 @@ def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
     return " /\\ ".join(parts)
 
 
-def _check_invariants(model: Model, maps: Maps) -> Optional[str]:
-    for inv in model.invariants:
-        if inv.var is None:
-            if not inv.check({}, maps):
-                return inv.name
-        else:
-            for rid in maps[inv.domain]:
-                if not inv.check({inv.var: rid}, maps):
-                    return inv.name
-    return None
-
-
 # --- exploration -------------------------------------------------------------
 
 class Exploration(NamedTuple):
@@ -634,15 +631,12 @@ def successors(model: Model, maps: Maps):
     action instance and every 'any capacity' choice, actions in declaration
     order and ids in domain order."""
     for action in model.actions:
-        domains = [model.resource(res).ids for _, res in action.params]
-        for combo in itertools.product(*domains):
-            env = {p: v for (p, _), v in zip(action.params, combo)}
+        for env, label in action.instances:
             if not action.guard(env, maps):
                 continue
-            label = f"{action.name}({','.join(combo)})"
-            for choices in itertools.product(model.capacities, repeat=action.draws):
+            for choice in action.choices:
                 out = {res: {k: dict(rec) for k, rec in m.items()} for res, m in maps.items()}
-                pick = iter(choices)
+                pick = iter(choice)
                 for apply in action.effects:
                     apply(out, env, pick)
                 yield label, out
@@ -650,8 +644,8 @@ def successors(model: Model, maps: Maps):
 
 def explore(model: Model, *, max_states: int = 10000) -> Exploration:
     """Enumerate every reachable state, breadth first over successors.
-    Raises InvariantViolation (with a shortest action trace) if any state
-    breaks the model's invariants."""
+    Raises InvariantViolation (with a shortest action trace) at the first
+    state found that breaks an invariant, naming the first one declared."""
     states: list[str] = []
     state_maps: list[Maps] = []  # also the BFS queue: states expand in the order found
     parents: list[Optional[tuple[int, str]]] = []
@@ -680,7 +674,7 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
             parents.append(parent)
             if final:
                 finals.append(j)
-            broken = _check_invariants(model, maps)
+            broken = next((inv.name for inv in model.invariants if not inv.holds(maps)), None)
             if broken is not None:
                 trace, k = [], j
                 while parents[k] is not None:

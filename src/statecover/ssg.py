@@ -467,8 +467,8 @@ def emit_dot(graph: RawGraph) -> str:
             lines.append(f"{arrow};")
         else:
             lines.append(f'{arrow} [label="{_escape_label(e.label)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ("}", "")  # the empty line ends the text with a line break
+    return "\n".join(lines)
 
 
 def clean(graph: RawGraph) -> RawGraph:

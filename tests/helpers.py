@@ -66,6 +66,7 @@ def type_error(model: Model, maps: Maps) -> str | None:
     domain, a record without exactly its declared fields, or a field value
     not of its kind. The reference for load_model's kind checks, which
     should leave no reachable state that this finds fault with."""
+    ids = {r.name: r.ids for r in model.resources}
     for r in model.resources:
         for rid, rec in maps[r.name].items():
             if rid not in r.ids:
@@ -77,12 +78,11 @@ def type_error(model: Model, maps: Maps) -> str | None:
                 if spec.kind == "set":
                     if not isinstance(value, frozenset):
                         return f"{r.name}[{rid}].{fname} is not a set"
-                    domain = model.resource(spec.target).ids
-                    bad = [e for e in value if e not in domain]
+                    bad = [e for e in value if e not in ids[spec.target]]
                     if bad:
                         return f"{r.name}[{rid}].{fname} holds foreign ids {bad}"
                 elif spec.kind == "ref":
-                    if value not in model.resource(spec.target).ids:
+                    if value not in ids[spec.target]:
                         return f"{r.name}[{rid}].{fname} = {value!r} is not a {spec.target} id"
                 elif value not in model.capacities:
                     return f"{r.name}[{rid}].{fname} = {value!r} not in capacities"

@@ -73,9 +73,10 @@ class TestLoadModel:
         assert model.capacities == (1,)
         assert len(model.actions) == 6
         assert [i.name for i in model.invariants] == ["backrefs_live", "capacity_respected"]
-        assert model.resource("players").record["ts"].kind == "set"
-        assert model.resource("tournaments").record["c"].kind == "capacity"
-        assert model.resource("enrolments").record["pid"].target == "players"
+        players, tournaments, enrolments = model.resources
+        assert players.record["ts"].kind == "set"
+        assert tournaments.record["c"].kind == "capacity"
+        assert enrolments.record["pid"].target == "players"
 
     def test_a_resource_key_is_optional_and_ignored(self):
         text = fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")
@@ -412,6 +413,13 @@ class TestExploreDotIsPinned:
         pytest.param(lambda: load_model(tournaments_model_doc(
             ("p1", "p2"), ("t1", "t2"), ("e1", "e2"), (1, 2))), (193, 872, 64189),
                      "fe59216bd4b22eafb89a3330962171dac29e09857d9493eabbfcb2d8584d370a", id="p2t2e2"),
+        # the sizes of the benchmark's campaign and generate models
+        pytest.param(lambda: load_model(tournaments_model_doc(
+            ("p1",), ("t1",), ("e1",), (1, 2))), (9, 18, 1602),
+                     "f325b98767ffb2e1d22b7a6f1ce6cb8cb1c15ece0b1f8159f1d850d56c66d15b", id="p1t1e1-caps12"),
+        pytest.param(lambda: load_model(tournaments_model_doc(
+            ("p1", "p2", "p3"), ("t1", "t2"), ("e1", "e2", "e3"), (1, 2))), (1657, 9696, 710843),
+                     "0b5598190435db2a4ca2d2b47c299aac008d035fdb206d5fdc0199a91d60024c", id="p3t2e3"),
     ])
     def test_sha256(self, model, counts, sha256):
         x = explore(model())
@@ -504,6 +512,21 @@ class TestModelChecks:
         assert exc.value.name == "fits"
         assert len(exc.value.trace) >= 4
         assert exc.value.trace[-1].startswith("join(")
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_the_first_invariant_declared_is_the_one_named(self, first):
+        # both break in the state that postTournament(t1) reaches first
+        broken = [{"name": "no_tournaments", "check": "size(tournaments) = 0"},
+                  {"name": "no_open_seats", "forall": "t", "in": "tournaments",
+                   "check": "size(tournaments[t].ps) < 0"}]
+        doc = load_yaml(fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8"))
+        doc["invariants"] += broken[first:] + broken[:first]
+        with pytest.raises(InvariantViolation) as exc:
+            explore(load_model(doc))
+        assert exc.value.name == broken[first]["name"]
+        assert exc.value.trace == ("postTournament(t1)",)
+        assert exc.value.state == ("players: {} /\\ tournaments: {t1[c=1, ps={}]} "
+                                   "/\\ enrolments: {} /\\ final = FALSE")
 
     def test_type_check_rejects_wrong_record_shape(self):
         doc = toggler_doc()
