@@ -24,33 +24,43 @@ Guards and effects use a small expression language:
 An INT is written in ASCII digits; another digit is a character that
 cannot be tokenized.
 
-'any capacity' branches the successor state over every declared capacity
-value. A state becomes final when every map is empty again (the one
-terminal condition, 'all_empty'); final states are sinks and are not
-expanded further.
+Each 'any capacity' of an action's effects is a draw: a step of the action
+binds it to one declared capacity, so the action has a successor for each.
+A state becomes final when every map is empty again (the one terminal
+condition, 'all_empty'); final states are sinks and are not expanded
+further.
+
+A state is a value: its maps, and whether it is final. A step never changes
+a record in place; it puts a new record under the id instead, so a record
+can be shared by the states that hold it. explore knows a state by a
+hashable value that is equal exactly where the canonical text is: per
+resource, the ids held as a set, each with its record's field values in
+field-name order. It formats that text once, for each new state.
 
 load_model reads each guard, effect and invariant check in one pass: every
 construct is parsed, its kind inferred and checked, and turned into the
 function that evaluates it. A guard or check becomes holds(env, maps), true
 when each conjunct holds (it stops at the first false one), where env maps
-each param or 'forall' variable to an id; an effect becomes apply(maps, env,
-pick), which changes maps in place and takes each 'any capacity' value from
-the iterator pick. The kinds are 'id R' for a param or 'forall' variable
-over resource R or a ref field to R, 'set R' for a set field over R, 'map R'
-for a bare resource name (only as an 'in' or size() target) and 'int' for a
-capacity field. The load refuses, naming the action or invariant, an
-undeclared name; an 'in' whose element is not an id of its target's
-resource; a size() whose target is not a set or map, or whose right side is
-not an INT or int; a key R[k] whose k is not 'id R'; a put that does not
-give each record field once, with a value of its kind: '{}' only for a set,
-'any capacity' or an INT of 'capacities' only for a capacity; an add or
-remove of another resource's id; a variable with a resource's name; and an
-effect on a resource that its action declares unchanged. So every reachable
-state is well-typed, and a fault fails the load even where evaluation never
-reaches it, as in "action drop: o has kind id others, not id things".
-The load also lists each action's instances and capacity choices, and puts
-each invariant's 'forall' loop into its holds(maps), so that a step only
-calls functions.
+each param or 'forall' variable to an id; an effect becomes apply(maps,
+env), which sets or deletes one id of one resource's map in maps, and reads
+each draw's capacity from env, as it reads each param's id. The kinds are
+'id R' for a param or 'forall' variable over resource R or a ref field to
+R, 'set R' for a set field over R, 'map R' for a bare resource name (only
+as an 'in' or size() target) and 'int' for a capacity field. The load
+refuses, naming the action or invariant, an undeclared name; an 'in' whose
+element is not an id of its target's resource; a size() whose target is not
+a set or map, or whose right side is not an INT or int; a key R[k] whose k
+is not 'id R'; a put that does not give each record field once, with a
+value of its kind: '{}' only for a set, 'any capacity' or an INT of
+'capacities' only for a capacity; an add or remove of another resource's
+id; a variable with a resource's name; and an effect on a resource that its
+action declares unchanged. So every reachable state is well-typed, and a
+fault fails the load even where evaluation never reaches it, as in "action
+drop: o has kind id others, not id things".
+The load also lists each action's instances, one env and label for each
+combination of its params' ids and then one capacity per draw, with the
+draws varying fastest, and puts each invariant's 'forall' loop into its
+holds(maps), so that a step only calls functions.
 Exploration only evaluates, and its errors depend on the state: R[k] read
 where k is absent ("R[k] does not exist (guard should test membership
 first)"), a del of an absent id, an add or remove on an absent record or of
@@ -85,7 +95,7 @@ import itertools
 import operator
 import re
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import ssg
 from .speckit import load_yaml
@@ -118,10 +128,9 @@ class ResourceDef(NamedTuple):
 
 class ActionDef(NamedTuple):
     name: str
-    instances: tuple[tuple[dict, str], ...]  # (env, label) per id combination of the params
+    instances: tuple[tuple[dict, str], ...]  # (env, label) per combination of ids and draws
     guard: Callable[[dict, Maps], bool]  # holds(env, maps)
-    effects: tuple[Callable[[Maps, dict, Iterator[int]], None], ...]  # apply(maps, env, pick)
-    choices: tuple[tuple[int, ...], ...]  # the 'any capacity' values pick yields, per successor
+    effects: tuple[Callable[[Maps, dict], None], ...]  # apply(maps, env)
 
 
 class InvariantDef(NamedTuple):
@@ -246,14 +255,15 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         effects = tuple(
             read.effect(e, unchanged) for e in _list_of(a.get("effect"), str, f"{where}: effect")
         )
+        # the draws vary fastest, so an instance's successors stay together
+        domains = [by_name[res].ids for res in params.values()] + [capacities] * len(read.draws)
         instances = tuple(
-            (dict(zip(params, combo)), f"{a['name']}({','.join(combo)})")
-            for combo in itertools.product(*(by_name[res].ids for res in params.values()))
+            (dict(zip([*params, *read.draws], combo)),
+             f"{a['name']}({','.join(combo[:len(params)])})")
+            for combo in itertools.product(*domains)
         )
         actions.append(ActionDef(
-            name=a["name"], instances=instances, guard=_all_of(guard), effects=effects,
-            choices=tuple(itertools.product(capacities, repeat=read.draws)),
-        ))
+            name=a["name"], instances=instances, guard=_all_of(guard), effects=effects))
     action_names = [a.name for a in actions]
     if len(set(action_names)) != len(action_names):
         raise ModelError("duplicate action names")
@@ -328,15 +338,16 @@ class _Reader:
     """Reads the texts of one action or invariant, where bound maps each
     param or 'forall' variable to its resource: each construct is parsed,
     its kind inferred and checked, and returned as the function that
-    evaluates it. draws counts the 'any capacity' values of the effects
-    read so far."""
+    evaluates it. draws names the 'any capacity' values of the effects
+    read so far, in reading order: the env of a step binds each name to
+    one capacity."""
 
     def __init__(self, where: str, by_name: dict, capacities: tuple, bound: dict):
         for name in bound:
             if name in by_name:
                 raise ModelError(f"{where}: variable {name!r} has a resource's name")
         self.where, self.by_name, self.capacities, self.bound = where, by_name, capacities, bound
-        self.draws = 0
+        self.draws: list[str] = []
 
     def fail(self, message: str):
         raise ModelError(f"{self.where}: {message}")
@@ -458,9 +469,9 @@ class _Reader:
         get_lhs, get_target = lhs.get, target.get
         return lambda env, maps: (get_lhs(env, maps) in get_target(env, maps)) != negate
 
-    def effect(self, text: str, unchanged: tuple) -> Callable[[Maps, dict, Iterator[int]], None]:
-        """An effect as apply(maps, env, pick), which changes maps in place
-        and takes each 'any capacity' value from pick."""
+    def effect(self, text: str, unchanged: tuple) -> Callable[[Maps, dict], None]:
+        """An effect as apply(maps, env), which sets or deletes one key of
+        a resource's map in maps and never changes a record in place."""
         self.start(text)
         verb, where = self.next(), self.where
         if verb not in ("put", "del", "add", "remove"):
@@ -475,7 +486,7 @@ class _Reader:
         self.expect("]")
         get_key = key.get
         if verb == "del":
-            def apply(maps: Maps, env: dict, pick: Iterator[int]) -> None:
+            def apply(maps: Maps, env: dict) -> None:
                 k = get_key(env, maps)
                 if k not in maps[res]:
                     raise ModelError(f"{where}: del of absent {res}[{k}]")
@@ -499,9 +510,9 @@ class _Reader:
                 self.fail(f"put {res}[{key.text}] gives the fields {given}, "
                           f"not each of {record} once")
 
-            def apply(maps: Maps, env: dict, pick: Iterator[int]) -> None:
+            def apply(maps: Maps, env: dict) -> None:
                 k = get_key(env, maps)
-                maps[res][k] = {fname: value(env, maps, pick) for fname, value in fields}
+                maps[res][k] = {fname: value(env, maps) for fname, value in fields}
         else:
             self.expect(".")
             fname = self.next()
@@ -512,7 +523,7 @@ class _Reader:
             self.want(elem, f"id {of}")
             get_elem = elem.get
 
-            def apply(maps: Maps, env: dict, pick: Iterator[int]) -> None:
+            def apply(maps: Maps, env: dict) -> None:
                 k = get_key(env, maps)
                 rec = maps[res].get(k)
                 if rec is None:
@@ -521,42 +532,42 @@ class _Reader:
                 if verb == "add":
                     if e in current:
                         raise ModelError(f"{where}: add of element already in {res}[{k}].{fname}")
-                    rec[fname] = current | {e}
+                    maps[res][k] = {**rec, fname: current | {e}}
                 else:
                     if e not in current:
                         raise ModelError(
                             f"{where}: remove of element missing from {res}[{k}].{fname}")
-                    rec[fname] = current - {e}
+                    maps[res][k] = {**rec, fname: current - {e}}
         if self.peek() is not None:
             self.fail(f"unexpected {self.peek()!r} after effect {text!r}")
         return apply
 
-    def init(self, text: str, want: str) -> Callable[[dict, Maps, Iterator[int]], object]:
-        """A put's value for a field of kind want, as value(env, maps, pick)."""
+    def init(self, text: str, want: str) -> Callable[[dict, Maps], object]:
+        """A put's value for a field of kind want, as value(env, maps)."""
         tok = self.peek()
         if tok == "{":
             self.next()
             self.expect("}")
             self.sort(text + "{}", "set", want)
-            return lambda env, maps, pick: frozenset()
+            return lambda env, maps: frozenset()
         if tok == "any":
             self.next()
             domain = self.next()
             if domain != "capacity":
                 self.fail(f"only 'any capacity' is supported, got 'any {domain}'")
             self.sort(text + "any capacity", "int", want)
-            self.draws += 1
-            return lambda env, maps, pick: next(pick)
+            draw = f"any capacity {len(self.draws) + 1}"  # no expression can name it
+            self.draws.append(draw)
+            return lambda env, maps: env[draw]
         if tok is not None and tok.isdigit():
             n = int(self.next())
             self.sort(f"{text}{n}", "int", want)
             if n not in self.capacities:
                 self.fail(f"{text}{n} is not one of the capacities {list(self.capacities)}")
-            return lambda env, maps, pick: n
+            return lambda env, maps: n
         atom = self.atom()
         self.want(atom, want, text)
-        get = atom.get
-        return lambda env, maps, pick: get(env, maps)
+        return atom.get
 
     def sort(self, text: str, got: str, want: str) -> None:
         if want.partition(" ")[0] != got:  # {} fits any set field
@@ -577,7 +588,8 @@ def _fmt_value(v) -> str:
 
 def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
     """Stable single-line rendering: resources in declaration order, ids in
-    domain order, record fields alphabetical. Used for dedup and DOT labels."""
+    domain order, record fields alphabetical. A state's DOT label, which
+    explore writes once for each new state."""
     parts = []
     for r in model.resources:
         held = maps[r.name]
@@ -628,17 +640,16 @@ class Exploration(NamedTuple):
 
 def successors(model: Model, maps: Maps):
     """The model's one step: yield (label, next maps) for every enabled
-    action instance and every 'any capacity' choice, actions in declaration
-    order and ids in domain order."""
+    action instance, actions in declaration order, ids in domain order and
+    then capacities in declared order. The next maps are new resource maps
+    that share every record the step does not replace with maps, which the
+    step leaves unchanged."""
     for action in model.actions:
         for env, label in action.instances:
-            if not action.guard(env, maps):
-                continue
-            for choice in action.choices:
-                out = {res: {k: dict(rec) for k, rec in m.items()} for res, m in maps.items()}
-                pick = iter(choice)
+            if action.guard(env, maps):
+                out = {res: dict(m) for res, m in maps.items()}
                 for apply in action.effects:
-                    apply(out, env, pick)
+                    apply(out, env)
                 yield label, out
 
 
@@ -649,7 +660,11 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
     states: list[str] = []
     state_maps: list[Maps] = []  # also the BFS queue: states expand in the order found
     parents: list[Optional[tuple[int, str]]] = []
-    index: dict[str, int] = {}
+    index: dict[tuple, int] = {}
+    # a state's value, equal where canonical's text is: per resource, its ids
+    # as a set, each with its record's field values in field-name order
+    fields = [(r.name, operator.itemgetter(*sorted(r.record)) if r.record else lambda rec: ())
+              for r in model.resources]
     edges: dict[tuple[int, int, str], None] = {}  # an insertion-ordered set
     finals: list[int] = []
 
@@ -662,13 +677,15 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
 
     for parent, maps in arrivals():
         final = parent is not None and not any(maps.values())  # every map empty again
-        c = canonical(model, maps, final)
-        j = index.get(c)
+        key = final, *(frozenset(zip(maps[res], map(values, maps[res].values())))
+                       for res, values in fields)
+        j = index.get(key)
         if j is None:
             j = len(states)
             if j >= max_states:
                 raise ModelError(f"state space exceeds {max_states} states")
-            index[c] = j
+            index[key] = j
+            c = canonical(model, maps, final)
             states.append(c)
             state_maps.append(maps)
             parents.append(parent)
