@@ -26,11 +26,13 @@ cannot be tokenized.
 
 Each 'any capacity' of an action's effects is a draw: a step of the action
 binds it to one declared capacity, so the action has a successor for each.
-A state becomes final when every map is empty again (the one terminal
-condition, 'all_empty'); final states are sinks and are not expanded
-further.
+A step's label is the action's name over its params' ids and then its
+draws, as in postTournament(t1,2), so it names every choice of the step: a
+state and a label fix the next state.
 
-A state is a value: its maps, and whether it is final. A step never changes
+A state is a value: its maps, and whether it is final. It becomes final
+when every map is empty again (the one terminal condition, 'all_empty');
+final states are sinks and are not expanded further. A step never changes
 a record in place; it puts a new record under the id instead, so a record
 can be shared by the states that hold it. explore knows a state by a
 hashable value that is equal exactly where the canonical text is: per
@@ -258,8 +260,7 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         # the draws vary fastest, so an instance's successors stay together
         domains = [by_name[res].ids for res in params.values()] + [capacities] * len(read.draws)
         instances = tuple(
-            (dict(zip([*params, *read.draws], combo)),
-             f"{a['name']}({','.join(combo[:len(params)])})")
+            (dict(zip([*params, *read.draws], combo)), f"{a['name']}({','.join(map(str, combo))})")
             for combo in itertools.product(*domains)
         )
         actions.append(ActionDef(

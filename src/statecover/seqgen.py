@@ -141,7 +141,9 @@ def to_call_sequences(
     order, sends label min(k, n-1), so the pair's labels go out in label
     order; the synthetic sink edge and unlabeled edges contribute nothing.
     Without a resolver, calls keep the label name and positional argument
-    names.
+    names. With one, the i-th label argument is sent as the operation's
+    i-th param name, and one past param_names is kept as arg<i>, such as
+    a capacity draw of the model.
     """
     traversals: dict[tuple[int, int], int] = {}
     sequences = []

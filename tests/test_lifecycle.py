@@ -22,9 +22,9 @@ from statecover.speckit import fixture_path, load_yaml
 
 TOURNAMENT_LABELS = [
     "postPlayer(p1)",
-    "postTournament(t1)",
+    "postTournament(t1,1)",
     "deletePlayer(p1)",
-    "postTournament(t1)",
+    "postTournament(t1,1)",
     "deleteTournament(t1)",
     "postPlayer(p1)",
     "deletePlayer(p1)",
@@ -405,21 +405,21 @@ class TestExploreTournaments:
 
 class TestExploreDotIsPinned:
     @pytest.mark.parametrize("model, counts, sha256", [
-        pytest.param(lambda: load_model(fixture_path("tournaments_p1t1e1.yaml")), (6, 10, 981),
-                     "21b8468c766b304698bd1be3abc4c7f55d91ddce716c0cf34b7eac5ae2eaddfe", id="p1t1e1"),
+        pytest.param(lambda: load_model(fixture_path("tournaments_p1t1e1.yaml")), (6, 10, 985),
+                     "d1d296ba460b163349d81d6ed7165f3a08327fa4d10283564befb3e925c435ca", id="p1t1e1"),
         pytest.param(lambda: load_model(tournaments_model_doc(
-            players=(), tournaments=("t1", "t2"), enrolments=())), (5, 8, 795),
-                     "52c8794110785539e54b7940e4291c125612a3f952de219d951377bc2faa62ae", id="t1t2"),
+            players=(), tournaments=("t1", "t2"), enrolments=())), (5, 8, 803),
+                     "385ea802da672e46ba6f39cd766da4e0c7ec9d1a97d94094982a9aa096956bfc", id="t1t2"),
         pytest.param(lambda: load_model(tournaments_model_doc(
-            ("p1", "p2"), ("t1", "t2"), ("e1", "e2"), (1, 2))), (193, 872, 64189),
-                     "fe59216bd4b22eafb89a3330962171dac29e09857d9493eabbfcb2d8584d370a", id="p2t2e2"),
+            ("p1", "p2"), ("t1", "t2"), ("e1", "e2"), (1, 2))), (193, 872, 64429),
+                     "b90b1e64a8005dc70dc1ddc1b447f785b5be43a07d29cde02a8c0b5663c8c73c", id="p2t2e2"),
         # the sizes of the benchmark's campaign and generate models
         pytest.param(lambda: load_model(tournaments_model_doc(
-            ("p1",), ("t1",), ("e1",), (1, 2))), (9, 18, 1602),
-                     "f325b98767ffb2e1d22b7a6f1ce6cb8cb1c15ece0b1f8159f1d850d56c66d15b", id="p1t1e1-caps12"),
+            ("p1",), ("t1",), ("e1",), (1, 2))), (9, 18, 1610),
+                     "beba3f66d568626949171c26745690eaf9b4fced720f04c316645173484431f2", id="p1t1e1-caps12"),
         pytest.param(lambda: load_model(tournaments_model_doc(
-            ("p1", "p2", "p3"), ("t1", "t2"), ("e1", "e2", "e3"), (1, 2))), (1657, 9696, 710843),
-                     "0b5598190435db2a4ca2d2b47c299aac008d035fdb206d5fdc0199a91d60024c", id="p3t2e3"),
+            ("p1", "p2", "p3"), ("t1", "t2"), ("e1", "e2", "e3"), (1, 2))), (1657, 9696, 711899),
+                     "e153f1848c021371e8a41979e402ea648ddaa9850382f216cabc469657a87104", id="p3t2e3"),
     ])
     def test_sha256(self, model, counts, sha256):
         x = explore(model())
@@ -515,7 +515,7 @@ class TestModelChecks:
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_the_first_invariant_declared_is_the_one_named(self, first):
-        # both break in the state that postTournament(t1) reaches first
+        # both break in the state that postTournament(t1,1) reaches first
         broken = [{"name": "no_tournaments", "check": "size(tournaments) = 0"},
                   {"name": "no_open_seats", "forall": "t", "in": "tournaments",
                    "check": "size(tournaments[t].ps) < 0"}]
@@ -524,7 +524,7 @@ class TestModelChecks:
         with pytest.raises(InvariantViolation) as exc:
             explore(load_model(doc))
         assert exc.value.name == broken[first]["name"]
-        assert exc.value.trace == ("postTournament(t1)",)
+        assert exc.value.trace == ("postTournament(t1,1)",)
         assert exc.value.state == ("players: {} /\\ tournaments: {t1[c=1, ps={}]} "
                                    "/\\ enrolments: {} /\\ final = FALSE")
 
@@ -639,24 +639,37 @@ def some_ids(prefix: str):
 class TestReachableStatesAreWellTyped:
     @settings(max_examples=150, deadline=None)
     @given(some_ids("p"), some_ids("t"), some_ids("e"),
-           st.sets(st.sampled_from([1, 2, 3]), min_size=1).map(sorted))
-    def test_on_the_tournaments_model(self, players, tournaments, enrolments, capacities):
-        model = load_model(tournaments_model_doc(players, tournaments, enrolments, capacities))
-        # explore keeps only its states' labels: walk successors to the same
-        # states, final ones unexpanded, and check the maps behind each label
+           st.sets(st.sampled_from([1, 2, 3]), min_size=1).map(sorted), st.booleans())
+    def test_on_the_tournaments_model(self, players, tournaments, enrolments, capacities,
+                                      reordered):
+        doc = tournaments_model_doc(players, tournaments, enrolments, capacities)
+        if reordered:
+            # postTournament's records, with their fields written in the other order
+            doc["actions"].append({
+                "name": "postTournamentCFirst", "params": {"tid": "tournaments"},
+                "guard": "tid not in tournaments",
+                "effect": ["put tournaments[tid] = {c: any capacity, ps: {}}"]})
+        model = load_model(doc)
+        # explore keeps only its states' texts: walk successors to the same
+        # states, final ones unexpanded, and check the maps behind each text
         initial = empty_maps(model)
-        found, queue = {canonical(model, initial, False): initial}, [initial]
+        found, queue, targets = {canonical(model, initial, False): initial}, [initial], {}
         for maps in queue:
-            for _, nxt in successors(model, maps):
+            here = canonical(model, maps, False)
+            for label, nxt in successors(model, maps):
                 final = not any(nxt.values())
-                label = canonical(model, nxt, final)
-                if label not in found:
-                    found[label] = nxt
+                text = canonical(model, nxt, final)
+                targets.setdefault((here, label), set()).add(text)
+                if text not in found:
+                    found[text] = nxt
                     if not final:
                         queue.append(nxt)
+            assert canonical(model, maps, False) == here, "successors changed its maps"
         assert sorted(found) == sorted(explore(model).states)
-        for label, maps in found.items():
-            assert type_error(model, maps) is None, label
+        # a label names every choice of its step
+        assert {k: v for k, v in targets.items() if len(v) > 1} == {}
+        for text, maps in found.items():
+            assert type_error(model, maps) is None, text
 
 
 def violation_trace(check):
@@ -680,8 +693,8 @@ class TestCheckInvariant:
         trace = violation_trace("size(enrolments) = 0")
         assert trace is not None
         assert trace[-1] == "postEnrolment(e1,p1,t1)"
-        assert trace[0] in ("postPlayer(p1)", "postTournament(t1)")
-        assert trace == ("postPlayer(p1)", "postTournament(t1)", "postEnrolment(e1,p1,t1)")
+        assert trace[0] in ("postPlayer(p1)", "postTournament(t1,1)")
+        assert trace == ("postPlayer(p1)", "postTournament(t1,1)", "postEnrolment(e1,p1,t1)")
 
     def test_trace_replays_to_violation(self, model):
         """The returned trace is a genuine path: replaying it step by step
