@@ -35,9 +35,9 @@ when every map is empty again (the one terminal condition, 'all_empty');
 final states are sinks and are not expanded further. A step never changes
 a record in place; it puts a new record under the id instead, so a record
 can be shared by the states that hold it. explore knows a state by a
-hashable value that is equal exactly where the canonical text is: per
-resource, the ids held as a set, each with its record's field values in
-field-name order. It formats that text once, for each new state.
+hashable value made of what its canonical text writes: per resource, the
+ids held as a set, each with its record's field values in field-name
+order, and the final flag. It formats that text once, for each new state.
 
 load_model reads each guard, effect and invariant check in one pass: every
 construct is parsed, its kind inferred and checked, and turned into the
@@ -662,7 +662,7 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
     state_maps: list[Maps] = []  # also the BFS queue: states expand in the order found
     parents: list[Optional[tuple[int, str]]] = []
     index: dict[tuple, int] = {}
-    # a state's value, equal where canonical's text is: per resource, its ids
+    # a state's value, made of what canonical writes: per resource, its ids
     # as a set, each with its record's field values in field-name order
     fields = [(r.name, operator.itemgetter(*sorted(r.record)) if r.record else lambda rec: ())
               for r in model.resources]
