@@ -2,10 +2,10 @@
 
 A model declares resources (keyed maps with record fields), actions with
 guards and effects over those maps, and invariants. successors is the
-model's one step: from the map contents of a state it yields each labeled
-next state. explore enumerates every reachable state by breadth-first search
-over successors, checks the invariants in each state, and produces the
-labeled transition graph that sequence generation consumes.
+model's one step: from a state it yields each labeled next state. explore
+enumerates every reachable state by breadth-first search over successors,
+checks the invariants in each state, and produces the labeled transition
+graph that sequence generation consumes.
 
 Guards and effects use a small expression language:
 
@@ -30,39 +30,41 @@ A step's label is the action's name over its params' ids and then its
 draws, as in postTournament(t1,2), so it names every choice of the step: a
 state and a label fix the next state.
 
-A state is a value: its maps, and whether it is final. It becomes final
-when every map is empty again (the one terminal condition, 'all_empty');
-final states are sinks and are not expanded further. A step never changes
-a record in place; it puts a new record under the id instead, so a record
-can be shared by the states that hold it. explore knows a state by a
-hashable value made of what its canonical text writes: per resource, the
-ids held as a set, each with its record's field values in field-name
-order, and the final flag. It formats that text once, for each new state.
+A state is one tuple and its own key. load_model gives each declared
+(resource, id) a slot, resources in declaration order and ids in domain
+order. A slot holds None where the id is absent, and otherwise the record
+as a tuple of its field values in field-name order. It becomes final when
+every slot is empty again (the one terminal condition, 'all_empty'); final
+states are sinks and are not expanded further. A step puts new records in
+a list copy of the state, so a record is shared by the states that hold
+it. explore indexes (final, state) and formats each new state's text once.
 
 load_model reads each guard, effect and invariant check in one pass: every
 construct is parsed, its kind inferred and checked, and turned into the
-function that evaluates it. A guard or check becomes holds(env, maps), true
-when each conjunct holds (it stops at the first false one), where env maps
-each param or 'forall' variable to an id; an effect becomes apply(maps,
-env), which sets or deletes one id of one resource's map in maps, and reads
-each draw's capacity from env, as it reads each param's id. The kinds are
-'id R' for a param or 'forall' variable over resource R or a ref field to
-R, 'set R' for a set field over R, 'map R' for a bare resource name (only
-as an 'in' or size() target) and 'int' for a capacity field. The load
-refuses, naming the action or invariant, an undeclared name; an 'in' whose
-element is not an id of its target's resource; a size() whose target is not
-a set or map, or whose right side is not an INT or int; a key R[k] whose k
-is not 'id R'; a put that does not give each record field once, with a
-value of its kind: '{}' only for a set, 'any capacity' or an INT of
-'capacities' only for a capacity; an add or remove of another resource's
-id; a variable with a resource's name; and an effect on a resource that its
-action declares unchanged. So every reachable state is well-typed, and a
-fault fails the load even where evaluation never reaches it, as in "action
-drop: o has kind id others, not id things".
-The load also lists each action's instances, one env and label for each
-combination of its params' ids and then one capacity per draw, with the
-draws varying fastest, and puts each invariant's 'forall' loop into its
-holds(maps), so that a step only calls functions.
+function that evaluates it. A guard or check becomes holds(env, state),
+true when each conjunct holds (it stops at the first false one), where env
+maps each param or 'forall' variable to an id; an effect becomes
+apply(state list, env), which sets or clears one slot of a list copy of
+the state, and reads each draw's capacity from env, as it reads each
+param's id. The kinds are 'id R' for a param or 'forall' variable over
+resource R or a ref field to R, 'set R' for a set field over R, 'map R' for
+a bare resource name (only as an 'in' or size() target) and 'int' for a
+capacity field. The load refuses, naming the action or invariant, an
+undeclared name; an 'in' whose element is not an id of its target's
+resource; a size() whose target is not a set or map, or whose right side
+is not an INT or int; a key R[k] whose k is not 'id R'; a put that does not
+give each record field once, with a value of its kind: '{}' only for a
+set, 'any capacity' or an INT of 'capacities' only for a capacity; an add
+or remove of another resource's id; a variable with a resource's name; and
+an effect on a resource that its action declares unchanged. So every
+reachable state is well-typed, and a fault fails the load even where
+evaluation never reaches it, as in "action drop: o has kind id others, not
+id things".
+The load also lists each action's instances: a params env for each
+combination of its params' ids, which the guard reads once (no guard can
+name a draw), with an env and label for each choice of one capacity per
+draw, the draws varying fastest; and it puts each invariant's 'forall'
+loop into its holds(state), so that a step only calls functions.
 Exploration only evaluates, and its errors depend on the state: R[k] read
 where k is absent ("R[k] does not exist (guard should test membership
 first)"), a del of an absent id, an add or remove on an absent record or of
@@ -74,9 +76,10 @@ A section of the wrong shape fails the load too, named by its place, as in
 ['drop']" or "action drop: unchanged: expected a list of strings, got
 'tournaments'", and so does an unchanged entry, a param, a set or ref field
 or an invariant's 'in' that names no declared resource, and an id listed
-twice in a resource's ids. A resource's 'key', which older models name, is
-accepted and not read: the request field that carries an id is the API
-description's business.
+twice in a resource's ids or that a step label cannot carry: an empty id,
+or one with a ',' or with leading or trailing whitespace. A resource's
+'key', which older models name, is accepted and not read: the request
+field that carries an id is the API description's business.
 
 A model with several faults reports the first met in this order: its name;
 its resources, capacities and field targets; each action in turn, with its
@@ -126,18 +129,19 @@ class ResourceDef(NamedTuple):
     name: str
     ids: tuple[str, ...]
     record: dict[str, FieldSpec]
+    slots: dict[str, int]  # id -> its slot in a state
 
 
 class ActionDef(NamedTuple):
     name: str
-    instances: tuple[tuple[dict, str], ...]  # (env, label) per combination of ids and draws
-    guard: Callable[[dict, Maps], bool]  # holds(env, maps)
-    effects: tuple[Callable[[Maps, dict], None], ...]  # apply(maps, env)
+    instances: tuple[tuple[dict, tuple], ...]  # (params env, ((env, label) per choice of draws))
+    guard: Callable[[dict, State], bool]  # holds(params env, state)
+    effects: tuple[Callable[[list, dict], None], ...]  # apply(state list, env)
 
 
 class InvariantDef(NamedTuple):
     name: str
-    holds: Callable[[Maps], bool]  # holds(maps), with any 'forall' loop inside
+    holds: Callable[[State], bool]  # holds(state), with any 'forall' loop inside
 
 
 class Model(NamedTuple):
@@ -224,9 +228,13 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         }
         ids = _list_of(r.get("ids"), str, f"resource {rname}: ids")
         for rid in ids:
+            if not rid or "," in rid or rid != rid.strip():
+                raise ModelError(f"resource {rname}: ids: {rid!r} cannot be carried by a step "
+                                 "label (empty, with a ',' or with surrounding whitespace)")
             if ids.count(rid) > 1:
                 raise ModelError(f"resource {rname}: ids: {rid!r} is listed twice")
-        resources.append(ResourceDef(name=rname, ids=ids, record=record))
+        slots = dict(zip(ids, itertools.count(sum(len(r.ids) for r in resources))))
+        resources.append(ResourceDef(name=rname, ids=ids, record=record, slots=slots))
     names = [r.name for r in resources]
     if len(set(names)) != len(names):
         raise ModelError("duplicate resource names")
@@ -258,10 +266,12 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             read.effect(e, unchanged) for e in _list_of(a.get("effect"), str, f"{where}: effect")
         )
         # the draws vary fastest, so an instance's successors stay together
-        domains = [by_name[res].ids for res in params.values()] + [capacities] * len(read.draws)
+        choices = list(itertools.product(capacities, repeat=len(read.draws)))
         instances = tuple(
-            (dict(zip([*params, *read.draws], combo)), f"{a['name']}({','.join(map(str, combo))})")
-            for combo in itertools.product(*domains)
+            (dict(zip(params, ids)), tuple(
+                (dict(zip([*params, *read.draws], ids + caps)),
+                 f"{a['name']}({','.join(map(str, ids + caps))})") for caps in choices))
+            for ids in itertools.product(*[by_name[res].ids for res in params.values()])
         )
         actions.append(ActionDef(
             name=a["name"], instances=instances, guard=_all_of(guard), effects=effects))
@@ -282,18 +292,13 @@ def load_model(source: Union[dict, str, Path]) -> Model:
             raise ModelError(f"{where}: unknown resource {domain!r}")
         read = _Reader(where, by_name, capacities, {} if var is None else {var: domain})
         check = _all_of(read.conds(_text(i["check"], f"{where}: check")))
-        invariants.append(InvariantDef(name=i["name"], holds=_for_all(var, domain, check)))
+        slots = {} if var is None else by_name[domain].slots
+        invariants.append(InvariantDef(name=i["name"], holds=_for_all(var, slots, check)))
 
     terminal = doc.get("terminal", "all_empty")
     if terminal != "all_empty":
         raise ModelError(f"unsupported terminal condition {terminal!r}")
-    return Model(
-        name=name,
-        resources=tuple(resources),
-        capacities=capacities,
-        actions=tuple(actions),
-        invariants=tuple(invariants),
-    )
+    return Model(name, tuple(resources), capacities, tuple(actions), tuple(invariants))
 
 
 # --- expression language -----------------------------------------------------
@@ -305,34 +310,34 @@ _CMP = {
     ">": operator.gt, ">=": operator.ge,
 }
 
-Maps = dict  # resource name -> {id -> {field -> value}}
+State = tuple  # per slot: None, or the record's field values in field-name order
 
 
 class _Atom(NamedTuple):
-    get: Callable[[dict, Maps], object]
+    get: Callable[[dict, State], object]
     kind: str  # 'id R', 'set R', 'map R' or 'int'
     text: str  # as the model writes it
 
 
-def _all_of(conds: list) -> Callable[[dict, Maps], bool]:
-    """A conjunction as holds(env, maps); stops at the first false conjunct."""
-    def holds(env: dict, maps: Maps) -> bool:
+def _all_of(conds: list) -> Callable[[dict, State], bool]:
+    """A conjunction as holds(env, state); stops at the first false conjunct."""
+    def holds(env: dict, state: State) -> bool:
         for cond in conds:
-            if not cond(env, maps):
+            if not cond(env, state):
                 return False
         return True
     return holds
 
 
-def _for_all(var: Optional[str], domain: Optional[str],
-             check: Callable[[dict, Maps], bool]) -> Callable[[Maps], bool]:
-    """An invariant as holds(maps): its check, under 'forall var in domain' for each live id."""
-    def holds(maps: Maps) -> bool:
-        for rid in maps[domain]:
-            if not check({var: rid}, maps):
+def _for_all(var: Optional[str], slots: dict[str, int],
+             check: Callable[[dict, State], bool]) -> Callable[[State], bool]:
+    """An invariant as holds(state): its check for each live id of the domain's slots."""
+    def holds(state: State) -> bool:
+        for rid, slot in slots.items():
+            if state[slot] is not None and not check({var: rid}, state):
                 return False
         return True
-    return holds if var is not None else lambda maps: check({}, maps)
+    return holds if var is not None else lambda state: check({}, state)
 
 
 class _Reader:
@@ -395,43 +400,47 @@ class _Reader:
 
     def atom(self, target: bool = False) -> _Atom:
         """PARAM or RESOURCE '[' atom ']' '.' FIELD; where target, also a
-        bare RESOURCE, whose map the atom reads."""
+        bare RESOURCE, whose map the atom reads as the resource's slots."""
         name, where = self.next(), self.where
         if not re.fullmatch(r"[A-Za-z_]\w*", name):
             self.fail(f"expected a name, got {name!r}")
         if self.peek() != "[":
             if name in self.bound:
-                return _Atom(lambda env, maps: env[name], f"id {self.bound[name]}", name)
+                return _Atom(lambda env, state: env[name], f"id {self.bound[name]}", name)
             if target and name in self.by_name:
-                return _Atom(lambda env, maps: maps[name], f"map {name}", name)
+                slots = self.by_name[name].slots
+                lo = min(slots.values(), default=0)
+                return _Atom(lambda env, state: state[lo:lo + len(slots)], f"map {name}", name)
             self.fail(f"unknown {'resource' if target else 'name'} {name!r}")
         self.next()
-        self.resource(name)
+        slots = self.resource(name).slots
         key = self.atom()
         self.want(key, f"id {name}")
         self.expect("]")
         self.expect(".")
         fname = self.next()
         kind, get_key = self.field(name, fname), key.get
+        at = sorted(self.by_name[name].record).index(fname)
 
-        def get(env: dict, maps: Maps):
-            k = get_key(env, maps)
-            rec = maps[name].get(k)
+        def get(env: dict, state: State):
+            k = get_key(env, state)
+            rec = state[slots[k]]
             if rec is None:
                 raise ModelError(f"{where}: {name}[{k}] does not exist "
                                  "(guard should test membership first)")
-            return rec[fname]
+            return rec[at]
         return _Atom(get, kind, f"{name}[{key.text}].{fname}")
 
-    def collection(self) -> _Atom:
-        """An 'in' or size() target: a resource's map or a set field."""
+    def collection(self) -> tuple[_Atom, Optional[dict]]:
+        """An 'in' or size() target, a map or a set field, and a map's slots (None for a set)."""
         atom = self.atom(target=True)
-        if atom.kind.partition(" ")[0] not in ("map", "set"):
+        sort = atom.kind.partition(" ")[0]
+        if sort not in ("map", "set"):
             self.refuse(atom.text, atom.kind, "set R or map R")
-        return atom
+        return atom, self.by_name[atom.text].slots if sort == "map" else None
 
     def conds(self, text: str) -> list:
-        """The conjuncts of a guard or check, each as cond(env, maps)."""
+        """The conjuncts of a guard or check, each as cond(env, state)."""
         self.start(text)
         conds = [self.cond()]
         while self.peek() is not None:
@@ -439,11 +448,14 @@ class _Reader:
             conds.append(self.cond())
         return conds
 
-    def cond(self) -> Callable[[dict, Maps], bool]:
+    def cond(self) -> Callable[[dict, State], bool]:
         if self.peek() == "size":
             self.next()
             self.expect("(")
-            count = self.collection().get
+            target, slots = self.collection()
+            count = target.get
+            # a map's size is the number of its slots that hold a record
+            measure = len if slots is None else lambda held: len(held) - held.count(None)
             self.expect(")")
             op = self.next()
             if op not in _CMP:
@@ -451,34 +463,36 @@ class _Reader:
             compare, tok = _CMP[op], self.peek()
             if tok is not None and tok.isdigit():
                 n = int(self.next())
-                return lambda env, maps: compare(len(count(env, maps)), n)
+                return lambda env, state: compare(measure(count(env, state)), n)
             rhs = self.atom()
             self.want(rhs, "int")
             get_rhs = rhs.get
 
-            def size(env: dict, maps: Maps) -> bool:
-                n = get_rhs(env, maps)  # the right side is read first
-                return compare(len(count(env, maps)), n)
+            def size(env: dict, state: State) -> bool:
+                n = get_rhs(env, state)  # the right side is read first
+                return compare(measure(count(env, state)), n)
             return size
         lhs = self.atom()
         negate = self.peek() == "not"
         if negate:
             self.next()
         self.expect("in")
-        target = self.collection()
+        target, slots = self.collection()
         self.want(lhs, "id " + target.kind.partition(" ")[2])
         get_lhs, get_target = lhs.get, target.get
-        return lambda env, maps: (get_lhs(env, maps) in get_target(env, maps)) != negate
+        if slots is not None:  # an id is in a map where its slot holds a record
+            return lambda env, state: (state[slots[get_lhs(env, state)]] is None) == negate
+        return lambda env, state: (get_lhs(env, state) in get_target(env, state)) != negate
 
-    def effect(self, text: str, unchanged: tuple) -> Callable[[Maps, dict], None]:
-        """An effect as apply(maps, env), which sets or deletes one key of
-        a resource's map in maps and never changes a record in place."""
+    def effect(self, text: str, unchanged: tuple) -> Callable[[list, dict], None]:
+        """An effect as apply(state list, env), which sets or clears one slot
+        of the list and never changes a record in place."""
         self.start(text)
         verb, where = self.next(), self.where
         if verb not in ("put", "del", "add", "remove"):
             self.fail(f"unknown effect verb {verb!r}")
         res = self.next()
-        self.resource(res)
+        slots = self.resource(res).slots
         if res in unchanged:
             self.fail(f"declares {res!r} unchanged but a {verb} changes it")
         self.expect("[")
@@ -487,11 +501,11 @@ class _Reader:
         self.expect("]")
         get_key = key.get
         if verb == "del":
-            def apply(maps: Maps, env: dict) -> None:
-                k = get_key(env, maps)
-                if k not in maps[res]:
+            def apply(state: list, env: dict) -> None:
+                k = get_key(env, state)
+                if state[slots[k]] is None:
                     raise ModelError(f"{where}: del of absent {res}[{k}]")
-                del maps[res][k]
+                state[slots[k]] = None
         elif verb == "put":
             self.expect("=")
             self.expect("{")
@@ -510,10 +524,11 @@ class _Reader:
             if sorted(given) != sorted(record):
                 self.fail(f"put {res}[{key.text}] gives the fields {given}, "
                           f"not each of {record} once")
+            fields.sort()  # a record holds its values in field-name order
 
-            def apply(maps: Maps, env: dict) -> None:
-                k = get_key(env, maps)
-                maps[res][k] = {fname: value(env, maps) for fname, value in fields}
+            def apply(state: list, env: dict) -> None:
+                k = get_key(env, state)
+                state[slots[k]] = tuple([value(env, state) for _, value in fields])
         else:
             self.expect(".")
             fname = self.next()
@@ -522,35 +537,32 @@ class _Reader:
                 self.fail(f"{verb} needs a set field, {res}.{fname} is not one")
             elem = self.atom()
             self.want(elem, f"id {of}")
-            get_elem = elem.get
+            get_elem, at = elem.get, sorted(self.by_name[res].record).index(fname)
 
-            def apply(maps: Maps, env: dict) -> None:
-                k = get_key(env, maps)
-                rec = maps[res].get(k)
+            def apply(state: list, env: dict) -> None:
+                k = get_key(env, state)
+                rec = state[slots[k]]
                 if rec is None:
                     raise ModelError(f"{where}: {verb} on absent {res}[{k}]")
-                current, e = rec[fname], get_elem(env, maps)
-                if verb == "add":
-                    if e in current:
-                        raise ModelError(f"{where}: add of element already in {res}[{k}].{fname}")
-                    maps[res][k] = {**rec, fname: current | {e}}
-                else:
-                    if e not in current:
-                        raise ModelError(
-                            f"{where}: remove of element missing from {res}[{k}].{fname}")
-                    maps[res][k] = {**rec, fname: current - {e}}
+                current, e = rec[at], get_elem(env, state)
+                if verb == "add" and e in current:
+                    raise ModelError(f"{where}: add of element already in {res}[{k}].{fname}")
+                if verb == "remove" and e not in current:
+                    raise ModelError(f"{where}: remove of element missing from {res}[{k}].{fname}")
+                current = current | {e} if verb == "add" else current - {e}
+                state[slots[k]] = (*rec[:at], current, *rec[at + 1:])
         if self.peek() is not None:
             self.fail(f"unexpected {self.peek()!r} after effect {text!r}")
         return apply
 
-    def init(self, text: str, want: str) -> Callable[[dict, Maps], object]:
-        """A put's value for a field of kind want, as value(env, maps)."""
+    def init(self, text: str, want: str) -> Callable[[dict, State], object]:
+        """A put's value for a field of kind want, as value(env, state)."""
         tok = self.peek()
         if tok == "{":
             self.next()
             self.expect("}")
             self.sort(text + "{}", "set", want)
-            return lambda env, maps: frozenset()
+            return lambda env, state: frozenset()
         if tok == "any":
             self.next()
             domain = self.next()
@@ -559,13 +571,13 @@ class _Reader:
             self.sort(text + "any capacity", "int", want)
             draw = f"any capacity {len(self.draws) + 1}"  # no expression can name it
             self.draws.append(draw)
-            return lambda env, maps: env[draw]
+            return lambda env, state: env[draw]
         if tok is not None and tok.isdigit():
             n = int(self.next())
             self.sort(f"{text}{n}", "int", want)
             if n not in self.capacities:
                 self.fail(f"{text}{n} is not one of the capacities {list(self.capacities)}")
-            return lambda env, maps: n
+            return lambda env, state: n
         atom = self.atom()
         self.want(atom, want, text)
         return atom.get
@@ -577,8 +589,8 @@ class _Reader:
 
 # --- states ------------------------------------------------------------------
 
-def empty_maps(model: Model) -> Maps:
-    return {r.name: {} for r in model.resources}
+def empty_state(model: Model) -> State:
+    return (None,) * sum(len(r.ids) for r in model.resources)
 
 
 def _fmt_value(v) -> str:
@@ -587,22 +599,20 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def canonical(model: Model, maps: Maps, final_flag: bool) -> str:
+def canonical(model: Model, state: State, final_flag: bool) -> str:
     """Stable single-line rendering: resources in declaration order, ids in
     domain order, record fields alphabetical. A state's DOT label, which
     explore writes once for each new state."""
     parts = []
     for r in model.resources:
-        held = maps[r.name]
-        rids = [rid for rid in r.ids if rid in held]
-        entries = []
-        for rid in rids:
-            rec = held[rid]
+        entries, fields = [], sorted(r.record)
+        for rid, slot in r.slots.items():
+            rec = state[slot]
             if rec:
-                fields = ", ".join(f"{f}={_fmt_value(rec[f])}" for f in sorted(rec))
-                entries.append(f"{rid}[{fields}]")
-            else:
-                entries.append(f"{rid}")
+                values = ", ".join(f"{f}={_fmt_value(v)}" for f, v in zip(fields, rec))
+                entries.append(f"{rid}[{values}]")
+            elif rec is not None:
+                entries.append(rid)
         parts.append(f"{r.name}: {{{', '.join(entries)}}}")
     parts.append("final = " + ("TRUE" if final_flag else "FALSE"))
     return " /\\ ".join(parts)
@@ -625,33 +635,28 @@ class Exploration(NamedTuple):
         return len(self.transitions)
 
     def to_raw(self) -> RawGraph:
-        nodes = tuple(
-            NodeStatement(node_id=str(i), label=label)
-            for i, label in enumerate(self.states)
-        )
-        edges = tuple(
-            EdgeStatement(src=str(u), dst=str(v), label=label)
-            for u, v, label in self.transitions
-        )
+        nodes = tuple(NodeStatement(str(i), label) for i, label in enumerate(self.states))
+        edges = tuple(EdgeStatement(str(u), str(v), label) for u, v, label in self.transitions)
         return RawGraph(name=self.model.name, nodes=nodes, edges=edges)
 
     def to_dot(self) -> str:
         return ssg.emit_dot(self.to_raw())
 
 
-def successors(model: Model, maps: Maps):
-    """The model's one step: yield (label, next maps) for every enabled
+def successors(model: Model, state: State):
+    """The model's one step: yield (label, next state) for every enabled
     action instance, actions in declaration order, ids in domain order and
-    then capacities in declared order. The next maps are new resource maps
-    that share every record the step does not replace with maps, which the
-    step leaves unchanged."""
+    then capacities in declared order. An action's guard is evaluated once
+    per params env, for all its draws. A next state is a new tuple that
+    shares every record the step does not replace with state."""
     for action in model.actions:
-        for env, label in action.instances:
-            if action.guard(env, maps):
-                out = {res: dict(m) for res, m in maps.items()}
-                for apply in action.effects:
-                    apply(out, env)
-                yield label, out
+        for params, choices in action.instances:
+            if action.guard(params, state):
+                for env, label in choices:
+                    out = list(state)
+                    for apply in action.effects:
+                        apply(out, env)
+                    yield label, tuple(out)
 
 
 def explore(model: Model, *, max_states: int = 10000) -> Exploration:
@@ -659,40 +664,35 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
     Raises InvariantViolation (with a shortest action trace) at the first
     state found that breaks an invariant, naming the first one declared."""
     states: list[str] = []
-    state_maps: list[Maps] = []  # also the BFS queue: states expand in the order found
+    held: list[State] = []  # also the BFS queue: states expand in the order found
     parents: list[Optional[tuple[int, str]]] = []
-    index: dict[tuple, int] = {}
-    # a state's value, made of what canonical writes: per resource, its ids
-    # as a set, each with its record's field values in field-name order
-    fields = [(r.name, operator.itemgetter(*sorted(r.record)) if r.record else lambda rec: ())
-              for r in model.resources]
-    edges: dict[tuple[int, int, str], None] = {}  # an insertion-ordered set
+    index: dict[tuple[bool, State], int] = {}
+    transitions: list[tuple[int, int, str]] = []  # a state and a label fix the next state
     finals: list[int] = []
+    empty = empty_state(model)
 
-    def arrivals():  # (parent, maps): the initial state, then each state's successors
-        yield None, empty_maps(model)
-        for i, maps in enumerate(state_maps):
+    def arrivals():  # (parent, state): the initial state, then each state's successors
+        yield None, empty
+        for i, state in enumerate(held):
             if i not in finals:  # final states are sinks
-                for label, nxt in successors(model, maps):
+                for label, nxt in successors(model, state):
                     yield (i, label), nxt
 
-    for parent, maps in arrivals():
-        final = parent is not None and not any(maps.values())  # every map empty again
-        key = final, *(frozenset(zip(maps[res], map(values, maps[res].values())))
-                       for res, values in fields)
-        j = index.get(key)
+    for parent, state in arrivals():
+        final = parent is not None and state == empty  # every slot empty again
+        j = index.get((final, state))
         if j is None:
             j = len(states)
             if j >= max_states:
                 raise ModelError(f"state space exceeds {max_states} states")
-            index[key] = j
-            c = canonical(model, maps, final)
+            index[final, state] = j
+            c = canonical(model, state, final)
             states.append(c)
-            state_maps.append(maps)
+            held.append(state)
             parents.append(parent)
             if final:
                 finals.append(j)
-            broken = next((inv.name for inv in model.invariants if not inv.holds(maps)), None)
+            broken = next((inv.name for inv in model.invariants if not inv.holds(state)), None)
             if broken is not None:
                 trace, k = [], j
                 while parents[k] is not None:
@@ -700,5 +700,5 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
                     trace.append(label)
                 raise InvariantViolation(broken, c, tuple(reversed(trace)))
         if parent is not None:
-            edges[(parent[0], j, parent[1])] = None
-    return Exploration(model=model, states=states, finals=finals, transitions=list(edges))
+            transitions.append((parent[0], j, parent[1]))
+    return Exploration(model=model, states=states, finals=finals, transitions=transitions)

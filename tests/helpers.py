@@ -15,7 +15,7 @@ from json import dumps
 from pathlib import Path
 
 from statecover.demo import TournamentsApp
-from statecover.lifecycle import Maps, Model
+from statecover.lifecycle import Model, State
 from statecover.speckit import Operation
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
 
@@ -61,31 +61,34 @@ def run_in_ascii_locale(code: str) -> str:
     return run.stdout
 
 
-def type_error(model: Model, maps: Maps) -> str | None:
-    """What makes a state ill-typed, or None: an id outside its resource's
-    domain, a record without exactly its declared fields, or a field value
-    not of its kind. The reference for load_model's kind checks, which
-    should leave no reachable state that this finds fault with."""
+def type_error(model: Model, state: State) -> str | None:
+    """What makes a state ill-typed, or None: a state that is not a tuple
+    of one entry per declared id (resources in declaration order, ids in
+    domain order), a record that is not a tuple of one value per declared
+    field (in field-name order), or a field value not of its kind. The
+    reference for load_model's kind checks, which should leave no reachable
+    state that this finds fault with."""
     ids = {r.name: r.ids for r in model.resources}
-    for r in model.resources:
-        for rid, rec in maps[r.name].items():
-            if rid not in r.ids:
-                return f"{r.name} holds id {rid!r} outside its domain"
-            if set(rec) != set(r.record):
-                return f"{r.name}[{rid}] fields {sorted(rec)} differ from declared {sorted(r.record)}"
-            for fname, spec in r.record.items():
-                value = rec[fname]
-                if spec.kind == "set":
-                    if not isinstance(value, frozenset):
-                        return f"{r.name}[{rid}].{fname} is not a set"
-                    bad = [e for e in value if e not in ids[spec.target]]
-                    if bad:
-                        return f"{r.name}[{rid}].{fname} holds foreign ids {bad}"
-                elif spec.kind == "ref":
-                    if value not in ids[spec.target]:
-                        return f"{r.name}[{rid}].{fname} = {value!r} is not a {spec.target} id"
-                elif value not in model.capacities:
-                    return f"{r.name}[{rid}].{fname} = {value!r} not in capacities"
+    declared = [(r, rid) for r in model.resources for rid in r.ids]
+    if not isinstance(state, tuple) or len(state) != len(declared):
+        return f"the state is not a tuple of {len(declared)} entries, one per declared id"
+    for (r, rid), rec in zip(declared, state):
+        if rec is None:
+            continue
+        if not isinstance(rec, tuple) or len(rec) != len(r.record):
+            return f"{r.name}[{rid}] = {rec!r} is not a tuple of its {len(r.record)} fields"
+        for (fname, spec), value in zip(sorted(r.record.items()), rec):
+            if spec.kind == "set":
+                if not isinstance(value, frozenset):
+                    return f"{r.name}[{rid}].{fname} is not a set"
+                bad = [e for e in value if e not in ids[spec.target]]
+                if bad:
+                    return f"{r.name}[{rid}].{fname} holds foreign ids {bad}"
+            elif spec.kind == "ref":
+                if value not in ids[spec.target]:
+                    return f"{r.name}[{rid}].{fname} = {value!r} is not a {spec.target} id"
+            elif value not in model.capacities:
+                return f"{r.name}[{rid}].{fname} = {value!r} not in capacities"
     return None
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 
 import pytest
@@ -12,7 +13,7 @@ from statecover.lifecycle import (
     Model,
     ModelError,
     canonical,
-    empty_maps,
+    empty_state,
     explore,
     load_model,
     successors,
@@ -207,6 +208,13 @@ def malformed_model(case: str) -> dict:
                               "check": "k in things"}]
     elif case == "ids repeat an id":
         doc["resources"][0]["ids"] = ["k1", "k2", "k1"]
+    # a step label writes its ids joined by ',' and read back stripped
+    elif case == "an id with a comma":
+        doc["resources"][0]["ids"] = ["k1", "k2,k3"]
+    elif case == "an empty id":
+        doc["resources"][0]["ids"] = [""]
+    elif case == "an id with surrounding whitespace":
+        doc["resources"][0]["ids"] = ["k1", "k2 "]
     # each name below is checked at load, even where evaluation never reaches it
     elif case == "never-enabled effect names no resource":
         doc["actions"].append({"name": "never", "params": {"kid": "things"},
@@ -289,6 +297,13 @@ MALFORMED_MODELS = {
     "invariant domain not a string": "invariant bounded: unknown resource ['things']",
     "invariant variable not a string": "invariant bounded: forall: expected a string, got ['k']",
     "ids repeat an id": "resource things: ids: 'k1' is listed twice",
+    "an id with a comma": "resource things: ids: 'k2,k3' cannot be carried by a step label "
+                          "(empty, with a ',' or with surrounding whitespace)",
+    "an empty id": "resource things: ids: '' cannot be carried by a step label "
+                   "(empty, with a ',' or with surrounding whitespace)",
+    "an id with surrounding whitespace": "resource things: ids: 'k2 ' cannot be carried by a "
+                                         "step label (empty, with a ',' or with surrounding "
+                                         "whitespace)",
     "never-enabled effect names no resource": "action never: unknown resource 'thingz'",
     "reachable effect names no resource": "action dropThing: unknown resource 'thingz'",
     "unreachable conjunct names no resource": "action dropThing: unknown resource 'thingz'",
@@ -471,6 +486,43 @@ class TestTwoTournamentVariant:
         assert x.state_count == 4
 
 
+class TestSteps:
+    def test_a_guard_runs_once_per_params_env_not_per_draw(self):
+        model = load_model(tournaments_model_doc(("p1",), ("t1",), ("e1",), (1, 2)))
+        calls = collections.Counter()
+
+        def counted(action):
+            def guard(env, state):
+                calls[action.name] += 1
+                return action.guard(env, state)
+            return action._replace(guard=guard)
+        x = explore(model._replace(actions=tuple(map(counted, model.actions))))
+        # once in each state that is not final, for its one tournament id
+        assert x.state_count - len(x.finals) == 8
+        assert calls["postTournament"] == 8
+
+    def test_two_draws_in_one_put(self):
+        doc = {
+            "name": "pairs",
+            "resources": [{"name": "slots", "ids": ["s1"],
+                           "record": {"a": "capacity", "b": "capacity"}}],
+            "capacities": [1, 2],
+            "actions": [
+                {"name": "mk", "params": {"sid": "slots"}, "guard": "sid not in slots",
+                 "effect": ["put slots[sid] = {a: any capacity, b: any capacity}"]},
+                {"name": "rm", "params": {"sid": "slots"}, "guard": "sid in slots",
+                 "effect": ["del slots[sid]"]},
+            ],
+        }
+        x = explore(load_model(doc))
+        assert (x.state_count, x.transition_count) == (6, 8)
+        # the draws vary fastest, the last one fastest of all
+        assert [lbl for _, _, lbl in x.transitions] == [
+            "mk(s1,1,1)", "mk(s1,1,2)", "mk(s1,2,1)", "mk(s1,2,2)", *["rm(s1)"] * 4]
+        assert x.states[1:5] == [f"slots: {{s1[a={a}, b={b}]}} /\\ final = FALSE"
+                                 for a in (1, 2) for b in (1, 2)]
+
+
 def two_resource_doc(record: dict, effects: list) -> dict:
     """things (id k1) with the given record, and others (id o1); one action,
     make, with a things and an others param and the given effects."""
@@ -651,25 +703,25 @@ class TestReachableStatesAreWellTyped:
                 "effect": ["put tournaments[tid] = {c: any capacity, ps: {}}"]})
         model = load_model(doc)
         # explore keeps only its states' texts: walk successors to the same
-        # states, final ones unexpanded, and check the maps behind each text
-        initial = empty_maps(model)
+        # states, final ones unexpanded, and check the tuple behind each text
+        initial = empty_state(model)
         found, queue, targets = {canonical(model, initial, False): initial}, [initial], {}
-        for maps in queue:
-            here = canonical(model, maps, False)
-            for label, nxt in successors(model, maps):
-                final = not any(nxt.values())
+        for state in queue:
+            here = canonical(model, state, False)
+            for label, nxt in successors(model, state):
+                final = nxt == initial
                 text = canonical(model, nxt, final)
                 targets.setdefault((here, label), set()).add(text)
                 if text not in found:
                     found[text] = nxt
                     if not final:
                         queue.append(nxt)
-            assert canonical(model, maps, False) == here, "successors changed its maps"
+            assert canonical(model, state, False) == here, "successors changed its state"
         assert sorted(found) == sorted(explore(model).states)
         # a label names every choice of its step
         assert {k: v for k, v in targets.items() if len(v) > 1} == {}
-        for text, maps in found.items():
-            assert type_error(model, maps) is None, text
+        for text, state in found.items():
+            assert type_error(model, state) is None, text
 
 
 def violation_trace(check):
