@@ -29,7 +29,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import seqgen
 from .evaluator import TransportFailure
@@ -96,9 +96,11 @@ def _read_text(path: str) -> str:
         raise _not_utf8(path, exc) from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write a text, or its pieces one at a time, to a UTF-8 file."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -169,7 +171,7 @@ def cmd_explore(args, log: Log) -> int:
         return 1
     except lifecycle.ModelError as exc:
         raise UsageError(f"{args.model}: {exc}") from exc
-    _write_text(args.out, exploration.to_dot())
+    _write_text(args.out, exploration.dot_lines())
     log.event("explored", states=exploration.state_count,
               transitions=exploration.transition_count,
               finals=len(exploration.finals), duration_s=log.elapsed())

@@ -32,12 +32,12 @@ state and a label fix the next state.
 
 A state is one tuple and its own key. load_model gives each declared
 (resource, id) a slot, resources in declaration order and ids in domain
-order. A slot holds None where the id is absent, and otherwise the record
-as a tuple of its field values in field-name order. It becomes final when
-every slot is empty again (the one terminal condition, 'all_empty'); final
-states are sinks and are not expanded further. A step puts new records in
-a list copy of the state, so a record is shared by the states that hold
-it. explore indexes (final, state) and formats each new state's text once.
+order. A slot holds None where the id is absent, else the record as a
+tuple of its field values in field-name order. It is final when every
+slot is empty again (the one terminal condition, 'all_empty'); final
+states are sinks, not expanded. A step puts new records in a list copy of
+the state, so states share the records they hold. explore keeps each
+state once, as its value; labels are made as the DOT is written.
 
 load_model reads each guard, effect and invariant check in one pass: every
 construct is parsed, its kind inferred and checked, and turned into the
@@ -75,23 +75,25 @@ A section of the wrong shape fails the load too, named by its place, as in
 "resources[0]: missing 'name'", "actions[1]: name: expected a string, got
 ['drop']" or "action drop: unchanged: expected a list of strings, got
 'tournaments'", and so does an unchanged entry, a param, a set or ref field
-or an invariant's 'in' that names no declared resource, and an id listed
-twice in a resource's ids or that a step label cannot carry: an empty id,
-or one with a ',' or with leading or trailing whitespace. A resource's
-'key', which older models name, is accepted and not read: the request
-field that carries an id is the API description's business.
+or an invariant's 'in' that names no declared resource, an action name
+that is not a word of letters, digits and '_' (the name ssg.parse_label
+reads from a label), and an id listed twice in a resource's ids or that a
+step label cannot carry: an empty id, or one with a ',', a line break, or
+leading or trailing whitespace. A resource's 'key', which older models
+name, is accepted and not read: the request field that carries an id is
+the API description's business.
 
 A model with several faults reports the first met in this order: its name;
 its resources, capacities and field targets; each action in turn, with its
-name and params, a param with a resource's name, its unchanged list, its
-guard and then each effect; duplicate action names; each invariant in turn,
-with a name that an earlier invariant has, its 'forall' and 'in', a
-variable with a resource's name and its check; and the terminal condition.
-Within one guard, effect or check, a character that cannot be tokenized
-comes first, and then the faults in reading order, each where the text that
-shows it ends: a name where it is read, a kind once the construct that
-fixes it is read (so 'x in S' checks x at the end of S), and a put's fields
-at its '}'.
+name (a string, then a word) and params, a param with a resource's name,
+its unchanged list, its guard and then each effect; duplicate action names;
+each invariant in turn, with a name that an earlier invariant has, its
+'forall' and 'in', a variable with a resource's name and its check; and the
+terminal condition. Within one guard, effect or check, a character that
+cannot be tokenized comes first, and then the faults in reading order, each
+where the text that shows it ends: a name where it is read, a kind once the
+construct that fixes it is read (so 'x in S' checks x at the end of S), and
+a put's fields at its '}'.
 """
 
 from __future__ import annotations
@@ -100,11 +102,10 @@ import itertools
 import operator
 import re
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import ssg
 from .speckit import load_yaml
-from .ssg import EdgeStatement, NodeStatement, RawGraph
 
 
 class ModelError(ValueError):
@@ -206,6 +207,8 @@ def _text(node, where: str) -> str:
 
 # A model's name: the only graph name that ssg.parse_dot reads back.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# An action's name: the only one that ssg.parse_label reads back from a step label.
+_WORD_RE = re.compile(r"\w+")
 
 
 def load_model(source: Union[dict, str, Path]) -> Model:
@@ -228,9 +231,10 @@ def load_model(source: Union[dict, str, Path]) -> Model:
         }
         ids = _list_of(r.get("ids"), str, f"resource {rname}: ids")
         for rid in ids:
-            if not rid or "," in rid or rid != rid.strip():
+            if not rid or "," in rid or "\n" in rid or rid != rid.strip():
                 raise ModelError(f"resource {rname}: ids: {rid!r} cannot be carried by a step "
-                                 "label (empty, with a ',' or with surrounding whitespace)")
+                                 "label (empty, with a ',' or a line break, or with "
+                                 "surrounding whitespace)")
             if ids.count(rid) > 1:
                 raise ModelError(f"resource {rname}: ids: {rid!r} is listed twice")
         slots = dict(zip(ids, itertools.count(sum(len(r.ids) for r in resources))))
@@ -250,7 +254,10 @@ def load_model(source: Union[dict, str, Path]) -> Model:
 
     actions = []
     for i, a in enumerate(_entries(doc, "actions", ("name",))):
-        where = f"action {_text(a['name'], f'actions[{i}]: name')}"
+        if not _WORD_RE.fullmatch(_text(a["name"], f"actions[{i}]: name")):
+            raise ModelError(f"actions[{i}]: name: expected a word ({_WORD_RE.pattern}), "
+                             f"got {a['name']!r}")
+        where = f"action {a['name']}"
         params = _mapping(a.get("params"), f"{where}: params")
         for p, res in params.items():
             if not (isinstance(res, str) and res in by_name):
@@ -602,7 +609,7 @@ def _fmt_value(v) -> str:
 def canonical(model: Model, state: State, final_flag: bool) -> str:
     """Stable single-line rendering: resources in declaration order, ids in
     domain order, record fields alphabetical. A state's DOT label, which
-    explore writes once for each new state."""
+    Exploration.dot_lines makes as it writes the state's node line."""
     parts = []
     for r in model.resources:
         entries, fields = [], sorted(r.record)
@@ -622,7 +629,7 @@ def canonical(model: Model, state: State, final_flag: bool) -> str:
 
 class Exploration(NamedTuple):
     model: Model
-    states: list[str]                      # canonical labels, index = state id
+    states: list[State]                    # index = state id
     finals: list[int]
     transitions: list[tuple[int, int, str]]
 
@@ -634,13 +641,12 @@ class Exploration(NamedTuple):
     def transition_count(self) -> int:
         return len(self.transitions)
 
-    def to_raw(self) -> RawGraph:
-        nodes = tuple(NodeStatement(str(i), label) for i, label in enumerate(self.states))
-        edges = tuple(EdgeStatement(str(u), str(v), label) for u, v, label in self.transitions)
-        return RawGraph(name=self.model.name, nodes=nodes, edges=edges)
-
-    def to_dot(self) -> str:
-        return ssg.emit_dot(self.to_raw())
+    def dot_lines(self) -> Iterator[str]:
+        """The DOT text a line at a time; a state's text is made for its node line."""
+        nodes = ((str(i), canonical(self.model, state, i in self.finals))
+                 for i, state in enumerate(self.states))
+        edges = ((str(u), str(v), label) for u, v, label in self.transitions)
+        return ssg.dot_lines(self.model.name, nodes, edges)
 
 
 def successors(model: Model, state: State):
@@ -663,8 +669,7 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
     """Enumerate every reachable state, breadth first over successors.
     Raises InvariantViolation (with a shortest action trace) at the first
     state found that breaks an invariant, naming the first one declared."""
-    states: list[str] = []
-    held: list[State] = []  # also the BFS queue: states expand in the order found
+    states: list[State] = []  # also the BFS queue: states expand in the order found
     parents: list[Optional[tuple[int, str]]] = []
     index: dict[tuple[bool, State], int] = {}
     transitions: list[tuple[int, int, str]] = []  # a state and a label fix the next state
@@ -673,7 +678,7 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
 
     def arrivals():  # (parent, state): the initial state, then each state's successors
         yield None, empty
-        for i, state in enumerate(held):
+        for i, state in enumerate(states):
             if i not in finals:  # final states are sinks
                 for label, nxt in successors(model, state):
                     yield (i, label), nxt
@@ -686,9 +691,7 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
             if j >= max_states:
                 raise ModelError(f"state space exceeds {max_states} states")
             index[final, state] = j
-            c = canonical(model, state, final)
-            states.append(c)
-            held.append(state)
+            states.append(state)
             parents.append(parent)
             if final:
                 finals.append(j)
@@ -698,7 +701,8 @@ def explore(model: Model, *, max_states: int = 10000) -> Exploration:
                 while parents[k] is not None:
                     k, label = parents[k]
                     trace.append(label)
-                raise InvariantViolation(broken, c, tuple(reversed(trace)))
+                raise InvariantViolation(broken, canonical(model, state, final),
+                                         tuple(reversed(trace)))
         if parent is not None:
             transitions.append((parent[0], j, parent[1]))
     return Exploration(model=model, states=states, finals=finals, transitions=transitions)

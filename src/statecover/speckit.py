@@ -33,8 +33,9 @@ binds (neither its own key nor one of its foreign keys), ... The error
 names the clause, as in "POST /players: x-requires[0]: ...", or
 "x-invariants[1]: ..." for an invariant. Every Clause is made by clause(),
 the one checker that loading, inference and hand-added clauses share. A
-path item, operation or parameter list of the wrong shape fails the load
-with its place, as in "GET /players: parameters[0]: expected a mapping".
+path item, operation, parameter list, 'components' or 'components.schemas'
+of the wrong shape fails the load with its place, as in "GET /players:
+parameters[0]: expected a mapping"; an empty one reads as none.
 
 Contracts serialize as x-requires / x-ensures on the operation objects and
 x-invariants at the document root; loading an emitted document and emitting
@@ -387,7 +388,8 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
 
     referenced = set()
     _collect_refs(doc, referenced)
-    for name in doc.get("components", {}).get("schemas", {}):
+    components = _mapping(doc.get("components"), "components")
+    for name in _mapping(components.get("schemas"), "components.schemas"):
         if f"#/components/schemas/{name}" not in referenced:
             diagnostics.append(
                 Diagnostic("schema-unused", f"schema {name!r} is never referenced", f"components.schemas.{name}")

@@ -50,6 +50,9 @@ immutable value, so sharing it is exact.
 Statements are named tuples (`NodeStatement`, `EdgeStatement`): building,
 hashing and comparing one runs in C, and `clean` hashes every statement of
 a dump. A node never equals an edge, as their lengths differ.
+
+`dot_lines` is the one DOT writer, a line at a time from (id, label) nodes
+and (src, dst, label) edges; `emit_dot` joins its lines for a RawGraph.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import re
 from collections import deque
 from itertools import compress, filterfalse, islice, repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 _FINAL = re.compile(r"final\s*=\s*TRUE")
@@ -452,23 +455,28 @@ class _IdTexts(dict):
         return text
 
 
+def dot_lines(name: str, nodes: Iterable[tuple[str, str | None]],
+              edges: Iterable[tuple[str, str, str | None]]) -> Iterator[str]:
+    """The DOT text of a graph in the same subset, one statement per line,
+    each with its line break; a label is None where a statement has none."""
+    ids = _IdTexts()
+    yield "digraph %s {\n" % (name or "G")
+    for node_id, label in nodes:
+        if label is None:
+            yield f"{ids[node_id]};\n"
+        else:
+            yield f'{ids[node_id]} [label="{_escape_label(label)}"];\n'
+    for src, dst, label in edges:
+        if label is None:
+            yield f"{ids[src]} -> {ids[dst]};\n"
+        else:
+            yield f'{ids[src]} -> {ids[dst]} [label="{_escape_label(label)}"];\n'
+    yield "}\n"
+
+
 def emit_dot(graph: RawGraph) -> str:
     """Write a RawGraph back out in the same subset, one statement per line."""
-    ids = _IdTexts()
-    lines = ["digraph %s {" % (graph.name or "G")]
-    for n in graph.nodes:
-        if n.label is None:
-            lines.append(f"{ids[n.node_id]};")
-        else:
-            lines.append(f'{ids[n.node_id]} [label="{_escape_label(n.label)}"];')
-    for e in graph.edges:
-        arrow = f"{ids[e.src]} -> {ids[e.dst]}"
-        if e.label is None:
-            lines.append(f"{arrow};")
-        else:
-            lines.append(f'{arrow} [label="{_escape_label(e.label)}"];')
-    lines += ("}", "")  # the empty line ends the text with a line break
-    return "\n".join(lines)
+    return "".join(dot_lines(graph.name, graph.nodes, graph.edges))
 
 
 def clean(graph: RawGraph) -> RawGraph:

@@ -48,7 +48,7 @@ def pipeline_sequences(model, spec, seed=0, puts_max=0):
     """Model -> explored graph -> DOT round trip -> covering call sequences,
     the same chain the command line drives."""
     exploration = lifecycle.explore(model)
-    graph = ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
+    graph = ssg.build(ssg.parse_dot("".join(exploration.dot_lines())), initial="0")
     paths = seqgen.select_sequences(graph)
     sequences = seqgen.to_call_sequences(graph, paths, resolver=spec.resolver())
     if puts_max:
@@ -116,7 +116,7 @@ def test_c04_tournaments_calibration_numbers():
     exploration = lifecycle.explore(make_tournaments_model())
     assert exploration.state_count == 6
     assert exploration.transition_count == 10
-    graph = ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
+    graph = ssg.build(ssg.parse_dot("".join(exploration.dot_lines())), initial="0")
     paths = seqgen.select_sequences(graph)
     published_path_count = 7
     # Our lifecycle reconstruction yields 6 covering paths; the published
@@ -287,7 +287,7 @@ def test_c10_statement_dedup_is_idempotent_and_halves_the_doubled_dump():
     started = time.monotonic()
     fixtures = [tournaments_raw()]
     fixtures += [
-        ssg.parse_dot(lifecycle.explore(make_tournaments_model()).to_dot())
+        ssg.parse_dot("".join(lifecycle.explore(make_tournaments_model()).dot_lines()))
     ]
     fixtures += [
         ssg.parse_dot(ssg.emit_dot(make_random_dag_raw(random.Random(seed))))

@@ -13,7 +13,7 @@ import yaml
 
 import requests
 
-from statecover import ssg
+from statecover import lifecycle, speckit, ssg
 from statecover.cli import derive_seed, main
 from statecover.demo import FAULTS, DemoServer, tournaments_model_doc
 
@@ -203,6 +203,29 @@ class TestPipeline:
         finally:
             tracemalloc.stop()
         assert peaks["emit"] < 0.75 * peaks["parse"]
+
+    def test_explore_peaks_in_the_search_not_in_writing_the_dot(self, tmp_path, capsys):
+        """The tracemalloc peak of the explore command on the 1,657-state
+        p3t2e3 model is that of lifecycle.explore: the DOT is written a line
+        at a time, while a built DOT text and its statements would double it.
+        One search runs first, untraced, so that neither peak holds what the
+        interpreter allocates on a function's first calls."""
+        doc = tournaments_model_doc(("p1", "p2", "p3"), ("t1", "t2"), ("e1", "e2", "e3"), (1, 2))
+        model_path = tmp_path / "m.yaml"
+        model_path.write_text(speckit.dump_yaml(doc), encoding="utf-8")
+        model = lifecycle.load_model(doc)
+        lifecycle.explore(model)
+
+        def peak(function):
+            tracemalloc.start()
+            try:
+                function()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        search = peak(lambda: lifecycle.explore(model))
+        command = peak(lambda: run(capsys, "explore", str(model_path), str(tmp_path / "g.dot")))
+        assert command <= 1.1 * search, (command, search)
 
 
 def fixture_suite(workdir, capsys):
@@ -578,6 +601,25 @@ class TestErrorPaths:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
             assert "POST /players: request body: dangling $ref" in err
+
+    @pytest.mark.parametrize("components, message", [
+        ("[1, 2]", "components: expected a mapping, got list"),
+        ("{schemas: [a, b]}", "components.schemas: expected a mapping, got list"),
+    ])
+    def test_components_of_the_wrong_shape_fail_at_load(self, tmp_path, capsys,
+                                                        components, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"openapi: 3.0.3\npaths: {{}}\ncomponents: {components}\n")
+        code, _, err = run(capsys, "gen-contracts", str(bad), str(tmp_path / "out.yaml"))
+        assert (code, err) == (2, f"error: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("components", ["", "{schemas: null}"])
+    def test_empty_components_read_as_none(self, tmp_path, capsys, components):
+        bad = tmp_path / "empty.yaml"
+        bad.write_text(f"openapi: 3.0.3\npaths: {{}}\ncomponents: {components}\n")
+        code, out, _ = run(capsys, "gen-contracts", str(bad), str(tmp_path / "out.yaml"))
+        assert (code, out) == (0, f"{tmp_path / 'out.yaml'}: contracts for 0 operations "
+                                  "(0 clauses)\n")
 
     @pytest.mark.parametrize("schema, field, edit, message", [
         pytest.param("Player", "name", {"minLength": "3"}, "POST /players: request body: "

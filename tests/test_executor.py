@@ -243,7 +243,7 @@ class TestCleanDemoProperty:
         requests.post(server.base_url + "/_reset", timeout=5)
         spec = inferred_spec(manual=True)
         exploration = lifecycle.explore(make_tournaments_model(*domains))
-        graph = ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
+        graph = ssg.build(ssg.parse_dot("".join(exploration.dot_lines())), initial="0")
         sequences = seqgen.to_call_sequences(
             graph, seqgen.select_sequences(graph), resolver=spec.resolver())
         sequences = seqgen.insert_puts(sequences, spec.put_catalog(), puts_max, seed)

@@ -40,9 +40,15 @@ def model():
     return load_model(fixture_path("tournaments_p1t1e1.yaml"))
 
 
+def texts(exploration):
+    """Each explored state's canonical text, by state id."""
+    return [canonical(exploration.model, state, i in exploration.finals)
+            for i, state in enumerate(exploration.states)]
+
+
 def built_graph(exploration):
     """The graph the command line builds from explore's DOT output."""
-    return ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
+    return ssg.build(ssg.parse_dot("".join(exploration.dot_lines())), initial="0")
 
 
 def toggler_doc():
@@ -85,7 +91,8 @@ class TestLoadModel:
         for resource in without["resources"]:
             del resource["key"]
         assert all("key" in resource for resource in with_keys["resources"])
-        assert explore(load_model(without)).to_dot() == explore(load_model(with_keys)).to_dot()
+        assert "".join(explore(load_model(without)).dot_lines()) == "".join(
+            explore(load_model(with_keys)).dot_lines())
 
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
         text = fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")
@@ -215,6 +222,13 @@ def malformed_model(case: str) -> dict:
         doc["resources"][0]["ids"] = [""]
     elif case == "an id with surrounding whitespace":
         doc["resources"][0]["ids"] = ["k1", "k2 "]
+    elif case == "an id with a line break":
+        doc["resources"][0]["ids"] = ["k1", "a\nb"]
+    # a step label starts with its action's name, which ssg.parse_label reads as a word
+    elif case == "an action name with a hyphen":
+        doc["actions"][0]["name"] = "make-thing"
+    elif case == "an action name with a parenthesis":
+        doc["actions"][1]["name"] = "f(x"
     # each name below is checked at load, even where evaluation never reaches it
     elif case == "never-enabled effect names no resource":
         doc["actions"].append({"name": "never", "params": {"kid": "things"},
@@ -272,6 +286,7 @@ def malformed_model(case: str) -> dict:
     return doc
 
 
+UNCARRIED = "(empty, with a ',' or a line break, or with surrounding whitespace)"
 MALFORMED_MODELS = {
     "resource without name": "resources[0]: missing 'name'",
     "resources not a list": "resources: expected a list, got int",
@@ -298,12 +313,14 @@ MALFORMED_MODELS = {
     "invariant variable not a string": "invariant bounded: forall: expected a string, got ['k']",
     "ids repeat an id": "resource things: ids: 'k1' is listed twice",
     "an id with a comma": "resource things: ids: 'k2,k3' cannot be carried by a step label "
-                          "(empty, with a ',' or with surrounding whitespace)",
-    "an empty id": "resource things: ids: '' cannot be carried by a step label "
-                   "(empty, with a ',' or with surrounding whitespace)",
+                          f"{UNCARRIED}",
+    "an empty id": f"resource things: ids: '' cannot be carried by a step label {UNCARRIED}",
     "an id with surrounding whitespace": "resource things: ids: 'k2 ' cannot be carried by a "
-                                         "step label (empty, with a ',' or with surrounding "
-                                         "whitespace)",
+                                         f"step label {UNCARRIED}",
+    "an id with a line break": "resource things: ids: 'a\\nb' cannot be carried by a step "
+                               f"label {UNCARRIED}",
+    "an action name with a hyphen": "actions[0]: name: expected a word (\\w+), got 'make-thing'",
+    "an action name with a parenthesis": "actions[1]: name: expected a word (\\w+), got 'f(x'",
     "never-enabled effect names no resource": "action never: unknown resource 'thingz'",
     "reachable effect names no resource": "action dropThing: unknown resource 'thingz'",
     "unreachable conjunct names no resource": "action dropThing: unknown resource 'thingz'",
@@ -339,6 +356,13 @@ class TestMalformedModel:
             load_model(malformed_model(case))
         assert str(exc.value) == MALFORMED_MODELS[case]
 
+    def test_an_id_with_parentheses_reads_back_from_its_label(self):
+        doc = toggler_doc()
+        doc["resources"][0]["ids"] = ["x(y", "k)"]
+        x = explore(load_model(doc))
+        assert {ssg.parse_label(label) for _, _, label in x.transitions} == {
+            (action, (rid,)) for action in ("makeThing", "dropThing") for rid in ("x(y", "k)")}
+
 
 class TestExploreToggler:
     def test_three_states(self):
@@ -362,12 +386,12 @@ class TestExploreTournaments:
 
     def test_initial_state_is_empty_not_final(self, model):
         x = explore(model)
-        assert x.states[0] == "players: {} /\\ tournaments: {} /\\ enrolments: {} /\\ final = FALSE"
+        assert texts(x)[0] == "players: {} /\\ tournaments: {} /\\ enrolments: {} /\\ final = FALSE"
 
     def test_final_state_is_empty_and_final(self, model):
         x = explore(model)
         (f,) = x.finals
-        assert x.states[f] == "players: {} /\\ tournaments: {} /\\ enrolments: {} /\\ final = TRUE"
+        assert texts(x)[f] == "players: {} /\\ tournaments: {} /\\ enrolments: {} /\\ final = TRUE"
 
     def test_enrolled_state_rendering(self, model):
         x = explore(model)
@@ -375,7 +399,7 @@ class TestExploreTournaments:
             "players: {p1[ts={t1}]} /\\ tournaments: {t1[c=1, ps={p1}]} "
             "/\\ enrolments: {e1[pid=p1, tid=t1]} /\\ final = FALSE"
         )
-        assert expected in x.states
+        assert expected in texts(x)
 
     def test_deterministic(self, model):
         a = explore(model)
@@ -411,11 +435,13 @@ class TestExploreTournaments:
     def test_dot_round_trip_isomorphic(self, model):
         x = explore(model)
         g = built_graph(x)
-        direct = ssg.build(x.to_raw(), initial="0")
+        nodes = [ssg.NodeStatement(str(i), label) for i, label in enumerate(texts(x))]
+        edges = [ssg.EdgeStatement(str(u), str(v), label) for u, v, label in x.transitions]
+        direct = ssg.build(ssg.RawGraph(x.model.name, nodes, edges), initial="0")
         assert (g.n_states, g.edge_count(), g.finals) == (
             direct.n_states, direct.edge_count(), direct.finals)
         assert g.labels == direct.labels
-        assert [n.label for n in ssg.parse_dot(x.to_dot()).nodes] == x.states
+        assert [n.label for n in ssg.parse_dot("".join(x.dot_lines())).nodes] == texts(x)
 
 
 class TestExploreDotIsPinned:
@@ -438,7 +464,7 @@ class TestExploreDotIsPinned:
     ])
     def test_sha256(self, model, counts, sha256):
         x = explore(model())
-        dot = x.to_dot().encode("utf-8")
+        dot = "".join(x.dot_lines()).encode("utf-8")
         assert (x.state_count, x.transition_count, len(dot)) == counts
         assert hashlib.sha256(dot).hexdigest() == sha256
 
@@ -519,7 +545,7 @@ class TestSteps:
         # the draws vary fastest, the last one fastest of all
         assert [lbl for _, _, lbl in x.transitions] == [
             "mk(s1,1,1)", "mk(s1,1,2)", "mk(s1,2,1)", "mk(s1,2,2)", *["rm(s1)"] * 4]
-        assert x.states[1:5] == [f"slots: {{s1[a={a}, b={b}]}} /\\ final = FALSE"
+        assert texts(x)[1:5] == [f"slots: {{s1[a={a}, b={b}]}} /\\ final = FALSE"
                                  for a in (1, 2) for b in (1, 2)]
 
 
@@ -702,8 +728,9 @@ class TestReachableStatesAreWellTyped:
                 "guard": "tid not in tournaments",
                 "effect": ["put tournaments[tid] = {c: any capacity, ps: {}}"]})
         model = load_model(doc)
-        # explore keeps only its states' texts: walk successors to the same
-        # states, final ones unexpanded, and check the tuple behind each text
+        x = explore(model)
+        # walk successors to the same states, final ones unexpanded, and
+        # check the tuple behind each text and each state that explore keeps
         initial = empty_state(model)
         found, queue, targets = {canonical(model, initial, False): initial}, [initial], {}
         for state in queue:
@@ -717,11 +744,13 @@ class TestReachableStatesAreWellTyped:
                     if not final:
                         queue.append(nxt)
             assert canonical(model, state, False) == here, "successors changed its state"
-        assert sorted(found) == sorted(explore(model).states)
+        assert sorted(found) == sorted(texts(x))
         # a label names every choice of its step
         assert {k: v for k, v in targets.items() if len(v) > 1} == {}
         for text, state in found.items():
             assert type_error(model, state) is None, text
+        for state in x.states:
+            assert type_error(model, state) is None, state
 
 
 def violation_trace(check):
@@ -758,4 +787,4 @@ class TestCheckInvariant:
             nxt = [v for u, v, lbl in x.transitions if u == here and lbl == label]
             assert len(nxt) == 1
             here = nxt[0]
-        assert "enrolments: {e1" in x.states[here]
+        assert "enrolments: {e1" in texts(x)[here]

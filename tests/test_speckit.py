@@ -282,6 +282,21 @@ class TestMalformedShapes:
         with pytest.raises(SpecError, match="paths: expected a mapping"):
             load_oas(minimal_doc() | {"paths": ["/a"]})
 
+    @pytest.mark.parametrize("components, message", [
+        ([1, 2], "components: expected a mapping, got list"),
+        ("schemas", "components: expected a mapping, got str"),
+        ({"schemas": ["a", "b"]}, "components.schemas: expected a mapping, got list"),
+    ])
+    def test_components_and_schemas_must_be_mappings(self, components, message):
+        with pytest.raises(SpecError) as exc:
+            load_oas(minimal_doc() | {"components": components})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("components", [None, {}, {"schemas": None}, {"schemas": {}}])
+    def test_empty_components_read_as_none(self, components):
+        spec = load_oas(minimal_doc() | {"components": components})
+        assert [d.code for d in spec.diagnostics] == []
+
 
 class TestDiagnostics:
     def codes(self, doc):

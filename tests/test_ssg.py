@@ -528,7 +528,7 @@ class TestLinePath:
         assert len(first) == len(distinct)
 
     def test_explored_dot_of_the_fixture_model_takes_the_line_path(self):
-        text = explore(load_model(fixture_path("tournaments_p1t1e1.yaml"))).to_dot()
+        text = "".join(explore(load_model(fixture_path("tournaments_p1t1e1.yaml"))).dot_lines())
         with _count_fallbacks() as fallback, \
                 mock.patch.object(ssg, "_HEAD", wraps=ssg._HEAD) as head, \
                 mock.patch.object(ssg, "_TAIL", wraps=ssg._TAIL) as tail:

@@ -163,7 +163,7 @@ class TestOneConnection:
         infer_contracts(spec)
         add_manual_clauses(spec)
         exploration = lifecycle.explore(make_tournaments_model(("p1",), ("t1",), ("e1",), (1,)))
-        graph = ssg.build(ssg.parse_dot(exploration.to_dot()), initial="0")
+        graph = ssg.build(ssg.parse_dot("".join(exploration.dot_lines())), initial="0")
         sequences = seqgen.to_call_sequences(
             graph, seqgen.select_sequences(graph), resolver=spec.resolver())
         with DemoServer(seed=0) as demo:
