@@ -642,10 +642,10 @@ class Exploration(NamedTuple):
         return len(self.transitions)
 
     def dot_lines(self) -> Iterator[str]:
-        """The DOT text a line at a time; a state's text is made for its node line."""
-        nodes = ((str(i), canonical(self.model, state, i in self.finals))
+        """The DOT text a line at a time; each state's text is made and escaped for its node line."""
+        nodes = ((str(i), ssg._escape_label(canonical(self.model, state, i in self.finals)))
                  for i, state in enumerate(self.states))
-        edges = ((str(u), str(v), label) for u, v, label in self.transitions)
+        edges = ((str(u), str(v), ssg._escape_label(label)) for u, v, label in self.transitions)
         return ssg.dot_lines(self.model.name, nodes, edges)
 
 

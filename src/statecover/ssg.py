@@ -1,14 +1,22 @@
-"""State-space graph ingestion.
+r"""State-space graph ingestion.
 
 Parses the DOT subset that model-checker dumps use (node and edge statements
 with optional label attributes), deduplicates repeated statements, and builds
 a dense-index graph of labelled transitions (source, label, target), with a
 synthetic super-final sink so that every final state funnels into a single
-traversal target. Each distinct label text is parsed once, at build, by
-`parse_label`, and a transition's label is its parsed form: `a(x)` and
+traversal target. Each distinct label is decoded and parsed once, at build,
+by `parse_label`, and a transition's label is its parsed form: `a(x)` and
 `a( x )` are one transition, as are `f` and `f()`. A final state is one whose label matches `final = TRUE`;
 self-loops are rejected; and the one validation checks that every state is
 reachable from the initial state and co-reachable to the sink.
+
+A statement's label is its value as written: a quoted value's body, escapes
+untouched, or an unquoted value as it is. So `clean` writes every label back
+byte for byte, and deduplicates by spelling: `"\\q"` and `"\q"`, which read
+alike, stay two statements. `build` decodes a label where it reads its
+meaning (`_unquote`), and `lifecycle.Exploration.dot_lines` encodes the text
+it makes (`_escape_label`, the exact inverse). Ids are decoded, and written
+through `_escape_label` again: `"a\l"` is written `"a\\l"`, the same id.
 
 `parse_dot` has two readers. The line path takes a dump whose closing `}`
 stands alone on its line, after only spaces, tabs and carriage returns. It
@@ -52,7 +60,8 @@ hashing and comparing one runs in C, and `clean` hashes every statement of
 a dump. A node never equals an edge, as their lengths differ.
 
 `dot_lines` is the one DOT writer, a line at a time from (id, label) nodes
-and (src, dst, label) edges; `emit_dot` joins its lines for a RawGraph.
+and (src, dst, label) edges that are already DOT text; `emit_dot` formats a
+RawGraph's ids, each once, and joins its lines.
 """
 
 from __future__ import annotations
@@ -66,9 +75,14 @@ from typing import Iterable, Iterator, NamedTuple
 
 
 _FINAL = re.compile(r"final\s*=\s*TRUE")
+
+
 # A decimal state id: ordered by value, and written without quotes. ASCII
 # digits only, as DOT's numerals are; another digit's id is a string.
-_DECIMAL = re.compile(r"[0-9]+")
+def _decimal(state_id: str) -> bool:
+    return state_id.isascii() and state_id.isdigit()
+
+
 # An edge label: an action name, then its arguments in parentheses.
 _LABEL_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
 
@@ -132,9 +146,7 @@ class RawGraph:
         for e in self.edges:
             seen.add(e.src)
             seen.add(e.dst)
-        numeric = sorted((s for s in seen if _DECIMAL.fullmatch(s)), key=lambda s: (int(s), s))
-        textual = sorted(s for s in seen if not _DECIMAL.fullmatch(s))
-        return numeric + textual
+        return sorted(seen, key=lambda s: (0, int(s), s) if _decimal(s) else (1, 0, s))
 
 
 _STRING_PREFIX = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*', re.DOTALL)
@@ -197,8 +209,8 @@ _TAIL = re.compile(
 _END = re.compile(_SKIP + "[}]" + _SKIP + r"\Z", re.DOTALL)
 
 
-def _unquote(token: str) -> str:
-    r"""The text of a quoted string token, its escapes decoded.
+def _unquote(body: str) -> str:
+    r"""The text of a quoted string, given its body between the quotes.
 
     \" and \\ are decoded, and \n to the line break it stands for; DOT
     keeps every other escape literally. Replacing \\ first pairs
@@ -208,7 +220,6 @@ def _unquote(token: str) -> str:
     body that has one, split on: the pieces are joined by the one
     backslash that each \\ stands for.
     """
-    body = token[1:-1]
     if "\\" not in body:
         return body
     if "\0" not in body:
@@ -237,7 +248,8 @@ def _tokens(text: str):
 
     The tokens of `_parse_tokens`, the reference parser that reads what the
     line path of `parse_dot` cannot and reports every error. A
-    punctuation token's kind is its own text; a string's value is decoded.
+    punctuation token's kind is its own text; a string's value is its token,
+    quotes included.
     An unterminated comment raises only when the parser pulls it, and a
     malformed string only when the parser reads it as an id or value, so the
     first error in reading order wins.
@@ -251,8 +263,6 @@ def _tokens(text: str):
         value = m.group()
         if kind == "punct":
             kind = value
-        elif kind == "str":
-            value = _unquote(value)
         yield kind, value, m.start()
     yield "eof", "", len(text)
 
@@ -297,7 +307,7 @@ class _Parser:
             self.take(("=",), "'=' after attribute name")
             value = self.take(("ident", "num", "str"), "attribute value")
             if name == "label":
-                label = value
+                label = value[1:-1] if value[0] == '"' else value
             if not self.accept(","):
                 self.take(("]",), "']' or ',' in attribute list")
                 return label
@@ -320,12 +330,13 @@ def _parse_tokens(text: str) -> RawGraph:
         raise p.error("expected graph name or '{'")
     p.take(("{",), "'{' opening the graph body")
     graph = RawGraph(name=name)
+    ids = _Ids()
     while not p.accept("}"):
         if p.kind == "eof":
             raise p.error("unterminated graph body")
-        first = p.take(("num", "str"), "a state id (decimal integer or quoted string)")
+        first = ids[p.take(("num", "str"), "a state id (decimal integer or quoted string)")]
         if p.accept("->"):
-            second = p.take(("num", "str"), "destination id after '->'")
+            second = ids[p.take(("num", "str"), "destination id after '->'")]
             graph.edges.append(EdgeStatement(first, second, p.label()))
         else:
             graph.nodes.append(NodeStatement(first, p.label()))
@@ -346,7 +357,7 @@ class _Ids(dict):
     """Id token -> its id, each token decoded on its first lookup."""
 
     def __missing__(self, token: str) -> str:
-        value = self[token] = _unquote(token) if token[0] == '"' else token
+        value = self[token] = _unquote(token[1:-1]) if token[0] == '"' else token
         return value
 
 
@@ -387,7 +398,7 @@ def _read_lines(text: str, at: int, stop: int) -> tuple[list, list] | None:
             if later is not None:
                 label = later
             if label is not None and label[0] == '"':
-                label = _unquote(label)
+                label = label[1:-1]
             labels[rest] = label
         for line, (first, second, rest) in zip(keys, heads):
             if second:
@@ -423,28 +434,13 @@ def parse_dot(text: str) -> RawGraph:
 
 
 def _escape_label(text: str) -> str:
-    r"""Inverse of parse_dot's decoding: '"', backslashes and line breaks are
-    escaped, except a backslash before l, r or a line break, which parse_dot
-    keeps as written.
-
-    Whether a backslash is escaped depends only on the character after it.
-    A backslash before a line break is kept with it by splitting the text
-    there first. In each piece, every backslash is doubled, '"' and line
-    breaks are escaped, and a doubled backslash before l or r is made
-    single again; in a run of doubled backslashes, that is only the last.
-    """
-    if "\\\n" in text:
-        return "\\\n".join(map(_escape_label, text.split("\\\n")))
-    if '"' not in text and "\\" not in text and "\n" not in text:
-        return text
-    return (text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            .replace("\\\\l", "\\l").replace("\\\\r", "\\r"))
+    """The body of a quoted string that `_unquote` decodes to text: every
+    backslash doubled, and '"' and line breaks escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _format_id(raw_id: str) -> str:
-    if _DECIMAL.fullmatch(raw_id):
-        return raw_id
-    return '"%s"' % _escape_label(raw_id)
+    return raw_id if _decimal(raw_id) else '"%s"' % _escape_label(raw_id)
 
 
 class _IdTexts(dict):
@@ -458,25 +454,29 @@ class _IdTexts(dict):
 def dot_lines(name: str, nodes: Iterable[tuple[str, str | None]],
               edges: Iterable[tuple[str, str, str | None]]) -> Iterator[str]:
     """The DOT text of a graph in the same subset, one statement per line,
-    each with its line break; a label is None where a statement has none."""
-    ids = _IdTexts()
+    each with its line break. Ids and labels are DOT text, written as given:
+    a label is the body of a quoted string, or None where there is none."""
     yield "digraph %s {\n" % (name or "G")
     for node_id, label in nodes:
         if label is None:
-            yield f"{ids[node_id]};\n"
+            yield f"{node_id};\n"
         else:
-            yield f'{ids[node_id]} [label="{_escape_label(label)}"];\n'
+            yield f'{node_id} [label="{label}"];\n'
     for src, dst, label in edges:
         if label is None:
-            yield f"{ids[src]} -> {ids[dst]};\n"
+            yield f"{src} -> {dst};\n"
         else:
-            yield f'{ids[src]} -> {ids[dst]} [label="{_escape_label(label)}"];\n'
+            yield f'{src} -> {dst} [label="{label}"];\n'
     yield "}\n"
 
 
 def emit_dot(graph: RawGraph) -> str:
-    """Write a RawGraph back out in the same subset, one statement per line."""
-    return "".join(dot_lines(graph.name, graph.nodes, graph.edges))
+    """Write a RawGraph back out in the same subset, one statement per line:
+    each id formatted once, and each label as written."""
+    ids = _IdTexts()
+    nodes = ((ids[node_id], label) for node_id, label in graph.nodes)
+    edges = ((ids[src], ids[dst], label) for src, dst, label in graph.edges)
+    return "".join(dot_lines(graph.name, nodes, edges))
 
 
 def clean(graph: RawGraph) -> RawGraph:
@@ -553,8 +553,8 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     final state. Self-loops are rejected. Every state must be reachable from
     the initial state and co-reachable to the sink, unless prune=True drops
     the offenders instead. Adjacency lists come out ascending and mutually
-    dual, with the sink last and without out-edges. Every distinct label
-    text is parsed once, and the labels of a pair that parse alike are one;
+    dual, with the sink last and without out-edges. Every distinct label is
+    decoded and parsed once, and the labels of a pair that parse alike are one;
     an unreadable label fails only if its edge is kept. An empty label is no
     label.
     """
@@ -571,9 +571,9 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
         if labels[i] is None and n.label is not None:
             labels[i] = n.label
 
-    # a pair's distinct labels by parsed form, each distinct text parsed
-    # once; an unreadable one stays text and is refused if its edge is kept
-    read = functools.cache(lambda text: parse_label(text) or text)
+    # a pair's distinct labels by parsed form, each distinct label decoded and
+    # parsed once; an unreadable one stays text and is refused if its edge is kept
+    read = functools.cache(lambda label: parse_label(text := _unquote(label)) or text)
     pairs: dict[tuple[int, int], set] = {}
     for e in raw.edges:
         forms = pairs.setdefault((index_of[e.src], index_of[e.dst]), set())
@@ -603,7 +603,7 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
             )
         init_idx = candidates[0]
 
-    finals = [i for i in range(n_real) if labels[i] is not None and _FINAL.search(labels[i])]
+    finals = [i for i, t in enumerate(labels) if t is not None and _FINAL.search(_unquote(t))]
     if not finals:
         raise GraphError("no final states: no state label matches 'final = TRUE'")
 

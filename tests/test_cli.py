@@ -154,7 +154,7 @@ class TestPipeline:
 
     def test_clean_is_byte_stable_on_its_own_output(self, tmp_path, capsys):
         # \n is a model checker's line break inside a label; \\ and \" are
-        # DOT escapes that parse_dot decodes
+        # DOT escapes, which clean keeps as written
         label = r'/\\ a = 1\n/\\ b = 2 say \"hi\"'
         body = f'0 [label="{label}"];\n1 [label="final = TRUE"];\n0 -> 1 [label="go(x)"];\n'
         dirty = tmp_path / "dirty.dot"

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -441,7 +442,15 @@ class TestExploreTournaments:
         assert (g.n_states, g.edge_count(), g.finals) == (
             direct.n_states, direct.edge_count(), direct.finals)
         assert g.labels == direct.labels
-        assert [n.label for n in ssg.parse_dot("".join(x.dot_lines())).nodes] == texts(x)
+        assert [ssg._unquote(n.label) for n in ssg.parse_dot("".join(x.dot_lines())).nodes] == texts(x)
+
+    def test_ids_with_quotes_and_backslashes_read_back(self):
+        # ids reach the DOT inside state texts and step labels, both escaped
+        x = explore(load_model(tournaments_model_doc(('p"1',), ("t\\l1",), ("e\\",), (1,))))
+        raw = ssg.parse_dot("".join(x.dot_lines()))
+        assert [ssg._unquote(n.label) for n in raw.nodes] == texts(x)
+        assert [ssg._unquote(e.label) for e in raw.edges] == [t[2] for t in x.transitions]
+        assert 'postPlayer(p"1)' in {t[2] for t in x.transitions}
 
 
 class TestExploreDotIsPinned:
@@ -467,6 +476,21 @@ class TestExploreDotIsPinned:
         dot = "".join(x.dot_lines()).encode("utf-8")
         assert (x.state_count, x.transition_count, len(dot)) == counts
         assert hashlib.sha256(dot).hexdigest() == sha256
+
+    def test_writing_holds_no_text_per_state(self):
+        """Iterating dot_lines on the 1,657-state p3t2e3 model holds a few
+        lines at a time: about 4 KB, where a cache of each state's id text
+        would hold 150 KB."""
+        x = explore(load_model(tournaments_model_doc(
+            ("p1", "p2", "p3"), ("t1", "t2"), ("e1", "e2", "e3"), (1, 2))))
+        collections.deque(x.dot_lines(), 0)  # the first calls allocate once
+        tracemalloc.start()
+        try:
+            collections.deque(x.dot_lines(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000, peak
 
 
 class TestTwoTournamentVariant:

@@ -89,7 +89,8 @@ class TestParseDot:
 
     def test_quoted_escapes(self):
         raw = parse_dot(r'digraph { 0 [label="a \"b\" /\ c"]; }')
-        assert raw.nodes[0].label == 'a "b" /\\ c'
+        assert raw.nodes[0].label == r'a \"b\" /\ c'
+        assert ssg._unquote(raw.nodes[0].label) == 'a "b" /\\ c'
 
     def test_non_label_attributes_ignored(self):
         raw = parse_dot('digraph { 0 -> 1 [color=red, label="go(x)", style=dotted]; }')
@@ -164,14 +165,16 @@ class TestParseDot:
     def test_literal_backslash_before_n_is_not_a_line_break(self):
         dot = 'digraph G {\n0 [label="a\\\\nb\\nc"];\n}\n'  # a\\nb\nc in the file
         raw = parse_dot(dot)
-        assert raw.nodes[0].label == "a\\nb\nc"
+        assert raw.nodes[0].label == "a\\\\nb\\nc"
+        assert ssg._unquote(raw.nodes[0].label) == "a\\nb\nc"
         assert emit_dot(clean(raw)) == dot
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_emit_parse_round_trip_property(self, seed):
         raw = make_random_dag_raw(random.Random(seed))
-        awkward = 'say "hi" to a\\b\\n, \\\\l and \\\n'
+        # a label is the body of a quoted string, escapes as written
+        awkward = 'say \\"hi\\" to a\\\\b\\n, \\\\l \\l \\q and \\\n'
         raw = RawGraph(
             name=raw.name,
             nodes=[NodeStatement(n.node_id, n.label + awkward) for n in raw.nodes],
@@ -185,7 +188,7 @@ class TestParseDot:
 # string methods: the reference for both directions.
 _REF_ESCAPE = re.compile(r'\\(["\\n])')
 _REF_DECODED = {'"': '"', "\\": "\\", "n": "\n"}
-_REF_LABEL_SPECIAL = re.compile(r'\\[lr\n]|["\\\n]')
+_REF_LABEL_SPECIAL = re.compile(r'["\\\n]')
 _REF_ENCODED = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
 
 
@@ -203,6 +206,11 @@ def _ref_format_id(raw_id):
 
 # what escapes are made of, and characters that are plain text either side
 codec_text = st.text(alphabet=["\\", '"', "n", "l", "r", "\n", "\r", "\0", "a"], max_size=24)
+# the body of a quoted label: DOT's escapes, one it does not know, and the
+# letters they end in
+label_body = st.lists(
+    st.sampled_from(["\\\\", '\\"', "\\l", "\\r", "\\n", "\\q", "l", "r", "n", "a", " "]),
+    max_size=8).map("".join)
 
 
 class TestLabelCodec:
@@ -211,17 +219,38 @@ class TestLabelCodec:
     @example("0123")
     @example("a\\\\\\nb\\\\\\\n\\l\\\\\\r")
     def test_string_methods_match_the_regex_codec(self, text):
-        assert ssg._unquote('"%s"' % text) == _ref_unquote('"%s"' % text)
+        assert ssg._unquote(text) == _ref_unquote('"%s"' % text)
         assert ssg._escape_label(text) == _ref_escape_label(text)
         assert ssg._format_id(text) == _ref_format_id(text)
+        assert ssg._unquote(ssg._escape_label(text)) == text
 
-    @pytest.mark.parametrize("kept", ["l", "r"])
-    def test_a_literal_backslash_before_l_or_r_reads_as_the_kept_escape(self, kept):
-        # An open defect, pinned until label syntax is revisited: DOT keeps
-        # \l and \r as written, so \\l in a file and \l read the same.
-        literal = parse_dot('digraph {\n0 [label="\\\\%s"];\n}\n' % kept)
-        escape = parse_dot('digraph {\n0 [label="\\%s"];\n}\n' % kept)
-        assert literal.nodes == escape.nodes == [NodeStatement("0", "\\" + kept)]
+    def test_a_literal_backslash_before_l_or_r_stays_apart_from_the_escape(self):
+        bodies = ["a\\\\lb", "a\\lb", "a\\\\rb", "a\\rb"]  # a\\lb, a\lb, a\\rb, a\rb
+        dot = "digraph G {\n" + "".join('0 [label="%s"];\n' % b for b in bodies) + "}\n"
+        raw = parse_dot(dot)
+        assert [n.label for n in raw.nodes] == bodies
+        assert emit_dot(clean(raw)) == dot
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(label_body, min_size=3, max_size=7), st.booleans())
+    def test_clean_writes_every_label_body_back_and_build_decodes_it(self, bodies, on_close):
+        node, final, *edge_bodies = bodies
+        lines = [f'0 [label="{node}"];', f'1 [label="{final} final = TRUE"];']
+        lines += [f'0 -> 1 [label="{b}"];' for b in edge_bodies]
+        # a statement on the closing line sends the text to the token parser
+        dot = "digraph G {\n" + "\n".join(lines) + (" }\n" if on_close else "\n}\n")
+        with _count_fallbacks() as fallback:
+            raw = parse_dot(dot)
+        assert fallback.call_count == on_close
+        written = "".join(f"{line}\n" for line in dict.fromkeys(lines))
+        assert emit_dot(clean(raw)) == "digraph G {\n" + written + "}\n"
+        with mock.patch.object(ssg, "parse_label", return_value=("go", ())) as read, \
+                mock.patch.object(ssg, "_FINAL", wraps=ssg._FINAL) as finals:
+            assert build(raw).finals == (1,)
+        assert [c.args[0] for c in read.call_args_list] == [
+            ssg._unquote(b) for b in dict.fromkeys(edge_bodies) if b]
+        assert [c.args[0] for c in finals.search.call_args_list] == [
+            ssg._unquote(node), ssg._unquote(final) + " final = TRUE"]
 
 
 class TestStatements:
