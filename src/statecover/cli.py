@@ -355,34 +355,26 @@ def cmd_fixtures(args, log: Log) -> int:
     except OSError as exc:
         raise UsageError(f"cannot create {outdir}: {exc}") from exc
 
-    oas_text = speckit.fixture_path("tournaments_oas.yaml").read_text(encoding="utf-8")
-    _write_text(str(outdir / "tournaments-oas.yaml"), oas_text)
-
     spec = demo.demo_spec()
     speckit.infer_contracts(spec)
     demo.add_manual_clauses(spec)
-    _write_text(str(outdir / "tournaments-contracts.yaml"), speckit.emit_extended(spec))
-
-    model_text = speckit.fixture_path("tournaments_p1t1e1.yaml").read_text(
-        encoding="utf-8"
-    )
-    _write_text(str(outdir / "tournaments-model.yaml"), model_text)
-
     two_doc = demo.tournaments_model_doc(
         players=(), tournaments=("t1", "t2"), enrolments=()
     )
-    _write_text(str(outdir / "tournaments-model-2t.yaml"), speckit.dump_yaml(two_doc))
-
-    names = [
-        "tournaments-oas.yaml",
-        "tournaments-contracts.yaml",
-        "tournaments-model.yaml",
-        "tournaments-model-2t.yaml",
+    files = [
+        ("tournaments-oas.yaml",
+         speckit.fixture_path("tournaments_oas.yaml").read_text(encoding="utf-8")),
+        ("tournaments-contracts.yaml", speckit.emit_extended(spec)),
+        ("tournaments-model.yaml",
+         speckit.fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8")),
+        ("tournaments-model-2t.yaml", speckit.dump_yaml(two_doc)),
     ]
-    for name in names:
+    for name, text in files:
+        _write_text(str(outdir / name), text)
+    for name, _ in files:
         log.event("fixture", path=str(outdir / name))
-    log.event("fixtures", files=len(names), duration_s=log.elapsed())
-    print(f"{outdir}: wrote {', '.join(names)}")
+    log.event("fixtures", files=len(files), duration_s=log.elapsed())
+    print(f"{outdir}: wrote {', '.join(name for name, _ in files)}")
     return 0
 
 

@@ -6,7 +6,9 @@ select_sequences completes every incomplete path with such a route. The
 graph lists a pair once per labelled transition (source, label, target), so
 a pair with n labels lies on at least n selected paths, and
 to_call_sequences sends its labels, parsed at build, in turn: the selected
-set visits every state and sends every transition.
+set visits every state and sends every transition. A Call is one entry of
+a sequence file, so sequences_from_json reads back the suite that
+sequences_to_json wrote; insert_puts places seeded blocks of PUTs in it.
 
 The graph (`ssg`) and the operations (`speckit`) appear here only in
 annotations, so importing this module loads neither: the command line
@@ -37,26 +39,20 @@ def paths_to(graph: StateSpaceGraph) -> PathSets:
     A path reaching the sink is complete; a path whose last hop lands on an
     already-found state is incomplete and retained for later completion.
     """
-    n = graph.n_states
     sink = graph.super_final
-    found = [False] * n
-    found[sink] = True
-    stored: list[tuple[int, ...] | None] = [None] * n
+    # a state's BFS path once found; the sink counts as found, with no path
+    stored: list[tuple[int, ...] | None] = [None] * graph.n_states
+    stored[sink] = ()
     stored[graph.initial] = (graph.initial,)
-    found[graph.initial] = True
     complete: list[tuple[int, ...]] = []
     incomplete: list[tuple[int, ...]] = []
     queue = [graph.initial]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
+    for u in queue:
         base = stored[u]
         assert base is not None
         for v in graph.out_adj[u]:
             path = base + (v,)
-            if not found[v]:
-                found[v] = True
+            if stored[v] is None:
                 stored[v] = path
                 queue.append(v)
             elif v == sink:
@@ -73,10 +69,7 @@ def paths_from(graph: StateSpaceGraph) -> list[tuple[int, ...]]:
     route: list[tuple[int, ...] | None] = [None] * n
     route[sink] = (sink,)
     queue = [sink]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:
         suffix = route[v]
         assert suffix is not None
         for u in graph.in_adj[v]:
@@ -97,28 +90,19 @@ def select_sequences(graph: StateSpaceGraph) -> list[tuple[int, ...]]:
     """
     sets = paths_to(graph)
     routes = paths_from(graph)
-    selected = list(sets.complete)
-    for path in sets.incomplete:
-        last = path[-1]
-        selected.append(path[:-1] + routes[last])
-    return selected
+    return [*sets.complete, *(path[:-1] + routes[path[-1]] for path in sets.incomplete)]
 
 
 class Call(NamedTuple):
-    """One call of a sequence: the operation, its method and path template,
-    and the abstract ids its label binds (params, one dict per call, which
-    is why it has no default)."""
+    """One call of a sequence, exactly as its sequence-file entry holds it:
+    the operation, its method and path template, and the abstract ids its
+    label binds (params, one dict per call, which is why it has no default).
+    A suite read back from its file equals the suite written."""
 
     op: str
     verb: str
     path: str
     params: dict[str, str]
-    own_key: str | None = None
-
-    def own_id(self) -> str | None:
-        if self.own_key is None:
-            return None
-        return self.params.get(self.own_key)
 
     def to_json(self) -> dict:
         return {"op": self.op, "verb": self.verb, "path": self.path, "params": dict(self.params)}
@@ -140,10 +124,10 @@ def to_call_sequences(
     The k-th traversal of a pair with n labels, counted over the paths in
     order, sends label min(k, n-1), so the pair's labels go out in label
     order; the synthetic sink edge and unlabeled edges contribute nothing.
-    Without a resolver, calls keep the label name and positional argument
-    names. With one, the i-th label argument is sent as the operation's
-    i-th param name, and one past param_names is kept as arg<i>, such as
-    a capacity draw of the model.
+    The i-th label argument is sent as the operation's i-th param name, and
+    one past param_names is kept as arg<i>, such as a capacity draw of the
+    model. A label the resolver does not name, or any label without one, is
+    an operation of that name with no param names, verb "" and path "".
     """
     traversals: dict[tuple[int, int], int] = {}
     sequences = []
@@ -157,24 +141,10 @@ def to_call_sequences(
             traversals[hop] = k + 1
             name, args = labels[min(k, len(labels) - 1)]
             op = resolver(name) if resolver else None
-            if op is None:
-                params = {f"arg{i}": a for i, a in enumerate(args)}
-                calls.append(Call(op=name, verb="", path="", params=params))
-                continue
-            names = op.param_names
-            params = {}
-            for i, a in enumerate(args):
-                key = names[i] if i < len(names) else f"arg{i}"
-                params[key] = a
-            calls.append(
-                Call(
-                    op=op.op_id,
-                    verb=op.method,
-                    path=op.path,
-                    params=params,
-                    own_key=op.own_key,
-                )
-            )
+            op_id, verb, where, names = (
+                (name, "", "", ()) if op is None else (op.op_id, op.method, op.path, op.param_names))
+            params = {(names[i] if i < len(names) else f"arg{i}"): a for i, a in enumerate(args)}
+            calls.append(Call(op_id, verb, where, params))
         sequences.append(calls)
     return sequences
 
@@ -190,10 +160,14 @@ def insert_puts(
 ) -> list[list[Call]]:
     """Insert 0..max_puts consecutive update calls per created resource.
 
-    put_catalog maps a resource's key parameter name to its PUT operation
-    (ApiSpec.put_catalog). The block lands uniformly at random
-    (seeded) strictly after the resource's POST and strictly before its
-    DELETE when one exists, otherwise anywhere after the POST. With
+    put_catalog maps a resource's key name to the PUT on its item path
+    <collection>/{key} (ApiSpec.put_catalog). A call on that collection or
+    item path addresses the resource, and its param of the key's name holds
+    the id. For each POST of such an id, in call order, one seeded RNG draws
+    the block size k in 0..max_puts and then, if k > 0, where the block of k
+    PUTs on the id goes: uniformly from just after the id's first POST up to
+    just before the first DELETE of the id that follows it, or up to the end
+    without one, in the sequence as the blocks before it left it. With
     max_puts 0, or a catalog with no PUT, the sequences come back unchanged;
     a max_puts outside 0..MAX_PUTS_LIMIT raises ValueError either way.
     """
@@ -201,47 +175,38 @@ def insert_puts(
         raise ValueError(f"max_puts must be in 0..{MAX_PUTS_LIMIT}, got {max_puts}")
     if max_puts == 0:
         return [list(s) for s in sequences]
+    keys = {}
+    for key, put in put_catalog.items():
+        keys[put.path] = keys[put.path.rsplit("/", 1)[0]] = key
     rng = random.Random(seed)
     out = []
     for seq in sequences:
-        calls = list(seq)
-        created = [
-            (c.own_key, c.own_id())
-            for c in calls
-            if c.verb.upper() == "POST" and c.own_key and c.own_id()
-        ]
-        for own_key, tla_id in created:
-            if own_key not in put_catalog:
+        created = []  # (key, id) of each POST, in call order
+        posts: dict[tuple, Call] = {}  # the first POST of each id
+        deletes: dict[tuple, Call] = {}  # and the first DELETE of the id after it
+        for c in seq:
+            key = keys.get(c.path)
+            made = (key, c.params.get(key))
+            if not made[1]:
                 continue
+            verb = c.verb.upper()
+            if verb == "POST":
+                created.append(made)
+                posts.setdefault(made, c)
+            elif verb == "DELETE" and made in posts:
+                deletes.setdefault(made, c)
+        calls = list(seq)
+        for made in created:
             k = rng.randint(0, max_puts)
             if k == 0:
                 continue
-            post_idx = next(
-                i
-                for i, c in enumerate(calls)
-                if c.verb.upper() == "POST" and c.own_key == own_key and c.own_id() == tla_id
-            )
-            delete_idx = None
-            for i in range(post_idx + 1, len(calls)):
-                c = calls[i]
-                if c.verb.upper() == "DELETE" and c.own_key == own_key and c.own_id() == tla_id:
-                    delete_idx = i
-                    break
-            lo = post_idx + 1
-            hi = delete_idx if delete_idx is not None else len(calls)
-            pos = rng.randint(lo, hi)
-            put = put_catalog[own_key]
-            block = [
-                Call(
-                    op=put.op_id,
-                    verb=put.method,
-                    path=put.path,
-                    params={own_key: tla_id},
-                    own_key=own_key,
-                )
-                for _ in range(k)
-            ]
-            calls[pos:pos] = block
+            # a block holds only PUTs, so index finds the very POST and DELETE
+            post = calls.index(posts[made])
+            end = calls.index(deletes[made], post) if made in deletes else len(calls)
+            pos = rng.randint(post + 1, end)
+            key, tla_id = made
+            put = put_catalog[key]
+            calls[pos:pos] = [Call(put.op_id, put.method, put.path, {key: tla_id}) for _ in range(k)]
         out.append(calls)
     return out
 

@@ -215,7 +215,8 @@ def _resolve_schema(doc: dict, schema: Optional[dict], _depth: int = 0,
         if not ref.startswith("#/"):
             raise SpecError(f"only local $refs are supported, got {ref!r}")
         node: Any = doc
-        for part in ref[2:].split("/"):
+        for part in ref[2:].split("/"):  # an RFC 6901 pointer: ~1 is "/", then ~0 is "~"
+            part = part.replace("~1", "/").replace("~0", "~")
             if not isinstance(node, dict) or part not in node:
                 raise SpecError(f"dangling $ref {ref!r}")
             node = node[part]
@@ -390,7 +391,7 @@ def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
     _collect_refs(doc, referenced)
     components = _mapping(doc.get("components"), "components")
     for name in _mapping(components.get("schemas"), "components.schemas"):
-        if f"#/components/schemas/{name}" not in referenced:
+        if "#/components/schemas/" + str(name).replace("~", "~0").replace("/", "~1") not in referenced:
             diagnostics.append(
                 Diagnostic("schema-unused", f"schema {name!r} is never referenced", f"components.schemas.{name}")
             )

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import importlib.util
 import json
 import os
@@ -244,6 +245,45 @@ def campaign_report(capsys, report_path, *argv):
     """The exit code of a spawned-demo campaign and its report."""
     code, _, _ = run(capsys, "test", *argv, "--spawn-demo", "--report", str(report_path))
     return code, json.loads(report_path.read_text())
+
+
+CAMPAIGN_DOMAINS = (("p1",), ("t1",), ("e1",), (1, 2))
+
+
+class TestSequenceFilesArePinned:
+    """The suites that `sequences --spec` writes with the fixture contracts,
+    byte for byte: the benchmark's campaign model (p1/t1/e1, capacities 1
+    and 2) over seeds and --puts-max, and one p2t2e2 suite."""
+
+    @pytest.mark.parametrize("domains, seed, puts, sha256", [
+        *(pytest.param(CAMPAIGN_DOMAINS, seed, puts, sha256, id=f"p1t1e1-seed{seed}-puts{puts}")
+          for seed, puts, sha256 in [
+            (0, 0, "ada3257284a0f7160bc072126b36ea3ef391279740e2daba7195922ea6a45910"),
+            (0, 2, "7c3bc3c93fa6f7f7ba5ab679aa54e781ea8bfec85062fceae6d5eae07a8a4de4"),
+            (0, 3, "9269231e0e797a00b64d59c37fcb0f7907609883c4d55bb126d14e7e7d3bedcb"),
+            (5, 0, "43e3d507c96b0f4252f12834356f768766265ce7146fb8fb345de8af914ce4a4"),
+            (5, 2, "5284be249ce5d35329accc44b13d22e1d99258f5b6b9160639a46c05670c49b5"),
+            (5, 3, "2b9143d29057decb6d99750370619d55a0da10b94004bfa2bd64233a09e96ad2"),
+            (7, 0, "ab5d4ed044ef58bedad223439db7f9667f8009fb3b57960470fab7b2a8810958"),
+            (7, 2, "63fab51f7b468e0a58ab92be2adeb709d6358080683b81750b438ceeb4dda1eb"),
+            (7, 3, "16bf9e5f71fbfa1f7925fb0916381a6bdd1213c8a5d46158c3baea9d654cb27b"),
+            (11, 0, "c6ba8312dc9701a366653c76e572550c3824331ef02331872316a28210e70b40"),
+            (11, 2, "9017464d7218ad02cb8349092d34f3f87f0295f58210a91d6ab34b988bbf2d5f"),
+            (11, 3, "22c227a87144a19aca4acfc49ac20e6da5bc42117efbc2a12fdaea5ab520855f"),
+        ]),
+        pytest.param((("p1", "p2"), ("t1", "t2"), ("e1", "e2"), (1, 2)), 7, 2,
+                     "b207e585a9720106193ea6be884a83679a3f8b595b4d313a8dd4818cd7e211ec",
+                     id="p2t2e2-seed7-puts2"),
+    ])
+    def test_sha256(self, workdir, capsys, domains, seed, puts, sha256):
+        model, dot, seqs = workdir / "model.yaml", workdir / "graph.dot", workdir / "seqs.json"
+        model.write_text(speckit.dump_yaml(tournaments_model_doc(*domains)), encoding="utf-8")
+        assert run(capsys, "explore", str(model), str(dot))[0] == 0
+        code, _, _ = run(capsys, "sequences", str(dot), str(seqs),
+                         "--spec", str(workdir / "tournaments-contracts.yaml"),
+                         "--puts-max", str(puts), "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(seqs.read_bytes()).hexdigest() == sha256
 
 
 class TestCampaignCommand:

@@ -52,13 +52,12 @@ def inferred_spec(manual=False):
 
 def mk(op, **params):
     meta = TOURNAMENTS_RESOLVER_TABLE[op]
-    return Call(op=op, verb=meta["verb"], path=meta["path"],
-                params=params, own_key=meta["own_key"])
+    return Call(op=op, verb=meta["verb"], path=meta["path"], params=params)
 
 
 def put_call(op, key, tla):
     path = "/players/{pid}" if key == "pid" else "/tournaments/{tid}"
-    return Call(op=op, verb="PUT", path=path, params={key: tla}, own_key=key)
+    return Call(op=op, verb="PUT", path=path, params={key: tla})
 
 
 def runner_for(server, spec=None, seed=0):
@@ -285,7 +284,7 @@ class TestNotTested:
 
     def test_unknown_operation(self, live):
         runner = runner_for(live)
-        ghost = Call(op="mystery", verb="POST", path="/x", params={}, own_key=None)
+        ghost = Call(op="mystery", verb="POST", path="/x", params={})
         outcomes, _ = runner.run_sequence([ghost], 0)
         assert outcomes[0].classification == NOT_TESTED
         assert "mystery" in outcomes[0].reason
@@ -293,8 +292,7 @@ class TestNotTested:
     def test_read_only_operations_are_not_driven(self, live):
         spec = inferred_spec()
         get_op = next(o for o in spec.operations if o.method == "GET")
-        call = Call(op=get_op.op_id, verb="GET", path=get_op.path,
-                    params={}, own_key=None)
+        call = Call(op=get_op.op_id, verb="GET", path=get_op.path, params={})
         runner = runner_for(live, spec=spec)
         outcomes, _ = runner.run_sequence([call], 0)
         assert outcomes[0].classification == NOT_TESTED

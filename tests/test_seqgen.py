@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statecover.demo import tournaments_model_doc
+from statecover.lifecycle import explore, load_model
 from statecover.seqgen import (
     Call,
     coverage_report,
@@ -298,7 +301,7 @@ class TestCallAttachment:
         ]
         enrol = longest[2]
         assert enrol.params == {"eid": "e1", "pid": "p1", "tid": "t1"}
-        assert enrol.own_key == "eid"
+        assert list(enrol.params)[0] == "eid"  # a POST binds its own key first
         assert enrol.verb == "POST" and enrol.path == "/enrolments"
 
     def test_without_resolver_positional(self):
@@ -340,6 +343,11 @@ PUT_CATALOG = {
 }
 
 
+# the key each catalog entry's collection and item paths address
+PUT_KEYS = {path: key for key, put in PUT_CATALOG.items()
+            for path in (put.path, put.path.rsplit("/", 1)[0])}
+
+
 def tournaments_sequences():
     g = build(tournaments_raw())
     return to_call_sequences(g, select_sequences(g), tournaments_resolver)
@@ -366,22 +374,23 @@ class TestInsertPuts:
                 for i, call in enumerate(seq):
                     if call.verb != "PUT":
                         continue
-                    assert call.own_key in PUT_CATALOG
-                    tla = call.own_id()
+                    key = PUT_KEYS[call.path]
+                    assert call.params.keys() == {key}
+                    tla = call.params[key]
                     post_idx = next(
                         j
                         for j, c in enumerate(seq)
-                        if c.verb == "POST" and c.own_id() == tla
+                        if c.verb == "POST" and c.params.get(PUT_KEYS.get(c.path)) == tla
                     )
                     delete_idxs = [
                         j
                         for j, c in enumerate(seq)
-                        if c.verb == "DELETE" and c.own_id() == tla
+                        if c.verb == "DELETE" and c.params.get(PUT_KEYS.get(c.path)) == tla
                     ]
                     assert i > post_idx
                     if delete_idxs:
                         assert i < delete_idxs[0]
-                assert all(c.own_key != "eid" or c.verb != "PUT" for c in seq)
+                assert all("eid" not in c.params or c.verb != "PUT" for c in seq)
 
     def test_put_count_bounded(self):
         for seed in range(30):
@@ -390,7 +399,8 @@ class TestInsertPuts:
                 by_resource: dict[str, int] = {}
                 for c in seq:
                     if c.verb == "PUT":
-                        by_resource[c.own_id()] = by_resource.get(c.own_id(), 0) + 1
+                        (tla,) = c.params.values()
+                        by_resource[tla] = by_resource.get(tla, 0) + 1
                 assert all(n <= 2 for n in by_resource.values())
 
     def test_deterministic_per_seed(self):
@@ -404,6 +414,23 @@ class TestInsertPuts:
         assert total_puts > 0
 
 
+# the hand-drawn graph and explored models over a few id domains and capacities
+TOURNAMENT_MODELS = [
+    None,
+    (("p1",), ("t1",), ("e1",), (1, 2)),
+    ((), ("t1", "t2"), (), (1,)),
+    (("p1", "p2"), ("t1",), ("e1",), (1,)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def tournaments_graph(domains):
+    if domains is None:
+        return build(tournaments_raw())
+    x = explore(load_model(tournaments_model_doc(*domains)))
+    return build(parse_dot("".join(x.dot_lines())), initial="0")
+
+
 class TestSequencesJson:
     def test_round_trip(self):
         seqs = tournaments_sequences()
@@ -413,6 +440,16 @@ class TestSequencesJson:
         assert [[c.to_json() for c in s] for s in back] == [
             [c.to_json() for c in s] for s in seqs
         ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=st.one_of(st.integers(0, 10_000).map(build_random_dag),
+                           st.sampled_from(TOURNAMENT_MODELS).map(tournaments_graph)),
+           resolve=st.booleans(), puts=st.integers(0, 3), seed=st.integers(0, 2**32))
+    def test_a_suite_reads_back_as_written(self, graph, resolve, puts, seed):
+        paths = select_sequences(graph)
+        calls = to_call_sequences(graph, paths, tournaments_resolver if resolve else None)
+        suite = insert_puts(calls, PUT_CATALOG, puts, seed)
+        assert sequences_from_json(sequences_to_json(suite, seed)) == (seed, suite)
 
     def test_byte_determinism(self):
         a = sequences_to_json(tournaments_sequences(), seed=5)

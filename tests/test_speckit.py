@@ -116,6 +116,32 @@ class TestLoad:
         with pytest.raises(SpecError, match=f"^POST /widgets: request body: {message}"):
             load_oas(doc)
 
+    @pytest.mark.parametrize("name, pointer", [
+        ("a/b", "a~1b"),
+        ("a~b", "a~0b"),
+        ("a~1b", "a~01b"),  # ~01 is ~ then 1, never /
+        ("~/", "~0~1"),
+    ])
+    def test_a_ref_decodes_its_escapes(self, name, pointer):
+        doc = widget_doc()
+        doc["components"] = {"schemas": {name: ITEM_SCHEMA}}
+        body = doc["paths"]["/widgets"]["post"]["requestBody"]
+        body["content"]["application/json"]["schema"] = {"$ref": f"#/components/schemas/{pointer}"}
+        spec = load_oas(doc)
+        assert spec.operation("postWidget").request_schema == ITEM_SCHEMA
+        assert spec.diagnostics == []
+
+    def test_a_schema_named_with_a_slash_is_unused_unless_its_escaped_pointer_is(self):
+        # #/components/schemas/a/b points into schema a, not at schema a/b
+        doc = widget_doc()
+        doc["components"] = {"schemas": {"a/b": ITEM_SCHEMA, "a": {"b": ITEM_SCHEMA}}}
+        body = doc["paths"]["/widgets"]["post"]["requestBody"]
+        body["content"]["application/json"]["schema"] = {"$ref": "#/components/schemas/a/b"}
+        spec = load_oas(doc)
+        assert spec.operation("postWidget").request_schema == ITEM_SCHEMA
+        unused = [d.where for d in spec.diagnostics if d.code == "schema-unused"]
+        assert "components.schemas.a/b" in unused
+
     @pytest.mark.parametrize("keyword, value, place, what", [
         ("minLength", "3", "properties.wid.", "a non-negative integer"),
         ("maxLength", -1, "properties.wid.", "a non-negative integer"),

@@ -495,8 +495,7 @@ class TestRedirects:
         server.routes["/players"] = redirect(303, "/target")
         spec = demo_spec()
         infer_contracts(spec)
-        call = Call(op="postPlayer", verb="POST", path="/players", params={"pid": "p1"},
-                    own_key="pid")
+        call = Call(op="postPlayer", verb="POST", path="/players", params={"pid": "p1"})
         try:
             report = run_campaign(spec, [[call]], server.base_url, seed=0)
         finally:
