@@ -236,15 +236,18 @@ class SequenceRunner:
                 if owner is None:
                     raise _Skip(f"foreign {field_name}={foreign_tla} was never created")
                 foreign[field_name] = owner.concrete_id
-            created = Entry(op.collection or op.path, payload, concrete)
-            effect = partial(state.__setitem__, tla, created)
         else:
             concrete = entry.concrete_id  # the key itself is immutable
             foreign = {f: entry.data[f] for f in op.foreign_keys if f in entry.data}
-            effect = partial(setattr, entry, "data", payload)
         bindings = {key: concrete, **foreign}
         payload.update(bindings)
         path = self._fill_path(op.path, bindings)
+        if entry is None:
+            # the item path the instance lives at, where a cleanup deletes it
+            created = Entry(self._fill_path(op.item_path, bindings), payload, concrete)
+            effect = partial(state.__setitem__, tla, created)
+        else:
+            effect = partial(setattr, entry, "data", payload)
         return _Prepared(payload, payload, path, bindings, effect)
 
     @staticmethod
@@ -324,11 +327,10 @@ def run_campaign(
             if cleanup and state:
                 runner.evaluator.forget()  # the service is about to change
                 for entry in reversed(state.values()):
-                    path = f"{entry.resource}/{path_segment(entry.concrete_id)}"
-                    failure = {"sequenceIndex": index, "url": path}
+                    failure = {"sequenceIndex": index, "url": entry.path}
                     cleanups += 1
                     try:
-                        status, _ = session.request("DELETE", path)
+                        status, _ = session.request("DELETE", entry.path)
                     except TRANSPORT_ERRORS as exc:
                         cleanup_failures.append({**failure, "error": str(exc)})
                         continue

@@ -139,13 +139,13 @@ def _inside(bound, strict: bool, integer: bool, up: bool):
 
 
 class Entry:
-    """One instance the service should contain: the collection it lives in,
+    """One instance the service should contain: the item path it lives at,
     the body it was last written with, and the concrete id it was sent as.
     A sequence's emulated state maps abstract ids ('p1') to these."""
 
-    __slots__ = ("resource", "data", "concrete_id")
+    __slots__ = ("path", "data", "concrete_id")
 
-    def __init__(self, resource: str, data: dict, concrete_id: str):
-        self.resource = resource
+    def __init__(self, path: str, data: dict, concrete_id: str):
+        self.path = path
         self.data = data
         self.concrete_id = concrete_id

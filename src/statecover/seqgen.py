@@ -160,10 +160,10 @@ def insert_puts(
 ) -> list[list[Call]]:
     """Insert 0..max_puts consecutive update calls per created resource.
 
-    put_catalog maps a resource's key name to the PUT on its item path
-    <collection>/{key} (ApiSpec.put_catalog). A call on that collection or
-    item path addresses the resource, and its param of the key's name holds
-    the id. For each POST of such an id, in call order, one seeded RNG draws
+    put_catalog maps a resource's collection and item path to the PUT on its
+    item path (ApiSpec.put_catalog). A call on either path addresses the
+    resource, and its param of the PUT's key name holds the id. For each
+    POST of such an id, in call order, one seeded RNG draws
     the block size k in 0..max_puts and then, if k > 0, where the block of k
     PUTs on the id goes: uniformly from just after the id's first POST up to
     just before the first DELETE of the id that follows it, or up to the end
@@ -175,20 +175,17 @@ def insert_puts(
         raise ValueError(f"max_puts must be in 0..{MAX_PUTS_LIMIT}, got {max_puts}")
     if max_puts == 0:
         return [list(s) for s in sequences]
-    keys = {}
-    for key, put in put_catalog.items():
-        keys[put.path] = keys[put.path.rsplit("/", 1)[0]] = key
     rng = random.Random(seed)
     out = []
     for seq in sequences:
-        created = []  # (key, id) of each POST, in call order
+        created = []  # (PUT, id) of each POST, in call order
         posts: dict[tuple, Call] = {}  # the first POST of each id
         deletes: dict[tuple, Call] = {}  # and the first DELETE of the id after it
         for c in seq:
-            key = keys.get(c.path)
-            made = (key, c.params.get(key))
-            if not made[1]:
+            put = put_catalog.get(c.path)
+            if put is None or not c.params.get(put.own_key):
                 continue
+            made = (put, c.params[put.own_key])
             verb = c.verb.upper()
             if verb == "POST":
                 created.append(made)
@@ -204,9 +201,9 @@ def insert_puts(
             post = calls.index(posts[made])
             end = calls.index(deletes[made], post) if made in deletes else len(calls)
             pos = rng.randint(post + 1, end)
-            key, tla_id = made
-            put = put_catalog[key]
-            calls[pos:pos] = [Call(put.op_id, put.method, put.path, {key: tla_id}) for _ in range(k)]
+            put, tla_id = made
+            calls[pos:pos] = [Call(put.op_id, put.method, put.path, {put.own_key: tla_id})
+                              for _ in range(k)]
         out.append(calls)
     return out
 

@@ -151,11 +151,13 @@ class ApiSpec:
         return self._by_id.get
 
     def put_catalog(self) -> dict[str, Operation]:
-        """Key parameter name -> the PUT on that resource's item path."""
+        """Collection and item path of each resource -> the PUT on its item
+        path: the PUT that updates what a call on either path addresses."""
         return {
-            op.own_key: op
+            path: op
             for op in self._by_id.values()
             if op.method == "PUT" and op.own_key and op.path == op.item_path
+            for path in (op.collection, op.item_path)
         }
 
 
@@ -430,10 +432,13 @@ def _path_params(node: dict, where: str) -> list[dict]:
 
 
 def _collect_refs(node: Any, out: set[str]) -> None:
+    """Add to out every $ref under node and each pointer it passes through:
+    `#/components/schemas/a/b` points into schema `a` as well."""
     if isinstance(node, dict):
         for k, v in node.items():
             if k == "$ref" and isinstance(v, str):
-                out.add(v)
+                parts = v.split("/")
+                out.update("/".join(parts[:i]) for i in range(1, len(parts) + 1))
             else:
                 _collect_refs(v, out)
     elif isinstance(node, list):

@@ -10,13 +10,14 @@ by `parse_label`, and a transition's label is its parsed form: `a(x)` and
 self-loops are rejected; and the one validation checks that every state is
 reachable from the initial state and co-reachable to the sink.
 
-A statement's label is its value as written: a quoted value's body, escapes
-untouched, or an unquoted value as it is. So `clean` writes every label back
-byte for byte, and deduplicates by spelling: `"\\q"` and `"\q"`, which read
-alike, stay two statements. `build` decodes a label where it reads its
-meaning (`_unquote`), and `lifecycle.Exploration.dot_lines` encodes the text
-it makes (`_escape_label`, the exact inverse). Ids are decoded, and written
-through `_escape_label` again: `"a\l"` is written `"a\\l"`, the same id.
+A statement holds its text as written: each id its token, quotes included,
+and its label a quoted value's body, escapes untouched, or an unquoted value
+as it is. So `clean` writes every statement back byte for byte, and
+deduplicates by spelling: labels `"\\q"` and `"\q"`, which read alike, stay
+two statements, as do ids `"7"` and `7`. Parsing keeps text; `build` decodes
+it where it reads ids and labels (`_unquote`); and the writers encode the
+text they make (`_escape_label`, the exact inverse), as
+`lifecycle.Exploration.dot_lines` does.
 
 `parse_dot` has two readers. The line path takes a dump whose closing `}`
 stands alone on its line, after only spaces, tabs and carriage returns. It
@@ -27,7 +28,7 @@ parsing holds the lines of one batch at a time. The maps it keeps are
 shared across batches: every distinct line read so far to its edge, or to
 None for a node or a blank line, and each node line to its node; each
 distinct rest of a line after its ids to its label; and each distinct id
-token to its id, so that every statement naming an id holds one string. A
+token to itself, so that every statement naming an id holds one string. A
 line repeated in a later batch is therefore read once. A batch joins its
 new distinct lines that are not blank and reads them all in one `findall`
 of `_HEAD`, which takes a line's ids and leaves the rest of the line; it
@@ -60,8 +61,8 @@ hashing and comparing one runs in C, and `clean` hashes every statement of
 a dump. A node never equals an edge, as their lengths differ.
 
 `dot_lines` is the one DOT writer, a line at a time from (id, label) nodes
-and (src, dst, label) edges that are already DOT text; `emit_dot` formats a
-RawGraph's ids, each once, and joins its lines.
+and (src, dst, label) edges that are already DOT text; `emit_dot` joins the
+lines of a RawGraph's statements.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ from typing import Iterable, Iterator, NamedTuple
 _FINAL = re.compile(r"final\s*=\s*TRUE")
 
 
-# A decimal state id: ordered by value, and written without quotes. ASCII
-# digits only, as DOT's numerals are; another digit's id is a string.
-def _decimal(state_id: str) -> bool:
-    return state_id.isascii() and state_id.isdigit()
+# The dense-index order of decoded ids: decimal ids ascending by value,
+# equal values (`7`, `07`) by text, then the other ids lexicographically.
+# Decimal means ASCII digits only, as DOT's numerals are.
+def _id_order(state_id: str) -> tuple:
+    if state_id.isascii() and state_id.isdigit():
+        return 0, int(state_id), state_id
+    return 1, 0, state_id
 
 
 # An edge label: an action name, then its arguments in parentheses.
@@ -111,8 +115,9 @@ class EdgeStatement(NamedTuple):
 
 
 class RawGraph:
-    """Statement-level view of a dump, duplicates preserved. Two are equal
-    when their names and statement sequences are."""
+    """Statement-level view of a dump, duplicates preserved, every id token
+    and label as written. Two are equal when their names and statement
+    sequences are."""
 
     __slots__ = ("name", "nodes", "edges")
 
@@ -133,20 +138,18 @@ class RawGraph:
     def statement_count(self) -> int:
         return len(self.nodes) + len(self.edges)
 
-    def state_ids(self) -> list[str]:
-        """Distinct ids in dense-index order: decimal ids ascending by value,
-        equal values (`7`, `"07"`) by text, then the other ids
-        lexicographically. Independent of statement layout and of set
-        iteration order, so a reordered or deduplicated dump maps to the same
-        dense indices in every process.
+    def state_ids(self) -> dict[str, str]:
+        """Each distinct id token -> its id, a quoted token decoded, in
+        dense-index order of the ids (`_id_order`), tokens of one id by
+        text. Independent of statement layout and of set iteration order,
+        so a reordered or deduplicated dump maps to the same dense indices
+        in every process.
         """
-        seen: set[str] = set()
-        for n in self.nodes:
-            seen.add(n.node_id)
-        for e in self.edges:
-            seen.add(e.src)
-            seen.add(e.dst)
-        return sorted(seen, key=lambda s: (0, int(s), s) if _decimal(s) else (1, 0, s))
+        tokens = {n.node_id for n in self.nodes}
+        tokens.update(map(itemgetter(0), self.edges), map(itemgetter(1), self.edges))
+        ids = [(_unquote(t[1:-1]) if t[:1] == '"' else t, t) for t in tokens]
+        ids.sort(key=lambda pair: (*_id_order(pair[0]), pair[1]))
+        return {token: state_id for state_id, token in ids}
 
 
 _STRING_PREFIX = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*', re.DOTALL)
@@ -354,11 +357,11 @@ _BATCH = 1 << 16
 
 
 class _Ids(dict):
-    """Id token -> its id, each token decoded on its first lookup."""
+    """Id token -> itself, so that every statement naming it holds one string."""
 
     def __missing__(self, token: str) -> str:
-        value = self[token] = _unquote(token[1:-1]) if token[0] == '"' else token
-        return value
+        self[token] = token
+        return token
 
 
 def _read_lines(text: str, at: int, stop: int) -> tuple[list, list] | None:
@@ -439,18 +442,6 @@ def _escape_label(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _format_id(raw_id: str) -> str:
-    return raw_id if _decimal(raw_id) else '"%s"' % _escape_label(raw_id)
-
-
-class _IdTexts(dict):
-    """Raw id -> its DOT text, each id formatted on first lookup."""
-
-    def __missing__(self, raw_id: str) -> str:
-        text = self[raw_id] = _format_id(raw_id)
-        return text
-
-
 def dot_lines(name: str, nodes: Iterable[tuple[str, str | None]],
               edges: Iterable[tuple[str, str, str | None]]) -> Iterator[str]:
     """The DOT text of a graph in the same subset, one statement per line,
@@ -471,12 +462,9 @@ def dot_lines(name: str, nodes: Iterable[tuple[str, str | None]],
 
 
 def emit_dot(graph: RawGraph) -> str:
-    """Write a RawGraph back out in the same subset, one statement per line:
-    each id formatted once, and each label as written."""
-    ids = _IdTexts()
-    nodes = ((ids[node_id], label) for node_id, label in graph.nodes)
-    edges = ((ids[src], ids[dst], label) for src, dst, label in graph.edges)
-    return "".join(dot_lines(graph.name, nodes, edges))
+    """Write a RawGraph back out in the same subset, one statement per line,
+    every id token and label as written."""
+    return "".join(dot_lines(graph.name, graph.nodes, graph.edges))
 
 
 def clean(graph: RawGraph) -> RawGraph:
@@ -547,8 +535,9 @@ def _fmt_ids(ids: Iterable[str], cap: int = 12) -> str:
 def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> StateSpaceGraph:
     """Build a StateSpaceGraph from raw statements.
 
-    The initial state is either the explicitly flagged raw id or the unique
-    in-degree-zero state. Final states are those whose label matches
+    Ids are read decoded (`RawGraph.state_ids`), so `"7"` and `7` name one
+    state. The initial state is either the explicitly flagged raw id or the
+    unique in-degree-zero state. Final states are those whose label matches
     `final = TRUE`; a super-final sink is appended with an edge from every
     final state. Self-loops are rejected. Every state must be reachable from
     the initial state and co-reachable to the sink, unless prune=True drops
@@ -561,13 +550,16 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     if not raw.nodes and not raw.edges:
         raise GraphError("empty graph: no statements")
 
-    ids = raw.state_ids()
+    # each token's dense index: tokens of one id, such as "7" and 7, share it
+    tokens = raw.state_ids()
+    ids = [*dict.fromkeys(tokens.values())]
     index_of = {rid: i for i, rid in enumerate(ids)}
+    at = {token: index_of[rid] for token, rid in tokens.items()}
     n_real = len(ids)
 
     labels: list[str | None] = [None] * n_real
     for n in raw.nodes:
-        i = index_of[n.node_id]
+        i = at[n.node_id]
         if labels[i] is None and n.label is not None:
             labels[i] = n.label
 
@@ -576,7 +568,7 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
     read = functools.cache(lambda label: parse_label(text := _unquote(label)) or text)
     pairs: dict[tuple[int, int], set] = {}
     for e in raw.edges:
-        forms = pairs.setdefault((index_of[e.src], index_of[e.dst]), set())
+        forms = pairs.setdefault((at[e.src], at[e.dst]), set())
         if e.label:
             forms.add(read(e.label))
 
@@ -633,11 +625,11 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
             )
         if init_idx not in keep:
             raise GraphError("initial state itself is not co-reachable; nothing to keep")
-        kept_set = {ids[i] for i in keep if i < n_real}
+        kept = {token for token, i in at.items() if i in keep}
         filtered = RawGraph(
             name=raw.name,
-            nodes=[s for s in raw.nodes if s.node_id in kept_set],
-            edges=[e for e in raw.edges if e.src in kept_set and e.dst in kept_set],
+            nodes=[s for s in raw.nodes if s.node_id in kept],
+            edges=[e for e in raw.edges if e.src in kept and e.dst in kept],
         )
         return build(filtered, initial=ids[init_idx])
 

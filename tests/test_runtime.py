@@ -263,7 +263,7 @@ class TestEmulatedState:
     def test_add_recycle_delete(self):
         outcomes, state = run_calls(("postPlayer", P1))
         assert state["p1"].concrete_id == "pid10000"
-        assert state["p1"].resource == "/players"
+        assert state["p1"].path == "/players/pid10000"
         assert state["p1"].data == outcomes[0].request["body"]
         outcomes, state = run_calls(
             ("postPlayer", P1), ("putPlayer", P1), ("deletePlayer", P1))
@@ -302,8 +302,8 @@ class TestEmulatedState:
             ("postPlayer", P1), ("postTournament", {"tid": "t1"}),
             ("postEnrolment", {"eid": "e1", "pid": "p1", "tid": "t1"}))
         assert list(state) == ["p1", "t1", "e1"]
-        assert [e.resource for e in state.values()] == [
-            "/players", "/tournaments", "/enrolments"]
+        assert [e.path for e in state.values()] == [
+            "/players/pid10000", "/tournaments/tid10000", "/enrolments/eid10000"]
 
     def test_concrete_lookup(self):
         _, state = run_calls(("postTournament", {"tid": "t1"}))

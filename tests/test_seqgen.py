@@ -20,7 +20,7 @@ from statecover.seqgen import (
     sequences_to_json,
     to_call_sequences,
 )
-from statecover.speckit import Operation
+from statecover.speckit import Operation, load_oas
 from statecover.ssg import EdgeStatement, GraphError, RawGraph, build, parse_dot, parse_label
 
 from helpers import (
@@ -337,15 +337,21 @@ class TestCallAttachment:
             ("a", {"arg0": "x"}), ("b", {"arg0": "y"}), ("b", {"arg0": "y"})]
 
 
+def _put(op_id: str, collection: str, key: str) -> Operation:
+    item = f"{collection}/{{{key}}}"
+    return Operation(op_id=op_id, method="PUT", path=item, raw={}, own_key=key,
+                     collection=collection, item_path=item)
+
+
 PUT_CATALOG = {
-    "pid": Operation(op_id="putPlayer", method="PUT", path="/players/{pid}", raw={}),
-    "tid": Operation(op_id="putTournament", method="PUT", path="/tournaments/{tid}", raw={}),
+    path: put
+    for put in (_put("putPlayer", "/players", "pid"), _put("putTournament", "/tournaments", "tid"))
+    for path in (put.collection, put.item_path)
 }
 
 
 # the key each catalog entry's collection and item paths address
-PUT_KEYS = {path: key for key, put in PUT_CATALOG.items()
-            for path in (put.path, put.path.rsplit("/", 1)[0])}
+PUT_KEYS = {path: put.own_key for path, put in PUT_CATALOG.items()}
 
 
 def tournaments_sequences():
@@ -412,6 +418,23 @@ class TestInsertPuts:
         out = insert_puts(tournaments_sequences(), PUT_CATALOG, 3, seed=7)
         total_puts = sum(1 for s in out for c in s if c.verb == "PUT")
         assert total_puts > 0
+
+    def test_resources_whose_item_paths_share_a_key_keep_their_own_puts(self):
+        def resource(collection, name):
+            ops = {verb: {"operationId": verb + name, "responses": {"200": {}}}
+                   for verb in ("post", "put", "delete")}
+            return {collection: {"post": ops.pop("post")}, collection + "/{pid}": ops}
+
+        spec = load_oas({"openapi": "3.0.3", "paths": {
+            **resource("/players", "Player"), **resource("/orgs/{org}/players", "OrgPlayer")}})
+        catalog = spec.put_catalog()
+        assert catalog["/players"] is spec.operation("putPlayer")
+        assert catalog["/orgs/{org}/players/{pid}"] is spec.operation("putOrgPlayer")
+        seq = [Call("postPlayer", "POST", "/players", {"pid": "p1"}),
+               Call("deletePlayer", "DELETE", "/players/{pid}", {"pid": "p1"})]
+        puts = [c for seed in range(20) for c in insert_puts([seq], catalog, 3, seed)[0][1:-1]]
+        assert puts
+        assert all(c == Call("putPlayer", "PUT", "/players/{pid}", {"pid": "p1"}) for c in puts)
 
 
 # the hand-drawn graph and explored models over a few id domains and capacities

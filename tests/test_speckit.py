@@ -132,15 +132,20 @@ class TestLoad:
         assert spec.diagnostics == []
 
     def test_a_schema_named_with_a_slash_is_unused_unless_its_escaped_pointer_is(self):
-        # #/components/schemas/a/b points into schema a, not at schema a/b
+        # #/components/schemas/a/b points into schema a, which it references,
+        # not at schema a/b; a ref to schema xy does not reference schema x
         doc = widget_doc()
-        doc["components"] = {"schemas": {"a/b": ITEM_SCHEMA, "a": {"b": ITEM_SCHEMA}}}
-        body = doc["paths"]["/widgets"]["post"]["requestBody"]
-        body["content"]["application/json"]["schema"] = {"$ref": "#/components/schemas/a/b"}
+        doc["components"] = {"schemas": {"a/b": ITEM_SCHEMA, "a": {"b": ITEM_SCHEMA},
+                                         "x": ITEM_SCHEMA, "xy": ITEM_SCHEMA}}
+        post = doc["paths"]["/widgets"]["post"]
+        post["requestBody"]["content"]["application/json"]["schema"] = {
+            "$ref": "#/components/schemas/a/b"}
+        post["responses"]["200"]["content"]["application/json"]["schema"] = {
+            "$ref": "#/components/schemas/xy"}
         spec = load_oas(doc)
         assert spec.operation("postWidget").request_schema == ITEM_SCHEMA
         unused = [d.where for d in spec.diagnostics if d.code == "schema-unused"]
-        assert "components.schemas.a/b" in unused
+        assert unused == ["components.schemas.a/b", "components.schemas.x"]
 
     @pytest.mark.parametrize("keyword, value, place, what", [
         ("minLength", "3", "properties.wid.", "a non-negative integer"),
@@ -816,11 +821,13 @@ class TestExecutorMetadata:
 
     def test_put_catalog(self, spec):
         catalog = spec.put_catalog()
-        assert {key: (op.op_id, op.method, op.path) for key, op in catalog.items()} == {
-            "pid": ("putPlayer", "PUT", "/players/{pid}"),
-            "tid": ("putTournament", "PUT", "/tournaments/{tid}"),
+        assert {path: (op.op_id, op.method, op.path) for path, op in catalog.items()} == {
+            "/players": ("putPlayer", "PUT", "/players/{pid}"),
+            "/players/{pid}": ("putPlayer", "PUT", "/players/{pid}"),
+            "/tournaments": ("putTournament", "PUT", "/tournaments/{tid}"),
+            "/tournaments/{tid}": ("putTournament", "PUT", "/tournaments/{tid}"),
         }
-        assert catalog["pid"] is spec.operation("putPlayer")
+        assert catalog["/players"] is catalog["/players/{pid}"] is spec.operation("putPlayer")
 
     def test_op_profile_post_enrolment(self, spec):
         p = spec.op_profile("postEnrolment")

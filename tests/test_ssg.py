@@ -54,7 +54,7 @@ class TestParseDot:
     def test_minimal_edge_only(self):
         raw = parse_dot("digraph G { 0 -> 1; }")
         assert raw.name == "G"
-        assert raw.state_ids() == ["0", "1"]
+        assert raw.state_ids() == {"0": "0", "1": "1"}
         assert len(raw.edges) == 1
         assert raw.edges[0] == EdgeStatement("0", "1", None)
 
@@ -81,11 +81,13 @@ class TestParseDot:
 
     def test_quoted_string_ids(self):
         raw = parse_dot('digraph { "s0" -> "s1"; "s1" [label="final = TRUE"]; }')
-        assert raw.state_ids() == ["s0", "s1"]
+        assert raw.edges == [EdgeStatement('"s0"', '"s1"', None)]
+        assert raw.state_ids() == {'"s0"': "s0", '"s1"': "s1"}
 
     def test_ids_of_other_digits_sort_as_text(self):
         raw = parse_dot('digraph { "\u0663" -> "10"; "10" -> 9; "\u0662" -> "\u0663"; }')
-        assert raw.state_ids() == ["9", "10", "\u0662", "\u0663"]
+        assert list(raw.state_ids().items()) == [
+            ("9", "9"), ('"10"', "10"), ('"\u0662"', "\u0662"), ('"\u0663"', "\u0663")]
 
     def test_quoted_escapes(self):
         raw = parse_dot(r'digraph { 0 [label="a \"b\" /\ c"]; }')
@@ -155,8 +157,9 @@ class TestParseDot:
 
     def test_quoted_punctuation_is_an_id(self):
         raw = parse_dot('digraph { "->" -> "{"; "[" [label="]"]; }')
-        assert raw.edges == [EdgeStatement("->", "{", None)]
-        assert raw.nodes == [NodeStatement("[", "]")]
+        assert raw.edges == [EdgeStatement('"->"', '"{"', None)]
+        assert raw.nodes == [NodeStatement('"["', "]")]
+        assert raw.state_ids() == {'"->"': "->", '"["': "[", '"{"': "{"}
 
     def test_escaped_newline_inside_quotes_is_kept(self):
         raw = parse_dot('digraph {\n  0 [label="a\\\nb"];\n}')
@@ -200,10 +203,6 @@ def _ref_escape_label(text):
     return _REF_LABEL_SPECIAL.sub(lambda m: _REF_ENCODED.get(m.group(), m.group()), text)
 
 
-def _ref_format_id(raw_id):
-    return raw_id if re.fullmatch(r"\d+", raw_id) else '"%s"' % _ref_escape_label(raw_id)
-
-
 # what escapes are made of, and characters that are plain text either side
 codec_text = st.text(alphabet=["\\", '"', "n", "l", "r", "\n", "\r", "\0", "a"], max_size=24)
 # the body of a quoted label: DOT's escapes, one it does not know, and the
@@ -211,6 +210,25 @@ codec_text = st.text(alphabet=["\\", '"', "n", "l", "r", "\n", "\r", "\0", "a"],
 label_body = st.lists(
     st.sampled_from(["\\\\", '\\"', "\\l", "\\r", "\\n", "\\q", "l", "r", "n", "a", " "]),
     max_size=8).map("".join)
+# an id token: a quoted id with DOT's escapes, or a numeral, some of them
+# equal in value (7, 07) and some spelled both ways (7, "7")
+id_token = st.one_of(
+    st.lists(st.sampled_from(["\\\\", '\\"', "\\l", "\\n", "l", "n", "a", " ", "-1"]),
+             max_size=4).map(lambda body: '"%s"' % "".join(body)),
+    st.sampled_from(["-12", "-3", "0", "7", "07", '"07"', '"7"', "1.5", "-0.25"]),
+)
+
+
+def _ref_id(token):
+    return _ref_unquote(token) if token.startswith('"') else token
+
+
+def _spellings(token):
+    """The tokens of token's id: itself, its text quoted anew and, for a
+    numeral, the numeral unquoted."""
+    state_id = _ref_id(token)
+    numeral = [state_id] if re.fullmatch(r"-?[0-9]+(?:\.[0-9]+)?", state_id) else []
+    return sorted({token, '"%s"' % _ref_escape_label(state_id), *numeral})
 
 
 class TestLabelCodec:
@@ -221,7 +239,6 @@ class TestLabelCodec:
     def test_string_methods_match_the_regex_codec(self, text):
         assert ssg._unquote(text) == _ref_unquote('"%s"' % text)
         assert ssg._escape_label(text) == _ref_escape_label(text)
-        assert ssg._format_id(text) == _ref_format_id(text)
         assert ssg._unquote(ssg._escape_label(text)) == text
 
     def test_a_literal_backslash_before_l_or_r_stays_apart_from_the_escape(self):
@@ -251,6 +268,38 @@ class TestLabelCodec:
             ssg._unquote(b) for b in dict.fromkeys(edge_bodies) if b]
         assert [c.args[0] for c in finals.search.call_args_list] == [
             ssg._unquote(node), ssg._unquote(final) + " final = TRUE"]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(id_token, min_size=3, max_size=6, unique_by=_ref_id), st.booleans(),
+           st.data())
+    def test_clean_writes_every_id_token_back_and_build_decodes_it(self, tokens, on_close,
+                                                                   data):
+        # a chain of states through the last, final one, with an edge from the
+        # first into a dead end; each statement names its ids in drawn spellings
+        *chain, dead = tokens
+
+        def spell(token):
+            return data.draw(st.sampled_from(_spellings(token)))
+
+        lines = [f'{spell(t)} [label="final = {"TRUE" if t == chain[-1] else "FALSE"}"];'
+                 for t in tokens]
+        lines += [f'{spell(u)} -> {spell(v)} [label="go(x)"];' for u, v in zip(chain, chain[1:])]
+        lines += [f"{spell(chain[0])} -> {spell(dead)};" for _ in range(2)]
+        lines += data.draw(st.lists(st.sampled_from(lines), max_size=4))
+        # a statement on the closing line sends the text to the token parser
+        dot = "digraph G {\n" + "\n".join(lines) + (" }\n" if on_close else "\n}\n")
+        with _count_fallbacks() as fallback:
+            raw = parse_dot(dot)
+        assert fallback.call_count == on_close
+        written = "".join(f"{line}\n" for line in dict.fromkeys(lines))
+        assert emit_dot(clean(raw)) == "digraph G {\n" + written + "}\n"
+        with pytest.raises(GraphError, match="not both reachable"):
+            build(raw)
+        ids = [_ref_id(t) for t in tokens]
+        kept = sorted(ids[:-1], key=lambda s: (0, int(s), s) if s.isdigit() else (1, 0, s))
+        assert build(raw, prune=True).raw_ids == kept
+        assert build(raw, initial=ids[0], prune=True).raw_ids == kept
 
 
 class TestStatements:
