@@ -210,6 +210,9 @@ def cmd_clean(args, log: Log) -> int:
 
 
 def cmd_sequences(args, log: Log) -> int:
+    if not 0 <= args.puts_max <= seqgen.MAX_PUTS_LIMIT:
+        raise UsageError(f"--puts-max must be in 0..{seqgen.MAX_PUTS_LIMIT}, "
+                         f"got {args.puts_max}")
     from . import ssg
 
     try:

@@ -5,16 +5,17 @@ naming any other method is refused when the spec loads), so checking a
 clause cannot change the state it is checking. One rule says what a read
 sees. The evaluator keeps what the service answered since the last write,
 one entry per URL: the status and body, or the message of a GET that
-failed. A read is served from that entry, or fetched into it, so every
-clause evaluated between two writes sees one consistent state of the
-service and each URL costs at most one GET. Whoever sends a write calls
-forget() just before it: what was observed becomes the state before the
-write, which prev(...) reads, and later reads fetch afresh. Until then a
-bare Evaluator keeps answering from what it fetched. capture_previous only
-fetches the URLs that prev(...) calls will read, so that the write's
-forget() keeps them. A budget caps the number of live requests per
-evaluation so quantifiers over large collections fail loudly instead of
-hammering the service; reads served from what was observed are free.
+failed or that the budget did not allow. A read is served from that entry,
+or fetched into it, so every clause evaluated between two writes sees one
+consistent state of the service and each URL costs at most one GET.
+Whoever sends a write calls forget() just before it: what was observed
+becomes the state before the write, which prev(...) reads, and later reads
+fetch afresh. Until then a bare Evaluator keeps answering from what it
+fetched. capture_previous only fetches the URLs that prev(...) calls will
+read, so that the write's forget() keeps them. A budget caps the number of
+live requests per evaluation so quantifiers over large collections fail
+loudly instead of hammering the service; reads served from what was
+observed are free.
 
 Formulas are expected to have passed glacier.check_clause for the kind of
 clause they are evaluated as; the evaluator checks nothing that does not
@@ -22,8 +23,9 @@ depend on the data. Domain errors in the data (a missing field, a non-JSON
 body, a quantifier over a non-array) make the enclosing condition false and
 produce a witness string. A formula that reduces to a non-boolean, a
 {param} the call did not bind, a prev(...) of a URL not observed before the
-last write or whose GET failed, or a spent budget raises EvaluationError; a
-dead or unreachable service raises TransportFailure.
+last write or whose entry is a failure, or a spent budget raises
+EvaluationError; a dead or unreachable service raises TransportFailure.
+'@' (the call's own answer), a probe and a snapshot are read alike.
 
 Transport: every GET goes through the request(method, path) -> (status,
 body) method of a session that owns the base URL and the timeout, such as a
@@ -48,7 +50,6 @@ from .glacier import (
     Literal,
     Prev,
     Quantified,
-    _print_call,
     _walk_calls,
 )
 from .transport import TRANSPORT_ERRORS, NonJsonBody
@@ -69,27 +70,20 @@ class TransportFailure(RuntimeError):
 
 class _Undefined(Exception):
     """Internal: a value needed by a condition does not exist. The nearest
-    condition converts this into False plus a witness."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    condition converts this into False plus a witness, its message."""
 
 
-class OpContext:
+class OpContext(NamedTuple):
     """The operation under test, as seen by '@'; req_body, res_code and
-    res_body are named after the functions that read them. Before the call
-    is sent the response fields are None: only postconditions read them.
-    path_args binds the bare {param}s of its URLs."""
+    res_body are named after the functions that read them, res_body as the
+    session returned it. Before the call is sent the response fields are
+    None: only postconditions read them. path_args binds the bare {param}s
+    of its URLs."""
 
-    __slots__ = ("req_body", "res_code", "res_body", "path_args")
-
-    def __init__(self, req_body: Any = None, res_code: Any = None, res_body: Any = None,
-                 path_args: Optional[dict] = None):
-        self.req_body = req_body
-        self.res_code = res_code
-        self.res_body = res_body
-        self.path_args = {} if path_args is None else path_args
+    req_body: Any = None
+    res_code: Any = None
+    res_body: Any = None
+    path_args: dict = {}  # never mutated, so one empty default serves all
 
 
 class EvalResult(NamedTuple):
@@ -145,19 +139,24 @@ class Evaluator:
 
     def capture_previous(self, formulas, ctx: OpContext) -> None:
         """Fetch every URL a prev(...) call in the given formulas reads, so
-        that the forget() before the operation is sent keeps it. A failed
-        GET is kept as its message and only surfaces if a clause reads it. A
-        URL that cannot be resolved is skipped: the postcondition resolves
-        it again and turns the reason into a false clause."""
+        that the forget() before the operation is sent keeps it. Raises
+        nothing: a URL that cannot be fetched, for a failed GET or a spent
+        budget, is kept as its message and only surfaces if a clause reads
+        it. A URL that cannot be resolved is skipped: the postcondition
+        resolves it again and says why."""
         self._spent = 0
         for formula in formulas:
             for call, inside_prev in _walk_calls(formula):
                 if not inside_prev:
                     continue
                 try:
-                    self._fetch(self._resolve_url(call, ctx, {}))
-                except (_Undefined, TransportFailure):
+                    url = self._resolve_url(call, ctx, {})
+                except (_Undefined, EvaluationError):
                     continue
+                try:
+                    self._fetch(url)
+                except (BudgetExceeded, TransportFailure) as exc:
+                    self._now[url] = str(exc)
 
     # -- formulas ------------------------------------------------------------
 
@@ -172,7 +171,7 @@ class Evaluator:
         try:
             value = self._expr(f, ctx, env)
         except _Undefined as u:
-            return EvalResult(False, u.reason)
+            return EvalResult(False, str(u))
         if isinstance(value, bool):
             return EvalResult(value, "" if value else "expression is false")
         raise EvaluationError(f"formula reduced to a non-boolean: {_shorten(value)}")
@@ -187,7 +186,7 @@ class Evaluator:
         try:
             domain = self._expr(call, ctx, env)
         except _Undefined as u:
-            return EvalResult(False, f"domain of {var!r}: {u.reason}")
+            return EvalResult(False, f"domain of {var!r}: {u}")
         if not isinstance(domain, list):
             return EvalResult(
                 False, f"domain of {var!r} is not an array: {_shorten(domain)}"
@@ -232,7 +231,7 @@ class Evaluator:
             lhs = self._expr(c.lhs, ctx, env)
             rhs = self._expr(c.rhs, ctx, env)
         except _Undefined as u:
-            return EvalResult(False, u.reason)
+            return EvalResult(False, str(u))
         ok = self._compare(lhs, c.op, rhs)
         if isinstance(ok, str):  # incomparable; the string says why
             return EvalResult(False, ok)
@@ -258,20 +257,19 @@ class Evaluator:
         if isinstance(e, Literal):
             return e.value
         if isinstance(e, Prev):
-            return self._prev(e, ctx, env)
-        return self._call(e, ctx, env)
+            return self._read(e.call, ctx, env, self._snapshot)
+        return self._read(e, ctx, env, self._fetch)
 
-    def _call(self, call: ApiCall, ctx, env):
+    def _read(self, call: ApiCall, ctx, env, entry_of):
+        """The value call reads: from '@', or from the (status, body) entry
+        that entry_of gives for its URL."""
         if call.is_self():
             value = getattr(ctx, call.func)
         else:
-            status, body = self._fetch(self._resolve_url(call, ctx, env))
+            status, body = entry_of(self._resolve_url(call, ctx, env))
             value = status if call.func == "res_code" else body
         if isinstance(value, NonJsonBody):
             raise _Undefined(f"response body is not JSON: {_shorten(value.text)}")
-        return self._suffix(call, value)
-
-    def _suffix(self, call: ApiCall, value):
         suffix = call.suffix
         if suffix is None:
             return value
@@ -288,18 +286,14 @@ class Evaluator:
             return len(value)
         raise _Undefined(f".len applied to {_shorten(value)}")
 
-    def _prev(self, p: Prev, ctx, env):
-        url = self._resolve_url(p.call, ctx, env)
-        if url not in self._before:
-            raise EvaluationError(f"no snapshot was captured for {_print_call(p.call)}")
-        entry = self._before[url]
+    def _snapshot(self, path: str) -> tuple[int, Any]:
+        """The entry prev(...) reads: what was observed before the last write."""
+        if path not in self._before:
+            raise EvaluationError(f"no snapshot was captured for GET {path}")
+        entry = self._before[path]
         if isinstance(entry, str):
             raise EvaluationError(f"snapshot unavailable: {entry}")
-        status, body = entry
-        value = status if p.call.func == "res_code" else body
-        if isinstance(value, NonJsonBody):
-            raise _Undefined(f"snapshot body is not JSON: {_shorten(value.text)}")
-        return self._suffix(p.call, value)
+        return entry
 
     # -- URLs and transport ------------------------------------------------------
 

@@ -6,14 +6,11 @@ contain: a prepared call carries the insert, data update or pop that a 2xx
 answer applies. Around every request the operation's contract is evaluated
 (preconditions and invariants before, postconditions and, on the last call,
 invariants again after), and the combination of verdicts and status code is
-classified as OK, WARN, or ERR. The evaluator keeps what the service
-answered until the next write (see the evaluator module), and every write
-the campaign makes ends that observation: forget() is called before a
-call's send and before cleanup's DELETEs. So a URL that several clauses read between two
-writes is fetched once, for the post phase of one call and the pre phase of
-the next alike, and across sequences too when cleanup has nothing to
-delete. The postconditions' prev(...) calls read what was observed before
-the call's send; the pre phase fetches the URLs they name.
+classified as OK, WARN, or ERR. What a clause reads follows the
+evaluator's observation rule (see the evaluator module): the campaign calls
+forget() before each write it makes, a call's send and cleanup's DELETEs,
+and the pre phase captures the URLs the postconditions' prev(...) calls
+read. The post phase reads the call's own answer as the session returned it.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
 an id the sequence already created, an operation with no usable key, a
@@ -106,11 +103,8 @@ class CallOutcome(NamedTuple):
 
 
 class _Skip(Exception):
-    """Internal: this call cannot be issued; carries the NOT_TESTED reason."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Internal: this call cannot be issued; its message is the NOT_TESTED
+    reason."""
 
 
 class _Prepared(NamedTuple):
@@ -149,16 +143,12 @@ class SequenceRunner:
             prep = self._prepare(call, op, state)
         except _Skip as skip:
             return CallOutcome(seq_index, call_index, call.op, None, None,
-                               None, None, None, NOT_TESTED, skip.reason)
+                               None, None, None, NOT_TESTED, str(skip))
 
         pre_ctx = OpContext(req_body=prep.clause_body, path_args=prep.bindings)
-        capture_error = None
         inv = self._eval_clauses(self.spec.invariants, None)
         pre = self._eval_clauses(op.requires, pre_ctx)
-        try:
-            self.evaluator.capture_previous([c.formula for c in op.ensures], pre_ctx)
-        except EvaluationError as exc:
-            capture_error = str(exc)
+        self.evaluator.capture_previous([c.formula for c in op.ensures], pre_ctx)
 
         status, body = self._send(op.method, prep.path, prep.payload)
         if 200 <= status < 300:
@@ -166,12 +156,9 @@ class SequenceRunner:
 
         if status >= 500:  # the service failed outright: nothing to evaluate
             post = EvalResult(None, f"server error {status}")
-        elif capture_error is not None:
-            post = EvalResult(None, f"pre-state capture failed: {capture_error}")
         else:
-            post = self._eval_clauses(op.ensures, OpContext(
-                req_body=prep.clause_body, res_code=status, res_body=body,
-                path_args=prep.bindings))
+            post = self._eval_clauses(op.ensures,
+                                      pre_ctx._replace(res_code=status, res_body=body))
         if is_last and status < 500:
             inv = self._eval_clauses(self.spec.invariants, None)
 
@@ -186,7 +173,7 @@ class SequenceRunner:
         return CallOutcome(
             seq_index, call_index, call.op,
             {"method": op.method, "url": prep.path, "body": prep.payload},
-            {"status": status, "body": body},
+            {"status": status, "body": body.text if isinstance(body, NonJsonBody) else body},
             pre.value, post.value, inv.value, classification, reason,
         )
 
@@ -277,10 +264,9 @@ class SequenceRunner:
         self.sends += 1
         self.evaluator.forget()  # what was observed may change now
         try:
-            status, body = self.session.request(method, path, json=payload)
+            return self.session.request(method, path, json=payload)
         except TRANSPORT_ERRORS as exc:
             raise TransportFailure(f"{method} {path}: {exc}") from exc
-        return status, body.text if isinstance(body, NonJsonBody) else body
 
 
 def run_campaign(

@@ -18,6 +18,7 @@ from statecover.demo import TournamentsApp
 from statecover.lifecycle import Model, State
 from statecover.speckit import Operation
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
+from statecover.transport import Connection
 
 
 # Clauses that parse but that their kind cannot evaluate, as (kind, clause,
@@ -244,3 +245,16 @@ class AppSession:
     def request(self, method, path, json=None):
         self.log.append(f"{method} {path}")
         return self.app.handle(method, path, None if json is None else dumps(json).encode())
+
+
+def failing_on(verb):
+    """A Connection whose requests of one method raise, as on a connection
+    the service reset."""
+
+    class Failing(Connection):
+        def request(self, method, path, json=None):
+            if method == verb:
+                raise ConnectionResetError("reset by peer")
+            return super().request(method, path, json=json)
+
+    return Failing

@@ -14,11 +14,11 @@ import yaml
 
 import requests
 
-from statecover import lifecycle, speckit, ssg
+from statecover import executor, lifecycle, speckit, ssg
 from statecover.cli import derive_seed, main
 from statecover.demo import FAULTS, DemoServer, tournaments_model_doc
 
-from helpers import MISUSED_CLAUSES, add_clause
+from helpers import MISUSED_CLAUSES, add_clause, failing_on
 
 
 DOTDUMP = Path(__file__).resolve().parent.parent / "bench" / "dotdump.py"
@@ -424,6 +424,26 @@ class TestJsonLogs:
         assert explored == {"event": "explored", "states": 6, "transitions": 10,
                             "finals": 1}
         assert isinstance(duration, float) and duration >= 0
+
+    def test_gen_contracts_logs_diagnostics_and_skipped_operations(self, tmp_path, capsys):
+        ok = {"200": {"description": "ok"}}
+        doc = {
+            "openapi": "3.0.3",
+            "info": {"title": "t", "version": "1"},
+            "paths": {"/jobs": {"post": {"operationId": "startJob", "responses": ok}}},
+        }
+        oas = tmp_path / "oas.yaml"
+        oas.write_text(yaml.safe_dump(doc))
+        code, _, err = run(capsys, "--json-logs", "gen-contracts", str(oas),
+                           str(tmp_path / "out.yaml"))
+        assert code == 0
+        events = [json.loads(line) for line in err.splitlines()]
+        assert [e for e in events if e["event"] in ("diagnostic", "skipped")] == [
+            {"event": "diagnostic", "code": "no-request-body", "where": "POST /jobs",
+             "message": "POST without a request body"},
+            {"event": "skipped", "op": "startJob",
+             "reason": "POST path /jobs has no /{key} item sibling"},
+        ]
 
     def test_clean_event_reports_input_size_and_stage_times(self, tmp_path, capsys):
         body = '0 [label="final = FALSE"];\n1 [label="final = TRUE"];\n0 -> 1 [label="go(x)"];\n'
@@ -945,7 +965,48 @@ class TestErrorPaths:
             code, _, err = run(capsys, "sequences", str(dot),
                                str(workdir / "out.json"), "--puts-max", "99", *spec)
             assert code == 2, spec
-            assert "max_puts" in err
+            assert "error: --puts-max must be in 0..3, got 99" in err
+
+    @pytest.mark.parametrize("puts_max", ["-1", "4"])
+    def test_puts_max_is_checked_before_the_dot_is_read(self, tmp_path, capsys, puts_max):
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, "sequences", str(tmp_path / "absent.dot"), str(out),
+                                "--puts-max", puts_max)
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == f"error: --puts-max must be in 0..3, got {puts_max}\n"
+
+    def test_clean_of_a_malformed_dot(self, tmp_path, capsys):
+        dot = tmp_path / "bad.dot"
+        dot.write_text("digraph {\n  0 -> ;\n}\n")
+        code, _, err = run(capsys, "clean", str(dot), str(tmp_path / "out.dot"))
+        assert code == 2
+        assert f"error: {dot}: line 2: expected destination id after '->'" in err
+
+    def test_explore_of_a_model_whose_exploration_fails(self, workdir, capsys):
+        doc = yaml.safe_load((workdir / "tournaments-model.yaml").read_text(encoding="utf-8"))
+        (delete_player,) = [a for a in doc["actions"] if a["name"] == "deletePlayer"]
+        del delete_player["guard"]
+        path = workdir / "unguarded.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False, width=10000))
+        code, _, err = run(capsys, "explore", str(path), str(workdir / "out.dot"))
+        assert code == 2
+        assert f"error: {path}: action deletePlayer: del of absent players[p1]" in err
+        assert not (workdir / "out.dot").exists()
+
+    def test_a_file_that_is_not_yaml(self, tmp_path, capsys):
+        path = tmp_path / "model.yaml"
+        path.write_text("name: [unclosed\n")
+        code, _, err = run(capsys, "explore", str(path), str(tmp_path / "out.dot"))
+        assert code == 2
+        assert f"error: {path} is not valid YAML: " in err
+
+    def test_a_send_that_raises_ends_the_campaign(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(executor, "Connection", failing_on("POST"))
+        seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
+        code, out, err = run(capsys, "test", "--spec", str(workdir / "tournaments-contracts.yaml"),
+                             "--sequences", str(seqs), "--spawn-demo")
+        assert (code, out) == (2, "")
+        assert "error: POST /players: reset by peer" in err
 
     def test_unreadable_edge_label(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"

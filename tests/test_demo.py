@@ -227,6 +227,7 @@ class TestRouter:
         ("GET", "/tournaments/t1/enrolments", None, (200, [ENROLMENT])),
         # only a tournament's capacity is checked
         ("PUT", "/players/p1", dict(PLAYER, capacity=0), (200, dict(PLAYER, capacity=0))),
+        ("PUT", "/players/p1", {"pid": "p1"}, (422, {"error": "player needs a string 'name'"})),
         # existence comes before the body
         ("PUT", "/tournaments/ghost", {"tid": 5}, (404, {"error": "no such tournament"})),
         # the id comes before the references

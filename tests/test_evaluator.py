@@ -595,6 +595,28 @@ class TestPreState:
         result = ev.evaluate(read_x, post)
         assert not result.value and "5" in result.witness
 
+    def test_capture_raises_nothing_and_each_failure_surfaces_where_read(self):
+        ev, session = fake_eval({"/a": (200, 1), "/b": (200, 2)}, budget=1)
+        unbound = glacier.parse("prev(res_code(GET /p/{pid})) = 200")
+        spent = glacier.parse("prev(res_body(GET /a)) < prev(res_body(GET /b))")
+        ev.capture_previous([unbound, spent], OpContext())
+        assert session.log == ["/a"]
+        ev.forget()
+        post = OpContext(res_code=200, res_body={})
+        with pytest.raises(EvaluationError, match=r"^no binding for path parameter \{pid\}$"):
+            ev.evaluate(unbound, post)
+        with pytest.raises(EvaluationError, match="^snapshot unavailable: evaluation "
+                                                  "exceeded its budget of 1 requests$"):
+            ev.evaluate(spent, post)
+
+    def test_a_snapshot_reads_a_non_json_body_as_a_probe_does(self):
+        ev, _ = fake_eval({"/x": (200, "up")})
+        probe = check(ev, "res_body(GET /x) = 1")
+        ev.capture_previous([glacier.parse("prev(res_body(GET /x)) = 1")], OpContext())
+        ev.forget()
+        snapshot = ev.evaluate(glacier.parse("prev(res_body(GET /x)) = 1"), OpContext())
+        assert snapshot == probe == (False, "response body is not JSON: 'up'")
+
     def test_prev_reads_any_url_observed_before_the_write(self):
         ev, session = fake_eval({"/x": (200, {"v": 1})})
         assert check(ev, "res_body(GET /x){v} = 1").value  # say, an invariant

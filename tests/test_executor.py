@@ -6,8 +6,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession
-from statecover import lifecycle, seqgen, ssg
+from helpers import TOURNAMENTS_RESOLVER_TABLE, AppSession, failing_on
+from statecover import executor, lifecycle, seqgen, ssg
 from statecover.demo import (
     DemoServer,
     add_manual_clauses,
@@ -27,7 +27,7 @@ from statecover.executor import (
 from statecover.runtime import InputGenerator
 from statecover.seqgen import Call
 from statecover.speckit import clause, fixture_path, infer_contracts, load_oas
-from statecover.transport import Connection
+from statecover.transport import Connection, NonJsonBody
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +432,120 @@ class TestUnresolvablePrevUrl:
         assert deleted["reason"].endswith("request body has no field 'nope'")
         assert report["cleanupFailures"] == []
         assert requests.get(live.base_url + "/tournaments", timeout=5).json() == []
+
+
+def with_ensures(spec, op_id, *texts):
+    """spec with op_id's postconditions replaced by the clauses texts."""
+    op = spec.operation(op_id)
+    op.ensures = tuple(clause(text, "ensures", f"x-ensures[{i}]", op.bound)
+                       for i, text in enumerate(texts))
+    return spec
+
+
+class PlainTextSession(AppSession):
+    """The demo in-process, but every write is answered 200 with the plain
+    text OK."""
+
+    def request(self, method, path, json=None):
+        answer = super().request(method, path, json)
+        return answer if method == "GET" else (200, NonJsonBody("OK"))
+
+
+# two URLs only a snapshot reads: with a budget of 1 the second is not fetched
+TWO_SNAPSHOTS = "prev(res_code(GET /a)) = prev(res_code(GET /b))"
+
+
+class TestTheOracleReadsOneWay:
+    def test_a_non_json_answer_reads_as_a_probe_reads_it(self):
+        spec = with_ensures(inferred_spec(), "postPlayer", 'res_body(@) = "OK"')
+        runner = SequenceRunner(spec, InputGenerator(0), PlainTextSession())
+        (outcome,), _ = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
+        assert (outcome.pre, outcome.post, outcome.classification) == (True, False, ERR)
+        assert outcome.reason == 'res_body(@) = "OK": response body is not JSON: \'OK\''
+        assert outcome.response == {"status": 200, "body": "OK"}  # the report keeps the text
+
+    def test_a_failed_snapshot_leaves_the_clauses_that_do_not_read_it(self):
+        spec = with_ensures(inferred_spec(), "postPlayer", "res_code(@) = 201", TWO_SNAPSHOTS)
+        runner = SequenceRunner(spec, InputGenerator(0), AppSession(), budget=1)
+        (outcome,), _ = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
+        assert (outcome.post, outcome.classification) == (False, ERR)
+        assert outcome.reason == "res_code(@) = 201: 200 = 201 does not hold"
+
+    def test_a_failed_snapshot_makes_the_clause_that_reads_it_unevaluable(self):
+        spec = with_ensures(inferred_spec(), "postPlayer", TWO_SNAPSHOTS)
+        session = AppSession()
+        runner = SequenceRunner(spec, InputGenerator(0), session, budget=1)
+        (outcome,), _ = runner.run_sequence([mk("postPlayer", pid="p1")], 0)
+        assert (outcome.post, outcome.classification) == (None, ERR)
+        assert outcome.reason == (f"{TWO_SNAPSHOTS}: cannot evaluate: snapshot unavailable: "
+                                  "evaluation exceeded its budget of 1 requests")
+        assert "GET /b" not in session.log
+
+
+def unaddressable_spec():
+    """An operation outside any resource, and a resource nested under a
+    placeholder that no call binds."""
+    schema = {"type": "object", "properties": {"pid": {"type": "string"}}}
+    body = {"content": {"application/json": {"schema": schema}}}
+    ok = {"200": {"description": "ok"}}
+    org = {"name": "org", "in": "path", "required": True}
+    return load_oas({
+        "openapi": "3.0.3",
+        "info": {"title": "t", "version": "1"},
+        "paths": {
+            "/ping": {"post": {"operationId": "ping", "responses": ok}},
+            "/orgs/{org}/players": {"parameters": [org], "post": {
+                "operationId": "postOrgPlayer", "requestBody": body, "responses": ok}},
+            "/orgs/{org}/players/{pid}": {
+                "parameters": [org, {"name": "pid", "in": "path", "required": True}],
+                "delete": {"operationId": "deleteOrgPlayer", "responses": ok}},
+        },
+    })
+
+
+class TestCallsThatCannotBeIssued:
+    @pytest.mark.parametrize("calls, reason", [
+        pytest.param([mk("postPlayer")], "no abstract id for key 'pid'", id="key"),
+        pytest.param([mk("postPlayer", pid="p1"), mk("postEnrolment", eid="e1", pid="p1")],
+                     "no abstract id for foreign key 'tid'", id="foreign-key"),
+    ])
+    def test_a_call_without_an_abstract_id(self, calls, reason):
+        session = AppSession()
+        runner = SequenceRunner(inferred_spec(), InputGenerator(0), session)
+        outcomes, _ = runner.run_sequence(calls, 0)
+        assert (outcomes[-1].classification, outcomes[-1].reason) == (NOT_TESTED, reason)
+        writes = [line for line in session.log if not line.startswith("GET ")]
+        assert writes == ["POST /players"] * (len(calls) - 1)  # nothing for the last call
+
+    @pytest.mark.parametrize("call, reason", [
+        pytest.param(Call(op="ping", verb="POST", path="/ping", params={}),
+                     "operation has no key field to track instances by", id="no-key"),
+        pytest.param(Call(op="postOrgPlayer", verb="POST", path="/orgs/{org}/players",
+                          params={"pid": "p1"}),
+                     "unresolved parameters in path '/orgs/{org}/players'", id="placeholder"),
+    ])
+    def test_an_operation_the_runner_cannot_address(self, call, reason):
+        session = RecordingSession()
+        (outcome,), _ = SequenceRunner(unaddressable_spec(), InputGenerator(0),
+                                       session).run_sequence([call], 0)
+        assert (outcome.classification, outcome.reason) == (NOT_TESTED, reason)
+        assert session.sent == []
+
+
+class TestTransportFailures:
+    def test_a_send_that_raises_ends_the_campaign_naming_the_call(self, live, monkeypatch):
+        monkeypatch.setattr(executor, "Connection", failing_on("POST"))
+        calls = [mk("postPlayer", pid="p1"), mk("deletePlayer", pid="p1")]
+        with pytest.raises(TransportFailure, match=r"^POST /players: reset by peer$"):
+            run_campaign(inferred_spec(), [calls], live.base_url, seed=0)
+
+    def test_a_cleanup_delete_that_raises_is_listed_with_its_error(self, live, monkeypatch):
+        monkeypatch.setattr(executor, "Connection", failing_on("DELETE"))
+        report = run_campaign(inferred_spec(), [[mk("postPlayer", pid="p1")]],
+                              live.base_url, seed=0)
+        assert report["summary"]["ok"] == 1
+        assert report["cleanupFailures"] == [
+            {"sequenceIndex": 0, "url": "/players/pid10000", "error": "reset by peer"}]
 
 
 class TestCampaign:

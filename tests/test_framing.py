@@ -23,6 +23,8 @@ CASES = {
         b"4;name=value\r\n{\"v\"\r\n4 ; last\r\n: 1}\r\n0\r\nX-Trailer: yes\r\n\r\n"),
     "close-delimited": (
         "GET", b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nup to the close"),
+    "a transfer coding other than chunked": (
+        "GET", b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nup to the close"),
     "HEAD": ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n"),
     "204": ("DELETE", b"HTTP/1.1 204 No Content\r\n\r\n"),
     "304": ("GET", b"HTTP/1.1 304 Not Modified\r\nContent-Length: 8\r\n\r\n"),
@@ -97,6 +99,7 @@ def test_read_response_agrees_with_http_client(case):
     (b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n", False),
     (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\n", True),
     (b"HTTP/1.1 200 OK\r\n\r\n", False),  # the body runs to the close
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n", False),  # and so here
     (b"HTTP/1.1 204 No Content\r\n\r\n", True),
 ])
 def test_whether_the_connection_stays_open(head, keep):

@@ -268,6 +268,9 @@ class TestValidation:
         ("res_code(GET /x", "at offset 15: expected ')' closing res_code"),
         ("prev res_code(@) = 1", "at offset 5: expected '(' after prev"),
         ("res_body(@){name = 1", "at offset 17: expected '}' closing field suffix"),
+        ("for t of res_body(GET /a) :- 1 = 1", "at offset 5: expected 'in' after binder 't'"),
+        ("res_code(/x) = 1", "at offset 9: expected '@' or an HTTP method"),
+        ("res_code(GET x) = 1", "at offset 13: URL must start with '/'"),
     ])
     def test_expected_names_the_token(self, text, message):
         with pytest.raises(FormulaError) as err:

@@ -106,6 +106,13 @@ class TestLoadModel:
             f"print(ascii(list(load_model({str(path)!r}).resources[0].ids)))\n")
         assert out.strip() == ascii(["spielerin_für_alle"])
 
+    def test_two_resources_of_one_name(self):
+        doc = toggler_doc()
+        doc["resources"].append(dict(doc["resources"][0], ids=["k2"]))
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert str(exc.value) == "duplicate resource names"
+
     def test_unknown_field_target(self):
         doc = toggler_doc()
         doc["resources"][0]["record"] = {"x": {"set": "ghosts"}}
@@ -652,6 +659,20 @@ class TestModelChecks:
         doc["actions"][0]["effect"] = ["put things[kid] = {xs: {}}", "add things[kid].xs kid", "add things[kid].xs kid"]
         with pytest.raises(ModelError, match="already"):
             explore(load_model(doc))
+
+    @pytest.mark.parametrize("effects, message", [
+        (["add things[kid].xs kid"], "action makeThing: add on absent things[k1]"),
+        (["put things[kid] = {xs: {}}", "remove things[kid].xs kid"],
+         "action makeThing: remove of element missing from things[k1].xs"),
+    ])
+    def test_a_set_effect_the_state_does_not_allow(self, effects, message):
+        doc = toggler_doc()
+        doc["resources"][0]["record"] = {"xs": {"set": "things"}}
+        doc["actions"][0]["effect"] = effects
+        model = load_model(doc)
+        with pytest.raises(ModelError) as exc:
+            explore(model)
+        assert str(exc.value) == message
 
     def test_guard_deref_of_absent_id(self):
         doc = toggler_doc()

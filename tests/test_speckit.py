@@ -104,6 +104,8 @@ class TestLoad:
         ({"$ref": "#/components/schemas/Ghost"}, "dangling \\$ref"),
         ({"$ref": "#/components/schemas/Node"}, "schema \\$ref nesting too deep"),
         (["x"], "schema: expected a mapping, got list"),
+        ({"$ref": "other.yaml#/Widget"},
+         "only local \\$refs are supported, got 'other.yaml#/Widget'"),
     ])
     def test_bad_request_body_ref_fails_the_load(self, schema, message):
         doc = widget_doc()
@@ -486,6 +488,14 @@ class TestInference:
         report = infer_contracts(s)
         assert report.added == {}
         assert report.skipped == [("startJob", "POST path /jobs has no /{key} item sibling")]
+
+    def test_patch_is_skipped(self):
+        doc = widget_doc()
+        doc["paths"]["/widgets/{wid}"]["patch"] = {
+            "operationId": "patchWidget", "responses": {"200": {"description": "ok"}}}
+        report = infer_contracts(load_oas(doc))
+        assert report.skipped == [("patchWidget", "no inference rule for PATCH")]
+        assert "patchWidget" not in report.added
 
     def test_echo_only_when_schemas_match(self):
         doc = widget_doc()

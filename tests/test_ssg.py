@@ -147,6 +147,7 @@ class TestParseDot:
             ("digraph {\n/* one\ntwo\n*/ 0 -> ;\n}", 4, "expected destination id after '->'"),
             ('digraph {\n  0 [label "x"];\n}', 2, "expected '=' after attribute name"),
             ("digraph G\n\n[", 3, "expected '{' opening the graph body"),
+            ("", 1, "empty input"),
         ],
     )
     def test_error_lines_and_messages(self, text, line, message):
@@ -900,6 +901,18 @@ class TestBuild:
         g = build(raw, initial="0", prune=True)
         assert g.raw_ids == ["0", "2"]
         assert_graph_laws(g)
+
+    def test_an_absent_initial_state(self):
+        raw = parse_dot('digraph { 0 -> 1; 1 [label="final = TRUE"]; }')
+        with pytest.raises(GraphError) as err:
+            build(raw, initial="7")
+        assert str(err.value) == "flagged initial state '7' not present"
+
+    def test_prune_refuses_an_initial_state_that_reaches_no_final(self):
+        raw = parse_dot('digraph { 0 -> 1; 2 -> 3; 3 [label="final = TRUE"]; }')
+        with pytest.raises(GraphError) as err:
+            build(raw, initial="0", prune=True)
+        assert str(err.value) == "initial state itself is not co-reachable; nothing to keep"
 
     def test_isolated_node_reported(self):
         raw = parse_dot(

@@ -113,6 +113,8 @@ ROUTES = {
     "/latin": lambda request: (200, {"Content-Type": "text/plain; charset=latin-1"},
                                "café".encode("latin-1")),
     "/raw": lambda request: (200, {"Content-Type": "text/plain"}, b"\xff ok"),
+    "/unknown-charset": lambda request: (
+        200, {"Content-Type": "text/plain; charset=no-such-charset"}, "café".encode()),
     "/gzip": lambda request: (200, {"Content-Encoding": "gzip"},
                               gzip.compress(b'{"v": 1}')),
     # a JSON body labelled with the content coding named by the query's c
@@ -366,6 +368,9 @@ class TestBodies:
         result = check(evaluator, "res_body(GET /raw){v} = 1")
         assert result.witness == "response body is not JSON: '� ok'"
         assert session.request("GET", "/latin") == (200, NonJsonBody("café"))
+
+    def test_a_charset_python_does_not_know_reads_as_utf8(self, server, session):
+        assert session.request("GET", "/unknown-charset") == (200, NonJsonBody("café"))
 
     def test_undecodable_body_is_a_transport_failure(self, server, session):
         evaluator = Evaluator(session)
