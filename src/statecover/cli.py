@@ -12,14 +12,18 @@ model invariant violation), 2 bad usage or unreadable input. Progress goes
 to stderr (as JSON lines with --json-logs); stdout carries only the final
 summary line of each command.
 
-Importing this module loads what every command shares and the campaign
-path: `executor` (with `evaluator`, `glacier`, `runtime` and `transport`)
-and `seqgen`, so that `run_campaign` is a name of this module that a tracer
-can patch. `lifecycle`, `ssg`, `speckit` (with `yaml`) and `demo` load when
-a command that uses them is dispatched; once `demo` is loaded, so are the
-others. No module of the package imports `dataclasses` (and with it
-`inspect`) or `http.client`; `socket` and `select` load when a campaign
-connects, `ssl` when it first speaks TLS.
+Importing this module loads no other module of the package: a command
+imports what it runs once it is dispatched. `clean` loads `ssg`;
+`gen-contracts` `speckit` (with `glacier` and `yaml`); `explore`
+`lifecycle`, `ssg` and `speckit`; `sequences` `seqgen` and `ssg`, and
+`speckit` for --spec; `test` `seqgen`, `speckit` and the campaign path,
+`executor` with `evaluator`, `runtime` and `transport`. `executor` loads on
+the first call of this module's `run_campaign`, a name that a tracer can
+patch. `demo` loads for --spawn-demo, `demo-server` and `fixtures`, and
+with it `lifecycle`, `ssg`, `speckit` and `transport`. No module of the
+package imports `dataclasses` (and with it `inspect`) or `http.client`;
+`socket` and `select` load when a campaign connects, `ssl` when it first
+speaks TLS.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
-
-from . import seqgen
-from .evaluator import TransportFailure
-from .executor import run_campaign
 
 if TYPE_CHECKING:
     from . import speckit
@@ -210,10 +210,11 @@ def cmd_clean(args, log: Log) -> int:
 
 
 def cmd_sequences(args, log: Log) -> int:
+    from . import seqgen, ssg
+
     if not 0 <= args.puts_max <= seqgen.MAX_PUTS_LIMIT:
         raise UsageError(f"--puts-max must be in 0..{seqgen.MAX_PUTS_LIMIT}, "
                          f"got {args.puts_max}")
-    from . import ssg
 
     try:
         raw = ssg.parse_dot(_read_text(args.dot))
@@ -246,6 +247,14 @@ def cmd_sequences(args, log: Log) -> int:
     return 0
 
 
+def run_campaign(*args, **kwargs) -> dict:
+    """executor.run_campaign, which loads the campaign path on the first
+    call. `test` calls it by this module's name, so a tracer can patch it."""
+    from . import executor
+
+    return executor.run_campaign(*args, **kwargs)
+
+
 def cmd_test(args, log: Log) -> int:
     if args.spawn_demo and args.base_url:
         raise UsageError("--base-url and --spawn-demo exclude each other: "
@@ -261,6 +270,9 @@ def cmd_test(args, log: Log) -> int:
     if not 0 < args.timeout <= MAX_TIMEOUT_S:  # also false for nan
         raise UsageError(f"--timeout must be a number of seconds above 0 and at most "
                          f"{MAX_TIMEOUT_S:,}, got {args.timeout}")
+    from . import seqgen
+    from .evaluator import TransportFailure
+
     spec = _load_spec(args.spec)
     if args.infer:
         from . import speckit
@@ -412,6 +424,25 @@ class _DemoFaults:
         return iter(self._names())
 
 
+class _PutsMax(argparse.Action):
+    """Stores --puts-max. Its help names `seqgen.MAX_PUTS_LIMIT`, so seqgen
+    loads only when the help is printed."""
+
+    @property
+    def help(self) -> str:
+        from .seqgen import MAX_PUTS_LIMIT
+
+        return (f"insert up to this many updates per created resource "
+                f"(max {MAX_PUTS_LIMIT})")
+
+    @help.setter
+    def help(self, _text) -> None:
+        pass
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statecover",
@@ -444,9 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dot")
     p.add_argument("out", help="where to write the sequences (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--puts-max", type=int, default=0,
-                   help=f"insert up to this many updates per created resource "
-                        f"(max {seqgen.MAX_PUTS_LIMIT})")
+    p.add_argument("--puts-max", type=int, default=0, action=_PutsMax)
     p.add_argument("--spec", help="API description used to name operations")
     p.add_argument("--initial", help="raw id of the initial state")
     p.add_argument("--prune", action="store_true",

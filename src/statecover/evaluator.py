@@ -4,9 +4,10 @@ Evaluation is read-only: the only requests it ever sends are GETs (a probe
 naming any other method is refused when the spec loads), so checking a
 clause cannot change the state it is checking. One rule says what a read
 sees. The evaluator keeps what the service answered since the last write,
-one entry per URL: the status and body, or the message of a GET that
-failed or that the budget did not allow. A read is served from that entry,
-or fetched into it, so every clause evaluated between two writes sees one
+one entry per URL: the status and body, the message of a GET that failed,
+or the BudgetExceeded of a GET that capture_previous's budget did not
+allow. A read is served from that entry, or fetched into it (the last kind
+is fetched again), so every clause evaluated between two writes sees one
 consistent state of the service and each URL costs at most one GET.
 Whoever sends a write calls forget() just before it: what was observed
 becomes the state before the write, which prev(...) reads, and later reads
@@ -121,8 +122,9 @@ class Evaluator:
         self.budget = budget
         self.sent = 0  # probe GETs that went out, over the evaluator's life
         self._spent = 0
-        # URL -> (status, body), or the message of the GET that failed: what
-        # the service answered since the last write, and before it
+        # URL -> (status, body), the message of the GET that failed, or the
+        # BudgetExceeded that kept capture_previous from sending it: what the
+        # service answered since the last write, and before it
         self._now: dict[str, Any] = {}
         self._before: dict[str, Any] = {}
 
@@ -141,9 +143,10 @@ class Evaluator:
         """Fetch every URL a prev(...) call in the given formulas reads, so
         that the forget() before the operation is sent keeps it. Raises
         nothing: a URL that cannot be fetched, for a failed GET or a spent
-        budget, is kept as its message and only surfaces if a clause reads
-        it. A URL that cannot be resolved is skipped: the postcondition
-        resolves it again and says why."""
+        budget, is kept as its failure and only surfaces if prev(...) reads
+        it; a live read fetches a URL the budget kept anew. A URL that
+        cannot be resolved is skipped: the postcondition resolves it again
+        and says why."""
         self._spent = 0
         for formula in formulas:
             for call, inside_prev in _walk_calls(formula):
@@ -155,8 +158,10 @@ class Evaluator:
                     continue
                 try:
                     self._fetch(url)
-                except (BudgetExceeded, TransportFailure) as exc:
-                    self._now[url] = str(exc)
+                except BudgetExceeded as exc:
+                    self._now[url] = exc
+                except TransportFailure:
+                    pass  # _fetch kept the failed GET's message
 
     # -- formulas ------------------------------------------------------------
 
@@ -291,7 +296,7 @@ class Evaluator:
         if path not in self._before:
             raise EvaluationError(f"no snapshot was captured for GET {path}")
         entry = self._before[path]
-        if isinstance(entry, str):
+        if isinstance(entry, (str, BudgetExceeded)):
             raise EvaluationError(f"snapshot unavailable: {entry}")
         return entry
 
@@ -332,7 +337,7 @@ class Evaluator:
         return "/" + "/".join(segments)
 
     def _fetch(self, path: str) -> tuple[int, Any]:
-        if path not in self._now:
+        if path not in self._now or isinstance(self._now[path], BudgetExceeded):
             if self._spent >= self.budget:
                 raise BudgetExceeded(
                     f"evaluation exceeded its budget of {self.budget} requests"

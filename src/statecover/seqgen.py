@@ -11,8 +11,8 @@ a sequence file, so sequences_from_json reads back the suite that
 sequences_to_json wrote; insert_puts places seeded blocks of PUTs in it.
 
 The graph (`ssg`) and the operations (`speckit`) appear here only in
-annotations, so importing this module loads neither: the command line
-imports it at start-up for its campaign path.
+annotations, so importing this module loads neither: `statecover test`
+reads a sequence file without the graph module.
 """
 
 from __future__ import annotations

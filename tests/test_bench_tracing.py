@@ -24,5 +24,24 @@ def test_every_traced_attribute_is_defined_on_its_owner():
         assert attr in owner.__dict__, (owner, attr)
 
 
-def test_cli_calls_the_traced_run_campaign():
-    assert cli.run_campaign is executor.run_campaign
+def test_statecover_test_calls_the_command_lines_run_campaign(tmp_path, monkeypatch, capsys):
+    """The tracer patches cli.run_campaign, so `statecover test` must call the
+    campaign by that name."""
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return executor.run_campaign(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_campaign", recorder)
+    contracts, dot, seqs = (str(tmp_path / n) for n in
+                            ("tournaments-contracts.yaml", "graph.dot", "seqs.json"))
+    codes = [cli.main(argv) for argv in (
+        ["fixtures", str(tmp_path)],
+        ["explore", str(tmp_path / "tournaments-model.yaml"), dot],
+        ["sequences", dot, seqs, "--spec", contracts],
+        ["test", "--spec", contracts, "--sequences", seqs, "--spawn-demo"],
+    )]
+    assert codes == [0, 0, 0, 0]
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("calls=")

@@ -975,6 +975,12 @@ class TestErrorPaths:
         assert (code, stdout, out.exists()) == (2, "", False)
         assert err == f"error: --puts-max must be in 0..3, got {puts_max}\n"
 
+    def test_puts_max_help_names_the_limit(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sequences", "--help"])
+        assert ("--puts-max PUTS_MAX insert up to this many updates per created "
+                "resource (max 3)") in " ".join(capsys.readouterr().out.split())
+
     def test_clean_of_a_malformed_dot(self, tmp_path, capsys):
         dot = tmp_path / "bad.dot"
         dot.write_text("digraph {\n  0 -> ;\n}\n")
@@ -1069,9 +1075,25 @@ for argv in json.loads(sys.argv[2]):
 print(json.dumps(seen))
 """
 
+# What importing the command line adds to a fresh interpreter
+_ADDED_BY_THE_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import statecover.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# statecover's submodules loaded once the command line has run one command
+_LOADED_BY_ONE_COMMAND = """
+import json, sys
+import statecover.cli
+code = statecover.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("statecover."))]))
+"""
+
 # A process that holds the command line and the demo (a benchmark, a pytest
-# run, test --spawn-demo) runs a whole campaign without loading more of
-# statecover: nothing is left to load on a command's first use.
+# run, test --spawn-demo) has loaded all of statecover but seqgen and the
+# campaign path, which its first sequences and test commands load.
 _ADDED_BY_A_CAMPAIGN = """
 import json, sys
 import statecover.cli, statecover.demo
@@ -1136,8 +1158,8 @@ def run_child(script, *args, cwd):
 
 class TestStartup:
     """What a fresh interpreter loads. The HTTP client and server stacks load
-    only when a campaign or a demo starts; statecover's own modules outside
-    the campaign path only when a command uses them."""
+    only when a campaign or a demo starts; statecover's own modules only when
+    a command uses them."""
 
     @staticmethod
     def loaded_after(tmp_path, *commands, watched=HTTP_STACK):
@@ -1194,8 +1216,42 @@ class TestStartup:
             cwd=tmp_path)
         assert loaded == ["statecover"]
 
-    def test_the_command_line_loads_only_the_campaign_path(self, tmp_path):
-        assert self.loaded_after(tmp_path, watched=LOADED_PER_COMMAND) == [[None, []]]
+    def test_the_command_line_loads_no_other_module_of_the_package(self, tmp_path):
+        # only what the import adds: an interpreter's site may load random
+        added = run_child(_ADDED_BY_THE_IMPORT, cwd=tmp_path)
+        assert [m for m in added if m.startswith("statecover")] == [
+            "statecover", "statecover.cli"]
+        assert not {"random", "string"} & set(added)
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("clean", ["statecover.ssg"]),
+        ("explore", ["statecover.glacier", "statecover.lifecycle", "statecover.speckit",
+                     "statecover.ssg"]),
+        ("gen-contracts", ["statecover.glacier", "statecover.speckit"]),
+        ("sequences", ["statecover.glacier", "statecover.seqgen", "statecover.speckit",
+                       "statecover.ssg"]),
+        ("test", ["statecover.evaluator", "statecover.executor", "statecover.glacier",
+                  "statecover.runtime", "statecover.seqgen", "statecover.speckit",
+                  "statecover.transport"]),
+    ])
+    def test_each_command_loads_what_it_runs(self, workdir, capsys, command, loaded):
+        model, contracts = (str(workdir / n) for n in
+                            ("tournaments-model.yaml", "tournaments-contracts.yaml"))
+        seqs = str(prepare_sequences(workdir, capsys, model))
+        dot = str(workdir / "graph.dot")
+        with DemoServer() as server:
+            argv = {
+                "clean": ["clean", dot, str(workdir / "clean.dot")],
+                "explore": ["explore", model, str(workdir / "explored.dot")],
+                "gen-contracts": ["gen-contracts", str(workdir / "tournaments-oas.yaml"),
+                                  str(workdir / "contracts.yaml")],
+                "sequences": ["sequences", dot, str(workdir / "again.json"),
+                              "--spec", contracts],
+                "test": ["test", "--spec", contracts, "--sequences", seqs,
+                         "--base-url", server.base_url],
+            }[command]
+            seen = run_child(_LOADED_BY_ONE_COMMAND, json.dumps(argv), cwd=workdir)
+        assert seen == [0, ["statecover.cli", *loaded]]
 
     def test_the_command_line_loads_no_hash_library(self, tmp_path):
         # derive_seed imports hashlib when a command first draws a seed
@@ -1209,10 +1265,12 @@ class TestStartup:
                                  watched=LOADED_PER_COMMAND)
         assert seen == [[None, []], [0, ["statecover.ssg"]]]
 
-    def test_a_campaign_after_the_demo_loads_no_more_of_statecover(self, tmp_path):
+    def test_a_campaign_after_the_demo_loads_only_the_campaign_path(self, tmp_path):
         codes, added = run_child(_ADDED_BY_A_CAMPAIGN, str(tmp_path), cwd=tmp_path)
         assert codes == [0, 0, 0, 0]
-        assert [m for m in added if m.split(".")[0] in ("statecover", "yaml")] == []
+        assert [m for m in added if m.split(".")[0] in ("statecover", "yaml")] == [
+            "statecover.evaluator", "statecover.executor", "statecover.runtime",
+            "statecover.seqgen"]
 
 
 def load_pyproject():

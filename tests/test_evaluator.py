@@ -609,6 +609,13 @@ class TestPreState:
                                                   "exceeded its budget of 1 requests$"):
             ev.evaluate(spent, post)
 
+    def test_a_live_read_fetches_a_url_the_capture_budget_kept(self):
+        ev, session = fake_eval({"/a": (200, 1), "/b": (200, 2)}, budget=1)
+        ev.capture_previous(
+            [glacier.parse("prev(res_body(GET /a)) < prev(res_body(GET /b))")], OpContext())
+        assert check(ev, "res_body(GET /b) = 2") == (True, "")
+        assert session.log == ["/a", "/b"]
+
     def test_a_snapshot_reads_a_non_json_body_as_a_probe_does(self):
         ev, _ = fake_eval({"/x": (200, "up")})
         probe = check(ev, "res_body(GET /x) = 1")
