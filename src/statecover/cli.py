@@ -51,6 +51,8 @@ def derive_seed(seed: int, domain: str) -> int:
 # The largest --timeout: sockets refuse a timeout past about 9.2e9 s, the
 # range of the interpreter's nanosecond clock.
 MAX_TIMEOUT_S = 1_000_000_000
+# The largest --puts-max: updates inserted per created resource.
+MAX_PUTS = 3
 
 
 class UsageError(Exception):
@@ -105,19 +107,17 @@ def _write_text(path: str, text: str | Iterable[str]) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_yaml(path: str) -> dict:
-    """The document of a UTF-8 YAML file, read by _read_text. One that is not
-    a mapping reads as {}, which the loaders refuse as they refuse any such
-    document; passed on as it is, a string would be read as a file's path."""
+def _read_yaml(path: str):
+    """The document of a UTF-8 YAML file, read by _read_text, as parsed: the
+    loaders refuse one that is not a mapping."""
     import yaml
 
     from . import speckit
 
     try:
-        doc = speckit.load_yaml(_read_text(path))
+        return speckit.load_yaml(_read_text(path))
     except yaml.YAMLError as exc:
         raise UsageError(f"{path} is not valid YAML: {exc}") from exc
-    return doc if isinstance(doc, dict) else {}
 
 
 def _load_spec(path: str) -> speckit.ApiSpec:
@@ -210,11 +210,9 @@ def cmd_clean(args, log: Log) -> int:
 
 
 def cmd_sequences(args, log: Log) -> int:
+    if not 0 <= args.puts_max <= MAX_PUTS:
+        raise UsageError(f"--puts-max must be in 0..{MAX_PUTS}, got {args.puts_max}")
     from . import seqgen, ssg
-
-    if not 0 <= args.puts_max <= seqgen.MAX_PUTS_LIMIT:
-        raise UsageError(f"--puts-max must be in 0..{seqgen.MAX_PUTS_LIMIT}, "
-                         f"got {args.puts_max}")
 
     try:
         raw = ssg.parse_dot(_read_text(args.dot))
@@ -424,25 +422,6 @@ class _DemoFaults:
         return iter(self._names())
 
 
-class _PutsMax(argparse.Action):
-    """Stores --puts-max. Its help names `seqgen.MAX_PUTS_LIMIT`, so seqgen
-    loads only when the help is printed."""
-
-    @property
-    def help(self) -> str:
-        from .seqgen import MAX_PUTS_LIMIT
-
-        return (f"insert up to this many updates per created resource "
-                f"(max {MAX_PUTS_LIMIT})")
-
-    @help.setter
-    def help(self, _text) -> None:
-        pass
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        setattr(namespace, self.dest, value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statecover",
@@ -475,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dot")
     p.add_argument("out", help="where to write the sequences (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--puts-max", type=int, default=0, action=_PutsMax)
+    p.add_argument("--puts-max", type=int, default=0,
+                   help="insert up to this many updates per created resource "
+                        f"(max {MAX_PUTS})")
     p.add_argument("--spec", help="API description used to name operations")
     p.add_argument("--initial", help="raw id of the initial state")
     p.add_argument("--prune", action="store_true",

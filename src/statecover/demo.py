@@ -407,7 +407,8 @@ class DemoServer:
 
 def demo_spec() -> ApiSpec:
     """The service's API description, freshly loaded."""
-    return speckit.load_oas(speckit.fixture_path("tournaments_oas.yaml"))
+    path = speckit.fixture_path("tournaments_oas.yaml")
+    return speckit.load_oas(speckit.load_yaml(path.read_text(encoding="utf-8")))
 
 
 def add_manual_clauses(spec: ApiSpec) -> None:

@@ -101,11 +101,9 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import ssg
-from .speckit import load_yaml
 
 
 class ModelError(ValueError):
@@ -211,11 +209,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WORD_RE = re.compile(r"\w+")
 
 
-def load_model(source: Union[dict, str, Path]) -> Model:
-    if isinstance(source, dict):
-        doc = source
-    else:
-        doc = load_yaml(Path(source).read_text(encoding="utf-8"))
+def load_model(doc: dict) -> Model:
+    """The model of a parsed document. One that is not a mapping, a file's
+    path among them, is refused as a mapping without 'resources' is."""
     if not isinstance(doc, dict) or "resources" not in doc or "actions" not in doc:
         raise ModelError("model needs 'resources' and 'actions'")
     name = doc.get("name", "model")

@@ -149,9 +149,6 @@ def to_call_sequences(
     return sequences
 
 
-MAX_PUTS_LIMIT = 3
-
-
 def insert_puts(
     sequences: list[list[Call]],
     put_catalog: dict[str, Operation],
@@ -169,10 +166,11 @@ def insert_puts(
     just before the first DELETE of the id that follows it, or up to the end
     without one, in the sequence as the blocks before it left it. With
     max_puts 0, or a catalog with no PUT, the sequences come back unchanged;
-    a max_puts outside 0..MAX_PUTS_LIMIT raises ValueError either way.
+    a negative max_puts raises ValueError either way. The command line bounds
+    --puts-max; this takes any count.
     """
-    if max_puts < 0 or max_puts > MAX_PUTS_LIMIT:
-        raise ValueError(f"max_puts must be in 0..{MAX_PUTS_LIMIT}, got {max_puts}")
+    if max_puts < 0:
+        raise ValueError(f"max_puts must be at least 0, got {max_puts}")
     if max_puts == 0:
         return [list(s) for s in sequences]
     rng = random.Random(seed)

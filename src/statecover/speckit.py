@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional
 
 import yaml
 
@@ -287,13 +287,10 @@ def dump_yaml(doc) -> str:
     return yaml.dump(doc, Dumper=dumper, sort_keys=False, width=10000, allow_unicode=True)
 
 
-def load_oas(source: Union[str, Path, dict]) -> ApiSpec:
-    """Load an OpenAPI document from a path (read as UTF-8) or an
-    already-parsed dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        doc = load_yaml(Path(source).read_text(encoding="utf-8"))
+def load_oas(doc: dict) -> ApiSpec:
+    """The API description of a parsed OpenAPI document. One that is not a
+    mapping, a file's path among them, is refused as a mapping without
+    'paths' is."""
     if not isinstance(doc, dict) or "paths" not in doc:
         raise SpecError("document has no 'paths' object")
     diagnostics: list[Diagnostic] = []

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from statecover.demo import TournamentsApp
 from statecover.lifecycle import Model, State
-from statecover.speckit import Operation
+from statecover.speckit import Operation, fixture_path, load_yaml
 from statecover.ssg import EdgeStatement, NodeStatement, RawGraph, StateSpaceGraph, build
 from statecover.transport import Connection
 
@@ -60,6 +60,11 @@ def run_in_ascii_locale(code: str) -> str:
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def fixture_doc(name: str):
+    """The parsed document of a data file shipped with the package."""
+    return load_yaml(fixture_path(name).read_text(encoding="utf-8"))
 
 
 def type_error(model: Model, state: State) -> str | None:

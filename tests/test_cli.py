@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -625,6 +626,43 @@ class TestErrorPaths:
         assert f"error: cannot listen on 127.0.0.1:{port}: [Errno {errno.EADDRINUSE}] " in err
         assert "Traceback" not in err
 
+    def test_demo_server_serves_until_interrupted(self, tmp_path):
+        # a child of a background job inherits an ignored SIGINT; the
+        # interpreter's own handler is set again so that the signal interrupts
+        code = ("import signal, sys\n"
+                "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                "from statecover.cli import main\n"
+                "sys.exit(main(['demo-server', '--port', '0']))\n")
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                              env=child_env()) as server:
+            try:
+                url = server.stdout.readline().strip()
+                answer = requests.get(url + "/", timeout=5)
+                server.send_signal(signal.SIGINT)
+                out, err = server.communicate(timeout=30)
+            finally:
+                server.kill()
+        assert url.startswith("http://127.0.0.1:")
+        assert (answer.status_code, answer.json()) == (200, {"service": "tournaments"})
+        assert (server.returncode, out) == (0, ""), err
+
+    def test_clean_into_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("g.dot").write_text('digraph G {\n0 -> 1;\n1 [label="final = TRUE"];\n}\n')
+        Path("d").mkdir()
+        code, out, err = run(capsys, "clean", "g.dot", "d")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write d: [Errno {errno.EISDIR}] Is a directory: 'd'\n"
+
+    def test_fixtures_under_a_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("")
+        code, out, err = run(capsys, "fixtures", "f/sub")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot create f/sub: [Errno {errno.ENOTDIR}] "
+                       "Not a directory: 'f/sub'\n")
+
     def test_demo_fault_without_spawn_demo(self, workdir, capsys):
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))
         with DemoServer() as server:
@@ -1215,6 +1253,14 @@ class TestStartup:
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('statecover'))))",
             cwd=tmp_path)
         assert loaded == ["statecover"]
+
+    def test_the_model_checker_loads_the_graph_module_only(self, tmp_path):
+        loaded = run_child(
+            "import json, sys, statecover.lifecycle\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.startswith(('statecover', 'yaml', '_yaml')))))",
+            cwd=tmp_path)
+        assert loaded == ["statecover", "statecover.lifecycle", "statecover.ssg"]
 
     def test_the_command_line_loads_no_other_module_of_the_package(self, tmp_path):
         # only what the import adds: an interpreter's site may load random

@@ -247,6 +247,30 @@ class TestQuantifiers:
         assert not result.value
         assert "t.tid" in result.witness
 
+    def test_binder_field_that_a_url_cannot_hold_is_false(self):
+        ev, session = fake_eval({"/ts": (200, [{"id": [1]}])})
+        result = check(ev, "for t in res_body(GET /ts) :- res_code(GET /ts/{t.id}) = 200")
+        assert result == (False, "t[0] = {'id': [1]}: t.id is not usable in a URL")
+        assert session.log == ["/ts"]
+
+
+class StringBodySession:
+    """Answers every request with 200 and the JSON string "x"."""
+
+    def request(self, method, path, json=None):
+        return 200, "x"
+
+
+class TestFieldOfANonObject:
+    def test_a_field_of_a_string_is_false(self):
+        result = check(Evaluator(StringBodySession()), "res_body(GET /b){f}")
+        assert result == (False, "{f} applied to a non-object: 'x'")
+
+    def test_as_a_domain_the_witness_names_the_binder(self):
+        result = check(Evaluator(StringBodySession()),
+                       "for t in res_body(GET /b){f} :- res_code(GET /c) = 200")
+        assert result == (False, "domain of 't': {f} applied to a non-object: 'x'")
+
 
 class TestComparisons:
     def test_numeric_coercion_across_types(self):

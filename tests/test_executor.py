@@ -401,6 +401,10 @@ class TestUngeneratableBody:
                      id="oneOf"),
         pytest.param({"type": "array", "items": {"type": "string"}},
                      "request body schema is not an object", id="array"),
+        pytest.param({"type": "object", "required": ["pid", "name", "tags"], "properties": {
+                          "pid": {"type": "string"}, "name": {"type": "string"},
+                          "tags": {"type": "array", "items": [{"type": "string"}]}}},
+                     "request body: schema must be an object, got list", id="items-list"),
     ])
     def test_call_is_not_tested_and_nothing_is_sent(self, live, schema, reason):
         calls = [mk("postPlayer", pid="p1"), mk("postTournament", tid="t1")]

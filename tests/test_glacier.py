@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -219,6 +220,14 @@ class TestValidation:
     def test_unknown_suffix_function_rejected(self):
         with pytest.raises(FormulaError, match="at offset 12: .*'count'"):
             parse("res_body(@).count = 1")
+
+    @pytest.mark.parametrize("text, message", [
+        ("res_body(GET /a){}", "expected field name in suffix"),
+        ("res_body(GET /a).", "expected function name after '.'"),
+    ])
+    def test_a_suffix_without_its_name(self, text, message):
+        with pytest.raises(FormulaError, match=re.escape(f"at offset 17: {message}")):
+            parse(text)
 
     def test_len_suffix_no_warning(self):
         with warnings.catch_warnings():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_graph_laws, run_in_ascii_locale, type_error
+from helpers import assert_graph_laws, fixture_doc, run_in_ascii_locale, type_error
 from statecover import seqgen, ssg
 from statecover.demo import tournaments_model_doc
 from statecover.lifecycle import (
@@ -38,7 +38,7 @@ TOURNAMENT_LABELS = [
 
 @pytest.fixture
 def model():
-    return load_model(fixture_path("tournaments_p1t1e1.yaml"))
+    return load_model(fixture_doc("tournaments_p1t1e1.yaml"))
 
 
 def texts(exploration):
@@ -101,10 +101,15 @@ class TestLoadModel:
         # a player id, as a model's name must be a DOT identifier
         path.write_text("# Turniere für Spielerinnen\n" + text.replace(
             "ids: [p1]", "ids: [spielerin_für_alle]", 1), encoding="utf-8")
-        out = run_in_ascii_locale(
-            "from statecover.lifecycle import load_model\n"
-            f"print(ascii(list(load_model({str(path)!r}).resources[0].ids)))\n")
-        assert out.strip() == ascii(["spielerin_für_alle"])
+        dot = tmp_path / "graph.dot"
+        run_in_ascii_locale("from statecover.cli import main\n"
+                            f"assert main(['explore', {str(path)!r}, {str(dot)!r}]) == 0\n")
+        assert "postPlayer(spielerin_für_alle)" in dot.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("source", [str, lambda path: path], ids=["str", "Path"])
+    def test_a_path_is_not_read(self, source):
+        with pytest.raises(ModelError, match="^model needs 'resources' and 'actions'$"):
+            load_model(source(fixture_path("tournaments_p1t1e1.yaml")))
 
     def test_two_resources_of_one_name(self):
         doc = toggler_doc()
@@ -286,10 +291,12 @@ def malformed_model(case: str) -> dict:
         doc["actions"][1]["guard"] = "kid in things; size(things) = 1"
     elif case == "a digit outside ASCII":
         doc["actions"][1]["guard"] = "size(things) = \u0660"
+    elif case == "a guard that opens with a parenthesis":
+        doc["actions"][1]["guard"] = "( in things"
     elif case == "an invariant name used twice":
         # the second check fails in the first state with an enrolment, where
         # the first holds
-        doc = load_yaml(fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8"))
+        doc = fixture_doc("tournaments_p1t1e1.yaml")
         doc["invariants"].append({"name": "backrefs_live", "check": "size(enrolments) = 0"})
     return doc
 
@@ -353,6 +360,7 @@ MALFORMED_MODELS = {
     "a character the tokenizer cannot read":
         "action dropThing: cannot tokenize at '; size(things) = 1'",
     "a digit outside ASCII": "action dropThing: cannot tokenize at '\u0660'",
+    "a guard that opens with a parenthesis": "action dropThing: expected a name, got '('",
     "an invariant name used twice": "duplicate invariant name 'backrefs_live'",
 }
 
@@ -411,7 +419,7 @@ class TestExploreTournaments:
 
     def test_deterministic(self, model):
         a = explore(model)
-        b = explore(load_model(fixture_path("tournaments_p1t1e1.yaml")))
+        b = explore(load_model(fixture_doc("tournaments_p1t1e1.yaml")))
         assert a.states == b.states
         assert a.transitions == b.transitions
 
@@ -462,7 +470,7 @@ class TestExploreTournaments:
 
 class TestExploreDotIsPinned:
     @pytest.mark.parametrize("model, counts, sha256", [
-        pytest.param(lambda: load_model(fixture_path("tournaments_p1t1e1.yaml")), (6, 10, 985),
+        pytest.param(lambda: load_model(fixture_doc("tournaments_p1t1e1.yaml")), (6, 10, 985),
                      "d1d296ba460b163349d81d6ed7165f3a08327fa4d10283564befb3e925c435ca", id="p1t1e1"),
         pytest.param(lambda: load_model(tournaments_model_doc(
             players=(), tournaments=("t1", "t2"), enrolments=())), (5, 8, 803),
@@ -628,7 +636,7 @@ class TestModelChecks:
         broken = [{"name": "no_tournaments", "check": "size(tournaments) = 0"},
                   {"name": "no_open_seats", "forall": "t", "in": "tournaments",
                    "check": "size(tournaments[t].ps) < 0"}]
-        doc = load_yaml(fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8"))
+        doc = fixture_doc("tournaments_p1t1e1.yaml")
         doc["invariants"] += broken[first:] + broken[:first]
         with pytest.raises(InvariantViolation) as exc:
             explore(load_model(doc))
@@ -801,7 +809,7 @@ class TestReachableStatesAreWellTyped:
 def violation_trace(check):
     """The action trace to the first state of the fixture model that breaks
     the extra model invariant check, or None."""
-    doc = load_yaml(fixture_path("tournaments_p1t1e1.yaml").read_text(encoding="utf-8"))
+    doc = fixture_doc("tournaments_p1t1e1.yaml")
     doc["invariants"].append({"name": "under_test", "check": check})
     try:
         explore(load_model(doc))

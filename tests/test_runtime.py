@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import AppSession
+from helpers import AppSession, fixture_doc
 from statecover.demo import demo_spec
 from statecover.executor import NOT_TESTED, OK, SequenceRunner
 from statecover.runtime import GenerationError, InputGenerator
 from statecover.seqgen import Call
-from statecover.speckit import fixture_path, load_oas
+from statecover.speckit import load_oas
 
 
 class TestNextId:
@@ -82,7 +82,7 @@ class TestGenerate:
         assert isinstance(v["inner"]["k"], str)
 
     def test_tournament_schema_from_fixture(self):
-        spec = load_oas(fixture_path("tournaments_oas.yaml"))
+        spec = load_oas(fixture_doc("tournaments_oas.yaml"))
         schema = spec.operation("postTournament").request_schema
         body = InputGenerator(11).generate(schema)
         assert set(body) == {"tid", "name", "capacity"}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,15 @@ from statecover.seqgen import (
     to_call_sequences,
 )
 from statecover.speckit import Operation, load_oas
-from statecover.ssg import EdgeStatement, GraphError, RawGraph, build, parse_dot, parse_label
+from statecover.ssg import (
+    EdgeStatement,
+    GraphError,
+    RawGraph,
+    StateSpaceGraph,
+    build,
+    parse_dot,
+    parse_label,
+)
 
 from helpers import (
     assert_graph_laws,
@@ -125,6 +134,15 @@ class TestPathsFrom:
         assert routes[0] == (0, 1, 4, 6)
         assert routes[3] == (3, 1, 4, 6)
         assert routes[5] == (5, 3, 1, 4, 6)
+
+    def test_a_dead_end_is_named(self):
+        # 0 -> 1 -> sink 3, and 0 -> 2, where 2 has no way out; build would
+        # refuse such a graph, so it is made by hand
+        g = StateSpaceGraph(n_states=4, out_adj=[[1, 2], [3], [], []],
+                            in_adj=[[], [0], [0], [1]], labels={}, initial=0,
+                            finals=(1,), super_final=3, raw_ids=["0", "1", "2"])
+        with pytest.raises(ValueError, match=r"^states cannot reach the sink: \[2\]$"):
+            paths_from(g)
 
 
 class TestSelectSequences:
@@ -366,9 +384,7 @@ class TestInsertPuts:
         assert [[c.op for c in s] for s in out] == [[c.op for c in s] for s in seqs]
 
     def test_limit_enforced(self):
-        with pytest.raises(ValueError, match="0..3"):
-            insert_puts(tournaments_sequences(), PUT_CATALOG, 4, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 0, got -1"):
             insert_puts(tournaments_sequences(), PUT_CATALOG, -1, seed=1)
 
     def test_placement_property(self):
@@ -398,16 +414,15 @@ class TestInsertPuts:
                         assert i < delete_idxs[0]
                 assert all("eid" not in c.params or c.verb != "PUT" for c in seq)
 
-    def test_put_count_bounded(self):
+    # 4 is past the command line's bound, which insert_puts does not apply
+    @pytest.mark.parametrize("max_puts", [2, 4])
+    def test_put_count_bounded(self, max_puts):
+        counts = []
         for seed in range(30):
-            out = insert_puts(tournaments_sequences(), PUT_CATALOG, 2, seed=seed)
-            for seq in out:
-                by_resource: dict[str, int] = {}
-                for c in seq:
-                    if c.verb == "PUT":
-                        (tla,) = c.params.values()
-                        by_resource[tla] = by_resource.get(tla, 0) + 1
-                assert all(n <= 2 for n in by_resource.values())
+            for seq in insert_puts(tournaments_sequences(), PUT_CATALOG, max_puts, seed=seed):
+                counts += Counter(c.params[PUT_KEYS[c.path]] for c in seq
+                                  if c.verb == "PUT").values()
+        assert max(counts) == max_puts
 
     def test_deterministic_per_seed(self):
         a = insert_puts(tournaments_sequences(), PUT_CATALOG, 3, seed=99)

@@ -23,13 +23,14 @@ from helpers import (
     MISUSED_CLAUSES,
     TOURNAMENTS_RESOLVER_TABLE,
     add_clause,
+    fixture_doc,
     run_in_ascii_locale,
 )
 
 
 @pytest.fixture
 def spec():
-    return load_oas(fixture_path("tournaments_oas.yaml"))
+    return load_oas(fixture_doc("tournaments_oas.yaml"))
 
 
 def minimal_doc(**paths):
@@ -195,6 +196,11 @@ class TestLoad:
     def test_no_paths_rejected(self):
         with pytest.raises(SpecError):
             load_oas({"openapi": "3.0.3"})
+
+    @pytest.mark.parametrize("source", [str, lambda path: path], ids=["str", "Path"])
+    def test_a_path_is_not_read(self, source):
+        with pytest.raises(SpecError, match="^document has no 'paths' object$"):
+            load_oas(source(fixture_path("tournaments_oas.yaml")))
 
 
 def pairwise_resources(paths):
@@ -596,7 +602,7 @@ class TestEmitLoad:
         infer_contracts(spec)
         out = tmp_path / "extended.yaml"
         out.write_text(emit_extended(spec))
-        again = load_oas(out)
+        again = load_oas(load_yaml(out.read_text(encoding="utf-8")))
         for op_id in ("postPlayer", "deletePlayer", "putPlayer"):
             a = spec.operation(op_id)
             b = again.operation(op_id)
@@ -665,7 +671,7 @@ class TestEmitLoad:
 
     @pytest.mark.parametrize("kind, clause, message", MISUSED_CLAUSES)
     def test_misused_clause_fails_the_load(self, kind, clause, message):
-        doc = _fixture_doc()
+        doc = fixture_doc("tournaments_oas.yaml")
         where = add_clause(doc, kind, clause)
         with pytest.raises(SpecError) as err:
             load_oas(doc)
@@ -679,14 +685,14 @@ class TestEmitLoad:
          "res_code(GET /tournaments/{t.tid}/{pids})", "pids"),
     ])
     def test_unbound_path_parameter_fails_the_load(self, clause, call, param):
-        doc = _fixture_doc()
+        doc = fixture_doc("tournaments_oas.yaml")
         where = add_clause(doc, "ensures", clause)
         with pytest.raises(SpecError) as err:
             load_oas(doc)
         assert str(err.value) == f"{where}{call}: the operation never binds {{{param}}}"
 
     def test_own_and_foreign_keys_are_bound(self):
-        doc = _fixture_doc()
+        doc = fixture_doc("tournaments_oas.yaml")
         enrol = doc["paths"]["/enrolments"]["post"]
         enrol["x-requires"] = ["res_code(GET /players/{pid}) = 200",
                                "res_code(GET /tournaments/{tid}/players) = 200"]
@@ -696,18 +702,18 @@ class TestEmitLoad:
         assert len(spec.operation("deletePlayer").requires) == 1
 
     def test_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
-        doc = _fixture_doc()
+        doc = fixture_doc("tournaments_oas.yaml")
         doc["info"]["description"] = "Turniere für Spielerinnen"
         add_clause(doc, "requires", "res_body(GET /players/{pid}){name} != 'Zoë'")
         path = tmp_path / "oas.yaml"
         path.write_text(yaml.safe_dump(doc, allow_unicode=True), encoding="utf-8")
-        out = run_in_ascii_locale(
-            "from statecover.speckit import load_oas\n"
-            f"spec = load_oas({str(path)!r})\n"
-            "print(ascii(spec.doc['info']['description']))\n"
-            "print(ascii(spec.operation('deletePlayer').requires[-1].text))\n")
-        assert out.splitlines() == [ascii("Turniere für Spielerinnen"),
-                                    ascii("res_body(GET /players/{pid}){name} != 'Zoë'")]
+        out = tmp_path / "contracts.yaml"
+        run_in_ascii_locale("from statecover.cli import main\n"
+                            f"assert main(['gen-contracts', {str(path)!r}, {str(out)!r}]) == 0\n")
+        spec = load_oas(load_yaml(out.read_text(encoding="utf-8")))
+        assert spec.doc["info"]["description"] == "Turniere für Spielerinnen"
+        assert "res_body(GET /players/{pid}){name} != 'Zoë'" in [
+            c.text for c in spec.operation("deletePlayer").requires]
 
     @pytest.mark.parametrize("key", ["x-invariants", "invariants"])
     def test_invariant_error_names_its_place(self, key):
@@ -867,7 +873,7 @@ class TestExecutorMetadata:
 
     def test_resolved_schema_has_no_refs(self):
         # getPlayers' array of Player $refs, sent as postPlayer's body
-        doc = _fixture_doc()
+        doc = fixture_doc("tournaments_oas.yaml")
         listing = doc["paths"]["/players"]["get"]["responses"]["200"]
         _set_body_schema(doc, listing["content"]["application/json"]["schema"])
         resolved = load_oas(doc).operation("postPlayer").request_schema
@@ -876,14 +882,10 @@ class TestExecutorMetadata:
         assert "$ref" not in str(resolved)
 
     def test_dangling_ref_rejected(self):
-        doc = _fixture_doc()
+        doc = fixture_doc("tournaments_oas.yaml")
         _set_body_schema(doc, {"$ref": "#/components/schemas/Missing"})
         with pytest.raises(SpecError, match="dangling"):
             load_oas(doc)
-
-
-def _fixture_doc() -> dict:
-    return yaml.safe_load(fixture_path("tournaments_oas.yaml").read_text())
 
 
 def _set_body_schema(doc: dict, schema: dict) -> None:

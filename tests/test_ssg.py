@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from statecover import ssg
 from statecover.lifecycle import explore, load_model
-from statecover.speckit import fixture_path
 from statecover.ssg import (
     DotParseError,
     EdgeStatement,
@@ -30,7 +29,13 @@ from statecover.ssg import (
     parse_dot,
 )
 
-from helpers import assert_graph_laws, build_random_dag, make_random_dag_raw, tournaments_raw
+from helpers import (
+    assert_graph_laws,
+    build_random_dag,
+    fixture_doc,
+    make_random_dag_raw,
+    tournaments_raw,
+)
 
 
 REFERENCE = ssg._parse_tokens
@@ -607,7 +612,7 @@ class TestLinePath:
         assert len(first) == len(distinct)
 
     def test_explored_dot_of_the_fixture_model_takes_the_line_path(self):
-        text = "".join(explore(load_model(fixture_path("tournaments_p1t1e1.yaml"))).dot_lines())
+        text = "".join(explore(load_model(fixture_doc("tournaments_p1t1e1.yaml"))).dot_lines())
         with _count_fallbacks() as fallback, \
                 mock.patch.object(ssg, "_HEAD", wraps=ssg._HEAD) as head, \
                 mock.patch.object(ssg, "_TAIL", wraps=ssg._TAIL) as tail:
@@ -786,6 +791,11 @@ class TestClean:
         assert twice.edges == once.edges
         assert twice.statement_count() == once.statement_count() == 2
 
+    def test_statements_without_labels_are_written_back_byte_for_byte(self):
+        dot = 'digraph G {\n0;\n1 [label="final = TRUE"];\n0 -> 1;\n}\n'
+        doubled = dot.replace("{\n", "{\n" + dot[12:-2], 1)
+        assert emit_dot(clean(parse_dot(doubled))) == dot
+
     def test_clean_preserves_semantics(self):
         base = parse_dot(DIAMOND)
         doubled = RawGraph(name=base.name, nodes=base.nodes * 2, edges=base.edges * 2)
@@ -893,6 +903,14 @@ class TestBuild:
         with pytest.raises(GraphError) as err:
             build(raw)
         assert "0" in str(err.value) and "1" in str(err.value)
+
+    def test_a_long_candidate_list_is_capped_at_twelve_ids(self):
+        raw = parse_dot("digraph { " + " ".join(f"{i} -> 99;" for i in range(15))
+                        + ' 99 [label="final = TRUE"]; }')
+        with pytest.raises(GraphError) as err:
+            build(raw)
+        assert str(err.value) == ("initial state not unique; in-degree-zero candidates: "
+                                  + ", ".join(map(str, range(12))) + ", ... (15 total)")
 
     def test_explicit_initial_resolves_ambiguity(self):
         raw = parse_dot('digraph { 0 -> 2; 1 -> 2; 2 [label="final = TRUE"]; }')
