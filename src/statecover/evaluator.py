@@ -167,7 +167,7 @@ class Evaluator:
 
     def _formula(self, f: Formula, ctx, env: dict) -> EvalResult:
         if isinstance(f, Quantified):
-            return self._quantified(f, ctx, env)
+            return self._bind(f, list(f.bindings), ctx, dict(env))
         if isinstance(f, BoolOp):
             return self._bool(f, ctx, env)
         if isinstance(f, Comparison):
@@ -180,9 +180,6 @@ class Evaluator:
         if isinstance(value, bool):
             return EvalResult(value, "" if value else "expression is false")
         raise EvaluationError(f"formula reduced to a non-boolean: {_shorten(value)}")
-
-    def _quantified(self, f: Quantified, ctx, env: dict) -> EvalResult:
-        return self._bind(f, list(f.bindings), ctx, dict(env))
 
     def _bind(self, f: Quantified, remaining, ctx, env: dict) -> EvalResult:
         if not remaining:

@@ -36,6 +36,7 @@ the end; a SequenceRunner uses the session it is given.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import closing
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
@@ -75,6 +76,11 @@ def classify(pre: bool, post: bool, inv: bool, status: int) -> str:
     return OK if rejected else ERR
 
 
+# CallOutcome's fields in order, as the report names them
+_REPORT_KEYS = ("sequenceIndex", "callIndex", "operationId", "request", "response",
+                "pre", "post", "inv", "classification", "reason")
+
+
 class CallOutcome(NamedTuple):
     sequence_index: int
     call_index: int
@@ -88,18 +94,7 @@ class CallOutcome(NamedTuple):
     reason: str
 
     def to_json(self) -> dict:
-        return {
-            "sequenceIndex": self.sequence_index,
-            "callIndex": self.call_index,
-            "operationId": self.operation_id,
-            "request": self.request,
-            "response": self.response,
-            "pre": self.pre,
-            "post": self.post,
-            "inv": self.inv,
-            "classification": self.classification,
-            "reason": self.reason,
-        }
+        return dict(zip(_REPORT_KEYS, self))
 
 
 class _Skip(Exception):
@@ -120,7 +115,6 @@ class SequenceRunner:
         self.spec = spec
         self.generator = generator
         self.session = session
-        self.sends = 0  # requests sent for calls, over the runner's life
         self.evaluator = Evaluator(session, budget=budget)
 
     # -- one sequence --------------------------------------------------------
@@ -261,7 +255,6 @@ class SequenceRunner:
         return EvalResult(True)
 
     def _send(self, method: str, path: str, payload):
-        self.sends += 1
         self.evaluator.forget()  # what was observed may change now
         try:
             return self.session.request(method, path, json=payload)
@@ -290,11 +283,12 @@ def run_campaign(
     cleanupFailures by its path, with its status or error.
 
     A dict passed as traffic receives the number of requests the campaign
-    sent for calls (sends), for clause evaluation (probes) and for cleanup
-    (cleanups), and how many requests the session made in all, the
-    up-front probe included (requests), with the seconds spent in them
-    (request_s). They stay out of the report, which depends only on the
-    seed, the sequences and the service.
+    sent for calls (sends: the outcomes with a request, as a call is either
+    NOT_TESTED before anything is sent or sent once), for clause evaluation
+    (probes) and for cleanup (cleanups), and how many requests the session
+    made in all, the up-front probe included (requests), with the seconds
+    spent in them (request_s). They stay out of the report, which depends
+    only on the seed, the sequences and the service.
     """
     started = time.monotonic()
     with closing(Connection(base_url, timeout)) as session:
@@ -324,11 +318,10 @@ def run_campaign(
                         cleanup_failures.append({**failure, "status": status})
 
     if traffic is not None:
-        traffic.update(sends=runner.sends, probes=runner.evaluator.sent, cleanups=cleanups,
+        traffic.update(sends=sum(o.request is not None for o in outcomes),
+                       probes=runner.evaluator.sent, cleanups=cleanups,
                        requests=session.requests, request_s=round(session.request_s, 4))
-    counts = {OK: 0, WARN: 0, ERR: 0, NOT_TESTED: 0}
-    for outcome in outcomes:
-        counts[outcome.classification] += 1
+    counts = Counter(o.classification for o in outcomes)
     return {
         "seed": seed,
         "baseUrl": base_url,

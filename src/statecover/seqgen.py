@@ -171,8 +171,6 @@ def insert_puts(
     """
     if max_puts < 0:
         raise ValueError(f"max_puts must be at least 0, got {max_puts}")
-    if max_puts == 0:
-        return [list(s) for s in sequences]
     rng = random.Random(seed)
     out = []
     for seq in sequences:

@@ -56,9 +56,11 @@ statement. The closing `}` must be alone on its line, since a line comment
 before it would hide it. A repeated line or rest parses to an equal,
 immutable value, so sharing it is exact.
 
-Statements are named tuples (`NodeStatement`, `EdgeStatement`): building,
-hashing and comparing one runs in C, and `clean` hashes every statement of
-a dump. A node never equals an edge, as their lengths differ.
+Statements (`NodeStatement`, `EdgeStatement`) and the `RawGraph` that
+holds them are named tuples: building, hashing and comparing one runs in C,
+and `clean` hashes every statement of a dump. A node never equals an edge,
+as their lengths differ, and a RawGraph equals a plain tuple of its name,
+nodes and edges.
 
 `dot_lines` is the one DOT writer, a line at a time from (id, label) nodes
 and (src, dst, label) edges that are already DOT text; `emit_dot` joins the
@@ -72,7 +74,7 @@ import re
 from collections import deque
 from itertools import compress, filterfalse, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 _FINAL = re.compile(r"final\s*=\s*TRUE")
@@ -114,26 +116,13 @@ class EdgeStatement(NamedTuple):
     label: str | None
 
 
-class RawGraph:
+class RawGraph(NamedTuple):
     """Statement-level view of a dump, duplicates preserved, every id token
-    and label as written. Two are equal when their names and statement
-    sequences are."""
+    and label as written."""
 
-    __slots__ = ("name", "nodes", "edges")
-
-    def __init__(self, name: str, nodes: list[NodeStatement] | None = None,
-                 edges: list[EdgeStatement] | None = None):
-        self.name = name
-        self.nodes = [] if nodes is None else nodes
-        self.edges = [] if edges is None else edges
-
-    def __eq__(self, other):
-        if type(other) is not RawGraph:
-            return NotImplemented
-        return (self.name, self.nodes, self.edges) == (other.name, other.nodes, other.edges)
-
-    def __repr__(self):
-        return f"RawGraph(name={self.name!r}, nodes={self.nodes!r}, edges={self.edges!r})"
+    name: str
+    nodes: Sequence[NodeStatement] = ()
+    edges: Sequence[EdgeStatement] = ()
 
     def statement_count(self) -> int:
         return len(self.nodes) + len(self.edges)
@@ -216,18 +205,12 @@ def _unquote(body: str) -> str:
     r"""The text of a quoted string, given its body between the quotes.
 
     \" and \\ are decoded, and \n to the line break it stands for; DOT
-    keeps every other escape literally. Replacing \\ first pairs
+    keeps every other escape literally. Splitting on \\ first pairs
     backslashes from the left, as reading the escapes in order does, so
-    every backslash left starts an escape, and \" and \n are replaced with
-    plain string methods. Each \\ is held as a NUL meanwhile, or, in a
-    body that has one, split on: the pieces are joined by the one
+    every backslash left in a piece starts an escape, and \" and \n are
+    replaced with plain string methods; the pieces are joined by the one
     backslash that each \\ stands for.
     """
-    if "\\" not in body:
-        return body
-    if "\0" not in body:
-        return (body.replace("\\\\", "\0").replace('\\"', '"').replace("\\n", "\n")
-                .replace("\0", "\\"))
     return "\\".join([piece.replace('\\"', '"').replace("\\n", "\n")
                       for piece in body.split("\\\\")])
 
@@ -332,7 +315,7 @@ def _parse_tokens(text: str) -> RawGraph:
     elif p.kind != "{":
         raise p.error("expected graph name or '{'")
     p.take(("{",), "'{' opening the graph body")
-    graph = RawGraph(name=name)
+    graph = RawGraph(name, [], [])
     ids = _Ids()
     while not p.accept("}"):
         if p.kind == "eof":

@@ -381,7 +381,7 @@ class TestInsertPuts:
     def test_zero_is_identity(self):
         seqs = tournaments_sequences()
         out = insert_puts(seqs, PUT_CATALOG, 0, seed=1)
-        assert [[c.op for c in s] for s in out] == [[c.op for c in s] for s in seqs]
+        assert out == seqs
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError, match="at least 0, got -1"):
