@@ -118,6 +118,8 @@ def _read_yaml(path: str):
         return speckit.load_yaml(_read_text(path))
     except yaml.YAMLError as exc:
         raise UsageError(f"{path} is not valid YAML: {exc}") from exc
+    except RecursionError:  # pyyaml's own parser, where libyaml is absent, recurses
+        raise UsageError(f"{path}: nested too deeply to read") from None
 
 
 def _load_spec(path: str) -> speckit.ApiSpec:

@@ -264,10 +264,12 @@ def load_model(doc: dict) -> Model:
             if res not in by_name:
                 raise ModelError(f"{where}: unchanged: unknown resource {res!r}")
         guard = a.get("guard")
-        guard = [] if guard in (None, "") else read.conds(_text(guard, f"{where}: guard"))
-        effects = tuple(
-            read.effect(e, unchanged) for e in _list_of(a.get("effect"), str, f"{where}: effect")
-        )
+        try:
+            guard = [] if guard in (None, "") else read.conds(_text(guard, f"{where}: guard"))
+            effects = tuple(read.effect(e, unchanged)
+                            for e in _list_of(a.get("effect"), str, f"{where}: effect"))
+        except RecursionError:
+            raise ModelError(f"{where}: nested too deeply to read") from None
         # the draws vary fastest, so an instance's successors stay together
         choices = list(itertools.product(capacities, repeat=len(read.draws)))
         instances = tuple(
@@ -294,7 +296,10 @@ def load_model(doc: dict) -> Model:
         if domain is not None and not (isinstance(domain, str) and domain in by_name):
             raise ModelError(f"{where}: unknown resource {domain!r}")
         read = _Reader(where, by_name, capacities, {} if var is None else {var: domain})
-        check = _all_of(read.conds(_text(i["check"], f"{where}: check")))
+        try:
+            check = _all_of(read.conds(_text(i["check"], f"{where}: check")))
+        except RecursionError:
+            raise ModelError(f"{where}: nested too deeply to read") from None
         slots = {} if var is None else by_name[domain].slots
         invariants.append(InvariantDef(name=i["name"], holds=_for_all(var, slots, check)))
 

@@ -260,7 +260,10 @@ def _expect(node, kind: type, where: str):
 def sequences_from_json(text: str) -> tuple[int, list[list[Call]]]:
     """Read a sequence file. A malformed shape raises ValueError naming
     where it is, as in 'sequences[0].calls[2]: expected an object'."""
-    doc = _expect(json.loads(text), dict, "top level")
+    try:
+        doc = _expect(json.loads(text), dict, "top level")
+    except RecursionError:
+        raise ValueError("top level: nested too deeply to read") from None
     sequences = []
     for i, s in enumerate(_expect(doc.get("sequences", []), list, "sequences")):
         where = f"sequences[{i}]"

@@ -475,6 +475,8 @@ def clause(text: str, kind: str, at: str, bound: frozenset[str], extra: bool = F
         check_clause(formula, kind, bound)
     except FormulaError as exc:
         raise SpecError(f"{at}: {exc}") from None
+    except RecursionError:
+        raise SpecError(f"{at}: nested too deeply to read") from None
     return Clause(text, extra, formula)
 
 

@@ -1044,6 +1044,50 @@ class TestErrorPaths:
         assert code == 2
         assert f"error: {path} is not valid YAML: " in err
 
+    # an input nested deeper than its reader's stack is refused, naming the
+    # file, where a RecursionError would end in a traceback and exit 1
+    @pytest.mark.parametrize("reader", ["sequences", "guard", "clause"])
+    def test_an_input_nested_too_deeply(self, workdir, capsys, monkeypatch, reader):
+        started = []
+        monkeypatch.setattr("statecover.demo.DemoServer",
+                            lambda **kwargs: started.append(kwargs))
+        out = workdir / "out"
+        if reader == "sequences":
+            deep = workdir / "deep.json"
+            deep.write_text('{"sequences": ' + "[" * 20_000 + "]" * 20_000 + "}")
+            argv = ("test", "--spec", str(workdir / "tournaments-contracts.yaml"),
+                    "--sequences", str(deep), "--spawn-demo")
+            message = f"{deep} is not a sequence file: top level"
+        elif reader == "guard":
+            model = workdir / "tournaments-model.yaml"
+            deep = workdir / "deep.yaml"
+            deep.write_text(model.read_text().replace(
+                "size(players[pid].ts)",
+                "size(" + "players[" * 3000 + "pid" + "].ts" * 3000 + ")"))
+            argv = ("explore", str(deep), str(out))
+            message = f"{deep}: action deletePlayer"
+        else:
+            doc = yaml.safe_load((workdir / "tournaments-oas.yaml").read_text())
+            doc["x-invariants"] = ["".join(f"for a{i} in res_body(GET /players) :- "
+                                           for i in range(3000))
+                                   + "res_code(GET /players) = 200"]
+            deep = workdir / "deep.yaml"
+            deep.write_text(yaml.safe_dump(doc, width=10000))
+            argv = ("gen-contracts", str(deep), str(out))
+            message = f"{deep}: x-invariants[0]"
+        code, _, err = run(capsys, *argv)
+        assert (code, err, started) == (2, f"error: {message}: nested too deeply to read\n", [])
+        assert not out.exists()
+
+    def test_yaml_nested_too_deeply_for_the_python_parser(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # pyyaml's own parser recurses where libyaml's does not
+        monkeypatch.setattr(speckit, "_YAML_LOADER", yaml.SafeLoader)
+        deep = tmp_path / "deep.yaml"
+        deep.write_text("a: " + "[" * 3000 + "]" * 3000 + "\n")
+        code, _, err = run(capsys, "explore", str(deep), str(tmp_path / "out.dot"))
+        assert (code, err) == (2, f"error: {deep}: nested too deeply to read\n")
+
     def test_a_send_that_raises_ends_the_campaign(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(executor, "Connection", failing_on("POST"))
         seqs = prepare_sequences(workdir, capsys, write_tiny_model(workdir))

@@ -572,6 +572,18 @@ class TestCampaign:
         assert first["classification"] == OK
         assert json.dumps(report)  # the whole report is JSON serializable
 
+    def test_traffic_counts_no_send_for_a_call_not_tested(self, live):
+        ghost = Call(op="mystery", verb="POST", path="/x", params={})
+        calls = [mk("postPlayer", pid="p1"), ghost, mk("postTournament", tid="t1")]
+        traffic = {}
+        report = run_campaign(inferred_spec(), [calls], live.base_url, seed=0,
+                              traffic=traffic)
+        seen = requests.get(live.base_url + "/_requests", timeout=5).json()
+        assert report["summary"]["notTested"] == 1
+        assert traffic["sends"] == report["summary"]["calls"] - 1
+        writes = [r for r in seen if not r.startswith("GET ")]
+        assert traffic["sends"] + traffic["cleanups"] == len(writes) == 4
+
     def test_plain_lists_work_as_sequences(self, live):
         report = run_campaign(
             inferred_spec(), [[mk("postPlayer", pid="p1"),

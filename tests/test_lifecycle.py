@@ -181,6 +181,26 @@ class TestLoadModel:
         with pytest.raises(ModelError, match="invariant bounded"):
             load_model(doc)
 
+    # an atom nested deeper than the interpreter's stack can read is refused,
+    # naming the action or invariant that holds it
+    @pytest.mark.parametrize("place, where", [
+        ("guard", "action dropThing"), ("effect", "action dropThing"),
+        ("check", "invariant deep"),
+    ])
+    def test_an_expression_nested_too_deeply(self, place, where):
+        doc = toggler_doc()
+        deep = "things[" * 3000 + "kid" + "].x" * 3000
+        if place == "guard":
+            doc["actions"][1]["guard"] = f"kid in things and size({deep}) = 0"
+        elif place == "effect":
+            doc["actions"][1]["effect"] = [f"del things[{deep}]"]
+        else:
+            doc["invariants"] = [{"name": "deep", "forall": "kid", "in": "things",
+                                  "check": f"{deep} in things"}]
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert str(exc.value) == f"{where}: nested too deeply to read"
+
 
 
 def malformed_model(case: str) -> dict:

@@ -489,6 +489,12 @@ class TestSequencesJson:
         suite = insert_puts(calls, PUT_CATALOG, puts, seed)
         assert sequences_from_json(sequences_to_json(suite, seed)) == (seed, suite)
 
+    def test_a_document_nested_too_deeply(self):
+        # deeper than any interpreter's recursion limit for the JSON decoder
+        text = '{"sequences": ' + "[" * 20_000 + "]" * 20_000 + "}"
+        with pytest.raises(ValueError, match="^top level: nested too deeply to read$"):
+            sequences_from_json(text)
+
     def test_byte_determinism(self):
         a = sequences_to_json(tournaments_sequences(), seed=5)
         b = sequences_to_json(tournaments_sequences(), seed=5)

@@ -722,6 +722,13 @@ class TestEmitLoad:
         with pytest.raises(SpecError, match=f"^{key}\\[1\\]: at offset 24: "):
             load_oas(doc)
 
+    def test_a_clause_nested_too_deeply(self):
+        doc = widget_doc()
+        doc["x-invariants"] = ["".join(f"for a{i} in res_body(GET /widgets) :- "
+                                       for i in range(3000)) + "res_code(GET /widgets) = 200"]
+        with pytest.raises(SpecError, match="^x-invariants\\[0\\]: nested too deeply to read$"):
+            load_oas(doc)
+
     def test_clause_list_must_be_a_list(self):
         doc = widget_doc()
         doc["paths"]["/widgets"]["post"]["x-requires"] = "res_code(GET /widgets) = 200"
