@@ -160,11 +160,7 @@ def cmd_explore(args, log: Log) -> int:
 
     doc = _read_yaml(args.model)
     try:
-        model = lifecycle.load_model(doc)
-    except lifecycle.ModelError as exc:
-        raise UsageError(f"{args.model}: {exc}") from exc
-    try:
-        exploration = lifecycle.explore(model, max_states=args.max_states)
+        exploration = lifecycle.explore(lifecycle.load_model(doc), max_states=args.max_states)
     except lifecycle.InvariantViolation as violation:
         log.event("invariant-violation", invariant=violation.name,
                   trace=list(violation.trace))
@@ -349,10 +345,10 @@ def cmd_demo_server(args, log: Log) -> int:
         server = DemoServer(port=args.port, seed=args.seed, fault=args.fault)
     except OSError as exc:
         raise UsageError(f"cannot listen on 127.0.0.1:{args.port}: {exc}") from exc
-    server.start()
-    log.event("demo", url=server.base_url, fault=args.fault or "none")
-    print(server.base_url, flush=True)
     try:
+        server.start()
+        log.event("demo", url=server.base_url, fault=args.fault or "none")
+        print(server.base_url, flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

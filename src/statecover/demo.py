@@ -391,10 +391,11 @@ class DemoServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread:
+        # shutdown() waits for a serving loop to end, forever if none runs
+        if self._thread is not None and self._thread.is_alive():
+            self._httpd.shutdown()
             self._thread.join(timeout=5)
+        self._httpd.server_close()
 
     def __enter__(self) -> "DemoServer":
         return self.start()

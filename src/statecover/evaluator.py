@@ -1,19 +1,19 @@
 """Evaluates contract formulas against a running service.
 
-Evaluation is read-only: the only requests it ever sends are GETs (a probe
-naming any other method is refused when the spec loads), so checking a
-clause cannot change the state it is checking. One rule says what a read
+Evaluation is read-only: the only requests a clause ever makes are GETs (a
+probe naming any other method is refused when the spec loads), so checking
+a clause cannot change the state it is checking. One rule says what a read
 sees. The evaluator keeps what the service answered since the last write,
-one entry per URL: the status and body, the message of a GET that failed,
-or the BudgetExceeded of a GET that capture_previous's budget did not
-allow. A read is served from that entry, or fetched into it (the last kind
-is fetched again), so every clause evaluated between two writes sees one
-consistent state of the service and each URL costs at most one GET.
-Whoever sends a write calls forget() just before it: what was observed
-becomes the state before the write, which prev(...) reads, and later reads
-fetch afresh. Until then a bare Evaluator keeps answering from what it
-fetched. capture_previous only fetches the URLs that prev(...) calls will
-read, so that the write's forget() keeps them. A budget caps the number of
+one entry per URL: the status and body, the TransportFailure of a GET that
+failed, or the BudgetExceeded of a GET that capture_previous's budget did
+not allow. A read is served from that entry, or fetched into it (the last
+kind is fetched again), so every clause evaluated between two writes sees
+one consistent state of the service and each URL costs at most one GET.
+Every write goes through send(), which calls forget() just before it: what
+was observed becomes the state before the write, which prev(...) reads, and
+later reads fetch afresh. Until then a bare Evaluator keeps answering from
+what it fetched. capture_previous only fetches the URLs that prev(...)
+calls will read, so that the write keeps them. A budget caps the number of
 live requests per evaluation so quantifiers over large collections fail
 loudly instead of hammering the service; reads served from what was
 observed are free.
@@ -28,11 +28,12 @@ last write or whose entry is a failure, or a spent budget raises
 EvaluationError; a dead or unreachable service raises TransportFailure.
 '@' (the call's own answer), a probe and a snapshot are read alike.
 
-Transport: every GET goes through the request(method, path) -> (status,
-body) method of a session that owns the base URL and the timeout, such as a
-transport.Connection, which returns the service's answer to that GET, a 3xx
-included; a body that is not JSON arrives as a NonJsonBody, and any of
-transport.TRANSPORT_ERRORS becomes a TransportFailure.
+Transport: every request goes through the request(method, path, json=None)
+-> (status, body) method of a session that owns the base URL and the
+timeout, such as a transport.Connection, which returns the service's answer,
+a 3xx included; a body that is not JSON arrives as a NonJsonBody, and any
+of transport.TRANSPORT_ERRORS that a GET raises becomes a TransportFailure
+(send() passes them on).
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ class Evaluator:
         self.budget = budget
         self.sent = 0  # probe GETs that went out, over the evaluator's life
         self._spent = 0
-        # URL -> (status, body), the message of the GET that failed, or the
-        # BudgetExceeded that kept capture_previous from sending it: what the
-        # service answered since the last write, and before it
+        # URL -> (status, body), the TransportFailure of the GET that failed,
+        # or the BudgetExceeded that kept capture_previous from sending it:
+        # what the service answered since the last write, and before it
         self._now: dict[str, Any] = {}
         self._before: dict[str, Any] = {}
 
@@ -135,13 +136,18 @@ class Evaluator:
         prev(...) reads, and later reads fetch afresh."""
         self._before, self._now = self._now, {}
 
+    def send(self, method: str, path: str, json=None) -> tuple[int, Any]:
+        """Send a write through the session, after forget()."""
+        self.forget()
+        return self.session.request(method, path, json=json)
+
     def evaluate(self, formula: Formula, ctx: Optional[OpContext] = None) -> EvalResult:
         self._spent = 0
         return self._formula(formula, ctx, {})
 
     def capture_previous(self, formulas, ctx: OpContext) -> None:
         """Fetch every URL a prev(...) call in the given formulas reads, so
-        that the forget() before the operation is sent keeps it. Raises
+        that the send() of the operation keeps it. Raises
         nothing: a URL that cannot be fetched, for a failed GET or a spent
         budget, is kept as its failure and only surfaces if prev(...) reads
         it; a live read fetches a URL the budget kept anew. A URL that
@@ -161,7 +167,7 @@ class Evaluator:
                 except BudgetExceeded as exc:
                     self._now[url] = exc
                 except TransportFailure:
-                    pass  # _fetch kept the failed GET's message
+                    pass  # _fetch kept it
 
     # -- formulas ------------------------------------------------------------
 
@@ -293,7 +299,7 @@ class Evaluator:
         if path not in self._before:
             raise EvaluationError(f"no snapshot was captured for GET {path}")
         entry = self._before[path]
-        if isinstance(entry, (str, BudgetExceeded)):
+        if isinstance(entry, Exception):
             raise EvaluationError(f"snapshot unavailable: {entry}")
         return entry
 
@@ -344,9 +350,9 @@ class Evaluator:
             try:
                 self._now[path] = self.session.request("GET", path)
             except TRANSPORT_ERRORS as exc:
-                self._now[path] = f"GET {path}: {exc}"
-                raise TransportFailure(self._now[path]) from exc
+                self._now[path] = TransportFailure(f"GET {path}: {exc}")
+                raise self._now[path] from exc
         entry = self._now[path]
-        if isinstance(entry, str):
-            raise TransportFailure(entry)
+        if isinstance(entry, TransportFailure):
+            raise entry
         return entry

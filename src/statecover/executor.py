@@ -2,15 +2,15 @@
 
 Each call is sent with concrete, freshly generated inputs while a plain dict,
 abstract id ('p1') -> Entry in creation order, tracks what the service should
-contain: a prepared call carries the insert, data update or pop that a 2xx
-answer applies. Around every request the operation's contract is evaluated
-(preconditions and invariants before, postconditions and, on the last call,
-invariants again after), and the combination of verdicts and status code is
-classified as OK, WARN, or ERR. What a clause reads follows the
-evaluator's observation rule (see the evaluator module): the campaign calls
-forget() before each write it makes, a call's send and cleanup's DELETEs,
-and the pre phase captures the URLs the postconditions' prev(...) calls
-read. The post phase reads the call's own answer as the session returned it.
+contain: a prepared call carries the entry a 2xx answer leaves in its
+place, or None for a DELETE, whose 2xx answer removes it. Around every
+request the operation's contract is evaluated (preconditions and invariants
+before, postconditions and, on the last call, invariants again after), and
+the combination of verdicts and status code is classified as OK, WARN, or
+ERR. A call's send and cleanup's DELETEs go through the evaluator, whose
+write rule says what a clause reads (see the evaluator module), and the pre
+phase captures the URLs the postconditions' prev(...) calls read. The post
+phase reads the call's own answer as the session returned it.
 
 A call whose inputs cannot be produced (a foreign id that was never created,
 an id the sequence already created, an operation with no usable key, a
@@ -30,7 +30,7 @@ Every request, for calls, probes and cleanup alike, goes through the
 request(method, path, json=None) -> (status, body) method of one session,
 which owns the base URL and the timeout (see the transport module).
 run_campaign opens a transport.Connection for the campaign and closes it at
-the end; a SequenceRunner uses the session it is given.
+the end; a SequenceRunner hands the session it is given to its evaluator.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import closing
-from functools import partial
-from typing import Any, Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .evaluator import (
     EvalResult, EvaluationError, Evaluator, OpContext, TransportFailure, path_segment,
@@ -103,18 +102,15 @@ class _Skip(Exception):
 
 
 class _Prepared(NamedTuple):
-    payload: Optional[dict]  # body to send (None for DELETE)
-    clause_body: Any  # what req_body(@) means for this call
     path: str
     bindings: dict
-    effect: Callable[[], None]  # state update on 2xx
+    leaves: Optional[Entry]  # the entry a 2xx answer leaves; None for DELETE
 
 
 class SequenceRunner:
     def __init__(self, spec, generator: InputGenerator, session, *, budget: int = 256):
         self.spec = spec
         self.generator = generator
-        self.session = session
         self.evaluator = Evaluator(session, budget=budget)
 
     # -- one sequence --------------------------------------------------------
@@ -139,14 +135,26 @@ class SequenceRunner:
             return CallOutcome(seq_index, call_index, call.op, None, None,
                                None, None, None, NOT_TESTED, str(skip))
 
-        pre_ctx = OpContext(req_body=prep.clause_body, path_args=prep.bindings)
+        tla = call.params[op.own_key]
+        if prep.leaves is None:
+            # nothing goes over the wire, but req_body(@) means the stored instance
+            payload, req_body = None, state[tla].data
+        else:
+            payload = req_body = prep.leaves.data
+        pre_ctx = OpContext(req_body=req_body, path_args=prep.bindings)
         inv = self._eval_clauses(self.spec.invariants, None)
         pre = self._eval_clauses(op.requires, pre_ctx)
         self.evaluator.capture_previous([c.formula for c in op.ensures], pre_ctx)
 
-        status, body = self._send(op.method, prep.path, prep.payload)
+        try:
+            status, body = self.evaluator.send(op.method, prep.path, payload)
+        except TRANSPORT_ERRORS as exc:
+            raise TransportFailure(f"{op.method} {prep.path}: {exc}") from exc
         if 200 <= status < 300:
-            prep.effect()
+            if prep.leaves is None:
+                del state[tla]
+            else:
+                state[tla] = prep.leaves
 
         if status >= 500:  # the service failed outright: nothing to evaluate
             post = EvalResult(None, f"server error {status}")
@@ -166,7 +174,7 @@ class SequenceRunner:
                           f"unexpected status {status}")
         return CallOutcome(
             seq_index, call_index, call.op,
-            {"method": op.method, "url": prep.path, "body": prep.payload},
+            {"method": op.method, "url": prep.path, "body": payload},
             {"status": status, "body": body.text if isinstance(body, NonJsonBody) else body},
             pre.value, post.value, inv.value, classification, reason,
         )
@@ -174,7 +182,7 @@ class SequenceRunner:
     # -- request construction -----------------------------------------------------
 
     def _prepare(self, call, op, state: dict) -> _Prepared:
-        """The request for one call and the state update a 2xx answer applies.
+        """The request for one call and the entry a 2xx answer leaves.
         A POST sends a fresh id and the foreign keys its label arguments name;
         a PUT keeps the stored id and foreign fields; a DELETE sends no body."""
         if op.method not in ("POST", "PUT", "DELETE"):
@@ -194,9 +202,7 @@ class SequenceRunner:
 
         if op.method == "DELETE":
             bindings = {key: entry.concrete_id}
-            path = self._fill_path(op.path, bindings)
-            # nothing goes over the wire, but req_body(@) means the stored instance
-            return _Prepared(None, entry.data, path, bindings, partial(state.pop, tla))
+            return _Prepared(self._fill_path(op.path, bindings), bindings, None)
 
         try:
             payload = (
@@ -225,11 +231,9 @@ class SequenceRunner:
         path = self._fill_path(op.path, bindings)
         if entry is None:
             # the item path the instance lives at, where a cleanup deletes it
-            created = Entry(self._fill_path(op.item_path, bindings), payload, concrete)
-            effect = partial(state.__setitem__, tla, created)
-        else:
-            effect = partial(setattr, entry, "data", payload)
-        return _Prepared(payload, payload, path, bindings, effect)
+            return _Prepared(path, bindings,
+                             Entry(self._fill_path(op.item_path, bindings), payload, concrete))
+        return _Prepared(path, bindings, entry._replace(data=payload))
 
     @staticmethod
     def _fill_path(template: str, bindings: dict) -> str:
@@ -240,7 +244,7 @@ class SequenceRunner:
             raise _Skip(f"unresolved parameters in path {path!r}")
         return path
 
-    # -- evaluation and transport -------------------------------------------------
+    # -- evaluation ---------------------------------------------------------------
 
     def _eval_clauses(self, clauses, ctx) -> EvalResult:
         """The first clause that is false or cannot be evaluated (value
@@ -253,13 +257,6 @@ class SequenceRunner:
             if not result.value:
                 return EvalResult(False, f"{clause.text}: {result.witness}")
         return EvalResult(True)
-
-    def _send(self, method: str, path: str, payload):
-        self.evaluator.forget()  # what was observed may change now
-        try:
-            return self.session.request(method, path, json=payload)
-        except TRANSPORT_ERRORS as exc:
-            raise TransportFailure(f"{method} {path}: {exc}") from exc
 
 
 def run_campaign(
@@ -304,13 +301,12 @@ def run_campaign(
         for index, calls in enumerate(sequences):
             seq_outcomes, state = runner.run_sequence(calls, index)
             outcomes.extend(seq_outcomes)
-            if cleanup and state:
-                runner.evaluator.forget()  # the service is about to change
+            if cleanup:
                 for entry in reversed(state.values()):
                     failure = {"sequenceIndex": index, "url": entry.path}
                     cleanups += 1
                     try:
-                        status, _ = session.request("DELETE", entry.path)
+                        status, _ = runner.evaluator.send("DELETE", entry.path)
                     except TRANSPORT_ERRORS as exc:
                         cleanup_failures.append({**failure, "error": str(exc)})
                         continue

@@ -1,6 +1,7 @@
 """Runtime support for driving a live service: seeded payload generation,
 and the entry type of the tester's own copy of what the service should
-contain (a plain dict per sequence, kept by the executor).
+contain (a plain dict per sequence, kept by the executor). An entry is a
+value: a PUT replaces its entry, so a copy of the dict is a snapshot.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 import string
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class GenerationError(ValueError):
@@ -138,14 +139,11 @@ def _inside(bound, strict: bool, integer: bool, up: bool):
     return math.nextafter(bound, math.inf if up else -math.inf) if strict else bound
 
 
-class Entry:
+class Entry(NamedTuple):
     """One instance the service should contain: the item path it lives at,
     the body it was last written with, and the concrete id it was sent as.
     A sequence's emulated state maps abstract ids ('p1') to these."""
 
-    __slots__ = ("path", "data", "concrete_id")
-
-    def __init__(self, path: str, data: dict, concrete_id: str):
-        self.path = path
-        self.data = data
-        self.concrete_id = concrete_id
+    path: str
+    data: dict
+    concrete_id: str

@@ -67,10 +67,6 @@ class Diagnostic(NamedTuple):
     message: str
     where: str = ""
 
-    def __str__(self):
-        loc = f" [{self.where}]" if self.where else ""
-        return f"{self.code}: {self.message}{loc}"
-
 
 class Clause(NamedTuple):
     """One contract formula and its source text; made only by clause()."""
@@ -264,11 +260,18 @@ def _check_keywords(schema: dict, where: str) -> None:
 # safe constructor, representer and resolver either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# libyaml builds nested collections on the C stack and kills the process
+# somewhere past 20,000 levels (with an 8 MiB stack). Each level needs one of
+# "[{-:?", so a text with no more of them than this cannot get there.
+_C_PARSER_MARKS = 10_000
 
 
 def load_yaml(text: str):
-    """yaml.safe_load, through libyaml's C parser where pyyaml has it."""
-    return yaml.load(text, Loader=_YAML_LOADER)
+    """yaml.safe_load, through libyaml's C parser where pyyaml has it and
+    the text cannot nest deep enough to crash it; otherwise through pyyaml's
+    own parser, which raises RecursionError where it nests too deeply."""
+    shallow = sum(map(text.count, "[{-:?")) <= _C_PARSER_MARKS
+    return yaml.load(text, Loader=_YAML_LOADER if shallow else yaml.SafeLoader)
 
 
 def _represent_str(dumper, value: str):

@@ -561,16 +561,13 @@ def build(raw: RawGraph, *, initial: str | None = None, prune: bool = False) -> 
             "self-loops rejected: " + _fmt_ids(ids[u] for u in self_loops)
         )
 
-    in_degree = [0] * n_real
-    for (_, v) in pairs:
-        in_degree[v] += 1
-
     if initial is not None:
         if initial not in index_of:
             raise GraphError(f"flagged initial state {initial!r} not present")
         init_idx = index_of[initial]
     else:
-        candidates = [i for i in range(n_real) if in_degree[i] == 0]
+        targets = {v for (_, v) in pairs}
+        candidates = [i for i in range(n_real) if i not in targets]
         if len(candidates) != 1:
             raise GraphError(
                 "initial state not unique; in-degree-zero candidates: "

@@ -647,6 +647,24 @@ class TestErrorPaths:
         assert (answer.status_code, answer.json()) == (200, {"service": "tournaments"})
         assert (server.returncode, out) == (0, ""), err
 
+    def test_an_interrupt_while_the_server_starts_stops_it(self, monkeypatch):
+        urls = []
+
+        def event(log, name, **fields):
+            if name == "demo":
+                urls.append(fields["url"])
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr("statecover.cli.Log.event", event)
+        try:
+            code = main(["demo-server", "--port", "0"])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 0
+        port = int(urls[0].rsplit(":", 1)[1])
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5)
+
     def test_clean_into_a_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("g.dot").write_text('digraph G {\n0 -> 1;\n1 [label="final = TRUE"];\n}\n')
@@ -1087,6 +1105,20 @@ class TestErrorPaths:
         deep.write_text("a: " + "[" * 3000 + "]" * 3000 + "\n")
         code, _, err = run(capsys, "explore", str(deep), str(tmp_path / "out.dot"))
         assert (code, err) == (2, f"error: {deep}: nested too deeply to read\n")
+
+    # libyaml's parser would crash the process on these, so they are read in a
+    # child, where a crash fails the test without ending the test run
+    @pytest.mark.parametrize("command, style", [
+        ("explore", "flow"), ("explore", "block"), ("gen-contracts", "flow")])
+    def test_yaml_nested_deeper_than_libyaml_survives(self, tmp_path, command, style):
+        deep = tmp_path / "deep.yaml"
+        deep.write_text({"flow": "a: " + "[" * 30_000 + "]" * 30_000 + "\n",
+                         "block": "- " * 30_000 + "1\n"}[style])
+        result = subprocess.run(
+            [sys.executable, "-m", "statecover.cli", command, str(deep), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {deep}: nested too deeply to read\n"
 
     def test_a_send_that_raises_ends_the_campaign(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(executor, "Connection", failing_on("POST"))

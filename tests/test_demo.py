@@ -2,6 +2,7 @@ import calendar
 import io
 import json
 import socket
+import threading
 from email.utils import formatdate
 
 import pytest
@@ -371,6 +372,16 @@ class TestHttpServer:
             assert conn.recv(65536).startswith(b"HTTP/1.1 100")
             conn.sendall(body)
             assert conn.recv(65536).startswith(b"HTTP/1.1 200")
+
+    def test_stopping_a_server_that_never_started_returns(self):
+        server = DemoServer()
+        port = server.port
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5)
 
     def test_ids_are_unquoted_per_path_segment(self):
         player = {"pid": "a/b c", "name": "slash"}

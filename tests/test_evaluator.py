@@ -429,6 +429,18 @@ class TestObservation:
         check(ev, "res_body(GET /x){v} = 1")
         assert session.log == ["/x", "/x"]
 
+    def test_a_write_sent_through_the_evaluator_ends_the_observation(self):
+        ev, session = fake_eval({"/x": (200, {"v": 1})})
+        assert check(ev, "res_body(GET /x){v} = 1").value
+        session.routes["/x"] = (200, {"v": 2})
+        assert ev.send("PUT", "/x", {"v": 2}) == (200, {"v": 2})
+        assert session.log == ["/x", "/x"]  # the GET, then the PUT
+        assert check(ev, "prev(res_body(GET /x){v}) = 1").value
+        assert session.log == ["/x", "/x"]
+        assert check(ev, "res_body(GET /x){v} = 2").value
+        assert session.log == ["/x", "/x", "/x"]
+        assert ev.sent == 2  # the write is not a probe
+
     def test_one_observation_fetches_each_url_once(self):
         ev, session = fake_eval({"/x": (200, {"v": 1}), "/y": (200, 2)})
         ctx = OpContext(path_args={})

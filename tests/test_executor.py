@@ -210,6 +210,16 @@ class TestPhases:
         runner.run_sequence([mk("postPlayer", pid="p1")], 2)
         assert session.log[0] == "GET /tournaments"
 
+    def test_a_copy_of_the_emulated_state_is_a_snapshot(self):
+        runner = SequenceRunner(inferred_spec(), InputGenerator(0), AppSession())
+        state = {}
+        post = runner._run_call(mk("postPlayer", pid="p1"), state, 0, 0, False)
+        before = dict(state)
+        put = runner._run_call(put_call("putPlayer", "pid", "p1"), state, 0, 1, True)
+        assert (post.classification, put.classification) == (OK, OK)
+        assert before["p1"].data == post.request["body"]
+        assert state["p1"].data == put.request["body"] != post.request["body"]
+
     def test_concrete_ids_are_one_path_segment(self):
         path = SequenceRunner._fill_path("/players/{pid}", {"pid": "a/b c"})
         assert path == "/players/a%2Fb%20c"
